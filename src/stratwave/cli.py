@@ -98,7 +98,11 @@ def _profile_to_json(p) -> dict:
 
 def cmd_decompose(args) -> int:
     snaps = _io.read_snapshots(args.infile)
-    params = ExtractParams(**_load_json(args.params))
+    obj = _load_json(args.params)
+    try:
+        params = ExtractParams(**obj)
+    except TypeError as exc:  # not an object, unknown or missing keys, mistyped values
+        raise ValueError(f"bad extraction parameters: {exc}") from None
     dec = extract(snaps, params)
     L = min(params.L_max, len(dec.profiles))
     energy = {str(ell): list(map(float, energy_check(dec, ell))) for ell in range(L + 1)}

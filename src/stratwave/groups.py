@@ -4,6 +4,12 @@ A group element is a flat real vector whose coordinates are grouped by
 stratum.  Step-1 (abelian) and step-2 groups are supported; step-2 group
 laws are given by an antisymmetric bracket tensor mapping the first
 stratum into the second.
+
+Every operation takes points as arrays of shape (..., dim): the last axis
+holds the coordinates and the leading axes are a batch, broadcast between
+operands like any NumPy elementwise operation.  A batched call equals the
+single-point call row by row, and a single (dim,) point gives a (dim,)
+array, or a float from `hom_norm`.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ __all__ = [
     "identity",
     "dilate",
     "hom_norm",
-    "hom_dimension",
     "critical_exponent",
     "dilation_weights",
     "validate_law",
@@ -52,7 +57,6 @@ class GroupSpec:
 
     strata_dims: tuple[int, ...]
     kind: str
-    norm_kind: str = "default"
     bracket: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -94,10 +98,10 @@ def heisenberg(d: int) -> GroupSpec:
     return GroupSpec(strata_dims=(2 * d, 1), kind="heisenberg", bracket=b)
 
 
-def _as_point(g: GroupSpec, x) -> np.ndarray:
+def _as_points(g: GroupSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (g.dim,):
-        raise LayoutError(f"expected {g.dim} coordinates, got shape {x.shape}")
+    if x.ndim == 0 or x.shape[-1] != g.dim:
+        raise LayoutError(f"expected {g.dim} coordinates on the last axis, got shape {x.shape}")
     return x
 
 
@@ -106,51 +110,49 @@ def identity(g: GroupSpec) -> np.ndarray:
 
 
 def multiply(g: GroupSpec, x, y) -> np.ndarray:
-    x, y = _as_point(g, x), _as_point(g, y)
-    if g.step == 1:
-        return x + y
-    d1 = g.strata_dims[0]
+    x, y = _as_points(g, x), _as_points(g, y)
     out = x + y
-    out[d1:] += 0.5 * np.einsum("kij,i,j->k", g.bracket, x[:d1], y[:d1])
+    if g.step == 2:
+        d1 = g.strata_dims[0]
+        out[..., d1:] += 0.5 * np.einsum("kij,...i,...j->...k", g.bracket,
+                                         x[..., :d1], y[..., :d1])
     return out
 
 
 def inverse(g: GroupSpec, x) -> np.ndarray:
     # exponential coordinates of the first kind: inversion is negation
     # (asserted by test_groups for both presets, not assumed silently)
-    return -_as_point(g, x)
+    return -_as_points(g, x)
 
 
 def dilation_weights(g: GroupSpec) -> np.ndarray:
     return np.concatenate([np.full(d, k + 1.0) for k, d in enumerate(g.strata_dims)])
 
 
-def dilate(g: GroupSpec, alpha: float, x) -> np.ndarray:
-    if alpha <= 0:
+def dilate(g: GroupSpec, alpha, x) -> np.ndarray:
+    """delta_alpha(x); alpha is a scalar or an array over x's leading axes."""
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= 0):
         raise DomainError("dilation parameter must be positive")
-    x = _as_point(g, x)
-    return x * alpha ** dilation_weights(g)
+    return _as_points(g, x) * alpha[..., None] ** dilation_weights(g)
 
 
-def hom_norm(g: GroupSpec, x) -> float:
+def hom_norm(g: GroupSpec, x):
     """Homogeneous norm: Euclidean for abelian, Koranyi-type for step 2.
 
     Step 2: (|v1|^4 + 16 |v2|^2)^(1/4); on H^1 this is the classical
-    ((x^2+y^2)^2 + 16 t^2)^(1/4).
+    ((x^2+y^2)^2 + 16 t^2)^(1/4).  Returns a float for a single point and
+    an array of shape x.shape[:-1] for a batch.
     """
-    x = _as_point(g, x)
-    if g.norm_kind not in ("default", "koranyi", "euclidean"):
-        raise ValueError(f"unknown norm_kind {g.norm_kind!r}")
-    if g.step == 1:
-        return float(np.linalg.norm(x))
+    x = _as_points(g, x)
     d1 = g.strata_dims[0]
-    v1 = float(np.dot(x[:d1], x[:d1]))
-    v2 = float(np.dot(x[d1:], x[d1:]))
-    return (v1 * v1 + 16.0 * v2) ** 0.25
-
-
-def hom_dimension(g: GroupSpec) -> int:
-    return g.Q
+    v1 = np.sum(x[..., :d1] ** 2, axis=-1)
+    if g.step == 1:
+        out = np.sqrt(v1)
+    else:
+        # two correctly rounded square roots, so that a batch and its rows agree
+        out = np.sqrt(np.sqrt(v1 * v1 + 16.0 * np.sum(x[..., d1:] ** 2, axis=-1)))
+    return float(out) if out.ndim == 0 else out
 
 
 def critical_exponent(g: GroupSpec, s: float) -> float:
@@ -167,15 +169,12 @@ def validate_law(g: GroupSpec, n_triples: int = 200, tol: float = 1e-12, seed: i
     Returns the worst absolute defect found; raises if it exceeds tol.
     """
     rng = np.random.default_rng(seed)
+    x, y, z = rng.normal(size=(n_triples, 3, g.dim)).transpose(1, 0, 2)
     e = identity(g)
-    worst = 0.0
-    for _ in range(n_triples):
-        x, y, z = rng.normal(size=(3, g.dim))
-        a = multiply(g, multiply(g, x, y), z)
-        b = multiply(g, x, multiply(g, y, z))
-        worst = max(worst, float(np.max(np.abs(a - b))))
-        worst = max(worst, float(np.max(np.abs(multiply(g, x, e) - x))))
-        worst = max(worst, float(np.max(np.abs(multiply(g, x, inverse(g, x)) - e))))
+    defects = (multiply(g, multiply(g, x, y), z) - multiply(g, x, multiply(g, y, z)),
+               multiply(g, x, e) - x,
+               multiply(g, x, inverse(g, x)) - e)
+    worst = max(float(np.max(np.abs(d), initial=0.0)) for d in defects)
     if worst > tol:
         raise ValueError(f"group law validation failed: defect {worst:.3e} > {tol:.1e}")
     return worst

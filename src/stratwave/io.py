@@ -98,9 +98,12 @@ def _entry_from_json(obj: dict, dim: int, lineno: int) -> tuple[AtomIndex, compl
 
 def _parse_json_line(line: str, lineno: int) -> dict:
     try:
-        return json.loads(line)
+        obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise IngestionError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 # -- coefficient fields ------------------------------------------------------
@@ -178,7 +181,7 @@ def read_snapshots(path) -> SequenceSnapshots:
             continue
         obj = _parse_json_line(line, lineno)
         n = obj.get("n")
-        if n not in per_n:
+        if not isinstance(n, (int, float)) or n not in per_n:
             raise IngestionError(f"line {lineno}: snapshot n={n} not in header list")
         idx, val = _entry_from_json(obj, gs.group.dim, lineno)
         if idx in per_n[n]:

@@ -10,7 +10,8 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -103,11 +104,14 @@ class ScaleCorePair:
     def h(self) -> np.ndarray:
         return 2.0 ** (-np.asarray(self.js, dtype=float))
 
-    @property
+    @functools.cached_property
     def kappa(self) -> np.ndarray:
-        g = self.sampling.group
-        return np.array([groups.dilate(g, 2.0 ** (-j), self.sampling.decode(gm))
-                         for j, gm in zip(self.js, self.gammas)])
+        """Decoded cores delta_{h_n}(gamma_n), shape (len, dim); computed once, read-only."""
+        gs = self.sampling
+        gammas = np.asarray(self.gammas, dtype=np.int64).reshape(len(self), gs.group.dim)
+        k = groups.dilate(gs.group, self.h, gs.decode(gammas))
+        k.setflags(write=False)
+        return k
 
 
 @dataclass(frozen=True)
@@ -125,12 +129,8 @@ class Verdict:
 def _relative_positions(a: ScaleCorePair, b: ScaleCorePair, lo: int) -> np.ndarray:
     """Decoded relative cores 2^{j_b} . (kappa_a^{-1} . kappa_b) over [lo:]."""
     g = a.sampling.group
-    ka, kb = a.kappa[lo:], b.kappa[lo:]
-    out = []
-    for j_b, pa, pb in zip(b.js[lo:], ka, kb):
-        rel = groups.multiply(g, groups.inverse(g, pa), pb)
-        out.append(groups.dilate(g, 2.0**j_b, rel))
-    return np.array(out)
+    rel = groups.multiply(g, groups.inverse(g, a.kappa[lo:]), b.kappa[lo:])
+    return groups.dilate(g, 2.0 ** np.asarray(b.js[lo:], dtype=float), rel)
 
 
 def classify_pair(a: ScaleCorePair, b: ScaleCorePair, tail: int,
@@ -148,7 +148,7 @@ def classify_pair(a: ScaleCorePair, b: ScaleCorePair, tail: int,
     if np.all(gap == gap[0]):
         g = a.sampling.group
         rel = _relative_positions(a, b, lo)
-        dist = np.array([groups.hom_norm(g, r) for r in rel])
+        dist = groups.hom_norm(g, rel)
         if dist[-1] > T_div and np.all(np.diff(dist) >= -1e-9):
             return Verdict("CoreOrthogonal",
                            detail=f"rescaled core distance reaches {dist[-1]:g} "
@@ -243,9 +243,8 @@ def _escape_status(gs: SamplingSet, track, T_div: float) -> str:
     js = np.array([i.j for i in track], dtype=float)
     if abs(js[-1] - js[0]) > T_div:
         return "scale"
-    g = gs.group
-    dist = [groups.hom_norm(g, gs.decode(i.gamma)) for i in track]
-    if dist[-1] - dist[0] > T_div:
+    first, last = groups.hom_norm(gs.group, gs.decode([track[0].gamma, track[-1].gamma]))
+    if last - first > T_div:
         return "core"
     return "none"
 

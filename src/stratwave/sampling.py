@@ -3,20 +3,23 @@
 Lattice members are stored as integer coordinate tuples so that closure
 under the group law and under dyadic dilations is exact.  For the
 Heisenberg preset the center coordinate decodes to an exact half-integer
-multiple of beta^2, which keeps the group-law closure drift-free.
+multiple of beta^2, which keeps the group-law closure drift-free.  Only
+the abelian and Heisenberg presets have a lattice law; other groups are
+rejected with `DomainError`.  `decode` and `encode` take (..., dim)
+batches under the same contract as the `groups` operations.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import groups
-from .groups import GroupSpec
+from .groups import DomainError, GroupSpec
 
 __all__ = [
     "AtomIndex",
@@ -43,6 +46,16 @@ class SamplingSet:
     group: GroupSpec
     beta: float
     tile: tuple[tuple[float, float], ...]  # axis-aligned box, per coordinate
+
+    def __post_init__(self):
+        g = self.group
+        d1 = g.strata_dims[0]
+        if not ((g.kind == "abelian" and g.step == 1) or (
+                g.kind == "heisenberg" and g.strata_dims == (d1, 1) and d1 % 2 == 0
+                and np.array_equal(g.bracket, groups.heisenberg(d1 // 2).bracket))):
+            raise DomainError(
+                f"no lattice law for the {g.kind} group with strata {g.strata_dims}: "
+                "sampling sets support the abelian and Heisenberg presets only")
 
     # -- integer-lattice arithmetic (exact) --------------------------------
 
@@ -73,33 +86,28 @@ class SamplingSet:
 
     # -- decode / encode ----------------------------------------------------
 
-    def decode(self, gamma: tuple[int, ...]) -> np.ndarray:
-        """Lattice coordinates -> group element."""
-        g = self.group
+    def decode(self, gamma) -> np.ndarray:
+        """Lattice coordinates (..., dim) -> group elements (..., dim)."""
+        gamma = np.asarray(gamma)
         b = self.beta
-        if g.kind == "abelian":
-            return b * np.asarray(gamma, dtype=float)
-        pt = b * np.asarray(gamma, dtype=float)
-        pt[-1] = gamma[-1] * b * b / 2.0
+        pt = b * gamma.astype(float)
+        if self.group.kind == "heisenberg":
+            pt[..., -1] = gamma[..., -1] * b * b / 2.0
         return pt
 
-    def encode(self, point: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
-        """Group element -> lattice coordinates; raises if off-lattice."""
-        g = self.group
+    def encode(self, point, tol: float = 1e-9):
+        """Group elements (..., dim) -> int64 lattice coordinates, a tuple for
+        one point; raises if off-lattice."""
         b = self.beta
         point = np.asarray(point, dtype=float)
-        if g.kind == "abelian":
-            raw = point / b
-        else:
-            raw = point / b
-            raw[-1] = 2.0 * point[-1] / (b * b)
-        ints = np.rint(raw).astype(int)
-        if np.max(np.abs(raw - ints)) > tol:
+        raw = point / b
+        if self.group.kind == "heisenberg":
+            raw[..., -1] = 2.0 * point[..., -1] / (b * b)
+        ints = np.rint(raw)
+        if not np.all(np.abs(raw - ints) <= tol):
             raise ValueError(f"point {point} is not on the sampling lattice")
-        return tuple(int(k) for k in ints)
-
-    def members(self, it: Iterable[tuple[int, ...]]):
-        return [self.decode(gamma) for gamma in it]
+        ints = ints.astype(np.int64)
+        return tuple(int(k) for k in ints) if ints.ndim == 1 else ints
 
 
 @dataclass(frozen=True)
@@ -119,16 +127,10 @@ def preset_sampling_set(g: GroupSpec, density: float) -> SamplingSet:
     if density <= 0:
         raise ValueError("density must be positive")
     b = float(density)
-    if g.kind == "abelian":
-        tile = tuple((0.0, b) for _ in range(g.dim))
-    elif g.kind == "heisenberg":
-        tile = tuple((0.0, b) for _ in range(g.dim - 1)) + ((0.0, b * b / 2.0),)
-    else:
-        raise NotImplementedError(
-            "no preset sampling set for custom groups; supply Gamma and a tile "
-            "and check them with verify_tiling"
-        )
-    return SamplingSet(group=g, beta=b, tile=tile)
+    tile = tuple((0.0, b) for _ in range(g.dim))
+    if g.kind == "heisenberg":
+        tile = tile[:-1] + ((0.0, b * b / 2.0),)
+    return SamplingSet(group=g, beta=b, tile=tile)  # rejects other groups
 
 
 def _scaled_axis_spacings(gs: SamplingSet, j: int) -> np.ndarray:
@@ -160,42 +162,34 @@ def enumerate_indices(gs: SamplingSet, j: int, box) -> list[AtomIndex]:
     return [AtomIndex(j, gamma) for gamma in itertools.product(*ranges)]
 
 
-def _covering_counts(gs: SamplingSet, point: np.ndarray, tile) -> int:
-    """Number of lattice translates gamma.W containing the point."""
+_TILING_ROWS = 1 << 18  # candidate translates per verify_tiling batch
+
+
+def _covering_counts(gs: SamplingSet, points: np.ndarray, tile) -> np.ndarray:
+    """Per point of a (P, dim) batch, the number of translates gamma.W containing it."""
     g = gs.group
     b = gs.beta
-    count = 0
-    if g.kind == "abelian":
-        anchor = np.floor(point / b).astype(int)
-        axes = [range(int(a) - 1, int(a) + 2) for a in anchor]
-        candidates = itertools.product(*axes)
-    else:
+    pts = points[:, None, :]
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=g.dim)))
+    gammas = np.floor(points / b).astype(np.int64)[:, None, :] + offsets
+    if g.kind == "heisenberg":
         # the group law shifts the needed center coordinate by the cross
         # term of the horizontal candidate, so anchor the center search per
         # horizontal candidate instead of globally
-        anchor_xy = np.floor(point[:-1] / b).astype(int)
-        t_scale = b * b / 2.0
-        axes = [range(int(a) - 1, int(a) + 2) for a in anchor_xy]
-        candidates = []
-        for gamma_xy in itertools.product(*axes):
-            partial = gs.decode(tuple(gamma_xy) + (0,))
-            rel_t = groups.multiply(g, groups.inverse(g, partial), point)[-1]
-            anchor_t = int(np.floor(rel_t / t_scale))
-            for c in range(anchor_t - 1, anchor_t + 2):
-                candidates.append(tuple(gamma_xy) + (c,))
-    for gamma in candidates:
-        rel = groups.multiply(g, groups.inverse(g, gs.decode(gamma)), point)
-        inside = all(lo <= c < hi for c, (lo, hi) in zip(rel, tile))
-        if inside:
-            count += 1
-    return count
+        gammas[..., -1] = 0
+        rel_t = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)[..., -1]
+        gammas[..., -1] = np.floor(rel_t / (b * b / 2.0)).astype(np.int64) + offsets[:, -1]
+    rel = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)
+    lo, hi = np.array(tile, dtype=float).T
+    return np.sum(np.all((lo <= rel) & (rel < hi), axis=-1), axis=-1)
 
 
 def verify_tiling(gs: SamplingSet, test_box, grid_res: int = 8, tile=None) -> TilingReport:
     """Grid check that the tile translates cover the box without overlap.
 
     Report-only: each sample point should lie in exactly one translate.
-    A custom tile may be passed to probe failure cases.
+    A custom tile may be passed to probe failure cases.  Points are checked
+    in batches of at most _TILING_ROWS candidate translates.
     """
     if grid_res < 2:
         raise ValueError("grid_res must be >= 2")
@@ -207,20 +201,14 @@ def verify_tiling(gs: SamplingSet, test_box, grid_res: int = 8, tile=None) -> Ti
         frac = 0.05 + 0.9 * (((k + 1) * np.sqrt(2.0) + np.sqrt(3.0)) % 1.0)
         axes.append(np.linspace(lo, hi, grid_res, endpoint=False)
                     + frac * (hi - lo) / grid_res)
-    pts = itertools.product(*axes)
-    n = 0
-    overlap = 0
-    uncovered = 0
-    for p in pts:
-        n += 1
-        c = _covering_counts(gs, np.asarray(p), tile)
-        if c == 0:
-            uncovered += 1
-        elif c > 1:
-            overlap += 1
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    chunk = max(1, _TILING_ROWS // 3 ** gs.group.dim)
+    counts = np.concatenate([_covering_counts(gs, pts[i:i + chunk], tile)
+                             for i in range(0, len(pts), chunk)])
+    n = len(pts)
     return TilingReport(
-        max_overlap_fraction=overlap / n,
-        uncovered_fraction=uncovered / n,
+        max_overlap_fraction=int(np.sum(counts > 1)) / n,
+        uncovered_fraction=int(np.sum(counts == 0)) / n,
         n_samples=n,
     )
 
@@ -250,6 +238,24 @@ def _unit_ball_volume(g: GroupSpec) -> float:
 _BALL_VOLUMES: dict = {}
 
 
+def _shell(center: np.ndarray, r: int) -> np.ndarray:
+    """Integer points at sup-distance exactly r from center, shape (n, d).
+
+    The shell is split by the first axis whose offset is +-r: earlier axes
+    range over (-r, r), later ones over [-r, r].  That gives
+    (2r+1)^d - (2r-1)^d points and builds nothing larger than the shell.
+    """
+    d = len(center)
+    if r == 0:
+        return center[None, :]
+    inner, full, ends = np.arange(1 - r, r), np.arange(-r, r + 1), np.array([-r, r])
+    parts = []
+    for k in range(d):
+        grid = np.meshgrid(*([inner] * k + [ends] + [full] * (d - k - 1)), indexing="ij")
+        parts.append(np.stack([a.ravel() for a in grid], axis=-1))
+    return center + np.concatenate(parts)
+
+
 def column_decay_certificate(
     gs: SamplingSet,
     eta: int,
@@ -274,31 +280,19 @@ def column_decay_certificate(
     if n <= Q:
         warnings.warn(f"decay exponent n={n} <= Q={Q}: lattice sum may diverge")
     x = np.asarray(x, dtype=float)
-    center = np.rint(x / gs.beta).astype(int)
+    center = np.rint(x / gs.beta).astype(np.int64)
     if g.kind == "heisenberg":
         center[-1] = int(np.rint(2.0 * x[-1] / gs.beta**2))
     total = 0.0
     cut_dist = 0.0
-
-    def summand(gamma):
-        rel = groups.multiply(g, groups.inverse(g, gs.decode(gamma)), x)
-        return groups.hom_norm(g, groups.dilate(g, 2.0 ** (-j), rel))
-
     shells_used = 0
     for r in range(max_shells):
-        if r == 0:
-            shell = [tuple(int(c) for c in center)]
-        else:
-            shell = [
-                gamma
-                for gamma in itertools.product(*[range(c - r, c + r + 1) for c in center])
-                if max(abs(gi - ci) for gi, ci in zip(gamma, center)) == r
-            ]
-        dists = [summand(gamma) for gamma in shell]
-        contrib = sum(2.0 ** (-j * Q) / (1.0 + 2.0**eta * d) ** n for d in dists)
+        rel = groups.multiply(g, groups.inverse(g, gs.decode(_shell(center, r))), x)
+        dists = groups.hom_norm(g, groups.dilate(g, 2.0 ** (-j), rel))
+        contrib = float(np.sum(2.0 ** (-j * Q) / (1.0 + 2.0**eta * dists) ** n))
         total += contrib
         shells_used = r + 1
-        cut_dist = min(dists) if r > 0 else 0.0
+        cut_dist = float(np.min(dists)) if r > 0 else 0.0
         if r > 2 and contrib < rel_tail * max(total, 1e-300):
             break
 

@@ -163,8 +163,8 @@ def _lattice_points(gs: SamplingSet, j: int, f: GridFunction) -> tuple[list, np.
     """Atom indices at scale j inside the torus box and their decoded positions."""
     box = [(-f.extent, f.extent)] * f.dim
     idx = enumerate_indices(gs, j, box)
-    pts = np.array([dilate(gs.group, 2.0 ** (-j), gs.decode(i.gamma)) for i in idx])
-    return idx, pts.reshape(len(idx), f.dim)
+    gammas = np.array([i.gamma for i in idx], dtype=np.int64).reshape(len(idx), f.dim)
+    return idx, dilate(gs.group, 2.0 ** (-j), gs.decode(gammas))
 
 
 def _sample_spectrum(f: GridFunction, spectrum: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -239,8 +239,7 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
         per_j.setdefault(idx.j, []).append((idx, val))
     spec = np.zeros(lam.shape, dtype=complex)
     for j, group in sorted(per_j.items()):
-        pts = np.array([dilate(gs.group, 2.0 ** (-j), gs.decode(idx.gamma))
-                        for idx, _ in group]).reshape(len(group), target.dim)
+        pts = dilate(gs.group, 2.0 ** (-j), gs.decode([idx.gamma for idx, _ in group]))
         vals = np.array([v for _, v in group])
         phases = np.exp(-2j * np.pi * (nu_flat @ pts.T))  # (N^d, P)
         mult = np.asarray(ks.window.psi_hat(lam.ravel() * 4.0 ** (-j)), dtype=float)

@@ -28,6 +28,13 @@ def heis1_lattice(heis1):
     return sw.preset_sampling_set(heis1, 1.0)
 
 
+def custom_3_2():
+    """Step-2 group with strata (3, 2): [e0, e1] = f0, [e1, e2] = f1."""
+    b = np.zeros((2, 3, 3))
+    b[0, 0, 1], b[1, 1, 2] = 1.0, 1.0
+    return sw.GroupSpec(strata_dims=(3, 2), kind="custom", bracket=b - b.transpose(0, 2, 1))
+
+
 def make_grid(n: int = 256, extent: float = 8.0) -> sw.GridFunction:
     return sw.GridFunction(1, extent, np.zeros(n, dtype=complex))
 

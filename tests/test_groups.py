@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratwave as sw
+from conftest import custom_3_2
 from stratwave.groups import (
     DomainError,
     LayoutError,
@@ -16,6 +17,8 @@ from stratwave.groups import (
 )
 
 GROUPS = [sw.abelian(1), sw.abelian(3), sw.heisenberg(1), sw.heisenberg(2)]
+BATCH_GROUPS = [sw.abelian(1), sw.abelian(2), sw.abelian(3), sw.heisenberg(1),
+                sw.heisenberg(2), custom_3_2()]
 
 coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -64,6 +67,58 @@ class TestAxioms:
 
     def test_validate_law(self, g):
         assert sw.validate_law(g, n_triples=100) <= 1e-12
+
+
+@pytest.mark.parametrize("g", BATCH_GROUPS, ids=lambda g: f"{g.kind}{g.strata_dims}")
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), shape=st.sampled_from([(1,), (5,), (2, 3)]),
+       alpha=st.floats(0.1, 8.0))
+def test_batched_law_matches_rows(g, data, shape, alpha):
+    # a (..., dim) call equals the single-point call on every row, exactly
+    n = int(np.prod(shape))
+    x, y = (np.reshape(data.draw(points(g, n)), shape + (g.dim,)) for _ in range(2))
+    rows = [(i, x[i], y[i]) for i in np.ndindex(*shape)]
+    prod, inv, dil = sw.multiply(g, x, y), sw.inverse(g, x), sw.dilate(g, alpha, x)
+    norms = sw.hom_norm(g, x)
+    assert norms.shape == shape
+    for i, xi, yi in rows:
+        assert np.array_equal(prod[i], sw.multiply(g, xi, yi))
+        assert np.array_equal(inv[i], sw.inverse(g, xi))
+        assert np.array_equal(dil[i], sw.dilate(g, alpha, xi))
+        single = sw.hom_norm(g, xi)
+        assert type(single) is float and norms[i] == single
+    # broadcasting one point against a batch, and one dilation per row
+    assert np.array_equal(sw.multiply(g, x[0], y)[0], sw.multiply(g, x[0], y[0]))
+    alphas = np.full(shape, alpha)
+    assert np.array_equal(sw.dilate(g, alphas, x), dil)
+    if g.kind == "custom":
+        return
+    gs = sw.preset_sampling_set(g, 0.5)
+    gam = np.reshape(data.draw(st.lists(st.integers(-50, 50), min_size=n * g.dim,
+                                        max_size=n * g.dim)), shape + (g.dim,))
+    pts = gs.decode(gam)
+    assert np.array_equal(gs.encode(pts), gam)
+    for i in np.ndindex(*shape):
+        assert np.array_equal(pts[i], gs.decode(tuple(int(v) for v in gam[i])))
+        assert gs.encode(pts[i]) == tuple(int(v) for v in gam[i])
+
+
+def test_batched_layout_error():
+    with pytest.raises(LayoutError):
+        sw.multiply(sw.heisenberg(1), np.zeros((4, 2)), np.zeros((4, 3)))
+    with pytest.raises(LayoutError):
+        sw.hom_norm(sw.abelian(2), 1.0)
+    with pytest.raises(DomainError):
+        sw.dilate(sw.abelian(1), np.array([1.0, 0.0]), np.zeros((2, 1)))
+
+
+def test_koranyi_norm_is_the_only_norm():
+    # the ignored norm_kind field is gone: (1, 0, 1) on H^1 has the
+    # Koranyi value (1 + 16)^(1/4), never the Euclidean sqrt(2)
+    g = sw.heisenberg(1)
+    assert sw.hom_norm(g, [1.0, 0.0, 1.0]) == pytest.approx(17.0 ** 0.25, rel=1e-15)
+    with pytest.raises(TypeError):
+        sw.GroupSpec(strata_dims=(2,), kind="abelian", norm_kind="euclidean")
 
 
 def test_hom_dimension_values():

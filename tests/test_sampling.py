@@ -1,12 +1,20 @@
 """Lattices: exact integer arithmetic, tiling, enumeration, decay sums."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratwave as sw
-from stratwave.sampling import column_decay_certificate, sampling_from_json, sampling_to_json
+from conftest import custom_3_2
+from stratwave.sampling import (
+    _shell,
+    column_decay_certificate,
+    sampling_from_json,
+    sampling_to_json,
+)
 
 lat_int = st.integers(-50, 50)
 
@@ -137,6 +145,78 @@ def test_decay_certificate_uniformity():
                                                    rel_tail=1e-8, max_shells=60))
     assert all(np.isfinite(values))
     assert max(values) <= 50.0 * min(values) + 50.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_shell_is_the_cube_boundary(d):
+    center = np.arange(d) - 1
+    for r in range(5):
+        shell = _shell(center, r)
+        assert len(shell) == (2 * r + 1) ** d - max(2 * r - 1, 0) ** d
+        assert len({tuple(p) for p in shell}) == len(shell)
+        assert np.all(np.max(np.abs(shell - center), axis=1) == r)
+
+
+def _brute_force_sums(gs, eta, j, n, x, shells):
+    """(partial sum, cut distance) over the full cube of radius shells - 1,
+    one point at a time, with the H^1 law and Koranyi gauge written out."""
+    b, d = gs.beta, gs.group.dim
+    heis = gs.group.kind == "heisenberg"
+    center = [round(v / b) for v in x]
+    if heis:
+        center[-1] = round(2.0 * x[-1] / b**2)
+    Q, r = gs.group.Q, shells - 1
+    total, cut = 0.0, np.inf
+    for off in itertools.product(range(-r, r + 1), repeat=d):
+        gam = [c + o for c, o in zip(center, off)]
+        if heis:
+            p = (b * gam[0], b * gam[1], gam[2] * b * b / 2.0)
+            rel = (x[0] - p[0], x[1] - p[1], x[2] - p[2] + (p[1] * x[0] - p[0] * x[1]) / 2.0)
+            h = 2.0 ** (-j)
+            dist = ((h * rel[0]) ** 2 + (h * rel[1]) ** 2) ** 2 + 16.0 * (h * h * rel[2]) ** 2
+            dist = dist ** 0.25
+        else:
+            dist = 2.0 ** (-j) * np.sqrt(sum((xi - b * gi) ** 2 for xi, gi in zip(x, gam)))
+        total += 2.0 ** (-j * Q) / (1.0 + 2.0**eta * dist) ** n
+        if max(abs(o) for o in off) == r:
+            cut = min(cut, dist)
+    return total * 2.0 ** (eta * Q), cut
+
+
+@pytest.mark.parametrize("gs, eta, j, n, x", [
+    (sw.preset_sampling_set(sw.heisenberg(1), 1.0), 1, 2, 16, [0.3, -0.2, 0.1]),
+    (sw.preset_sampling_set(sw.heisenberg(1), 0.5), 0, 0, 16, [0.1, 0.4, 0.05]),
+    (sw.preset_sampling_set(sw.abelian(2), 0.5), 0, 0, 6, [0.2, -0.1]),
+    (sw.preset_sampling_set(sw.abelian(2), 1.0), 1, 1, 8, [0.7, 0.3]),
+], ids=["H1-eta1-j2", "H1-b0.5", "R2-b0.5", "R2-eta1-j1"])
+def test_decay_certificate_matches_brute_force(gs, eta, j, n, x):
+    # shell-by-shell sums equal a full-cube recomputation over the same points
+    value, det = column_decay_certificate(gs, eta, j, n, np.asarray(x), rel_tail=0.0,
+                                          max_shells=7, return_details=True)
+    assert det["shells"] == 7
+    partial, cut = _brute_force_sums(gs, eta, j, n, x, det["shells"])
+    assert det["partial_sum"] == pytest.approx(partial, rel=1e-12, abs=0)
+    assert det["cut_distance"] == pytest.approx(cut, rel=1e-12, abs=0)
+    assert value >= det["partial_sum"]
+
+
+@pytest.mark.parametrize("make", [
+    custom_3_2,
+    # 4+1 with [e0, e1] = [e2, e3] = f: not the H^2 preset, whose bracket
+    # pairs e0 with e2 and e1 with e3
+    lambda: sw.GroupSpec(strata_dims=(4, 1), kind="custom", bracket=np.array(
+        [[[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]], dtype=float)),
+    # the H^1 layout under the Heisenberg label but with the opposite bracket
+    lambda: sw.GroupSpec(strata_dims=(2, 1), kind="heisenberg",
+                         bracket=-sw.heisenberg(1).bracket),
+    lambda: sw.GroupSpec(strata_dims=(2,), kind="custom"),
+], ids=["custom3+2", "custom4+1", "heisenberg-flipped", "custom-abelian"])
+def test_sampling_set_rejects_groups_without_a_lattice_law(make):
+    g = make()
+    with pytest.raises(sw.DomainError, match="no lattice law"):
+        sw.preset_sampling_set(g, 1.0)
+    with pytest.raises(sw.DomainError, match="no lattice law"):
+        sw.SamplingSet(group=g, beta=1.0, tile=tuple((0.0, 1.0) for _ in range(g.dim)))
 
 
 def test_decay_certificate_divergence_warning():

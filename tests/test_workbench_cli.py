@@ -167,3 +167,44 @@ def test_generate_invalid_spec_exit(tmp_path):
     path.write_text(json.dumps(obj))
     assert main(["generate", "--spec", str(path),
                  "--out", str(tmp_path / "o.jsonl")]) == 1
+
+
+def test_generate_on_custom_group_exits_1(tmp_path, capsys):
+    # a custom step-2 group has no lattice law, so generate refuses it
+    b = np.zeros((2, 3, 3))
+    b[0, 0, 1], b[0, 1, 0], b[1, 1, 2], b[1, 2, 1] = 1.0, -1.0, 1.0, -1.0
+    spec = write_spec(tmp_path, dim=3, group={"kind": "custom", "strata_dims": [3, 2],
+                                              "law": "custom", "coefficients": b.tolist()})
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o.jsonl")]) == 1
+    assert "validation error:" in capsys.readouterr().err
+
+
+def test_decompose_unknown_param_key_exits_1(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    snaps = tmp_path / "snaps.jsonl"
+    main(["generate", "--spec", str(spec), "--out", str(snaps)])
+    params = write_params(tmp_path, M_maks=3)
+    assert main(["decompose", "--in", str(snaps), "--params", str(params)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and "M_maks" in err
+
+
+def _snapshots_with_line(tmp_path, line):
+    spec = write_spec(tmp_path)
+    snaps = tmp_path / "snaps.jsonl"
+    main(["generate", "--spec", str(spec), "--out", str(snaps)])
+    with open(snaps, "a") as fh:
+        fh.write(line + "\n")
+    return snaps
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "expected a JSON object"),
+    ('{"n": [0], "j": 0, "gamma": [0], "re": 1.0}', "not in header list"),
+], ids=["not-an-object", "unhashable-n"])
+def test_decompose_malformed_snapshot_line_exits_1(tmp_path, capsys, line, message):
+    snaps = _snapshots_with_line(tmp_path, line)
+    params = write_params(tmp_path)
+    assert main(["decompose", "--in", str(snaps), "--params", str(params)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and message in err

@@ -41,7 +41,7 @@ from .profiles import (
     remainder_split,
 )
 from .sampling import preset_sampling_set
-from .windows import build_narrow_window, build_window, verify_partition
+from .windows import build_narrow_window, build_window, coverage_interval, verify_partition
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -133,7 +133,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify_window(args) -> int:
     w = build_narrow_window() if args.narrow else build_window(args.sharpness)
-    lo, hi = 4.0 ** (-args.J), 4.0**args.J
+    lo, hi = coverage_interval(args.J)
     # sample strictly inside the covered band: at the exact endpoints the
     # truncated sum is missing its |j| = J+1 partner for edge-supported windows
     grid = np.geomspace(lo, hi, args.grid_points + 2)[1:-1]
@@ -298,8 +298,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (_io.IngestionError, GeneratorError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (_io.IngestionError, GeneratorError, ValueError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

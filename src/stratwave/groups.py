@@ -63,7 +63,7 @@ class GroupSpec:
         if not self.strata_dims or any(d <= 0 for d in self.strata_dims):
             raise ValueError("strata_dims must be positive integers")
         if len(self.strata_dims) > 2:
-            raise NotImplementedError("only step-1 and step-2 groups are supported")
+            raise DomainError("only step-1 and step-2 groups are supported")
         if len(self.strata_dims) == 2:
             d1, d2 = self.strata_dims
             b = self.bracket

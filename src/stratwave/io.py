@@ -174,7 +174,10 @@ def read_snapshots(path) -> SequenceSnapshots:
         raise IngestionError("line 1: header type must be 'sequence_snapshots'")
     gs = sampling_from_json(header["sampling"])
     norm = _normalization_from_json(header.get("normalization"), 1)
-    n_values = [int(n) for n in header["n_values"]]
+    n_values = header.get("n_values")
+    if not (isinstance(n_values, list)
+            and all(isinstance(n, int) and not isinstance(n, bool) for n in n_values)):
+        raise IngestionError("line 1: n_values must be a list of integers")
     per_n: dict = {n: {} for n in n_values}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -4,6 +4,21 @@ Functions live on a large torus [-R, R)^d and the dyadic kernels act as
 Fourier multipliers psi_hat(|nu|^2 / 4^j), with nu the frequency grid in
 cycles per unit length.  Analysis samples Littlewood-Paley blocks at the
 dilated lattice; synthesis accumulates atom transforms in frequency.
+
+Both directions, and `dilate_grid`, evaluate the exact trigonometric sums
+dnu^d sum_nu e^{2 pi i nu.x} F(nu) and sum_x e^{-2 pi i nu.x} v_x, which
+are adjoints of each other, on one FFT path.  When every point x lies on
+the L-fold refinement of the grid (L = 2^k; for the scale-j lattice
+beta 2^{-j} Z^d that is when beta N / (2R 2^j) is a dyadic rational),
+sampling zero-pads the parity-signed spectrum into the (N L)^d FFT
+layout, frequency n at index n mod N L so the Nyquist bin keeps its
+place, runs one inverse FFT and gathers the points' indices mod N L;
+spreading scatters the values onto that grid, runs one forward FFT and
+crops back to the N^d frequencies.  Points on no refinement within the
+budget use dense (points x N^d) phase matrices.  Either array is refused
+with `DomainError` before it is built when it would exceed
+MAX_ARRAY_BYTES.  The general off-lattice alternative would be a
+nonuniform FFT (Dutt-Rokhlin 1993).
 """
 
 from __future__ import annotations
@@ -14,8 +29,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .groups import DomainError, GroupSpec, abelian, dilate
-from .sampling import AtomIndex, SamplingSet, enumerate_indices
+from .groups import DomainError, dilate
+from .sampling import SamplingSet, enumerate_indices
 from .coeffs import CoefficientField, L1_ATOMS, lp_atoms, convert
 
 __all__ = [
@@ -35,6 +50,10 @@ __all__ = [
     "besov_norm_continuous",
     "dilate_grid",
 ]
+
+# largest complex128 array (16 B an entry) the exact sums may build: one
+# refined FFT grid of (N L)^d nodes or one dense phase matrix of points x N^d
+MAX_ARRAY_BYTES = 1 << 28
 
 
 class GridDescriptor(NamedTuple):
@@ -159,31 +178,112 @@ def calderon_reconstruct(f: GridFunction, ks: KernelSet) -> GridFunction:
     return grid_ifft(f, total)
 
 
-def _lattice_points(gs: SamplingSet, j: int, f: GridFunction) -> tuple[list, np.ndarray]:
-    """Atom indices at scale j inside the torus box and their decoded positions."""
-    box = [(-f.extent, f.extent)] * f.dim
-    idx = enumerate_indices(gs, j, box)
-    gammas = np.array([i.gamma for i in idx], dtype=np.int64).reshape(len(idx), f.dim)
-    return idx, dilate(gs.group, 2.0 ** (-j), gs.decode(gammas))
+def _check_inputs(gs: SamplingSet, ks: KernelSet, desc: GridDescriptor) -> None:
+    if gs.group.kind != "abelian" or gs.group.dim != desc.dim:
+        raise ValueError("sampling set must be the matching abelian preset")
+    if desc != ks.desc:
+        raise ValueError("grid descriptor does not match the kernel cache")
 
 
-def _sample_spectrum(f: GridFunction, spectrum: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation of the gridded spectrum at arbitrary points."""
-    if points.size == 0:
-        return np.zeros(0, dtype=complex)
-    # fast path: points aligned with the sample grid
-    rel = (points + f.extent) / f.spacing
-    near = np.rint(rel)
-    if np.max(np.abs(rel - near)) < 1e-9:
-        vals = grid_ifft(f, spectrum).samples
-        ints = np.mod(near.astype(int), f.N)
-        return vals[tuple(ints.T)]
-    nu = f.freq_axis()
-    grids = np.meshgrid(*([nu] * f.dim), indexing="ij")
-    nu_flat = np.stack([g.ravel() for g in grids], axis=1)  # (N^d, d)
-    dnu = 1.0 / (2.0 * f.extent)
-    phase = np.exp(2j * np.pi * (points @ nu_flat.T))  # (P, N^d)
-    return dnu**f.dim * (phase @ spectrum.ravel())
+class _Placement(NamedTuple):
+    """Points as raveled indices into the (N L)^d grid of the L-fold
+    refinement, or L = 0 and the (P, d) points for the dense sums."""
+
+    L: int
+    at: np.ndarray
+
+
+def _place(desc: GridDescriptor, points: np.ndarray) -> _Placement:
+    """Smallest refinement L = 2^k within the budget that holds every point.
+
+    Points on no such refinement keep the dense sums; their phase matrix is
+    refused with DomainError here, before anything is built, when it would
+    exceed MAX_ARRAY_BYTES.
+    """
+    dx = 2.0 * desc.extent / desc.N
+    L = 1
+    while 16 * (desc.N * L) ** desc.dim <= MAX_ARRAY_BYTES:
+        rel = (points + desc.extent) / (dx / L)
+        near = np.rint(rel)
+        if np.all(np.abs(rel - near) < 1e-9):
+            ints = np.mod(near.astype(np.int64), desc.N * L)
+            return _Placement(L, np.ravel_multi_index(tuple(ints.T), (desc.N * L,) * desc.dim))
+        L *= 2
+    need = 16 * len(points) * desc.N**desc.dim
+    if need > MAX_ARRAY_BYTES:
+        raise DomainError(f"{len(points)} points on no dyadic refinement of the grid need "
+                          f"{need} B of dense phases, over the {MAX_ARRAY_BYTES} B budget")
+    return _Placement(0, points)
+
+
+def _frequencies(desc: GridDescriptor, L: int):
+    """Open mesh of the grid frequencies n (FFT layout, Nyquist at -N/2) in the
+    (N L)-point FFT layout, i.e. n mod N L."""
+    n = np.fft.ifftshift(np.arange(-(desc.N // 2), desc.N // 2))
+    return np.ix_(*([np.mod(n, desc.N * L)] * desc.dim))
+
+
+def _phases(desc: GridDescriptor, points: np.ndarray) -> np.ndarray:
+    """Dense exp(2 pi i x.nu) for every point x and grid frequency nu, (P, N^d)."""
+    nu = np.fft.fftfreq(desc.N, d=2.0 * desc.extent / desc.N)
+    grids = np.meshgrid(*([nu] * desc.dim), indexing="ij")
+    theta = points @ np.stack([g.ravel() for g in grids], axis=0)
+    theta *= 2.0 * np.pi
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _sample(desc: GridDescriptor, spectrum: np.ndarray, pl: _Placement) -> np.ndarray:
+    """Trigonometric interpolation dnu^d sum_nu e^{2 pi i nu.x} spectrum(nu) at the points."""
+    d = desc.dim
+    if pl.L == 0:
+        return (1.0 / (2.0 * desc.extent)) ** d * (_phases(desc, pl.at) @ spectrum.ravel())
+    signed = spectrum * _parity(d, desc.N)
+    if pl.L > 1:
+        padded = np.zeros((desc.N * pl.L,) * d, dtype=complex)
+        padded[_frequencies(desc, pl.L)] = signed
+        signed = padded
+    return np.fft.ifftn(signed).ravel()[pl.at] * pl.L**d / (2.0 * desc.extent / desc.N) ** d
+
+
+def _spread(desc: GridDescriptor, values: np.ndarray, pl: _Placement) -> np.ndarray:
+    """Adjoint of _sample: sum_x e^{-2 pi i nu.x} v_x at every grid frequency nu."""
+    d = desc.dim
+    if pl.L == 0:
+        return np.conj(_phases(desc, pl.at).T @ np.conj(values)).reshape((desc.N,) * d)
+    grid = np.zeros((desc.N * pl.L) ** d, dtype=complex)
+    np.add.at(grid, pl.at, values)  # points that wrap onto one node add up
+    spec = np.fft.fftn(grid.reshape((desc.N * pl.L,) * d))
+    if pl.L > 1:
+        spec = spec[_frequencies(desc, pl.L)]
+    return spec * _parity(d, desc.N)
+
+
+def _points(gs: SamplingSet, j: int, gammas, dim: int) -> np.ndarray:
+    """Positions 2^{-j} . gamma of integer lattice coordinates, (P, dim)."""
+    gammas = np.asarray(gammas, dtype=np.int64).reshape(-1, dim)
+    return dilate(gs.group, 2.0 ** (-j), gs.decode(gammas))
+
+
+class _Scale(NamedTuple):
+    j: int
+    indices: list  # AtomIndex, lexicographic
+    points: np.ndarray
+    placement: _Placement
+
+
+def _scales(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale]:
+    """Each cached scale's lattice points inside the torus box, placed on the grid."""
+    box = [(-desc.extent, desc.extent)] * desc.dim
+    out = []
+    for j in range(ks.j_range[0], ks.j_range[1] + 1):
+        idx = enumerate_indices(gs, j, box)
+        if idx:
+            pts = _points(gs, j, [i.gamma for i in idx], desc.dim)
+            out.append(_Scale(j, idx, pts, _place(desc, pts)))
+    return out
 
 
 def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> CoefficientField:
@@ -192,58 +292,40 @@ def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> Coeffi
     Samples each Littlewood-Paley block at the scale-j lattice points; the
     sampled values are the L1-convention inner products, then converted.
     """
-    if gs.group.kind != "abelian" or gs.group.dim != f.dim:
-        raise ValueError("sampling set must be the matching abelian preset")
+    desc = f.descriptor()
+    _check_inputs(gs, ks, desc)
     if not 1.0 < p < np.inf:
         raise DomainError("p must lie in (1, inf)")
+    scales = _scales(ks, gs, desc)
+    if any(np.any(np.abs(s.points) > f.extent) for s in scales):
+        warnings.warn("lattice points beyond the grid extent wrap periodically")
     spec = grid_fft(f)
     items = []
-    warned = False
-    for j in range(ks.j_range[0], ks.j_range[1] + 1):
-        idx, pts = _lattice_points(gs, j, f)
-        if not idx:
-            continue
-        if not warned and np.any(np.abs(pts) > f.extent):
-            warnings.warn("lattice points beyond the grid extent wrap periodically")
-            warned = True
-        vals = _sample_spectrum(f, ks.multiplier(j) * spec, pts)
-        items.extend(zip(idx, vals))
+    for s in scales:
+        items.extend(zip(s.indices, _sample(desc, ks.multiplier(s.j) * spec, s.placement)))
     c1 = CoefficientField.build(gs.group, gs, items, L1_ATOMS)
     return convert(c1, lp_atoms(p))
 
 
-def _atom_spectrum(desc: GridDescriptor, window, Q: float, idx: AtomIndex,
-                   x_gamma: np.ndarray, p: float, lam: np.ndarray,
-                   nu_flat: np.ndarray) -> np.ndarray:
-    j = idx.j
-    mult = window.psi_hat(lam * 4.0 ** (-j))
-    phase = np.exp(-2j * np.pi * (nu_flat @ x_gamma)).reshape(lam.shape)
-    return 2.0 ** (j * Q * (1.0 / p - 1.0)) * mult * phase
-
-
 def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
                target: GridDescriptor) -> GridFunction:
-    """Sum_lambda d_lambda psi_lambda rendered on the target grid."""
+    """Sum_lambda d_lambda psi_lambda rendered on the target grid; the adjoint
+    of `analyze` at p = 2."""
+    _check_inputs(gs, ks, target)
     if c.normalization.kind != "Lp":
         raise ValueError("synthesize expects Lp-atom normalization")
     p = c.normalization.p
     Q = gs.group.Q
-    blank = GridFunction(target.dim, target.extent,
-                         np.zeros((target.N,) * target.dim, dtype=complex))
-    lam = blank.lambda_grid()
-    nu = blank.freq_axis()
-    grids = np.meshgrid(*([nu] * target.dim), indexing="ij")
-    nu_flat = np.stack([g.ravel() for g in grids], axis=1)
     per_j: dict = {}
     for idx, val in c.entries.items():
-        per_j.setdefault(idx.j, []).append((idx, val))
-    spec = np.zeros(lam.shape, dtype=complex)
-    for j, group in sorted(per_j.items()):
-        pts = dilate(gs.group, 2.0 ** (-j), gs.decode([idx.gamma for idx, _ in group]))
-        vals = np.array([v for _, v in group])
-        phases = np.exp(-2j * np.pi * (nu_flat @ pts.T))  # (N^d, P)
-        mult = np.asarray(ks.window.psi_hat(lam.ravel() * 4.0 ** (-j)), dtype=float)
-        spec += (2.0 ** (j * Q * (1.0 / p - 1.0)) * mult * (phases @ vals)).reshape(lam.shape)
+        per_j.setdefault(idx.j, []).append((idx.gamma, val))
+    scales = [(j, ks.multiplier(j), np.array([v for _, v in group], dtype=complex),
+               _place(target, _points(gs, j, [g for g, _ in group], target.dim)))
+              for j, group in sorted(per_j.items())]
+    spec = np.zeros((target.N,) * target.dim, dtype=complex)
+    for j, mult, vals, pl in scales:
+        spec += 2.0 ** (j * Q * (1.0 / p - 1.0)) * mult * _spread(target, vals, pl)
+    blank = GridFunction(target.dim, target.extent, np.zeros_like(spec))
     return grid_ifft(blank, spec)
 
 
@@ -251,14 +333,30 @@ def frame_reconstruct(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float 
                       max_iter: int = 50, tol: float = 1e-6) -> tuple[GridFunction, dict]:
     """Frame-operator correction of the analyze/synthesize round trip.
 
-    Solves S g = S f with S = synthesize . analyze by conjugate gradients in
-    grid space (S is self-adjoint and positive at adequate density), so g
-    approximates f from its frame coefficients alone.
+    Solves S g = S f by conjugate gradients in grid space, so g approximates
+    f from its frame coefficients alone.  S = sum_j 2^{-jQ} A_j^* A_j with
+    A_j the scale-j sampling of the Littlewood-Paley block is
+    synthesize . analyze for every p (the atom normalizations cancel; p is
+    only validated), applied on arrays with each scale's lattice built once,
+    so S is linear and self-adjoint; it is positive at adequate density.
+    info holds "iterations", "relative_residual" and "residuals", the
+    relative residual before the first iteration and after each one.  A
+    RuntimeWarning flags a stop at max_iter above tol.
     """
+    desc = f.descriptor()
+    _check_inputs(gs, ks, desc)
+    if not 1.0 < p < np.inf:
+        raise DomainError("p must lie in (1, inf)")
+    Q = gs.group.Q
+    scales = [(2.0 ** (-s.j * Q), ks.multiplier(s.j), s.placement)
+              for s in _scales(ks, gs, desc)]
 
     def apply_s(x: np.ndarray) -> np.ndarray:
-        gf = replace(f, samples=x)
-        return synthesize(analyze(gf, ks, gs, p), ks, gs, f.descriptor()).samples
+        spec = grid_fft(replace(f, samples=x))
+        out = np.zeros_like(spec)
+        for w, mult, pl in scales:
+            out += w * mult * _spread(desc, _sample(desc, mult * spec, pl), pl)
+        return grid_ifft(f, out).samples
 
     def inner(a, b):
         return complex(np.vdot(a, b)) * f.spacing**f.dim
@@ -270,6 +368,7 @@ def frame_reconstruct(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float 
     rr = inner(r, r).real
     b_norm = np.sqrt(max(inner(b, b).real, 1e-300))
     iters = 0
+    history = [float(np.sqrt(rr) / b_norm)]
     while iters < max_iter and np.sqrt(rr) > tol * b_norm:
         sd = apply_s(d)
         alpha = rr / inner(d, sd).real
@@ -279,7 +378,11 @@ def frame_reconstruct(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float 
         d = r + (rr_new / rr) * d
         rr = rr_new
         iters += 1
-    info = {"iterations": iters, "relative_residual": float(np.sqrt(rr) / b_norm)}
+        history.append(float(np.sqrt(rr) / b_norm))
+    if np.sqrt(rr) > tol * b_norm:
+        warnings.warn(f"frame CG stopped at max_iter={max_iter} with relative residual "
+                      f"{history[-1]:.3e} above tol={tol:g}", RuntimeWarning)
+    info = {"iterations": iters, "relative_residual": history[-1], "residuals": history}
     return replace(f, samples=x), info
 
 
@@ -337,17 +440,17 @@ def dilate_grid(f: GridFunction, h: float) -> GridFunction:
     k = np.log2(h)
     if abs(k - round(k)) > 1e-12:
         raise DomainError("grid dilation supports h = 2^k only")
-    ax = f.axis()
-    grids = np.meshgrid(*([ax] * f.dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1) * h
+    grids = np.meshgrid(*([f.axis()] * f.dim), indexing="ij")
+    x = np.stack([g.ravel() for g in grids], axis=1)
+    pts = x * h
     inside = np.all(np.abs(pts) < f.extent - 1e-12, axis=1)
     vals = np.zeros(pts.shape[0], dtype=complex)
     if np.any(inside):
-        vals[inside] = _sample_spectrum(f, grid_fft(f), pts[inside])
+        desc = f.descriptor()
+        vals[inside] = _sample(desc, grid_fft(f), _place(desc, pts[inside]))
     # boundary-mass diagnostic: the localized dilate ignores what f does
     # outside the principal period, which only matters if f carries mass there
-    edge = np.any(np.abs(np.stack([g.ravel() for g in grids], axis=1))
-                  >= f.extent / 2.0, axis=1)
+    edge = np.any(np.abs(x) >= f.extent / 2.0, axis=1)
     total = np.sum(np.abs(f.samples) ** 2)
     outer = np.sum(np.abs(f.samples.ravel()[edge]) ** 2)
     if total > 0 and outer > 1e-8 * total:

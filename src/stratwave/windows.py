@@ -37,7 +37,6 @@ class Window:
     """Smooth cutoff phi_hat (1 on [0,1/4], 0 beyond 4) and derived psi_hat."""
 
     sharpness: float
-    support: tuple[float, float] = (0.25, 4.0)
 
     def phi_hat(self, xi):
         xi = np.asarray(xi, dtype=float)

@@ -1,9 +1,13 @@
 """Grid transforms: Fourier conventions, blocks, frames, norms, dilation."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 import stratwave as sw
+from stratwave import transform
 from stratwave.groups import DomainError
 from stratwave.transform import grid_fft, grid_ifft
 from conftest import gaussian_1d
@@ -173,6 +177,181 @@ def test_synthesize_requires_lp_tag():
                             normalization=sw.L1_ATOMS)
     with pytest.raises(ValueError):
         sw.synthesize(c, ks, gs, desc)
+
+
+def test_synthesize_validation():
+    # a Heisenberg sampling set on a 3-D grid, and a target grid other than
+    # the kernel cache's, are both refused
+    desc = sw.GridDescriptor(3, 8, 4.0)
+    ks = sw.build_kernel_set(sw.build_window(1.0), desc, (0, 1))
+    gs_h = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
+    c = sw.CoefficientField(group=gs_h.group, sampling=gs_h,
+                            entries={sw.AtomIndex(0, (0, 0, 0)): 1.0 + 0j},
+                            normalization=sw.lp_atoms(2.0))
+    with pytest.raises(ValueError, match="matching abelian preset"):
+        sw.synthesize(c, ks, gs_h, desc)
+    g = sw.abelian(1)
+    gs = sw.preset_sampling_set(g, 1.0)
+    ks1 = sw.build_kernel_set(sw.build_window(1.0), sw.GridDescriptor(1, 64, 8.0), (0, 1))
+    c1 = sw.CoefficientField(group=g, sampling=gs, entries={sw.AtomIndex(0, (0,)): 1.0 + 0j},
+                             normalization=sw.lp_atoms(2.0))
+    with pytest.raises(ValueError, match="kernel cache"):
+        sw.synthesize(c1, ks1, gs, sw.GridDescriptor(1, 128, 8.0))
+
+
+# -- the exact FFT path --------------------------------------------------------
+
+def _random_grid(rng, dim, n, extent) -> sw.GridFunction:
+    shape = (n,) * dim
+    return sw.GridFunction(dim, extent, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def _frequency_points(f: sw.GridFunction) -> np.ndarray:
+    grids = np.meshgrid(*([f.freq_axis()] * f.dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)  # (N^d, d)
+
+
+def _dense_samples(f, spectrum, points):
+    """Reference: dnu^d sum_nu e^{2 pi i nu.x} spectrum(nu) at each point x."""
+    phase = np.exp(2j * np.pi * (points @ _frequency_points(f).T))
+    return phase @ spectrum.ravel() / (2.0 * f.extent) ** f.dim
+
+
+def _dense_spread(f, values, points):
+    """Reference: sum_x e^{-2 pi i nu.x} v_x at each grid frequency nu."""
+    phase = np.exp(-2j * np.pi * (_frequency_points(f) @ points.T))
+    return (phase @ values).reshape(f.samples.shape)
+
+
+# (dim, N, extent, density, j, L): the scale-j lattice sits on the L-fold
+# refinement of the grid, or on none (L = 0, dense sums)
+FFT_CASES = [
+    (1, 64, 4.0, 0.125, 0, 1), (1, 64, 4.0, 0.125, 1, 2), (1, 64, 4.0, 0.125, 2, 4),
+    (1, 64, 4.0, 0.3, 0, 0),
+    (2, 16, 2.0, 0.125, -1, 1), (2, 16, 2.0, 0.125, 0, 2), (2, 16, 2.0, 0.125, 1, 4),
+    (2, 16, 2.0, 0.3, 0, 0),
+]
+FFT_IDS = [f"{d}d-L{L}" for d, _, _, _, _, L in FFT_CASES]
+
+
+def _single_scale(dim, n, extent, density, j, L):
+    desc = sw.GridDescriptor(dim, n, extent)
+    gs = sw.preset_sampling_set(sw.abelian(dim), density)
+    ks = sw.build_kernel_set(sw.build_window(1.0), desc, (j, j))
+    (scale,) = transform._scales(ks, gs, desc)
+    assert scale.placement.L == L
+    return desc, gs, ks, scale
+
+
+@pytest.mark.parametrize("dim, n, extent, density, j, L", FFT_CASES, ids=FFT_IDS)
+def test_analyze_synthesize_adjoint(dim, n, extent, density, j, L):
+    """<A x, c> = <x, A* c> per scale: at p = 2 synthesize is the adjoint of
+    analyze, in the l2 coefficient and the dx^d-weighted grid inner products."""
+    rng = np.random.default_rng(5)
+    desc, gs, ks, _ = _single_scale(dim, n, extent, density, j, L)
+    x = _random_grid(rng, dim, n, extent)
+    ax = sw.analyze(x, ks, gs, 2.0)
+    assert len(ax) > 0
+    c = sw.CoefficientField(group=gs.group, sampling=gs,
+                            entries={k: complex(*rng.normal(size=2)) for k in ax.entries},
+                            normalization=sw.lp_atoms(2.0))
+    lhs = sum(np.conj(v) * c.entries[k] for k, v in ax.entries.items())
+    rhs = np.vdot(x.samples, sw.synthesize(c, ks, gs, desc).samples) * x.spacing**dim
+    assert abs(lhs - rhs) <= 1e-12 * ax.l2() * c.l2()
+
+
+@pytest.mark.parametrize("dim, n, extent, density, j, L", FFT_CASES, ids=FFT_IDS)
+def test_fft_path_matches_dense_sums(dim, n, extent, density, j, L):
+    rng = np.random.default_rng(9)
+    desc, gs, ks, scale = _single_scale(dim, n, extent, density, j, L)
+    f = _random_grid(rng, dim, n, extent)
+    mult = ks.multiplier(j)
+    # analysis: L1-convention samples of the block at the lattice points
+    c1 = sw.convert(sw.analyze(f, ks, gs, 2.0), sw.L1_ATOMS)
+    got = np.array([c1.entries[k] for k in scale.indices])
+    want = _dense_samples(f, mult * grid_fft(f), scale.points)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # synthesis: sum_lambda d_lambda 2^{jQ(1/p - 1)} psi_hat_j e^{-2 pi i nu.x_lambda};
+    # the copies shifted by one period of the torus wrap onto the first atoms
+    period = int(round(2.0 * extent / (density * 2.0 ** (-j))))
+    idx = scale.indices + [sw.AtomIndex(j, tuple(g + period for g in k.gamma))
+                           for k in scale.indices[:5]]
+    points = density * 2.0 ** (-j) * np.array([k.gamma for k in idx], dtype=float)
+    d = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+    c = sw.CoefficientField(group=gs.group, sampling=gs, entries=dict(zip(idx, d)),
+                            normalization=sw.lp_atoms(2.0))
+    spec = 2.0 ** (-j * dim / 2.0) * mult * _dense_spread(f, d, points)
+    want = grid_ifft(f, spec).samples
+    got = sw.synthesize(c, ks, gs, desc).samples
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_dilate_grid_matches_dense_sums():
+    # h = 1/2 and 1/4 put the arguments h x on the 2- and 4-fold refinements
+    f = band_limited(n=128, extent=8.0, center=1.0, width=8.0)
+    x = f.axis()[:, None]
+    for h in (0.5, 0.25):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the band-limited tail reaches the boundary
+            got = sw.dilate_grid(f, h).samples
+        want = _dense_samples(f, grid_fft(f), h * x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_roundtrip_2d_fine_scales():
+    """2-D N=64, beta=0.5, j in [-2, 3]: the finest scale's 65536 points
+    would need 4.3 GB of dense phases; on the 4-fold refinement the round
+    trip runs and keeps <synthesize(analyze f), f> = ||analyze f||^2."""
+    desc = sw.GridDescriptor(2, 64, 8.0)
+    f = sw.GridFunction.from_callable(desc, lambda x, y: np.exp(-np.pi * (x**2 + y**2)))
+    gs = sw.preset_sampling_set(sw.abelian(2), 0.5)
+    ks = sw.build_kernel_set(sw.build_window(1.0), desc, (-2, 3))
+    assert max(s.placement.L for s in transform._scales(ks, gs, desc)) == 4
+    c = sw.analyze(f, ks, gs, 2.0)
+    g = sw.synthesize(c, ks, gs, desc)
+    energy = np.vdot(f.samples, g.samples) * f.spacing**2
+    assert abs(energy - c.l2() ** 2) <= 1e-10 * c.l2() ** 2
+
+
+def test_dense_budget_refused_up_front(monkeypatch):
+    # beta = 0.3 lies on no dyadic refinement: 214 points x 1024 frequencies
+    # need 3.5 MB of phases against a 1 MiB budget
+    monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", 1 << 20)
+    f = _random_grid(np.random.default_rng(2), 1, 1024, 8.0)
+    gs = sw.preset_sampling_set(sw.abelian(1), 0.3)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (2, 2))
+    # a 512^2 target is itself over budget, so even its grid points are refused
+    desc2 = sw.GridDescriptor(2, 512, 8.0)
+    ks2 = sw.build_kernel_set(sw.build_window(1.0), desc2, (0, 0))
+    gs2 = sw.preset_sampling_set(sw.abelian(2), 0.5)
+    c2 = sw.CoefficientField(group=gs2.group, sampling=gs2,
+                             entries={sw.AtomIndex(0, (1, 2)): 1.0 + 0j},
+                             normalization=sw.lp_atoms(2.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="budget"):
+            sw.analyze(f, ks, gs, 2.0)
+        with pytest.raises(DomainError, match="budget"):
+            sw.synthesize(c2, ks2, gs2, desc2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
+
+
+def test_frame_reconstruct_warns_when_not_converged():
+    f = band_limited(n=128, extent=8.0, center=2.0, width=8.0)
+    gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
+    with pytest.warns(RuntimeWarning, match="max_iter=1"):
+        _, info = sw.frame_reconstruct(f, ks, gs, 2.0, max_iter=1, tol=1e-14)
+    assert info["iterations"] == 1 and len(info["residuals"]) == 2
+    assert info["residuals"][-1] == info["relative_residual"] > 1e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, info = sw.frame_reconstruct(f, ks, gs, 2.0)
+    assert len(info["residuals"]) == info["iterations"] + 1
+    assert info["residuals"][-1] == info["relative_residual"] <= 1e-6
 
 
 # -- norms and dilation ------------------------------------------------------

@@ -208,3 +208,24 @@ def test_decompose_malformed_snapshot_line_exits_1(tmp_path, capsys, line, messa
     assert main(["decompose", "--in", str(snaps), "--params", str(params)]) == 1
     err = capsys.readouterr().err
     assert "validation error:" in err and message in err
+
+
+def test_generate_on_three_strata_group_exits_1(tmp_path, capsys):
+    spec = write_spec(tmp_path, dim=3, group={"kind": "custom", "strata_dims": [1, 1, 1],
+                                              "coefficients": []})
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and "step-2" in err
+
+
+@pytest.mark.parametrize("n_values", [5, [0, "1"], [0, 1.5]], ids=["int", "str", "float"])
+def test_decompose_bad_n_values_exits_1(tmp_path, capsys, n_values):
+    snaps = _snapshots_with_line(tmp_path, "")
+    lines = snaps.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["n_values"] = n_values
+    snaps.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    params = write_params(tmp_path)
+    assert main(["decompose", "--in", str(snaps), "--params", str(params)]) == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and "n_values" in err

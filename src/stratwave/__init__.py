@@ -80,6 +80,7 @@ from .profiles import (
     UndecidableOrthogonality,
     classify_pair,
     energy_check,
+    energy_ledger,
     extract,
     remainder_split,
     rendered_profile,

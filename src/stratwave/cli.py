@@ -11,6 +11,8 @@ non-convergent extraction, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -36,7 +38,7 @@ from .profiles import (
     ScaleCorePair,
     UndecidableOrthogonality,
     classify_pair,
-    energy_check,
+    energy_ledger,
     extract,
     remainder_split,
 )
@@ -91,7 +93,8 @@ def _profile_to_json(p) -> dict:
         "members": list(p.members),
         "atoms": [{"j_rel": j, "gamma_rel": list(gamma), "re": d.real, "im": d.imag}
                   for j, gamma, d in p.atoms],
-        "core_track": [{"j": idx.j, "gamma": list(idx.gamma)} for idx in p.core_track],
+        "core_track": [{"j": j, "gamma": list(gamma)}
+                       for j, gamma in zip(p.core_track.js, p.core_track.gammas)],
         "energy": p.energy(),
     }
 
@@ -105,7 +108,7 @@ def cmd_decompose(args) -> int:
         raise ValueError(f"bad extraction parameters: {exc}") from None
     dec = extract(snaps, params)
     L = min(params.L_max, len(dec.profiles))
-    energy = {str(ell): list(map(float, energy_check(dec, ell))) for ell in range(L + 1)}
+    energy = {str(ell): row.tolist() for ell, row in enumerate(energy_ledger(dec, L))}
     last = snaps.horizon - 1
     splits = {}
     for M in sorted({max(L, 1), dec.M_eff}):
@@ -115,7 +118,7 @@ def cmd_decompose(args) -> int:
     report = {
         "command": "decompose",
         "inputs": {"snapshots": _digest(args.infile), "params": _digest(args.params)},
-        "params": params.to_dict(),
+        "params": dataclasses.asdict(params),
         "M_eff": dec.M_eff,
         "nu": len(dec.profiles),
         "nu_curve": dec.nu_curve,
@@ -231,6 +234,7 @@ def cmd_classify(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+@functools.cache  # built once per process: rebuilding per call churns the heap
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="stratwave",
                                  description="Wavelet workbench on stratified groups")

@@ -1,4 +1,11 @@
-"""Group-agnostic coefficient algebra on sparse wavelet index maps.
+"""Group-agnostic coefficient algebra on sparse wavelet index sets.
+
+A CoefficientField holds its entries as read-only arrays in canonical order,
+lexicographic in (j, gamma), with no index repeated: `js` (P,) and `gammas`
+(P, dim) int64 within sampling.MAX_LATTICE_COORD, `values` (P,) complex128.
+The constructor sorts a mapping AtomIndex -> value, or index and value
+arrays, into that order; `.entries` derives the mapping back.  Sums over a
+field run in canonical order, and equal moduli rank by position.
 
 A CoefficientField carries a normalization tag.  "L1" entries are sampled
 convolution values c = (u * psi_j^*)(2^{-j} . gamma); "Lp" entries are the
@@ -10,13 +17,15 @@ the L^p-tagged moduli.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+import functools
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .groups import GroupSpec
-from .sampling import AtomIndex, SamplingSet
+from .sampling import AtomIndex, SamplingSet, lattice_int64
 
 __all__ = [
     "Normalization",
@@ -28,13 +37,13 @@ __all__ = [
     "convert",
     "discrete_besov_norm",
     "sobolev_seq_norm",
+    "rank_order",
     "reorder",
     "q_m",
     "mterm_error_curve",
     "unconditionality_ratio",
     "field_add",
     "field_sub",
-    "field_scale",
 ]
 
 SPARSE_FLOOR = 1e-14
@@ -64,37 +73,88 @@ def lp_atoms(p: float) -> Normalization:
     return Normalization("Lp", float(p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class CoefficientField:
     group: GroupSpec
     sampling: SamplingSet
-    entries: dict  # AtomIndex -> complex
     normalization: Normalization
+    js: np.ndarray       # (P,) int64
+    gammas: np.ndarray   # (P, dim) int64
+    values: np.ndarray   # (P,) complex128
+
+    def __init__(self, group: GroupSpec, sampling: SamplingSet, entries: Optional[Mapping] = None,
+                 normalization: Optional[Normalization] = None, *, js=(), gammas=(), values=(),
+                 floor: Optional[float] = None):
+        """From a mapping AtomIndex -> value or from index and value arrays, in
+        any order; values sharing an index are summed in input order, and with
+        a floor, moduli at most floor * the largest are dropped."""
+        if entries is not None:
+            js, gammas, values = [k[0] for k in entries], [k[1] for k in entries], list(
+                entries.values())
+        js = lattice_int64(js).reshape(-1)
+        gammas = lattice_int64(gammas).reshape(len(js), group.dim)
+        values = np.asarray(values, dtype=complex).reshape(len(js))
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite coefficient")
+        order = np.lexsort((*gammas.T[::-1], js))
+        js, gammas, values = js[order], gammas[order], values[order]
+        new = np.ones(len(js), dtype=bool)
+        new[1:] = (js[1:] != js[:-1]) | np.any(gammas[1:] != gammas[:-1], axis=1)
+        if not np.all(new):
+            values = np.add.reduceat(values, np.flatnonzero(new))
+            js, gammas = js[new], gammas[new]
+        if floor is not None and len(values):
+            moduli = np.hypot(values.real, values.imag)
+            keep = moduli > floor * np.max(moduli)
+            js, gammas, values = js[keep], gammas[keep], values[keep]
+        for name, val in (("group", group), ("sampling", sampling),
+                          ("normalization", normalization),
+                          ("js", js), ("gammas", gammas), ("values", values)):
+            if isinstance(val, np.ndarray):
+                val.setflags(write=False)
+            object.__setattr__(self, name, val)
 
     @classmethod
     def build(cls, group, sampling, items: Iterable, normalization, floor=SPARSE_FLOOR):
         """Assemble from (index, value) pairs, accumulating duplicates and
         dropping entries below floor * max modulus."""
-        acc: dict = {}
-        for idx, val in items:
-            idx = AtomIndex(int(idx[0]), tuple(int(k) for k in idx[1]))
-            val = complex(val)
-            if not np.isfinite(val.real) or not np.isfinite(val.imag):
-                raise ValueError(f"non-finite coefficient at {idx}")
-            acc[idx] = acc.get(idx, 0j) + val
-        if acc and floor is not None:
-            cut = floor * max(abs(v) for v in acc.values())
-            acc = {k: v for k, v in acc.items() if abs(v) > cut}
-        return cls(group=group, sampling=sampling, entries=acc, normalization=normalization)
+        items = list(items)
+        return cls(group, sampling, normalization=normalization, floor=floor,
+                   js=[k[0] for k, _ in items], gammas=[k[1] for k, _ in items],
+                   values=[v for _, v in items])
+
+    @functools.cached_property
+    def entries(self) -> Mapping:
+        """Read-only mapping AtomIndex -> complex in canonical order."""
+        return MappingProxyType(dict(zip(_indices(self, slice(None)), self.values.tolist())))
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.values)
+
+    def scales(self) -> list[tuple[int, slice]]:
+        """(j, run) for each scale present: its entries are arrays[run]."""
+        js, starts = np.unique(self.js, return_index=True)
+        bounds = [*starts.tolist(), len(self)]
+        return [(j, slice(lo, hi)) for j, lo, hi in zip(js.tolist(), bounds, bounds[1:])]
 
     def moduli(self) -> np.ndarray:
-        return np.abs(np.fromiter(self.entries.values(), dtype=complex, count=len(self.entries)))
+        """|values| as Python's abs(complex) computes them (libm hypot), which
+        np.abs misses in the last bit for about a third of complex values."""
+        return np.hypot(self.values.real, self.values.imag)
 
     def l2(self) -> float:
-        return float(np.sqrt(np.sum(self.moduli() ** 2))) if self.entries else 0.0
+        return float(np.sqrt(np.sum(np.abs(self.values) ** 2))) if len(self) else 0.0
+
+    def take(self, at, values=None, normalization=None) -> "CoefficientField":
+        """The entries at positions or a mask `at`, optionally with new values or tag."""
+        return CoefficientField(self.group, self.sampling,
+                                normalization=normalization or self.normalization,
+                                js=self.js[at], gammas=self.gammas[at],
+                                values=self.values[at] if values is None else values)
+
+
+def _indices(c: CoefficientField, at) -> list[AtomIndex]:
+    return [AtomIndex(j, tuple(g)) for j, g in zip(c.js[at].tolist(), c.gammas[at].tolist())]
 
 
 @dataclass(frozen=True)
@@ -115,36 +175,31 @@ class NormParams:
 
 def _conversion_exponent(frm: Normalization, to: Normalization) -> float:
     """Per-unit-j exponent e such that d_to = 2^{j e} d_frm, factored via L1."""
-    e = 0.0
-    if frm.kind == "Lp":
-        e += 1.0 / frm.p  # Lp -> L1
-    if to.kind == "Lp":
-        e -= 1.0 / to.p  # L1 -> Lp
-    return e
+    return (1.0 / frm.p if frm.kind == "Lp" else 0.0) - (1.0 / to.p if to.kind == "Lp" else 0.0)
 
 
 def convert(c: CoefficientField, to: Normalization) -> CoefficientField:
     if c.normalization == to:
         return c
     e = _conversion_exponent(c.normalization, to) * c.group.Q
-    entries = {idx: val * 2.0 ** (idx.j * e) for idx, val in c.entries.items()}
-    return replace(c, entries=entries, normalization=to)
+    factor = np.empty(len(c))
+    for j, run in c.scales():
+        factor[run] = 2.0 ** (j * e)
+    return c.take(slice(None), c.values * factor, to)
 
 
 def discrete_besov_norm(c: CoefficientField, np_: NormParams) -> float:
     """(sum_j (sum_gamma (2^{j(s - Q/p)} |c_jg|)^p)^{q/p})^{1/q} on L1-tagged entries."""
     c = convert(c, L1_ATOMS)
-    if not c.entries:
+    if not len(c):
         return 0.0
     Q = c.group.Q
-    per_j: dict = {}
-    for idx, val in c.entries.items():
-        per_j.setdefault(idx.j, []).append(abs(val))
     s, p, q = np_.s, np_.p, np_.q
+    moduli = c.moduli()
     acc = 0.0
-    for j, vals in per_j.items():
+    for j, run in c.scales():
         w = 2.0 ** (j * (s - Q / p))
-        inner = np.sum((w * np.asarray(vals)) ** p) ** (1.0 / p)
+        inner = np.sum((w * moduli[run]) ** p) ** (1.0 / p)
         acc += inner**q
     return float(acc ** (1.0 / q))
 
@@ -158,71 +213,66 @@ def sobolev_seq_norm(c: CoefficientField) -> float:
     return c.l2()
 
 
-def _rank_key(item):
-    idx, val = item
-    return (-abs(val), idx.j, idx.gamma)
+def rank_order(c: CoefficientField) -> np.ndarray:
+    """Positions of c's entries by decreasing modulus; ties keep the
+    canonical (j asc, gamma lex) order."""
+    return np.argsort(-c.moduli(), kind="stable")
 
 
 def reorder(c: CoefficientField) -> list[tuple[int, AtomIndex, complex]]:
     """Entries by decreasing modulus; ties broken by (j asc, gamma lex)."""
-    ordered = sorted(c.entries.items(), key=_rank_key)
-    return [(m + 1, idx, val) for m, (idx, val) in enumerate(ordered)]
+    order = rank_order(c)
+    return [(m + 1, idx, v) for m, (idx, v) in
+            enumerate(zip(_indices(c, order), c.values[order].tolist()))]
 
 
 def q_m(c: CoefficientField, M: int) -> tuple[CoefficientField, list[AtomIndex]]:
     """Nonlinear projector: keep the M largest-modulus entries."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    ranked = reorder(c)[:M]
-    kept = {idx: val for _, idx, val in ranked}
-    e_m = [idx for _, idx, _ in ranked]
-    return replace(c, entries=kept), e_m
+    top = rank_order(c)[:M]
+    return c.take(top), _indices(c, top)
 
 
 def mterm_error_curve(c: CoefficientField, np_: NormParams, m_list) -> list[tuple[int, float]]:
     """(M, norm of c - Q_M c) with the tail measured by the (0, p, p) proxy."""
-    ranked = reorder(c)
+    order = rank_order(c)
     proxy = NormParams(0.0, np_.p, np_.p)
-    out = []
-    for M in m_list:
-        tail = {idx: val for _, idx, val in ranked[M:]}
-        tail_field = replace(c, entries=tail)
-        out.append((int(M), discrete_besov_norm(tail_field, proxy)))
-    return out
+    return [(int(M), discrete_besov_norm(c.take(order[M:]), proxy)) for M in m_list]
 
 
 def unconditionality_ratio(
     c_small: CoefficientField, c_big: CoefficientField, np_: NormParams
 ) -> float:
     """Sequence-space ratio ||c_small|| / ||c_big|| under coefficient domination."""
-    if set(c_small.entries) - set(c_big.entries):
+    rows = np.column_stack([np.concatenate([c_big.js, c_small.js]),
+                            np.concatenate([c_big.gammas, c_small.gammas])])
+    _, key = np.unique(rows, axis=0, return_inverse=True)
+    in_big = np.full(len(rows), -1)
+    in_big[key[:len(c_big)]] = np.arange(len(c_big))
+    at = in_big[key[len(c_big):]]
+    if np.any(at < 0):
         raise ValueError("c_small must be supported on c_big's index set")
-    for idx, val in c_small.entries.items():
-        if abs(val) > abs(c_big.entries[idx]) + 1e-12 * abs(c_big.entries[idx]):
-            raise ValueError(f"domination violated at {idx}")
-    big = discrete_besov_norm(c_big, np_)
-    if big == 0.0:
+    big = c_big.moduli()[at]
+    bad = np.flatnonzero(c_small.moduli() > big + 1e-12 * big)
+    if len(bad):
+        raise ValueError(f"domination violated at {_indices(c_small, bad[:1])[0]}")
+    norm_big = discrete_besov_norm(c_big, np_)
+    if norm_big == 0.0:
         return 0.0
-    return discrete_besov_norm(c_small, np_) / big
-
-
-def _check_compatible(a: CoefficientField, b: CoefficientField):
-    if a.normalization != b.normalization:
-        raise ConversionRequired("fields have different normalization tags")
+    return discrete_besov_norm(c_small, np_) / norm_big
 
 
 def field_add(a: CoefficientField, b: CoefficientField) -> CoefficientField:
-    _check_compatible(a, b)
-    out = dict(a.entries)
-    for idx, val in b.entries.items():
-        out[idx] = out.get(idx, 0j) + val
-    out = {k: v for k, v in out.items() if v != 0}
-    return replace(a, entries=out)
-
-
-def field_scale(a: CoefficientField, alpha: complex) -> CoefficientField:
-    return replace(a, entries={k: alpha * v for k, v in a.entries.items()})
+    """a + b; exact zeros are dropped."""
+    if a.normalization != b.normalization:
+        raise ConversionRequired("fields have different normalization tags")
+    total = CoefficientField(a.group, a.sampling, normalization=a.normalization,
+                             js=np.concatenate([a.js, b.js]),
+                             gammas=np.concatenate([a.gammas, b.gammas]),
+                             values=np.concatenate([a.values, b.values]))
+    return total.take(total.values != 0)
 
 
 def field_sub(a: CoefficientField, b: CoefficientField) -> CoefficientField:
-    return field_add(a, field_scale(b, -1.0))
+    return field_add(a, b.take(slice(None), -b.values))

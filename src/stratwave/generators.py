@@ -5,19 +5,22 @@ Each track places a fixed coefficient bundle along an affine scale/core law
 sequence norm is constant by construction.  Mixtures are checked after
 generation: the component tracks must actually satisfy the orthogonality
 they declare, unless overlap is explicitly allowed (adversarial inputs).
+
+A track's atom indices for every n come from one batched call of the exact
+lattice law; indices beyond sampling.MAX_LATTICE_COORD are refused with
+`DomainError` before they are stored as int64.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+import itertools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import groups
 from .groups import GroupSpec
-from .sampling import AtomIndex, SamplingSet, preset_sampling_set
+from .sampling import AtomIndex, SamplingSet, lattice_int64
 from .coeffs import CoefficientField, lp_atoms, sobolev_seq_norm
 from .profiles import ScaleCorePair, SequenceSnapshots, classify_pair
 
@@ -97,17 +100,26 @@ class GeneratorSpec:
             raise ValueError("compact needs a constant track")
 
 
-def _noise_entries(spec: GeneratorSpec, gs: SamplingSet) -> list:
-    if spec.noise_count == 0 or spec.noise_amplitude == 0.0:
-        return []
+def _noise(spec: GeneratorSpec, gs: SamplingSet):
+    """Scale-0 noise shared by every snapshot: (K, dim) lattice points and K values."""
     rng = np.random.default_rng(spec.noise_seed)
-    dim = gs.group.dim
-    out = []
-    for k in range(spec.noise_count):
-        gamma = tuple(int(v) for v in rng.integers(-10**6, -10**6 + 1000, size=dim))
-        val = spec.noise_amplitude * complex(*rng.normal(size=2)) / np.sqrt(2.0)
-        out.append((AtomIndex(0, gamma), val))
-    return out
+    count = spec.noise_count if spec.noise_amplitude != 0.0 else 0
+    draws = [(rng.integers(-10**6, -10**6 + 1000, size=gs.group.dim),
+              spec.noise_amplitude * complex(*rng.normal(size=2)) / np.sqrt(2.0))
+             for _ in range(count)]
+    return (np.array([g for g, _ in draws], dtype=np.int64).reshape(count, gs.group.dim),
+            np.array([v for _, v in draws], dtype=complex))
+
+
+def _track_indices(spec: GeneratorSpec, gs: SamplingSet, t: TrackSpec):
+    """Every bundle atom's (j, gamma) for every n, exactly: (A, H) scales and
+    (A, H, dim) lattice points as Python-int object arrays."""
+    n = np.arange(spec.horizon, dtype=object)
+    core = np.array(t.gamma0, dtype=object) + n[:, None] * np.array(t.gamma_slope, dtype=object)
+    dj = np.array([a.dj for a in t.bundle], dtype=object)
+    dgamma = np.array([a.dgamma for a in t.bundle], dtype=object)
+    gammas = gs.lat_mul(gs.lat_dilate(core[None], dj[:, None]), dgamma[:, None, :])
+    return (t.j0 + t.j_slope * n)[None, :] + dj[:, None], gammas
 
 
 def _track_pair(spec: GeneratorSpec, gs: SamplingSet, t: TrackSpec) -> ScaleCorePair:
@@ -119,28 +131,35 @@ def _track_pair(spec: GeneratorSpec, gs: SamplingSet, t: TrackSpec) -> ScaleCore
 
 def generate(spec: GeneratorSpec, g: GroupSpec, gs: SamplingSet) -> SequenceSnapshots:
     """Realize the generator law as a sequence of coefficient fields."""
-    noise = _noise_entries(spec, gs)
+    dim = gs.group.dim
+    for k, t in enumerate(spec.tracks):
+        if {len(t.gamma0), len(t.gamma_slope)} | {len(a.dgamma) for a in t.bundle} != {dim}:
+            raise ValueError(f"track {k}: core and bundle offsets need {dim} coordinates")
+    laws = [_track_indices(spec, gs, t) for t in spec.tracks]
+    # entries per snapshot in insertion order: tracks, their atoms, then the noise
+    js = np.concatenate([j for j, _ in laws]).T
+    gammas = np.concatenate([gm for _, gm in laws]).transpose(1, 0, 2)
+    js, gammas = lattice_int64(js), lattice_int64(gammas)
+    values = np.array([complex(a.d) for t in spec.tracks for a in t.bundle], dtype=complex)
+    noise_gammas, noise_values = _noise(spec, gs)
+    n_track = len(values)
+    js = np.concatenate([js, np.zeros((spec.horizon, len(noise_values)), dtype=np.int64)], axis=1)
+    values = np.concatenate([values, noise_values])
     fields = []
     for n in range(spec.horizon):
-        entries: dict = {}
-        for t in spec.tracks:
-            j_core, gamma_core = t.core_at(n)
-            for atom in t.bundle:
-                j_abs = j_core + atom.dj
-                gamma_abs = gs.lat_mul(gs.lat_dilate(gamma_core, atom.dj),
-                                       tuple(atom.dgamma))
-                idx = AtomIndex(j_abs, gamma_abs)
-                if idx in entries and not spec.allow_overlap:
-                    raise GeneratorError(
-                        f"track collision at n={n}, index {idx}; declared "
-                        "orthogonality is violated")
-                entries[idx] = entries.get(idx, 0j) + complex(atom.d)
-        for idx, val in noise:
-            if idx in entries and not spec.allow_overlap:
+        gammas_n = np.concatenate([gammas[n], noise_gammas])
+        f = CoefficientField(g, gs, normalization=lp_atoms(spec.p), js=js[n], gammas=gammas_n,
+                             values=values)
+        if len(f) < len(values) and not spec.allow_overlap:
+            # the first entry, in insertion order, whose index came before
+            rows = np.column_stack([js[n], gammas_n])
+            k = min(set(range(len(rows))) - set(np.unique(rows, axis=0, return_index=True)[1]))
+            if k >= n_track:
                 raise GeneratorError(f"noise collides with a track at n={n}")
-            entries[idx] = entries.get(idx, 0j) + val
-        fields.append(CoefficientField(group=g, sampling=gs, entries=entries,
-                                       normalization=lp_atoms(spec.p)))
+            raise GeneratorError(f"track collision at n={n}, index "
+                                 f"{AtomIndex(int(js[n][k]), tuple(gammas_n[k].tolist()))}; "
+                                 "declared orthogonality is violated")
+        fields.append(f)
 
     snaps = SequenceSnapshots(group=g, sampling=gs,
                               n_values=tuple(range(spec.horizon)),
@@ -153,14 +172,11 @@ def generate(spec: GeneratorSpec, g: GroupSpec, gs: SamplingSet) -> SequenceSnap
     if len(spec.tracks) > 1 and not spec.allow_overlap:
         tail = spec.check_tail or max(2, spec.horizon // 2)
         pairs = [_track_pair(spec, gs, t) for t in spec.tracks]
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                v = classify_pair(pairs[a], pairs[b], tail,
-                                  spec.check_T_div, spec.check_eps_stable)
-                if not v.orthogonal:
-                    raise GeneratorError(
-                        f"mixture tracks {a} and {b} are not orthogonal over "
-                        f"the horizon: {v.kind} ({v.detail})")
+        for a, b in itertools.combinations(range(len(pairs)), 2):
+            v = classify_pair(pairs[a], pairs[b], tail, spec.check_T_div, spec.check_eps_stable)
+            if not v.orthogonal:
+                raise GeneratorError(f"mixture tracks {a} and {b} are not orthogonal over "
+                                     f"the horizon: {v.kind} ({v.detail})")
     return snaps
 
 

@@ -193,15 +193,25 @@ def group_to_json(g: GroupSpec) -> dict:
     }
 
 
+# largest dimension group_from_json builds: a custom law's validation and a
+# Heisenberg bracket allocate O(dim^2) to O(dim^3) floats
+MAX_JSON_DIM = 64
+
+
 def group_from_json(obj: dict) -> GroupSpec:
     kind = obj.get("kind")
-    if kind == "abelian":
-        return abelian(int(obj["d"]))
-    if kind == "heisenberg":
-        return heisenberg(int(obj["d"]))
+    if kind in ("abelian", "heisenberg"):
+        d = int(obj["d"])
+        if not 1 <= (d if kind == "abelian" else 2 * d + 1) <= MAX_JSON_DIM:
+            raise DomainError(f"{kind} group of dimension parameter {d} outside "
+                              f"1..{MAX_JSON_DIM} coordinates")
+        return abelian(d) if kind == "abelian" else heisenberg(d)
     if kind == "custom":
+        strata = tuple(obj["strata_dims"])
+        if sum(int(s) for s in strata) > MAX_JSON_DIM:
+            raise DomainError(f"custom group with more than {MAX_JSON_DIM} coordinates")
         g = GroupSpec(
-            strata_dims=tuple(obj["strata_dims"]),
+            strata_dims=strata,
             kind="custom",
             bracket=np.asarray(obj["coefficients"], dtype=float),
         )

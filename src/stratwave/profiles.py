@@ -6,6 +6,10 @@ dichotomy, remainder splitting, and the energy ledger.  All limit notions
 are replaced by explicit tail-window tests whose parameters travel with the
 output, and undecidable situations are surfaced rather than resolved
 silently.
+
+Rank m sits at position `rank_pos[m - 1, n]` of snapshot n's arrays;
+profile copies, remainders and the energy ledger work at those positions,
+the ledger for every L in one cumulative pass over the profiles.
 """
 
 from __future__ import annotations
@@ -18,13 +22,12 @@ import numpy as np
 
 from . import groups
 from .groups import GroupSpec
-from .sampling import AtomIndex, SamplingSet
+from .sampling import SamplingSet
 from .coeffs import (
     CoefficientField,
     NormParams,
     discrete_besov_norm,
-    field_sub,
-    reorder,
+    rank_order,
     sobolev_seq_norm,
 )
 
@@ -40,6 +43,7 @@ __all__ = [
     "rendered_profile",
     "remainder_field",
     "remainder_split",
+    "energy_ledger",
     "energy_check",
     "UndecidableOrthogonality",
     "NonconvergentCoefficient",
@@ -91,25 +95,15 @@ class ScaleCorePair:
     js: tuple[int, ...]
     gammas: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_index_track(cls, gs: SamplingSet, track) -> "ScaleCorePair":
-        return cls(sampling=gs,
-                   js=tuple(int(i.j) for i in track),
-                   gammas=tuple(tuple(i.gamma) for i in track))
-
     def __len__(self):
         return len(self.js)
-
-    @property
-    def h(self) -> np.ndarray:
-        return 2.0 ** (-np.asarray(self.js, dtype=float))
 
     @functools.cached_property
     def kappa(self) -> np.ndarray:
         """Decoded cores delta_{h_n}(gamma_n), shape (len, dim); computed once, read-only."""
         gs = self.sampling
         gammas = np.asarray(self.gammas, dtype=np.int64).reshape(len(self), gs.group.dim)
-        k = groups.dilate(gs.group, self.h, gs.decode(gammas))
+        k = groups.dilate(gs.group, 2.0 ** (-np.asarray(self.js, dtype=float)), gs.decode(gammas))
         k.setflags(write=False)
         return k
 
@@ -181,17 +175,12 @@ class ExtractParams:
         if self.M_max < 1 or self.L_max < 0 or self.tail < 2:
             raise ValueError("M_max >= 1, L_max >= 0, tail >= 2 required")
 
-    def to_dict(self) -> dict:
-        return {"M_max": self.M_max, "L_max": self.L_max, "eps_conv": self.eps_conv,
-                "T_div": self.T_div, "eps_stable": self.eps_stable,
-                "tail": self.tail, "mode": self.mode}
-
 
 @dataclass
 class Profile:
     index: int                      # 1-based profile number l
     atoms: list                     # (j_rel, gamma_rel point, d limit)
-    core_track: list                # per-n AtomIndex of the founding rank
+    core_track: ScaleCorePair       # the founding rank's index per n
     members: list                   # ranks absorbed, in absorption order
     escape: str = "unknown"         # scale | core | none
 
@@ -206,8 +195,8 @@ class ProfileDecomposition:
     M_eff: int
     profiles: list                  # of Profile
     d_limits: dict                  # rank -> complex
-    rank_tracks: dict               # rank -> list[AtomIndex] per n
-    rank_coeffs: dict               # rank -> complex array per n
+    rank_pos: np.ndarray            # (M_eff, horizon): rank m's position in field n at [m-1, n]
+    rank_coeffs: np.ndarray         # (M_eff, horizon): rank m's coefficient at [m-1, n]
     nu_curve: list                  # nu(M) for M = 1..M_eff
     classification_log: list
     nonconvergent: list
@@ -219,16 +208,12 @@ class ProfileDecomposition:
 
 
 def _rank_tables(s: SequenceSnapshots, M: int):
-    """Per-rank index tracks and coefficient sequences from per-n reorderings."""
-    tracks: dict = {m: [] for m in range(1, M + 1)}
-    coeffs: dict = {m: [] for m in range(1, M + 1)}
-    for f in s.fields:
-        ranked = reorder(f)
-        for m in range(1, M + 1):
-            _, idx, val = ranked[m - 1]
-            tracks[m].append(idx)
-            coeffs[m].append(val)
-    return tracks, {m: np.asarray(v) for m, v in coeffs.items()}
+    """Positions, coefficients, scales and lattice points of the first M ranks
+    per snapshot: (M, H), (M, H), (M, H) and (M, H, dim) arrays."""
+    tops = [rank_order(f)[:M] for f in s.fields]
+    coeffs, js, gammas = (np.stack([getattr(f, a)[top] for f, top in zip(s.fields, tops)], axis=1)
+                          for a in ("values", "js", "gammas"))
+    return np.stack(tops, axis=1), coeffs, js, gammas
 
 
 def _limit_estimate(values: np.ndarray, tail: int, eps: float):
@@ -239,11 +224,12 @@ def _limit_estimate(values: np.ndarray, tail: int, eps: float):
     return mean, radius, radius <= eps
 
 
-def _escape_status(gs: SamplingSet, track, T_div: float) -> str:
-    js = np.array([i.j for i in track], dtype=float)
+def _escape_status(track: ScaleCorePair, T_div: float) -> str:
+    gs = track.sampling
+    js = np.array(track.js, dtype=float)
     if abs(js[-1] - js[0]) > T_div:
         return "scale"
-    first, last = groups.hom_norm(gs.group, gs.decode([track[0].gamma, track[-1].gamma]))
+    first, last = groups.hom_norm(gs.group, gs.decode([track.gammas[0], track.gammas[-1]]))
     if last - first > T_div:
         return "core"
     return "none"
@@ -259,12 +245,12 @@ def extract(s: SequenceSnapshots, params: ExtractParams) -> ProfileDecomposition
     if M_eff > card_min:
         M_eff = card_min
         diagnostics["M_max_clamped_to"] = M_eff
-    tracks, coeffs = _rank_tables(s, M_eff)
+    rank_pos, coeffs, rank_js, rank_gammas = _rank_tables(s, M_eff)
 
     d_limits: dict = {}
     nonconvergent: list = []
     for m in range(1, M_eff + 1):
-        lim, radius, ok = _limit_estimate(coeffs[m], params.tail, params.eps_conv)
+        lim, radius, ok = _limit_estimate(coeffs[m - 1], params.tail, params.eps_conv)
         d_limits[m] = lim
         if not ok:
             if params.mode == "strict":
@@ -277,15 +263,14 @@ def extract(s: SequenceSnapshots, params: ExtractParams) -> ProfileDecomposition
     profiles: list[Profile] = []
     nu_curve: list[int] = []
     log: list[dict] = []
-    pair_cache: dict = {}
 
     for m in range(1, M_eff + 1):
-        track_m = tracks[m]
-        pair_m = ScaleCorePair.from_index_track(gs, track_m)
+        pair_m = ScaleCorePair(sampling=gs, js=tuple(rank_js[m - 1].tolist()),
+                               gammas=tuple(map(tuple, rank_gammas[m - 1].tolist())))
         verdicts = []
         absorbed_into = None
         for prof in profiles:
-            v = classify_pair(pair_cache[prof.index], pair_m,
+            v = classify_pair(prof.core_track, pair_m,
                               params.tail, params.T_div, params.eps_stable)
             verdicts.append((prof.index, v))
             if v.kind == "Undecided":
@@ -306,55 +291,57 @@ def extract(s: SequenceSnapshots, params: ExtractParams) -> ProfileDecomposition
             prof = Profile(index=ell,
                            atoms=[(0, tuple(0.0 for _ in range(gs.group.dim)),
                                    d_limits[m])],
-                           core_track=list(track_m),
+                           core_track=pair_m,
                            members=[m])
             profiles.append(prof)
-            pair_cache[ell] = pair_m
             case = f"case1->profile{ell}"
         nu_curve.append(len(profiles))
         log.append({"rank": m, "decision": case,
                     "verdicts": [(p, v.kind) for p, v in verdicts]})
 
     for prof in profiles:
-        prof.escape = _escape_status(gs, prof.core_track, params.T_div)
+        prof.escape = _escape_status(prof.core_track, params.T_div)
 
     diagnostics["nu"] = len(profiles)
     diagnostics["escape_status"] = {p.index: p.escape for p in profiles}
     return ProfileDecomposition(
         snapshots=s, params=params, M_eff=M_eff, profiles=profiles,
-        d_limits=d_limits, rank_tracks=tracks, rank_coeffs=coeffs,
+        d_limits=d_limits, rank_pos=rank_pos, rank_coeffs=coeffs,
         nu_curve=nu_curve, classification_log=log,
         nonconvergent=nonconvergent, diagnostics=diagnostics)
 
 
-def _field_from(dec: ProfileDecomposition, entries: dict) -> CoefficientField:
-    template = dec.snapshots.fields[0]
-    return CoefficientField(group=template.group, sampling=template.sampling,
-                            entries=entries, normalization=template.normalization)
+def _members(dec: ProfileDecomposition, ells, M: int):
+    """0-based ranks of the given profiles among the first M, in absorption
+    order, and their limits."""
+    ranks = [m - 1 for ell in ells for m in dec.members_up_to(ell, M)]
+    return (np.array(ranks, dtype=np.int64),
+            np.array([dec.d_limits[m + 1] for m in ranks], dtype=complex))
 
 
 def rendered_profile(dec: ProfileDecomposition, ell: int, n_pos: int,
                      M: Optional[int] = None) -> CoefficientField:
     """The copy of profile ell placed along its track at snapshot position n_pos.
 
-    Uses the recorded per-rank index tracks, so the placement is exact on the
+    Uses the recorded per-rank positions, so the placement is exact on the
     observed horizon.  M restricts to the partial profile built from the
     first M ranks; None means the full (exact) profile.
     """
     M = dec.M_eff if M is None else M
-    entries: dict = {}
-    for m in dec.members_up_to(ell, M):
-        idx = dec.rank_tracks[m][n_pos]
-        entries[idx] = entries.get(idx, 0j) + dec.d_limits[m]
-    return _field_from(dec, entries)
+    ranks, d = _members(dec, [ell], M)
+    return dec.snapshots.fields[n_pos].take(dec.rank_pos[ranks, n_pos], d)
 
 
 def remainder_field(dec: ProfileDecomposition, n_pos: int, L: int) -> CoefficientField:
-    """r_{n,L} = u_n minus the first L exact profile copies."""
-    r = dec.snapshots.fields[n_pos]
-    for ell in range(1, min(L, len(dec.profiles)) + 1):
-        r = field_sub(r, rendered_profile(dec, ell, n_pos))
-    return r
+    """r_{n,L} = u_n minus the first L exact profile copies; exact zeros are dropped."""
+    u = dec.snapshots.fields[n_pos]
+    ranks, d = _members(dec, range(1, min(L, len(dec.profiles)) + 1), dec.M_eff)
+    if not len(ranks):
+        return u
+    values = u.values.copy()
+    values[dec.rank_pos[ranks, n_pos]] -= d
+    keep = values != 0
+    return u.take(keep, values[keep])
 
 
 def remainder_split(dec: ProfileDecomposition, n_pos: int, L: int, M: int) -> dict:
@@ -370,47 +357,49 @@ def remainder_split(dec: ProfileDecomposition, n_pos: int, L: int, M: int) -> di
         raise ValueError("L out of range")
     if not L <= M <= dec.M_eff:
         raise ValueError("need L <= M <= M_eff")
-    r1: dict = {}
-    r2: dict = {}
-
-    def bump(target, idx, val):
-        target[idx] = target.get(idx, 0j) + val
-
-    nu_M = dec.nu_curve[M - 1] if M >= 1 else 0
-    for ell in range(1, min(L, len(dec.profiles)) + 1):
-        for m in dec.members_up_to(ell, dec.M_eff):
-            idx = dec.rank_tracks[m][n_pos]
-            if m <= M:
-                bump(r1, idx, dec.rank_coeffs[m][n_pos] - dec.d_limits[m])
-            else:
-                bump(r1, idx, -dec.d_limits[m])
-    for ell in range(L + 1, nu_M + 1):
-        for m in dec.members_up_to(ell, M):
-            bump(r2, dec.rank_tracks[m][n_pos], dec.rank_coeffs[m][n_pos])
     u = dec.snapshots.fields[n_pos]
-    ranked = reorder(u)
-    for _, idx, val in ranked[M:]:
-        bump(r2, idx, val)
-
-    f1, f2 = _field_from(dec, r1), _field_from(dec, r2)
+    ranks1, d1 = _members(dec, range(1, L + 1), dec.M_eff)
+    r1 = u.take(dec.rank_pos[ranks1, n_pos],
+                np.where(ranks1 < M, dec.rank_coeffs[ranks1, n_pos] - d1, -d1))
+    nu_M = dec.nu_curve[M - 1] if M >= 1 else 0
+    ranks2, _ = _members(dec, range(L + 1, nu_M + 1), M)
+    tail = rank_order(u)[M:]
+    r2 = u.take(np.concatenate([dec.rank_pos[ranks2, n_pos], tail]),
+                np.concatenate([dec.rank_coeffs[ranks2, n_pos], u.values[tail]]))
     p = u.normalization.p
     proxy = NormParams(0.0, p, p)
     return {
-        "r1_field": f1,
-        "r2_field": f2,
-        "r1_norm_Hs": sobolev_seq_norm(f1),
-        "r2_norm_Lp_proxy": discrete_besov_norm(f2, proxy),
+        "r1_field": r1,
+        "r2_field": r2,
+        "r1_norm_Hs": sobolev_seq_norm(r1),
+        "r2_norm_Lp_proxy": discrete_besov_norm(r2, proxy),
     }
 
 
-def energy_check(dec: ProfileDecomposition, L: int) -> np.ndarray:
-    """Per-n defect |  ||u_n||^2 - sum_{l<=L} ||phi^l||^2 - ||r_{n,L}||^2 |."""
+def energy_ledger(dec: ProfileDecomposition, L: int) -> np.ndarray:
+    """Defects |  ||u_n||^2 - sum_{l<=ell} ||phi^l||^2 - ||r_{n,ell}||^2 | for
+    ell = 0..L (rows) and every snapshot n (columns), shape (L+1, H).
+
+    One cumulative pass over the profiles per n: profile ell's limits are
+    subtracted at its members' positions, exact zeros are dropped as in
+    `remainder_field`, and the remainder norm is summed in canonical order.
+    """
     if not 0 <= L <= len(dec.profiles):
         raise ValueError("L out of range")
-    profile_energy = sum(p.energy() for p in dec.profiles[:L])
-    out = []
-    for n_pos in range(dec.snapshots.horizon):
-        u2 = sobolev_seq_norm(dec.snapshots.fields[n_pos]) ** 2
-        r2 = sobolev_seq_norm(remainder_field(dec, n_pos, L)) ** 2
-        out.append(abs(u2 - profile_energy - r2))
-    return np.asarray(out)
+    members = [_members(dec, [ell], dec.M_eff) for ell in range(1, L + 1)]
+    out = np.zeros((L + 1, dec.snapshots.horizon))
+    for n_pos, u in enumerate(dec.snapshots.fields):
+        u2 = sobolev_seq_norm(u) ** 2
+        values = u.values.copy()
+        profile_energy = 0
+        for ell, (ranks, d) in enumerate(members, start=1):
+            values[dec.rank_pos[ranks, n_pos]] -= d
+            profile_energy += dec.profiles[ell - 1].energy()
+            r2 = float(np.sqrt(np.sum(np.abs(values[values != 0]) ** 2))) ** 2
+            out[ell, n_pos] = abs(u2 - profile_energy - r2)
+    return out
+
+
+def energy_check(dec: ProfileDecomposition, L: int) -> np.ndarray:
+    """The per-n defects at L: the last row of `energy_ledger`."""
+    return energy_ledger(dec, L)[L]

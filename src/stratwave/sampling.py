@@ -1,12 +1,19 @@
 """Regular sampling sets, tiles, and the lattice-sum decay certificate.
 
-Lattice members are stored as integer coordinate tuples so that closure
-under the group law and under dyadic dilations is exact.  For the
-Heisenberg preset the center coordinate decodes to an exact half-integer
-multiple of beta^2, which keeps the group-law closure drift-free.  Only
-the abelian and Heisenberg presets have a lattice law; other groups are
-rejected with `DomainError`.  `decode` and `encode` take (..., dim)
-batches under the same contract as the `groups` operations.
+Lattice members are integer coordinates, so that closure under the group
+law and under dyadic dilations is exact: `lat_mul`, `lat_inv` and
+`lat_dilate` compute on Python integers, exactly at any magnitude.  For
+the Heisenberg preset the center coordinate decodes to an exact
+half-integer multiple of beta^2, which keeps the group-law closure
+drift-free.  Only the abelian and Heisenberg presets have a lattice law;
+other groups are rejected with `DomainError`.  `decode`, `encode` and the
+lattice law take (..., dim) batches under the same contract as the
+`groups` operations.
+
+Coordinates stored as int64 arrays (coefficient fields, snapshot files)
+are bounded by MAX_LATTICE_COORD = 2^53 in absolute value: `decode`
+converts them to float64 exactly, and the sum or difference of two never
+wraps.  Readers and `generate` refuse larger values.
 """
 
 from __future__ import annotations
@@ -23,15 +30,21 @@ from .groups import DomainError, GroupSpec
 
 __all__ = [
     "AtomIndex",
+    "MAX_LATTICE_COORD",
+    "lattice_int64",
     "SamplingSet",
     "TilingReport",
     "preset_sampling_set",
     "enumerate_indices",
+    "lattice_coordinates",
     "verify_tiling",
     "column_decay_certificate",
     "sampling_to_json",
     "sampling_from_json",
 ]
+
+
+MAX_LATTICE_COORD = 2**53
 
 
 class AtomIndex(NamedTuple):
@@ -48,6 +61,8 @@ class SamplingSet:
     tile: tuple[tuple[float, float], ...]  # axis-aligned box, per coordinate
 
     def __post_init__(self):
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise DomainError(f"lattice spacing beta must be positive and finite, got {self.beta}")
         g = self.group
         d1 = g.strata_dims[0]
         if not ((g.kind == "abelian" and g.step == 1) or (
@@ -59,30 +74,29 @@ class SamplingSet:
 
     # -- integer-lattice arithmetic (exact) --------------------------------
 
-    def lat_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        g = self.group
-        if g.kind == "abelian":
-            return tuple(int(x + y) for x, y in zip(a, b))
-        d = g.strata_dims[0] // 2
-        ax, ay, ac = a[:d], a[d : 2 * d], a[-1]
-        bx, by, bc = b[:d], b[d : 2 * d], b[-1]
-        cross = sum(ax[i] * by[i] - ay[i] * bx[i] for i in range(d))
-        return tuple(x + y for x, y in zip(ax, bx)) + tuple(
-            x + y for x, y in zip(ay, by)
-        ) + (ac + bc + cross,)
+    def lat_mul(self, a, b):
+        """Lattice product of (..., dim) integer coordinates; a tuple for one point."""
+        a, b = _exact(a), _exact(b)
+        out = a + b
+        if self.group.kind == "heisenberg":
+            d = self.group.strata_dims[0] // 2
+            out[..., -1] += np.sum(a[..., :d] * b[..., d:2 * d]
+                                   - a[..., d:2 * d] * b[..., :d], axis=-1)
+        return _lattice_out(out)
 
-    def lat_inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(-x for x in a)
+    def lat_inv(self, a):
+        return _lattice_out(-_exact(a))
 
-    def lat_dilate(self, a: tuple[int, ...], j: int) -> tuple[int, ...]:
-        """Apply the dyadic dilation delta_{2^j}; exact only for j >= 0."""
-        if j < 0:
+    def lat_dilate(self, a, j):
+        """Apply the dyadic dilation delta_{2^j}, j >= 0 a scalar or one per row."""
+        j = _exact(j)
+        if np.any(j < 0):
             raise ValueError("integer lattice dilation requires j >= 0")
-        g = self.group
-        if g.kind == "abelian":
-            return tuple(x * 2**j for x in a)
-        m = a[-1] * 4**j
-        return tuple(x * 2**j for x in a[:-1]) + (m,)
+        factor = _exact(2 ** j)
+        out = _exact(a) * factor[..., None]
+        if self.group.kind == "heisenberg":
+            out[..., -1] *= factor
+        return _lattice_out(out)
 
     # -- decode / encode ----------------------------------------------------
 
@@ -108,6 +122,25 @@ class SamplingSet:
             raise ValueError(f"point {point} is not on the sampling lattice")
         ints = ints.astype(np.int64)
         return tuple(int(k) for k in ints) if ints.ndim == 1 else ints
+
+
+def lattice_int64(a) -> np.ndarray:
+    """Integer coordinates as int64; DomainError beyond MAX_LATTICE_COORD."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iuO":
+        raise ValueError(f"lattice coordinates must be integers, got {a.dtype}")
+    if a.size and (a.max() > MAX_LATTICE_COORD or a.min() < -MAX_LATTICE_COORD):
+        raise DomainError(f"lattice coordinate beyond the bound {MAX_LATTICE_COORD} = 2^53")
+    return a.astype(np.int64)
+
+
+def _exact(x) -> np.ndarray:
+    """Integer coordinates as an array of Python ints, whose arithmetic is exact."""
+    return np.array(np.asarray(x).tolist() if isinstance(x, np.ndarray) else x, dtype=object)
+
+
+def _lattice_out(out: np.ndarray):
+    return tuple(out.tolist()) if out.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -143,23 +176,25 @@ def _scaled_axis_spacings(gs: SamplingSet, j: int) -> np.ndarray:
     return base * (2.0 ** (-j * w))
 
 
-def enumerate_indices(gs: SamplingSet, j: int, box) -> list[AtomIndex]:
-    """All gamma in Gamma with 2^{-j} . gamma inside the half-open box.
-
-    Output order is lexicographic in the integer coordinates, hence stable.
-    """
+def lattice_coordinates(gs: SamplingSet, j: int, box) -> np.ndarray:
+    """All gamma in Gamma with 2^{-j} . gamma inside the half-open box, as a
+    (P, dim) int64 array in lexicographic order."""
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != gs.group.dim:
         raise ValueError("box dimension mismatch")
-    spac = _scaled_axis_spacings(gs, j)
-    ranges = []
-    for (lo, hi), h in zip(box, spac):
+    axes = []
+    for (lo, hi), h in zip(box, _scaled_axis_spacings(gs, j)):
         if hi <= lo:
-            return []
-        kmin = int(np.ceil(lo / h - 1e-12))
-        kmax = int(np.ceil(hi / h - 1e-12))  # exclusive
-        ranges.append(range(kmin, kmax))
-    return [AtomIndex(j, gamma) for gamma in itertools.product(*ranges)]
+            return np.zeros((0, gs.group.dim), dtype=np.int64)
+        axes.append(np.arange(int(np.ceil(lo / h - 1e-12)), int(np.ceil(hi / h - 1e-12)),
+                              dtype=np.int64))
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def enumerate_indices(gs: SamplingSet, j: int, box) -> list[AtomIndex]:
+    """`lattice_coordinates` as atom indices; lexicographic, hence stable."""
+    return [AtomIndex(j, tuple(g)) for g in lattice_coordinates(gs, j, box).tolist()]
 
 
 _TILING_ROWS = 1 << 18  # candidate translates per verify_tiling batch

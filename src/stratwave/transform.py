@@ -15,10 +15,16 @@ layout, frequency n at index n mod N L so the Nyquist bin keeps its
 place, runs one inverse FFT and gathers the points' indices mod N L;
 spreading scatters the values onto that grid, runs one forward FFT and
 crops back to the N^d frequencies.  Points on no refinement within the
-budget use dense (points x N^d) phase matrices.  Either array is refused
-with `DomainError` before it is built when it would exceed
-MAX_ARRAY_BYTES.  The general off-lattice alternative would be a
-nonuniform FFT (Dutt-Rokhlin 1993).
+budget use dense (points x N^d) phase matrices, built once per call and
+scale.  A refined grid, or the dense matrices of all the scales one call
+holds together, are refused with `DomainError` before anything is built
+when they would exceed MAX_ARRAY_BYTES.  The general off-lattice
+alternative would be a nonuniform FFT (Dutt-Rokhlin 1993).
+
+Coefficient fields cross this module as arrays: `analyze` samples each
+scale at its lattice points (`sampling.lattice_coordinates`, already in
+canonical order) and `synthesize` reads each scale's run of the field's
+canonical arrays.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .groups import DomainError, dilate
-from .sampling import SamplingSet, enumerate_indices
-from .coeffs import CoefficientField, L1_ATOMS, lp_atoms, convert
+from .sampling import SamplingSet, lattice_coordinates
+from .coeffs import SPARSE_FLOOR, CoefficientField, L1_ATOMS, lp_atoms, convert
 
 __all__ = [
     "GridFunction",
@@ -51,8 +57,9 @@ __all__ = [
     "dilate_grid",
 ]
 
-# largest complex128 array (16 B an entry) the exact sums may build: one
-# refined FFT grid of (N L)^d nodes or one dense phase matrix of points x N^d
+# largest complex128 memory (16 B an entry) the exact sums may build: one
+# refined FFT grid of (N L)^d nodes, or the dense phase matrices (points x
+# N^d) of all the scales one call holds
 MAX_ARRAY_BYTES = 1 << 28
 
 
@@ -71,6 +78,8 @@ class GridFunction:
     samples: np.ndarray = field(compare=False)
 
     def __post_init__(self):
+        if not (np.isfinite(self.extent) and self.extent > 0):
+            raise ValueError(f"extent must be finite and positive, got {self.extent}")
         s = np.asarray(self.samples, dtype=complex)
         if s.ndim != self.dim or len(set(s.shape)) != 1:
             raise ValueError("samples must be a dim-dimensional cube")
@@ -187,19 +196,14 @@ def _check_inputs(gs: SamplingSet, ks: KernelSet, desc: GridDescriptor) -> None:
 
 class _Placement(NamedTuple):
     """Points as raveled indices into the (N L)^d grid of the L-fold
-    refinement, or L = 0 and the (P, d) points for the dense sums."""
+    refinement, or L = 0 and their dense (P, N^d) phase matrix."""
 
     L: int
     at: np.ndarray
 
 
-def _place(desc: GridDescriptor, points: np.ndarray) -> _Placement:
-    """Smallest refinement L = 2^k within the budget that holds every point.
-
-    Points on no such refinement keep the dense sums; their phase matrix is
-    refused with DomainError here, before anything is built, when it would
-    exceed MAX_ARRAY_BYTES.
-    """
+def _refinement(desc: GridDescriptor, points: np.ndarray) -> Optional[_Placement]:
+    """The smallest refinement L = 2^k within the budget that holds every point."""
     dx = 2.0 * desc.extent / desc.N
     L = 1
     while 16 * (desc.N * L) ** desc.dim <= MAX_ARRAY_BYTES:
@@ -209,11 +213,24 @@ def _place(desc: GridDescriptor, points: np.ndarray) -> _Placement:
             ints = np.mod(near.astype(np.int64), desc.N * L)
             return _Placement(L, np.ravel_multi_index(tuple(ints.T), (desc.N * L,) * desc.dim))
         L *= 2
-    need = 16 * len(points) * desc.N**desc.dim
+    return None
+
+
+def _place(desc: GridDescriptor, point_sets: list) -> list[_Placement]:
+    """Each (P, d) point set on its smallest refinement within the budget.
+
+    Sets on no such refinement get their dense phase matrix, built here
+    once; the matrices of all sets together are refused with DomainError,
+    before any is built, when they would exceed MAX_ARRAY_BYTES.
+    """
+    placed = [_refinement(desc, pts) for pts in point_sets]
+    dense = sum(len(pts) for pts, pl in zip(point_sets, placed) if pl is None)
+    need = 16 * dense * desc.N**desc.dim
     if need > MAX_ARRAY_BYTES:
-        raise DomainError(f"{len(points)} points on no dyadic refinement of the grid need "
+        raise DomainError(f"{dense} points on no dyadic refinement of the grid need "
                           f"{need} B of dense phases, over the {MAX_ARRAY_BYTES} B budget")
-    return _Placement(0, points)
+    return [pl if pl is not None else _Placement(0, _phases(desc, pts))
+            for pts, pl in zip(point_sets, placed)]
 
 
 def _frequencies(desc: GridDescriptor, L: int):
@@ -239,7 +256,7 @@ def _sample(desc: GridDescriptor, spectrum: np.ndarray, pl: _Placement) -> np.nd
     """Trigonometric interpolation dnu^d sum_nu e^{2 pi i nu.x} spectrum(nu) at the points."""
     d = desc.dim
     if pl.L == 0:
-        return (1.0 / (2.0 * desc.extent)) ** d * (_phases(desc, pl.at) @ spectrum.ravel())
+        return (1.0 / (2.0 * desc.extent)) ** d * (pl.at @ spectrum.ravel())
     signed = spectrum * _parity(d, desc.N)
     if pl.L > 1:
         padded = np.zeros((desc.N * pl.L,) * d, dtype=complex)
@@ -252,7 +269,7 @@ def _spread(desc: GridDescriptor, values: np.ndarray, pl: _Placement) -> np.ndar
     """Adjoint of _sample: sum_x e^{-2 pi i nu.x} v_x at every grid frequency nu."""
     d = desc.dim
     if pl.L == 0:
-        return np.conj(_phases(desc, pl.at).T @ np.conj(values)).reshape((desc.N,) * d)
+        return np.conj(pl.at.T @ np.conj(values)).reshape((desc.N,) * d)
     grid = np.zeros((desc.N * pl.L) ** d, dtype=complex)
     np.add.at(grid, pl.at, values)  # points that wrap onto one node add up
     spec = np.fft.fftn(grid.reshape((desc.N * pl.L,) * d))
@@ -261,15 +278,14 @@ def _spread(desc: GridDescriptor, values: np.ndarray, pl: _Placement) -> np.ndar
     return spec * _parity(d, desc.N)
 
 
-def _points(gs: SamplingSet, j: int, gammas, dim: int) -> np.ndarray:
-    """Positions 2^{-j} . gamma of integer lattice coordinates, (P, dim)."""
-    gammas = np.asarray(gammas, dtype=np.int64).reshape(-1, dim)
+def _points(gs: SamplingSet, j: int, gammas: np.ndarray) -> np.ndarray:
+    """Positions 2^{-j} . gamma of (P, dim) integer lattice coordinates."""
     return dilate(gs.group, 2.0 ** (-j), gs.decode(gammas))
 
 
 class _Scale(NamedTuple):
     j: int
-    indices: list  # AtomIndex, lexicographic
+    gammas: np.ndarray  # (P, dim) int64, lexicographic
     points: np.ndarray
     placement: _Placement
 
@@ -277,13 +293,11 @@ class _Scale(NamedTuple):
 def _scales(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale]:
     """Each cached scale's lattice points inside the torus box, placed on the grid."""
     box = [(-desc.extent, desc.extent)] * desc.dim
-    out = []
-    for j in range(ks.j_range[0], ks.j_range[1] + 1):
-        idx = enumerate_indices(gs, j, box)
-        if idx:
-            pts = _points(gs, j, [i.gamma for i in idx], desc.dim)
-            out.append(_Scale(j, idx, pts, _place(desc, pts)))
-    return out
+    lattices = [(j, lattice_coordinates(gs, j, box))
+                for j in range(ks.j_range[0], ks.j_range[1] + 1)]
+    lattices = [(j, gm, _points(gs, j, gm)) for j, gm in lattices]
+    placements = _place(desc, [pts for _, _, pts in lattices])
+    return [_Scale(j, gm, pts, pl) for (j, gm, pts), pl in zip(lattices, placements)]
 
 
 def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> CoefficientField:
@@ -300,10 +314,11 @@ def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> Coeffi
     if any(np.any(np.abs(s.points) > f.extent) for s in scales):
         warnings.warn("lattice points beyond the grid extent wrap periodically")
     spec = grid_fft(f)
-    items = []
-    for s in scales:
-        items.extend(zip(s.indices, _sample(desc, ks.multiplier(s.j) * spec, s.placement)))
-    c1 = CoefficientField.build(gs.group, gs, items, L1_ATOMS)
+    values = [_sample(desc, ks.multiplier(s.j) * spec, s.placement) for s in scales]
+    js = np.concatenate([np.full(len(s.gammas), s.j) for s in scales])
+    c1 = CoefficientField(gs.group, gs, normalization=L1_ATOMS, floor=SPARSE_FLOOR, js=js,
+                          gammas=np.concatenate([s.gammas for s in scales]),
+                          values=np.concatenate(values))
     return convert(c1, lp_atoms(p))
 
 
@@ -316,15 +331,12 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
         raise ValueError("synthesize expects Lp-atom normalization")
     p = c.normalization.p
     Q = gs.group.Q
-    per_j: dict = {}
-    for idx, val in c.entries.items():
-        per_j.setdefault(idx.j, []).append((idx.gamma, val))
-    scales = [(j, ks.multiplier(j), np.array([v for _, v in group], dtype=complex),
-               _place(target, _points(gs, j, [g for g, _ in group], target.dim)))
-              for j, group in sorted(per_j.items())]
+    runs = c.scales()
+    mults = [ks.multiplier(j) for j, _ in runs]
+    placements = _place(target, [_points(gs, j, c.gammas[run]) for j, run in runs])
     spec = np.zeros((target.N,) * target.dim, dtype=complex)
-    for j, mult, vals, pl in scales:
-        spec += 2.0 ** (j * Q * (1.0 / p - 1.0)) * mult * _spread(target, vals, pl)
+    for (j, run), mult, pl in zip(runs, mults, placements):
+        spec += 2.0 ** (j * Q * (1.0 / p - 1.0)) * mult * _spread(target, c.values[run], pl)
     blank = GridFunction(target.dim, target.extent, np.zeros_like(spec))
     return grid_ifft(blank, spec)
 
@@ -447,7 +459,7 @@ def dilate_grid(f: GridFunction, h: float) -> GridFunction:
     vals = np.zeros(pts.shape[0], dtype=complex)
     if np.any(inside):
         desc = f.descriptor()
-        vals[inside] = _sample(desc, grid_fft(f), _place(desc, pts[inside]))
+        vals[inside] = _sample(desc, grid_fft(f), _place(desc, [pts[inside]])[0])
     # boundary-mass diagnostic: the localized dilate ignores what f does
     # outside the principal period, which only matters if f carries mass there
     edge = np.any(np.abs(x) >= f.extent / 2.0, axis=1)

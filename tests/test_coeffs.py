@@ -9,7 +9,6 @@ import stratwave as sw
 from stratwave.coeffs import (
     ConversionRequired,
     field_add,
-    field_scale,
     field_sub,
     mterm_error_curve,
     unconditionality_ratio,
@@ -149,7 +148,6 @@ def test_field_algebra():
     assert s.entries[sw.AtomIndex(1, (0,))] == 3.0
     d = field_sub(a, a)
     assert len(d) == 0
-    assert field_scale(a, 2.0).entries[sw.AtomIndex(0, (1,))] == 4.0
     mixed = sw.convert(b, sw.lp_atoms(2.0))
     with pytest.raises(ConversionRequired):
         field_add(a, mixed)
@@ -165,3 +163,129 @@ def test_build_accumulates_and_floors():
     assert sw.AtomIndex(0, (1,)) not in c.entries
     with pytest.raises(ValueError):
         sw.CoefficientField.build(g, gs, [(sw.AtomIndex(0, (0,)), np.nan)], sw.L1_ATOMS)
+
+
+# -- array operations against dict references written out here ---------------
+
+def dict_of(c):
+    return {(int(j), tuple(g)): v for j, g, v in
+            zip(c.js.tolist(), c.gammas.tolist(), c.values.tolist())}
+
+
+# small index and value ranges, so that shared indices, exact cancellations
+# and equal moduli are common
+tie_entries = st.dictionaries(
+    keys=st.tuples(st.integers(-2, 2), st.tuples(st.integers(-3, 3))),
+    values=st.sampled_from([1.0, -1.0, 2.0, 1j, -1j, 0.5 + 0.5j, -0.5 - 0.5j, 3.0 - 4.0j]),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=tie_entries, b=tie_entries)
+def test_field_add_sub_match_dict_reference(a, b):
+    fa, fb = sparse_field(sw.abelian(1), a), sparse_field(sw.abelian(1), b)
+    for op, sign in ((field_add, 1.0), (field_sub, -1.0)):
+        ref = dict(dict_of(fa))
+        for k, v in dict_of(fb).items():
+            ref[k] = ref.get(k, 0j) + sign * v
+        ref = {k: v for k, v in ref.items() if v != 0}
+        got = op(fa, fb)
+        assert dict_of(got) == ref
+        assert list(dict_of(got)) == sorted(ref)  # canonical order
+
+
+@settings(max_examples=80, deadline=None)
+@given(entries=tie_entries, M=st.integers(1, 14))
+def test_reorder_and_q_m_match_dict_reference(entries, M):
+    c = sparse_field(sw.abelian(1), entries)
+    ref = sorted(dict_of(c).items(), key=lambda kv: (-abs(kv[1]), kv[0][0], kv[0][1]))
+    ranked = sw.reorder(c)
+    assert [(r, (idx.j, idx.gamma), v) for r, idx, v in ranked] == \
+        [(m + 1, k, v) for m, (k, v) in enumerate(ref)]
+    kept, e_m = sw.q_m(c, M)
+    assert [(i.j, i.gamma) for i in e_m] == [k for k, _ in ref[:M]]
+    assert dict_of(kept) == dict(sorted(ref[:M]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=field_entries, p=st.floats(1.1, 6.0), s=st.floats(-1.0, 1.0),
+       q=st.floats(1.0, 4.0))
+def test_convert_and_besov_match_dict_reference(entries, p, s, q):
+    g = sw.abelian(1)
+    c = sparse_field(g, entries)
+    cp = sw.convert(c, sw.lp_atoms(p))
+    assert dict_of(cp) == {k: v * 2.0 ** (k[0] * ((-1.0 / p) * g.Q))
+                           for k, v in dict_of(c).items()}
+    back = {k: v * 2.0 ** (k[0] * ((1.0 / p) * g.Q)) for k, v in dict_of(cp).items()}
+    per_j: dict = {}
+    for (j, _), v in sorted(back.items()):
+        per_j.setdefault(j, []).append(abs(v))
+    acc = 0.0
+    for j, vals in per_j.items():
+        inner = np.sum((2.0 ** (j * (s - g.Q / p)) * np.asarray(vals)) ** p) ** (1.0 / p)
+        acc += inner**q
+    assert sw.discrete_besov_norm(cp, sw.NormParams(s, p, q)) == float(acc ** (1.0 / q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(big=tie_entries, picks=st.lists(st.floats(0.0, 1.2), min_size=12, max_size=12),
+       extra=st.booleans())
+def test_unconditionality_matches_dict_reference(big, picks, extra):
+    fb = sparse_field(sw.abelian(1), big)
+    small = {k: f * v for (k, v), f in zip(dict_of(fb).items(), picks)}
+    if extra:
+        small[(3, (9,))] = 1.0
+    fs = sparse_field(sw.abelian(1), small)
+    params = sw.NormParams(0.5, 2.0, 2.0)
+    ref_big = dict_of(fb)
+    if set(dict_of(fs)) - set(ref_big):
+        expect = "supported"
+    elif any(abs(v) > abs(ref_big[k]) + 1e-12 * abs(ref_big[k]) for k, v in dict_of(fs).items()):
+        expect = "domination"
+    else:
+        expect = None
+    if expect:
+        with pytest.raises(ValueError, match=expect):
+            unconditionality_ratio(fs, fb, params)
+    else:
+        ratio = unconditionality_ratio(fs, fb, params)
+        assert ratio == sw.discrete_besov_norm(fs, params) / sw.discrete_besov_norm(fb, params)
+
+
+def test_arrays_are_canonical_and_read_only():
+    c = sparse_field(sw.abelian(2), {(1, (0, 1)): 1.0, (0, (5, -1)): 2.0, (0, (-3, 7)): 3.0,
+                                     (1, (0, -1)): 4.0})
+    assert c.js.dtype == np.int64 and c.gammas.shape == (4, 2) and c.values.dtype == complex
+    assert c.js.tolist() == [0, 0, 1, 1]
+    assert c.gammas.tolist() == [[-3, 7], [5, -1], [0, -1], [0, 1]]
+    assert c.values.tolist() == [3.0, 2.0, 4.0, 1.0]
+    for a in (c.js, c.gammas, c.values):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    with pytest.raises(TypeError):
+        c.entries[sw.AtomIndex(0, (0, 0))] = 1.0
+
+
+def test_array_constructor_sums_repeats_and_floors():
+    g = sw.abelian(1)
+    gs = sw.preset_sampling_set(g, 1.0)
+    c = sw.CoefficientField(g, gs, normalization=sw.L1_ATOMS, floor=1e-14, js=[2, 0, 2, 0],
+                            gammas=[[1], [0], [1], [3]], values=[1.0, 1e-20, 0.5j, 2.0])
+    assert dict_of(c) == {(0, (3,)): 2.0, (2, (1,)): 1.0 + 0.5j}
+
+
+@pytest.mark.parametrize("bad", [2**53 + 1, -(2**53) - 1, 10**30])
+def test_int64_bound_refused(bad):
+    g = sw.abelian(1)
+    gs = sw.preset_sampling_set(g, 1.0)
+    with pytest.raises(sw.DomainError, match="2\\^53"):
+        sparse_field(g, {(0, (bad,)): 1.0})
+    with pytest.raises(sw.DomainError, match="2\\^53"):
+        sparse_field(g, {(bad, (0,)): 1.0})
+    if abs(bad) < 2**63:
+        with pytest.raises(sw.DomainError, match="2\\^53"):
+            sw.CoefficientField(g, gs, normalization=sw.L1_ATOMS, js=[0], gammas=[[bad]],
+                                values=[1.0])
+    edge = sparse_field(g, {(0, (2**53,)): 1.0, (-(2**53), (0,)): 1.0})
+    assert len(edge) == 2

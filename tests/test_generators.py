@@ -123,3 +123,53 @@ def test_spec_json_roundtrip():
     spec = two_profile_spec(1)
     spec2 = spec_from_json(spec_to_json(spec))
     assert spec2 == spec
+
+
+@pytest.mark.parametrize("track, bundle", [
+    # the core outgrows the bound at the last n
+    (dict(j0=0, j_slope=0, gamma0=(2**53 - 5, 0, 0), gamma_slope=(1, 0, 0)),
+     (sw.BundleAtom(0, (0, 0, 0), 1.0),)),
+    # the Heisenberg cross term of a bundle offset: 2^30 * 2^30 = 2^60
+    (dict(j0=0, j_slope=0, gamma0=(2**30, 0, 0), gamma_slope=(1, 0, 0)),
+     (sw.BundleAtom(0, (0, 2**30, 0), 1.0),)),
+    # the dilation of a bundle atom: 2^40 * 2^30, which int64 would wrap past 2^63
+    (dict(j0=0, j_slope=0, gamma0=(2**40, 0, 0), gamma_slope=(1, 0, 0)),
+     (sw.BundleAtom(30, (0, 0, 0), 1.0),)),
+], ids=["core", "cross-term", "dilation"])
+def test_generate_refuses_indices_beyond_bound(track, bundle):
+    g = sw.heisenberg(1)
+    spec = sw.GeneratorSpec(kind="translating", tracks=(sw.TrackSpec(bundle=bundle, **track),),
+                            horizon=8)
+    with pytest.raises(sw.DomainError, match="2\\^53"):
+        sw.generate(spec, g, sw.preset_sampling_set(g, 1.0))
+
+
+def test_generate_indices_match_scalar_lattice_law():
+    g = sw.heisenberg(1)
+    gs = sw.preset_sampling_set(g, 1.0)
+    t = sw.TrackSpec(j0=-1, j_slope=1, gamma0=(3, -2, 5), gamma_slope=(0, 0, 0),
+                     bundle=(sw.BundleAtom(0, (0, 0, 0), 1.0), sw.BundleAtom(2, (1, -1, 3), 0.5),
+                             sw.BundleAtom(1, (-2, 4, 0), 0.25j)))
+    snaps = sw.generate(sw.GeneratorSpec(kind="concentrating", tracks=(t,), horizon=6), g, gs)
+    for n, f in enumerate(snaps.fields):
+        j_core, core = t.core_at(n)
+        want = {}
+        for a in t.bundle:
+            # the lattice law on plain integer tuples, point by point
+            x, y, c = core[0] * 2**a.dj, core[1] * 2**a.dj, core[2] * 4**a.dj
+            u, v, w = a.dgamma
+            want[sw.AtomIndex(j_core + a.dj, (x + u, y + v, c + w + x * v - y * u))] = a.d
+        assert dict(f.entries) == want
+
+
+def test_generate_collision_messages():
+    g = sw.abelian(1)
+    gs = sw.preset_sampling_set(g, 1.0)
+    t = sw.TrackSpec(j0=0, j_slope=0, gamma0=(0,), gamma_slope=(1,),
+                     bundle=(sw.BundleAtom(0, (0,), 1.0), sw.BundleAtom(0, (0,), 0.5)))
+    spec = sw.GeneratorSpec(kind="translating", tracks=(t,), horizon=4)
+    with pytest.raises(GeneratorError, match=r"n=0, index AtomIndex\(j=0, gamma=\(0,\)\)"):
+        sw.generate(spec, g, gs)
+    summed = sw.generate(sw.GeneratorSpec(kind="translating", tracks=(t,), horizon=4,
+                                          allow_overlap=True), g, gs)
+    assert dict(summed.fields[2].entries) == {sw.AtomIndex(0, (2,)): 1.5}

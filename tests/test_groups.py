@@ -191,3 +191,12 @@ def test_custom_group_json_validated():
            "coefficients": [[[1.0, 0.0], [0.0, 1.0]]]}  # not antisymmetric
     with pytest.raises(ValueError):
         group_from_json(bad)
+
+
+def test_group_from_json_refuses_large_dimensions():
+    assert group_from_json({"kind": "heisenberg", "d": 31}).dim == 63
+    for bad in ({"kind": "heisenberg", "d": 32}, {"kind": "abelian", "d": 65},
+                {"kind": "abelian", "d": 0},
+                {"kind": "custom", "strata_dims": [40, 30], "coefficients": []}):
+        with pytest.raises(sw.DomainError, match="64"):
+            group_from_json(bad)

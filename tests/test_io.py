@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stratwave as sw
 from stratwave import io as sio
@@ -139,3 +141,225 @@ def test_ingest_dispatch(tmp_path):
     assert c2.entries == c.entries
     with pytest.raises(sio.IngestionError, match="unknown format"):
         sio.ingest(path, "csv")
+
+
+# -- strict ingestion --------------------------------------------------------
+
+def snapshot_lines(tmp_path):
+    spec = sw.GeneratorSpec(
+        kind="translating",
+        tracks=(sw.TrackSpec(j0=0, j_slope=0, gamma0=(0, 0, 0), gamma_slope=(2, 0, 0),
+                             bundle=(sw.BundleAtom(0, (0, 0, 0), 1.0 - 0.5j),
+                                     sw.BundleAtom(1, (1, 0, 1), 0.25))),),
+        horizon=4)
+    g = sw.heisenberg(1)
+    path = tmp_path / "s.jsonl"
+    sio.write_snapshots(path, sw.generate(spec, g, sw.preset_sampling_set(g, 1.0)))
+    return path, path.read_text().splitlines()
+
+
+def rewrite(path, lines, k, obj):
+    lines = list(lines)
+    lines[k] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("reader, mutate, message", [
+    (sio.read_field, lambda h: h.update(sampling=3), "line 1: bad sampling set"),
+    (sio.read_field, lambda h: h.pop("sampling"), "line 1: the header has no sampling set"),
+    (sio.read_field, lambda h: h["sampling"]["group"].update(d=10**6), "line 1: bad sampling set"),
+    (sio.read_field, lambda h: h["sampling"].update(beta=-1.0), "line 1: bad sampling set"),
+    (sio.read_field, lambda h: h["normalization"].update(p=float("nan")), "exponent"),
+    (sio.read_snapshots, lambda h: h.update(n_values=[0, 2, 1, 3]), "strictly increasing"),
+    (sio.read_snapshots, lambda h: h.update(n_values=[0, 1, 2, 2**60]), "bound"),
+    (sio.read_snapshots, lambda h: h.update(normalization={"kind": "L1"}), "line 1: "),
+], ids=["scalar-sampling", "no-sampling", "huge-group", "bad-beta", "nan-p", "unsorted-n",
+        "huge-n", "L1-snapshots"])
+def test_bad_header_raises_ingestion_error(tmp_path, reader, mutate, message):
+    if reader is sio.read_field:
+        path, lines = field_lines(tmp_path)
+    else:
+        path, lines = snapshot_lines(tmp_path)
+    header = json.loads(lines[0])
+    mutate(header)
+    rewrite(path, lines, 0, header)
+    with pytest.raises(sio.IngestionError, match=message):
+        reader(path)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"j": 2.7, "gamma": [1.9, 2, 3], "re": "1.5", "im": True}, "JSON integers"),
+    ({"j": 2, "gamma": [1, 2, 3], "re": "1.5", "im": 0.0}, "JSON numbers"),
+    ({"j": 2, "gamma": [1, 2, 3], "re": 1.5, "im": True}, "JSON numbers"),
+    ({"j": True, "gamma": [1, 2, 3], "re": 1.5}, "JSON integers"),
+    ({"j": 2, "gamma": [10**30, 2, 3], "re": 1.5}, "bound"),
+    ({"j": 2, "gamma": [2**53 + 1, 2, 3], "re": 1.5}, "bound"),
+    ({"j": 2, "gamma": [1, 2, 3], "re": 10**400}, "non-finite"),
+    ({"j": 2, "gamma": 5, "re": 1.5}, "JSON integers"),
+], ids=["lenient-types", "string-re", "bool-im", "bool-j", "huge-gamma", "beyond-2^53",
+        "huge-int-re", "scalar-gamma"])
+def test_bad_entry_raises_ingestion_error(tmp_path, entry, message):
+    path, lines = field_lines(tmp_path)
+    rewrite(path, lines, 2, entry)
+    with pytest.raises(sio.IngestionError, match=f"line 3: .*{message}"):
+        sio.read_field(path)
+
+
+def test_bound_is_inclusive(tmp_path):
+    path, lines = field_lines(tmp_path)
+    rewrite(path, lines, 2, {"j": 2, "gamma": [2**53, -2**53, 3], "re": 1.5})
+    assert sw.AtomIndex(2, (2**53, -2**53, 3)) in sio.read_field(path).entries
+
+
+@pytest.mark.parametrize("n", [1.0, True], ids=["float", "bool"])
+def test_snapshot_n_must_be_integer(tmp_path, n):
+    path, lines = snapshot_lines(tmp_path)
+    obj = json.loads(lines[3])
+    obj["n"] = n
+    rewrite(path, lines, 3, obj)
+    with pytest.raises(sio.IngestionError, match="line 4: snapshot n must be a JSON integer"):
+        sio.read_snapshots(path)
+
+
+def test_non_utf8_bytes_report_line(tmp_path):
+    path, lines = field_lines(tmp_path)
+    raw = ("\n".join(lines) + "\n").encode()
+    at = raw.index(b"\n", raw.index(b"\n") + 1) + 3  # inside line 3
+    path.write_bytes(raw[:at] + b"\xff\xfe" + raw[at:])
+    with pytest.raises(sio.IngestionError, match="line 3: not UTF-8"):
+        sio.read_field(path)
+
+
+@pytest.mark.parametrize("extent", [-2.0, 0.0, float("nan"), float("inf")])
+def test_grid_extent_must_be_finite_positive(tmp_path, extent):
+    with pytest.raises(ValueError, match="extent"):
+        sw.GridFunction(1, extent, np.zeros(8, dtype=complex))
+    path = tmp_path / "f.grid"
+    sio.write_grid(path, sw.GridFunction(1, 1.0, np.zeros(8, dtype=complex)))
+    raw = bytearray(path.read_bytes())
+    raw[8:16] = np.float64(extent).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(sio.IngestionError, match="extent"):
+        sio.read_grid(path)
+
+
+def test_entry_lines_match_json_dumps(tmp_path):
+    g = sw.abelian(2)
+    gs = sw.preset_sampling_set(g, 1.0)
+    values = [-0.0 + 0.0j, 5e-324 - 5e-324j, 1e308 + 2.5j, -1.0 / 3.0 + 0.1j, 7.0 - 0.0j]
+    keys = [(0, (0, 0)), (-3, (2**53, -2**53)), (2**40, (1, -1)), (5, (123456789, 0)),
+            (-(2**53), (0, 9))]
+    c = sw.CoefficientField(group=g, sampling=gs,
+                            entries={sw.AtomIndex(j, gm): v for (j, gm), v in zip(keys, values)},
+                            normalization=sw.lp_atoms(2.0))
+    expect = [{"j": idx.j, "gamma": list(idx.gamma), "re": v.real, "im": v.imag}
+              for idx, v in c.entries.items()]
+    path = tmp_path / "c.jsonl"
+    sio.write_field(path, c)
+    assert path.read_text().splitlines()[1:] == [json.dumps(e, sort_keys=True) for e in expect]
+    snaps = sw.SequenceSnapshots(group=g, sampling=gs, n_values=(3, 2**50), fields=(c, c))
+    sio.write_snapshots(path, snaps)
+    want = [json.dumps(dict(e, n=n), sort_keys=True) for n in (3, 2**50) for e in expect]
+    assert path.read_text().splitlines()[1:] == want
+    back = sio.read_snapshots(path)
+    for f in back.fields:
+        assert np.array_equal(f.js, c.js) and np.array_equal(f.gammas, c.gammas)
+        assert np.array_equal(f.values.view(np.int64), c.values.view(np.int64))  # -0.0 kept
+
+
+def test_joined_lines_do_not_merge(tmp_path):
+    # each line alone is invalid or holds two values, but the joined array
+    # would parse to one valid entry per line
+    path, lines = field_lines(tmp_path)
+    entry = json.loads(lines[1])
+    first = json.dumps(dict(entry, j=5))[:-1] + ', "x": [{}'
+    path.write_text("\n".join([lines[0], first, "{}]}",
+                               json.dumps(dict(entry, j=6)) + ", " + json.dumps(dict(entry, j=7))])
+                    + "\n")
+    with pytest.raises(sio.IngestionError, match="line 2: invalid JSON"):
+        sio.read_field(path)
+
+
+# -- the chunked reader equals a line-by-line reader -------------------------
+
+def _outcome(reader, path):
+    try:
+        r = reader(path)
+    except sio.IngestionError as exc:
+        return "error", str(exc)
+    fields = r.fields if isinstance(r, sw.SequenceSnapshots) else (r,)
+    return "ok", [(f.js.tolist(), f.gammas.tolist(), f.values.tolist()) for f in fields]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                   max_size=3),
+    max_leaves=6)
+
+
+def _mutations(lines):
+    """(line, key path) of every field of the header and of the entry lines."""
+    out = []
+    for k, line in enumerate(lines):
+        def walk(obj, path):
+            for key, val in obj.items():
+                out.append((k, path + (key,)))
+                if isinstance(val, dict):
+                    walk(val, path + (key,))
+        walk(json.loads(line), ())
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), snapshots=st.booleans(), small_chunks=st.booleans())
+def test_single_field_mutation_parses_or_raises_ingestion_error(tmp_path_factory, data,
+                                                               snapshots, small_chunks):
+    tmp_path = tmp_path_factory.mktemp("mut")
+    path, lines = (snapshot_lines if snapshots else field_lines)(tmp_path)
+    reader = sio.read_snapshots if snapshots else sio.read_field
+    k, keys = data.draw(st.sampled_from(_mutations(lines)))
+    obj = json.loads(lines[k])
+    parent = obj
+    for key in keys[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = data.draw(json_values)
+    rewrite(path, lines, k, obj)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sio, "_CHUNK_LINES", 2 if small_chunks else 256)
+        chunked = _outcome(reader, path)
+        # the same file read line by line gives the same result or the same message
+        mp.setattr(sio._EntryReader, "_bulk", lambda self, numbered: None)
+        assert _outcome(reader, path) == chunked
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.binary(max_size=200), with_header=st.booleans())
+def test_arbitrary_bytes_parse_or_raise_ingestion_error(tmp_path_factory, raw, with_header):
+    tmp_path = tmp_path_factory.mktemp("bytes")
+    headers = {sio.read_grid: sio._GRID_HEADER.pack(1, 2, 1.0),
+               sio.read_field: field_lines(tmp_path)[1][0].encode() + b"\n",
+               sio.read_snapshots: snapshot_lines(tmp_path)[1][0].encode() + b"\n"}
+    path = tmp_path / "x"
+    for reader, header in headers.items():
+        path.write_bytes((header if with_header else b"") + raw)
+        try:
+            reader(path)
+        except sio.IngestionError:
+            pass
+
+
+def test_duplicate_across_chunks_reports_first_line(tmp_path, monkeypatch):
+    path, lines = snapshot_lines(tmp_path)
+    # line 3 repeats line 2; line 9 is also broken, but comes later
+    lines = lines[:2] + [lines[1]] + lines[2:]
+    lines[8] = "{oops"
+    path.write_text("\n".join(lines) + "\n")
+    for chunk in (2, 3, 256):
+        monkeypatch.setattr(sio, "_CHUNK_LINES", chunk)
+        with pytest.raises(sio.IngestionError, match="line 3: duplicate index"):
+            sio.read_snapshots(path)

@@ -273,3 +273,55 @@ def test_rendered_profile_matches_track():
     # profile 1 is the constant track at the origin
     assert set(prof.entries) == {sw.AtomIndex(0, (0,))}
     assert prof.entries[sw.AtomIndex(0, (0,))] == pytest.approx(dec.d_limits[1])
+
+
+def sequential_ledger(dec, L):
+    """The energy ledger by repeated dict subtraction, one profile copy at a time."""
+    rows = []
+    for ell in range(L + 1):
+        profile_energy = sum(p.energy() for p in dec.profiles[:ell])
+        row = []
+        for u in dec.snapshots.fields:
+            ranked = sw.reorder(u)
+            r = dict(u.entries)
+            for prof in dec.profiles[:ell]:
+                for m in prof.members:
+                    idx = ranked[m - 1][1]
+                    r[idx] = r.get(idx, 0j) + (-1.0 * dec.d_limits[m])
+                r = {k: v for k, v in r.items() if v != 0}
+            moduli = np.abs(np.fromiter(r.values(), dtype=complex, count=len(r)))
+            r2 = float(np.sqrt(np.sum(moduli**2))) ** 2 if r else 0.0
+            row.append(abs(sw.sobolev_seq_norm(u) ** 2 - profile_energy - r2))
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("name", ["h1", "noise"])
+def test_energy_ledger_equals_sequential_subtraction(name):
+    import json
+    from pathlib import Path
+    from stratwave.generators import spec_from_json
+    data = Path(__file__).parent / "data"
+    obj = json.loads((data / f"golden_{name}_spec.json").read_text())
+    g = sw.heisenberg(1)
+    snaps = sw.generate(spec_from_json(obj), g, sw.preset_sampling_set(g, 1.0))
+    dec = sw.extract(snaps, sw.ExtractParams(
+        **json.loads((data / f"golden_{name}_params.json").read_text())))
+    L = len(dec.profiles)
+    ledger = sw.energy_ledger(dec, L)
+    assert ledger.shape == (L + 1, snaps.horizon)
+    assert np.array_equal(ledger, sequential_ledger(dec, L))  # bit for bit
+    for ell in range(L + 1):
+        assert np.array_equal(sw.energy_check(dec, ell), ledger[ell])
+    with pytest.raises(ValueError):
+        sw.energy_ledger(dec, L + 1)
+
+
+def test_remainder_field_drops_exact_zeros():
+    dec = drift_decomposition()
+    u = dec.snapshots.fields[0]
+    r = remainder_field(dec, 0, 1)
+    # the constant profile's limit is exact, so its atom cancels
+    assert sw.AtomIndex(0, (0,)) not in r.entries
+    assert len(r) == len(u) - 1
+    assert remainder_field(dec, 0, 0) is u

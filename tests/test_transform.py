@@ -268,14 +268,15 @@ def test_fft_path_matches_dense_sums(dim, n, extent, density, j, L):
     mult = ks.multiplier(j)
     # analysis: L1-convention samples of the block at the lattice points
     c1 = sw.convert(sw.analyze(f, ks, gs, 2.0), sw.L1_ATOMS)
-    got = np.array([c1.entries[k] for k in scale.indices])
+    indices = [sw.AtomIndex(j, tuple(g)) for g in scale.gammas.tolist()]
+    got = np.array([c1.entries[k] for k in indices])
     want = _dense_samples(f, mult * grid_fft(f), scale.points)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # synthesis: sum_lambda d_lambda 2^{jQ(1/p - 1)} psi_hat_j e^{-2 pi i nu.x_lambda};
     # the copies shifted by one period of the torus wrap onto the first atoms
     period = int(round(2.0 * extent / (density * 2.0 ** (-j))))
-    idx = scale.indices + [sw.AtomIndex(j, tuple(g + period for g in k.gamma))
-                           for k in scale.indices[:5]]
+    idx = indices + [sw.AtomIndex(j, tuple(g + period for g in k.gamma))
+                     for k in indices[:5]]
     points = density * 2.0 ** (-j) * np.array([k.gamma for k in idx], dtype=float)
     d = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
     c = sw.CoefficientField(group=gs.group, sampling=gs, entries=dict(zip(idx, d)),
@@ -337,6 +338,40 @@ def test_dense_budget_refused_up_front(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 18
+
+
+def test_dense_phases_built_once_per_scale_and_call(monkeypatch):
+    # density 0.3 puts several scales on no dyadic refinement of the grid
+    f = band_limited(n=256, extent=4.0, center=2.0, width=8.0)
+    gs = sw.preset_sampling_set(sw.abelian(1), 0.3)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
+    dense = sum(s.placement.L == 0 for s in transform._scales(ks, gs, f.descriptor()))
+    assert dense == 6
+    builds = []
+    phases = transform._phases
+    monkeypatch.setattr(transform, "_phases", lambda *a: builds.append(1) or phases(*a))
+    c = sw.analyze(f, ks, gs, 4.0)
+    assert len(builds) == dense
+    sw.synthesize(c, ks, gs, f.descriptor())
+    assert len(builds) == dense + len(c.scales())  # the scales c holds
+    _, info = sw.frame_reconstruct(f, ks, gs, 4.0)
+    assert info["iterations"] >= 2 and len(builds) == 2 * dense + len(c.scales())
+    # at density 0.25 every scale sits on a refinement
+    builds.clear()
+    sw.analyze(f, ks, sw.preset_sampling_set(sw.abelian(1), 0.25), 4.0)
+    assert builds == []
+
+
+def test_dense_budget_counts_every_scale_of_a_call(monkeypatch):
+    f = band_limited(n=256, extent=4.0, center=2.0, width=8.0)
+    gs = sw.preset_sampling_set(sw.abelian(1), 0.3)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
+    scales = transform._scales(ks, gs, f.descriptor())
+    need = [16 * len(s.points) * f.N for s in scales if s.placement.L == 0]
+    monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", sum(need) - 1)
+    assert max(need) <= transform.MAX_ARRAY_BYTES
+    with pytest.raises(DomainError, match="budget"):
+        sw.analyze(f, ks, gs, 4.0)
 
 
 def test_frame_reconstruct_warns_when_not_converged():

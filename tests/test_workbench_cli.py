@@ -1,6 +1,7 @@
 """Command-line workbench: pipelines, reports, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +230,80 @@ def test_decompose_bad_n_values_exits_1(tmp_path, capsys, n_values):
     assert main(["decompose", "--in", str(snaps), "--params", str(params)]) == 1
     err = capsys.readouterr().err
     assert "validation error:" in err and "n_values" in err
+
+
+# -- golden reports ----------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+# floats whose last bits depend on the summation order inside a field
+ORDER_SENSITIVE = {"K_bound", "remainder_split_at_last_n"}
+
+
+def _assert_same_report(got: bytes, want: bytes):
+    """Byte identity, except the order-sensitive floats, which agree to 1e-14."""
+    if got == want:
+        return
+    g, w = json.loads(got), json.loads(want)
+    assert set(g) == set(w)
+    for key in w:
+        if key not in ORDER_SENSITIVE:
+            assert json.dumps(g[key], sort_keys=True) == json.dumps(w[key], sort_keys=True), key
+    for key in ORDER_SENSITIVE & set(w):
+        a, b = np.array(_floats(g[key])), np.array(_floats(w[key]))
+        assert a.shape == b.shape and np.all(np.abs(a - b) <= 1e-14 * np.abs(b)), key
+
+
+def _floats(x):
+    if isinstance(x, dict):
+        return [v for k in sorted(x) for v in _floats(x[k])]
+    return [float(x)]
+
+
+@pytest.mark.parametrize("name", ["h1", "noise"])
+def test_golden_generate_decompose_reports(tmp_path, name):
+    snaps = tmp_path / "snaps.jsonl"
+    gen, dec = tmp_path / "gen.json", tmp_path / "dec.json"
+    assert main(["generate", "--spec", str(DATA / f"golden_{name}_spec.json"),
+                 "--out", str(snaps), "--report", str(gen)]) == 0
+    assert main(["decompose", "--in", str(snaps),
+                 "--params", str(DATA / f"golden_{name}_params.json"),
+                 "--report", str(dec)]) == 0
+    _assert_same_report(gen.read_bytes(), (DATA / f"golden_{name}_gen.json").read_bytes())
+    # the report's input digest pins the snapshot file bytes
+    _assert_same_report(dec.read_bytes(), (DATA / f"golden_{name}_dec.json").read_bytes())
+
+
+def test_golden_norms_report_and_field_roundtrip(tmp_path):
+    field = DATA / "golden_field.jsonl"
+    out = tmp_path / "norms.json"
+    assert main(["norms", "--in", str(field), "--s", "0.25", "--p", "4", "--q", "2",
+                 "--report", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "golden_norms.json").read_bytes()
+    sio.write_field(tmp_path / "again.jsonl", sio.read_field(field))
+    assert (tmp_path / "again.jsonl").read_bytes() == field.read_bytes()
+
+
+# -- malformed inputs exit 1 -------------------------------------------------
+
+def test_norms_on_header_with_scalar_sampling_exits_1(tmp_path, capsys):
+    lines = (DATA / "golden_field.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["sampling"] = 3
+    path = tmp_path / "field.jsonl"
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    assert main(["norms", "--in", str(path), "--s", "0.25", "--p", "4", "--q", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: line 1: bad sampling set" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extent", [-2.0, float("nan")], ids=["negative", "nan"])
+def test_verify_frame_on_grid_with_bad_extent_exits_1(tmp_path, capsys, extent):
+    f = sw.GridFunction(1, 4.0, np.exp(-np.linspace(-4, 4, 64, endpoint=False) ** 2) + 0j)
+    path = tmp_path / "f.grid"
+    sio.write_grid(path, f)
+    raw = bytearray(path.read_bytes())
+    raw[8:16] = np.float64(extent).tobytes()  # the header's R
+    path.write_bytes(bytes(raw))
+    assert main(["verify-frame", "--grid", str(path), "--density", "0.25"]) == 1
+    err = capsys.readouterr().err
+    assert "validation error:" in err and "extent" in err

@@ -27,7 +27,7 @@ def run(label: str, window, density: float, j_range, f: sw.GridFunction) -> None
     ks = sw.build_kernel_set(window, f.descriptor(), j_range)
     c = sw.analyze(f, ks, gs, 2.0)
     direct = sw.synthesize(c, ks, gs, f.descriptor())
-    rec, info = sw.frame_reconstruct(f, ks, gs, 2.0)
+    rec, info = sw.frame_reconstruct(f, ks, gs)
     l2 = sw.lebesgue_norm(f, 2.0)
 
     def err(g):

@@ -31,7 +31,7 @@ from .transform import (
     synthesize,
 )
 from .coeffs import NormParams, convert, discrete_besov_norm, lp_atoms, sobolev_seq_norm
-from .generators import GeneratorError, generate, spec_from_json
+from .generators import GeneratorError, generate, json_typed, spec_from_json
 from .profiles import (
     ExtractParams,
     NonconvergentCoefficient,
@@ -42,7 +42,7 @@ from .profiles import (
     extract,
     remainder_split,
 )
-from .sampling import preset_sampling_set
+from .sampling import lattice_int64, preset_sampling_set
 from .windows import build_narrow_window, build_window, coverage_interval, verify_partition
 
 EXIT_OK = 0
@@ -73,7 +73,7 @@ def cmd_generate(args) -> int:
     spec_obj = _load_json(args.spec)
     spec = spec_from_json(spec_obj)
     g = _groups.group_from_json(spec_obj["group"])
-    gs = preset_sampling_set(g, float(spec_obj.get("density", 1.0)))
+    gs = preset_sampling_set(g, json_typed(spec_obj.get("density", 1.0), "number", "density"))
     snaps = generate(spec, g, gs)
     _io.write_snapshots(args.out, snaps)
     _emit({
@@ -163,7 +163,7 @@ def cmd_verify_frame(args) -> int:
     ks = build_kernel_set(window, f.descriptor(), (args.jmin, args.jmax))
     c = analyze(f, ks, gs, args.p)
     f_direct = synthesize(c, ks, gs, f.descriptor())
-    f_rec, info = frame_reconstruct(f, ks, gs, args.p)
+    f_rec, info = frame_reconstruct(f, ks, gs)
     l2 = lebesgue_norm(f, 2.0)
     err_direct = lebesgue_norm(
         type(f)(f.dim, f.extent, f.samples - f_direct.samples), 2.0) / l2
@@ -207,12 +207,16 @@ def cmd_norms(args) -> int:
 
 
 def _pair_from_json(path) -> ScaleCorePair:
-    obj = _load_json(path)
+    obj = json_typed(_load_json(path), "object", "track")
     g = _groups.group_from_json(obj["group"])
-    gs = preset_sampling_set(g, float(obj.get("beta", 1.0)))
-    return ScaleCorePair(sampling=gs,
-                         js=tuple(int(j) for j in obj["js"]),
-                         gammas=tuple(tuple(int(x) for x in gm) for gm in obj["gammas"]))
+    gs = preset_sampling_set(g, json_typed(obj.get("beta", 1.0), "number", "beta"))
+    js = tuple(json_typed(j, "integer", "js entry") for j in json_typed(obj["js"], "list", "js"))
+    gammas = tuple(tuple(json_typed(x, "integer", "gamma coordinate")
+                         for x in json_typed(gm, "list", "gammas entry"))
+                   for gm in json_typed(obj["gammas"], "list", "gammas"))
+    lattice_int64(js)  # DomainError beyond 2^53
+    lattice_int64(gammas)  # also ValueError if ragged
+    return ScaleCorePair(sampling=gs, js=js, gammas=gammas)
 
 
 def cmd_classify(args) -> int:

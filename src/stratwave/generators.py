@@ -13,7 +13,6 @@ lattice law; indices beyond sampling.MAX_LATTICE_COORD are refused with
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +21,7 @@ import numpy as np
 from .groups import GroupSpec
 from .sampling import AtomIndex, SamplingSet, lattice_int64
 from .coeffs import CoefficientField, lp_atoms, sobolev_seq_norm
-from .profiles import ScaleCorePair, SequenceSnapshots, classify_pair
+from .profiles import SequenceSnapshots, _row_classifier, _verdict
 
 __all__ = [
     "BundleAtom",
@@ -122,13 +121,6 @@ def _track_indices(spec: GeneratorSpec, gs: SamplingSet, t: TrackSpec):
     return (t.j0 + t.j_slope * n)[None, :] + dj[:, None], gammas
 
 
-def _track_pair(spec: GeneratorSpec, gs: SamplingSet, t: TrackSpec) -> ScaleCorePair:
-    cores = [t.core_at(n) for n in range(spec.horizon)]
-    return ScaleCorePair(sampling=gs,
-                         js=tuple(j for j, _ in cores),
-                         gammas=tuple(g for _, g in cores))
-
-
 def generate(spec: GeneratorSpec, g: GroupSpec, gs: SamplingSet) -> SequenceSnapshots:
     """Realize the generator law as a sequence of coefficient fields."""
     dim = gs.group.dim
@@ -170,13 +162,19 @@ def generate(spec: GeneratorSpec, g: GroupSpec, gs: SamplingSet) -> SequenceSnap
         raise GeneratorError("sequence norm drifts although no overlap was declared")
 
     if len(spec.tracks) > 1 and not spec.allow_overlap:
-        tail = spec.check_tail or max(2, spec.horizon // 2)
-        pairs = [_track_pair(spec, gs, t) for t in spec.tracks]
-        for a, b in itertools.combinations(range(len(pairs)), 2):
-            v = classify_pair(pairs[a], pairs[b], tail, spec.check_T_div, spec.check_eps_stable)
-            if not v.orthogonal:
-                raise GeneratorError(f"mixture tracks {a} and {b} are not orthogonal over "
-                                     f"the horizon: {v.kind} ({v.detail})")
+        # each track against the later ones: the first failing pair in (a, b) order
+        cores = [[t.core_at(n) for n in range(spec.horizon)] for t in spec.tracks]
+        T_div, eps = spec.check_T_div, spec.check_eps_stable
+        rows_of = _row_classifier(gs, np.array([[j for j, _ in c] for c in cores], dtype=np.int64),
+                                  np.array([[g for _, g in c] for c in cores], dtype=np.int64),
+                                  spec.check_tail or max(2, spec.horizon // 2), T_div, eps)
+        for a in range(len(cores) - 1):
+            rows = rows_of(a)
+            bad = np.flatnonzero(rows[0] >= 2)
+            if bad.size:
+                v = _verdict(rows, bad[0], T_div, eps)
+                raise GeneratorError(f"mixture tracks {a} and {a + 1 + bad[0]} are not orthogonal "
+                                     f"over the horizon: {v.kind} ({v.detail})")
     return snaps
 
 
@@ -211,32 +209,46 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
     }
 
 
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "bool": (bool,), "list": (list,),
+               "object": (dict,), "integer or null": (int, type(None))}
+# the spec's scalar fields: JSON type and default (required when none is given)
+_SPEC_FIELDS = {"horizon": ("integer",), "p": ("number", 2.0), "noise_amplitude": ("number", 0.0),
+                "noise_count": ("integer", 0), "noise_seed": ("integer", 0),
+                "allow_overlap": ("bool", False), "check_tail": ("integer or null", None),
+                "check_T_div": ("number", 5.0), "check_eps_stable": ("number", 1e-9)}
+
+
+def json_typed(value, kind: str, name: str):
+    """value if it has JSON type `kind`, a key of _JSON_TYPES (bools are neither
+    integers nor numbers), with numbers as floats; else ValueError naming the field."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ValueError(f"{name} must be a JSON {kind}, got {value!r}")
+    if kind != "number":
+        return value
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{name} is beyond the float range") from None
+
+
 def spec_from_json(obj: dict) -> GeneratorSpec:
+    """The spec of a JSON object; ValueError for a field of the wrong JSON type."""
+    def get(o: dict, key: str, kind: str, *default):
+        return json_typed(o.get(key, *default) if default else o[key], kind, key)
+
+    def ints(o: dict, key: str) -> tuple:
+        return tuple(json_typed(x, "integer", key) for x in get(o, key, "list"))
+
+    def objects(o: dict, key: str, name: str) -> list:
+        return [json_typed(x, "object", name) for x in get(o, key, "list")]
+
     tracks = tuple(
-        TrackSpec(
-            j0=int(t["j0"]),
-            j_slope=int(t["j_slope"]),
-            gamma0=tuple(int(x) for x in t["gamma0"]),
-            gamma_slope=tuple(int(x) for x in t["gamma_slope"]),
-            bundle=tuple(
-                BundleAtom(dj=int(a["dj"]),
-                           dgamma=tuple(int(x) for x in a["dgamma"]),
-                           d=complex(a["re"], a.get("im", 0.0)))
-                for a in t["bundle"]
-            ),
-        )
-        for t in obj["tracks"]
-    )
-    return GeneratorSpec(
-        kind=obj["kind"],
-        tracks=tracks,
-        horizon=int(obj["horizon"]),
-        p=float(obj.get("p", 2.0)),
-        noise_amplitude=float(obj.get("noise_amplitude", 0.0)),
-        noise_count=int(obj.get("noise_count", 0)),
-        noise_seed=int(obj.get("noise_seed", 0)),
-        allow_overlap=bool(obj.get("allow_overlap", False)),
-        check_tail=obj.get("check_tail"),
-        check_T_div=float(obj.get("check_T_div", 5.0)),
-        check_eps_stable=float(obj.get("check_eps_stable", 1e-9)),
-    )
+        TrackSpec(j0=get(t, "j0", "integer"), j_slope=get(t, "j_slope", "integer"),
+                  gamma0=ints(t, "gamma0"), gamma_slope=ints(t, "gamma_slope"),
+                  bundle=tuple(BundleAtom(dj=get(a, "dj", "integer"), dgamma=ints(a, "dgamma"),
+                                          d=complex(get(a, "re", "number"),
+                                                    get(a, "im", "number", 0.0)))
+                               for a in objects(t, "bundle", "bundle atom")))
+        for t in objects(json_typed(obj, "object", "spec"), "tracks", "track"))
+    return GeneratorSpec(kind=obj["kind"], tracks=tracks,
+                         **{key: get(obj, key, *v) for key, v in _SPEC_FIELDS.items()})

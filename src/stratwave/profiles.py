@@ -10,7 +10,11 @@ silently.
 Rank m sits at position `rank_pos[m - 1, n]` of snapshot n's arrays;
 profile copies, remainders and the energy ledger work at those positions,
 the ledger for every L in one cumulative pass over the profiles.
-"""
+
+Orthogonality verdicts come from one array kernel, `_classify_rows` (one
+track against K); `extract` decodes every rank's cores once and, when rank f
+founds a profile, classifies f against all later ranks in one call: later
+ranks read their verdicts from these founder-major rows."""
 
 from __future__ import annotations
 
@@ -101,11 +105,15 @@ class ScaleCorePair:
     @functools.cached_property
     def kappa(self) -> np.ndarray:
         """Decoded cores delta_{h_n}(gamma_n), shape (len, dim); computed once, read-only."""
-        gs = self.sampling
-        gammas = np.asarray(self.gammas, dtype=np.int64).reshape(len(self), gs.group.dim)
-        k = groups.dilate(gs.group, 2.0 ** (-np.asarray(self.js, dtype=float)), gs.decode(gammas))
+        gammas = np.asarray(self.gammas, dtype=np.int64).reshape(len(self), self.sampling.group.dim)
+        k = _cores(self.sampling, self.js, gammas)
         k.setflags(write=False)
         return k
+
+
+def _cores(gs: SamplingSet, js, gammas) -> np.ndarray:
+    """Decoded cores delta_{2^-j}(gamma) of (...) scales and (..., dim) lattice points."""
+    return groups.dilate(gs.group, 2.0 ** (-np.asarray(js, dtype=float)), gs.decode(gammas))
 
 
 @dataclass(frozen=True)
@@ -120,11 +128,58 @@ class Verdict:
         return self.kind in ("ScaleOrthogonal", "CoreOrthogonal")
 
 
-def _relative_positions(a: ScaleCorePair, b: ScaleCorePair, lo: int) -> np.ndarray:
-    """Decoded relative cores 2^{j_b} . (kappa_a^{-1} . kappa_b) over [lo:]."""
-    g = a.sampling.group
-    rel = groups.multiply(g, groups.inverse(g, a.kappa[lo:]), b.kappa[lo:])
-    return groups.dilate(g, 2.0 ** np.asarray(b.js[lo:], dtype=float), rel)
+_KINDS = ("ScaleOrthogonal", "CoreOrthogonal", "NotOrthogonal", "Undecided", "Undecided")
+
+
+def _classify_rows(g: GroupSpec, ka, ja, kb, jb, T_div: float, eps_stable: float):
+    """Verdicts of track a, cores ka (tail, dim) and scales ja (tail,), against
+    K tracks b, kb (K, tail, dim) and jb (K, tail), over one tail window.
+
+    Returns (codes, gap, abs_gap, dist, rel, spread), row k for b_k.  codes
+    index _KINDS (3: constant scale gap, drifting core; 4: gap neither
+    divergent nor constant); the constant-gap rows take one batched group-law
+    pass, and dist, rel and spread are NaN on the others.  A row equals the
+    K = 1 call bit for bit.
+    """
+    gap = jb - ja
+    abs_gap = np.abs(gap).astype(float)
+    codes = np.where(np.all(gap == gap[:, :1], axis=1), 3, 4)
+    codes[(abs_gap[:, -1] > T_div) & np.all(np.diff(abs_gap, axis=1) >= 0, axis=1)] = 0
+    rel, dist, spread = (np.full(shape, np.nan) for shape in (kb.shape, jb.shape, len(jb)))
+    c = np.flatnonzero(codes == 3)
+    prod = groups.multiply(g, groups.inverse(g, ka), kb[c])
+    rel[c] = groups.dilate(g, 2.0 ** jb[c].astype(float), prod)
+    dist[c] = groups.hom_norm(g, rel[c])
+    spread[c] = np.max(np.abs(rel[c] - rel[c, -1:]), axis=(1, 2))
+    core = (dist[c, -1] > T_div) & np.all(np.diff(dist[c], axis=1) >= -1e-9, axis=1)
+    codes[c] = np.select([core, spread[c] <= eps_stable], [1, 2], 3)
+    return codes, gap, abs_gap, dist, rel, spread
+
+
+def _verdict(rows, k: int, T_div: float, eps_stable: float) -> Verdict:
+    """Row k of `_classify_rows` as a Verdict with its detail string."""
+    code, gap, abs_gap, dist, rel, spread = (x[k] for x in rows)
+    detail = (f"log-scale gap reaches {abs_gap[-1]:g}",
+              f"rescaled core distance reaches {dist[-1]:g} at constant scale gap {int(gap[0])}",
+              f"relative index stable within {spread:.2e}",
+              f"constant scale gap but core drift {spread:.2e} neither divergent (last dist "
+              f"{dist[-1]:g} <= {T_div:g}) nor stable (> {eps_stable:g})",
+              "scale gap neither divergent nor constant")[code]
+    if code == 2:
+        return Verdict(_KINDS[2], int(gap[0]), tuple(rel[-1].tolist()), detail)
+    return Verdict(_KINDS[code], detail=detail)
+
+
+def _row_classifier(gs: SamplingSet, js, gammas, tail: int, T_div: float, eps_stable: float):
+    """rows(a): `_classify_rows` of track a against the tracks after it, over
+    the last `tail` snapshots of T tracks given as (T, H) scales and (T, H, dim)
+    lattice points, whose cores are decoded once, here."""
+    if tail < 2 or tail > js.shape[1]:
+        raise ValueError(f"tail window {tail} not within horizon {js.shape[1]}")
+    js = js[:, -tail:]
+    cores = _cores(gs, js, gammas[:, -tail:])
+    return lambda a: _classify_rows(gs.group, cores[a], js[a], cores[a + 1:], js[a + 1:],
+                                    T_div, eps_stable)
 
 
 def classify_pair(a: ScaleCorePair, b: ScaleCorePair, tail: int,
@@ -132,31 +187,10 @@ def classify_pair(a: ScaleCorePair, b: ScaleCorePair, tail: int,
     """Orthogonality verdict for two tracks over the last `tail` snapshots."""
     if len(a) != len(b):
         raise ValueError("tracks have different lengths")
-    if tail < 2 or tail > len(a):
-        raise ValueError(f"tail window {tail} not within horizon {len(a)}")
-    lo = len(a) - tail
-    gap = np.asarray(b.js[lo:], dtype=int) - np.asarray(a.js[lo:], dtype=int)
-    abs_gap = np.abs(gap).astype(float)
-    if abs_gap[-1] > T_div and np.all(np.diff(abs_gap) >= 0):
-        return Verdict("ScaleOrthogonal", detail=f"log-scale gap reaches {abs_gap[-1]:g}")
-    if np.all(gap == gap[0]):
-        g = a.sampling.group
-        rel = _relative_positions(a, b, lo)
-        dist = groups.hom_norm(g, rel)
-        if dist[-1] > T_div and np.all(np.diff(dist) >= -1e-9):
-            return Verdict("CoreOrthogonal",
-                           detail=f"rescaled core distance reaches {dist[-1]:g} "
-                                  f"at constant scale gap {int(gap[0])}")
-        spread = float(np.max(np.abs(rel - rel[-1]))) if tail > 1 else 0.0
-        if spread <= eps_stable:
-            return Verdict("NotOrthogonal", j_rel=int(gap[0]),
-                           gamma_rel=tuple(float(x) for x in rel[-1]),
-                           detail=f"relative index stable within {spread:.2e}")
-        return Verdict("Undecided",
-                       detail=f"constant scale gap but core drift {spread:.2e} "
-                              f"neither divergent (last dist {dist[-1]:g} <= "
-                              f"{T_div:g}) nor stable (> {eps_stable:g})")
-    return Verdict("Undecided", detail="scale gap neither divergent nor constant")
+    rows = _row_classifier(a.sampling, np.array([a.js, b.js], dtype=int),
+                           np.array([a.gammas, b.gammas], dtype=np.int64), tail, T_div,
+                           eps_stable)(0)
+    return _verdict(rows, 0, T_div, eps_stable)
 
 
 @dataclass(frozen=True)
@@ -216,14 +250,6 @@ def _rank_tables(s: SequenceSnapshots, M: int):
     return np.stack(tops, axis=1), coeffs, js, gammas
 
 
-def _limit_estimate(values: np.ndarray, tail: int, eps: float):
-    """Tail mean with a Cauchy radius check; returns (limit, radius, ok)."""
-    window = values[-tail:]
-    mean = complex(np.mean(window))
-    radius = float(np.max(np.abs(window - mean)))
-    return mean, radius, radius <= eps
-
-
 def _escape_status(track: ScaleCorePair, T_div: float) -> str:
     gs = track.sampling
     js = np.array(track.js, dtype=float)
@@ -247,40 +273,42 @@ def extract(s: SequenceSnapshots, params: ExtractParams) -> ProfileDecomposition
         diagnostics["M_max_clamped_to"] = M_eff
     rank_pos, coeffs, rank_js, rank_gammas = _rank_tables(s, M_eff)
 
-    d_limits: dict = {}
-    nonconvergent: list = []
-    for m in range(1, M_eff + 1):
-        lim, radius, ok = _limit_estimate(coeffs[m - 1], params.tail, params.eps_conv)
-        d_limits[m] = lim
-        if not ok:
-            if params.mode == "strict":
-                raise NonconvergentCoefficient(
-                    f"rank {m}: Cauchy radius {radius:.3e} > eps_conv "
-                    f"{params.eps_conv:.1e} over the last {params.tail} snapshots")
-            nonconvergent.append(m)
+    # Cauchy test of every rank's tail window at once
+    window = coeffs[:, -params.tail:]
+    limits = np.mean(window, axis=1)
+    radius = np.max(np.abs(window - limits[:, None]), axis=1)
+    bad = np.flatnonzero(~(radius <= params.eps_conv))
+    if bad.size and params.mode == "strict":
+        raise NonconvergentCoefficient(
+            f"rank {bad[0] + 1}: Cauchy radius {radius[bad[0]]:.3e} > eps_conv "
+            f"{params.eps_conv:.1e} over the last {params.tail} snapshots")
+    d_limits: dict = dict(enumerate(limits.tolist(), start=1))
+    nonconvergent = (bad + 1).tolist()
 
     gs = s.sampling
+    T_div, eps = params.T_div, params.eps_stable
+    # every rank's cores decoded once; rows_of(f - 1) classifies founder f against ranks > f
+    rows_of = _row_classifier(gs, rank_js, rank_gammas, params.tail, T_div, eps)
     profiles: list[Profile] = []
+    founder_rows: list = []         # rows_of(f - 1) per profile, f its founding rank
     nu_curve: list[int] = []
     log: list[dict] = []
 
     for m in range(1, M_eff + 1):
-        pair_m = ScaleCorePair(sampling=gs, js=tuple(rank_js[m - 1].tolist()),
-                               gammas=tuple(map(tuple, rank_gammas[m - 1].tolist())))
         verdicts = []
         absorbed_into = None
-        for prof in profiles:
-            v = classify_pair(prof.core_track, pair_m,
-                              params.tail, params.T_div, params.eps_stable)
-            verdicts.append((prof.index, v))
-            if v.kind == "Undecided":
+        for prof, rows in zip(profiles, founder_rows):
+            k = m - prof.members[0] - 1
+            code = rows[0][k]
+            verdicts.append((prof.index, _KINDS[code]))
+            if code >= 3:
+                detail = _verdict(rows, k, T_div, eps).detail
                 if params.mode == "strict":
-                    raise UndecidableOrthogonality(
-                        f"rank {m} vs profile {prof.index}: {v.detail}")
+                    raise UndecidableOrthogonality(f"rank {m} vs profile {prof.index}: {detail}")
                 diagnostics.setdefault("undecided_pairs", []).append(
-                    {"rank": m, "profile": prof.index, "detail": v.detail})
-            elif v.kind == "NotOrthogonal" and absorbed_into is None:
-                absorbed_into = (prof, v)
+                    {"rank": m, "profile": prof.index, "detail": detail})
+            elif code == 2 and absorbed_into is None:
+                absorbed_into = (prof, _verdict(rows, k, T_div, eps))
         if absorbed_into is not None:
             prof, v = absorbed_into
             prof.atoms.append((v.j_rel, v.gamma_rel, d_limits[m]))
@@ -288,16 +316,14 @@ def extract(s: SequenceSnapshots, params: ExtractParams) -> ProfileDecomposition
             case = f"case2->profile{prof.index}"
         else:
             ell = len(profiles) + 1
-            prof = Profile(index=ell,
-                           atoms=[(0, tuple(0.0 for _ in range(gs.group.dim)),
-                                   d_limits[m])],
-                           core_track=pair_m,
-                           members=[m])
-            profiles.append(prof)
+            track = ScaleCorePair(sampling=gs, js=tuple(rank_js[m - 1].tolist()),
+                                  gammas=tuple(map(tuple, rank_gammas[m - 1].tolist())))
+            profiles.append(Profile(index=ell, atoms=[(0, (0.0,) * gs.group.dim, d_limits[m])],
+                                    core_track=track, members=[m]))
+            founder_rows.append(rows_of(m - 1))
             case = f"case1->profile{ell}"
         nu_curve.append(len(profiles))
-        log.append({"rank": m, "decision": case,
-                    "verdicts": [(p, v.kind) for p, v in verdicts]})
+        log.append({"rank": m, "decision": case, "verdicts": verdicts})
 
     for prof in profiles:
         prof.escape = _escape_status(prof.core_track, params.T_div)

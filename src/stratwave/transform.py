@@ -341,24 +341,23 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
     return grid_ifft(blank, spec)
 
 
-def frame_reconstruct(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float = 2.0,
+def frame_reconstruct(f: GridFunction, ks: KernelSet, gs: SamplingSet,
                       max_iter: int = 50, tol: float = 1e-6) -> tuple[GridFunction, dict]:
     """Frame-operator correction of the analyze/synthesize round trip.
 
     Solves S g = S f by conjugate gradients in grid space, so g approximates
     f from its frame coefficients alone.  S = sum_j 2^{-jQ} A_j^* A_j with
     A_j the scale-j sampling of the Littlewood-Paley block is
-    synthesize . analyze for every p (the atom normalizations cancel; p is
-    only validated), applied on arrays with each scale's lattice built once,
+    synthesize . analyze for every p (the atom normalizations cancel, so S
+    takes no p), applied on arrays with each scale's lattice built once,
     so S is linear and self-adjoint; it is positive at adequate density.
     info holds "iterations", "relative_residual" and "residuals", the
     relative residual before the first iteration and after each one.  A
-    RuntimeWarning flags a stop at max_iter above tol.
+    RuntimeWarning flags a stop at max_iter above tol; a search direction
+    with <d, Sd> <= 0 or not finite (S not positive) raises DomainError.
     """
     desc = f.descriptor()
     _check_inputs(gs, ks, desc)
-    if not 1.0 < p < np.inf:
-        raise DomainError("p must lie in (1, inf)")
     Q = gs.group.Q
     scales = [(2.0 ** (-s.j * Q), ks.multiplier(s.j), s.placement)
               for s in _scales(ks, gs, desc)]
@@ -381,9 +380,13 @@ def frame_reconstruct(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float 
     b_norm = np.sqrt(max(inner(b, b).real, 1e-300))
     iters = 0
     history = [float(np.sqrt(rr) / b_norm)]
-    while iters < max_iter and np.sqrt(rr) > tol * b_norm:
+    while iters < max_iter and not np.sqrt(rr) <= tol * b_norm:  # NaN enters, then raises
         sd = apply_s(d)
-        alpha = rr / inner(d, sd).real
+        curvature = inner(d, sd).real
+        if not (np.isfinite(curvature) and curvature > 0):
+            raise DomainError(f"frame CG breakdown at iteration {iters + 1}: "
+                              f"<d, Sd> = {curvature!r} is not a positive finite number")
+        alpha = rr / curvature
         x = x + alpha * d
         r = r - alpha * sd
         rr_new = inner(r, r).real

@@ -1,9 +1,12 @@
 """Synthetic sequence generators: laws, invariant checks, serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import stratwave as sw
+from stratwave import profiles
 from stratwave.generators import GeneratorError, spec_from_json, spec_to_json
 from conftest import two_profile_spec
 
@@ -98,6 +101,33 @@ def test_generate_nonorthogonal_mixture_raises():
     spec = sw.GeneratorSpec(kind="mixture", tracks=(t1, t2), horizon=8)
     with pytest.raises(GeneratorError, match="not orthogonal"):
         sw.generate(spec, g, gs)
+
+
+
+def test_mixture_check_reports_the_first_failing_pair(monkeypatch):
+    # tracks 1, 2 and 3 run parallel (pairs (1, 2), (1, 3), (2, 3) fail); track
+    # 0 concentrates away from all of them
+    g = sw.abelian(1)
+    gs = sw.preset_sampling_set(g, 1.0)
+    tracks = [sw.TrackSpec(j0=0, j_slope=1, gamma0=(0,), gamma_slope=(0,),
+                           bundle=(sw.BundleAtom(0, (0,), 1.0),))]
+    tracks += [sw.TrackSpec(j0=0, j_slope=0, gamma0=(100 + 5 * k,), gamma_slope=(2,),
+                            bundle=(sw.BundleAtom(0, (0,), 0.5 / k),)) for k in (1, 2, 3)]
+    spec = sw.GeneratorSpec(kind="mixture", tracks=tuple(tracks), horizon=12)
+    pairs = [sw.ScaleCorePair(sampling=gs, js=tuple(t.core_at(n)[0] for n in range(12)),
+                              gammas=tuple(t.core_at(n)[1] for n in range(12))) for t in tracks]
+    v = sw.classify_pair(pairs[1], pairs[2], 6, 5.0, 1e-9)
+    assert v.kind == "NotOrthogonal"
+    calls = []
+    kernel = profiles._classify_rows
+    monkeypatch.setattr(profiles, "_classify_rows", lambda *a: calls.append(1) or kernel(*a))
+    with pytest.raises(GeneratorError) as err:
+        sw.generate(spec, g, gs)
+    assert str(err.value) == (f"mixture tracks 1 and 2 are not orthogonal over the horizon: "
+                              f"{v.kind} ({v.detail})")
+    assert len(calls) == 2  # track 0 against 1..3, then track 1 against 2..3
+    with pytest.raises(ValueError, match="tail window 13 not within horizon 12"):
+        sw.generate(dataclasses.replace(spec, check_tail=13), g, gs)
 
 
 def test_generate_two_profile_mixture_passes_checks():

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stratwave as sw
+from stratwave import groups, profiles
 from stratwave.profiles import (
     NonconvergentCoefficient,
     UndecidableOrthogonality,
+    Verdict,
     remainder_field,
     remainder_split,
 )
@@ -129,6 +133,123 @@ def test_classify_heisenberg_central_direction():
     assert v.kind == "CoreOrthogonal"
 
 
+
+# -- the batched kernel against the pointwise rules --------------------------
+
+def reference_classify(a, b, tail, T_div, eps_stable):
+    """The verdict rules applied to one pair with per-pair group-law calls, as
+    classify_pair stated them before the batched kernel; also returns the last
+    scale gap, the last core distance and the core spread (None if unused)."""
+    lo = len(a) - tail
+    gap = np.asarray(b.js[lo:], dtype=int) - np.asarray(a.js[lo:], dtype=int)
+    abs_gap = np.abs(gap).astype(float)
+    if abs_gap[-1] > T_div and np.all(np.diff(abs_gap) >= 0):
+        return Verdict("ScaleOrthogonal", detail=f"log-scale gap reaches {abs_gap[-1]:g}"), \
+            (abs_gap[-1], None, None)
+    if not np.all(gap == gap[0]):
+        return Verdict("Undecided", detail="scale gap neither divergent nor constant"), \
+            (abs_gap[-1], None, None)
+    g = a.sampling.group
+    rel = groups.multiply(g, groups.inverse(g, a.kappa[lo:]), b.kappa[lo:])
+    rel = groups.dilate(g, 2.0 ** np.asarray(b.js[lo:], dtype=float), rel)
+    dist = groups.hom_norm(g, rel)
+    spread = float(np.max(np.abs(rel - rel[-1])))
+    stats = (abs_gap[-1], dist[-1], spread)
+    if dist[-1] > T_div and np.all(np.diff(dist) >= -1e-9):
+        return Verdict("CoreOrthogonal", detail=f"rescaled core distance reaches {dist[-1]:g} "
+                                                   f"at constant scale gap {int(gap[0])}"), stats
+    if spread <= eps_stable:
+        return Verdict("NotOrthogonal", j_rel=int(gap[0]),
+                          gamma_rel=tuple(float(x) for x in rel[-1]),
+                          detail=f"relative index stable within {spread:.2e}"), stats
+    return Verdict("Undecided", detail=f"constant scale gap but core drift {spread:.2e} "
+                                          f"neither divergent (last dist {dist[-1]:g} <= "
+                                          f"{T_div:g}) nor stable (> {eps_stable:g})"), stats
+
+
+def random_tracks(data, gs, H):
+    """Track a and K tracks b built to reach every verdict kind: lattice offsets
+    of a (stable relative index), offsets that alternate, jitter or run away,
+    growing scale gaps and random tracks."""
+    dim = gs.group.dim
+    ints = st.integers(-4, 4)
+    n = np.arange(H)
+    ja = data.draw(ints) + data.draw(st.integers(-1, 1)) * n
+    ga = np.array([data.draw(st.lists(st.integers(-30, 30), min_size=dim, max_size=dim))
+                   for _ in range(H)], dtype=object)
+    tracks = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        kind = data.draw(st.sampled_from(["offset", "drift", "jitter", "runaway", "ramp",
+                                          "random"]))
+        dj = data.draw(st.integers(0, 2))
+        offset = np.array(data.draw(st.lists(ints, min_size=dim, max_size=dim)), dtype=object)
+        step = np.zeros(dim, dtype=object)
+        step[data.draw(st.integers(0, dim - 1))] = {"drift": 1, "jitter": 1,
+                                                    "runaway": 40}.get(kind, 0)
+        if kind == "drift":
+            offsets = offset + (n % 2)[:, None] * step
+        elif kind == "jitter":  # uneven, so the spread depends on the reference row
+            offsets = offset + ((n * n) % 5)[:, None] * step
+        else:
+            offsets = offset + n[:, None] * step
+        jb = ja + dj
+        gb = gs.lat_mul(gs.lat_dilate(ga, dj), offsets)
+        if kind == "ramp":
+            jb = ja + data.draw(st.integers(-2, 2)) + data.draw(st.sampled_from([-1, 1])) * n
+        if kind == "random":
+            jb = np.array([data.draw(ints) for _ in range(H)])
+            gb = np.array([data.draw(st.lists(st.integers(-30, 30), min_size=dim, max_size=dim))
+                           for _ in range(H)], dtype=object)
+        tracks.append(pair(gs, [int(j) for j in jb], [tuple(int(x) for x in g) for g in gb]))
+    return pair(gs, [int(j) for j in ja], [tuple(int(x) for x in g) for g in ga]), tracks
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_rows_equal_classify_pair(data):
+    g = data.draw(st.sampled_from([sw.abelian(1), sw.abelian(3), sw.heisenberg(1),
+                                   sw.heisenberg(2)]))
+    gs = lattice(g, data.draw(st.sampled_from([1.0, 0.5, 0.75])))
+    H = data.draw(st.integers(2, 10))
+    tail = data.draw(st.integers(2, H))
+    a, bs = random_tracks(data, gs, H)
+    _, stats = reference_classify(a, bs[0], tail, 5.0, 1e-9)
+    # thresholds on the first b track's boundaries: a gap or distance equal to
+    # T_div is not divergent, and a spread equal to eps_stable is stable
+    T_divs = [5.0] + [x for t in stats[:2] if t is not None
+                      for x in (t, np.nextafter(t, -np.inf))]
+    epss = [1e-9] + ([stats[2], np.nextafter(stats[2], -np.inf)] if stats[2] else [])
+    T_div, eps = data.draw(st.sampled_from(T_divs)), data.draw(st.sampled_from(epss))
+    lo = H - tail
+    rows = profiles._classify_rows(
+        g, a.kappa[lo:], np.asarray(a.js[lo:]), np.stack([b.kappa[lo:] for b in bs]),
+        np.array([b.js[lo:] for b in bs]), T_div, eps)
+    for k, b in enumerate(bs):
+        got = profiles._verdict(rows, k, T_div, eps)
+        single = sw.classify_pair(a, b, tail, T_div, eps)
+        want, _ = reference_classify(a, b, tail, T_div, eps)
+        assert got == single == want  # kind, j_rel, gamma_rel bit for bit, detail
+
+
+def test_kernel_reaches_every_kind_at_the_thresholds():
+    gs = lattice(sw.heisenberg(1))
+    n = 8
+    a = pair(gs, [0] * n, [(0, 0, 0)] * n)
+    ramp = pair(gs, list(range(n)), [(0, 0, 0)] * n)
+    # the scale gap reaches exactly 7: T_div = 7 is not divergent, just below is
+    assert sw.classify_pair(a, ramp, n, 7.0, 1e-9).kind == "Undecided"
+    assert sw.classify_pair(a, ramp, n, np.nextafter(7.0, 0), 1e-9).kind == "ScaleOrthogonal"
+    wobble = pair(gs, [0] * n, [(k % 2, 0, 0) for k in range(n)])
+    spread = reference_classify(a, wobble, n, 5.0, 1e-9)[1][2]
+    assert spread == 1.0
+    assert sw.classify_pair(a, wobble, n, 5.0, spread).kind == "NotOrthogonal"
+    eps = np.nextafter(spread, 0)
+    drift = sw.classify_pair(a, wobble, n, 5.0, eps)
+    assert drift == reference_classify(a, wobble, n, 5.0, eps)[0] and drift.kind == "Undecided"
+    run = pair(gs, [0] * n, [(0, 0, 40 * k) for k in range(n)])
+    assert sw.classify_pair(a, run, n, 5.0, 1e-9).kind == "CoreOrthogonal"
+
+
 # -- extract -----------------------------------------------------------------
 
 def params(**kw):
@@ -225,6 +346,86 @@ def test_snapshot_validation():
                             normalization=sw.L1_ATOMS)
     with pytest.raises(ValueError):
         sw.SequenceSnapshots(group=gs.group, sampling=gs, n_values=(0,), fields=(f,))
+
+
+
+def reference_induction(s, p):
+    """The extraction induction with one classify_pair call per rank and
+    existing profile and one Cauchy test per rank: (log, undecided pairs,
+    profiles as (atoms, members, core track), limits, nonconvergent, nu curve)."""
+    M = min(p.M_max, min(len(f) for f in s.fields))
+    ranked = [sw.reorder(f)[:M] for f in s.fields]
+    limits, nonconvergent = {}, []
+    for m in range(1, M + 1):
+        window = np.array([r[m - 1][2] for r in ranked])[-p.tail:]
+        mean = complex(np.mean(window))
+        limits[m] = mean
+        if not float(np.max(np.abs(window - mean))) <= p.eps_conv:
+            nonconvergent.append(m)
+    profs, log, undecided, nu = [], [], [], []
+    for m in range(1, M + 1):
+        track = pair(s.sampling, [r[m - 1][1].j for r in ranked],
+                     [r[m - 1][1].gamma for r in ranked])
+        verdicts, absorbed = [], None
+        for ell, (atoms, members, core) in enumerate(profs, start=1):
+            v = sw.classify_pair(core, track, p.tail, p.T_div, p.eps_stable)
+            verdicts.append((ell, v.kind))
+            if v.kind == "Undecided":
+                undecided.append({"rank": m, "profile": ell, "detail": v.detail})
+            elif v.kind == "NotOrthogonal" and absorbed is None:
+                absorbed = (ell, v)
+        if absorbed:
+            ell, v = absorbed
+            profs[ell - 1][0].append((v.j_rel, v.gamma_rel, limits[m]))
+            profs[ell - 1][1].append(m)
+            case = f"case2->profile{ell}"
+        else:
+            profs.append(([(0, (0.0,) * s.group.dim, limits[m])], [m], track))
+            case = f"case1->profile{len(profs)}"
+        nu.append(len(profs))
+        log.append({"rank": m, "decision": case, "verdicts": verdicts})
+    return log, undecided, profs, limits, nonconvergent, nu
+
+
+def golden_snapshots(name):
+    import json
+    from pathlib import Path
+    from stratwave.generators import spec_from_json
+    obj = json.loads((Path(__file__).parent / "data" / f"golden_{name}_spec.json").read_text())
+    g = sw.heisenberg(1)
+    return sw.generate(spec_from_json(obj), g, sw.preset_sampling_set(g, 1.0))
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("noise", dict(T_div=1e6)),                       # constant gaps never diverge
+    ("noise", dict(T_div=30.0, tail=5, eps_stable=1e-12)),
+    ("h1", dict(T_div=1e6, M_max=6)),
+    ("h1", dict(tail=2, eps_conv=10.0, T_div=0.5, eps_stable=0.5)),
+    ("drift", dict(eps_conv=1e-3)),                   # rank 2 does not converge
+])
+def test_extract_equals_the_per_pair_induction(monkeypatch, name, overrides):
+    if name == "drift":
+        per_n = [{(0, (0,)): 2.0, (0, (1 + n % 3,)): 0.5 + 0.3 / (n + 1.0), (n % 2, (7,)): 0.1}
+                 for n in range(16)]
+        snaps = snapshots_from_entries(lattice(), per_n)
+    else:
+        snaps = golden_snapshots(name)
+    p = params(**{"mode": "exploratory", "M_max": 64, **overrides})
+    calls = []
+    kernel = profiles._classify_rows
+    monkeypatch.setattr(profiles, "_classify_rows", lambda *a: calls.append(1) or kernel(*a))
+    dec = sw.extract(snaps, p)
+    assert len(calls) == len(dec.profiles)  # one kernel call per profile
+    log, undecided, profs, limits, nonconvergent, nu = reference_induction(snaps, p)
+    assert dec.classification_log == log
+    assert dec.diagnostics.get("undecided_pairs", []) == undecided
+    assert [(q.atoms, q.members, q.core_track) for q in dec.profiles] == profs
+    assert dec.d_limits == limits  # bit for bit: == on complex
+    assert dec.nonconvergent == nonconvergent and dec.nu_curve == nu
+    if overrides.get("T_div") == 1e6:
+        assert undecided
+    if name == "drift":
+        assert nonconvergent
 
 
 # -- remainders and energy ---------------------------------------------------

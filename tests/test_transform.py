@@ -1,5 +1,7 @@
 """Grid transforms: Fourier conventions, blocks, frames, norms, dilation."""
 
+import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -141,7 +143,7 @@ def test_frame_reconstruct_narrow():
     f = band_limited(n=128, extent=8.0, center=2.0, width=8.0)
     gs = sw.preset_sampling_set(sw.abelian(1), 1.0)
     ks = sw.build_kernel_set(sw.build_narrow_window(), f.descriptor(), (0, 4))
-    rec, info = sw.frame_reconstruct(f, ks, gs, 2.0)
+    rec, info = sw.frame_reconstruct(f, ks, gs)
     assert rel_l2(f, rec) <= 1e-6
     assert info["iterations"] <= 50
     assert info["relative_residual"] <= 1e-6
@@ -151,7 +153,7 @@ def test_frame_reconstruct_smooth_dense():
     f = band_limited(n=128, extent=8.0, center=2.0, width=8.0)
     gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
     ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
-    rec, info = sw.frame_reconstruct(f, ks, gs, 2.0)
+    rec, info = sw.frame_reconstruct(f, ks, gs)
     assert rel_l2(f, rec) <= 1e-3
     assert info["iterations"] <= 50
 
@@ -354,7 +356,7 @@ def test_dense_phases_built_once_per_scale_and_call(monkeypatch):
     assert len(builds) == dense
     sw.synthesize(c, ks, gs, f.descriptor())
     assert len(builds) == dense + len(c.scales())  # the scales c holds
-    _, info = sw.frame_reconstruct(f, ks, gs, 4.0)
+    _, info = sw.frame_reconstruct(f, ks, gs)
     assert info["iterations"] >= 2 and len(builds) == 2 * dense + len(c.scales())
     # at density 0.25 every scale sits on a refinement
     builds.clear()
@@ -379,15 +381,32 @@ def test_frame_reconstruct_warns_when_not_converged():
     gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
     ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
     with pytest.warns(RuntimeWarning, match="max_iter=1"):
-        _, info = sw.frame_reconstruct(f, ks, gs, 2.0, max_iter=1, tol=1e-14)
+        _, info = sw.frame_reconstruct(f, ks, gs, max_iter=1, tol=1e-14)
     assert info["iterations"] == 1 and len(info["residuals"]) == 2
     assert info["residuals"][-1] == info["relative_residual"] > 1e-14
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, info = sw.frame_reconstruct(f, ks, gs, 2.0)
+        _, info = sw.frame_reconstruct(f, ks, gs)
     assert len(info["residuals"]) == info["iterations"] + 1
     assert info["residuals"][-1] == info["relative_residual"] <= 1e-6
 
+
+
+@pytest.mark.parametrize("factor, error, message", [
+    (1j, DomainError, "breakdown at iteration 1: <d, Sd> = -"),
+    (np.nan, ValueError, "finite"),
+], ids=["negative", "nan"])
+def test_frame_reconstruct_raises_on_cg_breakdown(factor, error, message):
+    # i * psi_hat enters S twice, so S = -S_true and <d, Sd> < 0 at the first
+    # step; a NaN multiplier makes S f non-finite, which is refused too
+    f = band_limited(n=128, extent=8.0, center=2.0, width=8.0)
+    gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
+    bad = dataclasses.replace(ks, multipliers={j: factor * m for j, m in ks.multipliers.items()})
+    with pytest.raises(error, match=re.escape(message)):
+        sw.frame_reconstruct(f, bad, gs)
+    _, info = sw.frame_reconstruct(f, ks, gs)  # the unmodified set still converges
+    assert info["relative_residual"] <= 1e-6
 
 # -- norms and dilation ------------------------------------------------------
 

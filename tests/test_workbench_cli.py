@@ -283,6 +283,36 @@ def test_golden_norms_report_and_field_roundtrip(tmp_path):
     assert (tmp_path / "again.jsonl").read_bytes() == field.read_bytes()
 
 
+
+AB1, H1 = {"kind": "abelian", "d": 1}, {"kind": "heisenberg", "d": 1}
+# one pair per verdict kind: (group, track a (js, gammas), track b, exit code)
+CLASSIFY_CASES = {
+    "scale": (AB1, ([0] * 16, [[0]] * 16), (list(range(16)), [[0]] * 16), 0),
+    "core": (H1, ([0] * 16, [[0, 0, 0]] * 16), ([0] * 16, [[0, 0, 40 * k] for k in range(16)]), 0),
+    "not": (H1, ([1] * 16, [[1, -1, 1]] * 16), ([2] * 16, [[2, 1, -1]] * 16), 0),
+    "drift": (AB1, ([0] * 16, [[0]] * 16),
+              ([0] * 16, [[int(2 * np.cos(k))] for k in range(16)]), 2),
+    "wobble": (AB1, ([0] * 16, [[0]] * 16), ([k % 2 for k in range(16)], [[0]] * 16), 2),
+}
+
+
+def write_classify_case(tmp_path, name):
+    group, *tracks, code = CLASSIFY_CASES[name]
+    paths = []
+    for label, (js, gammas) in zip("ab", tracks):
+        paths.append(tmp_path / f"{label}.json")
+        paths[-1].write_text(json.dumps({"group": group, "js": js, "gammas": gammas}))
+    return paths, code
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_CASES))
+def test_golden_classify_reports(tmp_path, name):
+    (a, b), code = write_classify_case(tmp_path, name)
+    out = tmp_path / "v.json"
+    assert main(["classify", "--a", str(a), "--b", str(b), "--report", str(out)]) == code
+    assert out.read_bytes() == (DATA / f"golden_classify_{name}.json").read_bytes()
+
+
 # -- malformed inputs exit 1 -------------------------------------------------
 
 def test_norms_on_header_with_scalar_sampling_exits_1(tmp_path, capsys):
@@ -307,3 +337,72 @@ def test_verify_frame_on_grid_with_bad_extent_exits_1(tmp_path, capsys, extent):
     assert main(["verify-frame", "--grid", str(path), "--density", "0.25"]) == 1
     err = capsys.readouterr().err
     assert "validation error:" in err and "extent" in err
+
+
+def _set(obj, path, value):
+    """A copy of obj with the entry at path (keys and list indices) set to value."""
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize("path, value", [
+    (("allow_overlap",), "false"),
+    (("allow_overlap",), 0),
+    (("tracks", 0, "j0"), 2.9),
+    (("tracks", 0, "j0"), True),
+    (("horizon",), 12.7),
+    (("check_tail",), "8"),
+    (("check_tail",), 8.5),
+    (("check_tail",), False),
+    (("tracks", 0, "bundle", 0, "re"), "1.5"),
+    (("tracks", 0, "bundle", 0, "im"), None),
+    (("p",), True),
+    (("noise_count",), 1.0),
+    (("tracks",), {"0": []}),
+    (("tracks", 1), [0, 1]),
+    (("tracks", 0, "gamma0"), "7"),
+    (("tracks", 0, "gamma_slope", 0), 0.5),
+    (("tracks", 0, "bundle"), 5),
+    (("tracks", 0, "bundle", 0), 1.0),
+    (("tracks", 0, "bundle", 1, "dgamma"), [1.0]),
+    (("density",), "1.0"),
+    (("check_T_div",), 10**400),
+], ids=lambda x: str(x)[:40])
+def test_generate_refuses_mistyped_spec_fields(tmp_path, capsys, path, value):
+    # a two-track mixture, so that a valid check_tail would reach the track check
+    obj = _set(json.loads(write_spec(tmp_path).read_text()), path, value)
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(obj))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and ("must be a JSON" in err or "range" in err)
+
+
+def test_generate_accepts_json_integers_for_number_fields(tmp_path):
+    obj = json.loads(write_spec(tmp_path).read_text())
+    obj.update(p=2, check_T_div=5, check_tail=8)
+    obj["tracks"][0]["bundle"][0].update(re=1, im=0)
+    spec = tmp_path / "ints.json"
+    spec.write_text(json.dumps(obj))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o.jsonl")]) == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("js", [0.9] * 16),
+    ("js", [True] * 16),
+    ("js", "0"),
+    ("gammas", [[0.5]] * 16),
+    ("gammas", [0] * 16),
+    ("gammas", {"0": [0]}),
+    ("js", [2**60] * 16),
+    ("beta", "1.0"),
+])
+def test_classify_refuses_mistyped_tracks(tmp_path, capsys, key, value):
+    (a, b), _ = write_classify_case(tmp_path, "drift")
+    a.write_text(json.dumps(_set(json.loads(a.read_text()), (key,), value)))
+    assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
+    assert capsys.readouterr().err.startswith("validation error:")

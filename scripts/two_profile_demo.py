@@ -53,9 +53,8 @@ def main() -> None:
             print(f"    atom: j_rel = {j_rel}, position = "
                   f"{np.round(gamma_rel, 6).tolist()}, d = {d:.6f}")
 
-    for L in range(len(dec.profiles) + 1):
-        defect = float(np.max(sw.energy_check(dec, L)))
-        print(f"energy defect at L = {L}: {defect:.3e}")
+    for L, row in enumerate(sw.energy_ledger(dec, len(dec.profiles))):
+        print(f"energy defect at L = {L}: {float(np.max(row)):.3e}")
 
     last = snaps.horizon - 1
     sp = sw.remainder_split(dec, last, len(dec.profiles), dec.M_eff)

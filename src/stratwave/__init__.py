@@ -30,7 +30,7 @@ from .sampling import (
     AtomIndex,
     SamplingSet,
     column_decay_certificate,
-    enumerate_indices,
+    lattice_coordinates,
     preset_sampling_set,
     verify_tiling,
 )
@@ -51,7 +51,7 @@ from .coeffs import (
     lp_atoms,
     mterm_error_curve,
     q_m,
-    reorder,
+    rank_order,
     sobolev_seq_norm,
     unconditionality_ratio,
 )
@@ -79,7 +79,6 @@ from .profiles import (
     SequenceSnapshots,
     UndecidableOrthogonality,
     classify_pair,
-    energy_check,
     energy_ledger,
     extract,
     remainder_split,

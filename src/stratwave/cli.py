@@ -31,7 +31,8 @@ from .transform import (
     synthesize,
 )
 from .coeffs import NormParams, convert, discrete_besov_norm, lp_atoms, sobolev_seq_norm
-from .generators import GeneratorError, generate, json_typed, spec_from_json
+from ._json import json_fields, load_json
+from .generators import GeneratorError, generate, spec_from_json
 from .profiles import (
     ExtractParams,
     NonconvergentCoefficient,
@@ -63,18 +64,27 @@ def _emit(report: dict, out_path) -> None:
         Path(out_path).write_text(text)
 
 
-def _load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+def _load_json(path):
+    return load_json(Path(path).read_bytes())
+
+
+# decompose --params: JSON kind and default of each ExtractParams field
+_PARAM_FIELDS = {"M_max": ("integer",), "L_max": ("integer",), "eps_conv": ("number",),
+                 "T_div": ("number",), "eps_stable": ("number",), "tail": ("integer",),
+                 "mode": ("string", "strict")}
+# classify --a/--b: a track and the lattice it lives on
+_PAIR_FIELDS = {"group": ("object",), "beta": ("number", 1.0), "js": ("list of integer",),
+                "gammas": ("list of list of integer",)}
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    spec_obj = _load_json(args.spec)
-    spec = spec_from_json(spec_obj)
-    g = _groups.group_from_json(spec_obj["group"])
-    gs = preset_sampling_set(g, json_typed(spec_obj.get("density", 1.0), "number", "density"))
-    snaps = generate(spec, g, gs)
+    obj = _load_json(args.spec)
+    spec = spec_from_json(obj)
+    f = json_fields(obj, {"group": ("object",), "density": ("number", 1.0)}, "spec")
+    g = _groups.group_from_json(f["group"])
+    snaps = generate(spec, g, preset_sampling_set(g, f["density"]))
     _io.write_snapshots(args.out, snaps)
     _emit({
         "command": "generate",
@@ -102,10 +112,9 @@ def _profile_to_json(p) -> dict:
 def cmd_decompose(args) -> int:
     snaps = _io.read_snapshots(args.infile)
     obj = _load_json(args.params)
-    try:
-        params = ExtractParams(**obj)
-    except TypeError as exc:  # not an object, unknown or missing keys, mistyped values
-        raise ValueError(f"bad extraction parameters: {exc}") from None
+    params = ExtractParams(**json_fields(obj, _PARAM_FIELDS, "params"))
+    if unknown := sorted(set(obj) - set(_PARAM_FIELDS)):
+        raise ValueError(f"params has unknown fields {unknown}")
     dec = extract(snaps, params)
     L = min(params.L_max, len(dec.profiles))
     energy = {str(ell): row.tolist() for ell, row in enumerate(energy_ledger(dec, L))}
@@ -207,16 +216,11 @@ def cmd_norms(args) -> int:
 
 
 def _pair_from_json(path) -> ScaleCorePair:
-    obj = json_typed(_load_json(path), "object", "track")
-    g = _groups.group_from_json(obj["group"])
-    gs = preset_sampling_set(g, json_typed(obj.get("beta", 1.0), "number", "beta"))
-    js = tuple(json_typed(j, "integer", "js entry") for j in json_typed(obj["js"], "list", "js"))
-    gammas = tuple(tuple(json_typed(x, "integer", "gamma coordinate")
-                         for x in json_typed(gm, "list", "gammas entry"))
-                   for gm in json_typed(obj["gammas"], "list", "gammas"))
-    lattice_int64(js)  # DomainError beyond 2^53
-    lattice_int64(gammas)  # also ValueError if ragged
-    return ScaleCorePair(sampling=gs, js=js, gammas=gammas)
+    f = json_fields(_load_json(path), _PAIR_FIELDS, "track")
+    gs = preset_sampling_set(_groups.group_from_json(f["group"]), f["beta"])
+    lattice_int64(f["js"])  # DomainError beyond 2^53
+    lattice_int64(f["gammas"])  # also ValueError if ragged
+    return ScaleCorePair(sampling=gs, js=f["js"], gammas=f["gammas"])
 
 
 def cmd_classify(args) -> int:

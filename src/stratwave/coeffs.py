@@ -38,7 +38,6 @@ __all__ = [
     "discrete_besov_norm",
     "sobolev_seq_norm",
     "rank_order",
-    "reorder",
     "q_m",
     "mterm_error_curve",
     "unconditionality_ratio",
@@ -60,7 +59,7 @@ class Normalization:
 
     def __post_init__(self):
         if self.kind == "Lp" and (self.p is None or self.p <= 0):
-            raise ValueError("Lp normalization needs a positive exponent")
+            raise ValueError(f"Lp normalization needs a positive exponent, got {self.p}")
 
     def label(self) -> str:
         return "L1" if self.kind == "L1" else f"Lp({self.p:g})"
@@ -217,13 +216,6 @@ def rank_order(c: CoefficientField) -> np.ndarray:
     """Positions of c's entries by decreasing modulus; ties keep the
     canonical (j asc, gamma lex) order."""
     return np.argsort(-c.moduli(), kind="stable")
-
-
-def reorder(c: CoefficientField) -> list[tuple[int, AtomIndex, complex]]:
-    """Entries by decreasing modulus; ties broken by (j asc, gamma lex)."""
-    order = rank_order(c)
-    return [(m + 1, idx, v) for m, (idx, v) in
-            enumerate(zip(_indices(c, order), c.values[order].tolist()))]
 
 
 def q_m(c: CoefficientField, M: int) -> tuple[CoefficientField, list[AtomIndex]]:

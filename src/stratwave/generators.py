@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._json import json_fields
 from .groups import GroupSpec
 from .sampling import AtomIndex, SamplingSet, lattice_int64
 from .coeffs import CoefficientField, lp_atoms, sobolev_seq_norm
@@ -209,46 +210,28 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
     }
 
 
-_JSON_TYPES = {"integer": (int,), "number": (int, float), "bool": (bool,), "list": (list,),
-               "object": (dict,), "integer or null": (int, type(None))}
-# the spec's scalar fields: JSON type and default (required when none is given)
-_SPEC_FIELDS = {"horizon": ("integer",), "p": ("number", 2.0), "noise_amplitude": ("number", 0.0),
+# the fields of a spec, a track and a bundle atom: JSON kind and default
+# (required when none is given)
+_SPEC_FIELDS = {"kind": ("string",), "tracks": ("list of object",), "horizon": ("integer",),
+                "p": ("number", 2.0), "noise_amplitude": ("number", 0.0),
                 "noise_count": ("integer", 0), "noise_seed": ("integer", 0),
                 "allow_overlap": ("bool", False), "check_tail": ("integer or null", None),
                 "check_T_div": ("number", 5.0), "check_eps_stable": ("number", 1e-9)}
-
-
-def json_typed(value, kind: str, name: str):
-    """value if it has JSON type `kind`, a key of _JSON_TYPES (bools are neither
-    integers nor numbers), with numbers as floats; else ValueError naming the field."""
-    if type(value) not in _JSON_TYPES[kind]:
-        raise ValueError(f"{name} must be a JSON {kind}, got {value!r}")
-    if kind != "number":
-        return value
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ValueError(f"{name} is beyond the float range") from None
+_TRACK_FIELDS = {"j0": ("integer",), "j_slope": ("integer",), "gamma0": ("list of integer",),
+                 "gamma_slope": ("list of integer",), "bundle": ("list of object",)}
+_ATOM_FIELDS = {"dj": ("integer",), "dgamma": ("list of integer",), "re": ("number",),
+                "im": ("number", 0.0)}
 
 
 def spec_from_json(obj: dict) -> GeneratorSpec:
     """The spec of a JSON object; ValueError for a field of the wrong JSON type."""
-    def get(o: dict, key: str, kind: str, *default):
-        return json_typed(o.get(key, *default) if default else o[key], kind, key)
+    def atom(a: dict) -> BundleAtom:
+        f = json_fields(a, _ATOM_FIELDS, "bundle atom")
+        return BundleAtom(dj=f["dj"], dgamma=f["dgamma"], d=complex(f["re"], f["im"]))
 
-    def ints(o: dict, key: str) -> tuple:
-        return tuple(json_typed(x, "integer", key) for x in get(o, key, "list"))
+    def track(t: dict) -> TrackSpec:
+        f = json_fields(t, _TRACK_FIELDS, "track")
+        return TrackSpec(**dict(f, bundle=tuple(map(atom, f["bundle"]))))
 
-    def objects(o: dict, key: str, name: str) -> list:
-        return [json_typed(x, "object", name) for x in get(o, key, "list")]
-
-    tracks = tuple(
-        TrackSpec(j0=get(t, "j0", "integer"), j_slope=get(t, "j_slope", "integer"),
-                  gamma0=ints(t, "gamma0"), gamma_slope=ints(t, "gamma_slope"),
-                  bundle=tuple(BundleAtom(dj=get(a, "dj", "integer"), dgamma=ints(a, "dgamma"),
-                                          d=complex(get(a, "re", "number"),
-                                                    get(a, "im", "number", 0.0)))
-                               for a in objects(t, "bundle", "bundle atom")))
-        for t in objects(json_typed(obj, "object", "spec"), "tracks", "track"))
-    return GeneratorSpec(kind=obj["kind"], tracks=tracks,
-                         **{key: get(obj, key, *v) for key, v in _SPEC_FIELDS.items()})
+    f = json_fields(obj, _SPEC_FIELDS, "spec")
+    return GeneratorSpec(**dict(f, tracks=tuple(map(track, f["tracks"]))))

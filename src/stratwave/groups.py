@@ -19,6 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._json import json_fields
+
 __all__ = [
     "GroupSpec",
     "LayoutError",
@@ -196,25 +198,26 @@ def group_to_json(g: GroupSpec) -> dict:
 # largest dimension group_from_json builds: a custom law's validation and a
 # Heisenberg bracket allocate O(dim^2) to O(dim^3) floats
 MAX_JSON_DIM = 64
+# the fields of each group kind: JSON kind and default (required when none is given)
+_GROUP_FIELDS = {"abelian": {"d": ("integer",)}, "heisenberg": {"d": ("integer",)},
+                 "custom": {"strata_dims": ("list of integer",),
+                            "coefficients": ("list of list of list of number",)}}
 
 
 def group_from_json(obj: dict) -> GroupSpec:
-    kind = obj.get("kind")
-    if kind in ("abelian", "heisenberg"):
-        d = int(obj["d"])
+    kind = json_fields(obj, {"kind": ("string",)}, "group")["kind"]
+    if kind not in _GROUP_FIELDS:
+        raise ValueError(f"unknown group kind {kind!r}")
+    f = json_fields(obj, _GROUP_FIELDS[kind], f"{kind} group")
+    if kind != "custom":
+        d = f["d"]
         if not 1 <= (d if kind == "abelian" else 2 * d + 1) <= MAX_JSON_DIM:
             raise DomainError(f"{kind} group of dimension parameter {d} outside "
                               f"1..{MAX_JSON_DIM} coordinates")
         return abelian(d) if kind == "abelian" else heisenberg(d)
-    if kind == "custom":
-        strata = tuple(obj["strata_dims"])
-        if sum(int(s) for s in strata) > MAX_JSON_DIM:
-            raise DomainError(f"custom group with more than {MAX_JSON_DIM} coordinates")
-        g = GroupSpec(
-            strata_dims=strata,
-            kind="custom",
-            bracket=np.asarray(obj["coefficients"], dtype=float),
-        )
-        validate_law(g)
-        return g
-    raise ValueError(f"unknown group kind {kind!r}")
+    if sum(f["strata_dims"]) > MAX_JSON_DIM:
+        raise DomainError(f"custom group with more than {MAX_JSON_DIM} coordinates")
+    g = GroupSpec(strata_dims=f["strata_dims"], kind="custom",
+                  bracket=np.asarray(f["coefficients"], dtype=float))
+    validate_law(g)
+    return g

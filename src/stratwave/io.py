@@ -5,36 +5,35 @@ the complex64 sample array in C order.  Coefficient files are UTF-8 JSON
 lines with a header object carrying the group, sampling set, and
 normalization tag, then one entry per line in canonical (j, gamma) order
 (per n for snapshots).  j, gamma and n are JSON integers within
-sampling.MAX_LATTICE_COORD = 2^53, re and im are finite JSON numbers.
+sampling.MAX_LATTICE_COORD = 2^53, re and im are finite JSON numbers, and
+the header's group is the sampling set's group.
 
 Writers format each entry line with one fixed template, byte-identical to
 json.dumps(entry, sort_keys=True).  Readers stream the file in chunks of
-_CHUNK_LINES lines: each chunk is parsed by one json.loads of the lines
-joined into a JSON array, and its types, bounds, finiteness, dimensions
-and n values are checked on the columns.  A chunk that fails any check,
-and every chunk after it, is re-read line by line; duplicates are found on
-the columns at the end, or line by line after a re-read.  Either way a
-malformed file raises IngestionError naming the same first offending line
-a line-by-line reader would.
+_CHUNK_LINES lines, each parsed by one json.loads of its lines joined into
+a JSON array, or line by line up to the first invalid line if that fails.
+One validator checks the parsed rows on their columns, rule by rule, and
+keeps the rows before the first that breaks a rule.  Duplicates are found
+on the kept columns before any error is raised, so a malformed file raises
+IngestionError naming its first bad line, as a line-by-line reader would.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
 import struct
-from operator import itemgetter
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
+from ._json import KINDS, json_typed, load_json
 from .sampling import (
     MAX_LATTICE_COORD,
     AtomIndex,
     SamplingSet,
-    lattice_int64,
     sampling_from_json,
     sampling_to_json,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "read_field",
     "write_snapshots",
     "read_snapshots",
-    "ingest",
 ]
 
 _GRID_HEADER = struct.Struct("<iid")
@@ -63,6 +61,9 @@ _SNAPSHOT_LINE = '{"gamma": [%s], "im": %r, "j": %r, "n": %r, "re": %r}\n'
 # a closing brace followed on the same line by a comma: where one line could
 # hold two values of the joined array
 _TWO_VALUES = re.compile(r"\}[^\S\n]*,")
+# the least integer whose float() overflows; also above every finite float
+_FLOAT_LIMIT = 2**1024 - 2**970
+_MISSING = object()  # a missing key: of no JSON kind, it fails every type rule
 
 
 class IngestionError(ValueError):
@@ -96,101 +97,85 @@ def read_grid(path) -> GridFunction:
 # -- shared JSONL helpers ----------------------------------------------------
 
 def _normalization_to_json(norm: Normalization) -> dict:
-    out = {"kind": norm.kind}
-    if norm.kind == "Lp":
-        out["p"] = norm.p
-    return out
+    return {"kind": "L1"} if norm.kind == "L1" else {"kind": "Lp", "p": norm.p}
 
 
-def _finite(x):
-    """x as a float if it is a finite JSON number (int or float, not bool), else None."""
-    if type(x) not in (int, float):
-        return None
-    try:
-        x = float(x)
-    except OverflowError:
-        return None
-    return x if math.isfinite(x) else None
-
-
-def _normalization_from_json(obj, lineno: int) -> Normalization:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise IngestionError(
-            f"line {lineno}: missing normalization tag; add "
-            '"normalization": {"kind": "L1"} or {"kind": "Lp", "p": ...} '
-            "to the header")
-    if obj["kind"] == "L1":
-        return L1_ATOMS
-    if obj["kind"] == "Lp":
-        p = _finite(obj.get("p"))
-        if p is None or p <= 0:
-            raise IngestionError(f"line {lineno}: Lp normalization needs a finite "
-                                 f"positive exponent p, got {obj.get('p')!r}")
-        return lp_atoms(p)
-    raise IngestionError(f"line {lineno}: unknown normalization kind {obj['kind']!r}")
-
-
-def _sampling_from_header(header: dict) -> SamplingSet:
+def _header(header, kind: str):
+    """Sampling set, normalization and n_values (None for a field) of a
+    header object; ValueError for any broken rule."""
+    header = json_typed(header, "object", "header")
+    if header.get("type") != kind:
+        raise ValueError(f"header type must be {kind!r}")
     if "sampling" not in header:
-        raise IngestionError("line 1: the header has no sampling set")
+        raise ValueError("the header has no sampling set")
     try:
-        return sampling_from_json(header["sampling"])
-    except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
-        raise IngestionError(f"line 1: bad sampling set ({exc})") from None
-
-
-def _entry_from_json(obj: dict, dim: int, lineno: int) -> tuple[int, tuple, complex]:
-    try:
-        j, gamma, re_, im = obj["j"], obj["gamma"], obj["re"], obj.get("im", 0.0)
-    except KeyError as exc:
-        raise IngestionError(f"line {lineno}: bad coefficient entry ({exc})") from None
-    if type(j) is not int or type(gamma) is not list or any(type(x) is not int for x in gamma):
-        raise IngestionError(f"line {lineno}: bad coefficient entry "
-                             "(j and gamma must be JSON integers)")
-    if type(re_) not in (int, float) or type(im) not in (int, float):
-        raise IngestionError(f"line {lineno}: bad coefficient entry "
-                             "(re and im must be JSON numbers)")
-    if len(gamma) != dim:
-        raise IngestionError(f"line {lineno}: gamma has {len(gamma)} coordinates, "
-                             f"expected {dim}")
-    if max(map(abs, [j, *gamma])) > MAX_LATTICE_COORD:
-        raise IngestionError(f"line {lineno}: lattice coordinate beyond the bound "
-                             f"{MAX_LATTICE_COORD} = 2^53")
-    re_, im = _finite(re_), _finite(im)
-    if re_ is None or im is None:
-        raise IngestionError(f"line {lineno}: non-finite coefficient")
-    return j, tuple(gamma), complex(re_, im)
-
-
-def _parse_json_line(line: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-    except RecursionError:
-        raise IngestionError(f"line {lineno}: invalid JSON (nested too deeply)") from None
-    if not isinstance(obj, dict):
-        raise IngestionError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
-    return obj
+        gs = sampling_from_json(header["sampling"])
+    except ValueError as exc:
+        raise ValueError(f"bad sampling set ({exc})") from None
+    if _groups.group_from_json(header.get("group")) != gs.group:
+        raise ValueError("the header group differs from the sampling set's group")
+    norm = header.get("normalization")
+    if not isinstance(norm, dict) or "kind" not in norm:
+        raise ValueError('missing normalization tag; add "normalization": {"kind": "L1"} '
+                         'or {"kind": "Lp", "p": ...} to the header')
+    if norm["kind"] == "L1":
+        norm = L1_ATOMS
+    elif norm["kind"] == "Lp":
+        norm = lp_atoms(json_typed(norm.get("p"), "number", "the Lp exponent p"))
+    else:
+        raise ValueError(f"unknown normalization kind {norm['kind']!r}")
+    n_values = None
+    if kind == "sequence_snapshots":
+        n_values = json_typed(header.get("n_values"), "list of integer", "n_values")
+        if any(abs(n) > MAX_LATTICE_COORD for n in n_values):
+            raise ValueError(f"n_values beyond the bound {MAX_LATTICE_COORD}")
+        if n_values != tuple(sorted(set(n_values))):
+            raise ValueError("n_values must be strictly increasing")
+        if norm.kind != "Lp":
+            raise ValueError("snapshots must carry Lp-atom normalization")
+    return gs, norm, n_values
 
 
 def _numbered_chunks(fh):
-    """(first line number, lines) of a binary file in chunks of at most
-    _CHUNK_LINES raw lines, split and numbered as str.splitlines splits the
-    whole decoded text."""
+    """(first line number, lines, error) of a binary file in chunks of at
+    most _CHUNK_LINES raw lines, split and numbered as str.splitlines splits
+    the whole decoded text.  A chunk that is not UTF-8 ends before its first
+    undecodable line, and error is the IngestionError naming that line."""
     lineno = 1
-    while raw := list(itertools.islice(fh, _CHUNK_LINES)):
+    while raw := list(islice(fh, _CHUNK_LINES)):
+        data = b"".join(raw)
         try:
-            lines = b"".join(raw).decode("utf-8").splitlines()
-        except UnicodeDecodeError:
-            lines = []
-            for r in raw:
-                try:
-                    lines += r.decode("utf-8").splitlines()
-                except UnicodeDecodeError:
-                    raise IngestionError(f"line {lineno + len(lines)}: not UTF-8 text") from None
-        yield lineno, lines
+            lines, error = data.decode("utf-8").splitlines(), None
+        except UnicodeDecodeError as exc:  # keep the raw lines before the undecodable one
+            lines = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8").splitlines()
+            error = IngestionError(f"line {lineno + len(lines)}: not UTF-8 text")
+        yield lineno, lines, error
         lineno += len(lines)
+
+
+def _parse(first: int, lines: list, error):
+    """Line numbers and values of a chunk's non-blank lines, the first
+    numbered `first`, parsed as one JSON array.  If that fails they are
+    parsed line by line, and the first line that is not one JSON value ends
+    them and replaces the pending error."""
+    text = "[" + "\n,".join(lines) + "]"  # a blank line fails here
+    if not _TWO_VALUES.search(text):
+        try:
+            objs = json.loads(text)
+        except (ValueError, RecursionError):
+            objs = None
+        if objs is not None and len(objs) == len(lines):
+            return np.arange(first, first + len(lines)), objs, error
+    numbered, objs = [], []
+    for lineno, line in enumerate(lines, first):
+        if line.strip():
+            try:
+                objs.append(load_json(line))
+            except ValueError as exc:
+                error = IngestionError(f"line {lineno}: {exc}")
+                break
+            numbered.append(lineno)
+    return np.array(numbered, dtype=np.int64), objs, error
 
 
 def _joined(parts: list, dim: int) -> tuple:
@@ -201,7 +186,7 @@ def _joined(parts: list, dim: int) -> tuple:
 
 
 class _EntryReader:
-    """Checks entry lines chunk by chunk and collects their columns.
+    """Validates entry lines chunk by chunk and collects their columns.
 
     n_values is None for a coefficient field (no n key, n = 0 throughout).
     """
@@ -210,31 +195,23 @@ class _EntryReader:
         self.dim = dim
         self.n_values = None if n_values is None else set(n_values)
         self.parts: list = []
-        self.seen = None   # keys (n, j, gamma) once reading line by line
 
-    def add(self, first: int, lines: list) -> None:
-        numbered = [(first + k, line) for k, line in enumerate(lines) if line.strip()]
-        if not numbered:
-            return
-        if self.seen is None:
-            cols = self._bulk(numbered)
-            if cols is not None:
-                self.parts.append(cols)
-                return
-            _, n, j, gammas, _ = done = _joined(self.parts, self.dim)
-            self._check_duplicates(done)
-            self.seen = set(zip(n.tolist(), j.tolist(), map(tuple, gammas.tolist())))
-        self.parts.append(self._line_by_line(numbered))
+    def add(self, first: int, lines: list, error=None) -> None:
+        """Keep the valid rows of a chunk whose first line is numbered
+        `first`; raise at its first bad line, or else its pending error."""
+        numbered, objs, error = _parse(first, lines, error)
+        stop, message, cols = self._rows(objs)
+        self.parts.append((numbered[:stop], *cols))
+        if message is not None:
+            error = IngestionError(f"line {numbered[stop]}: {message}")
+        if error is not None:
+            self.columns()  # a duplicate on an earlier line comes first
+            raise error
 
     def columns(self) -> tuple:
         cols = _joined(self.parts, self.dim)
-        if self.seen is None:
-            self._check_duplicates(cols)
+        self._check_duplicates(cols)
         return cols
-
-    def _duplicate(self, lineno: int, n: int, j: int, gamma: tuple) -> IngestionError:
-        where = "" if self.n_values is None else f" at n={n}"
-        return IngestionError(f"line {lineno}: duplicate index {AtomIndex(j, gamma)}{where}")
 
     def _check_duplicates(self, cols: tuple) -> None:
         """Raise for the repeated index whose line comes first."""
@@ -244,65 +221,86 @@ class _EntryReader:
         again = order[np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1)) + 1]
         if len(again):
             k = again[np.argmin(lineno[again])]
-            raise self._duplicate(int(lineno[k]), int(n[k]), int(j[k]), tuple(gammas[k].tolist()))
+            where = "" if self.n_values is None else f" at n={n[k]}"
+            raise IngestionError(f"line {lineno[k]}: duplicate index "
+                                 f"{AtomIndex(int(j[k]), tuple(gammas[k].tolist()))}{where}")
 
-    def _bulk(self, numbered: list):
-        """Columns of a chunk parsed as one JSON array, or None if any check fails."""
-        text = "[" + "\n,".join(line for _, line in numbered) + "]"
-        if _TWO_VALUES.search(text):
-            return None
-        try:
-            objs = json.loads(text)
-        except (ValueError, RecursionError):
-            return None
-        if len(objs) != len(numbered) or set(map(type, objs)) != {dict}:
-            return None
-        has_n = self.n_values is not None
-        try:
-            js, gammas, res = (list(map(itemgetter(k), objs)) for k in ("j", "gamma", "re"))
-            ns = list(map(itemgetter("n"), objs)) if has_n else [0] * len(objs)
-        except KeyError:
-            return None
-        ims = list(map(dict.get, objs, itertools.repeat("im"), itertools.repeat(0.0)))
-        flat = list(itertools.chain.from_iterable(gammas)) \
-            if set(map(type, gammas)) == {list} and set(map(len, gammas)) == {self.dim} else None
-        if (flat is None or not set(map(type, js + ns + flat)) <= {int}
-                or not set(map(type, res + ims)) <= {int, float}
-                or (has_n and not set(ns) <= self.n_values)):
-            return None
-        try:
-            j, gamma = lattice_int64(js), lattice_int64(flat).reshape(len(objs), self.dim)
-            values = np.empty(len(objs), dtype=complex)
-            values.real, values.imag = res, ims
-        except (ValueError, OverflowError):  # beyond the bound or a float's range
-            return None
-        if not np.all(np.isfinite(values)):
-            return None
-        return (np.array([k for k, _ in numbered], dtype=np.int64),
-                np.array(ns, dtype=np.int64), j, gamma, values)
+    def _rows(self, objs: list):
+        """The number of rows before the first that breaks a rule, its message
+        (None if every row passes) and the columns n, j, gammas and values of
+        the rows before it.  Each rule checks only the rows before the first
+        failure found so far, which passed every earlier rule."""
+        stop, message, dim = len(objs), None, self.dim
 
-    def _line_by_line(self, numbered: list):
-        rows = []
-        for lineno, line in numbered:
-            obj = _parse_json_line(line, lineno)
-            n = 0
-            if self.n_values is not None:
-                n = obj.get("n")
-                if type(n) in (float, bool):
-                    raise IngestionError(f"line {lineno}: snapshot n must be a JSON integer, "
-                                         f"got {n!r}")
-                if type(n) is not int or n not in self.n_values:
-                    raise IngestionError(f"line {lineno}: snapshot n={n} not in header list")
-            j, gamma, val = _entry_from_json(obj, self.dim, lineno)
-            if (n, j, gamma) in self.seen:
-                raise self._duplicate(lineno, n, j, gamma)
-            self.seen.add((n, j, gamma))
-            rows.append((lineno, n, j, gamma, val))
-        lineno, n, j, gamma, val = zip(*rows)
-        return (np.array(lineno, dtype=np.int64), np.array(n, dtype=np.int64),
-                np.array(j, dtype=np.int64),
-                np.array(gamma, dtype=np.int64).reshape(len(rows), self.dim),
-                np.array(val, dtype=complex))
+        def rule(k: int, text) -> None:
+            """Row k is the rule's first failure; text(k) is its message."""
+            nonlocal stop, message
+            if k < stop:
+                stop, message = k, text(k)
+
+        rule(_first(objs, stop, KINDS["object"]),
+             lambda k: f"expected a JSON object, got {type(objs[k]).__name__}")
+        rows = objs[:stop]
+        ns = [0] * stop
+        if self.n_values is not None:
+            ns = list(map(dict.get, rows, repeat("n")))
+
+            def bad_n(k):
+                if type(ns[k]) in (float, bool):
+                    return f"snapshot n must be a JSON integer, got {ns[k]!r}"
+                return f"snapshot n={ns[k]} not in header list"
+            rule(_first(ns, stop, KINDS["integer"]), bad_n)
+            rule(_first(ns, stop, {True}, self.n_values.__contains__), bad_n)
+        js, gammas, res = (list(map(dict.get, rows, repeat(key), repeat(_MISSING)))
+                           for key in ("j", "gamma", "re"))
+        ims = list(map(dict.get, rows, repeat("im"), repeat(0.0)))
+        integers = "bad coefficient entry (j and gamma must be JSON integers)"
+
+        def entry(key, col, message):
+            """row k's message: its key is missing, or else `message`"""
+            return lambda k: f"bad coefficient entry ({key!r})" if col[k] is _MISSING else message
+        rule(_first(js, stop, KINDS["integer"]), entry("j", js, integers))
+        rule(_first(gammas, stop, KINDS["list"]), entry("gamma", gammas, integers))
+        rule(_first(gammas, stop, {dim}, len),
+             lambda k: f"gamma has {len(gammas[k])} coordinates, expected {dim}")
+        flat = list(chain.from_iterable(gammas[:stop]))
+        rule(_first(flat, stop * dim, KINDS["integer"]) // dim, lambda k: integers)
+        rule(min(_first(res, stop, KINDS["number"]), _first(ims, stop, KINDS["number"])),
+             entry("re", res, "bad coefficient entry (re and im must be JSON numbers)"))
+        bound = MAX_LATTICE_COORD
+        j = _array(js[:stop], np.int64, bound + 1, bound + 1)
+        gamma = _array(flat[:stop * dim], np.int64, bound + 1, bound + 1).reshape(stop, dim)
+        coords = np.column_stack([j, gamma])
+        rule(_first_false(np.all((coords >= -bound) & (coords <= bound), axis=1)),
+             lambda k: f"lattice coordinate beyond the bound {bound} = 2^53")
+        values = np.empty(stop, dtype=complex)
+        values.real = _array(res[:stop], float, _FLOAT_LIMIT, math.inf)
+        values.imag = _array(ims[:stop], float, _FLOAT_LIMIT, math.inf)
+        rule(_first_false(np.isfinite(values)), lambda k: "non-finite coefficient")
+        return stop, message, (np.array(ns[:stop], dtype=np.int64), j[:stop], gamma[:stop],
+                               values[:stop])
+
+
+def _first(col: list, stop: int, allowed: set, key=type) -> int:
+    """Position of the first of col's first stop items whose key is not in
+    allowed, or stop."""
+    col = col if stop == len(col) else col[:stop]
+    if set(map(key, col)) <= allowed:
+        return stop
+    return next(k for k, x in enumerate(col) if key(x) not in allowed)
+
+
+def _first_false(ok: np.ndarray) -> int:
+    return len(ok) if ok.all() else int(np.argmin(ok))
+
+
+def _array(numbers: list, dtype, limit, beyond) -> np.ndarray:
+    """JSON numbers as a dtype array; if some are too large for dtype, those
+    whose absolute value is limit or more become `beyond`."""
+    try:
+        return np.array(numbers, dtype=dtype)
+    except OverflowError:
+        return np.array([beyond if abs(x) >= limit else x for x in numbers], dtype=dtype)
 
 
 def _read_coefficients(path, kind: str):
@@ -310,27 +308,17 @@ def _read_coefficients(path, kind: str):
     columns of a coefficient file."""
     with open(path, "rb") as fh:
         chunks = _numbered_chunks(fh)
-        first, lines = next(chunks, (1, []))
+        first, lines, error = next(chunks, (1, [], None))
         if not lines:
-            raise IngestionError("line 1: empty file, header expected")
-        header = _parse_json_line(lines[0], 1)
-        if header.get("type") != kind:
-            raise IngestionError(f"line 1: header type must be {kind!r}")
-        gs = _sampling_from_header(header)
-        norm = _normalization_from_json(header.get("normalization"), 1)
-        n_values = None
-        if kind == "sequence_snapshots":
-            n_values = header.get("n_values")
-            if not (isinstance(n_values, list) and all(type(n) is int for n in n_values)):
-                raise IngestionError("line 1: n_values must be a list of integers")
-            if any(abs(n) > MAX_LATTICE_COORD for n in n_values):
-                raise IngestionError(f"line 1: n_values beyond the bound {MAX_LATTICE_COORD}")
-            if n_values != sorted(set(n_values)):
-                raise IngestionError("line 1: n_values must be strictly increasing")
+            raise error or IngestionError("line 1: empty file, header expected")
+        try:
+            gs, norm, n_values = _header(load_json(lines[0]), kind)
+        except ValueError as exc:
+            raise IngestionError(f"line 1: {exc}") from None
         reader = _EntryReader(gs.group.dim, n_values)
-        reader.add(first + 1, lines[1:])
-        for first, lines in chunks:
-            reader.add(first, lines)
+        reader.add(first + 1, lines[1:], error)
+        for chunk in chunks:
+            reader.add(*chunk)
     return gs, norm, n_values, reader.columns()
 
 
@@ -349,16 +337,20 @@ def _write_entries(fh, c: CoefficientField, n=None) -> None:
 
 # -- coefficient fields ------------------------------------------------------
 
-def write_field(path, c: CoefficientField) -> None:
-    header = {
-        "type": "coefficient_field",
-        "group": _groups.group_to_json(c.group),
-        "sampling": sampling_to_json(c.sampling),
-        "normalization": _normalization_to_json(c.normalization),
-    }
+def _write_coefficients(path, header: dict, group, gs: SamplingSet, norm, runs) -> None:
+    """The header line, completed with group, gs and norm, then the entries
+    of each (n, field) of runs; n is None for a coefficient field."""
+    header.update(group=_groups.group_to_json(group), sampling=sampling_to_json(gs),
+                  normalization=_normalization_to_json(norm))
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        _write_entries(fh, c)
+        for n, c in runs:
+            _write_entries(fh, c, n)
+
+
+def write_field(path, c: CoefficientField) -> None:
+    _write_coefficients(path, {"type": "coefficient_field"}, c.group, c.sampling,
+                        c.normalization, [(None, c)])
 
 
 def read_field(path) -> CoefficientField:
@@ -369,17 +361,9 @@ def read_field(path) -> CoefficientField:
 # -- sequence snapshots ------------------------------------------------------
 
 def write_snapshots(path, s: SequenceSnapshots) -> None:
-    header = {
-        "type": "sequence_snapshots",
-        "group": _groups.group_to_json(s.group),
-        "sampling": sampling_to_json(s.sampling),
-        "normalization": _normalization_to_json(s.fields[0].normalization),
-        "n_values": list(s.n_values),
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for n, c in zip(s.n_values, s.fields):
-            _write_entries(fh, c, int(n))
+    _write_coefficients(path, {"type": "sequence_snapshots", "n_values": list(s.n_values)},
+                        s.group, s.sampling, s.fields[0].normalization,
+                        zip(map(int, s.n_values), s.fields))
 
 
 def read_snapshots(path) -> SequenceSnapshots:
@@ -387,16 +371,4 @@ def read_snapshots(path) -> SequenceSnapshots:
         path, "sequence_snapshots")
     fields = tuple(CoefficientField(gs.group, gs, normalization=norm, js=j[at], gammas=gammas[at],
                                     values=values[at]) for at in (n == v for v in n_values))
-    try:
-        return SequenceSnapshots(group=gs.group, sampling=gs, n_values=tuple(n_values),
-                                 fields=fields)
-    except ValueError as exc:
-        raise IngestionError(f"line 1: {exc}") from None
-
-
-def ingest(path, fmt: str):
-    """Dispatch on the declared format: grid | field | snapshots."""
-    readers = {"grid": read_grid, "field": read_field, "snapshots": read_snapshots}
-    if fmt not in readers:
-        raise IngestionError(f"unknown format {fmt!r}; expected one of {sorted(readers)}")
-    return readers[fmt](path)
+    return SequenceSnapshots(group=gs.group, sampling=gs, n_values=n_values, fields=fields)

@@ -48,7 +48,6 @@ __all__ = [
     "remainder_field",
     "remainder_split",
     "energy_ledger",
-    "energy_check",
     "UndecidableOrthogonality",
     "NonconvergentCoefficient",
 ]
@@ -424,8 +423,3 @@ def energy_ledger(dec: ProfileDecomposition, L: int) -> np.ndarray:
             r2 = float(np.sqrt(np.sum(np.abs(values[values != 0]) ** 2))) ** 2
             out[ell, n_pos] = abs(u2 - profile_energy - r2)
     return out
-
-
-def energy_check(dec: ProfileDecomposition, L: int) -> np.ndarray:
-    """The per-n defects at L: the last row of `energy_ledger`."""
-    return energy_ledger(dec, L)[L]

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import groups
+from ._json import json_fields
 from .groups import DomainError, GroupSpec
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "SamplingSet",
     "TilingReport",
     "preset_sampling_set",
-    "enumerate_indices",
     "lattice_coordinates",
     "verify_tiling",
     "column_decay_certificate",
@@ -71,6 +71,8 @@ class SamplingSet:
             raise DomainError(
                 f"no lattice law for the {g.kind} group with strata {g.strata_dims}: "
                 "sampling sets support the abelian and Heisenberg presets only")
+        if len(self.tile) != g.dim or {len(t) for t in self.tile} - {2}:
+            raise ValueError(f"the tile needs one (lo, hi) pair for each of {g.dim} coordinates")
 
     # -- integer-lattice arithmetic (exact) --------------------------------
 
@@ -157,8 +159,6 @@ def preset_sampling_set(g: GroupSpec, density: float) -> SamplingSet:
     {(beta a, beta b, beta^2 c / 2)} with tile [0,beta)^{2d} x [0, beta^2/2).
     Both are closed under the group law and under delta_2 exactly.
     """
-    if density <= 0:
-        raise ValueError("density must be positive")
     b = float(density)
     tile = tuple((0.0, b) for _ in range(g.dim))
     if g.kind == "heisenberg":
@@ -190,11 +190,6 @@ def lattice_coordinates(gs: SamplingSet, j: int, box) -> np.ndarray:
                               dtype=np.int64))
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def enumerate_indices(gs: SamplingSet, j: int, box) -> list[AtomIndex]:
-    """`lattice_coordinates` as atom indices; lexicographic, hence stable."""
-    return [AtomIndex(j, tuple(g)) for g in lattice_coordinates(gs, j, box).tolist()]
 
 
 _TILING_ROWS = 1 << 18  # candidate translates per verify_tiling batch
@@ -361,7 +356,9 @@ def sampling_to_json(gs: SamplingSet) -> dict:
     }
 
 
+_SAMPLING_FIELDS = {"group": ("object",), "beta": ("number",), "tile": ("list of list of number",)}
+
+
 def sampling_from_json(obj: dict) -> SamplingSet:
-    g = groups.group_from_json(obj["group"])
-    return SamplingSet(group=g, beta=float(obj["beta"]),
-                       tile=tuple(tuple(map(float, t)) for t in obj["tile"]))
+    f = json_fields(obj, _SAMPLING_FIELDS, "sampling set")
+    return SamplingSet(group=groups.group_from_json(f["group"]), beta=f["beta"], tile=f["tile"])

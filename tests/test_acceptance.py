@@ -231,7 +231,7 @@ def test_criterion_07_extraction_ground_truth(capsys):
                 ok &= jg == jw
                 coeff_err = max(coeff_err, abs(dg - dw),
                                 float(np.max(np.abs(np.asarray(gg) - np.asarray(gw)))))
-        defect = float(np.max(sw.energy_check(dec, 2)))
+        defect = float(np.max(sw.energy_ledger(dec, 2)[2]))
         kinds = {v for entry in dec.classification_log for _, v in entry["verdicts"]}
         escapes = {p.escape for p in dec.profiles}
         # the core-escaping track is orthogonal to a static copy by core escape
@@ -256,7 +256,7 @@ def test_criterion_07_extraction_ground_truth(capsys):
 def test_criterion_08_energy_identity_trend(capsys):
     t0 = time.perf_counter()
     dec = _adversarial_decomposition()
-    defects = sw.energy_check(dec, len(dec.profiles))
+    defects = sw.energy_ledger(dec, len(dec.profiles))[-1]
     q = len(defects) // 4
     first, last = float(np.median(defects[:q])), float(np.median(defects[-q:]))
     dt = time.perf_counter() - t0

@@ -88,13 +88,11 @@ def test_norm_params_validation():
 def test_reorder_deterministic_ties():
     c = sparse_field(sw.abelian(1),
                      {(1, (0,)): 2.0, (0, (5,)): 2.0, (0, (-3,)): 2.0, (2, (1,)): 5.0})
-    ranked = sw.reorder(c)
-    assert [r for r, _, _ in ranked] == [1, 2, 3, 4]
-    assert ranked[0][1] == sw.AtomIndex(2, (1,))
+    keys = list(c.entries)
+    ranked = [keys[k] for k in sw.rank_order(c)]
+    assert ranked[0] == sw.AtomIndex(2, (1,))
     # ties: j ascending, then gamma lexicographic
-    assert ranked[1][1] == sw.AtomIndex(0, (-3,))
-    assert ranked[2][1] == sw.AtomIndex(0, (5,))
-    assert ranked[3][1] == sw.AtomIndex(1, (0,))
+    assert ranked[1:] == [sw.AtomIndex(0, (-3,)), sw.AtomIndex(0, (5,)), sw.AtomIndex(1, (0,))]
 
 
 def test_q_m_projector():
@@ -200,9 +198,8 @@ def test_field_add_sub_match_dict_reference(a, b):
 def test_reorder_and_q_m_match_dict_reference(entries, M):
     c = sparse_field(sw.abelian(1), entries)
     ref = sorted(dict_of(c).items(), key=lambda kv: (-abs(kv[1]), kv[0][0], kv[0][1]))
-    ranked = sw.reorder(c)
-    assert [(r, (idx.j, idx.gamma), v) for r, idx, v in ranked] == \
-        [(m + 1, k, v) for m, (k, v) in enumerate(ref)]
+    items = list(dict_of(c).items())
+    assert [items[k] for k in sw.rank_order(c)] == ref
     kept, e_m = sw.q_m(c, M)
     assert [(i.j, i.gamma) for i in e_m] == [k for k, _ in ref[:M]]
     assert dict_of(kept) == dict(sorted(ref[:M]))

@@ -200,3 +200,31 @@ def test_group_from_json_refuses_large_dimensions():
                 {"kind": "custom", "strata_dims": [40, 30], "coefficients": []}):
         with pytest.raises(sw.DomainError, match="64"):
             group_from_json(bad)
+
+
+H1_BRACKET = sw.heisenberg(1).bracket.tolist()
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "heisenberg", "d": 1.9}, "d must be a JSON integer"),
+    ({"kind": "abelian", "d": True}, "d must be a JSON integer"),
+    ({"kind": "abelian", "d": "2"}, "d must be a JSON integer"),
+    ({"kind": "abelian"}, "has no field 'd'"),
+    ({"kind": 5, "d": 1}, "kind must be a JSON string"),
+    ([], "group must be a JSON object"),
+    ({"kind": "custom", "strata_dims": [2.0, 1], "coefficients": H1_BRACKET},
+     r"strata_dims\[0\] must be a JSON integer"),
+    ({"kind": "custom", "strata_dims": [2, 1], "coefficients": [[["0", 1.0], [-1.0, 0.0]]]},
+     r"coefficients\[0\]\[0\]\[0\] must be a JSON number"),
+    ({"kind": "custom", "strata_dims": [2, 1], "coefficients": [[[0.0, True], [-1.0, 0.0]]]},
+     r"coefficients\[0\]\[0\]\[1\] must be a JSON number"),
+    ({"kind": "custom", "strata_dims": [2, 1],
+      "coefficients": [[[0.0, 1.0], [-1.0, float("nan")]]]},
+     r"coefficients\[0\]\[1\]\[1\] must be a JSON number"),
+    ({"kind": "custom", "strata_dims": [2, 1], "coefficients": [[0.0, 1.0]]},
+     r"coefficients\[0\]\[0\] must be a JSON list"),
+], ids=["float-d", "bool-d", "string-d", "no-d", "int-kind", "list", "float-strata",
+        "string-coefficient", "bool-coefficient", "nan-coefficient", "shallow-coefficients"])
+def test_group_from_json_refuses_mistyped_fields(obj, message):
+    with pytest.raises(ValueError, match=message):
+        group_from_json(obj)

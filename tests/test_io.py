@@ -1,5 +1,6 @@
 """File formats: round trips and per-line ingestion diagnostics."""
 
+import cmath
 import json
 
 import numpy as np
@@ -133,16 +134,6 @@ def test_empty_file(tmp_path):
         sio.read_field(path)
 
 
-def test_ingest_dispatch(tmp_path):
-    c = sample_field()
-    path = tmp_path / "c.jsonl"
-    sio.write_field(path, c)
-    c2 = sio.ingest(path, "field")
-    assert c2.entries == c.entries
-    with pytest.raises(sio.IngestionError, match="unknown format"):
-        sio.ingest(path, "csv")
-
-
 # -- strict ingestion --------------------------------------------------------
 
 def snapshot_lines(tmp_path):
@@ -221,6 +212,16 @@ def test_snapshot_n_must_be_integer(tmp_path, n):
         sio.read_snapshots(path)
 
 
+@pytest.mark.parametrize("n", [7, -1, [0], None], ids=["unlisted", "negative", "list", "null"])
+def test_snapshot_n_must_be_in_header_list(tmp_path, n):
+    path, lines = snapshot_lines(tmp_path)
+    obj = json.loads(lines[3])
+    obj["n"] = n
+    rewrite(path, lines, 3, obj)
+    with pytest.raises(sio.IngestionError, match=r"line 4: snapshot n=.* not in header list"):
+        sio.read_snapshots(path)
+
+
 def test_non_utf8_bytes_report_line(tmp_path):
     path, lines = field_lines(tmp_path)
     raw = ("\n".join(lines) + "\n").encode()
@@ -282,6 +283,70 @@ def test_joined_lines_do_not_merge(tmp_path):
 
 # -- the chunked reader equals a line-by-line reader -------------------------
 
+def reference_read(path, kind):
+    """A strict line-by-line reader: the header through the library's header
+    rules, then each entry line checked on its own, rule by rule."""
+    lines = path.read_text().splitlines()
+    try:
+        gs, norm, n_values = sio._header(json.loads(lines[0]), kind)
+    except ValueError as exc:
+        raise sio.IngestionError(f"line 1: {exc}") from None
+    dim, entries = gs.group.dim, {n: {} for n in ([0] if n_values is None else n_values)}
+    integers = "bad coefficient entry (j and gamma must be JSON integers)"
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+
+        def refuse(message):
+            raise sio.IngestionError(f"line {lineno}: {message}")
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            refuse(f"invalid JSON ({exc.msg})")
+        if type(obj) is not dict:
+            refuse(f"expected a JSON object, got {type(obj).__name__}")
+        n = 0 if n_values is None else obj.get("n")
+        if type(n) in (float, bool):
+            refuse(f"snapshot n must be a JSON integer, got {n!r}")
+        if type(n) is not int or n not in entries:
+            refuse(f"snapshot n={n} not in header list")
+        if "j" not in obj:
+            refuse("bad coefficient entry ('j')")
+        if type(obj["j"]) is not int:
+            refuse(integers)
+        if "gamma" not in obj:
+            refuse("bad coefficient entry ('gamma')")
+        j, gamma = obj["j"], obj["gamma"]
+        if type(gamma) is not list:
+            refuse(integers)
+        if len(gamma) != dim:
+            refuse(f"gamma has {len(gamma)} coordinates, expected {dim}")
+        if any(type(x) is not int for x in gamma):
+            refuse(integers)
+        if "re" not in obj:
+            refuse("bad coefficient entry ('re')")
+        parts = obj["re"], obj.get("im", 0.0)
+        if any(type(x) not in (int, float) for x in parts):
+            refuse("bad coefficient entry (re and im must be JSON numbers)")
+        if max(abs(x) for x in [j, *gamma]) > 2**53:
+            refuse("lattice coordinate beyond the bound 9007199254740992 = 2^53")
+        try:
+            value = complex(*map(float, parts))
+        except OverflowError:
+            value = complex("inf")
+        if not cmath.isfinite(value):
+            refuse("non-finite coefficient")
+        index = sw.AtomIndex(j, tuple(gamma))
+        if index in entries[n]:
+            refuse(f"duplicate index {index}" + ("" if n_values is None else f" at n={n}"))
+        entries[n][index] = value
+    fields = tuple(sw.CoefficientField(gs.group, gs, normalization=norm, entries=e)
+                   for e in entries.values())
+    if n_values is None:
+        return fields[0]
+    return sw.SequenceSnapshots(group=gs.group, sampling=gs, n_values=n_values, fields=fields)
+
+
 def _outcome(reader, path):
     try:
         r = reader(path)
@@ -313,9 +378,9 @@ def _mutations(lines):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), snapshots=st.booleans(), small_chunks=st.booleans())
+@given(data=st.data(), snapshots=st.booleans())
 def test_single_field_mutation_parses_or_raises_ingestion_error(tmp_path_factory, data,
-                                                               snapshots, small_chunks):
+                                                               snapshots):
     tmp_path = tmp_path_factory.mktemp("mut")
     path, lines = (snapshot_lines if snapshots else field_lines)(tmp_path)
     reader = sio.read_snapshots if snapshots else sio.read_field
@@ -329,12 +394,13 @@ def test_single_field_mutation_parses_or_raises_ingestion_error(tmp_path_factory
     else:
         parent[keys[-1]] = data.draw(json_values)
     rewrite(path, lines, k, obj)
+    kind = "sequence_snapshots" if snapshots else "coefficient_field"
+    # the same result or the same message at every chunk size and line by line
+    want = _outcome(lambda p: reference_read(p, kind), path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sio, "_CHUNK_LINES", 2 if small_chunks else 256)
-        chunked = _outcome(reader, path)
-        # the same file read line by line gives the same result or the same message
-        mp.setattr(sio._EntryReader, "_bulk", lambda self, numbered: None)
-        assert _outcome(reader, path) == chunked
+        for chunk in (1, 2, 256):
+            mp.setattr(sio, "_CHUNK_LINES", chunk)
+            assert _outcome(reader, path) == want, chunk
 
 
 @settings(max_examples=100, deadline=None)

@@ -268,7 +268,7 @@ def test_extract_single_compact_profile():
     assert dec.profiles[0].members == [1, 2]
     assert dec.d_limits[1] == pytest.approx(1.0)
     assert dec.d_limits[2] == pytest.approx(0.5)
-    assert np.max(sw.energy_check(dec, 1)) <= 1e-12
+    assert np.max(sw.energy_ledger(dec, 1)[1]) <= 1e-12
 
 
 def test_extract_translating_escape():
@@ -349,23 +349,29 @@ def test_snapshot_validation():
 
 
 
+def ranked_entries(f):
+    """f's (index, value) pairs by decreasing modulus, ties in canonical order."""
+    items = list(f.entries.items())
+    return [items[k] for k in sw.rank_order(f)]
+
+
 def reference_induction(s, p):
     """The extraction induction with one classify_pair call per rank and
     existing profile and one Cauchy test per rank: (log, undecided pairs,
     profiles as (atoms, members, core track), limits, nonconvergent, nu curve)."""
     M = min(p.M_max, min(len(f) for f in s.fields))
-    ranked = [sw.reorder(f)[:M] for f in s.fields]
+    ranked = [ranked_entries(f)[:M] for f in s.fields]
     limits, nonconvergent = {}, []
     for m in range(1, M + 1):
-        window = np.array([r[m - 1][2] for r in ranked])[-p.tail:]
+        window = np.array([r[m - 1][1] for r in ranked])[-p.tail:]
         mean = complex(np.mean(window))
         limits[m] = mean
         if not float(np.max(np.abs(window - mean))) <= p.eps_conv:
             nonconvergent.append(m)
     profs, log, undecided, nu = [], [], [], []
     for m in range(1, M + 1):
-        track = pair(s.sampling, [r[m - 1][1].j for r in ranked],
-                     [r[m - 1][1].gamma for r in ranked])
+        track = pair(s.sampling, [r[m - 1][0].j for r in ranked],
+                     [r[m - 1][0].gamma for r in ranked])
         verdicts, absorbed = [], None
         for ell, (atoms, members, core) in enumerate(profs, start=1):
             v = sw.classify_pair(core, track, p.tail, p.T_div, p.eps_stable)
@@ -463,7 +469,7 @@ def test_remainder_split_validation():
 
 def test_energy_defect_decays_with_drift():
     dec = drift_decomposition()
-    defects = sw.energy_check(dec, len(dec.profiles))
+    defects = sw.energy_ledger(dec, len(dec.profiles))[-1]
     q = len(defects) // 4
     assert np.median(defects[-q:]) < np.median(defects[:q])
 
@@ -483,11 +489,11 @@ def sequential_ledger(dec, L):
         profile_energy = sum(p.energy() for p in dec.profiles[:ell])
         row = []
         for u in dec.snapshots.fields:
-            ranked = sw.reorder(u)
+            ranked = ranked_entries(u)
             r = dict(u.entries)
             for prof in dec.profiles[:ell]:
                 for m in prof.members:
-                    idx = ranked[m - 1][1]
+                    idx = ranked[m - 1][0]
                     r[idx] = r.get(idx, 0j) + (-1.0 * dec.d_limits[m])
                 r = {k: v for k, v in r.items() if v != 0}
             moduli = np.abs(np.fromiter(r.values(), dtype=complex, count=len(r)))
@@ -513,7 +519,7 @@ def test_energy_ledger_equals_sequential_subtraction(name):
     assert ledger.shape == (L + 1, snaps.horizon)
     assert np.array_equal(ledger, sequential_ledger(dec, L))  # bit for bit
     for ell in range(L + 1):
-        assert np.array_equal(sw.energy_check(dec, ell), ledger[ell])
+        assert np.array_equal(sw.energy_ledger(dec, ell)[ell], ledger[ell])
     with pytest.raises(ValueError):
         sw.energy_ledger(dec, L + 1)
 

@@ -80,23 +80,21 @@ def test_enumerate_indices_counts():
     # [DERIVED] (beta Z) n [0, 1) at beta = 0.5 has 2 points; after a
     # dilation by 2^{-1} the spacing halves so the count doubles
     gs = sw.preset_sampling_set(sw.abelian(1), 0.5)
-    assert len(sw.enumerate_indices(gs, 0, [(0.0, 1.0)])) == 2
-    assert len(sw.enumerate_indices(gs, 1, [(0.0, 1.0)])) == 4
-    assert sw.enumerate_indices(gs, 0, [(0.0, 0.0)]) == []
+    assert len(sw.lattice_coordinates(gs, 0, [(0.0, 1.0)])) == 2
+    assert len(sw.lattice_coordinates(gs, 1, [(0.0, 1.0)])) == 4
+    assert sw.lattice_coordinates(gs, 0, [(0.0, 0.0)]).shape == (0, 1)
 
 
 def test_enumerate_indices_heisenberg_count():
     # [DERIVED] at beta = 1 the decoded spacings are (1, 1, 1/2), so the
     # unit cube holds 1 * 1 * 2 points at scale 0
     gs = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
-    idx = sw.enumerate_indices(gs, 0, [(0.0, 1.0)] * 3)
-    assert len(idx) == 2
+    assert len(sw.lattice_coordinates(gs, 0, [(0.0, 1.0)] * 3)) == 2
 
 
 def test_enumeration_is_lexicographic():
     gs = sw.preset_sampling_set(sw.abelian(2), 1.0)
-    idx = sw.enumerate_indices(gs, 0, [(0.0, 2.0)] * 2)
-    gammas = [i.gamma for i in idx]
+    gammas = sw.lattice_coordinates(gs, 0, [(0.0, 2.0)] * 2).tolist()
     assert gammas == sorted(gammas)
 
 
@@ -237,3 +235,20 @@ def test_sampling_json_roundtrip():
         assert gs2.beta == gs.beta
         assert gs2.tile == gs.tile
         assert gs2.group.kind == gs.group.kind
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"beta": "1.0"}, "beta must be a JSON number"),
+    ({"beta": True}, "beta must be a JSON number"),
+    ({"beta": float("inf")}, "beta must be a JSON number"),
+    ({"tile": [["0.0", 1.0]]}, r"tile\[0\]\[0\] must be a JSON number"),
+    ({"tile": [[0.0, False]]}, r"tile\[0\]\[1\] must be a JSON number"),
+    ({"tile": [[0.0, 1.0], [0.0, 1.0]]}, "one \\(lo, hi\\) pair for each of 1 coordinates"),
+    ({"tile": [[0.0]]}, "one \\(lo, hi\\) pair"),
+    ({"group": {"kind": "abelian", "d": 1.0}}, "d must be a JSON integer"),
+], ids=["string-beta", "bool-beta", "inf-beta", "string-lo", "bool-hi", "two-pairs", "one-bound",
+        "float-d"])
+def test_sampling_from_json_refuses_mistyped_fields(change, message):
+    obj = dict(sampling_to_json(sw.preset_sampling_set(sw.abelian(1), 1.0)), **change)
+    with pytest.raises(ValueError, match=message):
+        sampling_from_json(obj)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stratwave as sw
 from stratwave import io as sio
@@ -406,3 +408,207 @@ def test_classify_refuses_mistyped_tracks(tmp_path, capsys, key, value):
     a.write_text(json.dumps(_set(json.loads(a.read_text()), (key,), value)))
     assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
     assert capsys.readouterr().err.startswith("validation error:")
+
+
+# -- one typed reader for every JSON input -----------------------------------
+
+@pytest.fixture(scope="module")
+def snapshots_file(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("snapshots")
+    snaps = tmp / "snaps.jsonl"
+    assert main(["generate", "--spec", str(write_spec(tmp)), "--out", str(snaps),
+                 "--report", str(tmp / "gen.json")]) == 0
+    return snaps
+
+
+def _rewrite_header(source, path, value, out):
+    lines = source.read_text().splitlines()
+    out.write_text("\n".join([json.dumps(_set(json.loads(lines[0]), path, value))] + lines[1:])
+                   + "\n")
+    return out
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("M_max", 2.5, "M_max must be a JSON integer, got 2.5"),
+    ("T_div", "5", "T_div must be a JSON number, got '5'"),
+    ("tail", True, "tail must be a JSON integer, got True"),
+], ids=["float-M_max", "string-T_div", "bool-tail"])
+def test_decompose_refuses_mistyped_params(tmp_path, capsys, snapshots_file, key, value,
+                                           message):
+    params = write_params(tmp_path, **{key: value})
+    assert main(["decompose", "--in", str(snapshots_file), "--params", str(params)]) == 1
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_decompose_reports_integer_literals_in_number_params_as_floats(tmp_path, snapshots_file):
+    report = tmp_path / "dec.json"
+    params = write_params(tmp_path, T_div=5)
+    assert main(["decompose", "--in", str(snapshots_file), "--params", str(params),
+                 "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["params"]["T_div"] == 5.0
+    assert '"T_div": 5.0,' in report.read_text()
+
+
+BAD_GROUPS = {"float-d": {"kind": "heisenberg", "d": 1.9}, "bool-d": {"kind": "abelian", "d": True},
+              "string-d": {"kind": "abelian", "d": "2"}}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GROUPS))
+def test_spec_and_track_refuse_mistyped_groups(tmp_path, capsys, name):
+    spec = write_spec(tmp_path, group=BAD_GROUPS[name])
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o.jsonl")]) == 1
+    (a, b), _ = write_classify_case(tmp_path, "scale")
+    a.write_text(json.dumps(_set(json.loads(a.read_text()), ("group",), BAD_GROUPS[name])))
+    assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("validation error: d must be a JSON integer")
+                                 for e in err)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("group", "d"), 1.9), (("group", "d"), True), (("group", "d"), "2"),
+    (("beta",), "1.0"), (("beta",), True), (("tile", 0, 0), "0.0"), (("tile", 0, 1), "1.0"),
+], ids=["float-d", "bool-d", "string-d", "string-beta", "bool-beta", "string-lo", "string-hi"])
+@pytest.mark.parametrize("kind", ["field", "snapshots"])
+def test_header_refuses_mistyped_sampling_set(tmp_path, snapshots_file, kind, path, value):
+    source = DATA / "golden_field.jsonl" if kind == "field" else snapshots_file
+    bad = _rewrite_header(source, ("sampling",) + path, value, tmp_path / "bad.jsonl")
+    with pytest.raises(sio.IngestionError, match=r"^line 1: bad sampling set \("):
+        (sio.read_field if kind == "field" else sio.read_snapshots)(bad)
+
+
+@pytest.mark.parametrize("group", [{"kind": "abelian", "d": 7}, {"kind": "heisenberg", "d": 1}],
+                         ids=["abelian7", "heisenberg1"])
+@pytest.mark.parametrize("kind", ["field", "snapshots"])
+def test_header_group_must_be_the_sampling_sets_group(tmp_path, snapshots_file, kind, group):
+    # both sources sample R^1
+    source = DATA / "golden_field.jsonl" if kind == "field" else snapshots_file
+    bad = _rewrite_header(source, ("group",), group, tmp_path / "bad.jsonl")
+    with pytest.raises(sio.IngestionError,
+                       match="^line 1: the header group differs from the sampling set's group"):
+        (sio.read_field if kind == "field" else sio.read_snapshots)(bad)
+
+
+@pytest.mark.parametrize("command", ["generate", "decompose", "classify"])
+def test_deeply_nested_json_exits_1(tmp_path, capsys, snapshots_file, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a":' * 200_000)
+    argv = {"generate": ["--spec", str(deep), "--out", str(tmp_path / "o.jsonl")],
+            "decompose": ["--in", str(snapshots_file), "--params", str(deep)],
+            "classify": ["--a", str(deep), "--b", str(deep)]}[command]
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().err == "validation error: invalid JSON (nested too deeply)\n"
+
+
+# wrong values for each JSON kind: a neighbouring kind and a string or null
+MISTYPED = {"integer": (1.5, True), "number": ("1.0", True), "bool": (0, "false"),
+            "string": (5, None), "list": ({}, "0"), "object": ([], 1),
+            "integer or null": (8.5, "8")}
+# every field each input's reader reads: key path and JSON kind
+FIELDS = {
+    "params": [(("M_max",), "integer"), (("L_max",), "integer"), (("eps_conv",), "number"),
+               (("T_div",), "number"), (("eps_stable",), "number"), (("tail",), "integer"),
+               (("mode",), "string")],
+    "spec": [(("kind",), "string"), (("horizon",), "integer"), (("p",), "number"),
+             (("noise_amplitude",), "number"), (("noise_count",), "integer"),
+             (("noise_seed",), "integer"), (("allow_overlap",), "bool"),
+             (("check_tail",), "integer or null"), (("check_T_div",), "number"),
+             (("check_eps_stable",), "number"), (("tracks",), "list"), (("tracks", 1), "object"),
+             (("tracks", 0, "j0"), "integer"), (("tracks", 0, "j_slope"), "integer"),
+             (("tracks", 0, "gamma0"), "list"), (("tracks", 0, "gamma0", 0), "integer"),
+             (("tracks", 0, "gamma_slope"), "list"), (("tracks", 0, "gamma_slope", 0), "integer"),
+             (("tracks", 0, "bundle"), "list"), (("tracks", 0, "bundle", 1), "object"),
+             (("tracks", 0, "bundle", 1, "dj"), "integer"),
+             (("tracks", 0, "bundle", 1, "dgamma"), "list"),
+             (("tracks", 0, "bundle", 1, "dgamma", 0), "integer"),
+             (("tracks", 0, "bundle", 1, "re"), "number"),
+             (("tracks", 0, "bundle", 1, "im"), "number"),
+             (("group",), "object"), (("group", "kind"), "string"), (("group", "d"), "integer"),
+             (("density",), "number")],
+    "track": [(("group",), "object"), (("group", "kind"), "string"), (("group", "d"), "integer"),
+              (("beta",), "number"), (("js",), "list"), (("js", 3), "integer"),
+              (("gammas",), "list"), (("gammas", 3), "list"), (("gammas", 3, 0), "integer")],
+    "header": [(("type",), "string"), (("group",), "object"), (("group", "d"), "integer"),
+               (("sampling",), "object"), (("sampling", "group"), "object"),
+               (("sampling", "group", "kind"), "string"), (("sampling", "group", "d"), "integer"),
+               (("sampling", "beta"), "number"), (("sampling", "tile"), "list"),
+               (("sampling", "tile", 0), "list"), (("sampling", "tile", 0, 0), "number"),
+               (("normalization",), "object"), (("normalization", "kind"), "string"),
+               (("normalization", "p"), "number")],
+    "snapshot header": [(("n_values",), "list"), (("n_values", 1), "integer")],
+}
+
+
+@pytest.mark.parametrize("source, path, value", [
+    pytest.param(source, path, value, id=f"{source}:{'.'.join(map(str, path))}={value!r}")
+    for source, fields in FIELDS.items() for path, kind in fields for value in MISTYPED[kind]])
+def test_every_mistyped_field_exits_1(tmp_path, capsys, snapshots_file, source, path, value):
+    bad = tmp_path / "bad.json"
+    if source == "params":
+        bad.write_text(json.dumps(_set(json.loads(write_params(tmp_path).read_text()), path,
+                                       value)))
+        runs = [["decompose", "--in", str(snapshots_file), "--params", str(bad)]]
+    elif source == "spec":
+        bad.write_text(json.dumps(_set(json.loads(write_spec(tmp_path).read_text()), path, value)))
+        runs = [["generate", "--spec", str(bad), "--out", str(tmp_path / "o.jsonl")]]
+    elif source == "track":
+        (a, b), _ = write_classify_case(tmp_path, "scale")
+        bad.write_text(json.dumps(_set(json.loads(a.read_text()), path, value)))
+        runs = [["classify", "--a", str(bad), "--b", str(b)]]
+    else:
+        runs = [["decompose", "--in", str(_rewrite_header(snapshots_file, path, value, bad)),
+                 "--params", str(write_params(tmp_path))]]
+        if source == "header":
+            field = _rewrite_header(DATA / "golden_field.jsonl", path, value,
+                                    tmp_path / "field.jsonl")
+            runs.append(["norms", "--in", str(field), "--s", "0.25", "--p", "4", "--q", "2"])
+    for argv in runs:
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1, err
+
+
+def _paths(obj, path=()):
+    """The key path of every value inside a JSON object or list."""
+    out = []
+    for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        out.append(path + (key,))
+        if isinstance(value, (dict, list)):
+            out += _paths(value, path + (key,))
+    return out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                   max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), source=st.sampled_from(["params", "spec", "track"]))
+def test_mutated_json_inputs_never_raise(tmp_path_factory, snapshots_file, data, source):
+    # one field of a valid input deleted or replaced: main returns an exit
+    # code, and any exception that escapes it fails the test
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "input.json"
+    if source == "params":
+        obj = json.loads(write_params(tmp).read_text())
+        argv = ["decompose", "--in", str(snapshots_file), "--params", str(path)]
+    elif source == "spec":
+        obj = json.loads(write_spec(tmp).read_text())
+        argv = ["generate", "--spec", str(path), "--out", str(tmp / "o.jsonl")]
+    else:
+        (a, b), _ = write_classify_case(tmp, "core")
+        obj = json.loads(a.read_text())
+        argv = ["classify", "--a", str(path), "--b", str(b)]
+    keys = data.draw(st.sampled_from(_paths(obj)))
+    parent = obj
+    for key in keys[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = data.draw(json_values)
+    path.write_text(json.dumps(obj))
+    assert main(argv + ["--report", str(tmp / "report.json")]) in (0, 1, 2)

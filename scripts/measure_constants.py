@@ -60,13 +60,11 @@ def decay_bound(samples: int, seed: int) -> float:
 
 
 def gram_couplings(n: int, extent: float):
-    g = sw.abelian(1)
-    gs = sw.preset_sampling_set(g, 1.0)
+    gs = sw.preset_sampling_set(sw.abelian(1), 1.0)
     desc = sw.GridDescriptor(1, n, extent)
     ks = sw.build_kernel_set(sw.build_narrow_window(), desc, (0, 3))
     ref = sw.AtomIndex(1, (0,))
-    c0 = sw.CoefficientField(group=g, sampling=gs, entries={ref: 1.0 + 0j},
-                             normalization=sw.lp_atoms(2.0))
+    c0 = sw.CoefficientField(gs, entries={ref: 1.0 + 0j}, normalization=sw.lp_atoms(2.0))
     c = sw.analyze(sw.synthesize(c0, ks, gs, desc), ks, gs, 2.0)
     same = max((abs(v) for k, v in c.entries.items()
                 if k.j == ref.j and k != ref), default=0.0)

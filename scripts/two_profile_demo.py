@@ -38,7 +38,7 @@ def main() -> None:
 
     g = sw.abelian(1) if args.group == "abelian" else sw.heisenberg(1)
     gs = sw.preset_sampling_set(g, 1.0)
-    snaps = sw.generate(build_spec(g.dim, args.horizon), g, gs)
+    snaps = sw.generate(build_spec(g.dim, args.horizon), gs)
     print(f"group: {args.group} (dim {g.dim}, Q = {g.Q})")
     print(f"horizon: {snaps.horizon}, sequence bound K = {snaps.K_bound:.6f}")
 

@@ -83,8 +83,7 @@ def cmd_generate(args) -> int:
     obj = _load_json(args.spec)
     spec = spec_from_json(obj)
     f = json_fields(obj, {"group": ("object",), "density": ("number", 1.0)}, "spec")
-    g = _groups.group_from_json(f["group"])
-    snaps = generate(spec, g, preset_sampling_set(g, f["density"]))
+    snaps = generate(spec, preset_sampling_set(_groups.group_from_json(f["group"]), f["density"]))
     _io.write_snapshots(args.out, snaps)
     _emit({
         "command": "generate",
@@ -143,8 +142,17 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _window(args):
+    """The --narrow window, or the smooth one at --sharpness (1.0 when not given)."""
+    if not args.narrow:
+        return build_window(1.0 if args.sharpness is None else args.sharpness)
+    if args.sharpness is not None:
+        raise ValueError("--sharpness does not apply to the --narrow window")
+    return build_narrow_window()
+
+
 def cmd_verify_window(args) -> int:
-    w = build_narrow_window() if args.narrow else build_window(args.sharpness)
+    w = _window(args)
     lo, hi = coverage_interval(args.J)
     # sample strictly inside the covered band: at the exact endpoints the
     # truncated sum is missing its |j| = J+1 partner for edge-supported windows
@@ -153,7 +161,7 @@ def cmd_verify_window(args) -> int:
     report = {
         "command": "verify-window",
         "window": "narrow" if args.narrow else "smooth",
-        "sharpness": None if args.narrow else args.sharpness,
+        "sharpness": None if args.narrow else w.sharpness,
         "J": args.J,
         "grid_points": args.grid_points,
         "max_partition_deviation": dev,
@@ -166,10 +174,8 @@ def cmd_verify_window(args) -> int:
 
 def cmd_verify_frame(args) -> int:
     f = _io.read_grid(args.grid)
-    g = _groups.abelian(f.dim)
-    gs = preset_sampling_set(g, args.density)
-    window = build_narrow_window() if args.narrow else build_window(args.sharpness)
-    ks = build_kernel_set(window, f.descriptor(), (args.jmin, args.jmax))
+    gs = preset_sampling_set(_groups.abelian(f.dim), args.density)
+    ks = build_kernel_set(_window(args), f.descriptor(), (args.jmin, args.jmax))
     c = analyze(f, ks, gs, args.p)
     f_direct = synthesize(c, ks, gs, f.descriptor())
     f_rec, info = frame_reconstruct(f, ks, gs)
@@ -178,7 +184,7 @@ def cmd_verify_frame(args) -> int:
         type(f)(f.dim, f.extent, f.samples - f_direct.samples), 2.0) / l2
     err_corrected = lebesgue_norm(
         type(f)(f.dim, f.extent, f.samples - f_rec.samples), 2.0) / l2
-    s = g.Q * (0.5 - 1.0 / args.p)
+    s = gs.group.Q * (0.5 - 1.0 / args.p)
     cont = besov_norm_continuous(f, ks, s, 2.0, 2.0)
     disc = discrete_besov_norm(c, NormParams(s, 2.0, 2.0))
     report = {
@@ -209,7 +215,7 @@ def cmd_norms(args) -> int:
         "entries": len(c),
         "discrete_besov_norm": discrete_besov_norm(c, np_),
     }
-    if np_.is_critical(c.group.Q):
+    if np_.is_critical(c.sampling.group.Q):
         report["sobolev_seq_norm"] = sobolev_seq_norm(convert(c, lp_atoms(args.p)))
     _emit(report, args.report)
     return EXIT_OK
@@ -261,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=cmd_decompose)
 
     w = sub.add_parser("verify-window", help="check the dyadic partition identity")
-    w.add_argument("--sharpness", type=float, default=1.0)
+    w.add_argument("--sharpness", type=float, default=None)
     w.add_argument("--J", type=int, default=8)
     w.add_argument("--grid-points", type=int, default=512)
     w.add_argument("--tol", type=float, default=1e-12)
@@ -275,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--p", type=float, default=4.0)
     vf.add_argument("--jmin", type=int, default=-2)
     vf.add_argument("--jmax", type=int, default=5)
-    vf.add_argument("--sharpness", type=float, default=1.0)
+    vf.add_argument("--sharpness", type=float, default=None)
     vf.add_argument("--narrow", action="store_true")
     vf.add_argument("--report", default=None)
     vf.set_defaults(fn=cmd_verify_frame)

@@ -1,8 +1,10 @@
 """Group-agnostic coefficient algebra on sparse wavelet index sets.
 
-A CoefficientField holds its entries as read-only arrays in canonical order,
-lexicographic in (j, gamma), with no index repeated: `js` (P,) and `gammas`
-(P, dim) int64 within sampling.MAX_LATTICE_COORD, `values` (P,) complex128.
+A CoefficientField(sampling, entries=None, normalization=None, *, js=,
+gammas=, values=, floor=) takes dim and Q from `sampling.group` and holds
+its entries as read-only arrays in canonical order, lexicographic in
+(j, gamma), with no index repeated: `js` (P,) and `gammas` (P, dim) int64
+within sampling.MAX_LATTICE_COORD, `values` (P,) complex128.
 The constructor sorts a mapping AtomIndex -> value, or index and value
 arrays, into that order; `.entries` derives the mapping back.  Sums over a
 field run in canonical order, and equal moduli rank by position.
@@ -24,7 +26,6 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .groups import GroupSpec
 from .sampling import AtomIndex, SamplingSet, lattice_int64
 
 __all__ = [
@@ -74,14 +75,13 @@ def lp_atoms(p: float) -> Normalization:
 
 @dataclass(frozen=True, eq=False, init=False)
 class CoefficientField:
-    group: GroupSpec
     sampling: SamplingSet
     normalization: Normalization
     js: np.ndarray       # (P,) int64
     gammas: np.ndarray   # (P, dim) int64
     values: np.ndarray   # (P,) complex128
 
-    def __init__(self, group: GroupSpec, sampling: SamplingSet, entries: Optional[Mapping] = None,
+    def __init__(self, sampling: SamplingSet, entries: Optional[Mapping] = None,
                  normalization: Optional[Normalization] = None, *, js=(), gammas=(), values=(),
                  floor: Optional[float] = None):
         """From a mapping AtomIndex -> value or from index and value arrays, in
@@ -91,7 +91,7 @@ class CoefficientField:
             js, gammas, values = [k[0] for k in entries], [k[1] for k in entries], list(
                 entries.values())
         js = lattice_int64(js).reshape(-1)
-        gammas = lattice_int64(gammas).reshape(len(js), group.dim)
+        gammas = lattice_int64(gammas).reshape(len(js), sampling.group.dim)
         values = np.asarray(values, dtype=complex).reshape(len(js))
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite coefficient")
@@ -106,19 +106,18 @@ class CoefficientField:
             moduli = np.hypot(values.real, values.imag)
             keep = moduli > floor * np.max(moduli)
             js, gammas, values = js[keep], gammas[keep], values[keep]
-        for name, val in (("group", group), ("sampling", sampling),
-                          ("normalization", normalization),
+        for name, val in (("sampling", sampling), ("normalization", normalization),
                           ("js", js), ("gammas", gammas), ("values", values)):
             if isinstance(val, np.ndarray):
                 val.setflags(write=False)
             object.__setattr__(self, name, val)
 
     @classmethod
-    def build(cls, group, sampling, items: Iterable, normalization, floor=SPARSE_FLOOR):
+    def build(cls, sampling, items: Iterable, normalization, floor=SPARSE_FLOOR):
         """Assemble from (index, value) pairs, accumulating duplicates and
         dropping entries below floor * max modulus."""
         items = list(items)
-        return cls(group, sampling, normalization=normalization, floor=floor,
+        return cls(sampling, normalization=normalization, floor=floor,
                    js=[k[0] for k, _ in items], gammas=[k[1] for k, _ in items],
                    values=[v for _, v in items])
 
@@ -146,8 +145,7 @@ class CoefficientField:
 
     def take(self, at, values=None, normalization=None) -> "CoefficientField":
         """The entries at positions or a mask `at`, optionally with new values or tag."""
-        return CoefficientField(self.group, self.sampling,
-                                normalization=normalization or self.normalization,
+        return CoefficientField(self.sampling, normalization=normalization or self.normalization,
                                 js=self.js[at], gammas=self.gammas[at],
                                 values=self.values[at] if values is None else values)
 
@@ -180,7 +178,7 @@ def _conversion_exponent(frm: Normalization, to: Normalization) -> float:
 def convert(c: CoefficientField, to: Normalization) -> CoefficientField:
     if c.normalization == to:
         return c
-    e = _conversion_exponent(c.normalization, to) * c.group.Q
+    e = _conversion_exponent(c.normalization, to) * c.sampling.group.Q
     factor = np.empty(len(c))
     for j, run in c.scales():
         factor[run] = 2.0 ** (j * e)
@@ -192,7 +190,7 @@ def discrete_besov_norm(c: CoefficientField, np_: NormParams) -> float:
     c = convert(c, L1_ATOMS)
     if not len(c):
         return 0.0
-    Q = c.group.Q
+    Q = c.sampling.group.Q
     s, p, q = np_.s, np_.p, np_.q
     moduli = c.moduli()
     acc = 0.0
@@ -259,7 +257,7 @@ def field_add(a: CoefficientField, b: CoefficientField) -> CoefficientField:
     """a + b; exact zeros are dropped."""
     if a.normalization != b.normalization:
         raise ConversionRequired("fields have different normalization tags")
-    total = CoefficientField(a.group, a.sampling, normalization=a.normalization,
+    total = CoefficientField(a.sampling, normalization=a.normalization,
                              js=np.concatenate([a.js, b.js]),
                              gammas=np.concatenate([a.gammas, b.gammas]),
                              values=np.concatenate([a.values, b.values]))

@@ -1,6 +1,7 @@
 """Synthetic bounded sequences with prescribed escape mechanisms.
 
-Each track places a fixed coefficient bundle along an affine scale/core law
+`generate(spec, gs)` realizes a spec on the sampling set gs.  Each track
+places a fixed coefficient bundle along an affine scale/core law
 (j(n), gamma(n)); reindexing preserves the coefficient multiset, so the
 sequence norm is constant by construction.  Mixtures are checked after
 generation: the component tracks must actually satisfy the orthogonality
@@ -19,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from ._json import json_fields
-from .groups import GroupSpec
 from .sampling import AtomIndex, SamplingSet, lattice_int64
 from .coeffs import CoefficientField, lp_atoms, sobolev_seq_norm
 from .profiles import SequenceSnapshots, _row_classifier, _verdict
@@ -85,6 +85,8 @@ class GeneratorSpec:
             raise ValueError(f"kind must be one of {KNOWN_KINDS}")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2")
+        if self.noise_count < 0:
+            raise ValueError(f"noise_count must be >= 0, got {self.noise_count}")
         if not self.tracks:
             raise ValueError("at least one track required")
         if self.kind != "mixture" and len(self.tracks) != 1:
@@ -122,8 +124,8 @@ def _track_indices(spec: GeneratorSpec, gs: SamplingSet, t: TrackSpec):
     return (t.j0 + t.j_slope * n)[None, :] + dj[:, None], gammas
 
 
-def generate(spec: GeneratorSpec, g: GroupSpec, gs: SamplingSet) -> SequenceSnapshots:
-    """Realize the generator law as a sequence of coefficient fields."""
+def generate(spec: GeneratorSpec, gs: SamplingSet) -> SequenceSnapshots:
+    """Realize the generator law as a sequence of coefficient fields on gs."""
     dim = gs.group.dim
     for k, t in enumerate(spec.tracks):
         if {len(t.gamma0), len(t.gamma_slope)} | {len(a.dgamma) for a in t.bundle} != {dim}:
@@ -141,7 +143,7 @@ def generate(spec: GeneratorSpec, g: GroupSpec, gs: SamplingSet) -> SequenceSnap
     fields = []
     for n in range(spec.horizon):
         gammas_n = np.concatenate([gammas[n], noise_gammas])
-        f = CoefficientField(g, gs, normalization=lp_atoms(spec.p), js=js[n], gammas=gammas_n,
+        f = CoefficientField(gs, normalization=lp_atoms(spec.p), js=js[n], gammas=gammas_n,
                              values=values)
         if len(f) < len(values) and not spec.allow_overlap:
             # the first entry, in insertion order, whose index came before
@@ -154,9 +156,7 @@ def generate(spec: GeneratorSpec, g: GroupSpec, gs: SamplingSet) -> SequenceSnap
                                  "declared orthogonality is violated")
         fields.append(f)
 
-    snaps = SequenceSnapshots(group=g, sampling=gs,
-                              n_values=tuple(range(spec.horizon)),
-                              fields=tuple(fields))
+    snaps = SequenceSnapshots(gs, tuple(range(spec.horizon)), tuple(fields))
 
     norms = np.array([sobolev_seq_norm(f) for f in snaps.fields])
     if not spec.allow_overlap and np.max(np.abs(norms - norms[0])) > 1e-12 * max(norms[0], 1.0):

@@ -337,10 +337,10 @@ def _write_entries(fh, c: CoefficientField, n=None) -> None:
 
 # -- coefficient fields ------------------------------------------------------
 
-def _write_coefficients(path, header: dict, group, gs: SamplingSet, norm, runs) -> None:
-    """The header line, completed with group, gs and norm, then the entries
-    of each (n, field) of runs; n is None for a coefficient field."""
-    header.update(group=_groups.group_to_json(group), sampling=sampling_to_json(gs),
+def _write_coefficients(path, header: dict, gs: SamplingSet, norm, runs) -> None:
+    """The header line, completed with gs, its group and norm, then the
+    entries of each (n, field) of runs; n is None for a coefficient field."""
+    header.update(group=_groups.group_to_json(gs.group), sampling=sampling_to_json(gs),
                   normalization=_normalization_to_json(norm))
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -349,26 +349,26 @@ def _write_coefficients(path, header: dict, group, gs: SamplingSet, norm, runs) 
 
 
 def write_field(path, c: CoefficientField) -> None:
-    _write_coefficients(path, {"type": "coefficient_field"}, c.group, c.sampling,
-                        c.normalization, [(None, c)])
+    _write_coefficients(path, {"type": "coefficient_field"}, c.sampling, c.normalization,
+                        [(None, c)])
 
 
 def read_field(path) -> CoefficientField:
     gs, norm, _, (_, _, j, gammas, values) = _read_coefficients(path, "coefficient_field")
-    return CoefficientField(gs.group, gs, normalization=norm, js=j, gammas=gammas, values=values)
+    return CoefficientField(gs, normalization=norm, js=j, gammas=gammas, values=values)
 
 
 # -- sequence snapshots ------------------------------------------------------
 
 def write_snapshots(path, s: SequenceSnapshots) -> None:
     _write_coefficients(path, {"type": "sequence_snapshots", "n_values": list(s.n_values)},
-                        s.group, s.sampling, s.fields[0].normalization,
+                        s.sampling, s.fields[0].normalization,
                         zip(map(int, s.n_values), s.fields))
 
 
 def read_snapshots(path) -> SequenceSnapshots:
     gs, norm, n_values, (_, n, j, gammas, values) = _read_coefficients(
         path, "sequence_snapshots")
-    fields = tuple(CoefficientField(gs.group, gs, normalization=norm, js=j[at], gammas=gammas[at],
+    fields = tuple(CoefficientField(gs, normalization=norm, js=j[at], gammas=gammas[at],
                                     values=values[at]) for at in (n == v for v in n_values))
-    return SequenceSnapshots(group=gs.group, sampling=gs, n_values=n_values, fields=fields)
+    return SequenceSnapshots(gs, n_values, fields)

@@ -63,9 +63,9 @@ class NonconvergentCoefficient(RuntimeError):
 
 @dataclass(frozen=True)
 class SequenceSnapshots:
-    """A bounded sequence of coefficient fields observed at finitely many n."""
+    """SequenceSnapshots(sampling, n_values, fields): a bounded sequence of
+    coefficient fields, all on `sampling`, observed at finitely many n."""
 
-    group: GroupSpec
     sampling: SamplingSet
     n_values: tuple[int, ...]
     fields: tuple[CoefficientField, ...]
@@ -75,6 +75,8 @@ class SequenceSnapshots:
             raise ValueError("n_values and fields must have equal length")
         if list(self.n_values) != sorted(set(self.n_values)):
             raise ValueError("n_values must be strictly increasing")
+        if any(f.sampling != self.sampling for f in self.fields):
+            raise ValueError("every snapshot must live on the sequence's sampling set")
         tags = {f.normalization for f in self.fields}
         if len(tags) > 1:
             raise ValueError("all snapshots must share one normalization tag")
@@ -183,9 +185,12 @@ def _row_classifier(gs: SamplingSet, js, gammas, tail: int, T_div: float, eps_st
 
 def classify_pair(a: ScaleCorePair, b: ScaleCorePair, tail: int,
                   T_div: float, eps_stable: float) -> Verdict:
-    """Orthogonality verdict for two tracks over the last `tail` snapshots."""
+    """Orthogonality verdict for two tracks on one sampling set over the last
+    `tail` snapshots."""
     if len(a) != len(b):
         raise ValueError("tracks have different lengths")
+    if a.sampling != b.sampling:
+        raise ValueError("tracks live on different sampling sets")
     rows = _row_classifier(a.sampling, np.array([a.js, b.js], dtype=int),
                            np.array([a.gammas, b.gammas], dtype=np.int64), tail, T_div,
                            eps_stable)(0)
@@ -207,6 +212,9 @@ class ExtractParams:
             raise ValueError("mode must be strict or exploratory")
         if self.M_max < 1 or self.L_max < 0 or self.tail < 2:
             raise ValueError("M_max >= 1, L_max >= 0, tail >= 2 required")
+        for name in ("eps_conv", "T_div", "eps_stable"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -316,7 +316,7 @@ def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> Coeffi
     spec = grid_fft(f)
     values = [_sample(desc, ks.multiplier(s.j) * spec, s.placement) for s in scales]
     js = np.concatenate([np.full(len(s.gammas), s.j) for s in scales])
-    c1 = CoefficientField(gs.group, gs, normalization=L1_ATOMS, floor=SPARSE_FLOOR, js=js,
+    c1 = CoefficientField(gs, normalization=L1_ATOMS, floor=SPARSE_FLOOR, js=js,
                           gammas=np.concatenate([s.gammas for s in scales]),
                           values=np.concatenate(values))
     return convert(c1, lp_atoms(p))
@@ -325,7 +325,9 @@ def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> Coeffi
 def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
                target: GridDescriptor) -> GridFunction:
     """Sum_lambda d_lambda psi_lambda rendered on the target grid; the adjoint
-    of `analyze` at p = 2."""
+    of `analyze` at p = 2.  gs must be the field's sampling set."""
+    if gs != c.sampling:
+        raise ValueError("the field lives on another sampling set than gs")
     _check_inputs(gs, ks, target)
     if c.normalization.kind != "Lp":
         raise ValueError("synthesize expects Lp-atom normalization")

@@ -38,7 +38,7 @@ def _corpus_coefficients():
 def _ground_truth_decomposition(kind: str):
     g = sw.abelian(1) if kind == "abelian" else sw.heisenberg(1)
     gs = sw.preset_sampling_set(g, 1.0)
-    snaps = sw.generate(two_profile_spec(g.dim, horizon=32), g, gs)
+    snaps = sw.generate(two_profile_spec(g.dim, horizon=32), gs)
     params = sw.ExtractParams(M_max=64, L_max=8, eps_conv=1e-10, T_div=5.0,
                               eps_stable=1e-9, tail=8, mode="strict")
     return snaps, sw.extract(snaps, params)
@@ -55,9 +55,9 @@ def _adversarial_decomposition():
     for n in range(horizon):
         entries = {sw.AtomIndex(0, (0,)): 1.0 + 0j,
                    sw.AtomIndex(0, (n + 1,)): 0.7 + 0.3 / (n + 1.0) + 0j}
-        fields.append(sw.CoefficientField(group=g, sampling=gs, entries=entries,
+        fields.append(sw.CoefficientField(sampling=gs, entries=entries,
                                           normalization=sw.lp_atoms(2.0)))
-    snaps = sw.SequenceSnapshots(group=g, sampling=gs,
+    snaps = sw.SequenceSnapshots(sampling=gs,
                                  n_values=tuple(range(horizon)), fields=tuple(fields))
     params = sw.ExtractParams(M_max=64, L_max=8, eps_conv=0.05, T_div=5.0,
                               eps_stable=1e-9, tail=8, mode="strict")

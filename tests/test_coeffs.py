@@ -18,7 +18,7 @@ from stratwave.coeffs import (
 def sparse_field(group, entries, norm=sw.L1_ATOMS):
     gs = sw.preset_sampling_set(group, 1.0)
     mapped = {sw.AtomIndex(j, tuple(g)): complex(v) for (j, g), v in entries.items()}
-    return sw.CoefficientField(group=group, sampling=gs, entries=mapped,
+    return sw.CoefficientField(sampling=gs, entries=mapped,
                                normalization=norm)
 
 
@@ -37,6 +37,19 @@ def test_besov_norm_hand_example():
     c = sparse_field(sw.abelian(1), {(0, (0,)): 3.0, (1, (1,)): 4.0})
     val = sw.discrete_besov_norm(c, sw.NormParams(0.0, 2.0, 2.0))
     assert val == pytest.approx(np.sqrt(17.0), rel=1e-14)
+
+
+def test_field_takes_q_from_its_sampling_set():
+    # [DERIVED] on the abelian(3) lattice Q = 3: at s = 1/2, p = q = 2 the
+    # weight of j = 1 is 2^{1/2 - 3/2} = 1/2, and the L^2-atom coefficient is
+    # 2^{-3/2} c; Heisenberg's Q = 4 would give 2^{-3/2} and 2^{-2}
+    gs = sw.preset_sampling_set(sw.abelian(3), 1.0)
+    c = sw.CoefficientField(gs, {sw.AtomIndex(1, (0, 0, 0)): 1.0}, sw.L1_ATOMS)
+    assert sw.discrete_besov_norm(c, sw.NormParams(0.5, 2.0, 2.0)) == 0.5
+    assert sw.convert(c, sw.lp_atoms(2.0)).values.tolist() == [2.0**-1.5]
+    assert not hasattr(c, "group")
+    with pytest.raises(TypeError):
+        sw.CoefficientField(gs, group=sw.heisenberg(1))
 
 
 def test_besov_norm_q1_hand_example():
@@ -122,7 +135,7 @@ def test_unconditionality(entries, frac):
     # shrinking moduli entrywise can only shrink the sequence norm
     big = sparse_field(sw.abelian(1), entries)
     small_entries = {idx: frac * val for idx, val in big.entries.items()}
-    small = sw.CoefficientField(group=big.group, sampling=big.sampling,
+    small = sw.CoefficientField(sampling=big.sampling,
                                 entries=small_entries, normalization=big.normalization)
     r = unconditionality_ratio(small, big, sw.NormParams(0.5, 2.0, 2.0))
     assert r <= 1.0 + 1e-12
@@ -156,11 +169,11 @@ def test_build_accumulates_and_floors():
     gs = sw.preset_sampling_set(g, 1.0)
     items = [(sw.AtomIndex(0, (0,)), 1.0), (sw.AtomIndex(0, (0,)), 1.0),
              (sw.AtomIndex(0, (1,)), 1e-20)]
-    c = sw.CoefficientField.build(g, gs, items, sw.L1_ATOMS)
+    c = sw.CoefficientField.build(gs, items, sw.L1_ATOMS)
     assert c.entries[sw.AtomIndex(0, (0,))] == 2.0
     assert sw.AtomIndex(0, (1,)) not in c.entries
     with pytest.raises(ValueError):
-        sw.CoefficientField.build(g, gs, [(sw.AtomIndex(0, (0,)), np.nan)], sw.L1_ATOMS)
+        sw.CoefficientField.build(gs, [(sw.AtomIndex(0, (0,)), np.nan)], sw.L1_ATOMS)
 
 
 # -- array operations against dict references written out here ---------------
@@ -267,7 +280,7 @@ def test_arrays_are_canonical_and_read_only():
 def test_array_constructor_sums_repeats_and_floors():
     g = sw.abelian(1)
     gs = sw.preset_sampling_set(g, 1.0)
-    c = sw.CoefficientField(g, gs, normalization=sw.L1_ATOMS, floor=1e-14, js=[2, 0, 2, 0],
+    c = sw.CoefficientField(gs, normalization=sw.L1_ATOMS, floor=1e-14, js=[2, 0, 2, 0],
                             gammas=[[1], [0], [1], [3]], values=[1.0, 1e-20, 0.5j, 2.0])
     assert dict_of(c) == {(0, (3,)): 2.0, (2, (1,)): 1.0 + 0.5j}
 
@@ -282,7 +295,7 @@ def test_int64_bound_refused(bad):
         sparse_field(g, {(bad, (0,)): 1.0})
     if abs(bad) < 2**63:
         with pytest.raises(sw.DomainError, match="2\\^53"):
-            sw.CoefficientField(g, gs, normalization=sw.L1_ATOMS, js=[0], gammas=[[bad]],
+            sw.CoefficientField(gs, normalization=sw.L1_ATOMS, js=[0], gammas=[[bad]],
                                 values=[1.0])
     edge = sparse_field(g, {(0, (2**53,)): 1.0, (-(2**53), (0,)): 1.0})
     assert len(edge) == 2

@@ -44,7 +44,7 @@ def test_generate_constant_norm_and_indices():
     spec = single_track("translating", gamma_slope=(3,),
                         bundle=(sw.BundleAtom(0, (0,), 1.0),
                                 sw.BundleAtom(1, (1,), 0.5)))
-    snaps = sw.generate(spec, g, gs)
+    snaps = sw.generate(spec, gs)
     assert snaps.horizon == 8
     norms = [sw.sobolev_seq_norm(f) for f in snaps.fields]
     assert np.ptp(norms) <= 1e-12
@@ -67,7 +67,7 @@ def test_generate_bundle_relative_position_heisenberg():
                              bundle=(sw.BundleAtom(0, (0, 0, 0), 1.0),
                                      sw.BundleAtom(0, dgamma, 0.5))),),
         horizon=6)
-    snaps = sw.generate(spec, g, gs)
+    snaps = sw.generate(spec, gs)
     t = spec.tracks[0]
     for n, f in enumerate(snaps.fields):
         _, gamma_core = t.core_at(n)
@@ -88,7 +88,7 @@ def test_generate_collision_raises():
                                      sw.BundleAtom(0, (0,), 0.5))),),
         horizon=8)
     with pytest.raises(GeneratorError, match="collision"):
-        sw.generate(spec, g, gs)
+        sw.generate(spec, gs)
 
 
 def test_generate_nonorthogonal_mixture_raises():
@@ -100,7 +100,7 @@ def test_generate_nonorthogonal_mixture_raises():
                       bundle=(sw.BundleAtom(0, (0,), 0.5),))
     spec = sw.GeneratorSpec(kind="mixture", tracks=(t1, t2), horizon=8)
     with pytest.raises(GeneratorError, match="not orthogonal"):
-        sw.generate(spec, g, gs)
+        sw.generate(spec, gs)
 
 
 
@@ -122,18 +122,18 @@ def test_mixture_check_reports_the_first_failing_pair(monkeypatch):
     kernel = profiles._classify_rows
     monkeypatch.setattr(profiles, "_classify_rows", lambda *a: calls.append(1) or kernel(*a))
     with pytest.raises(GeneratorError) as err:
-        sw.generate(spec, g, gs)
+        sw.generate(spec, gs)
     assert str(err.value) == (f"mixture tracks 1 and 2 are not orthogonal over the horizon: "
                               f"{v.kind} ({v.detail})")
     assert len(calls) == 2  # track 0 against 1..3, then track 1 against 2..3
     with pytest.raises(ValueError, match="tail window 13 not within horizon 12"):
-        sw.generate(dataclasses.replace(spec, check_tail=13), g, gs)
+        sw.generate(dataclasses.replace(spec, check_tail=13), gs)
 
 
 def test_generate_two_profile_mixture_passes_checks():
     for g in (sw.abelian(1), sw.heisenberg(1)):
         gs = sw.preset_sampling_set(g, 1.0)
-        snaps = sw.generate(two_profile_spec(g.dim), g, gs)
+        snaps = sw.generate(two_profile_spec(g.dim), gs)
         assert snaps.horizon == 32
         assert all(len(f) == 4 for f in snaps.fields)
 
@@ -143,8 +143,8 @@ def test_noise_entries_deterministic():
     gs = sw.preset_sampling_set(g, 1.0)
     spec = single_track("compact", noise_amplitude=1e-6, noise_count=5,
                         noise_seed=42, allow_overlap=True)
-    a = sw.generate(spec, g, gs)
-    b = sw.generate(spec, g, gs)
+    a = sw.generate(spec, gs)
+    b = sw.generate(spec, gs)
     assert a.fields[0].entries == b.fields[0].entries
     assert len(a.fields[0]) == 6
 
@@ -171,7 +171,7 @@ def test_generate_refuses_indices_beyond_bound(track, bundle):
     spec = sw.GeneratorSpec(kind="translating", tracks=(sw.TrackSpec(bundle=bundle, **track),),
                             horizon=8)
     with pytest.raises(sw.DomainError, match="2\\^53"):
-        sw.generate(spec, g, sw.preset_sampling_set(g, 1.0))
+        sw.generate(spec, sw.preset_sampling_set(g, 1.0))
 
 
 def test_generate_indices_match_scalar_lattice_law():
@@ -180,7 +180,7 @@ def test_generate_indices_match_scalar_lattice_law():
     t = sw.TrackSpec(j0=-1, j_slope=1, gamma0=(3, -2, 5), gamma_slope=(0, 0, 0),
                      bundle=(sw.BundleAtom(0, (0, 0, 0), 1.0), sw.BundleAtom(2, (1, -1, 3), 0.5),
                              sw.BundleAtom(1, (-2, 4, 0), 0.25j)))
-    snaps = sw.generate(sw.GeneratorSpec(kind="concentrating", tracks=(t,), horizon=6), g, gs)
+    snaps = sw.generate(sw.GeneratorSpec(kind="concentrating", tracks=(t,), horizon=6), gs)
     for n, f in enumerate(snaps.fields):
         j_core, core = t.core_at(n)
         want = {}
@@ -199,7 +199,7 @@ def test_generate_collision_messages():
                      bundle=(sw.BundleAtom(0, (0,), 1.0), sw.BundleAtom(0, (0,), 0.5)))
     spec = sw.GeneratorSpec(kind="translating", tracks=(t,), horizon=4)
     with pytest.raises(GeneratorError, match=r"n=0, index AtomIndex\(j=0, gamma=\(0,\)\)"):
-        sw.generate(spec, g, gs)
+        sw.generate(spec, gs)
     summed = sw.generate(sw.GeneratorSpec(kind="translating", tracks=(t,), horizon=4,
-                                          allow_overlap=True), g, gs)
+                                          allow_overlap=True), gs)
     assert dict(summed.fields[2].entries) == {sw.AtomIndex(0, (2,)): 1.5}

@@ -17,7 +17,7 @@ def sample_field():
     gs = sw.preset_sampling_set(g, 0.5)
     entries = {sw.AtomIndex(0, (0, 0, 0)): 1.0 + 2.0j,
                sw.AtomIndex(2, (-1, 3, 7)): -0.25 + 0j}
-    return sw.CoefficientField(group=g, sampling=gs, entries=entries,
+    return sw.CoefficientField(sampling=gs, entries=entries,
                                normalization=sw.lp_atoms(2.0))
 
 
@@ -48,7 +48,7 @@ def test_field_roundtrip(tmp_path):
     sio.write_field(path, c)
     c2 = sio.read_field(path)
     assert c2.normalization == c.normalization
-    assert c2.group.kind == c.group.kind
+    assert c2.sampling.group.kind == c.sampling.group.kind
     assert c2.entries == c.entries
 
 
@@ -60,13 +60,31 @@ def test_snapshots_roundtrip(tmp_path):
         tracks=(sw.TrackSpec(j0=0, j_slope=0, gamma0=(0,), gamma_slope=(2,),
                              bundle=(sw.BundleAtom(0, (0,), 1.0),)),),
         horizon=5)
-    snaps = sw.generate(spec, g, gs)
+    snaps = sw.generate(spec, gs)
     path = tmp_path / "s.jsonl"
     sio.write_snapshots(path, snaps)
     s2 = sio.read_snapshots(path)
     assert s2.n_values == snaps.n_values
     for a, b in zip(snaps.fields, s2.fields):
         assert a.entries == b.entries
+
+
+@pytest.mark.parametrize("kind", ["field", "snapshots"])
+def test_written_header_group_is_the_sampling_sets(tmp_path, kind):
+    # a field has no group of its own, so the writers cannot put a group
+    # beside its sampling set that the readers would refuse
+    gs = sw.preset_sampling_set(sw.abelian(3), 0.5)
+    c = sw.CoefficientField(gs, {sw.AtomIndex(0, (1, 2, 3)): 1.0}, sw.lp_atoms(2.0))
+    path = tmp_path / "c.jsonl"
+    if kind == "field":
+        sio.write_field(path, c)
+        back = sio.read_field(path)
+    else:
+        sio.write_snapshots(path, sw.SequenceSnapshots(gs, (0, 1), (c, c)))
+        back = sio.read_snapshots(path).fields[1]
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["group"] == sw.groups.group_to_json(sw.abelian(3))
+    assert back.sampling == gs and back.entries == c.entries
 
 
 def field_lines(tmp_path):
@@ -145,7 +163,7 @@ def snapshot_lines(tmp_path):
         horizon=4)
     g = sw.heisenberg(1)
     path = tmp_path / "s.jsonl"
-    sio.write_snapshots(path, sw.generate(spec, g, sw.preset_sampling_set(g, 1.0)))
+    sio.write_snapshots(path, sw.generate(spec, sw.preset_sampling_set(g, 1.0)))
     return path, path.read_text().splitlines()
 
 
@@ -250,7 +268,7 @@ def test_entry_lines_match_json_dumps(tmp_path):
     values = [-0.0 + 0.0j, 5e-324 - 5e-324j, 1e308 + 2.5j, -1.0 / 3.0 + 0.1j, 7.0 - 0.0j]
     keys = [(0, (0, 0)), (-3, (2**53, -2**53)), (2**40, (1, -1)), (5, (123456789, 0)),
             (-(2**53), (0, 9))]
-    c = sw.CoefficientField(group=g, sampling=gs,
+    c = sw.CoefficientField(sampling=gs,
                             entries={sw.AtomIndex(j, gm): v for (j, gm), v in zip(keys, values)},
                             normalization=sw.lp_atoms(2.0))
     expect = [{"j": idx.j, "gamma": list(idx.gamma), "re": v.real, "im": v.imag}
@@ -258,7 +276,7 @@ def test_entry_lines_match_json_dumps(tmp_path):
     path = tmp_path / "c.jsonl"
     sio.write_field(path, c)
     assert path.read_text().splitlines()[1:] == [json.dumps(e, sort_keys=True) for e in expect]
-    snaps = sw.SequenceSnapshots(group=g, sampling=gs, n_values=(3, 2**50), fields=(c, c))
+    snaps = sw.SequenceSnapshots(sampling=gs, n_values=(3, 2**50), fields=(c, c))
     sio.write_snapshots(path, snaps)
     want = [json.dumps(dict(e, n=n), sort_keys=True) for n in (3, 2**50) for e in expect]
     assert path.read_text().splitlines()[1:] == want
@@ -340,11 +358,11 @@ def reference_read(path, kind):
         if index in entries[n]:
             refuse(f"duplicate index {index}" + ("" if n_values is None else f" at n={n}"))
         entries[n][index] = value
-    fields = tuple(sw.CoefficientField(gs.group, gs, normalization=norm, entries=e)
+    fields = tuple(sw.CoefficientField(gs, normalization=norm, entries=e)
                    for e in entries.values())
     if n_values is None:
         return fields[0]
-    return sw.SequenceSnapshots(group=gs.group, sampling=gs, n_values=n_values, fields=fields)
+    return sw.SequenceSnapshots(sampling=gs, n_values=n_values, fields=fields)
 
 
 def _outcome(reader, path):

@@ -28,13 +28,13 @@ def lattice(group=None, beta=1.0):
 
 def snapshots_from_entries(gs, per_n, p=2.0):
     fields = tuple(
-        sw.CoefficientField(group=gs.group, sampling=gs,
+        sw.CoefficientField(sampling=gs,
                             entries={sw.AtomIndex(j, tuple(g)): complex(v)
                                      for (j, g), v in entries.items()},
                             normalization=sw.lp_atoms(p))
         for entries in per_n
     )
-    return sw.SequenceSnapshots(group=gs.group, sampling=gs,
+    return sw.SequenceSnapshots(sampling=gs,
                                 n_values=tuple(range(len(per_n))), fields=fields)
 
 
@@ -56,6 +56,15 @@ def test_classify_core_orthogonal():
     b = pair(gs, [0] * n, [(3 * k,) for k in range(n)])
     v = sw.classify_pair(a, b, **TAIL)
     assert v.kind == "CoreOrthogonal" and v.orthogonal
+
+
+def test_classify_refuses_tracks_on_different_sampling_sets():
+    # the same coordinates decoded at beta = 1 and beta = 1/2 are different tracks
+    n = 16
+    a = pair(lattice(), [0] * n, [(k,) for k in range(n)])
+    b = pair(lattice(beta=0.5), [0] * n, [(k,) for k in range(n)])
+    with pytest.raises(ValueError, match="different sampling sets"):
+        sw.classify_pair(a, b, **TAIL)
 
 
 def test_classify_core_orthogonal_constant_gap():
@@ -341,11 +350,20 @@ def test_extract_horizon_validation():
 
 def test_snapshot_validation():
     gs = lattice()
-    f = sw.CoefficientField(group=gs.group, sampling=gs,
+    f = sw.CoefficientField(sampling=gs,
                             entries={sw.AtomIndex(0, (0,)): 1.0 + 0j},
                             normalization=sw.L1_ATOMS)
     with pytest.raises(ValueError):
-        sw.SequenceSnapshots(group=gs.group, sampling=gs, n_values=(0,), fields=(f,))
+        sw.SequenceSnapshots(sampling=gs, n_values=(0,), fields=(f,))
+
+
+def test_snapshots_refuse_a_field_on_another_lattice():
+    f = sw.CoefficientField(lattice(beta=0.5), {sw.AtomIndex(0, (3,)): 1.0}, sw.lp_atoms(2.0))
+    with pytest.raises(ValueError, match="sampling set"):
+        sw.SequenceSnapshots(lattice(beta=1.0), (0,), (f,))
+    assert sw.SequenceSnapshots(lattice(beta=0.5), (0,), (f,)).sampling.beta == 0.5
+    with pytest.raises(TypeError):
+        sw.SequenceSnapshots(lattice(beta=0.5), (0,), (f,), group=sw.abelian(1))
 
 
 
@@ -386,7 +404,7 @@ def reference_induction(s, p):
             profs[ell - 1][1].append(m)
             case = f"case2->profile{ell}"
         else:
-            profs.append(([(0, (0.0,) * s.group.dim, limits[m])], [m], track))
+            profs.append(([(0, (0.0,) * s.sampling.group.dim, limits[m])], [m], track))
             case = f"case1->profile{len(profs)}"
         nu.append(len(profs))
         log.append({"rank": m, "decision": case, "verdicts": verdicts})
@@ -399,7 +417,7 @@ def golden_snapshots(name):
     from stratwave.generators import spec_from_json
     obj = json.loads((Path(__file__).parent / "data" / f"golden_{name}_spec.json").read_text())
     g = sw.heisenberg(1)
-    return sw.generate(spec_from_json(obj), g, sw.preset_sampling_set(g, 1.0))
+    return sw.generate(spec_from_json(obj), sw.preset_sampling_set(g, 1.0))
 
 
 @pytest.mark.parametrize("name, overrides", [
@@ -511,7 +529,7 @@ def test_energy_ledger_equals_sequential_subtraction(name):
     data = Path(__file__).parent / "data"
     obj = json.loads((data / f"golden_{name}_spec.json").read_text())
     g = sw.heisenberg(1)
-    snaps = sw.generate(spec_from_json(obj), g, sw.preset_sampling_set(g, 1.0))
+    snaps = sw.generate(spec_from_json(obj), sw.preset_sampling_set(g, 1.0))
     dec = sw.extract(snaps, sw.ExtractParams(
         **json.loads((data / f"golden_{name}_params.json").read_text())))
     L = len(dec.profiles)

@@ -113,7 +113,7 @@ def test_single_atom_roundtrip_narrow():
     w = sw.build_narrow_window()
     ks = sw.build_kernel_set(w, desc, (0, 3))
     idx = sw.AtomIndex(1, (2,))
-    c0 = sw.CoefficientField(group=g, sampling=gs, entries={idx: 1.0 + 0j},
+    c0 = sw.CoefficientField(sampling=gs, entries={idx: 1.0 + 0j},
                              normalization=sw.lp_atoms(2.0))
     f = sw.synthesize(c0, ks, gs, desc)
     c = sw.analyze(f, ks, gs, 2.0)
@@ -132,7 +132,7 @@ def test_atom_unit_norm_narrow():
     desc = sw.GridDescriptor(1, 256, 8.0)
     ks = sw.build_kernel_set(sw.build_narrow_window(), desc, (0, 3))
     for j, gamma in [(0, (0,)), (1, (3,)), (2, (-1,))]:
-        c = sw.CoefficientField(group=g, sampling=gs,
+        c = sw.CoefficientField(sampling=gs,
                                 entries={sw.AtomIndex(j, gamma): 1.0 + 0j},
                                 normalization=sw.lp_atoms(2.0))
         f = sw.synthesize(c, ks, gs, desc)
@@ -174,7 +174,7 @@ def test_synthesize_requires_lp_tag():
     gs = sw.preset_sampling_set(g, 1.0)
     desc = sw.GridDescriptor(1, 64, 8.0)
     ks = sw.build_kernel_set(sw.build_narrow_window(), desc, (0, 2))
-    c = sw.CoefficientField(group=g, sampling=gs,
+    c = sw.CoefficientField(sampling=gs,
                             entries={sw.AtomIndex(0, (0,)): 1.0 + 0j},
                             normalization=sw.L1_ATOMS)
     with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ def test_synthesize_validation():
     desc = sw.GridDescriptor(3, 8, 4.0)
     ks = sw.build_kernel_set(sw.build_window(1.0), desc, (0, 1))
     gs_h = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
-    c = sw.CoefficientField(group=gs_h.group, sampling=gs_h,
+    c = sw.CoefficientField(sampling=gs_h,
                             entries={sw.AtomIndex(0, (0, 0, 0)): 1.0 + 0j},
                             normalization=sw.lp_atoms(2.0))
     with pytest.raises(ValueError, match="matching abelian preset"):
@@ -195,10 +195,23 @@ def test_synthesize_validation():
     g = sw.abelian(1)
     gs = sw.preset_sampling_set(g, 1.0)
     ks1 = sw.build_kernel_set(sw.build_window(1.0), sw.GridDescriptor(1, 64, 8.0), (0, 1))
-    c1 = sw.CoefficientField(group=g, sampling=gs, entries={sw.AtomIndex(0, (0,)): 1.0 + 0j},
+    c1 = sw.CoefficientField(sampling=gs, entries={sw.AtomIndex(0, (0,)): 1.0 + 0j},
                              normalization=sw.lp_atoms(2.0))
     with pytest.raises(ValueError, match="kernel cache"):
         sw.synthesize(c1, ks1, gs, sw.GridDescriptor(1, 128, 8.0))
+
+
+def test_synthesize_refuses_another_sampling_set():
+    # at beta = 1/2 the atom gamma = 3 sits at x = 1.5; read at beta = 1/4
+    # it would be drawn at x = 0.75
+    desc = sw.GridDescriptor(1, 256, 8.0)
+    ks = sw.build_kernel_set(sw.build_narrow_window(), desc, (0, 0))
+    gs = sw.preset_sampling_set(sw.abelian(1), 0.5)
+    c = sw.CoefficientField(gs, {sw.AtomIndex(0, (3,)): 1.0}, sw.lp_atoms(2.0))
+    f = sw.synthesize(c, ks, gs, desc)
+    assert f.axis()[np.argmax(np.abs(f.samples))] == 1.5
+    with pytest.raises(ValueError, match="another sampling set"):
+        sw.synthesize(c, ks, sw.preset_sampling_set(sw.abelian(1), 0.25), desc)
 
 
 # -- the exact FFT path --------------------------------------------------------
@@ -254,7 +267,7 @@ def test_analyze_synthesize_adjoint(dim, n, extent, density, j, L):
     x = _random_grid(rng, dim, n, extent)
     ax = sw.analyze(x, ks, gs, 2.0)
     assert len(ax) > 0
-    c = sw.CoefficientField(group=gs.group, sampling=gs,
+    c = sw.CoefficientField(sampling=gs,
                             entries={k: complex(*rng.normal(size=2)) for k in ax.entries},
                             normalization=sw.lp_atoms(2.0))
     lhs = sum(np.conj(v) * c.entries[k] for k, v in ax.entries.items())
@@ -281,7 +294,7 @@ def test_fft_path_matches_dense_sums(dim, n, extent, density, j, L):
                      for k in indices[:5]]
     points = density * 2.0 ** (-j) * np.array([k.gamma for k in idx], dtype=float)
     d = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
-    c = sw.CoefficientField(group=gs.group, sampling=gs, entries=dict(zip(idx, d)),
+    c = sw.CoefficientField(sampling=gs, entries=dict(zip(idx, d)),
                             normalization=sw.lp_atoms(2.0))
     spec = 2.0 ** (-j * dim / 2.0) * mult * _dense_spread(f, d, points)
     want = grid_ifft(f, spec).samples
@@ -327,7 +340,7 @@ def test_dense_budget_refused_up_front(monkeypatch):
     desc2 = sw.GridDescriptor(2, 512, 8.0)
     ks2 = sw.build_kernel_set(sw.build_window(1.0), desc2, (0, 0))
     gs2 = sw.preset_sampling_set(sw.abelian(2), 0.5)
-    c2 = sw.CoefficientField(group=gs2.group, sampling=gs2,
+    c2 = sw.CoefficientField(sampling=gs2,
                              entries={sw.AtomIndex(0, (1, 2)): 1.0 + 0j},
                              normalization=sw.lp_atoms(2.0))
     tracemalloc.start()

@@ -12,6 +12,7 @@ import stratwave as sw
 from stratwave import io as sio
 from stratwave.cli import main
 from stratwave.generators import spec_to_json
+from stratwave.transform import grid_ifft
 from conftest import two_profile_spec
 
 
@@ -73,14 +74,17 @@ def test_verify_window(tmp_path):
     assert json.loads(report.read_text())["max_partition_deviation"] == 0.0
 
 
-def test_verify_frame(tmp_path):
+def write_band_grid(tmp_path):
     blank = sw.GridFunction(1, 8.0, np.zeros(128, dtype=complex))
     nu = blank.freq_axis()
     spec = np.exp(-8.0 * (np.abs(nu) - 2.0) ** 2).astype(complex)
-    from stratwave.transform import grid_ifft
-    f = grid_ifft(blank, spec)
     grid = tmp_path / "f.grid"
-    sio.write_grid(grid, f)
+    sio.write_grid(grid, grid_ifft(blank, spec))
+    return grid
+
+
+def test_verify_frame(tmp_path):
+    grid = write_band_grid(tmp_path)
     report = tmp_path / "frame.json"
     assert main(["verify-frame", "--grid", str(grid), "--narrow",
                  "--density", "1.0", "--p", "2.0", "--jmin", "0", "--jmax", "4",
@@ -93,7 +97,7 @@ def test_verify_frame(tmp_path):
 def test_norms_command(tmp_path):
     g = sw.abelian(1)
     gs = sw.preset_sampling_set(g, 1.0)
-    c = sw.CoefficientField(group=g, sampling=gs,
+    c = sw.CoefficientField(sampling=gs,
                             entries={sw.AtomIndex(0, (0,)): 3.0 + 0j,
                                      sw.AtomIndex(1, (1,)): 4.0 + 0j},
                             normalization=sw.L1_ATOMS)
@@ -152,8 +156,8 @@ def test_exit_code_undecidable(tmp_path):
               sw.AtomIndex(0, (3 + int(np.round(1.4 * np.cos(3 * n))),)): 0.5 + 0j}
              for n in range(16)]
     snaps = sw.SequenceSnapshots(
-        group=g, sampling=gs, n_values=tuple(range(16)),
-        fields=tuple(sw.CoefficientField(group=g, sampling=gs, entries=e,
+        sampling=gs, n_values=tuple(range(16)),
+        fields=tuple(sw.CoefficientField(sampling=gs, entries=e,
                                          normalization=sw.lp_atoms(2.0))
                      for e in per_n))
     path = tmp_path / "snaps.jsonl"
@@ -612,3 +616,43 @@ def test_mutated_json_inputs_never_raise(tmp_path_factory, snapshots_file, data,
         parent[keys[-1]] = data.draw(json_values)
     path.write_text(json.dumps(obj))
     assert main(argv + ["--report", str(tmp / "report.json")]) in (0, 1, 2)
+
+
+# -- one lattice per input, and no option accepted only to be ignored --------
+
+@pytest.mark.parametrize("key", ["eps_conv", "T_div", "eps_stable"])
+def test_decompose_refuses_negative_tolerances(tmp_path, capsys, snapshots_file, key):
+    params = write_params(tmp_path, **{key: -1.0})
+    assert main(["decompose", "--in", str(snapshots_file), "--params", str(params)]) == 1
+    assert capsys.readouterr().err == (
+        f"validation error: {key} must be finite and >= 0, got -1.0\n")
+
+
+def test_generate_refuses_negative_noise_count(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    spec.write_text(json.dumps(dict(json.loads(spec.read_text()), noise_amplitude=0.1,
+                                    noise_count=-5)))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "s.jsonl")]) == 1
+    assert capsys.readouterr().err == "validation error: noise_count must be >= 0, got -5\n"
+
+
+def test_classify_refuses_tracks_on_different_lattices(tmp_path, capsys):
+    n = 16
+    a = write_track(tmp_path, "a.json", [0] * n, [[k] for k in range(n)])
+    b = write_track(tmp_path, "b.json", [0] * n, [[k] for k in range(n)])
+    b.write_text(json.dumps(dict(json.loads(b.read_text()), beta=0.5)))
+    assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
+    assert capsys.readouterr().err == "validation error: tracks live on different sampling sets\n"
+
+
+@pytest.mark.parametrize("command", ["verify-window", "verify-frame"])
+def test_narrow_window_refuses_sharpness(tmp_path, capsys, command):
+    argv = [command] + (["--grid", str(write_band_grid(tmp_path)), "--density", "1.0"]
+                        if command == "verify-frame" else [])
+    report = tmp_path / "r.json"
+    assert main(argv + ["--report", str(report)]) == 0
+    if command == "verify-window":
+        assert json.loads(report.read_text())["sharpness"] == 1.0
+    assert main(argv + ["--narrow", "--sharpness", "7.5"]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: --sharpness does not apply to the --narrow window\n")

@@ -1,7 +1,7 @@
 """Group-agnostic coefficient algebra on sparse wavelet index sets.
 
-A CoefficientField(sampling, entries=None, normalization=None, *, js=,
-gammas=, values=, floor=) takes dim and Q from `sampling.group` and holds
+A CoefficientField(sampling, entries, normalization, *, js=, gammas=,
+values=, floor=) takes dim and Q from `sampling.group` and holds
 its entries as read-only arrays in canonical order, lexicographic in
 (j, gamma), with no index repeated: `js` (P,) and `gammas` (P, dim) int64
 within sampling.MAX_LATTICE_COORD, `values` (P,) complex128.
@@ -9,7 +9,8 @@ The constructor sorts a mapping AtomIndex -> value, or index and value
 arrays, into that order; `.entries` derives the mapping back.  Sums over a
 field run in canonical order, and equal moduli rank by position.
 
-A CoefficientField carries a normalization tag.  "L1" entries are sampled
+A CoefficientField carries a normalization tag, and is refused without
+one; two fields combine only on one sampling set.  "L1" entries are sampled
 convolution values c = (u * psi_j^*)(2^{-j} . gamma); "Lp" entries are the
 synthesis coefficients against L^p-normalized atoms, d = 2^{-jQ/p} c.  The
 factor is pinned by the requirement that the discrete Besov norm at the
@@ -59,7 +60,9 @@ class Normalization:
     p: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind == "Lp" and (self.p is None or self.p <= 0):
+        if self.kind not in ("L1", "Lp") or self.kind == "L1" and self.p is not None:
+            raise ValueError(f"a normalization tag is 'L1' or 'Lp' with an exponent, got {self}")
+        if self.kind == "Lp" and (self.p is None or not self.p > 0):
             raise ValueError(f"Lp normalization needs a positive exponent, got {self.p}")
 
     def label(self) -> str:
@@ -87,6 +90,8 @@ class CoefficientField:
         """From a mapping AtomIndex -> value or from index and value arrays, in
         any order; values sharing an index are summed in input order, and with
         a floor, moduli at most floor * the largest are dropped."""
+        if not isinstance(normalization, Normalization):
+            raise ValueError(f"a field needs a normalization tag, got {normalization!r}")
         if entries is not None:
             js, gammas, values = [k[0] for k in entries], [k[1] for k in entries], list(
                 entries.values())
@@ -235,6 +240,8 @@ def unconditionality_ratio(
     c_small: CoefficientField, c_big: CoefficientField, np_: NormParams
 ) -> float:
     """Sequence-space ratio ||c_small|| / ||c_big|| under coefficient domination."""
+    if c_small.sampling != c_big.sampling:
+        raise ValueError("the fields live on different sampling sets")
     rows = np.column_stack([np.concatenate([c_big.js, c_small.js]),
                             np.concatenate([c_big.gammas, c_small.gammas])])
     _, key = np.unique(rows, axis=0, return_inverse=True)
@@ -255,6 +262,8 @@ def unconditionality_ratio(
 
 def field_add(a: CoefficientField, b: CoefficientField) -> CoefficientField:
     """a + b; exact zeros are dropped."""
+    if a.sampling != b.sampling:
+        raise ValueError("the fields live on different sampling sets")
     if a.normalization != b.normalization:
         raise ConversionRequired("fields have different normalization tags")
     total = CoefficientField(a.sampling, normalization=a.normalization,

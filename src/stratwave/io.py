@@ -5,8 +5,9 @@ the complex64 sample array in C order.  Coefficient files are UTF-8 JSON
 lines with a header object carrying the group, sampling set, and
 normalization tag, then one entry per line in canonical (j, gamma) order
 (per n for snapshots).  j, gamma and n are JSON integers within
-sampling.MAX_LATTICE_COORD = 2^53, re and im are finite JSON numbers, and
-the header's group is the sampling set's group.
+sampling.MAX_LATTICE_COORD = 2^53, re and im are finite JSON numbers, the
+header's group is the sampling set's, and the sampling set's tile is the
+one its group and beta define.
 
 Writers format each entry line with one fixed template, byte-identical to
 json.dumps(entry, sort_keys=True).  Readers stream the file in chunks of
@@ -38,7 +39,7 @@ from .sampling import (
     sampling_to_json,
 )
 from . import groups as _groups
-from .coeffs import CoefficientField, L1_ATOMS, Normalization, lp_atoms
+from .coeffs import CoefficientField, Normalization
 from .profiles import SequenceSnapshots
 from .transform import GridFunction
 
@@ -118,12 +119,8 @@ def _header(header, kind: str):
     if not isinstance(norm, dict) or "kind" not in norm:
         raise ValueError('missing normalization tag; add "normalization": {"kind": "L1"} '
                          'or {"kind": "Lp", "p": ...} to the header')
-    if norm["kind"] == "L1":
-        norm = L1_ATOMS
-    elif norm["kind"] == "Lp":
-        norm = lp_atoms(json_typed(norm.get("p"), "number", "the Lp exponent p"))
-    else:
-        raise ValueError(f"unknown normalization kind {norm['kind']!r}")
+    p = json_typed(norm["p"], "number", "the Lp exponent p") if "p" in norm else None
+    norm = Normalization(norm["kind"], p)
     n_values = None
     if kind == "sequence_snapshots":
         n_values = json_typed(header.get("n_values"), "list of integer", "n_values")

@@ -107,14 +107,9 @@ class ScaleCorePair:
     def kappa(self) -> np.ndarray:
         """Decoded cores delta_{h_n}(gamma_n), shape (len, dim); computed once, read-only."""
         gammas = np.asarray(self.gammas, dtype=np.int64).reshape(len(self), self.sampling.group.dim)
-        k = _cores(self.sampling, self.js, gammas)
+        k = self.sampling.points(self.js, gammas)
         k.setflags(write=False)
         return k
-
-
-def _cores(gs: SamplingSet, js, gammas) -> np.ndarray:
-    """Decoded cores delta_{2^-j}(gamma) of (...) scales and (..., dim) lattice points."""
-    return groups.dilate(gs.group, 2.0 ** (-np.asarray(js, dtype=float)), gs.decode(gammas))
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,7 @@ def _row_classifier(gs: SamplingSet, js, gammas, tail: int, T_div: float, eps_st
     if tail < 2 or tail > js.shape[1]:
         raise ValueError(f"tail window {tail} not within horizon {js.shape[1]}")
     js = js[:, -tail:]
-    cores = _cores(gs, js, gammas[:, -tail:])
+    cores = gs.points(js, gammas[:, -tail:])
     return lambda a: _classify_rows(gs.group, cores[a], js[a], cores[a + 1:], js[a + 1:],
                                     T_div, eps_stable)
 

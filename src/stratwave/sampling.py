@@ -6,9 +6,13 @@ law and under dyadic dilations is exact: `lat_mul`, `lat_inv` and
 the Heisenberg preset the center coordinate decodes to an exact
 half-integer multiple of beta^2, which keeps the group-law closure
 drift-free.  Only the abelian and Heisenberg presets have a lattice law;
-other groups are rejected with `DomainError`.  `decode`, `encode` and the
-lattice law take (..., dim) batches under the same contract as the
+other groups are rejected with `DomainError`.  `decode`, `encode`, `points`
+and the lattice law take (..., dim) batches under the same contract as the
 `groups` operations.
+
+A SamplingSet is its group and beta.  Decoding, the tile [0, s_1) x ... x
+[0, s_dim) and the certificate read its `spacing` s (beta, and beta^2/2 on
+the Heisenberg center); a JSON tile that is not this one is refused.
 
 Coordinates stored as int64 arrays (coefficient fields, snapshot files)
 are bounded by MAX_LATTICE_COORD = 2^53 in absolute value: `decode`
@@ -18,7 +22,9 @@ wraps.  Readers and `generate` refuse larger values.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -58,7 +64,6 @@ class AtomIndex(NamedTuple):
 class SamplingSet:
     group: GroupSpec
     beta: float
-    tile: tuple[tuple[float, float], ...]  # axis-aligned box, per coordinate
 
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0):
@@ -71,8 +76,20 @@ class SamplingSet:
             raise DomainError(
                 f"no lattice law for the {g.kind} group with strata {g.strata_dims}: "
                 "sampling sets support the abelian and Heisenberg presets only")
-        if len(self.tile) != g.dim or {len(t) for t in self.tile} - {2}:
-            raise ValueError(f"the tile needs one (lo, hi) pair for each of {g.dim} coordinates")
+
+    @property
+    def spacing(self) -> np.ndarray:
+        """Per-coordinate step of the decoded lattice: beta, and beta^2/2 on
+        the Heisenberg center."""
+        s = np.full(self.group.dim, float(self.beta))
+        if self.group.kind == "heisenberg":
+            s[-1] = s[-1] * s[-1] / 2.0
+        return s
+
+    @property
+    def tile(self) -> tuple[tuple[float, float], ...]:
+        """The fundamental box [0, s_1) x ... x [0, s_dim) of the spacings."""
+        return tuple((0.0, s) for s in self.spacing.tolist())
 
     # -- integer-lattice arithmetic (exact) --------------------------------
 
@@ -104,26 +121,27 @@ class SamplingSet:
 
     def decode(self, gamma) -> np.ndarray:
         """Lattice coordinates (..., dim) -> group elements (..., dim)."""
-        gamma = np.asarray(gamma)
-        b = self.beta
-        pt = b * gamma.astype(float)
+        # scalar products: broadcasting the (dim,) spacing row is several times slower
+        gamma, s = np.asarray(gamma), self.spacing
+        pt = s[0] * gamma.astype(float)
         if self.group.kind == "heisenberg":
-            pt[..., -1] = gamma[..., -1] * b * b / 2.0
+            pt[..., -1] = gamma[..., -1] * s[-1]
         return pt
 
     def encode(self, point, tol: float = 1e-9):
         """Group elements (..., dim) -> int64 lattice coordinates, a tuple for
         one point; raises if off-lattice."""
-        b = self.beta
         point = np.asarray(point, dtype=float)
-        raw = point / b
-        if self.group.kind == "heisenberg":
-            raw[..., -1] = 2.0 * point[..., -1] / (b * b)
+        raw = point / self.spacing
         ints = np.rint(raw)
         if not np.all(np.abs(raw - ints) <= tol):
             raise ValueError(f"point {point} is not on the sampling lattice")
-        ints = ints.astype(np.int64)
-        return tuple(int(k) for k in ints) if ints.ndim == 1 else ints
+        return _lattice_out(ints.astype(np.int64))
+
+    def points(self, j, gamma) -> np.ndarray:
+        """Positions delta_{2^-j}(decode(gamma)) of (..., dim) lattice
+        coordinates, j a scalar or one per row."""
+        return groups.dilate(self.group, 2.0 ** (-np.asarray(j, dtype=float)), self.decode(gamma))
 
 
 def lattice_int64(a) -> np.ndarray:
@@ -159,21 +177,7 @@ def preset_sampling_set(g: GroupSpec, density: float) -> SamplingSet:
     {(beta a, beta b, beta^2 c / 2)} with tile [0,beta)^{2d} x [0, beta^2/2).
     Both are closed under the group law and under delta_2 exactly.
     """
-    b = float(density)
-    tile = tuple((0.0, b) for _ in range(g.dim))
-    if g.kind == "heisenberg":
-        tile = tile[:-1] + ((0.0, b * b / 2.0),)
-    return SamplingSet(group=g, beta=b, tile=tile)  # rejects other groups
-
-
-def _scaled_axis_spacings(gs: SamplingSet, j: int) -> np.ndarray:
-    """Per-axis spacing of the decoded lattice after dilation by 2^{-j}."""
-    g = gs.group
-    w = groups.dilation_weights(g)
-    base = np.full(g.dim, gs.beta)
-    if g.kind == "heisenberg":
-        base[-1] = gs.beta**2 / 2.0
-    return base * (2.0 ** (-j * w))
+    return SamplingSet(g, float(density))  # rejects other groups
 
 
 def lattice_coordinates(gs: SamplingSet, j: int, box) -> np.ndarray:
@@ -183,7 +187,7 @@ def lattice_coordinates(gs: SamplingSet, j: int, box) -> np.ndarray:
     if len(box) != gs.group.dim:
         raise ValueError("box dimension mismatch")
     axes = []
-    for (lo, hi), h in zip(box, _scaled_axis_spacings(gs, j)):
+    for (lo, hi), h in zip(box, gs.spacing * 2.0 ** (-j * groups.dilation_weights(gs.group))):
         if hi <= lo:
             return np.zeros((0, gs.group.dim), dtype=np.int64)
         axes.append(np.arange(int(np.ceil(lo / h - 1e-12)), int(np.ceil(hi / h - 1e-12)),
@@ -198,17 +202,17 @@ _TILING_ROWS = 1 << 18  # candidate translates per verify_tiling batch
 def _covering_counts(gs: SamplingSet, points: np.ndarray, tile) -> np.ndarray:
     """Per point of a (P, dim) batch, the number of translates gamma.W containing it."""
     g = gs.group
-    b = gs.beta
+    spacing = gs.spacing
     pts = points[:, None, :]
     offsets = np.array(list(itertools.product((-1, 0, 1), repeat=g.dim)))
-    gammas = np.floor(points / b).astype(np.int64)[:, None, :] + offsets
+    gammas = np.floor(points / spacing).astype(np.int64)[:, None, :] + offsets
     if g.kind == "heisenberg":
         # the group law shifts the needed center coordinate by the cross
         # term of the horizontal candidate, so anchor the center search per
         # horizontal candidate instead of globally
         gammas[..., -1] = 0
         rel_t = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)[..., -1]
-        gammas[..., -1] = np.floor(rel_t / (b * b / 2.0)).astype(np.int64) + offsets[:, -1]
+        gammas[..., -1] = np.floor(rel_t / spacing[-1]).astype(np.int64) + offsets[:, -1]
     rel = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)
     lo, hi = np.array(tile, dtype=float).T
     return np.sum(np.all((lo <= rel) & (rel < hi), axis=-1), axis=-1)
@@ -243,29 +247,19 @@ def verify_tiling(gs: SamplingSet, test_box, grid_res: int = 8, tile=None) -> Ti
     )
 
 
-def _unit_ball_volume(g: GroupSpec) -> float:
-    """Haar measure of the unit homogeneous ball (cached per group shape)."""
-    key = (g.kind, g.strata_dims)
-    if key in _BALL_VOLUMES:
-        return _BALL_VOLUMES[key]
-    if g.kind == "abelian":
-        d = g.dim
-        from math import gamma as gamma_fn, pi
-        vol = pi ** (d / 2) / gamma_fn(d / 2 + 1)
-    else:
-        # {(v, t) : (|v|^4 + 16 t^2)^(1/4) <= 1} = integral over |v| <= 1 of
-        # 2 * sqrt(1 - |v|^4) / 4 dv, reduced to a radial quadrature
-        from math import gamma as gamma_fn, pi
-        k = g.strata_dims[0]
-        sphere = 2 * pi ** (k / 2) / gamma_fn(k / 2)
-        r = np.linspace(0.0, 1.0, 20001)
-        integrand = r ** (k - 1) * np.sqrt(np.clip(1.0 - r**4, 0.0, None)) / 2.0
-        vol = sphere * float(np.trapezoid(integrand, r))
-    _BALL_VOLUMES[key] = vol
-    return vol
-
-
-_BALL_VOLUMES: dict = {}
+@functools.cache
+def _unit_ball_volume(kind: str, strata_dims: tuple) -> float:
+    """Haar measure of the unit homogeneous ball of a group shape."""
+    if kind == "abelian":
+        d = sum(strata_dims)
+        return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    # {(v, t) : (|v|^4 + 16 t^2)^(1/4) <= 1} = integral over |v| <= 1 of
+    # 2 * sqrt(1 - |v|^4) / 4 dv, reduced to a radial quadrature
+    k = strata_dims[0]
+    sphere = 2 * math.pi ** (k / 2) / math.gamma(k / 2)
+    r = np.linspace(0.0, 1.0, 20001)
+    integrand = r ** (k - 1) * np.sqrt(np.clip(1.0 - r**4, 0.0, None)) / 2.0
+    return sphere * float(np.trapezoid(integrand, r))
 
 
 def _shell(center: np.ndarray, r: int) -> np.ndarray:
@@ -310,9 +304,7 @@ def column_decay_certificate(
     if n <= Q:
         warnings.warn(f"decay exponent n={n} <= Q={Q}: lattice sum may diverge")
     x = np.asarray(x, dtype=float)
-    center = np.rint(x / gs.beta).astype(np.int64)
-    if g.kind == "heisenberg":
-        center[-1] = int(np.rint(2.0 * x[-1] / gs.beta**2))
+    center = np.rint(x / gs.spacing).astype(np.int64)
     total = 0.0
     cut_dist = 0.0
     shells_used = 0
@@ -328,10 +320,8 @@ def column_decay_certificate(
 
     # integral-comparison tail over {|z| >= cut_dist}, expressed after the
     # substitution w = 2^eta z; |W| is the tile volume
-    tile_vol = 1.0
-    for lo, hi in gs.tile:
-        tile_vol *= hi - lo
-    kappa = _unit_ball_volume(g)
+    tile_vol = math.prod(gs.spacing.tolist())
+    kappa = _unit_ball_volume(g.kind, g.strata_dims)
     S = 2.0**eta * cut_dist
     R = np.geomspace(max(S, 1e-9), max(S, 1e-9) * 1e9, 4000)
     tail_integral = float(np.trapezoid(R ** (Q - 1) * (1.0 + R) ** (-n), R)) if n > Q else np.inf
@@ -360,5 +350,10 @@ _SAMPLING_FIELDS = {"group": ("object",), "beta": ("number",), "tile": ("list of
 
 
 def sampling_from_json(obj: dict) -> SamplingSet:
+    """The sampling set of a JSON object; its tile must be the lattice's."""
     f = json_fields(obj, _SAMPLING_FIELDS, "sampling set")
-    return SamplingSet(group=groups.group_from_json(f["group"]), beta=f["beta"], tile=f["tile"])
+    gs = SamplingSet(group=groups.group_from_json(f["group"]), beta=f["beta"])
+    if f["tile"] != gs.tile:
+        raise ValueError(f"the tile must be the lattice's {[list(t) for t in gs.tile]}, "
+                         f"one (lo, hi) pair for each of {gs.group.dim} coordinates")
+    return gs

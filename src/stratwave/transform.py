@@ -7,18 +7,20 @@ dilated lattice; synthesis accumulates atom transforms in frequency.
 
 Both directions, and `dilate_grid`, evaluate the exact trigonometric sums
 dnu^d sum_nu e^{2 pi i nu.x} F(nu) and sum_x e^{-2 pi i nu.x} v_x, which
-are adjoints of each other, on one FFT path.  When every point x lies on
-the L-fold refinement of the grid (L = 2^k; for the scale-j lattice
-beta 2^{-j} Z^d that is when beta N / (2R 2^j) is a dyadic rational),
-sampling zero-pads the parity-signed spectrum into the (N L)^d FFT
-layout, frequency n at index n mod N L so the Nyquist bin keeps its
-place, runs one inverse FFT and gathers the points' indices mod N L;
-spreading scatters the values onto that grid, runs one forward FFT and
-crops back to the N^d frequencies.  Points on no refinement within the
-budget use dense (points x N^d) phase matrices, built once per call and
-scale.  A refined grid, or the dense matrices of all the scales one call
-holds together, are refused with `DomainError` before anything is built
-when they would exceed MAX_ARRAY_BYTES.  The general off-lattice
+are adjoints of each other, on one FFT path.  A point set is origin + step k
+over integers k: a scale's lattice gamma with step beta 2^{-j}, or the grid
+indices of `dilate_grid` with step h dx.  When m = step L / dx and
+c = (origin + R) L / dx are integers (L = 2^k; for beta 2^{-j} Z^d, when
+beta N / (2R 2^j) is a dyadic rational), the points sit on the L-fold
+refinement at nodes (k m + c) mod N L, exact in int64 for |k| <= 2^53.
+Sampling zero-pads the parity-signed spectrum into the (N L)^d FFT layout,
+frequency n at index n mod N L so the Nyquist bin keeps its place, runs
+one inverse FFT and gathers the nodes; spreading scatters the values onto
+that grid, runs one forward FFT and crops back to the N^d frequencies.
+Only sets on no refinement within the budget build float positions, for
+dense (points x N^d) phase matrices, once per call and scale; the matrices
+of all the scales one call holds are refused with `DomainError` before any
+is built when together they would exceed MAX_ARRAY_BYTES.  The general off-lattice
 alternative would be a nonuniform FFT (Dutt-Rokhlin 1993).
 
 Coefficient fields cross this module as arrays: `analyze` samples each
@@ -35,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .groups import DomainError, dilate
+from .groups import DomainError, dilate  # noqa: F401 (perfbench's tracer test reads it)
 from .sampling import SamplingSet, lattice_coordinates
 from .coeffs import SPARSE_FLOOR, CoefficientField, L1_ATOMS, lp_atoms, convert
 
@@ -202,35 +204,38 @@ class _Placement(NamedTuple):
     at: np.ndarray
 
 
-def _refinement(desc: GridDescriptor, points: np.ndarray) -> Optional[_Placement]:
-    """The smallest refinement L = 2^k within the budget that holds every point."""
+def _refinement(desc: GridDescriptor, ints: np.ndarray, step: float,
+                origin: float) -> Optional[_Placement]:
+    """The smallest refinement L = 2^k within the budget on which step L / dx
+    and (origin + R) L / dx are integers m and c, which holds the points
+    origin + step * ints of (P, d) integers at the nodes (ints m + c) mod N L."""
     dx = 2.0 * desc.extent / desc.N
     L = 1
     while 16 * (desc.N * L) ** desc.dim <= MAX_ARRAY_BYTES:
-        rel = (points + desc.extent) / (dx / L)
-        near = np.rint(rel)
-        if np.all(np.abs(rel - near) < 1e-9):
-            ints = np.mod(near.astype(np.int64), desc.N * L)
-            return _Placement(L, np.ravel_multi_index(tuple(ints.T), (desc.N * L,) * desc.dim))
+        m, c = step * L / dx, (origin + desc.extent) * L / dx
+        if abs(m - round(m)) < 1e-9 and abs(c - round(c)) < 1e-9:
+            NL = desc.N * L
+            nodes = (np.mod(ints, NL) * (round(m) % NL) + round(c) % NL) % NL
+            return _Placement(L, np.ravel_multi_index(tuple(nodes.T), (NL,) * desc.dim))
         L *= 2
     return None
 
 
 def _place(desc: GridDescriptor, point_sets: list) -> list[_Placement]:
-    """Each (P, d) point set on its smallest refinement within the budget.
+    """Each point set (ints, step, origin) on its smallest refinement within the budget.
 
-    Sets on no such refinement get their dense phase matrix, built here
-    once; the matrices of all sets together are refused with DomainError,
-    before any is built, when they would exceed MAX_ARRAY_BYTES.
+    Sets on no such refinement get the dense phase matrix of their positions,
+    built here once; the matrices of all sets together are refused with
+    DomainError, before any is built, when they would exceed MAX_ARRAY_BYTES.
     """
-    placed = [_refinement(desc, pts) for pts in point_sets]
-    dense = sum(len(pts) for pts, pl in zip(point_sets, placed) if pl is None)
+    placed = [_refinement(desc, *ps) for ps in point_sets]
+    dense = sum(len(ints) for (ints, _, _), pl in zip(point_sets, placed) if pl is None)
     need = 16 * dense * desc.N**desc.dim
     if need > MAX_ARRAY_BYTES:
         raise DomainError(f"{dense} points on no dyadic refinement of the grid need "
                           f"{need} B of dense phases, over the {MAX_ARRAY_BYTES} B budget")
-    return [pl if pl is not None else _Placement(0, _phases(desc, pts))
-            for pts, pl in zip(point_sets, placed)]
+    return [pl if pl is not None else _Placement(0, _phases(desc, origin + step * ints))
+            for (ints, step, origin), pl in zip(point_sets, placed)]
 
 
 def _frequencies(desc: GridDescriptor, L: int):
@@ -278,16 +283,15 @@ def _spread(desc: GridDescriptor, values: np.ndarray, pl: _Placement) -> np.ndar
     return spec * _parity(d, desc.N)
 
 
-def _points(gs: SamplingSet, j: int, gammas: np.ndarray) -> np.ndarray:
-    """Positions 2^{-j} . gamma of (P, dim) integer lattice coordinates."""
-    return dilate(gs.group, 2.0 ** (-j), gs.decode(gammas))
-
-
 class _Scale(NamedTuple):
+    sampling: SamplingSet
     j: int
     gammas: np.ndarray  # (P, dim) int64, lexicographic
-    points: np.ndarray
     placement: _Placement
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.sampling.points(self.j, self.gammas)
 
 
 def _scales(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale]:
@@ -295,9 +299,8 @@ def _scales(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale
     box = [(-desc.extent, desc.extent)] * desc.dim
     lattices = [(j, lattice_coordinates(gs, j, box))
                 for j in range(ks.j_range[0], ks.j_range[1] + 1)]
-    lattices = [(j, gm, _points(gs, j, gm)) for j, gm in lattices]
-    placements = _place(desc, [pts for _, _, pts in lattices])
-    return [_Scale(j, gm, pts, pl) for (j, gm, pts), pl in zip(lattices, placements)]
+    placements = _place(desc, [(gm, gs.beta * 2.0 ** -j, 0.0) for j, gm in lattices])
+    return [_Scale(gs, j, gm, pl) for (j, gm), pl in zip(lattices, placements)]
 
 
 def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> CoefficientField:
@@ -311,8 +314,6 @@ def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> Coeffi
     if not 1.0 < p < np.inf:
         raise DomainError("p must lie in (1, inf)")
     scales = _scales(ks, gs, desc)
-    if any(np.any(np.abs(s.points) > f.extent) for s in scales):
-        warnings.warn("lattice points beyond the grid extent wrap periodically")
     spec = grid_fft(f)
     values = [_sample(desc, ks.multiplier(s.j) * spec, s.placement) for s in scales]
     js = np.concatenate([np.full(len(s.gammas), s.j) for s in scales])
@@ -335,7 +336,7 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
     Q = gs.group.Q
     runs = c.scales()
     mults = [ks.multiplier(j) for j, _ in runs]
-    placements = _place(target, [_points(gs, j, c.gammas[run]) for j, run in runs])
+    placements = _place(target, [(c.gammas[run], gs.beta * 2.0 ** -j, 0.0) for j, run in runs])
     spec = np.zeros((target.N,) * target.dim, dtype=complex)
     for (j, run), mult, pl in zip(runs, mults, placements):
         spec += 2.0 ** (j * Q * (1.0 / p - 1.0)) * mult * _spread(target, c.values[run], pl)
@@ -457,14 +458,15 @@ def dilate_grid(f: GridFunction, h: float) -> GridFunction:
     k = np.log2(h)
     if abs(k - round(k)) > 1e-12:
         raise DomainError("grid dilation supports h = 2^k only")
-    grids = np.meshgrid(*([f.axis()] * f.dim), indexing="ij")
-    x = np.stack([g.ravel() for g in grids], axis=1)
-    pts = x * h
-    inside = np.all(np.abs(pts) < f.extent - 1e-12, axis=1)
-    vals = np.zeros(pts.shape[0], dtype=complex)
+    grids = np.meshgrid(*([np.arange(f.N)] * f.dim), indexing="ij")
+    ints = np.stack([g.ravel() for g in grids], axis=1)
+    x = -f.extent + f.spacing * ints
+    inside = np.all(np.abs(x * h) < f.extent - 1e-12, axis=1)
+    vals = np.zeros(len(x), dtype=complex)
     if np.any(inside):
         desc = f.descriptor()
-        vals[inside] = _sample(desc, grid_fft(f), _place(desc, [pts[inside]])[0])
+        (pl,) = _place(desc, [(ints[inside], h * f.spacing, -h * f.extent)])
+        vals[inside] = _sample(desc, grid_fft(f), pl)
     # boundary-mass diagnostic: the localized dilate ignores what f does
     # outside the principal period, which only matters if f carries mass there
     edge = np.any(np.abs(x) >= f.extent / 2.0, axis=1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import stratwave as sw
 from stratwave.coeffs import (
     ConversionRequired,
+    Normalization,
     field_add,
     field_sub,
     mterm_error_curve,
@@ -163,6 +164,32 @@ def test_field_algebra():
     with pytest.raises(ConversionRequired):
         field_add(a, mixed)
 
+
+
+def test_fields_on_different_lattices_do_not_combine():
+    # gamma = 3 is x = 3 at beta = 1 and x = 1.5 at beta = 0.5: not one atom
+    a, b = (sw.CoefficientField(sw.preset_sampling_set(sw.abelian(1), beta),
+                                {sw.AtomIndex(0, (3,)): 1.0}, sw.L1_ATOMS)
+            for beta in (1.0, 0.5))
+    for op in (field_add, field_sub):
+        with pytest.raises(ValueError, match="different sampling sets"):
+            op(a, b)
+    with pytest.raises(ValueError, match="different sampling sets"):
+        unconditionality_ratio(a, b, sw.NormParams(0.0, 2.0, 2.0))
+
+
+def test_normalization_tags_are_checked():
+    for kind, p in (("Lq", 2.0), ("L1", 2.0)):
+        with pytest.raises(ValueError, match="'L1' or 'Lp'"):
+            Normalization(kind, p)
+    with pytest.raises(ValueError, match="positive exponent"):
+        sw.lp_atoms(float("nan"))
+    gs = sw.preset_sampling_set(sw.abelian(1), 1.0)
+    for missing in ({}, {"normalization": None}):
+        with pytest.raises(ValueError, match="normalization tag"):
+            sw.CoefficientField(gs, {sw.AtomIndex(0, (0,)): 1.0}, **missing)
+    with pytest.raises(ValueError, match="normalization tag"):
+        sw.CoefficientField(gs, None, "Lp")
 
 def test_build_accumulates_and_floors():
     g = sw.abelian(1)

@@ -196,6 +196,19 @@ def test_bad_header_raises_ingestion_error(tmp_path, reader, mutate, message):
         reader(path)
 
 
+
+@pytest.mark.parametrize("reader", [sio.read_field, sio.read_snapshots],
+                         ids=["field", "snapshots"])
+def test_header_tile_must_be_the_lattices(tmp_path, reader):
+    # a well-typed tile that is not [0, beta) x [0, beta) x [0, beta^2/2)
+    path, lines = (field_lines if reader is sio.read_field else snapshot_lines)(tmp_path)
+    header = json.loads(lines[0])
+    header["sampling"]["tile"][-1][1] *= 2.0
+    rewrite(path, lines, 0, header)
+    with pytest.raises(sio.IngestionError,
+                       match=r"line 1: bad sampling set \(the tile must be the lattice's"):
+        reader(path)
+
 @pytest.mark.parametrize("entry, message", [
     ({"j": 2.7, "gamma": [1.9, 2, 3], "re": "1.5", "im": True}, "JSON integers"),
     ({"j": 2, "gamma": [1, 2, 3], "re": "1.5", "im": 0.0}, "JSON numbers"),

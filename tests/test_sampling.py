@@ -98,6 +98,29 @@ def test_enumeration_is_lexicographic():
     assert gammas == sorted(gammas)
 
 
+
+@pytest.mark.parametrize("gs", [sw.preset_sampling_set(sw.abelian(2), 0.3),
+                                sw.preset_sampling_set(sw.heisenberg(1), 0.3)],
+                         ids=["abelian2", "heisenberg1"])
+def test_points_batch_matches_dilate_of_decode_row_by_row(gs):
+    rng = np.random.default_rng(3)
+    gammas = rng.integers(-2**40, 2**40, size=(4, 5, gs.group.dim))
+    js = rng.integers(-3, 4, size=(4, 5))
+    got = gs.points(js, gammas)
+    for k in np.ndindex(js.shape):
+        want = sw.dilate(gs.group, 2.0 ** -int(js[k]), gs.decode(tuple(gammas[k].tolist())))
+        assert np.array_equal(got[k], want)
+    # one scale for the whole batch
+    assert np.array_equal(gs.points(2, gammas), gs.points(np.full(js.shape, 2), gammas))
+
+
+def test_spacing_and_tile_derive_from_beta():
+    gs = sw.SamplingSet(sw.heisenberg(1), 0.5)
+    assert gs.spacing.tolist() == [0.5, 0.5, 0.125]
+    assert gs.tile == ((0.0, 0.5), (0.0, 0.5), (0.0, 0.125))
+    assert gs == sw.preset_sampling_set(sw.heisenberg(1), 0.5)
+    assert sw.preset_sampling_set(sw.abelian(2), 0.5).tile == ((0.0, 0.5), (0.0, 0.5))
+
 @pytest.mark.parametrize("gs", lattices(), ids=lambda gs: f"{gs.group.kind}{gs.group.dim}b{gs.beta}")
 def test_tiling_exact(gs):
     box = [(-1.5, 1.5)] * gs.group.dim
@@ -214,7 +237,7 @@ def test_sampling_set_rejects_groups_without_a_lattice_law(make):
     with pytest.raises(sw.DomainError, match="no lattice law"):
         sw.preset_sampling_set(g, 1.0)
     with pytest.raises(sw.DomainError, match="no lattice law"):
-        sw.SamplingSet(group=g, beta=1.0, tile=tuple((0.0, 1.0) for _ in range(g.dim)))
+        sw.SamplingSet(group=g, beta=1.0)
 
 
 def test_decay_certificate_divergence_warning():
@@ -251,4 +274,12 @@ def test_sampling_json_roundtrip():
 def test_sampling_from_json_refuses_mistyped_fields(change, message):
     obj = dict(sampling_to_json(sw.preset_sampling_set(sw.abelian(1), 1.0)), **change)
     with pytest.raises(ValueError, match=message):
+        sampling_from_json(obj)
+
+
+def test_sampling_from_json_refuses_a_tile_that_is_not_the_lattices():
+    obj = sampling_to_json(sw.preset_sampling_set(sw.heisenberg(1), 0.5))
+    assert sampling_from_json(obj) == sw.preset_sampling_set(sw.heisenberg(1), 0.5)
+    obj["tile"] = [[0.0, 0.5], [0.0, 0.5], [0.0, 0.25]]  # beta^2, not beta^2 / 2
+    with pytest.raises(ValueError, match="one \\(lo, hi\\) pair for each of 3 coordinates"):
         sampling_from_json(obj)

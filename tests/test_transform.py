@@ -214,6 +214,22 @@ def test_synthesize_refuses_another_sampling_set():
         sw.synthesize(c, ks, sw.preset_sampling_set(sw.abelian(1), 0.25), desc)
 
 
+
+@pytest.mark.parametrize("window", [sw.build_window(1.0), sw.build_narrow_window()],
+                         ids=["smooth", "narrow"])
+def test_atom_at_the_lattice_bound_synthesizes_like_its_periodic_copy(window):
+    # with beta = 0.25 on [-4, 4) the lattice period is 32: gamma = 2^53 - 1
+    # is the copy of gamma = 31, which the float position 0.25 gamma rounds
+    # away from its node
+    gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
+    desc = sw.GridDescriptor(1, 256, 4.0)
+    ks = sw.build_kernel_set(window, desc, (0, 0))
+    far, near = 2**53 - 1, (2**53 - 1) % 32
+    f_far, f_near = (sw.synthesize(sw.CoefficientField(gs, {sw.AtomIndex(0, (g,)): 1.0},
+                                                       sw.lp_atoms(2.0)), ks, gs, desc).samples
+                     for g in (far, near))
+    assert np.linalg.norm(f_far - f_near) <= 1e-12 * np.linalg.norm(f_near)
+
 # -- the exact FFT path --------------------------------------------------------
 
 def _random_grid(rng, dim, n, extent) -> sw.GridFunction:

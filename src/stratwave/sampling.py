@@ -37,6 +37,7 @@ from .groups import DomainError, GroupSpec
 
 __all__ = [
     "AtomIndex",
+    "MAX_ARRAY_BYTES",
     "MAX_LATTICE_COORD",
     "lattice_int64",
     "SamplingSet",
@@ -51,6 +52,9 @@ __all__ = [
 
 
 MAX_LATTICE_COORD = 2**53
+# the one budget, 256 MiB, for large arrays: a scale's lattice here, and the
+# refined FFT grids and dense phase matrices of `transform`
+MAX_ARRAY_BYTES = 1 << 28
 
 
 class AtomIndex(NamedTuple):
@@ -182,16 +186,26 @@ def preset_sampling_set(g: GroupSpec, density: float) -> SamplingSet:
 
 def lattice_coordinates(gs: SamplingSet, j: int, box) -> np.ndarray:
     """All gamma in Gamma with 2^{-j} . gamma inside the half-open box, as a
-    (P, dim) int64 array in lexicographic order."""
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    if len(box) != gs.group.dim:
+    (P, dim) int64 array in lexicographic order; DomainError, before any is
+    built, when the P points would exceed MAX_ARRAY_BYTES."""
+    box = np.array([(float(lo), float(hi)) for lo, hi in box]).reshape(-1, 2)
+    d = gs.group.dim
+    if len(box) != d:
         raise ValueError("box dimension mismatch")
-    axes = []
-    for (lo, hi), h in zip(box, gs.spacing * 2.0 ** (-j * groups.dilation_weights(gs.group))):
-        if hi <= lo:
-            return np.zeros((0, gs.group.dim), dtype=np.int64)
-        axes.append(np.arange(int(np.ceil(lo / h - 1e-12)), int(np.ceil(hi / h - 1e-12)),
-                              dtype=np.int64))
+    if np.any(box[:, 1] <= box[:, 0]):
+        return np.zeros((0, d), dtype=np.int64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        steps = gs.spacing * 2.0 ** (-j * groups.dilation_weights(gs.group))
+        ends = np.ceil(box / steps[:, None] - 1e-12)
+    if not (np.isfinite(steps).all() and np.isfinite(ends).all()):
+        raise DomainError(f"the scale-{j} lattice in the box {box.tolist()} has no finite "
+                          "float64 step or point count")
+    ends = [(int(a), int(b)) for a, b in ends.tolist()]
+    count = math.prod(max(b - a, 0) for a, b in ends)
+    if 8 * d * count > MAX_ARRAY_BYTES:
+        raise DomainError(f"{count} lattice points at scale {j} need {8 * d * count} B, "
+                          f"over the {MAX_ARRAY_BYTES} B budget")
+    axes = [np.arange(a, b, dtype=np.int64) for a, b in ends]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -280,6 +294,25 @@ def _shell(center: np.ndarray, r: int) -> np.ndarray:
     return center + np.concatenate(parts)
 
 
+_SHELL_ROWS = 1 << 14  # lattice points per decay-certificate block
+
+
+def _shell_block(d: int, rb: int) -> tuple[np.ndarray, list]:
+    """Offsets of the shells r < rb, concatenated in the order of _shell(0, r),
+    and the rb + 1 shell bounds: shell r is rows bounds[r]:bounds[r + 1].
+
+    The cube of radius rb - 1 is lexicographic, and so is each (shell, first
+    axis at +-r) group of _shell; one stable sort by r d + k puts the groups
+    in _shell's order.
+    """
+    cube = np.indices((2 * rb - 1,) * d).reshape(d, -1).T - (rb - 1)
+    size = np.abs(cube)
+    r = size.max(axis=1)
+    k = np.argmax(size == r[:, None], axis=1)
+    order = np.argsort(r * d + k, kind="stable")
+    return cube[order], [max(2 * s - 1, 0) ** d for s in range(rb + 1)]
+
+
 def column_decay_certificate(
     gs: SamplingSet,
     eta: int,
@@ -296,22 +329,49 @@ def column_decay_certificate(
     of the running total, then adds an integral-comparison tail estimate
     (1/|W|) * 2^{-eta Q} * kappa * Q * int_S R^{Q-1} (1+R)^{-n} dR with S the
     rescaled cut radius.  The result must stay bounded uniformly in (eta, j, x).
+
+    The shells r < r_b, r_b <= max_shells the largest radius whose cube of
+    (2 r_b - 1)^dim points fits _SHELL_ROWS, are evaluated in one group-law
+    pass and summed shell by shell from its slices; each later shell is its
+    own pass.  The stopping rule and every sum are those of the shell-by-shell
+    loop, bit for bit.
     """
     g = gs.group
-    Q = g.Q
+    Q, d = g.Q, g.dim
     if eta > j:
         raise ValueError("requires eta <= j")
+    if isinstance(max_shells, bool) or not isinstance(max_shells, (int, np.integer)) \
+            or max_shells < 1:
+        raise ValueError(f"max_shells must be an integer >= 1, got {max_shells!r}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise ValueError(f"x must be one point of {d} coordinates, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got {x}")
     if n <= Q:
         warnings.warn(f"decay exponent n={n} <= Q={Q}: lattice sum may diverge")
-    x = np.asarray(x, dtype=float)
     center = np.rint(x / gs.spacing).astype(np.int64)
+
+    def terms(gammas):
+        rel = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), x)
+        dists = groups.hom_norm(g, groups.dilate(g, 2.0 ** (-j), rel))
+        return 2.0 ** (-j * Q) / (1.0 + 2.0**eta * dists) ** n, dists
+
+    rb = 1
+    while rb < max_shells and (2 * rb + 1) ** d <= _SHELL_ROWS:
+        rb += 1
+    offsets, bounds = _shell_block(d, rb)
+    block_terms, block_dists = terms(center + offsets)
     total = 0.0
     cut_dist = 0.0
     shells_used = 0
     for r in range(max_shells):
-        rel = groups.multiply(g, groups.inverse(g, gs.decode(_shell(center, r))), x)
-        dists = groups.hom_norm(g, groups.dilate(g, 2.0 ** (-j), rel))
-        contrib = float(np.sum(2.0 ** (-j * Q) / (1.0 + 2.0**eta * dists) ** n))
+        if r < rb:
+            rows = slice(bounds[r], bounds[r + 1])
+            shell_terms, dists = block_terms[rows], block_dists[rows]
+        else:
+            shell_terms, dists = terms(_shell(center, r))
+        contrib = float(np.sum(shell_terms))
         total += contrib
         shells_used = r + 1
         cut_dist = float(np.min(dists)) if r > 0 else 0.0

@@ -20,8 +20,9 @@ that grid, runs one forward FFT and crops back to the N^d frequencies.
 Only sets on no refinement within the budget build float positions, for
 dense (points x N^d) phase matrices, once per call and scale; the matrices
 of all the scales one call holds are refused with `DomainError` before any
-is built when together they would exceed MAX_ARRAY_BYTES.  The general off-lattice
-alternative would be a nonuniform FFT (Dutt-Rokhlin 1993).
+is built when together they would exceed MAX_ARRAY_BYTES (`sampling`'s
+budget, which also bounds each refined grid at 16 B a node).  The general
+off-lattice alternative would be a nonuniform FFT (Dutt-Rokhlin 1993).
 
 Coefficient fields cross this module as arrays: `analyze` samples each
 scale at its lattice points (`sampling.lattice_coordinates`, already in
@@ -31,6 +32,7 @@ canonical arrays.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
@@ -38,7 +40,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .groups import DomainError, dilate  # noqa: F401 (perfbench's tracer test reads it)
-from .sampling import SamplingSet, lattice_coordinates
+from .sampling import MAX_ARRAY_BYTES, SamplingSet, lattice_coordinates
 from .coeffs import SPARSE_FLOOR, CoefficientField, L1_ATOMS, lp_atoms, convert
 
 __all__ = [
@@ -58,11 +60,6 @@ __all__ = [
     "besov_norm_continuous",
     "dilate_grid",
 ]
-
-# largest complex128 memory (16 B an entry) the exact sums may build: one
-# refined FFT grid of (N L)^d nodes, or the dense phase matrices (points x
-# N^d) of all the scales one call holds
-MAX_ARRAY_BYTES = 1 << 28
 
 
 class GridDescriptor(NamedTuple):
@@ -126,15 +123,19 @@ class GridFunction:
         return sum(g * g for g in grids)
 
 
+@functools.lru_cache(maxsize=16)
 def _parity(dim: int, n: int) -> np.ndarray:
     """Per-frequency sign (-1)^(k_1+...+k_d) accounting for the grid origin at -R.
 
     With extent R = N*spacing/2 the phase e^{2 pi i nu R} of each axis reduces
     to (-1)^k exactly, so the continuous-transform convention costs only signs.
+    Built once per (dim, n), read-only.
     """
     s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     grids = np.meshgrid(*([s] * dim), indexing="ij")
-    return np.prod(grids, axis=0) if dim > 1 else grids[0]
+    out = np.prod(grids, axis=0) if dim > 1 else grids[0]
+    out.setflags(write=False)
+    return out
 
 
 def grid_fft(f: GridFunction) -> np.ndarray:
@@ -297,8 +298,9 @@ class _Scale(NamedTuple):
 def _scales(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale]:
     """Each cached scale's lattice points inside the torus box, placed on the grid."""
     box = [(-desc.extent, desc.extent)] * desc.dim
+    # finest scale first: the largest lattice is refused before the others are built
     lattices = [(j, lattice_coordinates(gs, j, box))
-                for j in range(ks.j_range[0], ks.j_range[1] + 1)]
+                for j in range(ks.j_range[1], ks.j_range[0] - 1, -1)][::-1]
     placements = _place(desc, [(gm, gs.beta * 2.0 ** -j, 0.0) for j, gm in lattices])
     return [_Scale(gs, j, gm, pl) for (j, gm), pl in zip(lattices, placements)]
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import stratwave as sw
 from conftest import custom_3_2
+from stratwave import sampling
 from stratwave.sampling import (
     _shell,
+    _shell_block,
     column_decay_certificate,
     sampling_from_json,
     sampling_to_json,
@@ -250,6 +252,111 @@ def test_decay_certificate_domain():
     gs = sw.preset_sampling_set(sw.abelian(1), 1.0)
     with pytest.raises(ValueError):
         column_decay_certificate(gs, 3, 1, 4, np.zeros(1))
+
+
+@pytest.mark.parametrize("max_shells", [0, -3, 2.5, True, "6"])
+def test_decay_certificate_refuses_a_bad_shell_cap(max_shells):
+    # max_shells = 0 used to return the tail estimate alone, 0.00178 against a sum near 1
+    gs = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
+    with pytest.raises(ValueError, match="max_shells must be an integer >= 1"):
+        column_decay_certificate(gs, 0, 0, 16, np.zeros(3), max_shells=max_shells)
+    assert column_decay_certificate(gs, 0, 0, 16, np.zeros(3), max_shells=np.int64(1)) > 0
+
+
+@pytest.mark.parametrize("x, message", [
+    ([0.1, np.nan, 0.0], "finite"),
+    ([0.1, 0.2, np.inf], "finite"),
+    ([0.1, 0.2], "3 coordinates"),
+    ([[0.1, 0.2, 0.3]], "3 coordinates"),
+    (0.5, "3 coordinates"),
+], ids=["nan", "inf", "two-entries", "row", "scalar"])
+def test_decay_certificate_refuses_a_bad_point(x, message):
+    gs = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
+    with pytest.raises(ValueError, match=message):
+        column_decay_certificate(gs, 0, 0, 16, x)
+
+
+@pytest.mark.parametrize("d, rbs", [(1, [1, 2, 7, 40]), (2, [1, 2, 5, 9]), (3, [1, 2, 4, 6]),
+                                    (5, [1, 2, 3])])
+def test_shell_block_is_the_concatenated_shells(d, rbs):
+    zero = np.zeros(d, dtype=np.int64)
+    for rb in rbs:
+        offsets, bounds = _shell_block(d, rb)
+        shells = [_shell(zero, r) for r in range(rb)]
+        assert np.array_equal(offsets, np.concatenate(shells))
+        assert bounds == [0] + np.cumsum([len(s) for s in shells]).tolist()
+
+
+def _shell_by_shell(gs, eta, j, n, x, rel_tail, max_shells):
+    """(partial sum, cut distance, shells) of the certificate's stopping rule,
+    one `_shell` pass at a time."""
+    g, Q = gs.group, gs.group.Q
+    center = np.rint(x / gs.spacing).astype(np.int64)
+    total, cut, used = 0.0, 0.0, 0
+    for r in range(max_shells):
+        rel = sw.multiply(g, sw.inverse(g, gs.decode(_shell(center, r))), x)
+        dists = sw.hom_norm(g, sw.dilate(g, 2.0 ** (-j), rel))
+        contrib = float(np.sum(2.0 ** (-j * Q) / (1.0 + 2.0**eta * dists) ** n))
+        total += contrib
+        used = r + 1
+        cut = float(np.min(dists)) if r > 0 else 0.0
+        if r > 2 and contrib < rel_tail * max(total, 1e-300):
+            break
+    return total * 2.0 ** (eta * Q), cut, used
+
+
+@pytest.mark.parametrize("gs, eta, j, n, x", [
+    (sw.preset_sampling_set(sw.abelian(1), 1.0), 0, 0, 3, [0.37]),
+    (sw.preset_sampling_set(sw.abelian(2), 0.5), 1, 2, 6, [0.2, -0.1]),
+    (sw.preset_sampling_set(sw.heisenberg(1), 1.0), 1, 2, 16, [0.3, -0.2, 0.1]),
+    (sw.preset_sampling_set(sw.heisenberg(2), 1.0), 0, 1, 16, [0.3, -0.2, 0.1, 0.25, 0.05]),
+], ids=["R1", "R2", "H1", "H2"])
+@pytest.mark.parametrize("rel_tail, max_shells, shells", [
+    (0.5, 2000, 4),  # the rule stops at r = 3, inside the block
+    (0.0, 4, 4),     # max_shells ends the block early
+    (0.0, 7, 7),     # shells 5 and 6 are single passes
+], ids=["stop", "cap-inside", "cap-beyond"])
+def test_shell_block_certificate_equals_the_shell_by_shell_loop(monkeypatch, gs, eta, j, n, x,
+                                                                 rel_tail, max_shells, shells):
+    x = np.asarray(x)
+    args = (gs, eta, j, n, x, rel_tail, max_shells)
+    # a block of radius 4 (r_b = 5) instead of one near 2^14 points
+    monkeypatch.setattr(sampling, "_SHELL_ROWS", 9 ** gs.group.dim)
+    value, det = column_decay_certificate(*args, return_details=True)
+    assert det["shells"] == shells
+    partial, cut, used = _shell_by_shell(*args)
+    assert (det["partial_sum"].hex(), det["cut_distance"].hex(), det["shells"]) == (
+        partial.hex(), cut.hex(), used)
+    # a one-point block is the shell-by-shell path for every r >= 1
+    monkeypatch.setattr(sampling, "_SHELL_ROWS", 1)
+    value1, det1 = column_decay_certificate(*args, return_details=True)
+    assert value.hex() == value1.hex()
+    assert det == det1
+
+
+def test_lattice_coordinates_refuses_a_lattice_over_budget(monkeypatch):
+    # 2^81 * 4 points of H^1 at scale 40 in [-1, 1)^3: refused, not allocated
+    gs = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
+    with pytest.raises(sw.DomainError, match="budget"):
+        sw.lattice_coordinates(gs, 40, [(-1.0, 1.0)] * 3)
+    # exactly at the budget the lattice is built; one byte less refuses it
+    gs = sw.preset_sampling_set(sw.abelian(2), 1.0)
+    monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", 8 * 2 * 36)
+    assert sw.lattice_coordinates(gs, 0, [(0.0, 6.0)] * 2).shape == (36, 2)
+    monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", 8 * 2 * 36 - 1)
+    with pytest.raises(sw.DomainError, match="36 lattice points at scale 0"):
+        sw.lattice_coordinates(gs, 0, [(0.0, 6.0)] * 2)
+
+
+@pytest.mark.parametrize("j, box", [(1100, [(-1.0, 1.0)]), (-1100, [(-1.0, 1.0)]),
+                                    (0, [(-np.inf, 1.0)]), (0, [(np.nan, 1.0)])],
+                         ids=["step-underflows", "step-overflows", "infinite-box", "nan-box"])
+def test_lattice_coordinates_refuses_a_non_finite_step_or_count(j, box):
+    # 2^-1100 rounds to 0 and 2^1100 to inf; either used to give an
+    # OverflowError, or an empty lattice where gamma = 0 lies in the box
+    gs = sw.preset_sampling_set(sw.abelian(1), 1.0)
+    with pytest.raises(sw.DomainError, match="no finite float64 step or point count"):
+        sw.lattice_coordinates(gs, j, box)
 
 
 def test_sampling_json_roundtrip():

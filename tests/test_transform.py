@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import stratwave as sw
-from stratwave import transform
+from stratwave import sampling, transform
 from stratwave.groups import DomainError
 from stratwave.transform import grid_fft, grid_ifft
 from conftest import gaussian_1d
@@ -56,6 +56,31 @@ def test_fft_ifft_roundtrip_and_parseval():
     dnu = 1.0 / (2.0 * f.extent)
     assert np.sum(np.abs(spec) ** 2) * dnu == pytest.approx(
         np.sum(np.abs(f.samples) ** 2) * f.spacing, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (2, 4), (3, 4)])
+def test_parity_signs_are_built_once_and_read_only(dim, n):
+    signs = transform._parity(dim, n)
+    k = np.indices((n,) * dim).sum(axis=0)
+    assert np.array_equal(signs, (-1.0) ** k)
+    assert transform._parity(dim, n) is signs
+    with pytest.raises(ValueError, match="read-only"):
+        signs[(0,) * dim] = 2.0
+
+
+def test_analyze_refuses_an_over_budget_scale_before_building_the_others(monkeypatch):
+    # density 0.25 on N = 64, R = 2: scale j has 2^(j + 4) points, 8 B each
+    monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", 8 * 2**10)
+    f = _random_grid(np.random.default_rng(5), 1, 64, 2.0)
+    gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 7))
+    built = []
+    lattice = transform.lattice_coordinates
+    monkeypatch.setattr(transform, "lattice_coordinates",
+                        lambda gs, j, box: built.append(j) or lattice(gs, j, box))
+    with pytest.raises(DomainError, match="2048 lattice points at scale 7"):
+        sw.analyze(f, ks, gs, 2.0)
+    assert built == [7]
 
 
 def test_grid_validation():

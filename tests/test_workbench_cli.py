@@ -1,6 +1,7 @@
 """Command-line workbench: pipelines, reports, exit codes, determinism."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,25 @@ def test_verify_frame(tmp_path):
     obj = json.loads(report.read_text())
     assert obj["corrected_rel_error"] <= 1e-5
     assert obj["frame_iterations"] <= 50
+
+
+@pytest.mark.parametrize("jmax, message", [
+    ("22", "at scale 22 need"),  # 16 / (0.25 * 2^-22) = 2^28 points, 2 GiB of int64
+    ("1100", "no finite float64 step"),  # 2^-1100 rounds to 0
+])
+def test_verify_frame_refuses_an_over_budget_scale_before_allocating(tmp_path, capsys,
+                                                                     jmax, message):
+    grid = write_band_grid(tmp_path)
+    tracemalloc.start()
+    try:
+        assert main(["verify-frame", "--grid", str(grid), "--density", "0.25",
+                     "--jmax", jmax]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
+    err = capsys.readouterr().err
+    assert "validation error:" in err and message in err
 
 
 def test_norms_command(tmp_path):

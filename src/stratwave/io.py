@@ -9,10 +9,15 @@ sampling.MAX_LATTICE_COORD = 2^53, re and im are finite JSON numbers, the
 header's group is the sampling set's, and the sampling set's tile is the
 one its group and beta define.
 
-Writers format each entry line with one fixed template, byte-identical to
-json.dumps(entry, sort_keys=True).  Readers stream the file in chunks of
-_CHUNK_LINES lines, each parsed by one json.loads of its lines joined into
-a JSON array, or line by line up to the first invalid line if that fails.
+Writers format each entry line byte-identical to json.dumps(entry,
+sort_keys=True).  Each distinct float bit pattern among a field's or a
+snapshot sequence's values is formatted once by float.__repr__ (-0.0 and 0.0
+are distinct patterns), since a sequence's snapshots repeat their profiles'
+coefficients at moved indices.  Lines are written _CHUNK_LINES at a time,
+each chunk by one % of its repeated line template.  Readers stream the file
+in chunks of _CHUNK_LINES lines, each parsed by one json.loads of its lines
+joined into a JSON array, or line by line up to the first invalid line if
+that fails.
 One validator checks the parsed rows on their columns, rule by rule, and
 keeps the rows before the first that breaks a rule.  Duplicates are found
 on the kept columns before any error is raised, so a malformed file raises
@@ -55,10 +60,6 @@ __all__ = [
 
 _GRID_HEADER = struct.Struct("<iid")
 _CHUNK_LINES = 256
-# json.dumps(..., sort_keys=True) of an entry: keys sorted, ", " and ": "
-# separators, floats by repr
-_FIELD_LINE = '{"gamma": [%s], "im": %r, "j": %r, "re": %r}\n'
-_SNAPSHOT_LINE = '{"gamma": [%s], "im": %r, "j": %r, "n": %r, "re": %r}\n'
 # a closing brace followed on the same line by a comma: where one line could
 # hold two values of the joined array
 _TWO_VALUES = re.compile(r"\}[^\S\n]*,")
@@ -319,30 +320,43 @@ def _read_coefficients(path, kind: str):
     return gs, norm, n_values, reader.columns()
 
 
-def _write_entries(fh, c: CoefficientField, n=None) -> None:
-    """c's entries as JSON lines, _CHUNK_LINES entries per write."""
-    for lo in range(0, len(c), _CHUNK_LINES):
-        run = slice(lo, lo + _CHUNK_LINES)
-        gammas = [", ".join(map(str, g)) for g in c.gammas[run].tolist()]
-        cols = (gammas, c.values[run].imag.tolist(), c.js[run].tolist(),
-                c.values[run].real.tolist())
-        if n is None:
-            fh.write("".join(_FIELD_LINE % row for row in zip(*cols)))
-        else:
-            fh.write("".join(_SNAPSHOT_LINE % (g, im, j, n, r) for g, im, j, r in zip(*cols)))
+def _line_template(dim: int, n) -> str:
+    """An entry line as json.dumps(entry, sort_keys=True) writes it (keys
+    sorted, ", " and ": " separators, floats by repr), with %d for gamma's dim
+    coordinates and j, %s for the formatted im and re; n (None for a field)
+    is written into the template."""
+    n_key = "" if n is None else f'"n": {n}, '
+    return f'{{"gamma": [{", ".join(["%d"] * dim)}], "im": %s, "j": %d, {n_key}"re": %s}}\n'
 
 
 # -- coefficient fields ------------------------------------------------------
 
-def _write_coefficients(path, header: dict, gs: SamplingSet, norm, runs) -> None:
+def _write_coefficients(path, header: dict, gs: SamplingSet, norm, runs: list) -> None:
     """The header line, completed with gs, its group and norm, then the
-    entries of each (n, field) of runs; n is None for a coefficient field."""
+    entries of each (n, field) of runs; n is None for a coefficient field.
+    A chunk's rows fill one object array, the floats from the runs' formatted
+    distinct bit patterns."""
     header.update(group=_groups.group_to_json(gs.group), sampling=sampling_to_json(gs),
                   normalization=_normalization_to_json(norm))
+    dim = gs.group.dim
+    # re and im of every entry, interleaved, as positions in the distinct bit
+    # patterns: -0.0 and 0.0 differ in their bits
+    bits = np.concatenate([c.values for _, c in runs]).view(np.int64)
+    distinct, which = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
+        at = 0
         for n, c in runs:
-            _write_entries(fh, c, n)
+            line = _line_template(dim, n)
+            for lo in range(0, len(c), _CHUNK_LINES):
+                hi = min(lo + _CHUNK_LINES, len(c))
+                rows = np.empty((hi - lo, dim + 3), dtype=object)
+                rows[:, :dim] = c.gammas[lo:hi]
+                rows[:, dim + 1] = c.js[lo:hi]
+                rows[:, [dim + 2, dim]] = text[which[2 * (at + lo):2 * (at + hi)]].reshape(-1, 2)
+                fh.write(line * (hi - lo) % tuple(rows.ravel().tolist()))
+            at += len(c)
 
 
 def write_field(path, c: CoefficientField) -> None:
@@ -358,9 +372,11 @@ def read_field(path) -> CoefficientField:
 # -- sequence snapshots ------------------------------------------------------
 
 def write_snapshots(path, s: SequenceSnapshots) -> None:
+    if not s.fields:
+        raise ValueError("a sequence with no snapshots has no normalization to write")
     _write_coefficients(path, {"type": "sequence_snapshots", "n_values": list(s.n_values)},
                         s.sampling, s.fields[0].normalization,
-                        zip(map(int, s.n_values), s.fields))
+                        list(zip(s.n_values, s.fields)))
 
 
 def read_snapshots(path) -> SequenceSnapshots:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import groups
 from .groups import GroupSpec
-from .sampling import SamplingSet
+from .sampling import MAX_LATTICE_COORD, SamplingSet
 from .coeffs import (
     CoefficientField,
     NormParams,
@@ -64,13 +64,20 @@ class NonconvergentCoefficient(RuntimeError):
 @dataclass(frozen=True)
 class SequenceSnapshots:
     """SequenceSnapshots(sampling, n_values, fields): a bounded sequence of
-    coefficient fields, all on `sampling`, observed at finitely many n."""
+    coefficient fields, all on `sampling`, observed at finitely many n,
+    integers within MAX_LATTICE_COORD = 2^53 kept as a tuple of int."""
 
     sampling: SamplingSet
     n_values: tuple[int, ...]
     fields: tuple[CoefficientField, ...]
 
     def __post_init__(self):
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+               for n in self.n_values):
+            raise ValueError(f"n_values must be integers, got {self.n_values!r}")
+        object.__setattr__(self, "n_values", tuple(map(int, self.n_values)))
+        if any(abs(n) > MAX_LATTICE_COORD for n in self.n_values):
+            raise ValueError(f"n_values beyond the bound {MAX_LATTICE_COORD} = 2^53")
         if len(self.n_values) != len(self.fields):
             raise ValueError("n_values and fields must have equal length")
         if list(self.n_values) != sorted(set(self.n_values)):

@@ -334,7 +334,8 @@ def column_decay_certificate(
     (2 r_b - 1)^dim points fits _SHELL_ROWS, are evaluated in one group-law
     pass and summed shell by shell from its slices; each later shell is its
     own pass.  The stopping rule and every sum are those of the shell-by-shell
-    loop, bit for bit.
+    loop, bit for bit.  A later shell whose (points, dim) array would exceed
+    MAX_ARRAY_BYTES raises DomainError before it is built.
     """
     g = gs.group
     Q, d = g.Q, g.dim
@@ -348,6 +349,10 @@ def column_decay_certificate(
         raise ValueError(f"x must be one point of {d} coordinates, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x must be finite, got {x}")
+    if not math.isfinite(n):
+        raise ValueError(f"the decay exponent n must be finite, got {n}")
+    if not rel_tail >= 0:
+        raise ValueError(f"rel_tail must be a number >= 0, got {rel_tail}")
     if n <= Q:
         warnings.warn(f"decay exponent n={n} <= Q={Q}: lattice sum may diverge")
     center = np.rint(x / gs.spacing).astype(np.int64)
@@ -370,6 +375,10 @@ def column_decay_certificate(
             rows = slice(bounds[r], bounds[r + 1])
             shell_terms, dists = block_terms[rows], block_dists[rows]
         else:
+            need = 8 * d * ((2 * r + 1) ** d - (2 * r - 1) ** d)
+            if need > MAX_ARRAY_BYTES:
+                raise DomainError(f"the radius-{r} lattice shell needs {need} B, "
+                                  f"over the {MAX_ARRAY_BYTES} B budget")
             shell_terms, dists = terms(_shell(center, r))
         contrib = float(np.sum(shell_terms))
         total += contrib

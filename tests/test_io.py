@@ -275,28 +275,75 @@ def test_grid_extent_must_be_finite_positive(tmp_path, extent):
         sio.read_grid(path)
 
 
-def test_entry_lines_match_json_dumps(tmp_path):
+def test_entry_lines_match_json_dumps(tmp_path, monkeypatch):
+    # two-line chunks: each run spans several, and a five-entry run ends mid-chunk
+    monkeypatch.setattr(sio, "_CHUNK_LINES", 2)
     g = sw.abelian(2)
     gs = sw.preset_sampling_set(g, 1.0)
-    values = [-0.0 + 0.0j, 5e-324 - 5e-324j, 1e308 + 2.5j, -1.0 / 3.0 + 0.1j, 7.0 - 0.0j]
+    values = [complex(-0.0, 0.0), 5e-324 - 5e-324j, 1e308 + 2.5j, -1.0 / 3.0 + 0.1j,
+              complex(7.0, -0.0)]
     keys = [(0, (0, 0)), (-3, (2**53, -2**53)), (2**40, (1, -1)), (5, (123456789, 0)),
             (-(2**53), (0, 9))]
-    c = sw.CoefficientField(sampling=gs,
-                            entries={sw.AtomIndex(j, gm): v for (j, gm), v in zip(keys, values)},
-                            normalization=sw.lp_atoms(2.0))
-    expect = [{"j": idx.j, "gamma": list(idx.gamma), "re": v.real, "im": v.imag}
-              for idx, v in c.entries.items()]
+
+    def field(keys, values):
+        return sw.CoefficientField(sampling=gs, normalization=sw.lp_atoms(2.0), entries={
+            sw.AtomIndex(j, gm): v for (j, gm), v in zip(keys, values)})
+
+    def lines(c, n=None):
+        return [json.dumps({"j": idx.j, "gamma": list(idx.gamma), "re": v.real, "im": v.imag,
+                            **({} if n is None else {"n": n})}, sort_keys=True)
+                for idx, v in c.entries.items()]
+
+    def same(a, b):
+        return (np.array_equal(a.js, b.js) and np.array_equal(a.gammas, b.gammas)
+                and np.array_equal(a.values.view(np.int64), b.values.view(np.int64)))
+
+    c = field(keys, values)
     path = tmp_path / "c.jsonl"
-    sio.write_field(path, c)
-    assert path.read_text().splitlines()[1:] == [json.dumps(e, sort_keys=True) for e in expect]
-    snaps = sw.SequenceSnapshots(sampling=gs, n_values=(3, 2**50), fields=(c, c))
-    sio.write_snapshots(path, snaps)
-    want = [json.dumps(dict(e, n=n), sort_keys=True) for n in (3, 2**50) for e in expect]
-    assert path.read_text().splitlines()[1:] == want
+    for f in (c, field([], [])):
+        sio.write_field(path, f)
+        assert path.read_text().splitlines()[1:] == lines(f)
+        assert same(sio.read_field(path), f)
+    # the same values at moved indices, and the signs of every zero flipped
+    moved = field([(j + 1, (a, b - 1)) for j, (a, b) in keys[2:]], values[2:])
+    flipped = field(keys, [complex(-v.real if v.real == 0 else v.real,
+                                   -v.imag if v.imag == 0 else v.imag) for v in values])
+    assert np.array_equal(flipped.values, c.values) and not same(flipped, c)
+    n_values = (-7, 3, 4, 5, 2**50)
+    fields = (c, moved, field([], []), flipped, c)
+    sio.write_snapshots(path, sw.SequenceSnapshots(sampling=gs, n_values=n_values, fields=fields))
+    assert path.read_text().splitlines()[1:] == [
+        line for n, f in zip(n_values, fields) for line in lines(f, n)]
     back = sio.read_snapshots(path)
-    for f in back.fields:
-        assert np.array_equal(f.js, c.js) and np.array_equal(f.gammas, c.gammas)
-        assert np.array_equal(f.values.view(np.int64), c.values.view(np.int64))  # -0.0 kept
+    assert back.n_values == n_values
+    assert all(same(b, f) for b, f in zip(back.fields, fields))
+
+
+@pytest.mark.parametrize("n_values", [(0.5, 1.5), (0, 1.0), (False, True), (0, 2**53 + 1)],
+                         ids=["halves", "float", "bools", "beyond-2^53"])
+def test_snapshots_refuse_n_values_the_reader_would(n_values):
+    # (0.5, 1.5) used to be written as a [0.5, 1.5] header over entries at
+    # "n": 0 and "n": 1, a file read_snapshots refused
+    c = sample_field()
+    with pytest.raises(ValueError, match="n_values"):
+        sw.SequenceSnapshots(c.sampling, n_values, (c, c))
+
+
+def test_snapshots_keep_integer_n_values_as_int(tmp_path):
+    c = sample_field()
+    s = sw.SequenceSnapshots(c.sampling, np.array([2, 2**53]), (c, c))
+    assert s.n_values == (2, 2**53) and all(type(n) is int for n in s.n_values)
+    path = tmp_path / "s.jsonl"
+    sio.write_snapshots(path, s)
+    assert sio.read_snapshots(path).n_values == s.n_values
+
+
+def test_write_snapshots_refuses_an_empty_sequence(tmp_path):
+    # used to raise IndexError from the missing first snapshot
+    empty = sw.SequenceSnapshots(sample_field().sampling, (), ())
+    with pytest.raises(ValueError, match="no snapshots"):
+        sio.write_snapshots(tmp_path / "s.jsonl", empty)
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 def test_joined_lines_do_not_merge(tmp_path):

@@ -252,6 +252,14 @@ def test_decay_certificate_domain():
     gs = sw.preset_sampling_set(sw.abelian(1), 1.0)
     with pytest.raises(ValueError):
         column_decay_certificate(gs, 3, 1, 4, np.zeros(1))
+    # n = nan used to return nan with an inf tail; rel_tail = nan never stopped
+    for n in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="decay exponent n must be finite"):
+            column_decay_certificate(gs, 0, 0, n, np.zeros(1))
+    for rel_tail in (np.nan, -1e-10):
+        with pytest.raises(ValueError, match="rel_tail must be a number >= 0"):
+            column_decay_certificate(gs, 0, 0, 4, np.zeros(1), rel_tail=rel_tail)
+    assert column_decay_certificate(gs, 0, 0, 4, np.zeros(1), rel_tail=0.0, max_shells=50) > 0
 
 
 @pytest.mark.parametrize("max_shells", [0, -3, 2.5, True, "6"])
@@ -274,6 +282,25 @@ def test_decay_certificate_refuses_a_bad_point(x, message):
     gs = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
     with pytest.raises(ValueError, match=message):
         column_decay_certificate(gs, 0, 0, 16, x)
+
+
+def test_decay_certificate_refuses_a_shell_over_the_budget(monkeypatch):
+    # an abelian(2) shell of radius r holds 8r points of 16 B: a 640 B
+    # budget takes r = 5 and refuses r = 6 before building it
+    gs = sw.preset_sampling_set(sw.abelian(2), 1.0)
+    monkeypatch.setattr(sampling, "_SHELL_ROWS", 1)
+    monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", 640)
+    built = []
+    monkeypatch.setattr(sampling, "_shell", lambda c, r: built.append(r) or _shell(c, r))
+    args = (gs, 0, 0, 6, np.zeros(2))
+    assert column_decay_certificate(*args, rel_tail=0.0, max_shells=6) > 0
+    assert built == [1, 2, 3, 4, 5]
+    built.clear()
+    with pytest.raises(sw.DomainError, match="radius-6 lattice shell needs 768 B"):
+        column_decay_certificate(*args, rel_tail=0.0, max_shells=7)
+    assert built == [1, 2, 3, 4, 5]
+    # a certificate that stops before the shell never meets the budget
+    assert column_decay_certificate(*args, rel_tail=0.5, max_shells=2000) > 0
 
 
 @pytest.mark.parametrize("d, rbs", [(1, [1, 2, 7, 40]), (2, [1, 2, 5, 9]), (3, [1, 2, 4, 6]),

@@ -9,7 +9,9 @@ they declare, unless overlap is explicitly allowed (adversarial inputs).
 
 A track's atom indices for every n come from one batched call of the exact
 lattice law; indices beyond sampling.MAX_LATTICE_COORD are refused with
-`DomainError` before they are stored as int64.
+`DomainError` before they are stored as int64.  A spec whose horizon x
+(bundle atoms + noise entries) x dim int64 coordinates would exceed
+sampling.MAX_ARRAY_BYTES is refused with `DomainError` before any is built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from ._json import json_fields
-from .sampling import AtomIndex, SamplingSet, lattice_int64
+from .groups import DomainError
+from .sampling import MAX_ARRAY_BYTES, AtomIndex, SamplingSet, lattice_int64
 from .coeffs import CoefficientField, lp_atoms, sobolev_seq_norm
 from .profiles import SequenceSnapshots, _row_classifier, _verdict
 
@@ -102,10 +105,9 @@ class GeneratorSpec:
             raise ValueError("compact needs a constant track")
 
 
-def _noise(spec: GeneratorSpec, gs: SamplingSet):
-    """Scale-0 noise shared by every snapshot: (K, dim) lattice points and K values."""
+def _noise(spec: GeneratorSpec, gs: SamplingSet, count: int):
+    """Scale-0 noise shared by every snapshot: (count, dim) lattice points and count values."""
     rng = np.random.default_rng(spec.noise_seed)
-    count = spec.noise_count if spec.noise_amplitude != 0.0 else 0
     draws = [(rng.integers(-10**6, -10**6 + 1000, size=gs.group.dim),
               spec.noise_amplitude * complex(*rng.normal(size=2)) / np.sqrt(2.0))
              for _ in range(count)]
@@ -130,13 +132,19 @@ def generate(spec: GeneratorSpec, gs: SamplingSet) -> SequenceSnapshots:
     for k, t in enumerate(spec.tracks):
         if {len(t.gamma0), len(t.gamma_slope)} | {len(a.dgamma) for a in t.bundle} != {dim}:
             raise ValueError(f"track {k}: core and bundle offsets need {dim} coordinates")
+    noise = spec.noise_count if spec.noise_amplitude != 0.0 else 0
+    entries = sum(len(t.bundle) for t in spec.tracks) + noise
+    need = 8 * spec.horizon * entries * dim
+    if need > MAX_ARRAY_BYTES:
+        raise DomainError(f"{spec.horizon} snapshots of {entries} entries need {need} B of "
+                          f"lattice coordinates, over the {MAX_ARRAY_BYTES} B budget")
     laws = [_track_indices(spec, gs, t) for t in spec.tracks]
     # entries per snapshot in insertion order: tracks, their atoms, then the noise
     js = np.concatenate([j for j, _ in laws]).T
     gammas = np.concatenate([gm for _, gm in laws]).transpose(1, 0, 2)
     js, gammas = lattice_int64(js), lattice_int64(gammas)
     values = np.array([complex(a.d) for t in spec.tracks for a in t.bundle], dtype=complex)
-    noise_gammas, noise_values = _noise(spec, gs)
+    noise_gammas, noise_values = _noise(spec, gs, noise)
     n_track = len(values)
     js = np.concatenate([js, np.zeros((spec.horizon, len(noise_values)), dtype=np.int64)], axis=1)
     values = np.concatenate([values, noise_values])

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import groups
 from .groups import GroupSpec
-from .sampling import MAX_LATTICE_COORD, SamplingSet
+from .sampling import MAX_LATTICE_COORD, SamplingSet, lattice_int64
 from .coeffs import (
     CoefficientField,
     NormParams,
@@ -101,11 +101,17 @@ class SequenceSnapshots:
 
 @dataclass(frozen=True)
 class ScaleCorePair:
-    """A scale/core track: h_n = 2^{-j_n} and decoded core positions kappa_n."""
+    """A scale/core track: h_n = 2^{-j_n} and decoded core positions kappa_n.
+    Scales and coordinates are integers within MAX_LATTICE_COORD = 2^53;
+    larger ones raise DomainError."""
 
     sampling: SamplingSet
     js: tuple[int, ...]
     gammas: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        lattice_int64(self.js)
+        lattice_int64(self.gammas)  # also ValueError if ragged
 
     def __len__(self):
         return len(self.js)

@@ -44,6 +44,7 @@ __all__ = [
     "TilingReport",
     "preset_sampling_set",
     "lattice_coordinates",
+    "lattice_ranges",
     "verify_tiling",
     "column_decay_certificate",
     "sampling_to_json",
@@ -188,12 +189,20 @@ def lattice_coordinates(gs: SamplingSet, j: int, box) -> np.ndarray:
     """All gamma in Gamma with 2^{-j} . gamma inside the half-open box, as a
     (P, dim) int64 array in lexicographic order; DomainError, before any is
     built, when the P points would exceed MAX_ARRAY_BYTES."""
+    axes = [np.arange(a, b, dtype=np.int64) for a, b in lattice_ranges(gs, j, box)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def lattice_ranges(gs: SamplingSet, j: int, box) -> list[tuple[int, int]]:
+    """The per-coordinate integer ranges [a, b) whose product is
+    `lattice_coordinates(gs, j, box)`, with its checks and budget; builds nothing."""
     box = np.array([(float(lo), float(hi)) for lo, hi in box]).reshape(-1, 2)
     d = gs.group.dim
     if len(box) != d:
         raise ValueError("box dimension mismatch")
     if np.any(box[:, 1] <= box[:, 0]):
-        return np.zeros((0, d), dtype=np.int64)
+        return [(0, 0)] * d
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         steps = gs.spacing * 2.0 ** (-j * groups.dilation_weights(gs.group))
         ends = np.ceil(box / steps[:, None] - 1e-12)
@@ -205,9 +214,7 @@ def lattice_coordinates(gs: SamplingSet, j: int, box) -> np.ndarray:
     if 8 * d * count > MAX_ARRAY_BYTES:
         raise DomainError(f"{count} lattice points at scale {j} need {8 * d * count} B, "
                           f"over the {MAX_ARRAY_BYTES} B budget")
-    axes = [np.arange(a, b, dtype=np.int64) for a, b in ends]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return ends
 
 
 _TILING_ROWS = 1 << 18  # candidate translates per verify_tiling batch
@@ -295,6 +302,11 @@ def _shell(center: np.ndarray, r: int) -> np.ndarray:
 
 
 _SHELL_ROWS = 1 << 14  # lattice points per decay-certificate block
+# the bytes charged to a shell past the block, in copies of its (points, dim)
+# int64 coordinates, besides the 4 r entries of its axis ranges: building it
+# and its group-law pass peak at about 4.7 copies with the ranges included
+# (tracemalloc: 4.7 on R^2, 4.3 on R^3 and H^1, 4.0 on H^2)
+_PASS_COPIES = 5
 
 
 def _shell_block(d: int, rb: int) -> tuple[np.ndarray, list]:
@@ -334,8 +346,9 @@ def column_decay_certificate(
     (2 r_b - 1)^dim points fits _SHELL_ROWS, are evaluated in one group-law
     pass and summed shell by shell from its slices; each later shell is its
     own pass.  The stopping rule and every sum are those of the shell-by-shell
-    loop, bit for bit.  A later shell whose (points, dim) array would exceed
-    MAX_ARRAY_BYTES raises DomainError before it is built.
+    loop, bit for bit.  A later shell whose construction and pass would
+    exceed MAX_ARRAY_BYTES (_PASS_COPIES copies of its (points, dim) int64
+    coordinates, and its axis ranges) raises DomainError before it is built.
     """
     g = gs.group
     Q, d = g.Q, g.dim
@@ -362,6 +375,9 @@ def column_decay_certificate(
         dists = groups.hom_norm(g, groups.dilate(g, 2.0 ** (-j), rel))
         return 2.0 ** (-j * Q) / (1.0 + 2.0**eta * dists) ** n, dists
 
+    def sums(shell_terms, dists):  # the shell's arrays are freed before the next is built
+        return float(np.sum(shell_terms)), float(np.min(dists))
+
     rb = 1
     while rb < max_shells and (2 * rb + 1) ** d <= _SHELL_ROWS:
         rb += 1
@@ -373,17 +389,16 @@ def column_decay_certificate(
     for r in range(max_shells):
         if r < rb:
             rows = slice(bounds[r], bounds[r + 1])
-            shell_terms, dists = block_terms[rows], block_dists[rows]
+            contrib, nearest = sums(block_terms[rows], block_dists[rows])
         else:
-            need = 8 * d * ((2 * r + 1) ** d - (2 * r - 1) ** d)
+            need = 8 * (_PASS_COPIES * d * ((2 * r + 1) ** d - (2 * r - 1) ** d) + 4 * r)
             if need > MAX_ARRAY_BYTES:
-                raise DomainError(f"the radius-{r} lattice shell needs {need} B, "
-                                  f"over the {MAX_ARRAY_BYTES} B budget")
-            shell_terms, dists = terms(_shell(center, r))
-        contrib = float(np.sum(shell_terms))
+                raise DomainError(f"the radius-{r} lattice shell and its group-law pass need "
+                                  f"{need} B, over the {MAX_ARRAY_BYTES} B budget")
+            contrib, nearest = sums(*terms(_shell(center, r)))
         total += contrib
         shells_used = r + 1
-        cut_dist = float(np.min(dists)) if r > 0 else 0.0
+        cut_dist = nearest if r > 0 else 0.0
         if r > 2 and contrib < rel_tail * max(total, 1e-300):
             break
 

@@ -28,6 +28,18 @@ Coefficient fields cross this module as arrays: `analyze` samples each
 scale at its lattice points (`sampling.lattice_coordinates`, already in
 canonical order) and `synthesize` reads each scale's run of the field's
 canonical arrays.
+
+`frame_reconstruct` applies the frame operator S = sum_j 2^{-jQ} A_j^* A_j
+to spectra (Ron-Shen 1997 fiberization; Daubechies 1992, ch. 3).  A scale
+folds when its torus-box lattice is the whole subgroup m Z^d of its L-fold
+refinement, each node once: m divides N L and c = N L / 2 == 0 mod m,
+which every scale at a dyadic density meets.  Its A_j^* A_j is then
+(L / (dx m))^d psi_hat_j times the sum of psi_hat_j Y over the aliases
+n + k N L / m, with no FFT and no lattice points; for m = 1 (alias period
+N L / m >= N) that is one multiply.  Every other scale (dense phases, an
+offset coset) keeps the sample/spread pair above.  The CG iterates on
+spectra with Parseval's inner products, dnu^d = (2R)^{-d}, and one inverse
+FFT returns the grid function.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .groups import DomainError, dilate  # noqa: F401 (perfbench's tracer test reads it)
-from .sampling import MAX_ARRAY_BYTES, SamplingSet, lattice_coordinates
+from .sampling import MAX_ARRAY_BYTES, SamplingSet, lattice_coordinates, lattice_ranges
 from .coeffs import SPARSE_FLOOR, CoefficientField, L1_ATOMS, lp_atoms, convert
 
 __all__ = [
@@ -205,38 +217,44 @@ class _Placement(NamedTuple):
     at: np.ndarray
 
 
-def _refinement(desc: GridDescriptor, ints: np.ndarray, step: float,
-                origin: float) -> Optional[_Placement]:
-    """The smallest refinement L = 2^k within the budget on which step L / dx
-    and (origin + R) L / dx are integers m and c, which holds the points
-    origin + step * ints of (P, d) integers at the nodes (ints m + c) mod N L."""
+def _refinement(desc: GridDescriptor, step: float, origin: float) -> Optional[tuple[int, int, int]]:
+    """(L, m, c) for the smallest refinement L = 2^k within the budget on which
+    step L / dx and (origin + R) L / dx are integers m and c: the points
+    origin + step k of integers k sit at its nodes (k m + c) mod N L."""
     dx = 2.0 * desc.extent / desc.N
     L = 1
     while 16 * (desc.N * L) ** desc.dim <= MAX_ARRAY_BYTES:
         m, c = step * L / dx, (origin + desc.extent) * L / dx
         if abs(m - round(m)) < 1e-9 and abs(c - round(c)) < 1e-9:
-            NL = desc.N * L
-            nodes = (np.mod(ints, NL) * (round(m) % NL) + round(c) % NL) % NL
-            return _Placement(L, np.ravel_multi_index(tuple(nodes.T), (NL,) * desc.dim))
+            return L, round(m), round(c)
         L *= 2
     return None
 
 
 def _place(desc: GridDescriptor, point_sets: list) -> list[_Placement]:
-    """Each point set (ints, step, origin) on its smallest refinement within the budget.
+    """Each point set (ints, step, origin), ints (P, d) integers, on its
+    smallest refinement within the budget.
 
     Sets on no such refinement get the dense phase matrix of their positions,
     built here once; the matrices of all sets together are refused with
     DomainError, before any is built, when they would exceed MAX_ARRAY_BYTES.
     """
-    placed = [_refinement(desc, *ps) for ps in point_sets]
-    dense = sum(len(ints) for (ints, _, _), pl in zip(point_sets, placed) if pl is None)
+    refined = [_refinement(desc, step, origin) for _, step, origin in point_sets]
+    dense = sum(len(ints) for (ints, _, _), geo in zip(point_sets, refined) if geo is None)
     need = 16 * dense * desc.N**desc.dim
     if need > MAX_ARRAY_BYTES:
         raise DomainError(f"{dense} points on no dyadic refinement of the grid need "
                           f"{need} B of dense phases, over the {MAX_ARRAY_BYTES} B budget")
-    return [pl if pl is not None else _Placement(0, _phases(desc, origin + step * ints))
-            for (ints, step, origin), pl in zip(point_sets, placed)]
+    placed = []
+    for (ints, step, origin), geo in zip(point_sets, refined):
+        if geo is None:
+            placed.append(_Placement(0, _phases(desc, origin + step * ints)))
+            continue
+        L, m, c = geo
+        NL = desc.N * L
+        nodes = (np.mod(ints, NL) * (m % NL) + c % NL) % NL
+        placed.append(_Placement(L, np.ravel_multi_index(tuple(nodes.T), (NL,) * desc.dim)))
+    return placed
 
 
 def _frequencies(desc: GridDescriptor, L: int):
@@ -346,38 +364,103 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
     return grid_ifft(blank, spec)
 
 
+def _alias_period(desc: GridDescriptor, geo, ranges) -> int:
+    """M = N L / m when a lattice of per-axis integer ranges [a, b), placed
+    at nodes (k m + c) mod N L of the refinement geo = (L, m, c), is the
+    subgroup (m Z / N L Z)^d, each node once: m divides N L, c == 0 mod m
+    and every axis holds M consecutive integers.  0 otherwise (dense phases,
+    an offset coset, a partial or repeated cover)."""
+    if geo is None:
+        return 0
+    L, m, c = geo
+    NL = desc.N * L
+    if NL % m or c % m or any(b - a != NL // m for a, b in ranges):
+        return 0
+    return NL // m
+
+
+def _fold(z: np.ndarray, M: int) -> np.ndarray:
+    """Each frequency's sum over its aliases n + k M, for M dividing N: a
+    reshape of the FFT-layout spectrum to (N / M, M)^d and a sum over the
+    N / M axes, broadcast back."""
+    N, d = z.shape[0], z.ndim
+    blocks = z.reshape((N // M, M) * d)
+    sums = blocks.sum(axis=tuple(range(0, 2 * d, 2)), keepdims=True)
+    return np.broadcast_to(sums, blocks.shape).reshape(z.shape)
+
+
+def _frame_symbol(ks: KernelSet, gs: SamplingSet,
+                  desc: GridDescriptor) -> Callable[[np.ndarray], np.ndarray]:
+    """The frame operator on spectra, Y -> S-hat Y (see the module docstring).
+
+    Sampling then spreading a folding scale multiplies the refined grid by
+    the indicator of m Z^d, hence the alias sum; the parity signs cancel
+    because c = N L / 2 == 0 mod m makes the alias period even.  Folds of
+    period N L / m >= N are multipliers, summed into one.  Every lattice's
+    budget is checked, the finest first, before any is built; only the
+    other scales build theirs, for psi_hat_j _spread(_sample(psi_hat_j Y)).
+    """
+    Q, d, N = gs.group.Q, desc.dim, desc.N
+    dx = 2.0 * desc.extent / N
+    box = [(-desc.extent, desc.extent)] * d
+    ranges = {j: lattice_ranges(gs, j, box) for j in range(ks.j_range[1], ks.j_range[0] - 1, -1)}
+    diagonal = 0.0  # a real array unless a multiplier is complex
+    folds, rest = [], []
+    for j in range(ks.j_range[0], ks.j_range[1] + 1):
+        w, mult = 2.0 ** (-j * Q), ks.multiplier(j)
+        geo = _refinement(desc, gs.beta * 2.0 ** -j, 0.0)
+        M = _alias_period(desc, geo, ranges[j])
+        if not M:
+            rest.append(j)
+        elif M >= N:
+            diagonal = diagonal + w * (geo[0] / (dx * geo[1])) ** d * mult * mult
+        else:
+            folds.append((w * (geo[0] / (dx * geo[1])) ** d * mult, mult, M))
+    placements = _place(desc, [(lattice_coordinates(gs, j, box), gs.beta * 2.0 ** -j, 0.0)
+                               for j in rest])
+    sampled = [(2.0 ** (-j * Q) * ks.multiplier(j), ks.multiplier(j), pl)
+               for j, pl in zip(rest, placements)]
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        out = diagonal * y
+        for outer, mult, M in folds:
+            out += outer * _fold(mult * y, M)
+        for outer, mult, pl in sampled:
+            out += outer * _spread(desc, _sample(desc, mult * y, pl), pl)
+        return out
+
+    return apply
+
+
 def frame_reconstruct(f: GridFunction, ks: KernelSet, gs: SamplingSet,
                       max_iter: int = 50, tol: float = 1e-6) -> tuple[GridFunction, dict]:
     """Frame-operator correction of the analyze/synthesize round trip.
 
-    Solves S g = S f by conjugate gradients in grid space, so g approximates
-    f from its frame coefficients alone.  S = sum_j 2^{-jQ} A_j^* A_j with
-    A_j the scale-j sampling of the Littlewood-Paley block is
-    synthesize . analyze for every p (the atom normalizations cancel, so S
-    takes no p), applied on arrays with each scale's lattice built once,
-    so S is linear and self-adjoint; it is positive at adequate density.
-    info holds "iterations", "relative_residual" and "residuals", the
-    relative residual before the first iteration and after each one.  A
-    RuntimeWarning flags a stop at max_iter above tol; a search direction
-    with <d, Sd> <= 0 or not finite (S not positive) raises DomainError.
+    Solves S g = S f by conjugate gradients, so g approximates f from its
+    frame coefficients alone.  S = sum_j 2^{-jQ} A_j^* A_j with A_j the
+    scale-j sampling of the Littlewood-Paley block is synthesize . analyze
+    for every p (the atom normalizations cancel, so S takes no p); it is
+    linear and self-adjoint, and positive at adequate density.  The CG runs
+    on spectra: S is applied as `_frame_symbol`, where a scale whose points
+    are a full dyadic subgroup of its refinement (every scale of a torus
+    box lattice at a dyadic density) is an FFT-free alias fold and every
+    other scale samples and spreads with its lattice built once; inner
+    products are Parseval's, weighted by dnu^d = (2R)^{-d}, and one inverse
+    FFT returns g.  info holds "iterations", "relative_residual" and
+    "residuals", the relative residual before the first iteration and after
+    each one.  A RuntimeWarning flags a stop at max_iter above tol; a search
+    direction with <d, Sd> <= 0 or not finite (S not positive) raises
+    DomainError.
     """
     desc = f.descriptor()
     _check_inputs(gs, ks, desc)
-    Q = gs.group.Q
-    scales = [(2.0 ** (-s.j * Q), ks.multiplier(s.j), s.placement)
-              for s in _scales(ks, gs, desc)]
-
-    def apply_s(x: np.ndarray) -> np.ndarray:
-        spec = grid_fft(replace(f, samples=x))
-        out = np.zeros_like(spec)
-        for w, mult, pl in scales:
-            out += w * mult * _spread(desc, _sample(desc, mult * spec, pl), pl)
-        return grid_ifft(f, out).samples
+    apply_s = _frame_symbol(ks, gs, desc)
+    dnu = (2.0 * f.extent) ** -f.dim
 
     def inner(a, b):
-        return complex(np.vdot(a, b)) * f.spacing**f.dim
+        return complex(np.vdot(a, b)) * dnu
 
-    b = apply_s(f.samples)
+    b = apply_s(grid_fft(f))
     x = b.copy()
     r = b - apply_s(x)
     d = r.copy()
@@ -403,7 +486,7 @@ def frame_reconstruct(f: GridFunction, ks: KernelSet, gs: SamplingSet,
         warnings.warn(f"frame CG stopped at max_iter={max_iter} with relative residual "
                       f"{history[-1]:.3e} above tol={tol:g}", RuntimeWarning)
     info = {"iterations": iters, "relative_residual": history[-1], "residuals": history}
-    return replace(f, samples=x), info
+    return grid_ifft(f, x), info
 
 
 def sobolev_norm(f: GridFunction, s: float, dc_tol: float = 1e-12) -> float:

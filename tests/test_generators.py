@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stratwave as sw
-from stratwave import profiles
+from stratwave import generators, profiles
 from stratwave.generators import GeneratorError, spec_from_json, spec_to_json
 from conftest import two_profile_spec
 
@@ -203,3 +203,24 @@ def test_generate_collision_messages():
     summed = sw.generate(sw.GeneratorSpec(kind="translating", tracks=(t,), horizon=4,
                                           allow_overlap=True), gs)
     assert dict(summed.fields[2].entries) == {sw.AtomIndex(0, (2,)): 1.5}
+
+
+def test_generate_refuses_a_spec_over_the_budget_before_building(monkeypatch):
+    # 8 snapshots of 2 bundle atoms and 3 noise entries on R^1: 8 * 5 * 8 = 320 B
+    spec = single_track("compact", bundle=(sw.BundleAtom(0, (0,), 1.0),
+                                           sw.BundleAtom(1, (0,), 0.5)),
+                        noise_amplitude=1e-3, noise_count=3)
+    gs = sw.preset_sampling_set(sw.abelian(1), 1.0)
+    built = []
+    law = generators._track_indices
+    monkeypatch.setattr(generators, "_track_indices", lambda *a: built.append(1) or law(*a))
+    monkeypatch.setattr(generators, "MAX_ARRAY_BYTES", 320)
+    assert sw.generate(spec, gs).horizon == 8
+    built.clear()
+    monkeypatch.setattr(generators, "MAX_ARRAY_BYTES", 319)
+    with pytest.raises(sw.DomainError, match="8 snapshots of 5 entries need 320 B"):
+        sw.generate(spec, gs)
+    assert built == []
+    # noise of zero amplitude draws no entries
+    silent = dataclasses.replace(spec, noise_amplitude=0.0)
+    assert len(sw.generate(silent, gs).fields[0]) == 2

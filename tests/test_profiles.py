@@ -132,6 +132,20 @@ def test_classify_validation():
                          T_div=5.0, eps_stable=1e-9)
 
 
+@pytest.mark.parametrize("js, gammas", [
+    ([2**53 + 1] * 4, [(0,)] * 4),
+    ([0] * 4, [(0,)] * 3 + [(-(2**53) - 1,)]),
+    ([0] * 4, [(2**70,)] * 4),
+], ids=["scale", "coordinate", "past-int64"])
+def test_scale_core_pair_refuses_integers_beyond_the_bound(js, gammas):
+    gs = lattice()
+    with pytest.raises(sw.DomainError, match=r"beyond the bound 9007199254740992 = 2\^53"):
+        pair(gs, js, gammas)
+    # the bound itself is a valid coordinate
+    assert len(pair(gs, [2**53] * 4, [(0,)] * 4)) == 4
+    assert pair(gs, [0] * 4, [(-(2**53),)] * 4).kappa[0, 0] == -(2.0**53)
+
+
 def test_classify_heisenberg_central_direction():
     # cores escaping along the center still diverge in the homogeneous norm
     gs = lattice(sw.heisenberg(1))

@@ -1,6 +1,7 @@
 """Lattices: exact integer arithmetic, tiling, enumeration, decay sums."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,22 +286,51 @@ def test_decay_certificate_refuses_a_bad_point(x, message):
 
 
 def test_decay_certificate_refuses_a_shell_over_the_budget(monkeypatch):
-    # an abelian(2) shell of radius r holds 8r points of 16 B: a 640 B
-    # budget takes r = 5 and refuses r = 6 before building it
+    # an abelian(2) shell of radius r holds 8r points of 16 B; with its pass
+    # (5 copies) and axis ranges (4r entries) it needs 8 (5 * 16 r + 4 r) =
+    # 672 r B: a 3360 B budget takes r = 5 and refuses r = 6 before building it
     gs = sw.preset_sampling_set(sw.abelian(2), 1.0)
     monkeypatch.setattr(sampling, "_SHELL_ROWS", 1)
-    monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", 640)
+    monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", 3360)
     built = []
     monkeypatch.setattr(sampling, "_shell", lambda c, r: built.append(r) or _shell(c, r))
     args = (gs, 0, 0, 6, np.zeros(2))
     assert column_decay_certificate(*args, rel_tail=0.0, max_shells=6) > 0
     assert built == [1, 2, 3, 4, 5]
     built.clear()
-    with pytest.raises(sw.DomainError, match="radius-6 lattice shell needs 768 B"):
+    with pytest.raises(sw.DomainError, match="radius-6 lattice shell and its group-law pass "
+                                             "need 4032 B"):
         column_decay_certificate(*args, rel_tail=0.0, max_shells=7)
     assert built == [1, 2, 3, 4, 5]
     # a certificate that stops before the shell never meets the budget
     assert column_decay_certificate(*args, rel_tail=0.5, max_shells=2000) > 0
+
+
+def test_decay_certificate_budget_covers_the_group_law_pass(monkeypatch):
+    # an abelian(3) shell of radius r holds 24 r^2 + 2 points of 24 B: at
+    # r = 60, 2.07 MB of coordinates, whose construction and pass peak well
+    # above that, within the bytes the budget charges for the shell
+    gs = sw.preset_sampling_set(sw.abelian(3), 1.0)
+    monkeypatch.setattr(sampling, "_SHELL_ROWS", 1)
+    r, points = 60, 24 * 60**2 + 2
+    args = (gs, 0, 0, 6, np.zeros(3))
+    tracemalloc.start()
+    try:
+        column_decay_certificate(*args, rel_tail=0.0, max_shells=r + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * 24 * points < peak <= 8 * (sampling._PASS_COPIES * 3 * points + 4 * r)
+    # a budget of those coordinates alone refuses the pass of a smaller
+    # shell, 2880 r'^2 + 32 r' + 240 B > 2073648 B from r' = 27, before
+    # building it
+    monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", 24 * points)
+    built = []
+    monkeypatch.setattr(sampling, "_shell", lambda c, r: built.append(r) or _shell(c, r))
+    with pytest.raises(sw.DomainError, match="radius-27 lattice shell and its group-law pass "
+                                             "need 2100624 B"):
+        column_decay_certificate(*args, rel_tail=0.0, max_shells=r + 1)
+    assert built == list(range(1, 27))
 
 
 @pytest.mark.parametrize("d, rbs", [(1, [1, 2, 7, 40]), (2, [1, 2, 5, 9]), (3, [1, 2, 4, 6]),

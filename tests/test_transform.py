@@ -462,6 +462,124 @@ def test_frame_reconstruct_raises_on_cg_breakdown(factor, error, message):
     _, info = sw.frame_reconstruct(f, ks, gs)  # the unmodified set still converges
     assert info["relative_residual"] <= 1e-6
 
+# -- the frame operator on spectra ---------------------------------------------
+
+# (dim, N, extent, density, j_range, refinements L of the scales, alias folds):
+# dyadic densities fold every scale, on refinements up to L = 4 in 2-D; at
+# 0.25 the aliases miss each band, at the coarser 1.0 and 0.5 they overlap
+# it; 0.375 places each scale on an offset coset (c != 0 mod m), 0.3 on none
+SYMBOL_CASES = [
+    (1, 256, 4.0, 0.25, (-1, 4), {1, 2}, 4),
+    (2, 64, 4.0, 0.25, (-1, 3), {1, 2, 4}, 2),
+    (1, 256, 4.0, 1.0, (-1, 4), {1}, 6),
+    (2, 64, 4.0, 0.5, (-1, 3), {1, 2}, 3),
+    (1, 64, 4.0, 0.375, (-1, 2), {1, 2, 4}, 0),
+    (1, 64, 4.0, 0.3, (-1, 2), {0}, 0),
+]
+SYMBOL_IDS = ["1d-dyadic", "2d-dyadic", "1d-coarse", "2d-coarse", "1d-offset", "1d-dense"]
+
+
+def _symbol_case(dim, n, extent, density, j_range):
+    desc = sw.GridDescriptor(dim, n, extent)
+    gs = sw.preset_sampling_set(sw.abelian(dim), density)
+    ks = sw.build_kernel_set(sw.build_window(1.0), desc, j_range)
+    return desc, gs, ks
+
+
+def _random_spectrum(rng, dim, n):
+    shape = (n,) * dim
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("dim, n, extent, density, j_range, Ls, folds", SYMBOL_CASES,
+                         ids=SYMBOL_IDS)
+def test_frame_symbol_equals_the_sample_spread_composite(monkeypatch, dim, n, extent, density,
+                                                         j_range, Ls, folds):
+    desc, gs, ks = _symbol_case(dim, n, extent, density, j_range)
+    scales = transform._scales(ks, gs, desc)
+    assert {s.placement.L for s in scales} == Ls
+    fold = transform._fold
+    calls = []
+    monkeypatch.setattr(transform, "_fold", lambda z, M: calls.append(M) or fold(z, M))
+    apply_s = transform._frame_symbol(ks, gs, desc)
+    y = _random_spectrum(np.random.default_rng(13), dim, n)
+    got = apply_s(y)
+    assert len(calls) == folds and all(M < n for M in calls)
+    want = np.zeros_like(y)
+    for s in scales:
+        mult = ks.multiplier(s.j)
+        want += 2.0 ** (-s.j * dim) * mult * transform._spread(
+            desc, transform._sample(desc, mult * y, s.placement), s.placement)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim, n, extent, density, j_range, Ls, folds", SYMBOL_CASES,
+                         ids=SYMBOL_IDS)
+def test_frame_symbol_is_self_adjoint_and_positive(dim, n, extent, density, j_range, Ls, folds):
+    desc, gs, ks = _symbol_case(dim, n, extent, density, j_range)
+    apply_s = transform._frame_symbol(ks, gs, desc)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        x, y = _random_spectrum(rng, dim, n), _random_spectrum(rng, dim, n)
+        sx, sy = apply_s(x), apply_s(y)
+        scale = np.linalg.norm(x) * np.linalg.norm(sy)
+        assert abs(np.vdot(x, sy) - np.vdot(sx, y)) <= 1e-13 * scale
+        xsx = np.vdot(x, sx)
+        assert xsx.real > 0 and abs(xsx.imag) <= 1e-13 * abs(xsx)
+
+
+def test_frame_reconstruct_folds_dyadic_scales_without_sampling(monkeypatch):
+    # at density 0.25 every scale folds: no lattice points, no refined FFTs
+    f = band_limited(n=256, extent=4.0, center=2.0, width=8.0)
+    gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
+    calls = []
+    for name in ("_sample", "_spread", "lattice_coordinates"):
+        fn = getattr(transform, name)
+        monkeypatch.setattr(transform, name,
+                            lambda *a, _n=name, _f=fn: calls.append(_n) or _f(*a))
+    rec, info = sw.frame_reconstruct(f, ks, gs)
+    assert calls == []
+    assert info["iterations"] >= 1 and info["relative_residual"] <= 1e-6
+    assert rel_l2(f, rec) <= 1e-6
+
+
+def test_frame_reconstruct_keeps_the_lattice_and_refinement_budgets(monkeypatch):
+    # the folded scales build no lattice, yet the finest one's budget still refuses
+    f = _random_grid(np.random.default_rng(5), 1, 64, 2.0)
+    gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 7))
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "MAX_ARRAY_BYTES", 8 * 2**10)
+        with pytest.raises(DomainError, match="2048 lattice points at scale 7"):
+            sw.frame_reconstruct(f, ks, gs)
+    # scale 7 folds on the 32-fold refinement, 16 * 2048 B; one byte less
+    # leaves it on none, and its 2048 points x 64 frequencies of dense phases
+    # are refused too
+    monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", 16 * 2048 - 1)
+    with pytest.raises(DomainError, match="2048 points on no dyadic refinement"):
+        sw.frame_reconstruct(f, ks, gs)
+
+
+def test_frame_cg_breakdown_reports_the_l2_curvature():
+    # with i * psi_hat the operator is -S; the first search direction is
+    # d = b - (-S) b for b = -S f, and the message must give <d, -S d> in the
+    # dx-weighted grid inner product
+    f = band_limited(n=128, extent=8.0, center=2.0, width=8.0)
+    gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
+    bad = dataclasses.replace(ks, multipliers={j: 1j * m for j, m in ks.multipliers.items()})
+    apply_s = transform._frame_symbol(bad, gs, f.descriptor())
+    b = apply_s(grid_fft(f))
+    d = b - apply_s(b)
+    d_grid, sd_grid = grid_ifft(f, d).samples, grid_ifft(f, apply_s(d)).samples
+    want = np.vdot(d_grid, sd_grid).real * f.spacing
+    with pytest.raises(DomainError) as err:
+        sw.frame_reconstruct(f, bad, gs)
+    got = float(re.search(r"<d, Sd> = (\S+) is not", str(err.value)).group(1))
+    assert want < 0 and got == pytest.approx(want, rel=1e-10)
+
+
 # -- norms and dilation ------------------------------------------------------
 
 def test_lebesgue_norm_oracle():

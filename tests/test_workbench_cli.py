@@ -26,6 +26,18 @@ def write_spec(tmp_path, dim=1, group=None):
     return path
 
 
+def test_generate_refuses_a_horizon_over_the_budget(tmp_path, capsys):
+    # 2e9 snapshots would need tens of GB: refused before anything is built
+    spec = write_spec(tmp_path)
+    obj = json.loads(spec.read_text())
+    obj["horizon"] = 2 * 10**9
+    spec.write_text(json.dumps(obj))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: 2000000000 snapshots of ") and "budget" in err
+    assert err.count("\n") == 1 and not (tmp_path / "o.jsonl").exists()
+
+
 def write_params(tmp_path, **overrides):
     params = {"M_max": 64, "L_max": 4, "eps_conv": 1e-8, "T_div": 5.0,
               "eps_stable": 1e-9, "tail": 8, "mode": "strict"}
@@ -432,6 +444,15 @@ def test_classify_refuses_mistyped_tracks(tmp_path, capsys, key, value):
     a.write_text(json.dumps(_set(json.loads(a.read_text()), (key,), value)))
     assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
     assert capsys.readouterr().err.startswith("validation error:")
+
+
+def test_classify_refuses_a_core_beyond_the_lattice_bound(tmp_path, capsys):
+    # 2^53 + 1 is an integer JSON number the typed reader accepts; the track refuses it
+    (a, b), _ = write_classify_case(tmp_path, "drift")
+    a.write_text(json.dumps(_set(json.loads(a.read_text()), ("gammas",), [[2**53 + 1]] * 16)))
+    assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
+    err = capsys.readouterr().err
+    assert err == "validation error: lattice coordinate beyond the bound 9007199254740992 = 2^53\n"
 
 
 # -- one typed reader for every JSON input -----------------------------------

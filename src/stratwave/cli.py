@@ -4,8 +4,9 @@ Every subcommand emits a deterministic JSON report (sorted keys, no
 timestamps) embedding the full parameter set and SHA-256 digests of its
 inputs, so identical inputs reproduce byte-identical reports.
 
-Exit codes: 0 success, 1 validation failure, 2 undecidable or
-non-convergent extraction, 3 I/O failure.
+Exit codes: 0 success, 1 validation failure (including a failed
+verify-window check and a verify-frame CG that stops short of its
+tolerance), 2 undecidable or non-convergent extraction, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,7 @@ from .profiles import (
     extract,
     remainder_split,
 )
-from .sampling import preset_sampling_set
+from .sampling import SamplingSet
 from .windows import build_narrow_window, build_window, coverage_interval, verify_partition
 
 EXIT_OK = 0
@@ -83,7 +85,7 @@ def cmd_generate(args) -> int:
     obj = _load_json(args.spec)
     spec = spec_from_json(obj)
     f = json_fields(obj, {"group": ("object",), "density": ("number", 1.0)}, "spec")
-    snaps = generate(spec, preset_sampling_set(_groups.group_from_json(f["group"]), f["density"]))
+    snaps = generate(spec, SamplingSet(_groups.group_from_json(f["group"]), f["density"]))
     _io.write_snapshots(args.out, snaps)
     _emit({
         "command": "generate",
@@ -174,11 +176,13 @@ def cmd_verify_window(args) -> int:
 
 def cmd_verify_frame(args) -> int:
     f = _io.read_grid(args.grid)
-    gs = preset_sampling_set(_groups.abelian(f.dim), args.density)
+    gs = SamplingSet(_groups.abelian(f.dim), args.density)
     ks = build_kernel_set(_window(args), f.descriptor(), (args.jmin, args.jmax))
     c = analyze(f, ks, gs, args.p)
     f_direct = synthesize(c, ks, gs, f.descriptor())
-    f_rec, info = frame_reconstruct(f, ks, gs)
+    with warnings.catch_warnings():  # a CG stop short of tol is reported below instead
+        warnings.filterwarnings("ignore", "frame CG stopped", RuntimeWarning)
+        f_rec, info = frame_reconstruct(f, ks, gs)
     l2 = lebesgue_norm(f, 2.0)
     err_direct = lebesgue_norm(
         type(f)(f.dim, f.extent, f.samples - f_direct.samples), 2.0) / l2
@@ -201,6 +205,10 @@ def cmd_verify_frame(args) -> int:
         "besov_ratio_continuous_over_discrete": cont / disc if disc > 0 else None,
     }
     _emit(report, args.report)
+    if not info["converged"]:
+        print(f"validation error: frame CG stopped after {info['iterations']} iterations "
+              f"with relative residual {info['relative_residual']:.3e}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 
@@ -223,7 +231,7 @@ def cmd_norms(args) -> int:
 
 def _pair_from_json(path) -> ScaleCorePair:
     f = json_fields(_load_json(path), _PAIR_FIELDS, "track")
-    gs = preset_sampling_set(_groups.group_from_json(f["group"]), f["beta"])
+    gs = SamplingSet(_groups.group_from_json(f["group"]), f["beta"])
     return ScaleCorePair(sampling=gs, js=f["js"], gammas=f["gammas"])  # DomainError beyond 2^53
 
 

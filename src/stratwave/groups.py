@@ -53,26 +53,42 @@ class GroupSpec:
     """A stratified group: strata dimensions, group law, homogeneous norm.
 
     kind is "abelian", "heisenberg" or "custom".  For step-2 groups the
-    law is x.y = x + y + [x, y]/2 with the bracket stored as a tensor of
-    shape (dim V2, dim V1, dim V1), antisymmetric in its last two axes.
+    law is x.y = x + y + [x, y]/2 with the bracket stored as a read-only
+    float tensor of shape (dim V2, dim V1, dim V1), antisymmetric in its
+    last two axes; a step-1 group stores none.  Equality and hashing see
+    the bracket.  The preset labels are reserved: "abelian" is step 1 and
+    "heisenberg" is exactly `heisenberg(d)`.
     """
 
     strata_dims: tuple[int, ...]
     kind: str
     bracket: Optional[np.ndarray] = field(default=None, compare=False)
+    # the bracket's bytes (-0.0 read as 0.0), which equality and hashing compare
+    _bracket_bytes: Optional[bytes] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not self.strata_dims or any(d <= 0 for d in self.strata_dims):
+        dims = tuple(self.strata_dims)
+        if not dims or any(d <= 0 for d in dims):
             raise ValueError("strata_dims must be positive integers")
-        if len(self.strata_dims) > 2:
+        if len(dims) > 2:
             raise DomainError("only step-1 and step-2 groups are supported")
-        if len(self.strata_dims) == 2:
-            d1, d2 = self.strata_dims
-            b = self.bracket
-            if b is None or b.shape != (d2, d1, d1):
+        b, d1 = self.bracket, dims[0]
+        b = None if b is None or np.size(b) == 0 else np.array(b, dtype=float)
+        if len(dims) == 1 and b is not None:
+            raise ValueError("a step-1 group has no bracket")
+        if len(dims) == 2:
+            if b is None or b.shape != (dims[1], d1, d1):
                 raise ValueError("step-2 group needs a bracket of shape (dim V2, dim V1, dim V1)")
-            if not np.allclose(b, -b.transpose(0, 2, 1)):
-                raise ValueError("bracket must be antisymmetric")
+            if not (np.isfinite(b).all() and np.allclose(b, -b.transpose(0, 2, 1))):
+                raise ValueError("bracket must be finite and antisymmetric")
+            b.flags.writeable = False
+        for name, value in (("strata_dims", dims), ("bracket", b),
+                            ("_bracket_bytes", None if b is None else (b + 0.0).tobytes())):
+            object.__setattr__(self, name, value)
+        if self.kind == "abelian" and b is not None or self.kind == "heisenberg" and not (
+                dims == (d1, 1) and d1 % 2 == 0
+                and np.array_equal(b, _heisenberg_bracket(d1 // 2))):
+            raise ValueError(f"strata {dims} and this bracket are not a {self.kind} preset's")
 
     @property
     def dim(self) -> int:
@@ -91,13 +107,18 @@ def abelian(d: int) -> GroupSpec:
     return GroupSpec(strata_dims=(d,), kind="abelian")
 
 
-def heisenberg(d: int) -> GroupSpec:
-    """Heisenberg group H^d: strata (2d, 1), [e_i, e_{d+i}] = e_t."""
+def _heisenberg_bracket(d: int) -> np.ndarray:
+    """[e_i, e_{d+i}] = e_t, the bracket of H^d."""
     b = np.zeros((1, 2 * d, 2 * d))
     for i in range(d):
         b[0, i, d + i] = 1.0
         b[0, d + i, i] = -1.0
-    return GroupSpec(strata_dims=(2 * d, 1), kind="heisenberg", bracket=b)
+    return b
+
+
+def heisenberg(d: int) -> GroupSpec:
+    """Heisenberg group H^d: strata (2d, 1), [e_i, e_{d+i}] = e_t."""
+    return GroupSpec(strata_dims=(2 * d, 1), kind="heisenberg", bracket=_heisenberg_bracket(d))
 
 
 def _as_points(g: GroupSpec, x) -> np.ndarray:
@@ -191,7 +212,7 @@ def group_to_json(g: GroupSpec) -> dict:
         "kind": "custom",
         "strata_dims": list(g.strata_dims),
         "law": "custom",
-        "coefficients": g.bracket.tolist(),
+        "coefficients": [] if g.bracket is None else g.bracket.tolist(),
     }
 
 

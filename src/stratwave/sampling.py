@@ -1,18 +1,17 @@
 """Regular sampling sets, tiles, and the lattice-sum decay certificate.
 
-Lattice members are integer coordinates, so that closure under the group
-law and under dyadic dilations is exact: `lat_mul`, `lat_inv` and
-`lat_dilate` compute on Python integers, exactly at any magnitude.  For
-the Heisenberg preset the center coordinate decodes to an exact
-half-integer multiple of beta^2, which keeps the group-law closure
-drift-free.  Only the abelian and Heisenberg presets have a lattice law;
-other groups are rejected with `DomainError`.  `decode`, `encode`, `points`
-and the lattice law take (..., dim) batches under the same contract as the
-`groups` operations.
+A step-1 group, or a step-2 group whose bracket B has integer entries, has
+the lattice Gamma_beta = {(beta a, (beta^2/2) c)} of integer coordinates
+(a, c), closed under the law (a, c).(a', c') = (a + a', c + c' + B(a, a'))
+and under delta_2, which doubles a and quadruples c.  `lat_mul`, `lat_inv`
+and `lat_dilate` compute on Python integers, exactly at any magnitude; a
+non-integer bracket is refused with `DomainError`.  `decode`, `encode`,
+`points` and the lattice law take (..., dim) batches under the same
+contract as the `groups` operations.
 
 A SamplingSet is its group and beta.  Decoding, the tile [0, s_1) x ... x
-[0, s_dim) and the certificate read its `spacing` s (beta, and beta^2/2 on
-the Heisenberg center); a JSON tile that is not this one is refused.
+[0, s_dim) and the certificate read its `spacing` s (beta on the first
+stratum, beta^2/2 on the second); a JSON tile that is not this one is refused.
 
 Coordinates stored as int64 arrays (coefficient fields, snapshot files)
 are bounded by MAX_LATTICE_COORD = 2^53 in absolute value: `decode`
@@ -73,22 +72,21 @@ class SamplingSet:
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise DomainError(f"lattice spacing beta must be positive and finite, got {self.beta}")
-        g = self.group
-        d1 = g.strata_dims[0]
-        if not ((g.kind == "abelian" and g.step == 1) or (
-                g.kind == "heisenberg" and g.strata_dims == (d1, 1) and d1 % 2 == 0
-                and np.array_equal(g.bracket, groups.heisenberg(d1 // 2).bracket))):
-            raise DomainError(
-                f"no lattice law for the {g.kind} group with strata {g.strata_dims}: "
-                "sampling sets support the abelian and Heisenberg presets only")
+        object.__setattr__(self, "beta", float(self.beta))
+        g, d1 = self.group, self.group.strata_dims[0]
+        b = np.zeros((0, d1, d1)) if g.bracket is None else g.bracket
+        if not np.array_equal(b, np.rint(b)):
+            raise DomainError(f"no lattice law for the group with strata {g.strata_dims}: "
+                              "its bracket has non-integer entries")
+        # the bracket (empty at step 1) and the dilation weights as Python ints
+        object.__setattr__(self, "_law", (_INT(b), _INT(groups.dilation_weights(g))))
 
     @property
     def spacing(self) -> np.ndarray:
-        """Per-coordinate step of the decoded lattice: beta, and beta^2/2 on
-        the Heisenberg center."""
-        s = np.full(self.group.dim, float(self.beta))
-        if self.group.kind == "heisenberg":
-            s[-1] = s[-1] * s[-1] / 2.0
+        """Per-coordinate step of the decoded lattice: beta on the first
+        stratum and beta^2/2 on the second."""
+        s = np.full(self.group.dim, self.beta)
+        s[self.group.strata_dims[0]:] = self.beta * self.beta / 2.0
         return s
 
     @property
@@ -101,11 +99,9 @@ class SamplingSet:
     def lat_mul(self, a, b):
         """Lattice product of (..., dim) integer coordinates; a tuple for one point."""
         a, b = _exact(a), _exact(b)
+        d1 = self.group.strata_dims[0]
         out = a + b
-        if self.group.kind == "heisenberg":
-            d = self.group.strata_dims[0] // 2
-            out[..., -1] += np.sum(a[..., :d] * b[..., d:2 * d]
-                                   - a[..., d:2 * d] * b[..., :d], axis=-1)
+        out[..., d1:] += np.einsum("kij,...i,...j->...k", self._law[0], a[..., :d1], b[..., :d1])
         return _lattice_out(out)
 
     def lat_inv(self, a):
@@ -116,21 +112,16 @@ class SamplingSet:
         j = _exact(j)
         if np.any(j < 0):
             raise ValueError("integer lattice dilation requires j >= 0")
-        factor = _exact(2 ** j)
-        out = _exact(a) * factor[..., None]
-        if self.group.kind == "heisenberg":
-            out[..., -1] *= factor
-        return _lattice_out(out)
+        return _lattice_out(_exact(a) * 2 ** (j[..., None] * self._law[1]))
 
     # -- decode / encode ----------------------------------------------------
 
     def decode(self, gamma) -> np.ndarray:
         """Lattice coordinates (..., dim) -> group elements (..., dim)."""
         # scalar products: broadcasting the (dim,) spacing row is several times slower
-        gamma, s = np.asarray(gamma), self.spacing
+        gamma, s, d1 = np.asarray(gamma), self.spacing, self.group.strata_dims[0]
         pt = s[0] * gamma.astype(float)
-        if self.group.kind == "heisenberg":
-            pt[..., -1] = gamma[..., -1] * s[-1]
+        pt[..., d1:] = gamma[..., d1:] * s[-1]
         return pt
 
     def encode(self, point, tol: float = 1e-9):
@@ -159,6 +150,9 @@ def lattice_int64(a) -> np.ndarray:
     return a.astype(np.int64)
 
 
+_INT = np.frompyfunc(int, 1, 1)  # an array's entries as Python ints
+
+
 def _exact(x) -> np.ndarray:
     """Integer coordinates as an array of Python ints, whose arithmetic is exact."""
     return np.array(np.asarray(x).tolist() if isinstance(x, np.ndarray) else x, dtype=object)
@@ -176,13 +170,8 @@ class TilingReport:
 
 
 def preset_sampling_set(g: GroupSpec, density: float) -> SamplingSet:
-    """Canonical lattice and tile for the preset groups.
-
-    Abelian(d): (beta Z)^d with tile [0, beta)^d.  Heisenberg(d):
-    {(beta a, beta b, beta^2 c / 2)} with tile [0,beta)^{2d} x [0, beta^2/2).
-    Both are closed under the group law and under delta_2 exactly.
-    """
-    return SamplingSet(g, float(density))  # rejects other groups
+    """`SamplingSet(g, density)`, a public alias that no module here calls."""
+    return SamplingSet(g, density)
 
 
 def lattice_coordinates(gs: SamplingSet, j: int, box) -> np.ndarray:
@@ -223,17 +212,16 @@ _TILING_ROWS = 1 << 18  # candidate translates per verify_tiling batch
 def _covering_counts(gs: SamplingSet, points: np.ndarray, tile) -> np.ndarray:
     """Per point of a (P, dim) batch, the number of translates gamma.W containing it."""
     g = gs.group
-    spacing = gs.spacing
+    spacing, d1 = gs.spacing, g.strata_dims[0]
     pts = points[:, None, :]
     offsets = np.array(list(itertools.product((-1, 0, 1), repeat=g.dim)))
     gammas = np.floor(points / spacing).astype(np.int64)[:, None, :] + offsets
-    if g.kind == "heisenberg":
-        # the group law shifts the needed center coordinate by the cross
-        # term of the horizontal candidate, so anchor the center search per
-        # horizontal candidate instead of globally
-        gammas[..., -1] = 0
-        rel_t = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)[..., -1]
-        gammas[..., -1] = np.floor(rel_t / spacing[-1]).astype(np.int64) + offsets[:, -1]
+    # the group law shifts the needed second-stratum coordinates by the
+    # cross term of the first-stratum candidate, so anchor them per
+    # first-stratum candidate instead of globally
+    gammas[..., d1:] = 0
+    rel_t = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)[..., d1:]
+    gammas[..., d1:] = np.floor(rel_t / spacing[d1:]).astype(np.int64) + offsets[:, d1:]
     rel = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)
     lo, hi = np.array(tile, dtype=float).T
     return np.sum(np.all((lo <= rel) & (rel < hi), axis=-1), axis=-1)
@@ -269,17 +257,19 @@ def verify_tiling(gs: SamplingSet, test_box, grid_res: int = 8, tile=None) -> Ti
 
 
 @functools.cache
-def _unit_ball_volume(kind: str, strata_dims: tuple) -> float:
+def _unit_ball_volume(strata_dims: tuple) -> float:
     """Haar measure of the unit homogeneous ball of a group shape."""
-    if kind == "abelian":
-        d = sum(strata_dims)
-        return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-    # {(v, t) : (|v|^4 + 16 t^2)^(1/4) <= 1} = integral over |v| <= 1 of
-    # 2 * sqrt(1 - |v|^4) / 4 dv, reduced to a radial quadrature
-    k = strata_dims[0]
+    k, d2 = (*strata_dims, 0)[:2]
+    if d2 == 0:
+        return math.pi ** (k / 2) / math.gamma(k / 2 + 1)
+    # {(v, t) : (|v|^4 + 16 |t|^2)^(1/4) <= 1} = integral over |v| <= 1 of the
+    # volume omega (sqrt(1 - |v|^4) / 4)^d2 of a V2 ball, reduced to a radial
+    # quadrature; omega_1 is the literal 2.0, where pi^(1/2) / Gamma(3/2) rounds
+    # to 1.9999999999999998
+    omega = 2.0 if d2 == 1 else math.pi ** (d2 / 2) / math.gamma(d2 / 2 + 1)
     sphere = 2 * math.pi ** (k / 2) / math.gamma(k / 2)
     r = np.linspace(0.0, 1.0, 20001)
-    integrand = r ** (k - 1) * np.sqrt(np.clip(1.0 - r**4, 0.0, None)) / 2.0
+    integrand = r ** (k - 1) * omega * (np.sqrt(np.clip(1.0 - r**4, 0.0, None)) / 4.0) ** d2
     return sphere * float(np.trapezoid(integrand, r))
 
 
@@ -405,7 +395,7 @@ def column_decay_certificate(
     # integral-comparison tail over {|z| >= cut_dist}, expressed after the
     # substitution w = 2^eta z; |W| is the tile volume
     tile_vol = math.prod(gs.spacing.tolist())
-    kappa = _unit_ball_volume(g.kind, g.strata_dims)
+    kappa = _unit_ball_volume(g.strata_dims)
     S = 2.0**eta * cut_dist
     R = np.geomspace(max(S, 1e-9), max(S, 1e-9) * 1e9, 4000)
     tail_integral = float(np.trapezoid(R ** (Q - 1) * (1.0 + R) ** (-n), R)) if n > Q else np.inf

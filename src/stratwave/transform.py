@@ -203,7 +203,7 @@ def calderon_reconstruct(f: GridFunction, ks: KernelSet) -> GridFunction:
 
 
 def _check_inputs(gs: SamplingSet, ks: KernelSet, desc: GridDescriptor) -> None:
-    if gs.group.kind != "abelian" or gs.group.dim != desc.dim:
+    if gs.group.step != 1 or gs.group.dim != desc.dim:
         raise ValueError("sampling set must be the matching abelian preset")
     if desc != ks.desc:
         raise ValueError("grid descriptor does not match the kernel cache")
@@ -446,9 +446,10 @@ def frame_reconstruct(f: GridFunction, ks: KernelSet, gs: SamplingSet,
     box lattice at a dyadic density) is an FFT-free alias fold and every
     other scale samples and spreads with its lattice built once; inner
     products are Parseval's, weighted by dnu^d = (2R)^{-d}, and one inverse
-    FFT returns g.  info holds "iterations", "relative_residual" and
+    FFT returns g.  info holds "iterations", "relative_residual",
     "residuals", the relative residual before the first iteration and after
-    each one.  A RuntimeWarning flags a stop at max_iter above tol; a search
+    each one, and "converged", whether the last one is within tol.  A
+    RuntimeWarning flags a stop at max_iter above tol; a search
     direction with <d, Sd> <= 0 or not finite (S not positive) raises
     DomainError.
     """
@@ -482,10 +483,12 @@ def frame_reconstruct(f: GridFunction, ks: KernelSet, gs: SamplingSet,
         rr = rr_new
         iters += 1
         history.append(float(np.sqrt(rr) / b_norm))
-    if np.sqrt(rr) > tol * b_norm:
+    converged = bool(np.sqrt(rr) <= tol * b_norm)
+    if not converged:
         warnings.warn(f"frame CG stopped at max_iter={max_iter} with relative residual "
                       f"{history[-1]:.3e} above tol={tol:g}", RuntimeWarning)
-    info = {"iterations": iters, "relative_residual": history[-1], "residuals": history}
+    info = {"iterations": iters, "relative_residual": history[-1], "residuals": history,
+            "converged": converged}
     return grid_ifft(f, x), info
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import stratwave as sw
 
@@ -33,6 +34,27 @@ def custom_3_2():
     b = np.zeros((2, 3, 3))
     b[0, 0, 1], b[1, 1, 2] = 1.0, 1.0
     return sw.GroupSpec(strata_dims=(3, 2), kind="custom", bracket=b - b.transpose(0, 2, 1))
+
+
+def free_3_2():
+    """The free step-2 nilpotent group N_{3,2}: strata (3, 3), [e_i, e_j] = f_k
+    for the pairs (i, j) = (0, 1), (0, 2), (1, 2) in that order."""
+    b = np.zeros((3, 3, 3))
+    for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        b[k, i, j], b[k, j, i] = 1.0, -1.0
+    return sw.GroupSpec(strata_dims=(3, 3), kind="custom", bracket=b)
+
+
+@st.composite
+def integer_step_2_groups(draw, max_d1=4, max_d2=3, max_entry=3):
+    """Custom step-2 groups with integer antisymmetric brackets, d1 <= 4 and d2 <= 3."""
+    d1, d2 = draw(st.integers(1, max_d1)), draw(st.integers(1, max_d2))
+    upper = np.array(draw(st.lists(st.integers(-max_entry, max_entry),
+                                   min_size=d2 * d1 * d1, max_size=d2 * d1 * d1)),
+                     dtype=float).reshape(d2, d1, d1)
+    upper = np.triu(upper, k=1)
+    return sw.GroupSpec(strata_dims=(d1, d2), kind="custom",
+                        bracket=upper - upper.transpose(0, 2, 1))
 
 
 def make_grid(n: int = 256, extent: float = 8.0) -> sw.GridFunction:

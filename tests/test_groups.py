@@ -91,9 +91,7 @@ def test_batched_law_matches_rows(g, data, shape, alpha):
     assert np.array_equal(sw.multiply(g, x[0], y)[0], sw.multiply(g, x[0], y[0]))
     alphas = np.full(shape, alpha)
     assert np.array_equal(sw.dilate(g, alphas, x), dil)
-    if g.kind == "custom":
-        return
-    gs = sw.preset_sampling_set(g, 0.5)
+    gs = sw.SamplingSet(g, 0.5)
     gam = np.reshape(data.draw(st.lists(st.integers(-50, 50), min_size=n * g.dim,
                                         max_size=n * g.dim)), shape + (g.dim,))
     pts = gs.decode(gam)
@@ -191,6 +189,64 @@ def test_custom_group_json_validated():
            "coefficients": [[[1.0, 0.0], [0.0, 1.0]]]}  # not antisymmetric
     with pytest.raises(ValueError):
         group_from_json(bad)
+
+
+def test_group_equality_sees_the_bracket():
+    b = custom_3_2().bracket
+    plus = sw.GroupSpec(strata_dims=(3, 2), kind="custom", bracket=b)
+    minus = sw.GroupSpec(strata_dims=(3, 2), kind="custom", bracket=-b)
+    assert plus != minus and hash(plus) != hash(minus) and len({plus, minus}) == 2
+    assert sw.SamplingSet(plus, 1.0) != sw.SamplingSet(minus, 1.0)
+    # equal values are equal groups, whatever the array or the sign of a zero
+    same = sw.GroupSpec(strata_dims=(3, 2), kind="custom", bracket=np.where(b == 0, -0.0, b))
+    assert same == plus and hash(same) == hash(plus)
+    assert group_from_json(group_to_json(minus)) == minus
+    # the bracket is read-only, so the hash cannot go stale
+    with pytest.raises(ValueError):
+        plus.bracket[0, 0, 1] = 2.0
+
+
+def test_step_1_groups_store_no_bracket():
+    g = sw.GroupSpec(strata_dims=(2,), kind="custom")
+    from_json = group_from_json({"kind": "custom", "strata_dims": [2], "coefficients": []})
+    assert g.bracket is None and from_json.bracket is None and from_json == g
+    assert group_to_json(g) == {"kind": "custom", "strata_dims": [2], "law": "custom",
+                                "coefficients": []}
+    assert group_from_json(group_to_json(g)) == g
+    with pytest.raises(ValueError, match="no bracket"):
+        sw.GroupSpec(strata_dims=(2,), kind="custom", bracket=np.ones((1, 1, 1)))
+
+
+@pytest.mark.parametrize("make", [
+    # the H^1 layout under the Heisenberg label but with the opposite bracket
+    lambda: sw.GroupSpec(strata_dims=(2, 1), kind="heisenberg",
+                         bracket=-sw.heisenberg(1).bracket),
+    # [e0, e1] = [e2, e3] = f: H^2 pairs e0 with e2 and e1 with e3
+    lambda: sw.GroupSpec(strata_dims=(4, 1), kind="heisenberg", bracket=np.array(
+        [[[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]], dtype=float)),
+    lambda: sw.GroupSpec(strata_dims=(3, 2), kind="heisenberg", bracket=custom_3_2().bracket),
+    lambda: sw.GroupSpec(strata_dims=(2,), kind="heisenberg"),
+    lambda: sw.GroupSpec(strata_dims=(2, 1), kind="abelian", bracket=sw.heisenberg(1).bracket),
+], ids=["heisenberg-flipped", "heisenberg-4+1-pairs", "heisenberg-3+2", "heisenberg-step-1",
+        "abelian-step-2"])
+def test_preset_labels_must_be_the_presets(make):
+    with pytest.raises(ValueError, match="preset"):
+        make()
+
+
+def test_flipped_heisenberg_bracket_round_trips_as_custom():
+    # written under the preset label it read back with the opposite centre
+    g = sw.GroupSpec(strata_dims=(2, 1), kind="custom", bracket=-sw.heisenberg(1).bracket)
+    back = group_from_json(group_to_json(g))
+    assert back == g and back != sw.heisenberg(1)
+    e1, e2 = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    assert sw.multiply(back, e1, e2)[-1] == -0.5
+    assert sw.multiply(sw.heisenberg(1), e1, e2)[-1] == 0.5
+
+
+def test_group_spec_refuses_three_strata():
+    with pytest.raises(DomainError, match="only step-1 and step-2"):
+        sw.GroupSpec(strata_dims=(1, 1, 1), kind="custom")
 
 
 def test_group_from_json_refuses_large_dimensions():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import stratwave as sw
 from stratwave import io as sio
+from conftest import custom_3_2
 
 
 def sample_field():
@@ -195,6 +196,22 @@ def test_bad_header_raises_ingestion_error(tmp_path, reader, mutate, message):
     with pytest.raises(sio.IngestionError, match=message):
         reader(path)
 
+
+
+def test_header_group_with_the_opposite_bracket_is_refused(tmp_path):
+    gs = sw.SamplingSet(custom_3_2(), 1.0)
+    c = sw.CoefficientField(sampling=gs, entries={sw.AtomIndex(1, (1, -2, 3, 4, -5)): 0.5 + 0j},
+                            normalization=sw.lp_atoms(2.0))
+    path = tmp_path / "c.jsonl"
+    sio.write_field(path, c)
+    assert sio.read_field(path).sampling == gs
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["group"]["coefficients"] = (-np.array(header["group"]["coefficients"])).tolist()
+    rewrite(path, lines, 0, header)
+    with pytest.raises(sio.IngestionError,
+                       match="line 1: the header group differs from the sampling set's group"):
+        sio.read_field(path)
 
 
 @pytest.mark.parametrize("reader", [sio.read_field, sio.read_snapshots],

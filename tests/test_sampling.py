@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratwave as sw
-from conftest import custom_3_2
+from conftest import custom_3_2, free_3_2, integer_step_2_groups
 from stratwave import sampling
 from stratwave.sampling import (
     _shell,
@@ -183,64 +183,106 @@ def test_shell_is_the_cube_boundary(d):
 
 def _brute_force_sums(gs, eta, j, n, x, shells):
     """(partial sum, cut distance) over the full cube of radius shells - 1,
-    one point at a time, with the H^1 law and Koranyi gauge written out."""
-    b, d = gs.beta, gs.group.dim
-    heis = gs.group.kind == "heisenberg"
-    center = [round(v / b) for v in x]
-    if heis:
-        center[-1] = round(2.0 * x[-1] / b**2)
-    Q, r = gs.group.Q, shells - 1
+    one point at a time, with the bracket law and Koranyi gauge written out."""
+    b, g = gs.beta, gs.group
+    d1, B = g.strata_dims[0], ([] if g.bracket is None else g.bracket.tolist())
+    s2 = b * b / 2.0  # the second-stratum spacing
+    center = [round(v / b) for v in x[:d1]] + [round(v / s2) for v in x[d1:]]
+    Q, r, h = g.Q, shells - 1, 2.0 ** (-j)
     total, cut = 0.0, np.inf
-    for off in itertools.product(range(-r, r + 1), repeat=d):
+    for off in itertools.product(range(-r, r + 1), repeat=g.dim):
         gam = [c + o for c, o in zip(center, off)]
-        if heis:
-            p = (b * gam[0], b * gam[1], gam[2] * b * b / 2.0)
-            rel = (x[0] - p[0], x[1] - p[1], x[2] - p[2] + (p[1] * x[0] - p[0] * x[1]) / 2.0)
-            h = 2.0 ** (-j)
-            dist = ((h * rel[0]) ** 2 + (h * rel[1]) ** 2) ** 2 + 16.0 * (h * h * rel[2]) ** 2
-            dist = dist ** 0.25
-        else:
-            dist = 2.0 ** (-j) * np.sqrt(sum((xi - b * gi) ** 2 for xi, gi in zip(x, gam)))
+        p = [b * v for v in gam[:d1]] + [s2 * v for v in gam[d1:]]
+        # p^{-1} x = x - p - [p, x]/2 in exponential coordinates
+        rel = [xi - pi for xi, pi in zip(x, p)]
+        for k, Bk in enumerate(B):
+            rel[d1 + k] -= sum(Bk[i][l] * p[i] * x[l]
+                               for i in range(d1) for l in range(d1)) / 2.0
+        v1 = sum((h * v) ** 2 for v in rel[:d1])
+        v2 = sum((h * h * v) ** 2 for v in rel[d1:])
+        dist = (v1 * v1 + 16.0 * v2) ** 0.25 if B else np.sqrt(v1)
         total += 2.0 ** (-j * Q) / (1.0 + 2.0**eta * dist) ** n
         if max(abs(o) for o in off) == r:
             cut = min(cut, dist)
     return total * 2.0 ** (eta * Q), cut
 
 
-@pytest.mark.parametrize("gs, eta, j, n, x", [
-    (sw.preset_sampling_set(sw.heisenberg(1), 1.0), 1, 2, 16, [0.3, -0.2, 0.1]),
-    (sw.preset_sampling_set(sw.heisenberg(1), 0.5), 0, 0, 16, [0.1, 0.4, 0.05]),
-    (sw.preset_sampling_set(sw.abelian(2), 0.5), 0, 0, 6, [0.2, -0.1]),
-    (sw.preset_sampling_set(sw.abelian(2), 1.0), 1, 1, 8, [0.7, 0.3]),
-], ids=["H1-eta1-j2", "H1-b0.5", "R2-b0.5", "R2-eta1-j1"])
-def test_decay_certificate_matches_brute_force(gs, eta, j, n, x):
+@pytest.mark.parametrize("gs, eta, j, n, x, shells", [
+    (sw.preset_sampling_set(sw.heisenberg(1), 1.0), 1, 2, 16, [0.3, -0.2, 0.1], 7),
+    (sw.preset_sampling_set(sw.heisenberg(1), 0.5), 0, 0, 16, [0.1, 0.4, 0.05], 7),
+    (sw.preset_sampling_set(sw.abelian(2), 0.5), 0, 0, 6, [0.2, -0.1], 7),
+    (sw.preset_sampling_set(sw.abelian(2), 1.0), 1, 1, 8, [0.7, 0.3], 7),
+    (sw.SamplingSet(custom_3_2(), 0.75), 1, 1, 24, [0.3, -0.2, 0.5, 0.1, -0.2], 3),
+], ids=["H1-eta1-j2", "H1-b0.5", "R2-b0.5", "R2-eta1-j1", "custom3+2-eta1-j1"])
+def test_decay_certificate_matches_brute_force(gs, eta, j, n, x, shells):
     # shell-by-shell sums equal a full-cube recomputation over the same points
     value, det = column_decay_certificate(gs, eta, j, n, np.asarray(x), rel_tail=0.0,
-                                          max_shells=7, return_details=True)
-    assert det["shells"] == 7
+                                          max_shells=shells, return_details=True)
+    assert det["shells"] == shells
     partial, cut = _brute_force_sums(gs, eta, j, n, x, det["shells"])
     assert det["partial_sum"] == pytest.approx(partial, rel=1e-12, abs=0)
     assert det["cut_distance"] == pytest.approx(cut, rel=1e-12, abs=0)
     assert value >= det["partial_sum"]
 
 
-@pytest.mark.parametrize("make", [
-    custom_3_2,
+# lattices of groups other than the presets: every integer bracket has one
+CUSTOM_LATTICES = {
+    "custom3+2": sw.SamplingSet(custom_3_2(), 1.0),
     # 4+1 with [e0, e1] = [e2, e3] = f: not the H^2 preset, whose bracket
     # pairs e0 with e2 and e1 with e3
-    lambda: sw.GroupSpec(strata_dims=(4, 1), kind="custom", bracket=np.array(
-        [[[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]], dtype=float)),
-    # the H^1 layout under the Heisenberg label but with the opposite bracket
-    lambda: sw.GroupSpec(strata_dims=(2, 1), kind="heisenberg",
-                         bracket=-sw.heisenberg(1).bracket),
-    lambda: sw.GroupSpec(strata_dims=(2,), kind="custom"),
-], ids=["custom3+2", "custom4+1", "heisenberg-flipped", "custom-abelian"])
-def test_sampling_set_rejects_groups_without_a_lattice_law(make):
-    g = make()
-    with pytest.raises(sw.DomainError, match="no lattice law"):
-        sw.preset_sampling_set(g, 1.0)
+    "custom4+1": sw.SamplingSet(sw.GroupSpec(strata_dims=(4, 1), kind="custom", bracket=np.array(
+        [[[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]], dtype=float)), 0.5),
+    "custom-abelian": sw.SamplingSet(sw.GroupSpec(strata_dims=(2,), kind="custom"), 0.5),
+    "free3+2": sw.SamplingSet(free_3_2(), 0.75),
+}
+
+
+def _assert_exact_law(gs, a, b, j):
+    """decode commutes with the group law, inversion and dilation, bit for bit."""
+    g = gs.group
+    assert np.array_equal(gs.decode(gs.lat_mul(a, b)),
+                          sw.multiply(g, gs.decode(a), gs.decode(b)))
+    assert np.array_equal(gs.decode(gs.lat_inv(a)), sw.inverse(g, gs.decode(a)))
+    assert np.array_equal(gs.decode(gs.lat_dilate(a, j)),
+                          sw.dilate(g, 2.0 ** np.asarray(j, dtype=float), gs.decode(a)))
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_LATTICES))
+def test_lattice_law_is_exact(name):
+    # 1000 random pairs, and one scale per pair
+    gs = CUSTOM_LATTICES[name]
+    rng = np.random.default_rng(12)
+    a, b = rng.integers(-1000, 1001, size=(2, 1000, gs.group.dim))
+    _assert_exact_law(gs, a, b, rng.integers(0, 7, size=1000))
+    assert gs.encode(gs.decode(a)).tolist() == a.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=integer_step_2_groups(), beta=st.sampled_from([1.0, 0.5, 0.75]), data=st.data())
+def test_lattice_law_is_exact_on_integer_brackets(g, beta, data):
+    gs = sw.SamplingSet(g, beta)
+    a, b = (tuple(data.draw(st.lists(lat_int, min_size=g.dim, max_size=g.dim)))
+            for _ in range(2))
+    _assert_exact_law(gs, a, b, data.draw(st.integers(0, 6)))
+    assert gs.lat_mul(a, gs.lat_inv(a)) == (0,) * g.dim
+
+
+@pytest.mark.parametrize("name, grid_res", [("custom3+2", 4), ("free3+2", 3)])
+def test_tiling_exact_on_custom_groups(name, grid_res):
+    gs = CUSTOM_LATTICES[name]
+    rep = sw.verify_tiling(gs, [(-3.0, 3.0)] * gs.group.dim, grid_res=grid_res)
+    assert (rep.max_overlap_fraction, rep.uncovered_fraction) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("entry", [0.5, 1e-9, np.sqrt(2.0)], ids=["half", "tiny", "irrational"])
+def test_sampling_set_rejects_groups_without_a_lattice_law(entry):
+    b = np.zeros((1, 2, 2))
+    b[0, 0, 1], b[0, 1, 0] = entry, -entry
+    g = sw.GroupSpec(strata_dims=(2, 1), kind="custom", bracket=b)
     with pytest.raises(sw.DomainError, match="no lattice law"):
         sw.SamplingSet(group=g, beta=1.0)
+    with pytest.raises(sw.DomainError, match="no lattice law"):
+        sw.preset_sampling_set(g, 1.0)
 
 
 def test_decay_certificate_divergence_warning():

@@ -438,11 +438,13 @@ def test_frame_reconstruct_warns_when_not_converged():
         _, info = sw.frame_reconstruct(f, ks, gs, max_iter=1, tol=1e-14)
     assert info["iterations"] == 1 and len(info["residuals"]) == 2
     assert info["residuals"][-1] == info["relative_residual"] > 1e-14
+    assert info["converged"] is False
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, info = sw.frame_reconstruct(f, ks, gs)
     assert len(info["residuals"]) == info["iterations"] + 1
     assert info["residuals"][-1] == info["relative_residual"] <= 1e-6
+    assert info["converged"] is True
 
 
 

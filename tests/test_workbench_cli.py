@@ -14,7 +14,7 @@ from stratwave import io as sio
 from stratwave.cli import main
 from stratwave.generators import spec_to_json
 from stratwave.transform import grid_ifft
-from conftest import two_profile_spec
+from conftest import custom_3_2, two_profile_spec
 
 
 def write_spec(tmp_path, dim=1, group=None):
@@ -105,6 +105,28 @@ def test_verify_frame(tmp_path):
     obj = json.loads(report.read_text())
     assert obj["corrected_rel_error"] <= 1e-5
     assert obj["frame_iterations"] <= 50
+
+
+def test_verify_frame_exits_1_when_the_cg_does_not_converge(tmp_path, capsys):
+    # a 2-D band at density 0.5 over j in [-1, 3]: 50 CG iterations leave a
+    # relative residual of about 1.2e-4, above the 1e-6 tolerance
+    blank = sw.GridFunction(2, 4.0, np.zeros((64, 64), dtype=complex))
+    nu = np.fft.fftfreq(64, d=blank.spacing)
+    radius = np.hypot(*np.meshgrid(nu, nu, indexing="ij"))
+    grid, report = tmp_path / "f.grid", tmp_path / "frame.json"
+    sio.write_grid(grid, grid_ifft(blank, np.exp(-8.0 * (radius - 2.0) ** 2).astype(complex)))
+    argv = ["verify-frame", "--grid", str(grid), "--jmin", "-1", "--jmax", "3",
+            "--report", str(report)]
+    assert main(argv + ["--density", "0.5"]) == 1
+    obj = json.loads(report.read_text())
+    assert obj["frame_iterations"] == 50 and obj["frame_residual"] > 1e-6
+    err = capsys.readouterr().err
+    assert err == (f"validation error: frame CG stopped after 50 iterations with relative "
+                   f"residual {obj['frame_residual']:.3e}\n")
+    # at density 0.25 the same grid converges
+    assert main(argv + ["--density", "0.25"]) == 0
+    assert json.loads(report.read_text())["frame_residual"] <= 1e-6
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("jmax, message", [
@@ -208,14 +230,34 @@ def test_generate_invalid_spec_exit(tmp_path):
                  "--out", str(tmp_path / "o.jsonl")]) == 1
 
 
-def test_generate_on_custom_group_exits_1(tmp_path, capsys):
-    # a custom step-2 group has no lattice law, so generate refuses it
-    b = np.zeros((2, 3, 3))
-    b[0, 0, 1], b[0, 1, 0], b[1, 1, 2], b[1, 2, 1] = 1.0, -1.0, 1.0, -1.0
-    spec = write_spec(tmp_path, dim=3, group={"kind": "custom", "strata_dims": [3, 2],
-                                              "law": "custom", "coefficients": b.tolist()})
-    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o.jsonl")]) == 1
-    assert "validation error:" in capsys.readouterr().err
+def test_custom_group_generate_decompose_classify_round_trip(tmp_path):
+    # the two-profile mixture on custom_3_2, with the core track and a bundle
+    # atom off the e0 axis so that the bracket moves the atoms' V2 coordinates
+    snaps = tmp_path / "snaps.jsonl"
+    gen, dec = tmp_path / "gen.json", tmp_path / "dec.json"
+    assert main(["generate", "--spec", str(DATA / "golden_custom_spec.json"),
+                 "--out", str(snaps), "--report", str(gen)]) == 0
+    assert main(["decompose", "--in", str(snaps),
+                 "--params", str(DATA / "golden_custom_params.json"),
+                 "--report", str(dec)]) == 0
+    _assert_same_report(gen.read_bytes(), (DATA / "golden_custom_gen.json").read_bytes())
+    _assert_same_report(dec.read_bytes(), (DATA / "golden_custom_dec.json").read_bytes())
+    report = json.loads(dec.read_text())
+    assert report["nu"] == 2
+    assert max(abs(v) for row in report["energy_defects"].values() for v in row) <= 1e-10
+    assert [p["atoms"][1]["gamma_rel"] for p in report["profiles"]] == [[1, 1, 0, 0, 0],
+                                                                         [2, 1, 1, 0, 0]]
+    group = json.loads((DATA / "golden_custom_spec.json").read_text())["group"]
+    tracks = []
+    for p in report["profiles"]:
+        tracks.append(tmp_path / f"track{p['index']}.json")
+        tracks[-1].write_text(json.dumps({"group": group,
+                                          "js": [a["j"] for a in p["core_track"]],
+                                          "gammas": [a["gamma"] for a in p["core_track"]]}))
+    verdict = tmp_path / "v.json"
+    assert main(["classify", "--a", str(tracks[0]), "--b", str(tracks[1]),
+                 "--report", str(verdict)]) == 0
+    assert json.loads(verdict.read_text())["verdict"] == "ScaleOrthogonal"
 
 
 def test_decompose_unknown_param_key_exits_1(tmp_path, capsys):
@@ -675,6 +717,18 @@ def test_generate_refuses_negative_noise_count(tmp_path, capsys):
                                     noise_count=-5)))
     assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "s.jsonl")]) == 1
     assert capsys.readouterr().err == "validation error: noise_count must be >= 0, got -5\n"
+
+
+def test_classify_refuses_tracks_on_opposite_brackets(tmp_path, capsys):
+    b = custom_3_2().bracket
+    paths = []
+    for name, sign in (("a.json", 1.0), ("b.json", -1.0)):
+        group = {"kind": "custom", "strata_dims": [3, 2], "coefficients": (sign * b).tolist()}
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps({"group": group, "js": [0] * 16,
+                                         "gammas": [[k, 0, 0, 0, 0] for k in range(16)]}))
+    assert main(["classify", "--a", str(paths[0]), "--b", str(paths[1])]) == 1
+    assert capsys.readouterr().err == "validation error: tracks live on different sampling sets\n"
 
 
 def test_classify_refuses_tracks_on_different_lattices(tmp_path, capsys):

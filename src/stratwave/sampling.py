@@ -80,14 +80,14 @@ class SamplingSet:
                               "its bracket has non-integer entries")
         # the bracket (empty at step 1) and the dilation weights as Python ints
         object.__setattr__(self, "_law", (_INT(b), _INT(groups.dilation_weights(g))))
+        s = np.where(np.arange(g.dim) < d1, self.beta, self.beta * self.beta / 2.0)
+        s.setflags(write=False)
+        object.__setattr__(self, "_spacing", s)
 
     @property
     def spacing(self) -> np.ndarray:
-        """Per-coordinate step of the decoded lattice: beta on the first
-        stratum and beta^2/2 on the second."""
-        s = np.full(self.group.dim, self.beta)
-        s[self.group.strata_dims[0]:] = self.beta * self.beta / 2.0
-        return s
+        """Read-only per-coordinate step of the decoded lattice: beta on V1, beta^2/2 on V2."""
+        return self._spacing
 
     @property
     def tile(self) -> tuple[tuple[float, float], ...]:
@@ -262,15 +262,13 @@ def _unit_ball_volume(strata_dims: tuple) -> float:
     k, d2 = (*strata_dims, 0)[:2]
     if d2 == 0:
         return math.pi ** (k / 2) / math.gamma(k / 2 + 1)
-    # {(v, t) : (|v|^4 + 16 |t|^2)^(1/4) <= 1} = integral over |v| <= 1 of the
-    # volume omega (sqrt(1 - |v|^4) / 4)^d2 of a V2 ball, reduced to a radial
-    # quadrature; omega_1 is the literal 2.0, where pi^(1/2) / Gamma(3/2) rounds
-    # to 1.9999999999999998
+    # {(v, t) : (|v|^4 + 16 |t|^2)^(1/4) <= 1} = integral over |v| <= 1 of the V2 ball
+    # volume omega (sqrt(1 - |v|^4) / 4)^d2, whose radial part is B(k/4, d2/2 + 1) / 4;
+    # omega_1 is the literal 2.0, where pi^(1/2) / Gamma(3/2) rounds to 1.9999999999999998
     omega = 2.0 if d2 == 1 else math.pi ** (d2 / 2) / math.gamma(d2 / 2 + 1)
     sphere = 2 * math.pi ** (k / 2) / math.gamma(k / 2)
-    r = np.linspace(0.0, 1.0, 20001)
-    integrand = r ** (k - 1) * omega * (np.sqrt(np.clip(1.0 - r**4, 0.0, None)) / 4.0) ** d2
-    return sphere * float(np.trapezoid(integrand, r))
+    radial = math.gamma(k / 4) * math.gamma(d2 / 2 + 1) / math.gamma(k / 4 + d2 / 2 + 1)
+    return sphere * omega * radial / 4.0 ** (d2 + 1)
 
 
 def _shell(center: np.ndarray, r: int) -> np.ndarray:
@@ -299,20 +297,34 @@ _SHELL_ROWS = 1 << 14  # lattice points per decay-certificate block
 _PASS_COPIES = 5
 
 
-def _shell_block(d: int, rb: int) -> tuple[np.ndarray, list]:
-    """Offsets of the shells r < rb, concatenated in the order of _shell(0, r),
-    and the rb + 1 shell bounds: shell r is rows bounds[r]:bounds[r + 1].
+@functools.lru_cache(maxsize=16)
+def _shell_block(d: int, rb: int) -> tuple[np.ndarray, tuple]:
+    """Read-only offsets of the shells r < rb, concatenated in the order of
+    _shell(0, r), and the rb + 1 shell bounds: shell r is rows bounds[r]:bounds[r + 1].
 
     The cube of radius rb - 1 is lexicographic, and so is each (shell, first
-    axis at +-r) group of _shell; one stable sort by r d + k puts the groups
-    in _shell's order.
+    axis at +-r) group of _shell; one stable sort by r d + k puts the groups in
+    _shell's order.  The cache holds 16 blocks of at most 2^14 d 8 B each.
     """
     cube = np.indices((2 * rb - 1,) * d).reshape(d, -1).T - (rb - 1)
     size = np.abs(cube)
     r = size.max(axis=1)
     k = np.argmax(size == r[:, None], axis=1)
-    order = np.argsort(r * d + k, kind="stable")
-    return cube[order], [max(2 * s - 1, 0) ** d for s in range(rb + 1)]
+    offsets = cube[np.argsort(r * d + k, kind="stable")]
+    offsets.setflags(write=False)
+    return offsets, tuple(max(2 * s - 1, 0) ** d for s in range(rb + 1))
+
+
+def _tail_integral(Q: int, n: float, S: float) -> float:
+    """int_S^inf R^{Q-1} (1+R)^{-n} dR for real n > Q, by Q - 1 integrations by parts:
+    (1+S)^{Q-n} sum_{i<Q} c_i t^{Q-1-i}, t = S/(1+S), c_i = (Q-1)!/(Q-1-i)! / prod_{l<=i}
+    (n-1-l).  Its terms are positive, and the power underflows to 0 but never overflows."""
+    t = S / (1.0 + S)
+    c = acc = 1.0 / (n - 1)
+    for i in range(1, Q):
+        c *= (Q - i) / (n - 1 - i)
+        acc = acc * t + c
+    return (1.0 + S) ** (Q - n) * acc
 
 
 def column_decay_certificate(
@@ -327,18 +339,18 @@ def column_decay_certificate(
 ):
     """Certified value of 2^{eta Q} * sum_gamma 2^{-jQ} (1 + 2^eta |2^{-j}.gamma^{-1}.x|)^{-n}.
 
-    Sums integer-lattice shells until a shell contributes less than rel_tail
-    of the running total, then adds an integral-comparison tail estimate
-    (1/|W|) * 2^{-eta Q} * kappa * Q * int_S R^{Q-1} (1+R)^{-n} dR with S the
-    rescaled cut radius.  The result must stay bounded uniformly in (eta, j, x).
+    Sums integer-lattice shells until a shell contributes less than rel_tail of
+    the running total, then adds the integral-comparison tail (1/|W|) 2^{-eta Q}
+    kappa Q int_S^inf R^{Q-1} (1+R)^{-n} dR, S the rescaled cut radius, in the closed
+    form of `_tail_integral`.  The result must stay bounded uniformly in (eta, j, x).
 
     The shells r < r_b, r_b <= max_shells the largest radius whose cube of
-    (2 r_b - 1)^dim points fits _SHELL_ROWS, are evaluated in one group-law
-    pass and summed shell by shell from its slices; each later shell is its
-    own pass.  The stopping rule and every sum are those of the shell-by-shell
-    loop, bit for bit.  A later shell whose construction and pass would
-    exceed MAX_ARRAY_BYTES (_PASS_COPIES copies of its (points, dim) int64
-    coordinates, and its axis ranges) raises DomainError before it is built.
+    (2 r_b - 1)^dim points fits _SHELL_ROWS, are one group-law pass over offsets
+    built once per (dim, r_b) and shared across calls, summed shell by shell
+    from its slices; each later shell is its own pass.  The stopping rule and
+    every sum are those of the shell-by-shell loop, bit for bit.  A later shell whose
+    construction and pass would exceed MAX_ARRAY_BYTES (_PASS_COPIES copies of its
+    (points, dim) int64 coordinates, and its axis ranges) raises DomainError first.
     """
     g = gs.group
     Q, d = g.Q, g.dim
@@ -396,10 +408,8 @@ def column_decay_certificate(
     # substitution w = 2^eta z; |W| is the tile volume
     tile_vol = math.prod(gs.spacing.tolist())
     kappa = _unit_ball_volume(g.strata_dims)
-    S = 2.0**eta * cut_dist
-    R = np.geomspace(max(S, 1e-9), max(S, 1e-9) * 1e9, 4000)
-    tail_integral = float(np.trapezoid(R ** (Q - 1) * (1.0 + R) ** (-n), R)) if n > Q else np.inf
-    tail = (kappa * Q / tile_vol) * 2.0 ** (-eta * Q) * tail_integral
+    tail = (kappa * Q / tile_vol) * 2.0 ** (-eta * Q) * (
+        _tail_integral(Q, n, 2.0**eta * cut_dist) if n > Q else np.inf)
 
     value = (total + tail) * 2.0 ** (eta * Q)
     if return_details:

@@ -1,7 +1,9 @@
 """Lattices: exact integer arithmetic, tiling, enumeration, decay sums."""
 
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from stratwave import sampling
 from stratwave.sampling import (
     _shell,
     _shell_block,
+    _tail_integral,
     column_decay_certificate,
     sampling_from_json,
     sampling_to_json,
@@ -154,6 +157,78 @@ def test_decay_certificate_abelian_oracle():
     assert details["partial_sum"] <= oracle
     assert oracle - details["partial_sum"] <= 2e-3
     assert value == pytest.approx(oracle, rel=2e-3)
+
+
+def _tail_oracle(Q, n, S):
+    """int_S^inf R^{Q-1} (1+R)^{-n} dR for integer n > Q as an exact Fraction:
+    with u = 1 + R it is sum_k C(Q-1, k) (-1)^{Q-1-k} U^{k+1-n} / (n-1-k), U = 1 + S."""
+    U = 1 + Fraction(S)
+    return sum(Fraction(math.comb(Q - 1, k) * (-1) ** (Q - 1 - k), n - 1 - k) * U ** (k + 1 - n)
+               for k in range(Q))
+
+
+@pytest.mark.parametrize("Q, n", [(Q, n) for Q in (1, 2, 3, 4, 6, 7)
+                                  for n in (Q + 1, Q + 2, 16, 24, 40)])
+def test_tail_integral_is_exact(Q, n):
+    for S in (0.0, 1e-9, 1e-3, 0.5, 1.0, 7.5, 1e3, 1e6):
+        exact = _tail_oracle(Q, n, S)
+        assert abs(Fraction(_tail_integral(Q, n, S)) - exact) <= Fraction(1e-13) * exact, S
+
+
+@pytest.mark.parametrize("S", [0.0, 1e-3, 0.5, 7.5, 1e6])
+def test_tail_integral_closed_forms_at_non_integer_n(S):
+    u = 1.0 + S
+    # Q = 1: int (1+R)^{-3/2} = 2 u^{-1/2}; Q = 2: int (u-1) u^{-5/2} = 2 u^{-1/2} - (2/3) u^{-3/2}
+    assert _tail_integral(1, 1.5, S) == pytest.approx(2.0 * u**-0.5, rel=1e-14, abs=0)
+    assert _tail_integral(2, 2.5, S) == pytest.approx(2.0 * u**-0.5 - 2.0 / 3.0 * u**-1.5,
+                                                      rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("Q, n", [(1, 2), (4, 16), (7, 8)])
+def test_tail_integral_underflows_instead_of_overflowing(Q, n):
+    tail = _tail_integral(Q, n, 1e300)
+    assert math.isfinite(tail) and tail >= 0.0
+
+
+# [DERIVED] sum over Z of (1 + |gamma|)^{-n} = 1 + 2 (zeta(n) - 1)
+ABELIAN_SUMS = {2: np.pi**2 / 3.0 - 1.0, 3: 2.0 * 1.2020569031595942 - 1.0,
+                4: np.pi**4 / 45.0 - 1.0}
+
+
+@pytest.mark.parametrize("n", sorted(ABELIAN_SUMS))
+@pytest.mark.parametrize("max_shells", [1, 2, 3, 5, 50])
+def test_decay_certificate_bounds_the_lattice_sum(n, max_shells):
+    # the tail bounds what the shells leave out, however few they are
+    gs = sw.SamplingSet(sw.abelian(1), 1.0)
+    value = column_decay_certificate(gs, 0, 0, n, np.zeros(1), rel_tail=0.0,
+                                     max_shells=max_shells)
+    assert value >= ABELIAN_SUMS[n]
+
+
+def test_cached_shell_geometry_and_spacing_are_read_only():
+    offsets, bounds = _shell_block(2, 3)
+    with pytest.raises(ValueError):
+        offsets[0, 0] = 7
+    assert isinstance(bounds, tuple)
+    with pytest.raises(ValueError):
+        sw.SamplingSet(sw.heisenberg(1), 1.0).spacing[0] = 2.0
+
+
+@pytest.mark.parametrize("gs, x", [
+    (sw.SamplingSet(sw.heisenberg(1), 1.0), [0.3, -0.2, 0.1]),
+    (sw.SamplingSet(sw.abelian(2), 0.5), [0.2, -0.1]),
+    (sw.SamplingSet(custom_3_2(), 0.75), [0.3, -0.2, 0.5, 0.1, -0.2]),
+], ids=["H1", "R2", "custom3+2"])
+def test_decay_certificate_is_the_same_with_a_cold_or_warm_block_cache(gs, x):
+    args = (gs, 1, 1, 24, np.asarray(x))
+    kw = dict(rel_tail=1e-8, max_shells=6, return_details=True)
+    _shell_block.cache_clear()
+    cold = column_decay_certificate(*args, **kw)
+    warm = column_decay_certificate(*args, **kw)
+    assert _shell_block.cache_info().hits >= 1
+    hexes = [[v.hex() if isinstance(v, float) else v for v in (c[0], *c[1].values())]
+             for c in (cold, warm)]
+    assert hexes[0] == hexes[1]
 
 
 def test_decay_certificate_uniformity():
@@ -383,7 +458,7 @@ def test_shell_block_is_the_concatenated_shells(d, rbs):
         offsets, bounds = _shell_block(d, rb)
         shells = [_shell(zero, r) for r in range(rb)]
         assert np.array_equal(offsets, np.concatenate(shells))
-        assert bounds == [0] + np.cumsum([len(s) for s in shells]).tolist()
+        assert list(bounds) == [0] + np.cumsum([len(s) for s in shells]).tolist()
 
 
 def _shell_by_shell(gs, eta, j, n, x, rel_tail, max_shells):

@@ -49,7 +49,7 @@ def main() -> None:
     args = ap.parse_args()
 
     f = band_limited(args.n, args.extent)
-    run("sharp window", sw.build_narrow_window(), 1.0, (0, 4), f)
+    run("sharp window", sw.NarrowWindow(), 1.0, (0, 4), f)
     run("smooth window", sw.build_window(1.0), 0.25, (-1, 4), f)
 
 

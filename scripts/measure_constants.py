@@ -62,13 +62,12 @@ def decay_bound(samples: int, seed: int) -> float:
 def gram_couplings(n: int, extent: float):
     gs = sw.preset_sampling_set(sw.abelian(1), 1.0)
     desc = sw.GridDescriptor(1, n, extent)
-    ks = sw.build_kernel_set(sw.build_narrow_window(), desc, (0, 3))
-    ref = sw.AtomIndex(1, (0,))
-    c0 = sw.CoefficientField(gs, entries={ref: 1.0 + 0j}, normalization=sw.lp_atoms(2.0))
+    ks = sw.build_kernel_set(sw.NarrowWindow(), desc, (0, 3))
+    c0 = sw.CoefficientField(gs, sw.lp_atoms(2.0), js=[1], gammas=[[0]], values=[1.0])
     c = sw.analyze(sw.synthesize(c0, ks, gs, desc), ks, gs, 2.0)
-    same = max((abs(v) for k, v in c.entries.items()
-                if k.j == ref.j and k != ref), default=0.0)
-    cross = max((abs(v) for k, v in c.entries.items() if k.j != ref.j), default=0.0)
+    on_scale = c.js == 1
+    same = np.max(c.moduli()[on_scale & (c.gammas[:, 0] != 0)], initial=0.0)
+    cross = np.max(c.moduli()[~on_scale], initial=0.0)
     return same, cross
 
 

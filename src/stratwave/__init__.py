@@ -37,7 +37,6 @@ from .sampling import (
 from .windows import (
     NarrowWindow,
     Window,
-    build_narrow_window,
     build_window,
     coverage_interval,
     verify_partition,

@@ -46,7 +46,7 @@ from .profiles import (
     remainder_split,
 )
 from .sampling import SamplingSet
-from .windows import build_narrow_window, build_window, coverage_interval, verify_partition
+from .windows import NarrowWindow, build_window, coverage_interval, verify_partition
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -150,10 +150,12 @@ def _window(args):
         return build_window(1.0 if args.sharpness is None else args.sharpness)
     if args.sharpness is not None:
         raise ValueError("--sharpness does not apply to the --narrow window")
-    return build_narrow_window()
+    return NarrowWindow()
 
 
 def cmd_verify_window(args) -> int:
+    if not 0 <= args.tol < np.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
     w = _window(args)
     lo, hi = coverage_interval(args.J)
     # sample strictly inside the covered band: at the exact endpoints the

@@ -1,13 +1,13 @@
 """Group-agnostic coefficient algebra on sparse wavelet index sets.
 
-A CoefficientField(sampling, entries, normalization, *, js=, gammas=,
-values=, floor=) takes dim and Q from `sampling.group` and holds
-its entries as read-only arrays in canonical order, lexicographic in
-(j, gamma), with no index repeated: `js` (P,) and `gammas` (P, dim) int64
-within sampling.MAX_LATTICE_COORD, `values` (P,) complex128.
-The constructor sorts a mapping AtomIndex -> value, or index and value
-arrays, into that order; `.entries` derives the mapping back.  Sums over a
-field run in canonical order, and equal moduli rank by position.
+A CoefficientField(sampling, normalization, *, js, gammas, values,
+floor=None) takes dim and Q from `sampling.group` and holds its entries as
+read-only arrays in canonical order, lexicographic in (j, gamma), with no
+index repeated: `js` (P,) and `gammas` (P, dim) int64 within
+sampling.MAX_LATTICE_COORD, `values` (P,) complex128.  The constructor
+sorts index and value arrays given in any order into that order; the three
+arrays are the only way to read a field.  Sums over a field run in
+canonical order, and equal moduli rank by position.
 
 A CoefficientField carries a normalization tag, and is refused without
 one; two fields combine only on one sampling set.  "L1" entries are sampled
@@ -20,10 +20,8 @@ the L^p-tagged moduli.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -84,17 +82,13 @@ class CoefficientField:
     gammas: np.ndarray   # (P, dim) int64
     values: np.ndarray   # (P,) complex128
 
-    def __init__(self, sampling: SamplingSet, entries: Optional[Mapping] = None,
-                 normalization: Optional[Normalization] = None, *, js=(), gammas=(), values=(),
-                 floor: Optional[float] = None):
-        """From a mapping AtomIndex -> value or from index and value arrays, in
-        any order; values sharing an index are summed in input order, and with
-        a floor, moduli at most floor * the largest are dropped."""
+    def __init__(self, sampling: SamplingSet, normalization: Normalization, *, js, gammas,
+                 values, floor: Optional[float] = None):
+        """From index and value arrays in any order; values sharing an index
+        are summed in input order, and with a floor, moduli at most floor *
+        the largest are dropped."""
         if not isinstance(normalization, Normalization):
             raise ValueError(f"a field needs a normalization tag, got {normalization!r}")
-        if entries is not None:
-            js, gammas, values = [k[0] for k in entries], [k[1] for k in entries], list(
-                entries.values())
         js = lattice_int64(js).reshape(-1)
         gammas = lattice_int64(gammas).reshape(len(js), sampling.group.dim)
         values = np.asarray(values, dtype=complex).reshape(len(js))
@@ -116,20 +110,6 @@ class CoefficientField:
             if isinstance(val, np.ndarray):
                 val.setflags(write=False)
             object.__setattr__(self, name, val)
-
-    @classmethod
-    def build(cls, sampling, items: Iterable, normalization, floor=SPARSE_FLOOR):
-        """Assemble from (index, value) pairs, accumulating duplicates and
-        dropping entries below floor * max modulus."""
-        items = list(items)
-        return cls(sampling, normalization=normalization, floor=floor,
-                   js=[k[0] for k, _ in items], gammas=[k[1] for k, _ in items],
-                   values=[v for _, v in items])
-
-    @functools.cached_property
-    def entries(self) -> Mapping:
-        """Read-only mapping AtomIndex -> complex in canonical order."""
-        return MappingProxyType(dict(zip(_indices(self, slice(None)), self.values.tolist())))
 
     def __len__(self):
         return len(self.values)
@@ -155,10 +135,6 @@ class CoefficientField:
                                 values=self.values[at] if values is None else values)
 
 
-def _indices(c: CoefficientField, at) -> list[AtomIndex]:
-    return [AtomIndex(j, tuple(g)) for j, g in zip(c.js[at].tolist(), c.gammas[at].tolist())]
-
-
 @dataclass(frozen=True)
 class NormParams:
     s: float
@@ -166,6 +142,8 @@ class NormParams:
     q: float
 
     def __post_init__(self):
+        if not np.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s!r}")
         if self.p < 1 or self.q < 1:
             raise ValueError("p and q must be >= 1")
         if not (np.isfinite(self.p) and np.isfinite(self.q)):
@@ -221,12 +199,11 @@ def rank_order(c: CoefficientField) -> np.ndarray:
     return np.argsort(-c.moduli(), kind="stable")
 
 
-def q_m(c: CoefficientField, M: int) -> tuple[CoefficientField, list[AtomIndex]]:
+def q_m(c: CoefficientField, M: int) -> CoefficientField:
     """Nonlinear projector: keep the M largest-modulus entries."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    top = rank_order(c)[:M]
-    return c.take(top), _indices(c, top)
+    return c.take(rank_order(c)[:M])
 
 
 def mterm_error_curve(c: CoefficientField, np_: NormParams, m_list) -> list[tuple[int, float]]:
@@ -253,7 +230,8 @@ def unconditionality_ratio(
     big = c_big.moduli()[at]
     bad = np.flatnonzero(c_small.moduli() > big + 1e-12 * big)
     if len(bad):
-        raise ValueError(f"domination violated at {_indices(c_small, bad[:1])[0]}")
+        at = AtomIndex(int(c_small.js[bad[0]]), tuple(c_small.gammas[bad[0]].tolist()))
+        raise ValueError(f"domination violated at {at}")
     norm_big = discrete_besov_norm(c_big, np_)
     if norm_big == 0.0:
         return 0.0

@@ -25,7 +25,7 @@ from ._json import json_fields
 from .groups import DomainError
 from .sampling import MAX_ARRAY_BYTES, AtomIndex, SamplingSet, lattice_int64
 from .coeffs import CoefficientField, lp_atoms, sobolev_seq_norm
-from .profiles import SequenceSnapshots, _row_classifier, _verdict
+from .profiles import SequenceSnapshots, _check_thresholds, _row_classifier, _verdict
 
 __all__ = [
     "BundleAtom",
@@ -90,6 +90,7 @@ class GeneratorSpec:
             raise ValueError("horizon must be at least 2")
         if self.noise_count < 0:
             raise ValueError(f"noise_count must be >= 0, got {self.noise_count}")
+        _check_thresholds(check_T_div=self.check_T_div, check_eps_stable=self.check_eps_stable)
         if not self.tracks:
             raise ValueError("at least one track required")
         if self.kind != "mixture" and len(self.tracks) != 1:

@@ -191,10 +191,18 @@ def _row_classifier(gs: SamplingSet, js, gammas, tail: int, T_div: float, eps_st
                                     T_div, eps_stable)
 
 
+def _check_thresholds(**values) -> None:
+    """Refuse an orthogonality threshold that is negative or not finite."""
+    for name, value in values.items():
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def classify_pair(a: ScaleCorePair, b: ScaleCorePair, tail: int,
                   T_div: float, eps_stable: float) -> Verdict:
     """Orthogonality verdict for two tracks on one sampling set over the last
     `tail` snapshots."""
+    _check_thresholds(T_div=T_div, eps_stable=eps_stable)
     if len(a) != len(b):
         raise ValueError("tracks have different lengths")
     if a.sampling != b.sampling:
@@ -220,9 +228,7 @@ class ExtractParams:
             raise ValueError("mode must be strict or exploratory")
         if self.M_max < 1 or self.L_max < 0 or self.tail < 2:
             raise ValueError("M_max >= 1, L_max >= 0, tail >= 2 required")
-        for name in ("eps_conv", "T_div", "eps_stable"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        _check_thresholds(eps_conv=self.eps_conv, T_div=self.T_div, eps_stable=self.eps_stable)
 
 
 @dataclass

@@ -303,14 +303,9 @@ def _spread(desc: GridDescriptor, values: np.ndarray, pl: _Placement) -> np.ndar
 
 
 class _Scale(NamedTuple):
-    sampling: SamplingSet
     j: int
     gammas: np.ndarray  # (P, dim) int64, lexicographic
     placement: _Placement
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.sampling.points(self.j, self.gammas)
 
 
 def _scales(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale]:
@@ -320,7 +315,7 @@ def _scales(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale
     lattices = [(j, lattice_coordinates(gs, j, box))
                 for j in range(ks.j_range[1], ks.j_range[0] - 1, -1)][::-1]
     placements = _place(desc, [(gm, gs.beta * 2.0 ** -j, 0.0) for j, gm in lattices])
-    return [_Scale(gs, j, gm, pl) for (j, gm), pl in zip(lattices, placements)]
+    return [_Scale(j, gm, pl) for (j, gm), pl in zip(lattices, placements)]
 
 
 def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> CoefficientField:

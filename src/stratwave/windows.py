@@ -17,7 +17,6 @@ __all__ = [
     "Window",
     "NarrowWindow",
     "build_window",
-    "build_narrow_window",
     "verify_partition",
     "coverage_interval",
 ]
@@ -30,6 +29,10 @@ def _smooth_step(t, sharpness: float):
         g0 = np.where(t > 0, np.exp(-sharpness / np.maximum(t, 1e-300)), 0.0)
         g1 = np.where(1 - t > 0, np.exp(-sharpness / np.maximum(1 - t, 1e-300)), 0.0)
     return g0 / (g0 + g1)
+
+
+NARROW_SUPPORT = (0.25, 1.0)  # the narrow window's band in the spectral variable
+EDGE_TOL = 1e-12              # relative distance within which a point is on a band edge
 
 
 @dataclass(frozen=True)
@@ -67,26 +70,18 @@ class NarrowWindow:
     shared edge frequencies and is O(grid frequency step).
     """
 
-    support: tuple[float, float] = (0.25, 1.0)
-    edge_tol: float = 1e-12
-
     def psi_hat(self, xi):
         xi = np.asarray(xi, dtype=float)
-        lo, hi = self.support
+        lo, hi = NARROW_SUPPORT
         inner = ((xi > lo) & (xi < hi)).astype(float)
-        edge = (np.abs(xi - lo) <= self.edge_tol * lo) | (
-            np.abs(xi - hi) <= self.edge_tol * hi)
+        edge = (np.abs(xi - lo) <= EDGE_TOL * lo) | (np.abs(xi - hi) <= EDGE_TOL * hi)
         return np.where(edge, np.sqrt(0.5), inner)
 
 
 def build_window(sharpness: float = 1.0) -> Window:
-    if sharpness <= 0:
-        raise ValueError("sharpness must be positive")
+    if not 0 < sharpness < np.inf:
+        raise ValueError(f"sharpness must be positive and finite, got {sharpness!r}")
     return Window(sharpness=float(sharpness))
-
-
-def build_narrow_window() -> NarrowWindow:
-    return NarrowWindow()
 
 
 def coverage_interval(J: int) -> tuple[float, float]:
@@ -97,19 +92,20 @@ def coverage_interval(J: int) -> tuple[float, float]:
 def verify_partition(w, J: int, grid) -> float:
     """Max deviation of sum_{|j|<=J} psi_hat(4^{-j} xi)^2 from 1 over the grid.
 
-    Grid points outside the covered band are excluded with a warning.
+    Grid points outside the covered band are excluded with a warning; a grid
+    with no point inside it checks nothing and raises ValueError.
     """
     grid = np.asarray(grid, dtype=float)
     lo, hi = coverage_interval(J)
     inside = (grid >= lo) & (grid <= hi)
+    if not np.any(inside):
+        raise ValueError(f"no grid point lies in the covered band [{lo:.3g}, {hi:.3g}]")
     if not np.all(inside):
         warnings.warn(
             f"{int(np.sum(~inside))} grid points outside covered band "
             f"[{lo:.3g}, {hi:.3g}] excluded from partition check"
         )
         grid = grid[inside]
-    if grid.size == 0:
-        return 0.0
     total = np.zeros_like(grid)
     for j in range(-J, J + 1):
         total += w.psi_hat(grid * 4.0 ** (-j)) ** 2

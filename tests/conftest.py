@@ -57,6 +57,18 @@ def integer_step_2_groups(draw, max_d1=4, max_d2=3, max_entry=3):
                         bracket=upper - upper.transpose(0, 2, 1))
 
 
+def field_of(gs, mapping, normalization) -> sw.CoefficientField:
+    """A field from a mapping (j, gamma) -> value, through the array constructor."""
+    return sw.CoefficientField(gs, normalization=normalization, js=[k[0] for k in mapping],
+                               gammas=[k[1] for k in mapping], values=list(mapping.values()))
+
+
+def as_dict(c: sw.CoefficientField) -> dict:
+    """{AtomIndex: complex} of a field's arrays, in canonical order."""
+    return {sw.AtomIndex(j, tuple(g)): v
+            for j, g, v in zip(c.js.tolist(), c.gammas.tolist(), c.values.tolist())}
+
+
 def make_grid(n: int = 256, extent: float = 8.0) -> sw.GridFunction:
     return sw.GridFunction(1, extent, np.zeros(n, dtype=complex))
 
@@ -156,8 +168,8 @@ def check_bookkeeping(dec, atol: float = 1e-12) -> None:
         reference = None
         for M in range(max(L, 1), M_eff + 1):
             sp = remainder_split(dec, n_last, L, M)
-            combined: dict = dict(sp["r1_field"].entries)
-            for idx, val in sp["r2_field"].entries.items():
+            combined = as_dict(sp["r1_field"])
+            for idx, val in as_dict(sp["r2_field"]).items():
                 combined[idx] = combined.get(idx, 0j) + val
             if reference is None:
                 reference = combined

@@ -13,7 +13,7 @@ from stratwave import io as sio
 from stratwave.cli import main as cli_main
 from stratwave.generators import spec_to_json
 from stratwave.transform import grid_ifft
-from conftest import check_bookkeeping, corpus_1d, gaussian_1d, two_profile_spec
+from conftest import check_bookkeeping, corpus_1d, field_of, gaussian_1d, two_profile_spec
 
 
 def _verdict(capsys, num, name, ok, detail):
@@ -55,8 +55,7 @@ def _adversarial_decomposition():
     for n in range(horizon):
         entries = {sw.AtomIndex(0, (0,)): 1.0 + 0j,
                    sw.AtomIndex(0, (n + 1,)): 0.7 + 0.3 / (n + 1.0) + 0j}
-        fields.append(sw.CoefficientField(sampling=gs, entries=entries,
-                                          normalization=sw.lp_atoms(2.0)))
+        fields.append(field_of(gs, entries, sw.lp_atoms(2.0)))
     snaps = sw.SequenceSnapshots(sampling=gs,
                                  n_values=tuple(range(horizon)), fields=tuple(fields))
     params = sw.ExtractParams(M_max=64, L_max=8, eps_conv=0.05, T_div=5.0,

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratwave as sw
+from conftest import as_dict, field_of
 from stratwave.coeffs import (
+    SPARSE_FLOOR,
     ConversionRequired,
     Normalization,
     field_add,
@@ -17,10 +19,7 @@ from stratwave.coeffs import (
 
 
 def sparse_field(group, entries, norm=sw.L1_ATOMS):
-    gs = sw.preset_sampling_set(group, 1.0)
-    mapped = {sw.AtomIndex(j, tuple(g)): complex(v) for (j, g), v in entries.items()}
-    return sw.CoefficientField(sampling=gs, entries=mapped,
-                               normalization=norm)
+    return field_of(sw.preset_sampling_set(group, 1.0), entries, norm)
 
 
 field_entries = st.dictionaries(
@@ -45,7 +44,7 @@ def test_field_takes_q_from_its_sampling_set():
     # weight of j = 1 is 2^{1/2 - 3/2} = 1/2, and the L^2-atom coefficient is
     # 2^{-3/2} c; Heisenberg's Q = 4 would give 2^{-3/2} and 2^{-2}
     gs = sw.preset_sampling_set(sw.abelian(3), 1.0)
-    c = sw.CoefficientField(gs, {sw.AtomIndex(1, (0, 0, 0)): 1.0}, sw.L1_ATOMS)
+    c = field_of(gs, {sw.AtomIndex(1, (0, 0, 0)): 1.0}, sw.L1_ATOMS)
     assert sw.discrete_besov_norm(c, sw.NormParams(0.5, 2.0, 2.0)) == 0.5
     assert sw.convert(c, sw.lp_atoms(2.0)).values.tolist() == [2.0**-1.5]
     assert not hasattr(c, "group")
@@ -80,9 +79,9 @@ def test_critical_identity(entries, p):
 @given(entries=field_entries, p=st.floats(1.1, 6.0))
 def test_conversion_roundtrip(entries, p):
     c1 = sparse_field(sw.abelian(1), entries)
-    back = sw.convert(sw.convert(c1, sw.lp_atoms(p)), sw.L1_ATOMS)
-    for idx, val in c1.entries.items():
-        assert back.entries[idx] == pytest.approx(val, rel=1e-12)
+    back = as_dict(sw.convert(sw.convert(c1, sw.lp_atoms(p)), sw.L1_ATOMS))
+    for idx, val in as_dict(c1).items():
+        assert back[idx] == pytest.approx(val, rel=1e-12)
 
 
 def test_sobolev_seq_norm_requires_lp():
@@ -97,12 +96,15 @@ def test_norm_params_validation():
         sw.NormParams(0.0, 0.5, 2.0)
     with pytest.raises(ValueError):
         sw.NormParams(0.0, 2.0, np.inf)
+    for s in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="s must be finite"):
+            sw.NormParams(s, 2.0, 2.0)
 
 
 def test_reorder_deterministic_ties():
     c = sparse_field(sw.abelian(1),
                      {(1, (0,)): 2.0, (0, (5,)): 2.0, (0, (-3,)): 2.0, (2, (1,)): 5.0})
-    keys = list(c.entries)
+    keys = list(as_dict(c))
     ranked = [keys[k] for k in sw.rank_order(c)]
     assert ranked[0] == sw.AtomIndex(2, (1,))
     # ties: j ascending, then gamma lexicographic
@@ -111,10 +113,10 @@ def test_reorder_deterministic_ties():
 
 def test_q_m_projector():
     c = sparse_field(sw.abelian(1), {(0, (k,)): 10.0 - k for k in range(5)})
-    kept, e_m = sw.q_m(c, 2)
-    assert len(kept) == 2 and len(e_m) == 2
-    assert sw.AtomIndex(0, (0,)) in kept.entries
-    assert sw.AtomIndex(0, (1,)) in kept.entries
+    kept = sw.q_m(c, 2)
+    assert isinstance(kept, sw.CoefficientField) and len(kept) == 2
+    assert sw.AtomIndex(0, (0,)) in as_dict(kept)
+    assert sw.AtomIndex(0, (1,)) in as_dict(kept)
     with pytest.raises(ValueError):
         sw.q_m(c, 0)
 
@@ -135,9 +137,8 @@ def test_mterm_curve_nonincreasing_and_terminal_zero(entries):
 def test_unconditionality(entries, frac):
     # shrinking moduli entrywise can only shrink the sequence norm
     big = sparse_field(sw.abelian(1), entries)
-    small_entries = {idx: frac * val for idx, val in big.entries.items()}
-    small = sw.CoefficientField(sampling=big.sampling,
-                                entries=small_entries, normalization=big.normalization)
+    small_entries = {idx: frac * val for idx, val in as_dict(big).items()}
+    small = field_of(big.sampling, small_entries, big.normalization)
     r = unconditionality_ratio(small, big, sw.NormParams(0.5, 2.0, 2.0))
     assert r <= 1.0 + 1e-12
 
@@ -156,8 +157,8 @@ def test_field_algebra():
     a = sparse_field(sw.abelian(1), {(0, (0,)): 1.0, (0, (1,)): 2.0})
     b = sparse_field(sw.abelian(1), {(0, (1,)): -2.0, (1, (0,)): 3.0})
     s = field_add(a, b)
-    assert sw.AtomIndex(0, (1,)) not in s.entries  # exact cancellation dropped
-    assert s.entries[sw.AtomIndex(1, (0,))] == 3.0
+    assert sw.AtomIndex(0, (1,)) not in as_dict(s)  # exact cancellation dropped
+    assert as_dict(s)[sw.AtomIndex(1, (0,))] == 3.0
     d = field_sub(a, a)
     assert len(d) == 0
     mixed = sw.convert(b, sw.lp_atoms(2.0))
@@ -168,8 +169,8 @@ def test_field_algebra():
 
 def test_fields_on_different_lattices_do_not_combine():
     # gamma = 3 is x = 3 at beta = 1 and x = 1.5 at beta = 0.5: not one atom
-    a, b = (sw.CoefficientField(sw.preset_sampling_set(sw.abelian(1), beta),
-                                {sw.AtomIndex(0, (3,)): 1.0}, sw.L1_ATOMS)
+    a, b = (field_of(sw.preset_sampling_set(sw.abelian(1), beta),
+                     {sw.AtomIndex(0, (3,)): 1.0}, sw.L1_ATOMS)
             for beta in (1.0, 0.5))
     for op in (field_add, field_sub):
         with pytest.raises(ValueError, match="different sampling sets"):
@@ -185,30 +186,27 @@ def test_normalization_tags_are_checked():
     with pytest.raises(ValueError, match="positive exponent"):
         sw.lp_atoms(float("nan"))
     gs = sw.preset_sampling_set(sw.abelian(1), 1.0)
-    for missing in ({}, {"normalization": None}):
+    arrays = dict(js=[0], gammas=[[0]], values=[1.0])
+    with pytest.raises(TypeError, match="normalization"):
+        sw.CoefficientField(gs, **arrays)
+    for tag in (None, "Lp"):
         with pytest.raises(ValueError, match="normalization tag"):
-            sw.CoefficientField(gs, {sw.AtomIndex(0, (0,)): 1.0}, **missing)
-    with pytest.raises(ValueError, match="normalization tag"):
-        sw.CoefficientField(gs, None, "Lp")
+            sw.CoefficientField(gs, tag, **arrays)
+
 
 def test_build_accumulates_and_floors():
     g = sw.abelian(1)
     gs = sw.preset_sampling_set(g, 1.0)
-    items = [(sw.AtomIndex(0, (0,)), 1.0), (sw.AtomIndex(0, (0,)), 1.0),
-             (sw.AtomIndex(0, (1,)), 1e-20)]
-    c = sw.CoefficientField.build(gs, items, sw.L1_ATOMS)
-    assert c.entries[sw.AtomIndex(0, (0,))] == 2.0
-    assert sw.AtomIndex(0, (1,)) not in c.entries
+    c = sw.CoefficientField(gs, sw.L1_ATOMS, floor=SPARSE_FLOOR, js=[0, 0, 0],
+                            gammas=[[0], [0], [1]], values=[1.0, 1.0, 1e-20])
+    assert as_dict(c)[sw.AtomIndex(0, (0,))] == 2.0
+    assert sw.AtomIndex(0, (1,)) not in as_dict(c)
     with pytest.raises(ValueError):
-        sw.CoefficientField.build(gs, [(sw.AtomIndex(0, (0,)), np.nan)], sw.L1_ATOMS)
+        sw.CoefficientField(gs, sw.L1_ATOMS, floor=SPARSE_FLOOR, js=[0], gammas=[[0]],
+                            values=[np.nan])
 
 
 # -- array operations against dict references written out here ---------------
-
-def dict_of(c):
-    return {(int(j), tuple(g)): v for j, g, v in
-            zip(c.js.tolist(), c.gammas.tolist(), c.values.tolist())}
-
 
 # small index and value ranges, so that shared indices, exact cancellations
 # and equal moduli are common
@@ -224,25 +222,26 @@ tie_entries = st.dictionaries(
 def test_field_add_sub_match_dict_reference(a, b):
     fa, fb = sparse_field(sw.abelian(1), a), sparse_field(sw.abelian(1), b)
     for op, sign in ((field_add, 1.0), (field_sub, -1.0)):
-        ref = dict(dict_of(fa))
-        for k, v in dict_of(fb).items():
+        ref = as_dict(fa)
+        for k, v in as_dict(fb).items():
             ref[k] = ref.get(k, 0j) + sign * v
         ref = {k: v for k, v in ref.items() if v != 0}
         got = op(fa, fb)
-        assert dict_of(got) == ref
-        assert list(dict_of(got)) == sorted(ref)  # canonical order
+        assert as_dict(got) == ref
+        assert list(as_dict(got)) == sorted(ref)  # canonical order
 
 
 @settings(max_examples=80, deadline=None)
 @given(entries=tie_entries, M=st.integers(1, 14))
 def test_reorder_and_q_m_match_dict_reference(entries, M):
     c = sparse_field(sw.abelian(1), entries)
-    ref = sorted(dict_of(c).items(), key=lambda kv: (-abs(kv[1]), kv[0][0], kv[0][1]))
-    items = list(dict_of(c).items())
+    ref = sorted(as_dict(c).items(), key=lambda kv: (-abs(kv[1]), kv[0][0], kv[0][1]))
+    items = list(as_dict(c).items())
     assert [items[k] for k in sw.rank_order(c)] == ref
-    kept, e_m = sw.q_m(c, M)
-    assert [(i.j, i.gamma) for i in e_m] == [k for k, _ in ref[:M]]
-    assert dict_of(kept) == dict(sorted(ref[:M]))
+    kept = sw.q_m(c, M)
+    kept_items = list(as_dict(kept).items())
+    assert [kept_items[k] for k in sw.rank_order(kept)] == ref[:M]
+    assert as_dict(kept) == dict(sorted(ref[:M]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,9 +251,9 @@ def test_convert_and_besov_match_dict_reference(entries, p, s, q):
     g = sw.abelian(1)
     c = sparse_field(g, entries)
     cp = sw.convert(c, sw.lp_atoms(p))
-    assert dict_of(cp) == {k: v * 2.0 ** (k[0] * ((-1.0 / p) * g.Q))
-                           for k, v in dict_of(c).items()}
-    back = {k: v * 2.0 ** (k[0] * ((1.0 / p) * g.Q)) for k, v in dict_of(cp).items()}
+    assert as_dict(cp) == {k: v * 2.0 ** (k[0] * ((-1.0 / p) * g.Q))
+                           for k, v in as_dict(c).items()}
+    back = {k: v * 2.0 ** (k[0] * ((1.0 / p) * g.Q)) for k, v in as_dict(cp).items()}
     per_j: dict = {}
     for (j, _), v in sorted(back.items()):
         per_j.setdefault(j, []).append(abs(v))
@@ -270,15 +269,15 @@ def test_convert_and_besov_match_dict_reference(entries, p, s, q):
        extra=st.booleans())
 def test_unconditionality_matches_dict_reference(big, picks, extra):
     fb = sparse_field(sw.abelian(1), big)
-    small = {k: f * v for (k, v), f in zip(dict_of(fb).items(), picks)}
+    small = {k: f * v for (k, v), f in zip(as_dict(fb).items(), picks)}
     if extra:
         small[(3, (9,))] = 1.0
     fs = sparse_field(sw.abelian(1), small)
     params = sw.NormParams(0.5, 2.0, 2.0)
-    ref_big = dict_of(fb)
-    if set(dict_of(fs)) - set(ref_big):
+    ref_big = as_dict(fb)
+    if set(as_dict(fs)) - set(ref_big):
         expect = "supported"
-    elif any(abs(v) > abs(ref_big[k]) + 1e-12 * abs(ref_big[k]) for k, v in dict_of(fs).items()):
+    elif any(abs(v) > abs(ref_big[k]) + 1e-12 * abs(ref_big[k]) for k, v in as_dict(fs).items()):
         expect = "domination"
     else:
         expect = None
@@ -300,8 +299,7 @@ def test_arrays_are_canonical_and_read_only():
     for a in (c.js, c.gammas, c.values):
         with pytest.raises(ValueError):
             a[0] = 0
-    with pytest.raises(TypeError):
-        c.entries[sw.AtomIndex(0, (0, 0))] = 1.0
+    assert not hasattr(c, "entries")
 
 
 def test_array_constructor_sums_repeats_and_floors():
@@ -309,7 +307,7 @@ def test_array_constructor_sums_repeats_and_floors():
     gs = sw.preset_sampling_set(g, 1.0)
     c = sw.CoefficientField(gs, normalization=sw.L1_ATOMS, floor=1e-14, js=[2, 0, 2, 0],
                             gammas=[[1], [0], [1], [3]], values=[1.0, 1e-20, 0.5j, 2.0])
-    assert dict_of(c) == {(0, (3,)): 2.0, (2, (1,)): 1.0 + 0.5j}
+    assert as_dict(c) == {(0, (3,)): 2.0, (2, (1,)): 1.0 + 0.5j}
 
 
 @pytest.mark.parametrize("bad", [2**53 + 1, -(2**53) - 1, 10**30])

@@ -8,7 +8,7 @@ import pytest
 import stratwave as sw
 from stratwave import generators, profiles
 from stratwave.generators import GeneratorError, spec_from_json, spec_to_json
-from conftest import two_profile_spec
+from conftest import as_dict, two_profile_spec
 
 
 def single_track(kind, j_slope=0, gamma_slope=(0,), bundle=None, **kw):
@@ -50,8 +50,8 @@ def test_generate_constant_norm_and_indices():
     assert np.ptp(norms) <= 1e-12
     # bundle placement: core at (0, (3n,)), second atom at (1, delta_2(core) . (1,))
     f3 = snaps.fields[3]
-    assert sw.AtomIndex(0, (9,)) in f3.entries
-    assert sw.AtomIndex(1, (19,)) in f3.entries
+    assert sw.AtomIndex(0, (9,)) in as_dict(f3)
+    assert sw.AtomIndex(1, (19,)) in as_dict(f3)
 
 
 def test_generate_bundle_relative_position_heisenberg():
@@ -71,8 +71,8 @@ def test_generate_bundle_relative_position_heisenberg():
     t = spec.tracks[0]
     for n, f in enumerate(snaps.fields):
         _, gamma_core = t.core_at(n)
-        for idx in f.entries:
-            if abs(f.entries[idx]) == pytest.approx(0.5):
+        for idx, v in as_dict(f).items():
+            if abs(v) == pytest.approx(0.5):
                 rel = sw.multiply(g, sw.inverse(g, gs.decode(gamma_core)),
                                   gs.decode(idx.gamma))
                 assert np.allclose(rel, gs.decode(dgamma), atol=1e-12)
@@ -145,7 +145,7 @@ def test_noise_entries_deterministic():
                         noise_seed=42, allow_overlap=True)
     a = sw.generate(spec, gs)
     b = sw.generate(spec, gs)
-    assert a.fields[0].entries == b.fields[0].entries
+    assert as_dict(a.fields[0]) == as_dict(b.fields[0])
     assert len(a.fields[0]) == 6
 
 
@@ -189,7 +189,7 @@ def test_generate_indices_match_scalar_lattice_law():
             x, y, c = core[0] * 2**a.dj, core[1] * 2**a.dj, core[2] * 4**a.dj
             u, v, w = a.dgamma
             want[sw.AtomIndex(j_core + a.dj, (x + u, y + v, c + w + x * v - y * u))] = a.d
-        assert dict(f.entries) == want
+        assert as_dict(f) == want
 
 
 def test_generate_collision_messages():
@@ -202,7 +202,7 @@ def test_generate_collision_messages():
         sw.generate(spec, gs)
     summed = sw.generate(sw.GeneratorSpec(kind="translating", tracks=(t,), horizon=4,
                                           allow_overlap=True), gs)
-    assert dict(summed.fields[2].entries) == {sw.AtomIndex(0, (2,)): 1.5}
+    assert as_dict(summed.fields[2]) == {sw.AtomIndex(0, (2,)): 1.5}
 
 
 def test_generate_refuses_a_spec_over_the_budget_before_building(monkeypatch):

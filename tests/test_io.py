@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import stratwave as sw
 from stratwave import io as sio
-from conftest import custom_3_2
+from conftest import as_dict, custom_3_2, field_of
 
 
 def sample_field():
@@ -18,8 +18,7 @@ def sample_field():
     gs = sw.preset_sampling_set(g, 0.5)
     entries = {sw.AtomIndex(0, (0, 0, 0)): 1.0 + 2.0j,
                sw.AtomIndex(2, (-1, 3, 7)): -0.25 + 0j}
-    return sw.CoefficientField(sampling=gs, entries=entries,
-                               normalization=sw.lp_atoms(2.0))
+    return field_of(gs, entries, sw.lp_atoms(2.0))
 
 
 def test_grid_roundtrip(tmp_path):
@@ -50,7 +49,7 @@ def test_field_roundtrip(tmp_path):
     c2 = sio.read_field(path)
     assert c2.normalization == c.normalization
     assert c2.sampling.group.kind == c.sampling.group.kind
-    assert c2.entries == c.entries
+    assert as_dict(c2) == as_dict(c)
 
 
 def test_snapshots_roundtrip(tmp_path):
@@ -67,7 +66,7 @@ def test_snapshots_roundtrip(tmp_path):
     s2 = sio.read_snapshots(path)
     assert s2.n_values == snaps.n_values
     for a, b in zip(snaps.fields, s2.fields):
-        assert a.entries == b.entries
+        assert as_dict(a) == as_dict(b)
 
 
 @pytest.mark.parametrize("kind", ["field", "snapshots"])
@@ -75,7 +74,7 @@ def test_written_header_group_is_the_sampling_sets(tmp_path, kind):
     # a field has no group of its own, so the writers cannot put a group
     # beside its sampling set that the readers would refuse
     gs = sw.preset_sampling_set(sw.abelian(3), 0.5)
-    c = sw.CoefficientField(gs, {sw.AtomIndex(0, (1, 2, 3)): 1.0}, sw.lp_atoms(2.0))
+    c = field_of(gs, {sw.AtomIndex(0, (1, 2, 3)): 1.0}, sw.lp_atoms(2.0))
     path = tmp_path / "c.jsonl"
     if kind == "field":
         sio.write_field(path, c)
@@ -85,7 +84,7 @@ def test_written_header_group_is_the_sampling_sets(tmp_path, kind):
         back = sio.read_snapshots(path).fields[1]
     header = json.loads(path.read_text().splitlines()[0])
     assert header["group"] == sw.groups.group_to_json(sw.abelian(3))
-    assert back.sampling == gs and back.entries == c.entries
+    assert back.sampling == gs and as_dict(back) == as_dict(c)
 
 
 def field_lines(tmp_path):
@@ -200,8 +199,7 @@ def test_bad_header_raises_ingestion_error(tmp_path, reader, mutate, message):
 
 def test_header_group_with_the_opposite_bracket_is_refused(tmp_path):
     gs = sw.SamplingSet(custom_3_2(), 1.0)
-    c = sw.CoefficientField(sampling=gs, entries={sw.AtomIndex(1, (1, -2, 3, 4, -5)): 0.5 + 0j},
-                            normalization=sw.lp_atoms(2.0))
+    c = field_of(gs, {sw.AtomIndex(1, (1, -2, 3, 4, -5)): 0.5 + 0j}, sw.lp_atoms(2.0))
     path = tmp_path / "c.jsonl"
     sio.write_field(path, c)
     assert sio.read_field(path).sampling == gs
@@ -247,7 +245,7 @@ def test_bad_entry_raises_ingestion_error(tmp_path, entry, message):
 def test_bound_is_inclusive(tmp_path):
     path, lines = field_lines(tmp_path)
     rewrite(path, lines, 2, {"j": 2, "gamma": [2**53, -2**53, 3], "re": 1.5})
-    assert sw.AtomIndex(2, (2**53, -2**53, 3)) in sio.read_field(path).entries
+    assert sw.AtomIndex(2, (2**53, -2**53, 3)) in as_dict(sio.read_field(path))
 
 
 @pytest.mark.parametrize("n", [1.0, True], ids=["float", "bool"])
@@ -303,13 +301,12 @@ def test_entry_lines_match_json_dumps(tmp_path, monkeypatch):
             (-(2**53), (0, 9))]
 
     def field(keys, values):
-        return sw.CoefficientField(sampling=gs, normalization=sw.lp_atoms(2.0), entries={
-            sw.AtomIndex(j, gm): v for (j, gm), v in zip(keys, values)})
+        return field_of(gs, dict(zip(keys, values)), sw.lp_atoms(2.0))
 
     def lines(c, n=None):
         return [json.dumps({"j": idx.j, "gamma": list(idx.gamma), "re": v.real, "im": v.imag,
                             **({} if n is None else {"n": n})}, sort_keys=True)
-                for idx, v in c.entries.items()]
+                for idx, v in as_dict(c).items()]
 
     def same(a, b):
         return (np.array_equal(a.js, b.js) and np.array_equal(a.gammas, b.gammas)
@@ -435,8 +432,7 @@ def reference_read(path, kind):
         if index in entries[n]:
             refuse(f"duplicate index {index}" + ("" if n_values is None else f" at n={n}"))
         entries[n][index] = value
-    fields = tuple(sw.CoefficientField(gs, normalization=norm, entries=e)
-                   for e in entries.values())
+    fields = tuple(field_of(gs, e, norm) for e in entries.values())
     if n_values is None:
         return fields[0]
     return sw.SequenceSnapshots(sampling=gs, n_values=n_values, fields=fields)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratwave as sw
+from conftest import as_dict, field_of
 from stratwave import groups, profiles
 from stratwave.profiles import (
     NonconvergentCoefficient,
@@ -27,13 +28,7 @@ def lattice(group=None, beta=1.0):
 
 
 def snapshots_from_entries(gs, per_n, p=2.0):
-    fields = tuple(
-        sw.CoefficientField(sampling=gs,
-                            entries={sw.AtomIndex(j, tuple(g)): complex(v)
-                                     for (j, g), v in entries.items()},
-                            normalization=sw.lp_atoms(p))
-        for entries in per_n
-    )
+    fields = tuple(field_of(gs, entries, sw.lp_atoms(p)) for entries in per_n)
     return sw.SequenceSnapshots(sampling=gs,
                                 n_values=tuple(range(len(per_n))), fields=fields)
 
@@ -249,9 +244,33 @@ def test_kernel_rows_equal_classify_pair(data):
         np.array([b.js[lo:] for b in bs]), T_div, eps)
     for k, b in enumerate(bs):
         got = profiles._verdict(rows, k, T_div, eps)
-        single = sw.classify_pair(a, b, tail, T_div, eps)
         want, _ = reference_classify(a, b, tail, T_div, eps)
-        assert got == single == want  # kind, j_rel, gamma_rel bit for bit, detail
+        assert got == want  # kind, j_rel, gamma_rel bit for bit, detail
+        if T_div < 0:  # just below a zero gap: the kernel runs, the API refuses
+            with pytest.raises(ValueError, match="T_div must be finite and >= 0"):
+                sw.classify_pair(a, b, tail, T_div, eps)
+        else:
+            assert sw.classify_pair(a, b, tail, T_div, eps) == want
+
+
+@pytest.mark.parametrize("value", [-5.0, -5e-324, np.nan, np.inf])
+def test_every_caller_refuses_a_bad_threshold(value):
+    gs = lattice()
+    a, b = (pair(gs, [0] * 8, [(k + g0,) for k in range(8)]) for g0 in (0, 3))
+    track = sw.TrackSpec(j0=0, j_slope=0, gamma0=(0,), gamma_slope=(1,),
+                         bundle=(sw.BundleAtom(0, (0,), 1.0),))
+    base = dict(M_max=4, L_max=2, eps_conv=1e-8, T_div=5.0, eps_stable=1e-9, tail=8)
+    calls = [("T_div", lambda: sw.classify_pair(a, b, 8, value, 1e-9)),
+             ("eps_stable", lambda: sw.classify_pair(a, b, 8, 5.0, value))]
+    for key in ("check_T_div", "check_eps_stable"):
+        calls.append((key, lambda key=key: sw.GeneratorSpec(
+            kind="translating", tracks=(track,), horizon=8, **{key: value})))
+    for key in ("eps_conv", "T_div", "eps_stable"):
+        calls.append((key, lambda key=key: sw.ExtractParams(**dict(base, **{key: value}))))
+    for name, call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{name} must be finite and >= 0, got {value!r}"
 
 
 def test_kernel_reaches_every_kind_at_the_thresholds():
@@ -364,15 +383,13 @@ def test_extract_horizon_validation():
 
 def test_snapshot_validation():
     gs = lattice()
-    f = sw.CoefficientField(sampling=gs,
-                            entries={sw.AtomIndex(0, (0,)): 1.0 + 0j},
-                            normalization=sw.L1_ATOMS)
+    f = field_of(gs, {sw.AtomIndex(0, (0,)): 1.0 + 0j}, sw.L1_ATOMS)
     with pytest.raises(ValueError):
         sw.SequenceSnapshots(sampling=gs, n_values=(0,), fields=(f,))
 
 
 def test_snapshots_refuse_a_field_on_another_lattice():
-    f = sw.CoefficientField(lattice(beta=0.5), {sw.AtomIndex(0, (3,)): 1.0}, sw.lp_atoms(2.0))
+    f = field_of(lattice(beta=0.5), {sw.AtomIndex(0, (3,)): 1.0}, sw.lp_atoms(2.0))
     with pytest.raises(ValueError, match="sampling set"):
         sw.SequenceSnapshots(lattice(beta=1.0), (0,), (f,))
     assert sw.SequenceSnapshots(lattice(beta=0.5), (0,), (f,)).sampling.beta == 0.5
@@ -383,7 +400,7 @@ def test_snapshots_refuse_a_field_on_another_lattice():
 
 def ranked_entries(f):
     """f's (index, value) pairs by decreasing modulus, ties in canonical order."""
-    items = list(f.entries.items())
+    items = list(as_dict(f).items())
     return [items[k] for k in sw.rank_order(f)]
 
 
@@ -483,12 +500,13 @@ def test_remainder_reconstruction_identity():
         target = remainder_field(dec, n_last, L)
         for M in range(max(L, 1), dec.M_eff + 1):
             sp = remainder_split(dec, n_last, L, M)
-            combined = dict(sp["r1_field"].entries)
-            for idx, val in sp["r2_field"].entries.items():
+            combined = as_dict(sp["r1_field"])
+            for idx, val in as_dict(sp["r2_field"]).items():
                 combined[idx] = combined.get(idx, 0j) + val
-            keys = set(combined) | set(target.entries)
+            want = as_dict(target)
+            keys = set(combined) | set(want)
             for k in keys:
-                assert abs(combined.get(k, 0j) - target.entries.get(k, 0j)) <= 1e-12
+                assert abs(combined.get(k, 0j) - want.get(k, 0j)) <= 1e-12
 
 
 def test_remainder_split_validation():
@@ -510,8 +528,8 @@ def test_rendered_profile_matches_track():
     dec = drift_decomposition()
     prof = sw.rendered_profile(dec, 1, 3)
     # profile 1 is the constant track at the origin
-    assert set(prof.entries) == {sw.AtomIndex(0, (0,))}
-    assert prof.entries[sw.AtomIndex(0, (0,))] == pytest.approx(dec.d_limits[1])
+    assert set(as_dict(prof)) == {sw.AtomIndex(0, (0,))}
+    assert as_dict(prof)[sw.AtomIndex(0, (0,))] == pytest.approx(dec.d_limits[1])
 
 
 def sequential_ledger(dec, L):
@@ -522,7 +540,7 @@ def sequential_ledger(dec, L):
         row = []
         for u in dec.snapshots.fields:
             ranked = ranked_entries(u)
-            r = dict(u.entries)
+            r = as_dict(u)
             for prof in dec.profiles[:ell]:
                 for m in prof.members:
                     idx = ranked[m - 1][0]
@@ -561,6 +579,6 @@ def test_remainder_field_drops_exact_zeros():
     u = dec.snapshots.fields[0]
     r = remainder_field(dec, 0, 1)
     # the constant profile's limit is exact, so its atom cancels
-    assert sw.AtomIndex(0, (0,)) not in r.entries
+    assert sw.AtomIndex(0, (0,)) not in as_dict(r)
     assert len(r) == len(u) - 1
     assert remainder_field(dec, 0, 0) is u

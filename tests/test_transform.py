@@ -12,7 +12,7 @@ import stratwave as sw
 from stratwave import sampling, transform
 from stratwave.groups import DomainError
 from stratwave.transform import grid_fft, grid_ifft
-from conftest import gaussian_1d
+from conftest import as_dict, field_of, gaussian_1d
 
 
 def band_limited(n=256, extent=8.0, center=2.0, width=8.0) -> sw.GridFunction:
@@ -135,15 +135,14 @@ def test_single_atom_roundtrip_narrow():
     g = sw.abelian(1)
     gs = sw.preset_sampling_set(g, 1.0)
     desc = sw.GridDescriptor(1, 128, 8.0)
-    w = sw.build_narrow_window()
+    w = sw.NarrowWindow()
     ks = sw.build_kernel_set(w, desc, (0, 3))
     idx = sw.AtomIndex(1, (2,))
-    c0 = sw.CoefficientField(sampling=gs, entries={idx: 1.0 + 0j},
-                             normalization=sw.lp_atoms(2.0))
+    c0 = field_of(gs, {idx: 1.0 + 0j}, sw.lp_atoms(2.0))
     f = sw.synthesize(c0, ks, gs, desc)
-    c = sw.analyze(f, ks, gs, 2.0)
-    assert abs(c.entries[idx] - 1.0) <= 1e-10
-    for k, v in c.entries.items():
+    c = as_dict(sw.analyze(f, ks, gs, 2.0))
+    assert abs(c[idx] - 1.0) <= 1e-10
+    for k, v in c.items():
         if k.j == idx.j and k != idx:
             assert abs(v) <= 1e-12
         elif k.j != idx.j:
@@ -155,11 +154,9 @@ def test_atom_unit_norm_narrow():
     g = sw.abelian(1)
     gs = sw.preset_sampling_set(g, 1.0)
     desc = sw.GridDescriptor(1, 256, 8.0)
-    ks = sw.build_kernel_set(sw.build_narrow_window(), desc, (0, 3))
+    ks = sw.build_kernel_set(sw.NarrowWindow(), desc, (0, 3))
     for j, gamma in [(0, (0,)), (1, (3,)), (2, (-1,))]:
-        c = sw.CoefficientField(sampling=gs,
-                                entries={sw.AtomIndex(j, gamma): 1.0 + 0j},
-                                normalization=sw.lp_atoms(2.0))
+        c = field_of(gs, {sw.AtomIndex(j, gamma): 1.0 + 0j}, sw.lp_atoms(2.0))
         f = sw.synthesize(c, ks, gs, desc)
         assert sw.lebesgue_norm(f, 2.0) == pytest.approx(1.0, abs=1e-10)
 
@@ -167,7 +164,7 @@ def test_atom_unit_norm_narrow():
 def test_frame_reconstruct_narrow():
     f = band_limited(n=128, extent=8.0, center=2.0, width=8.0)
     gs = sw.preset_sampling_set(sw.abelian(1), 1.0)
-    ks = sw.build_kernel_set(sw.build_narrow_window(), f.descriptor(), (0, 4))
+    ks = sw.build_kernel_set(sw.NarrowWindow(), f.descriptor(), (0, 4))
     rec, info = sw.frame_reconstruct(f, ks, gs)
     assert rel_l2(f, rec) <= 1e-6
     assert info["iterations"] <= 50
@@ -198,10 +195,8 @@ def test_synthesize_requires_lp_tag():
     g = sw.abelian(1)
     gs = sw.preset_sampling_set(g, 1.0)
     desc = sw.GridDescriptor(1, 64, 8.0)
-    ks = sw.build_kernel_set(sw.build_narrow_window(), desc, (0, 2))
-    c = sw.CoefficientField(sampling=gs,
-                            entries={sw.AtomIndex(0, (0,)): 1.0 + 0j},
-                            normalization=sw.L1_ATOMS)
+    ks = sw.build_kernel_set(sw.NarrowWindow(), desc, (0, 2))
+    c = field_of(gs, {sw.AtomIndex(0, (0,)): 1.0 + 0j}, sw.L1_ATOMS)
     with pytest.raises(ValueError):
         sw.synthesize(c, ks, gs, desc)
 
@@ -212,16 +207,13 @@ def test_synthesize_validation():
     desc = sw.GridDescriptor(3, 8, 4.0)
     ks = sw.build_kernel_set(sw.build_window(1.0), desc, (0, 1))
     gs_h = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
-    c = sw.CoefficientField(sampling=gs_h,
-                            entries={sw.AtomIndex(0, (0, 0, 0)): 1.0 + 0j},
-                            normalization=sw.lp_atoms(2.0))
+    c = field_of(gs_h, {sw.AtomIndex(0, (0, 0, 0)): 1.0 + 0j}, sw.lp_atoms(2.0))
     with pytest.raises(ValueError, match="matching abelian preset"):
         sw.synthesize(c, ks, gs_h, desc)
     g = sw.abelian(1)
     gs = sw.preset_sampling_set(g, 1.0)
     ks1 = sw.build_kernel_set(sw.build_window(1.0), sw.GridDescriptor(1, 64, 8.0), (0, 1))
-    c1 = sw.CoefficientField(sampling=gs, entries={sw.AtomIndex(0, (0,)): 1.0 + 0j},
-                             normalization=sw.lp_atoms(2.0))
+    c1 = field_of(gs, {sw.AtomIndex(0, (0,)): 1.0 + 0j}, sw.lp_atoms(2.0))
     with pytest.raises(ValueError, match="kernel cache"):
         sw.synthesize(c1, ks1, gs, sw.GridDescriptor(1, 128, 8.0))
 
@@ -230,9 +222,9 @@ def test_synthesize_refuses_another_sampling_set():
     # at beta = 1/2 the atom gamma = 3 sits at x = 1.5; read at beta = 1/4
     # it would be drawn at x = 0.75
     desc = sw.GridDescriptor(1, 256, 8.0)
-    ks = sw.build_kernel_set(sw.build_narrow_window(), desc, (0, 0))
+    ks = sw.build_kernel_set(sw.NarrowWindow(), desc, (0, 0))
     gs = sw.preset_sampling_set(sw.abelian(1), 0.5)
-    c = sw.CoefficientField(gs, {sw.AtomIndex(0, (3,)): 1.0}, sw.lp_atoms(2.0))
+    c = field_of(gs, {sw.AtomIndex(0, (3,)): 1.0}, sw.lp_atoms(2.0))
     f = sw.synthesize(c, ks, gs, desc)
     assert f.axis()[np.argmax(np.abs(f.samples))] == 1.5
     with pytest.raises(ValueError, match="another sampling set"):
@@ -240,7 +232,7 @@ def test_synthesize_refuses_another_sampling_set():
 
 
 
-@pytest.mark.parametrize("window", [sw.build_window(1.0), sw.build_narrow_window()],
+@pytest.mark.parametrize("window", [sw.build_window(1.0), sw.NarrowWindow()],
                          ids=["smooth", "narrow"])
 def test_atom_at_the_lattice_bound_synthesizes_like_its_periodic_copy(window):
     # with beta = 0.25 on [-4, 4) the lattice period is 32: gamma = 2^53 - 1
@@ -250,8 +242,8 @@ def test_atom_at_the_lattice_bound_synthesizes_like_its_periodic_copy(window):
     desc = sw.GridDescriptor(1, 256, 4.0)
     ks = sw.build_kernel_set(window, desc, (0, 0))
     far, near = 2**53 - 1, (2**53 - 1) % 32
-    f_far, f_near = (sw.synthesize(sw.CoefficientField(gs, {sw.AtomIndex(0, (g,)): 1.0},
-                                                       sw.lp_atoms(2.0)), ks, gs, desc).samples
+    f_far, f_near = (sw.synthesize(field_of(gs, {sw.AtomIndex(0, (g,)): 1.0}, sw.lp_atoms(2.0)),
+                                   ks, gs, desc).samples
                      for g in (far, near))
     assert np.linalg.norm(f_far - f_near) <= 1e-12 * np.linalg.norm(f_near)
 
@@ -308,10 +300,9 @@ def test_analyze_synthesize_adjoint(dim, n, extent, density, j, L):
     x = _random_grid(rng, dim, n, extent)
     ax = sw.analyze(x, ks, gs, 2.0)
     assert len(ax) > 0
-    c = sw.CoefficientField(sampling=gs,
-                            entries={k: complex(*rng.normal(size=2)) for k in ax.entries},
-                            normalization=sw.lp_atoms(2.0))
-    lhs = sum(np.conj(v) * c.entries[k] for k, v in ax.entries.items())
+    c = field_of(gs, {k: complex(*rng.normal(size=2)) for k in as_dict(ax)}, sw.lp_atoms(2.0))
+    cd = as_dict(c)
+    lhs = sum(np.conj(v) * cd[k] for k, v in as_dict(ax).items())
     rhs = np.vdot(x.samples, sw.synthesize(c, ks, gs, desc).samples) * x.spacing**dim
     assert abs(lhs - rhs) <= 1e-12 * ax.l2() * c.l2()
 
@@ -323,10 +314,10 @@ def test_fft_path_matches_dense_sums(dim, n, extent, density, j, L):
     f = _random_grid(rng, dim, n, extent)
     mult = ks.multiplier(j)
     # analysis: L1-convention samples of the block at the lattice points
-    c1 = sw.convert(sw.analyze(f, ks, gs, 2.0), sw.L1_ATOMS)
+    c1 = as_dict(sw.convert(sw.analyze(f, ks, gs, 2.0), sw.L1_ATOMS))
     indices = [sw.AtomIndex(j, tuple(g)) for g in scale.gammas.tolist()]
-    got = np.array([c1.entries[k] for k in indices])
-    want = _dense_samples(f, mult * grid_fft(f), scale.points)
+    got = np.array([c1[k] for k in indices])
+    want = _dense_samples(f, mult * grid_fft(f), gs.points(scale.j, scale.gammas))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # synthesis: sum_lambda d_lambda 2^{jQ(1/p - 1)} psi_hat_j e^{-2 pi i nu.x_lambda};
     # the copies shifted by one period of the torus wrap onto the first atoms
@@ -335,8 +326,7 @@ def test_fft_path_matches_dense_sums(dim, n, extent, density, j, L):
                      for k in indices[:5]]
     points = density * 2.0 ** (-j) * np.array([k.gamma for k in idx], dtype=float)
     d = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
-    c = sw.CoefficientField(sampling=gs, entries=dict(zip(idx, d)),
-                            normalization=sw.lp_atoms(2.0))
+    c = field_of(gs, dict(zip(idx, d)), sw.lp_atoms(2.0))
     spec = 2.0 ** (-j * dim / 2.0) * mult * _dense_spread(f, d, points)
     want = grid_ifft(f, spec).samples
     got = sw.synthesize(c, ks, gs, desc).samples
@@ -381,9 +371,7 @@ def test_dense_budget_refused_up_front(monkeypatch):
     desc2 = sw.GridDescriptor(2, 512, 8.0)
     ks2 = sw.build_kernel_set(sw.build_window(1.0), desc2, (0, 0))
     gs2 = sw.preset_sampling_set(sw.abelian(2), 0.5)
-    c2 = sw.CoefficientField(sampling=gs2,
-                             entries={sw.AtomIndex(0, (1, 2)): 1.0 + 0j},
-                             normalization=sw.lp_atoms(2.0))
+    c2 = field_of(gs2, {sw.AtomIndex(0, (1, 2)): 1.0 + 0j}, sw.lp_atoms(2.0))
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="budget"):
@@ -423,7 +411,7 @@ def test_dense_budget_counts_every_scale_of_a_call(monkeypatch):
     gs = sw.preset_sampling_set(sw.abelian(1), 0.3)
     ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
     scales = transform._scales(ks, gs, f.descriptor())
-    need = [16 * len(s.points) * f.N for s in scales if s.placement.L == 0]
+    need = [16 * len(gs.points(s.j, s.gammas)) * f.N for s in scales if s.placement.L == 0]
     monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", sum(need) - 1)
     assert max(need) <= transform.MAX_ARRAY_BYTES
     with pytest.raises(DomainError, match="budget"):

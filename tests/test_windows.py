@@ -49,7 +49,7 @@ def test_smooth_phi_monotone_on_transition():
 
 
 def test_narrow_partition_interior_exact():
-    w = sw.build_narrow_window()
+    w = sw.NarrowWindow()
     lo, hi = coverage_interval(6)
     # off the shared band edges the indicator sum is exactly 1
     grid = np.geomspace(lo, hi, 4001)[1:-1]
@@ -63,7 +63,7 @@ def test_narrow_partition_interior_exact():
 
 
 def test_narrow_values_and_edges():
-    w = sw.build_narrow_window()
+    w = sw.NarrowWindow()
     assert float(w.psi_hat(0.5)) == 1.0
     assert float(w.psi_hat(0.26)) == 1.0
     assert float(w.psi_hat(0.25)) == pytest.approx(np.sqrt(0.5), abs=0)
@@ -77,7 +77,7 @@ def test_narrow_values_and_edges():
 
 def test_narrow_edge_shared_between_two_scales():
     # at an edge point exactly two dilates are active, each with square 1/2
-    w = sw.build_narrow_window()
+    w = sw.NarrowWindow()
     active = [j for j in range(-3, 4) if float(w.psi_hat(1.0 * 4.0 ** (-j))) > 0]
     assert active == [0, 1]
     assert sum(float(w.psi_hat(1.0 * 4.0 ** (-j))) ** 2
@@ -95,8 +95,19 @@ def test_verify_partition_warns_outside_band():
     assert dev <= 1e-12
 
 
+@pytest.mark.parametrize("J, grid", [(-1, np.geomspace(4.0, 0.25, 8)), (2, np.array([])),
+                                     (2, np.array([1e-9, 1e9]))],
+                         ids=["empty-band", "no-points", "all-outside"])
+def test_verify_partition_refuses_a_grid_with_nothing_to_check(J, grid):
+    with pytest.raises(ValueError, match="no grid point lies in the covered band"):
+        sw.verify_partition(sw.build_window(1.0), J, grid)
+
+
 def test_build_window_validation():
     with pytest.raises(ValueError):
         sw.build_window(0.0)
     with pytest.raises(ValueError):
         sw.build_window(-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sw.build_window(bad)

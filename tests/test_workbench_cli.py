@@ -14,7 +14,7 @@ from stratwave import io as sio
 from stratwave.cli import main
 from stratwave.generators import spec_to_json
 from stratwave.transform import grid_ifft
-from conftest import custom_3_2, two_profile_spec
+from conftest import custom_3_2, field_of, two_profile_spec
 
 
 def write_spec(tmp_path, dim=1, group=None):
@@ -151,10 +151,8 @@ def test_verify_frame_refuses_an_over_budget_scale_before_allocating(tmp_path, c
 def test_norms_command(tmp_path):
     g = sw.abelian(1)
     gs = sw.preset_sampling_set(g, 1.0)
-    c = sw.CoefficientField(sampling=gs,
-                            entries={sw.AtomIndex(0, (0,)): 3.0 + 0j,
-                                     sw.AtomIndex(1, (1,)): 4.0 + 0j},
-                            normalization=sw.L1_ATOMS)
+    c = field_of(gs, {sw.AtomIndex(0, (0,)): 3.0 + 0j, sw.AtomIndex(1, (1,)): 4.0 + 0j},
+                 sw.L1_ATOMS)
     path = tmp_path / "c.jsonl"
     sio.write_field(path, c)
     report = tmp_path / "n.json"
@@ -211,9 +209,7 @@ def test_exit_code_undecidable(tmp_path):
              for n in range(16)]
     snaps = sw.SequenceSnapshots(
         sampling=gs, n_values=tuple(range(16)),
-        fields=tuple(sw.CoefficientField(sampling=gs, entries=e,
-                                         normalization=sw.lp_atoms(2.0))
-                     for e in per_n))
+        fields=tuple(field_of(gs, e, sw.lp_atoms(2.0)) for e in per_n))
     path = tmp_path / "snaps.jsonl"
     sio.write_snapshots(path, snaps)
     params = write_params(tmp_path)
@@ -751,3 +747,84 @@ def test_narrow_window_refuses_sharpness(tmp_path, capsys, command):
     assert main(argv + ["--narrow", "--sharpness", "7.5"]) == 1
     assert capsys.readouterr().err == (
         "validation error: --sharpness does not apply to the --narrow window\n")
+
+
+def write_parallel_spec(tmp_path, **overrides):
+    """Two abelian(1) tracks translating side by side at relative offset 3,
+    which are not orthogonal at any valid T_div."""
+    tracks = tuple(sw.TrackSpec(j0=0, j_slope=0, gamma0=(g0,), gamma_slope=(2,),
+                                bundle=(sw.BundleAtom(0, (0,), d),))
+                   for g0, d in ((0, 1.0), (3, 0.5)))
+    obj = dict(spec_to_json(sw.GeneratorSpec(kind="mixture", tracks=tracks, horizon=8)),
+               group={"kind": "abelian", "d": 1}, density=1.0, **overrides)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("key, value", [("check_T_div", -5.0), ("check_eps_stable", -1.0)])
+def test_generate_refuses_a_negative_check_threshold(tmp_path, capsys, key, value):
+    out = tmp_path / "s.jsonl"
+    assert main(["generate", "--spec", str(write_parallel_spec(tmp_path)), "--out", str(out)]) == 1
+    assert "not orthogonal" in capsys.readouterr().err
+    spec = write_parallel_spec(tmp_path, **{key: value})
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"validation error: {key} must be finite and >= 0, got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, name, value", [
+    ("--T-div", "T_div", "-5"), ("--T-div", "T_div", "nan"), ("--T-div", "T_div", "inf"),
+    ("--eps-stable", "eps_stable", "-1"), ("--eps-stable", "eps_stable", "nan")])
+def test_classify_refuses_a_bad_threshold(tmp_path, capsys, flag, name, value):
+    n = 16
+    a = write_track(tmp_path, "a.json", [0] * n, [[k] for k in range(n)])
+    b = write_track(tmp_path, "b.json", [0] * n, [[k + 3] for k in range(n)])
+    report = tmp_path / "v.json"
+    assert main(["classify", "--a", str(a), "--b", str(b), flag, value,
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"validation error: {name} must be finite and >= 0, got {float(value)!r}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("argv, band", [(["--J", "-1"], "[4, 0.25]"),
+                                        (["--grid-points", "0"], "[1.53e-05, 6.55e+04]")],
+                         ids=["empty-band", "no-points"])
+def test_verify_window_refuses_to_check_nothing(tmp_path, capsys, argv, band):
+    report = tmp_path / "w.json"
+    assert main(["verify-window", *argv, "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"validation error: no grid point lies in the covered band {band}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
+def test_verify_window_refuses_a_bad_tol(tmp_path, capsys, tol):
+    report = tmp_path / "w.json"
+    assert main(["verify-window", "--tol", tol, "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"validation error: --tol must be finite and >= 0, got {float(tol)!r}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("sharpness", ["nan", "inf"])
+def test_verify_window_refuses_a_non_finite_sharpness(tmp_path, capsys, sharpness):
+    report = tmp_path / "w.json"
+    assert main(["verify-window", "--sharpness", sharpness, "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"validation error: sharpness must be positive and finite, got {float(sharpness)!r}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+def test_norms_refuses_a_non_finite_s(tmp_path, capsys, s):
+    path = tmp_path / "c.jsonl"
+    sio.write_field(path, field_of(sw.SamplingSet(sw.abelian(1), 1.0),
+                                   {sw.AtomIndex(0, (0,)): 3.0}, sw.L1_ATOMS))
+    report = tmp_path / "n.json"
+    assert main(["norms", "--in", str(path), f"--s={s}", "--p", "2", "--q", "2",
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"validation error: s must be finite, got {float(s)!r}\n"
+    assert not report.exists()

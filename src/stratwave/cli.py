@@ -285,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify-frame", help="analyze/synthesize round trip on a grid")
     vf.add_argument("--grid", required=True)
-    vf.add_argument("--density", type=float, default=0.5)
+    vf.add_argument("--density", type=float, default=0.25,
+                    help="lattice spacing beta (default 0.25, the largest whose scale-j "
+                         "step beta 2^-j samples the band of psi_hat_j without aliasing)")
     vf.add_argument("--p", type=float, default=4.0)
     vf.add_argument("--jmin", type=int, default=-2)
     vf.add_argument("--jmax", type=int, default=5)

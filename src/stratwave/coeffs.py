@@ -144,8 +144,8 @@ class NormParams:
     def __post_init__(self):
         if not np.isfinite(self.s):
             raise ValueError(f"s must be finite, got {self.s!r}")
-        if self.p < 1 or self.q < 1:
-            raise ValueError("p and q must be >= 1")
+        if not (self.p >= 1 and self.q >= 1):  # NaN included
+            raise ValueError(f"p and q must be numbers >= 1, got p = {self.p!r}, q = {self.q!r}")
         if not (np.isfinite(self.p) and np.isfinite(self.q)):
             raise ValueError("endpoint p or q = infinity is out of scope")
 

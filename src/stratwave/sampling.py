@@ -44,6 +44,8 @@ __all__ = [
     "preset_sampling_set",
     "lattice_coordinates",
     "lattice_ranges",
+    "scale_ranges",
+    "range_coordinates",
     "verify_tiling",
     "column_decay_certificate",
     "sampling_to_json",
@@ -178,32 +180,54 @@ def lattice_coordinates(gs: SamplingSet, j: int, box) -> np.ndarray:
     """All gamma in Gamma with 2^{-j} . gamma inside the half-open box, as a
     (P, dim) int64 array in lexicographic order; DomainError, before any is
     built, when the P points would exceed MAX_ARRAY_BYTES."""
-    axes = [np.arange(a, b, dtype=np.int64) for a, b in lattice_ranges(gs, j, box)]
+    return range_coordinates(lattice_ranges(gs, j, box))
+
+
+def range_coordinates(ranges) -> np.ndarray:
+    """The product of per-coordinate integer ranges [a, b) as a (P, dim)
+    int64 array in lexicographic order."""
+    axes = [np.arange(a, b, dtype=np.int64) for a, b in ranges]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def lattice_ranges(gs: SamplingSet, j: int, box) -> list[tuple[int, int]]:
     """The per-coordinate integer ranges [a, b) whose product is
-    `lattice_coordinates(gs, j, box)`, with its checks and budget; builds nothing."""
+    `lattice_coordinates(gs, j, box)`, with its checks and budget; builds
+    nothing.  It is `scale_ranges` for the one scale j."""
+    return scale_ranges(gs, [j], box)[0]
+
+
+def scale_ranges(gs: SamplingSet, js, box) -> list[list[tuple[int, int]]]:
+    """`lattice_ranges(gs, j, box)` for each scale j of js, from one array pass.
+
+    The scales are checked finest (largest j) first, each for a non-finite
+    step or point count and then for the budget, so the first refusal is the
+    one that per-scale calls from the finest down would raise."""
     box = np.array([(float(lo), float(hi)) for lo, hi in box]).reshape(-1, 2)
     d = gs.group.dim
     if len(box) != d:
         raise ValueError("box dimension mismatch")
     if np.any(box[:, 1] <= box[:, 0]):
-        return [(0, 0)] * d
+        return [[(0, 0)] * d for _ in js]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        steps = gs.spacing * 2.0 ** (-j * groups.dilation_weights(gs.group))
-        ends = np.ceil(box / steps[:, None] - 1e-12)
-    if not (np.isfinite(steps).all() and np.isfinite(ends).all()):
-        raise DomainError(f"the scale-{j} lattice in the box {box.tolist()} has no finite "
-                          "float64 step or point count")
-    ends = [(int(a), int(b)) for a, b in ends.tolist()]
-    count = math.prod(max(b - a, 0) for a, b in ends)
-    if 8 * d * count > MAX_ARRAY_BYTES:
-        raise DomainError(f"{count} lattice points at scale {j} need {8 * d * count} B, "
-                          f"over the {MAX_ARRAY_BYTES} B budget")
-    return ends
+        exps = -np.array(js, dtype=float)[:, None] * groups.dilation_weights(gs.group)
+        steps = gs.spacing * 2.0 ** exps
+        ends = np.ceil(box / steps[:, :, None] - 1e-12)
+    finite = (np.isfinite(steps).all(axis=1) & np.isfinite(ends).all(axis=(1, 2))).tolist()
+    rows = ends.tolist()
+    out = [None] * len(js)
+    for i in sorted(range(len(js)), key=lambda i: -js[i]):
+        j = js[i]
+        if not finite[i]:
+            raise DomainError(f"the scale-{j} lattice in the box {box.tolist()} has no finite "
+                              "float64 step or point count")
+        out[i] = [(int(a), int(b)) for a, b in rows[i]]
+        count = math.prod(max(b - a, 0) for a, b in out[i])
+        if 8 * d * count > MAX_ARRAY_BYTES:
+            raise DomainError(f"{count} lattice points at scale {j} need {8 * d * count} B, "
+                              f"over the {MAX_ARRAY_BYTES} B budget")
+    return out
 
 
 _TILING_ROWS = 1 << 18  # candidate translates per verify_tiling batch

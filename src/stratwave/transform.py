@@ -25,9 +25,14 @@ budget, which also bounds each refined grid at 16 B a node).  The general
 off-lattice alternative would be a nonuniform FFT (Dutt-Rokhlin 1993).
 
 Coefficient fields cross this module as arrays: `analyze` samples each
-scale at its lattice points (`sampling.lattice_coordinates`, already in
+scale at its lattice points (`sampling.range_coordinates`, already in
 canonical order) and `synthesize` reads each scale's run of the field's
-canonical arrays.
+canonical arrays.  `analyze` and `frame_reconstruct` take every scale's
+lattice ranges from one `sampling.scale_ranges` pass per call.  Kernel
+multipliers and Littlewood-Paley blocks are built in stacks of scales of at
+most _STACK_POINTS = 2^14 grid points, bit-identical to a per-scale loop.
+The CLI's verify-frame samples at density 0.25 by default: its scale-j step
+beta 2^{-j} is the 2^{-j} / 4 that samples the band of psi_hat_j alias-free.
 
 `frame_reconstruct` applies the frame operator S = sum_j 2^{-jQ} A_j^* A_j
 to spectra (Ron-Shen 1997 fiberization; Daubechies 1992, ch. 3).  A scale
@@ -52,7 +57,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .groups import DomainError, dilate  # noqa: F401 (perfbench's tracer test reads it)
-from .sampling import MAX_ARRAY_BYTES, SamplingSet, lattice_coordinates, lattice_ranges
+from .sampling import MAX_ARRAY_BYTES, SamplingSet, range_coordinates, scale_ranges
 from .coeffs import SPARSE_FLOOR, CoefficientField, L1_ATOMS, lp_atoms, convert
 
 __all__ = [
@@ -160,6 +165,16 @@ def grid_ifft(f: GridFunction, spectrum: np.ndarray) -> GridFunction:
     return replace(f, samples=samples)
 
 
+_STACK_POINTS = 1 << 14  # grid points per stacked pass over scales
+
+
+def _stacks(n_scales: int, size: int) -> list[slice]:
+    """Consecutive runs of at most max(1, _STACK_POINTS // size) of n_scales
+    scales, each of `size` grid points, one stacked pass each."""
+    per = max(1, _STACK_POINTS // size)
+    return [slice(i, i + per) for i in range(0, n_scales, per)]
+
+
 @dataclass(frozen=True)
 class KernelSet:
     """Cached dyadic multipliers psi_hat(4^{-j} |nu|^2) on a fixed grid."""
@@ -175,14 +190,32 @@ class KernelSet:
         return self.multipliers[j]
 
 
+def _dilation(j: int) -> float:
+    """4^{-j}, the scale-j factor of the spectral variable; DomainError when
+    it overflows (j <= -512).  An underflow to 0 is kept."""
+    try:
+        return 4.0 ** (-j)
+    except OverflowError:
+        raise DomainError(f"the dilation 4^(-j) of the spectral variable overflows float64 "
+                          f"at scale j = {j}") from None
+
+
 def build_kernel_set(window, desc: GridDescriptor, j_range: tuple[int, int]) -> KernelSet:
+    """psi_hat(4^{-j} |nu|^2) for every j of the range, window.psi_hat called
+    once per stack of scales (at most _STACK_POINTS grid points) on the
+    stacked spectral variables, so the window must act elementwise.  A scale
+    whose dilation overflows is refused with DomainError before the window is
+    evaluated."""
     j_min, j_max = int(j_range[0]), int(j_range[1])
     if j_min > j_max:
         raise ValueError("empty j_range")
-    lam = GridFunction(desc.dim, desc.extent,
-                       np.zeros((desc.N,) * desc.dim, dtype=complex)).lambda_grid()
-    mult = {j: np.asarray(window.psi_hat(lam * 4.0 ** (-j)), dtype=float)
-            for j in range(j_min, j_max + 1)}
+    js, shape = range(j_min, j_max + 1), (desc.N,) * desc.dim
+    factors = np.array([_dilation(j) for j in js]).reshape((-1,) + (1,) * desc.dim)
+    lam = GridFunction(desc.dim, desc.extent, np.zeros(shape, dtype=complex)).lambda_grid()
+    mult = {}
+    for run in _stacks(len(js), lam.size):
+        stack = np.asarray(window.psi_hat(lam * factors[run]), dtype=float)
+        mult.update(zip(js[run], stack))
     return KernelSet(window=window, j_range=(j_min, j_max), desc=desc, multipliers=mult)
 
 
@@ -308,12 +341,17 @@ class _Scale(NamedTuple):
     placement: _Placement
 
 
+def _box_ranges(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> dict:
+    """Each cached scale's integer ranges of the torus-box lattice, from one
+    pass that checks every scale's budget, the finest first, before any
+    lattice is built."""
+    js = range(ks.j_range[0], ks.j_range[1] + 1)
+    return dict(zip(js, scale_ranges(gs, js, [(-desc.extent, desc.extent)] * desc.dim)))
+
+
 def _scales(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale]:
     """Each cached scale's lattice points inside the torus box, placed on the grid."""
-    box = [(-desc.extent, desc.extent)] * desc.dim
-    # finest scale first: the largest lattice is refused before the others are built
-    lattices = [(j, lattice_coordinates(gs, j, box))
-                for j in range(ks.j_range[1], ks.j_range[0] - 1, -1)][::-1]
+    lattices = [(j, range_coordinates(r)) for j, r in _box_ranges(ks, gs, desc).items()]
     placements = _place(desc, [(gm, gs.beta * 2.0 ** -j, 0.0) for j, gm in lattices])
     return [_Scale(j, gm, pl) for (j, gm), pl in zip(lattices, placements)]
 
@@ -397,8 +435,7 @@ def _frame_symbol(ks: KernelSet, gs: SamplingSet,
     """
     Q, d, N = gs.group.Q, desc.dim, desc.N
     dx = 2.0 * desc.extent / N
-    box = [(-desc.extent, desc.extent)] * d
-    ranges = {j: lattice_ranges(gs, j, box) for j in range(ks.j_range[1], ks.j_range[0] - 1, -1)}
+    ranges = _box_ranges(ks, gs, desc)
     diagonal = 0.0  # a real array unless a multiplier is complex
     folds, rest = [], []
     for j in range(ks.j_range[0], ks.j_range[1] + 1):
@@ -411,7 +448,7 @@ def _frame_symbol(ks: KernelSet, gs: SamplingSet,
             diagonal = diagonal + w * (geo[0] / (dx * geo[1])) ** d * mult * mult
         else:
             folds.append((w * (geo[0] / (dx * geo[1])) ** d * mult, mult, M))
-    placements = _place(desc, [(lattice_coordinates(gs, j, box), gs.beta * 2.0 ** -j, 0.0)
+    placements = _place(desc, [(range_coordinates(ranges[j]), gs.beta * 2.0 ** -j, 0.0)
                                for j in rest])
     sampled = [(2.0 ** (-j * Q) * ks.multiplier(j), ks.multiplier(j), pl)
                for j, pl in zip(rest, placements)]
@@ -502,26 +539,49 @@ def sobolev_norm(f: GridFunction, s: float, dc_tol: float = 1e-12) -> float:
     return float(np.sqrt(np.sum(weighted) * dnu**f.dim))
 
 
-def lebesgue_norm(f: GridFunction, p: float) -> float:
-    a = np.abs(f.samples)
+def _check_p(p: float) -> None:
+    if not p >= 1:
+        raise DomainError(f"p must be >= 1, got {p!r}")
+
+
+def _lp_norms(rows: np.ndarray, p: float, cell: float) -> list[float]:
+    """(sum |v|^p cell)^{1/p} of each row, the max at p = inf."""
+    a = np.abs(rows)
     if p == np.inf:
-        return float(np.max(a))
-    if p < 1:
-        raise DomainError("p must be >= 1")
-    return float((np.sum(a**p) * f.spacing**f.dim) ** (1.0 / p))
+        return a.max(axis=1).tolist()
+    return [float((total * cell) ** (1.0 / p)) for total in np.sum(a**p, axis=1)]
+
+
+def lebesgue_norm(f: GridFunction, p: float) -> float:
+    _check_p(p)
+    return _lp_norms(f.samples.reshape(1, -1), p, f.spacing**f.dim)[0]
 
 
 def besov_norm_continuous(f: GridFunction, ks: KernelSet, s: float, p: float,
                           q: float, leak_tol: float = 1e-8) -> float:
-    """l^q over scales of 2^{js} ||f * psi_j^*||_{L^p} on the cached range."""
+    """l^q over scales of 2^{js} ||f * psi_j^*||_{L^p} on the cached range.
+
+    The blocks of a stack of scales (at most _STACK_POINTS grid points) come
+    from one inverse FFT and their norms from one row-wise pass; the sums
+    over j run scale by scale.  A NaN p, p < 1 or q outside [1, inf) raises
+    DomainError."""
+    _check_p(p)
+    if not 1 <= q < np.inf:
+        raise DomainError(f"q must lie in [1, inf), got {q!r}")
     spec = grid_fft(f)
     covered = np.zeros(spec.shape)
     acc = 0.0
-    for j in range(ks.j_range[0], ks.j_range[1] + 1):
-        m = ks.multiplier(j)
-        covered += m * m
-        block = grid_ifft(f, m * spec)
-        acc += (2.0 ** (j * s) * lebesgue_norm(block, p)) ** q
+    js = range(ks.j_range[0], ks.j_range[1] + 1)
+    axes = tuple(range(1, f.dim + 1))
+    for run in _stacks(len(js), spec.size):
+        mults = np.stack([ks.multiplier(j) for j in js[run]])
+        blocks = np.fft.ifftn(mults * spec * _parity(f.dim, f.N), axes=axes) / f.spacing**f.dim
+        if not np.all(np.isfinite(blocks)):
+            raise ValueError("samples must be finite")
+        norms = _lp_norms(blocks.reshape(len(mults), -1), p, f.spacing**f.dim)
+        for j, power, norm in zip(js[run], np.abs(mults) ** 2, norms):
+            covered += power  # |psi_hat_j|^2, which is m * m for a real multiplier
+            acc += (2.0 ** (j * s) * norm) ** q
     energy = np.sum(np.abs(spec) ** 2)
     leaked = np.sum(np.abs(spec) ** 2 * np.clip(1.0 - covered, 0.0, 1.0))
     if energy > 0 and leaked > leak_tol * energy:

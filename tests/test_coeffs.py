@@ -96,6 +96,11 @@ def test_norm_params_validation():
         sw.NormParams(0.0, 0.5, 2.0)
     with pytest.raises(ValueError):
         sw.NormParams(0.0, 2.0, np.inf)
+    for p, q in ((np.nan, 2.0), (2.0, np.nan), (0.5, np.nan)):
+        with pytest.raises(ValueError, match="p and q must be numbers >= 1"):
+            sw.NormParams(0.0, p, q)
+    with pytest.raises(ValueError, match="infinity is out of scope"):
+        sw.NormParams(0.0, np.inf, 2.0)
     for s in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="s must be finite"):
             sw.NormParams(s, 2.0, 2.0)

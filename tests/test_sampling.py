@@ -533,6 +533,64 @@ def test_lattice_coordinates_refuses_a_non_finite_step_or_count(j, box):
         sw.lattice_coordinates(gs, j, box)
 
 
+def _exact_ranges(gs, j, box):
+    """ceil(lo / step - 1e-12), ceil(hi / step - 1e-12) per coordinate, with
+    the step beta 2^-j on V1 and (beta^2 / 2) 4^-j on V2 in exact rationals."""
+    d1 = gs.group.strata_dims[0]
+    out = []
+    for k, (lo, hi) in enumerate(box):
+        step = (Fraction(gs.beta) * Fraction(2) ** -j if k < d1
+                else Fraction(gs.beta) ** 2 / 2 * Fraction(4) ** -j)
+        eps = Fraction(1e-12)
+        out.append(tuple(math.ceil(Fraction(v) / step - eps) for v in (lo, hi)))
+    return out
+
+
+@pytest.mark.parametrize("gs, box", [
+    (sw.SamplingSet(sw.abelian(1), 0.25), [(-4.0, 4.0)]),
+    (sw.SamplingSet(sw.abelian(2), 0.3), [(-1.5, 2.0), (0.0, 1.0)]),
+    (sw.SamplingSet(sw.heisenberg(1), 0.5), [(-1.0, 1.0), (0.25, 2.0), (-0.5, 0.5)]),
+    (sw.SamplingSet(custom_3_2(), 1.0), [(-1.0, 1.0)] * 5),
+], ids=["abelian1", "abelian2", "heisenberg1", "custom_3_2"])
+def test_scale_ranges_equal_the_per_scale_ranges(gs, box):
+    js = [2, -2, 0, 1, -3, -1]  # any order: the ranges come back in the order of js
+    ranges = sampling.scale_ranges(gs, js, box)
+    assert ranges == [sampling.lattice_ranges(gs, j, box) for j in js]
+    assert ranges == [_exact_ranges(gs, j, box) for j in js]
+    assert sampling.scale_ranges(gs, [], box) == []
+    empty = [(0.0, 0.0)] + list(box[1:])
+    assert sampling.scale_ranges(gs, js, empty) == [[(0, 0)] * gs.group.dim] * len(js)
+
+
+def _first_refusal(gs, js, box):
+    """The message of the first refusal of per-scale calls, finest scale first."""
+    for j in sorted(js, reverse=True):
+        try:
+            sampling.lattice_ranges(gs, j, box)
+        except sw.DomainError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("js, budget", [
+    (range(-1, 8), 8 * 2**10),   # scales 7 and 6 are over: 7 is named
+    (range(-1, 8), 8 * 2**11 - 1),  # only 7 is over
+    ([0, 22, 3, -1100], None),  # 22 is over the budget; -1100 has an infinite step
+    ([0, 1100, 22, 3], None),   # 1100 has a zero step and comes first
+    ([-1100, 0, 1], None),      # the overflow is the only refusal
+], ids=["two-over", "one-over", "budget-first", "underflow-first", "overflow"])
+def test_scale_ranges_raise_the_first_per_scale_refusal(monkeypatch, js, budget):
+    # density 0.25 on [-2, 2): scale j has 2^(j + 4) points
+    if budget is not None:
+        monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", budget)
+    gs, box = sw.SamplingSet(sw.abelian(1), 0.25), [(-2.0, 2.0)]
+    message = _first_refusal(gs, js, box)
+    assert message is not None
+    with pytest.raises(sw.DomainError) as info:
+        sampling.scale_ranges(gs, js, box)
+    assert str(info.value) == message
+
+
 def test_sampling_json_roundtrip():
     for gs in lattices():
         gs2 = sampling_from_json(sampling_to_json(gs))

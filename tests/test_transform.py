@@ -75,12 +75,16 @@ def test_analyze_refuses_an_over_budget_scale_before_building_the_others(monkeyp
     gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
     ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 7))
     built = []
-    lattice = transform.lattice_coordinates
-    monkeypatch.setattr(transform, "lattice_coordinates",
-                        lambda gs, j, box: built.append(j) or lattice(gs, j, box))
+    lattice = transform.range_coordinates
+    monkeypatch.setattr(transform, "range_coordinates",
+                        lambda ranges: built.append(ranges) or lattice(ranges))
+    # the one range pass refuses scale 7 before any lattice is built
     with pytest.raises(DomainError, match="2048 lattice points at scale 7"):
         sw.analyze(f, ks, gs, 2.0)
-    assert built == [7]
+    assert built == []
+    monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", 8 * 2**11)
+    sw.analyze(f, ks, gs, 2.0)
+    assert [b - a for ((a, b),) in built] == [2 ** (j + 4) for j in range(-1, 8)]
 
 
 def test_grid_validation():
@@ -524,7 +528,7 @@ def test_frame_reconstruct_folds_dyadic_scales_without_sampling(monkeypatch):
     gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
     ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
     calls = []
-    for name in ("_sample", "_spread", "lattice_coordinates"):
+    for name in ("_sample", "_spread", "range_coordinates"):
         fn = getattr(transform, name)
         monkeypatch.setattr(transform, name,
                             lambda *a, _n=name, _f=fn: calls.append(_n) or _f(*a))
@@ -645,3 +649,143 @@ def test_besov_continuous_single_band():
     for j in range(-4, 7):
         brute += (2.0 ** (j * s) * sw.lebesgue_norm(sw.lp_block(f, ks, j), p)) ** 2
     assert val == pytest.approx(np.sqrt(brute), rel=1e-12)
+
+
+# -- every scale in one pass ---------------------------------------------------
+
+class _CountingWindow:
+    """A window that counts its psi_hat calls and the points they evaluate."""
+
+    def __init__(self, window):
+        self.window, self.calls = window, []
+
+    def psi_hat(self, xi):
+        self.calls.append(np.size(xi))
+        return self.window.psi_hat(xi)
+
+
+# (-40, 150) on 256 points and (-2, 12) on 64^2 points each span several
+# 2^14-point passes: 64 and 4 scales to a pass
+@pytest.mark.parametrize("window", [sw.build_window(1.0), sw.build_window(0.37),
+                                    sw.NarrowWindow()], ids=["smooth", "sharp", "narrow"])
+@pytest.mark.parametrize("desc, j_range", [
+    (sw.GridDescriptor(1, 256, 4.0), (-2, 5)),
+    (sw.GridDescriptor(1, 256, 4.0), (-40, 150)),
+    (sw.GridDescriptor(2, 64, 4.0), (-1, 3)),
+    (sw.GridDescriptor(2, 64, 4.0), (-2, 12)),
+])
+def test_stacked_kernel_set_equals_the_per_scale_multipliers(window, desc, j_range):
+    spy = _CountingWindow(window)
+    ks = sw.build_kernel_set(spy, desc, j_range)
+    lam = sw.GridFunction(desc.dim, desc.extent,
+                          np.zeros((desc.N,) * desc.dim, dtype=complex)).lambda_grid()
+    for j in range(j_range[0], j_range[1] + 1):
+        want = np.asarray(window.psi_hat(lam * 4.0 ** (-j)), dtype=float)
+        got = ks.multiplier(j)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    # one psi_hat call per pass of at most 2^14 points
+    size, n_scales = desc.N**desc.dim, j_range[1] - j_range[0] + 1
+    per = max(1, transform._STACK_POINTS // size)
+    assert spy.calls == [size * min(per, n_scales - i) for i in range(0, n_scales, per)]
+    assert max(spy.calls) <= max(size, transform._STACK_POINTS)
+
+
+def test_kernel_set_refuses_an_overflowing_dilation_before_evaluating_the_window():
+    desc = sw.GridDescriptor(1, 64, 4.0)
+    for j_range, j in (((-600, -590), -600), ((-512, 3), -512)):
+        spy = _CountingWindow(sw.build_window(1.0))
+        with pytest.raises(DomainError, match=re.escape(f"overflows float64 at scale j = {j}")):
+            sw.build_kernel_set(spy, desc, j_range)
+        assert spy.calls == []
+    # 4^511 is finite and kept; 4^-538 underflows to 0 and is kept too
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # lam * 4^511 overflows to inf
+        ks = sw.build_kernel_set(sw.build_window(1.0), desc, (-511, -511))
+    assert np.all(ks.multiplier(-511) == 0.0)
+    ks = sw.build_kernel_set(sw.build_window(1.0), desc, (538, 540))
+    assert all(np.all(ks.multiplier(j) == 0.0) for j in (538, 539, 540))
+
+
+def _besov_reference(f, ks, s, p, q):
+    """The continuous Besov norm scale by scale: one block, one norm each."""
+    spec = grid_fft(f)
+    acc = 0.0
+    for j in range(ks.j_range[0], ks.j_range[1] + 1):
+        a = np.abs(grid_ifft(f, ks.multiplier(j) * spec).samples)
+        norm = (float(np.max(a)) if p == np.inf
+                else float((np.sum(a**p) * f.spacing**f.dim) ** (1.0 / p)))
+        acc += (2.0 ** (j * s) * norm) ** q
+    return float(acc ** (1.0 / q))
+
+
+@pytest.mark.parametrize("dim, n, j_range", [(1, 256, (-2, 5)), (1, 256, (-60, 80)),
+                                             (2, 64, (-1, 3)), (2, 64, (-3, 6))])
+@pytest.mark.parametrize("p", [2.0, 4.0, np.inf])
+@pytest.mark.parametrize("factor", [1.0, 0.6 - 0.8j], ids=["real", "complex"])
+def test_besov_norm_continuous_equals_the_per_scale_reference(dim, n, j_range, p, factor):
+    f = _random_grid(np.random.default_rng(dim * n), dim, n, 4.0)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), j_range)
+    ks = dataclasses.replace(ks, multipliers={j: factor * m for j, m in ks.multipliers.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # band leakage of the random grid
+        for s, q in ((0.3, 2.0), (-0.5, 1.0), (0.25, 3.0)):
+            got = sw.besov_norm_continuous(f, ks, s, p, q)
+            assert got.hex() == _besov_reference(f, ks, s, p, q).hex()
+
+
+def test_besov_norm_continuous_stacks_at_most_the_pass_budget(monkeypatch):
+    f = _random_grid(np.random.default_rng(2), 2, 64, 4.0)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-3, 6))
+    batches = []
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(transform.np.fft, "ifftn",
+                        lambda a, axes=None: batches.append(a.shape) or ifftn(a, axes=axes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        sw.besov_norm_continuous(f, ks, 0.3, 2.0, 2.0)
+    assert batches == [(4, 64, 64), (4, 64, 64), (2, 64, 64)]
+
+
+@pytest.mark.parametrize("p", [np.nan, 0.5, 0.0, -1.0, -np.inf])
+def test_norms_refuse_a_bad_p_before_any_fft(monkeypatch, p):
+    f = _random_grid(np.random.default_rng(4), 1, 64, 4.0)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 3))
+    monkeypatch.setattr(transform, "grid_fft", lambda *a: pytest.fail("FFT before the check"))
+    with pytest.raises(DomainError, match="p must be >= 1"):
+        sw.lebesgue_norm(f, p)
+    with pytest.raises(DomainError, match="p must be >= 1"):
+        sw.besov_norm_continuous(f, ks, 0.0, p, 2.0)
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, 0.5, np.inf, np.nan])
+def test_besov_norm_continuous_refuses_a_bad_q_before_any_fft(monkeypatch, q):
+    f = _random_grid(np.random.default_rng(4), 1, 64, 4.0)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 3))
+    monkeypatch.setattr(transform, "grid_fft", lambda *a: pytest.fail("FFT before the check"))
+    with pytest.raises(DomainError, match=re.escape("q must lie in [1, inf)")):
+        sw.besov_norm_continuous(f, ks, 0.0, 2.0, q)
+
+
+def test_lebesgue_norm_keeps_p_infinity_and_matches_the_flat_sum():
+    f = _random_grid(np.random.default_rng(6), 2, 32, 4.0)
+    a = np.abs(f.samples)
+    assert sw.lebesgue_norm(f, np.inf) == float(np.max(a))
+    for p in (1.0, 2.0, 3.5):
+        want = float((np.sum(a**p) * f.spacing**2) ** (1.0 / p))
+        assert sw.lebesgue_norm(f, p).hex() == want.hex()
+
+
+@pytest.mark.parametrize("density", [0.25, 0.3])
+def test_analyze_and_frame_reconstruct_make_one_range_pass_each(monkeypatch, density):
+    f = band_limited(n=256, extent=4.0, center=2.0, width=8.0)
+    gs = sw.SamplingSet(sw.abelian(1), density)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
+    passes = []
+    ranges = transform.scale_ranges
+    monkeypatch.setattr(transform, "scale_ranges",
+                        lambda gs, js, box: passes.append(list(js)) or ranges(gs, js, box))
+    monkeypatch.setattr(sampling, "lattice_ranges", lambda *a: pytest.fail("per-scale ranges"))
+    sw.analyze(f, ks, gs, 2.0)
+    sw.frame_reconstruct(f, ks, gs)
+    assert passes == [list(range(-1, 5))] * 2

@@ -148,6 +148,43 @@ def test_verify_frame_refuses_an_over_budget_scale_before_allocating(tmp_path, c
     assert "validation error:" in err and message in err
 
 
+def test_verify_frame_refuses_an_overflowing_dilation(tmp_path, capsys):
+    # 4^600 overflows float64: refused with exit 1, not an OverflowError traceback
+    grid, report = write_band_grid(tmp_path), tmp_path / "frame.json"
+    assert main(["verify-frame", "--grid", str(grid), "--jmin", "-600", "--jmax", "-590",
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == ("validation error: the dilation 4^(-j) of the spectral "
+                                       "variable overflows float64 at scale j = -600\n")
+    assert not report.exists()
+
+
+def write_benchmark_band_grid(tmp_path, seed):
+    """Seeded noise under a sin^2 envelope on 0.3 < |nu| < 12, N = 256, R = 4."""
+    rng = np.random.default_rng(seed)
+    blank = sw.GridFunction(1, 4.0, np.zeros(256, dtype=complex))
+    a = np.abs(blank.freq_axis())
+    env = np.where((a > 0.3) & (a < 12.0), np.sin(np.pi * (a - 0.3) / 11.7) ** 2, 0.0)
+    samples = np.fft.ifft(env * (rng.normal(size=256) + 1j * rng.normal(size=256)))
+    grid = tmp_path / "f.grid"
+    sio.write_grid(grid, sw.GridFunction(1, 4.0, samples / np.max(np.abs(samples))))
+    return grid
+
+
+@pytest.mark.parametrize("seed", [1, 777])
+def test_verify_frame_default_density_converges_on_a_band_limited_grid(tmp_path, capsys, seed):
+    # at density 0.5 the scale-j step beta 2^-j is twice the alias-free 2^-j / 4
+    # and the CG stops at 50 iterations; the default, 0.25, converges
+    grid, report = write_benchmark_band_grid(tmp_path, seed), tmp_path / "frame.json"
+    argv = ["verify-frame", "--grid", str(grid), "--jmin", "-1", "--jmax", "4",
+            "--report", str(report)]
+    assert main(argv) == 0
+    obj = json.loads(report.read_text())
+    assert obj["density"] == 0.25 and obj["corrected_rel_error"] <= 1e-5
+    assert capsys.readouterr().err == ""
+    assert main(argv + ["--density", "0.5"]) == 1
+    assert json.loads(report.read_text())["frame_iterations"] == 50
+
+
 def test_norms_command(tmp_path):
     g = sw.abelian(1)
     gs = sw.preset_sampling_set(g, 1.0)
@@ -815,6 +852,19 @@ def test_verify_window_refuses_a_non_finite_sharpness(tmp_path, capsys, sharpnes
     assert main(["verify-window", "--sharpness", sharpness, "--report", str(report)]) == 1
     assert capsys.readouterr().err == (
         f"validation error: sharpness must be positive and finite, got {float(sharpness)!r}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("p, q", [("2", "nan"), ("nan", "2"), ("nan", "nan")])
+def test_norms_refuses_a_nan_exponent_as_not_a_number(tmp_path, capsys, p, q):
+    path = tmp_path / "c.jsonl"
+    sio.write_field(path, field_of(sw.SamplingSet(sw.abelian(1), 1.0),
+                                   {sw.AtomIndex(0, (0,)): 3.0}, sw.L1_ATOMS))
+    report = tmp_path / "n.json"
+    assert main(["norms", "--in", str(path), "--s", "0", f"--p={p}", f"--q={q}",
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (f"validation error: p and q must be numbers >= 1, "
+                                       f"got p = {float(p)!r}, q = {float(q)!r}\n")
     assert not report.exists()
 
 

@@ -9,6 +9,14 @@ sorts index and value arrays given in any order into that order; the three
 arrays are the only way to read a field.  Sums over a field run in
 canonical order, and equal moduli rank by position.
 
+Producers whose output is canonical by construction build it with the
+private `CoefficientField._canonical`, which keeps the finiteness check and
+the floor but converts, sorts and sums nothing: `take` with a boolean mask
+or a forward slice (hence `convert`, the zero drop of `field_add` and
+`field_sub`, `profiles.remainder_field`), `transform.analyze` and the
+`io` readers.  Input in any other order, such as `generate`'s insertion
+order or a `take` by rank, goes through the constructor.
+
 A CoefficientField carries a normalization tag, and is refused without
 one; two fields combine only on one sampling set.  "L1" entries are sampled
 convolution values c = (u * psi_j^*)(2^{-j} . gamma); "Lp" entries are the
@@ -25,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from .groups import DomainError
 from .sampling import AtomIndex, SamplingSet, lattice_int64
 
 __all__ = [
@@ -87,13 +96,9 @@ class CoefficientField:
         """From index and value arrays in any order; values sharing an index
         are summed in input order, and with a floor, moduli at most floor *
         the largest are dropped."""
-        if not isinstance(normalization, Normalization):
-            raise ValueError(f"a field needs a normalization tag, got {normalization!r}")
         js = lattice_int64(js).reshape(-1)
         gammas = lattice_int64(gammas).reshape(len(js), sampling.group.dim)
         values = np.asarray(values, dtype=complex).reshape(len(js))
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite coefficient")
         order = np.lexsort((*gammas.T[::-1], js))
         js, gammas, values = js[order], gammas[order], values[order]
         new = np.ones(len(js), dtype=bool)
@@ -101,10 +106,31 @@ class CoefficientField:
         if not np.all(new):
             values = np.add.reduceat(values, np.flatnonzero(new))
             js, gammas = js[new], gammas[new]
+        self._set(sampling, normalization, js, gammas, values, floor)
+
+    @classmethod
+    def _canonical(cls, sampling: SamplingSet, normalization: Normalization, js: np.ndarray,
+                   gammas: np.ndarray, values, floor: Optional[float] = None
+                   ) -> "CoefficientField":
+        """From int64 arrays js (P,) and gammas (P, dim) within
+        MAX_LATTICE_COORD whose (j, gamma) rows strictly increase, and values
+        (P,) that the field may keep; nothing is converted, sorted or summed."""
+        field = object.__new__(cls)
+        field._set(sampling, normalization, js, gammas,
+                   np.asarray(values, dtype=complex).reshape(len(js)), floor)
+        return field
+
+    def _set(self, sampling, normalization, js, gammas, values, floor) -> None:
+        """Check the tag and finiteness, apply the floor, freeze the arrays."""
+        if not isinstance(normalization, Normalization):
+            raise ValueError(f"a field needs a normalization tag, got {normalization!r}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite coefficient")
         if floor is not None and len(values):
             moduli = np.hypot(values.real, values.imag)
             keep = moduli > floor * np.max(moduli)
-            js, gammas, values = js[keep], gammas[keep], values[keep]
+            if not keep.all():
+                js, gammas, values = js[keep], gammas[keep], values[keep]
         for name, val in (("sampling", sampling), ("normalization", normalization),
                           ("js", js), ("gammas", gammas), ("values", values)):
             if isinstance(val, np.ndarray):
@@ -116,9 +142,11 @@ class CoefficientField:
 
     def scales(self) -> list[tuple[int, slice]]:
         """(j, run) for each scale present: its entries are arrays[run]."""
-        js, starts = np.unique(self.js, return_index=True)
-        bounds = [*starts.tolist(), len(self)]
-        return [(j, slice(lo, hi)) for j, lo, hi in zip(js.tolist(), bounds, bounds[1:])]
+        if not len(self):
+            return []
+        bounds = [0, *(np.flatnonzero(self.js[1:] != self.js[:-1]) + 1).tolist(), len(self)]
+        js = self.js[bounds[:-1]].tolist()
+        return [(j, slice(lo, hi)) for j, lo, hi in zip(js, bounds, bounds[1:])]
 
     def moduli(self) -> np.ndarray:
         """|values| as Python's abs(complex) computes them (libm hypot), which
@@ -129,10 +157,16 @@ class CoefficientField:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2))) if len(self) else 0.0
 
     def take(self, at, values=None, normalization=None) -> "CoefficientField":
-        """The entries at positions or a mask `at`, optionally with new values or tag."""
-        return CoefficientField(self.sampling, normalization=normalization or self.normalization,
-                                js=self.js[at], gammas=self.gammas[at],
-                                values=self.values[at] if values is None else values)
+        """The entries at positions or a mask `at`, optionally with new values or tag.
+        A mask or a forward slice keeps canonical order and is not re-sorted."""
+        normalization = normalization or self.normalization
+        values = self.values[at] if values is None else np.array(values, dtype=complex)
+        if (isinstance(at, slice) and (at.step or 1) > 0
+                or isinstance(at, np.ndarray) and at.dtype == bool):
+            return CoefficientField._canonical(self.sampling, normalization, self.js[at],
+                                               self.gammas[at], values)
+        return CoefficientField(self.sampling, normalization=normalization,
+                                js=self.js[at], gammas=self.gammas[at], values=values)
 
 
 @dataclass(frozen=True)
@@ -158,13 +192,22 @@ def _conversion_exponent(frm: Normalization, to: Normalization) -> float:
     return (1.0 / frm.p if frm.kind == "Lp" else 0.0) - (1.0 / to.p if to.kind == "Lp" else 0.0)
 
 
+def _power_of_two(j: int, e: float) -> float:
+    """2^{j e}; DomainError naming the scale j when it overflows float64."""
+    try:
+        return 2.0 ** (j * e)
+    except OverflowError:
+        raise DomainError(f"the scale weight 2^({j} * {e:g}) overflows float64 "
+                          f"at scale j = {j}") from None
+
+
 def convert(c: CoefficientField, to: Normalization) -> CoefficientField:
     if c.normalization == to:
         return c
     e = _conversion_exponent(c.normalization, to) * c.sampling.group.Q
     factor = np.empty(len(c))
     for j, run in c.scales():
-        factor[run] = 2.0 ** (j * e)
+        factor[run] = _power_of_two(j, e)
     return c.take(slice(None), c.values * factor, to)
 
 
@@ -178,7 +221,7 @@ def discrete_besov_norm(c: CoefficientField, np_: NormParams) -> float:
     moduli = c.moduli()
     acc = 0.0
     for j, run in c.scales():
-        w = 2.0 ** (j * (s - Q / p))
+        w = _power_of_two(j, s - Q / p)
         inner = np.sum((w * moduli[run]) ** p) ** (1.0 / p)
         acc += inner**q
     return float(acc ** (1.0 / q))

@@ -207,21 +207,20 @@ class _EntryReader:
             raise error
 
     def columns(self) -> tuple:
-        cols = _joined(self.parts, self.dim)
-        self._check_duplicates(cols)
-        return cols
-
-    def _check_duplicates(self, cols: tuple) -> None:
-        """Raise for the repeated index whose line comes first."""
-        lineno, n, j, gammas, _ = cols
+        """The entry columns n, j, gammas and values, sorted by (n, j, gamma),
+        once no index repeats."""
+        self.parts = [_joined(self.parts, self.dim)]  # the chunks' arrays are freed
+        lineno, n, j, gammas, values = self.parts[0]
         order = np.lexsort((*gammas.T[::-1], j, n))
-        rows = np.column_stack([n, j, gammas])[order]
-        again = order[np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1)) + 1]
-        if len(again):
+        ns, js, gm = n[order], j[order], gammas[order]
+        same = (ns[1:] == ns[:-1]) & (js[1:] == js[:-1]) & np.all(gm[1:] == gm[:-1], axis=1)
+        again = order[np.flatnonzero(same) + 1]
+        if len(again):  # raise for the repeated index whose line comes first
             k = again[np.argmin(lineno[again])]
             where = "" if self.n_values is None else f" at n={n[k]}"
             raise IngestionError(f"line {lineno[k]}: duplicate index "
                                  f"{AtomIndex(int(j[k]), tuple(gammas[k].tolist()))}{where}")
+        return ns, js, gm, values[order]
 
     def _rows(self, objs: list):
         """The number of rows before the first that breaks a rule, its message
@@ -302,8 +301,9 @@ def _array(numbers: list, dtype, limit, beyond) -> np.ndarray:
 
 
 def _read_coefficients(path, kind: str):
-    """Sampling set, normalization, n_values (snapshots only) and entry
-    columns of a coefficient file."""
+    """Sampling set, normalization, n_values (snapshots only) and the entry
+    columns n, j, gammas and values of a coefficient file, in (n, j, gamma)
+    order."""
     with open(path, "rb") as fh:
         chunks = _numbered_chunks(fh)
         first, lines, error = next(chunks, (1, [], None))
@@ -365,8 +365,8 @@ def write_field(path, c: CoefficientField) -> None:
 
 
 def read_field(path) -> CoefficientField:
-    gs, norm, _, (_, _, j, gammas, values) = _read_coefficients(path, "coefficient_field")
-    return CoefficientField(gs, normalization=norm, js=j, gammas=gammas, values=values)
+    gs, norm, _, (_, j, gammas, values) = _read_coefficients(path, "coefficient_field")
+    return CoefficientField._canonical(gs, norm, j, gammas, values)
 
 
 # -- sequence snapshots ------------------------------------------------------
@@ -380,8 +380,11 @@ def write_snapshots(path, s: SequenceSnapshots) -> None:
 
 
 def read_snapshots(path) -> SequenceSnapshots:
-    gs, norm, n_values, (_, n, j, gammas, values) = _read_coefficients(
+    gs, norm, n_values, (n, j, gammas, values) = _read_coefficients(
         path, "sequence_snapshots")
-    fields = tuple(CoefficientField(gs, normalization=norm, js=j[at], gammas=gammas[at],
-                                    values=values[at]) for at in (n == v for v in n_values))
+    bounds = [*np.searchsorted(n, n_values).tolist(), len(n)]  # every n is in n_values
+    # each snapshot copies its run, so that none pins the whole file's arrays
+    fields = tuple(CoefficientField._canonical(gs, norm, j[lo:hi].copy(), gammas[lo:hi].copy(),
+                                               values[lo:hi].copy())
+                   for lo, hi in zip(bounds, bounds[1:]))
     return SequenceSnapshots(gs, n_values, fields)

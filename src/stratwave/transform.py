@@ -25,12 +25,14 @@ budget, which also bounds each refined grid at 16 B a node).  The general
 off-lattice alternative would be a nonuniform FFT (Dutt-Rokhlin 1993).
 
 Coefficient fields cross this module as arrays: `analyze` samples each
-scale at its lattice points (`sampling.range_coordinates`, already in
-canonical order) and `synthesize` reads each scale's run of the field's
-canonical arrays.  `analyze` and `frame_reconstruct` take every scale's
+scale at its lattice points (`sampling.range_coordinates`, lexicographic)
+and, the scales ascending, builds its field and the converted one without
+a re-sort; `synthesize` reads each scale's run of the field's canonical
+arrays.  `analyze` and `frame_reconstruct` take every scale's
 lattice ranges from one `sampling.scale_ranges` pass per call.  Kernel
 multipliers and Littlewood-Paley blocks are built in stacks of scales of at
-most _STACK_POINTS = 2^14 grid points, bit-identical to a per-scale loop.
+most _STACK_POINTS = 2^14 grid points, bit-identical to a per-scale loop;
+a kernel set larger than MAX_ARRAY_BYTES is refused before any is built.
 The CLI's verify-frame samples at density 0.25 by default: its scale-j step
 beta 2^{-j} is the 2^{-j} / 4 that samples the band of psi_hat_j alias-free.
 
@@ -205,11 +207,16 @@ def build_kernel_set(window, desc: GridDescriptor, j_range: tuple[int, int]) -> 
     once per stack of scales (at most _STACK_POINTS grid points) on the
     stacked spectral variables, so the window must act elementwise.  A scale
     whose dilation overflows is refused with DomainError before the window is
-    evaluated."""
+    evaluated, and so is a range whose J N^d multipliers of 8 B exceed
+    MAX_ARRAY_BYTES."""
     j_min, j_max = int(j_range[0]), int(j_range[1])
     if j_min > j_max:
         raise ValueError("empty j_range")
     js, shape = range(j_min, j_max + 1), (desc.N,) * desc.dim
+    need = 8 * len(js) * desc.N**desc.dim
+    if need > MAX_ARRAY_BYTES:
+        raise DomainError(f"{len(js)} scales of {desc.N}^{desc.dim}-point multipliers need "
+                          f"{need} B, over the {MAX_ARRAY_BYTES} B budget")
     factors = np.array([_dilation(j) for j in js]).reshape((-1,) + (1,) * desc.dim)
     lam = GridFunction(desc.dim, desc.extent, np.zeros(shape, dtype=complex)).lambda_grid()
     mult = {}
@@ -369,10 +376,10 @@ def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> Coeffi
     scales = _scales(ks, gs, desc)
     spec = grid_fft(f)
     values = [_sample(desc, ks.multiplier(s.j) * spec, s.placement) for s in scales]
-    js = np.concatenate([np.full(len(s.gammas), s.j) for s in scales])
-    c1 = CoefficientField(gs, normalization=L1_ATOMS, floor=SPARSE_FLOOR, js=js,
-                          gammas=np.concatenate([s.gammas for s in scales]),
-                          values=np.concatenate(values))
+    # scales ascend and each lattice is lexicographic, so the rows are canonical
+    js = np.concatenate([np.full(len(s.gammas), s.j, dtype=np.int64) for s in scales])
+    c1 = CoefficientField._canonical(gs, L1_ATOMS, js, np.concatenate([s.gammas for s in scales]),
+                                     np.concatenate(values), floor=SPARSE_FLOOR)
     return convert(c1, lp_atoms(p))
 
 

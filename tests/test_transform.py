@@ -367,13 +367,14 @@ def test_roundtrip_2d_fine_scales():
 def test_dense_budget_refused_up_front(monkeypatch):
     # beta = 0.3 lies on no dyadic refinement: 214 points x 1024 frequencies
     # need 3.5 MB of phases against a 1 MiB budget
-    monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", 1 << 20)
     f = _random_grid(np.random.default_rng(2), 1, 1024, 8.0)
     gs = sw.preset_sampling_set(sw.abelian(1), 0.3)
     ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (2, 2))
-    # a 512^2 target is itself over budget, so even its grid points are refused
+    # a 512^2 target is itself over budget, so even its grid points are
+    # refused; its 2 MB kernel set is built before the budget is lowered
     desc2 = sw.GridDescriptor(2, 512, 8.0)
     ks2 = sw.build_kernel_set(sw.build_window(1.0), desc2, (0, 0))
+    monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", 1 << 20)
     gs2 = sw.preset_sampling_set(sw.abelian(2), 0.5)
     c2 = field_of(gs2, {sw.AtomIndex(0, (1, 2)): 1.0 + 0j}, sw.lp_atoms(2.0))
     tracemalloc.start()
@@ -705,6 +706,22 @@ def test_kernel_set_refuses_an_overflowing_dilation_before_evaluating_the_window
     assert np.all(ks.multiplier(-511) == 0.0)
     ks = sw.build_kernel_set(sw.build_window(1.0), desc, (538, 540))
     assert all(np.all(ks.multiplier(j) == 0.0) for j in (538, 539, 540))
+
+
+def test_kernel_set_refuses_an_over_budget_range_before_evaluating_the_window(monkeypatch):
+    desc = sw.GridDescriptor(2, 64, 4.0)  # 32 KiB of multipliers per scale
+    monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", 8 * 32768)
+    spy = _CountingWindow(sw.build_window(1.0))
+    with pytest.raises(DomainError, match=re.escape(
+            "9 scales of 64^2-point multipliers need 294912 B, over the 262144 B budget")):
+        sw.build_kernel_set(spy, desc, (-4, 4))
+    assert spy.calls == []
+    # the refusal comes before the per-scale dilations: 10^12 scales are not listed
+    with pytest.raises(DomainError, match="budget"):
+        sw.build_kernel_set(spy, desc, (0, 10**12))
+    assert spy.calls == []
+    ks = sw.build_kernel_set(spy, desc, (-3, 4))  # 8 scales fit exactly
+    assert len(ks.multipliers) == 8
 
 
 def _besov_reference(f, ks, s, p, q):

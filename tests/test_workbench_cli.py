@@ -158,6 +158,22 @@ def test_verify_frame_refuses_an_overflowing_dilation(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_verify_frame_refuses_a_kernel_set_over_the_budget(tmp_path, capsys):
+    # 10^7 scales of 128 points would need 10 GB of multipliers: refused up front
+    grid, report = write_band_grid(tmp_path), tmp_path / "frame.json"
+    tracemalloc.start()
+    try:
+        assert main(["verify-frame", "--grid", str(grid), "--jmin", "-1",
+                     "--jmax", "9999998", "--report", str(report)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: 10000000 scales of ") and "budget" in err
+    assert err.count("\n") == 1 and not report.exists()
+
+
 def write_benchmark_band_grid(tmp_path, seed):
     """Seeded noise under a sin^2 envelope on 0.3 < |nu| < 12, N = 256, R = 4."""
     rng = np.random.default_rng(seed)
@@ -877,4 +893,17 @@ def test_norms_refuses_a_non_finite_s(tmp_path, capsys, s):
     assert main(["norms", "--in", str(path), f"--s={s}", "--p", "2", "--q", "2",
                  "--report", str(report)]) == 1
     assert capsys.readouterr().err == f"validation error: s must be finite, got {float(s)!r}\n"
+    assert not report.exists()
+
+
+def test_norms_refuses_a_scale_whose_conversion_weight_overflows(tmp_path, capsys):
+    # converting Lp(2) to L1 on R^1 at j = 5000 multiplies by 2^2500
+    path = tmp_path / "c.jsonl"
+    sio.write_field(path, field_of(sw.SamplingSet(sw.abelian(1), 1.0),
+                                   {sw.AtomIndex(5000, (1,)): 1.0}, sw.lp_atoms(2.0)))
+    report = tmp_path / "n.json"
+    assert main(["norms", "--in", str(path), "--s", "0.5", "--p", "2", "--q", "2",
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == ("validation error: the scale weight 2^(5000 * 0.5) "
+                                       "overflows float64 at scale j = 5000\n")
     assert not report.exists()

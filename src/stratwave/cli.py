@@ -25,6 +25,8 @@ import numpy as np
 from . import groups as _groups
 from . import io as _io
 from .transform import (
+    _box_ranges,
+    _kernel_factors,
     analyze,
     besov_norm_continuous,
     build_kernel_set,
@@ -179,7 +181,12 @@ def cmd_verify_window(args) -> int:
 def cmd_verify_frame(args) -> int:
     f = _io.read_grid(args.grid)
     gs = SamplingSet(_groups.abelian(f.dim), args.density)
-    ks = build_kernel_set(_window(args), f.descriptor(), (args.jmin, args.jmax))
+    window, desc = _window(args), f.descriptor()
+    # the multipliers' budget and dilations, then every scale's lattice, are
+    # checked before any multiplier is built
+    js, _ = _kernel_factors(desc, (args.jmin, args.jmax))
+    _box_ranges(js, gs, desc)
+    ks = build_kernel_set(window, desc, (args.jmin, args.jmax))
     c = analyze(f, ks, gs, args.p)
     f_direct = synthesize(c, ks, gs, f.descriptor())
     with warnings.catch_warnings():  # a CG stop short of tol is reported below instead

@@ -192,12 +192,17 @@ def _conversion_exponent(frm: Normalization, to: Normalization) -> float:
     return (1.0 / frm.p if frm.kind == "Lp" else 0.0) - (1.0 / to.p if to.kind == "Lp" else 0.0)
 
 
-def _power_of_two(j: int, e: float) -> float:
-    """2^{j e}; DomainError naming the scale j when it overflows float64."""
+def _power_of_two(j: int, *factors: float) -> float:
+    """2^{j e_1 e_2 ...}, the product taken left to right; DomainError naming
+    the scale j when it overflows float64."""
+    e = j
+    for f in factors:
+        e = e * f
     try:
-        return 2.0 ** (j * e)
+        return 2.0 ** e
     except OverflowError:
-        raise DomainError(f"the scale weight 2^({j} * {e:g}) overflows float64 "
+        shown = " * ".join([str(j)] + [f"{f:g}" for f in factors])
+        raise DomainError(f"the scale weight 2^({shown}) overflows float64 "
                           f"at scale j = {j}") from None
 
 

@@ -10,10 +10,14 @@ holds the coordinates and the leading axes are a batch, broadcast between
 operands like any NumPy elementwise operation.  A batched call equals the
 single-point call row by row, and a single (dim,) point gives a (dim,)
 array, or a float from `hom_norm`.
+
+`dilation_weights` returns one shared read-only array per strata shape,
+built once; a caller that needs to write copies it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -149,13 +153,22 @@ def inverse(g: GroupSpec, x) -> np.ndarray:
 
 
 def dilation_weights(g: GroupSpec) -> np.ndarray:
-    return np.concatenate([np.full(d, k + 1.0) for k, d in enumerate(g.strata_dims)])
+    """The dilation degree k of each coordinate of stratum k, as floats; a
+    read-only array built once per strata shape and shared by every caller."""
+    return _dilation_weights(g.strata_dims)
+
+
+@functools.lru_cache(maxsize=16)
+def _dilation_weights(strata_dims: tuple[int, ...]) -> np.ndarray:
+    w = np.concatenate([np.full(d, k + 1.0) for k, d in enumerate(strata_dims)])
+    w.setflags(write=False)
+    return w
 
 
 def dilate(g: GroupSpec, alpha, x) -> np.ndarray:
     """delta_alpha(x); alpha is a scalar or an array over x's leading axes."""
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0):
+    if (alpha <= 0).any():
         raise DomainError("dilation parameter must be positive")
     return _as_points(g, x) * alpha[..., None] ** dilation_weights(g)
 
@@ -169,12 +182,12 @@ def hom_norm(g: GroupSpec, x):
     """
     x = _as_points(g, x)
     d1 = g.strata_dims[0]
-    v1 = np.sum(x[..., :d1] ** 2, axis=-1)
+    v1 = (x[..., :d1] ** 2).sum(axis=-1)
     if g.step == 1:
         out = np.sqrt(v1)
     else:
         # two correctly rounded square roots, so that a batch and its rows agree
-        out = np.sqrt(np.sqrt(v1 * v1 + 16.0 * np.sum(x[..., d1:] ** 2, axis=-1)))
+        out = np.sqrt(np.sqrt(v1 * v1 + 16.0 * (x[..., d1:] ** 2).sum(axis=-1)))
     return float(out) if out.ndim == 0 else out
 
 

@@ -214,15 +214,15 @@ def scale_ranges(gs: SamplingSet, js, box) -> list[list[tuple[int, int]]]:
         exps = -np.array(js, dtype=float)[:, None] * groups.dilation_weights(gs.group)
         steps = gs.spacing * 2.0 ** exps
         ends = np.ceil(box / steps[:, :, None] - 1e-12)
-    finite = (np.isfinite(steps).all(axis=1) & np.isfinite(ends).all(axis=(1, 2))).tolist()
-    rows = ends.tolist()
+    finite = np.isfinite(steps).all(axis=1) & np.isfinite(ends).all(axis=(1, 2))
     out = [None] * len(js)
-    for i in sorted(range(len(js)), key=lambda i: -js[i]):
+    # rows are read one scale at a time, so a refusal among many scales lists none of them
+    for i in np.argsort(-np.asarray(js), kind="stable"):
         j = js[i]
         if not finite[i]:
             raise DomainError(f"the scale-{j} lattice in the box {box.tolist()} has no finite "
                               "float64 step or point count")
-        out[i] = [(int(a), int(b)) for a, b in rows[i]]
+        out[i] = [(int(a), int(b)) for a, b in ends[i].tolist()]
         count = math.prod(max(b - a, 0) for a, b in out[i])
         if 8 * d * count > MAX_ARRAY_BYTES:
             raise DomainError(f"{count} lattice points at scale {j} need {8 * d * count} B, "
@@ -233,12 +233,20 @@ def scale_ranges(gs: SamplingSet, js, box) -> list[list[tuple[int, int]]]:
 _TILING_ROWS = 1 << 18  # candidate translates per verify_tiling batch
 
 
+@functools.lru_cache(maxsize=16)
+def _tiling_offsets(d: int) -> np.ndarray:
+    """The read-only 3^d candidate offsets {-1, 0, 1}^d, in lexicographic order."""
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d)))
+    offsets.setflags(write=False)
+    return offsets
+
+
 def _covering_counts(gs: SamplingSet, points: np.ndarray, tile) -> np.ndarray:
     """Per point of a (P, dim) batch, the number of translates gamma.W containing it."""
     g = gs.group
     spacing, d1 = gs.spacing, g.strata_dims[0]
     pts = points[:, None, :]
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=g.dim)))
+    offsets = _tiling_offsets(g.dim)
     gammas = np.floor(points / spacing).astype(np.int64)[:, None, :] + offsets
     # the group law shifts the needed second-stratum coordinates by the
     # cross term of the first-stratum candidate, so anchor them per
@@ -248,7 +256,7 @@ def _covering_counts(gs: SamplingSet, points: np.ndarray, tile) -> np.ndarray:
     gammas[..., d1:] = np.floor(rel_t / spacing[d1:]).astype(np.int64) + offsets[:, d1:]
     rel = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)
     lo, hi = np.array(tile, dtype=float).T
-    return np.sum(np.all((lo <= rel) & (rel < hi), axis=-1), axis=-1)
+    return ((lo <= rel) & (rel < hi)).all(axis=-1).sum(axis=-1)
 
 
 def verify_tiling(gs: SamplingSet, test_box, grid_res: int = 8, tile=None) -> TilingReport:
@@ -256,26 +264,42 @@ def verify_tiling(gs: SamplingSet, test_box, grid_res: int = 8, tile=None) -> Ti
 
     Report-only: each sample point should lie in exactly one translate.
     A custom tile may be passed to probe failure cases.  Points are checked
-    in batches of at most _TILING_ROWS candidate translates.
+    in batches of at most _TILING_ROWS candidate translates.  test_box is one
+    finite (lo, hi) interval per coordinate and grid_res an integer >= 2; the
+    grid_res^dim sample points, as float64 coordinates, must fit MAX_ARRAY_BYTES,
+    or DomainError is raised before any is built.
     """
+    d = gs.group.dim
+    if isinstance(grid_res, bool) or not isinstance(grid_res, (int, np.integer)):
+        raise ValueError(f"grid_res must be an integer, got {grid_res!r}")
     if grid_res < 2:
         raise ValueError("grid_res must be >= 2")
+    box = np.array(test_box, dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2:
+        raise ValueError(f"test_box must be a list of (lo, hi) intervals, got shape {box.shape}")
+    if len(box) != d:
+        raise ValueError(f"test_box has {len(box)} intervals for the {d} coordinates of the group")
+    if not np.isfinite(box).all():
+        raise ValueError(f"test_box edges must be finite, got {box.tolist()}")
+    n = int(grid_res) ** d
+    if 8 * d * n > MAX_ARRAY_BYTES:
+        raise DomainError(f"{n} tiling sample points need {8 * d * n} B, "
+                          f"over the {MAX_ARRAY_BYTES} B budget")
     tile = gs.tile if tile is None else tuple(tuple(map(float, t)) for t in tile)
     # rationally independent per-axis offsets keep the sample points off the
     # tile boundaries, which the group law's cross terms would otherwise hit
     axes = []
-    for k, (lo, hi) in enumerate(test_box):
+    for k, (lo, hi) in enumerate(box.tolist()):
         frac = 0.05 + 0.9 * (((k + 1) * np.sqrt(2.0) + np.sqrt(3.0)) % 1.0)
         axes.append(np.linspace(lo, hi, grid_res, endpoint=False)
                     + frac * (hi - lo) / grid_res)
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    chunk = max(1, _TILING_ROWS // 3 ** gs.group.dim)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    chunk = max(1, _TILING_ROWS // 3 ** d)
     counts = np.concatenate([_covering_counts(gs, pts[i:i + chunk], tile)
-                             for i in range(0, len(pts), chunk)])
-    n = len(pts)
+                             for i in range(0, n, chunk)])
     return TilingReport(
-        max_overlap_fraction=int(np.sum(counts > 1)) / n,
-        uncovered_fraction=int(np.sum(counts == 0)) / n,
+        max_overlap_fraction=int((counts > 1).sum()) / n,
+        uncovered_fraction=int((counts == 0).sum()) / n,
         n_samples=n,
     )
 
@@ -371,10 +395,13 @@ def column_decay_certificate(
     The shells r < r_b, r_b <= max_shells the largest radius whose cube of
     (2 r_b - 1)^dim points fits _SHELL_ROWS, are one group-law pass over offsets
     built once per (dim, r_b) and shared across calls, summed shell by shell
-    from its slices; each later shell is its own pass.  The stopping rule and
-    every sum are those of the shell-by-shell loop, bit for bit.  A later shell whose
+    from its slices; each later shell is its own pass.  The cut distance is
+    the least distance on the last shell summed, one minimum taken after the
+    loop when that shell lies in the block.  The stopping rule and every sum
+    are those of the shell-by-shell loop, bit for bit.  A later shell whose
     construction and pass would exceed MAX_ARRAY_BYTES (_PASS_COPIES copies of its
-    (points, dim) int64 coordinates, and its axis ranges) raises DomainError first.
+    (points, dim) int64 coordinates, and its axis ranges) raises DomainError first,
+    and so do (eta, j) whose weights 2^{-jQ} or 2^{+-eta Q} overflow float64.
     """
     g = gs.group
     Q, d = g.Q, g.dim
@@ -386,7 +413,7 @@ def column_decay_certificate(
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"x must be one point of {d} coordinates, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"x must be finite, got {x}")
     if not math.isfinite(n):
         raise ValueError(f"the decay exponent n must be finite, got {n}")
@@ -394,15 +421,20 @@ def column_decay_certificate(
         raise ValueError(f"rel_tail must be a number >= 0, got {rel_tail}")
     if n <= Q:
         warnings.warn(f"decay exponent n={n} <= Q={Q}: lattice sum may diverge")
+    try:  # float exponents, so that NumPy integers overflow too instead of giving inf
+        scale, weight, unweight = (2.0 ** float(k * Q) for k in (-j, eta, -eta))
+    except OverflowError:
+        raise DomainError(f"the weights 2^(-j Q) and 2^(+-eta Q) overflow float64 at "
+                          f"eta = {eta}, j = {j} (Q = {Q})") from None
     center = np.rint(x / gs.spacing).astype(np.int64)
 
     def terms(gammas):
         rel = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), x)
         dists = groups.hom_norm(g, groups.dilate(g, 2.0 ** (-j), rel))
-        return 2.0 ** (-j * Q) / (1.0 + 2.0**eta * dists) ** n, dists
+        return scale / (1.0 + 2.0**eta * dists) ** n, dists
 
     def sums(shell_terms, dists):  # the shell's arrays are freed before the next is built
-        return float(np.sum(shell_terms)), float(np.min(dists))
+        return float(shell_terms.sum()), float(dists.min())
 
     rb = 1
     while rb < max_shells and (2 * rb + 1) ** d <= _SHELL_ROWS:
@@ -410,36 +442,35 @@ def column_decay_certificate(
     offsets, bounds = _shell_block(d, rb)
     block_terms, block_dists = terms(center + offsets)
     total = 0.0
-    cut_dist = 0.0
-    shells_used = 0
     for r in range(max_shells):
         if r < rb:
-            rows = slice(bounds[r], bounds[r + 1])
-            contrib, nearest = sums(block_terms[rows], block_dists[rows])
+            contrib = float(block_terms[bounds[r]:bounds[r + 1]].sum())
         else:
             need = 8 * (_PASS_COPIES * d * ((2 * r + 1) ** d - (2 * r - 1) ** d) + 4 * r)
             if need > MAX_ARRAY_BYTES:
                 raise DomainError(f"the radius-{r} lattice shell and its group-law pass need "
                                   f"{need} B, over the {MAX_ARRAY_BYTES} B budget")
-            contrib, nearest = sums(*terms(_shell(center, r)))
+            contrib, cut_dist = sums(*terms(_shell(center, r)))
         total += contrib
-        shells_used = r + 1
-        cut_dist = nearest if r > 0 else 0.0
         if r > 2 and contrib < rel_tail * max(total, 1e-300):
             break
+    shells_used = r + 1
+    # the cut distance is the least distance on the last shell summed (0 at r = 0)
+    if r < rb:
+        cut_dist = float(block_dists[bounds[r]:bounds[r + 1]].min()) if r > 0 else 0.0
 
     # integral-comparison tail over {|z| >= cut_dist}, expressed after the
     # substitution w = 2^eta z; |W| is the tile volume
     tile_vol = math.prod(gs.spacing.tolist())
     kappa = _unit_ball_volume(g.strata_dims)
-    tail = (kappa * Q / tile_vol) * 2.0 ** (-eta * Q) * (
+    tail = (kappa * Q / tile_vol) * unweight * (
         _tail_integral(Q, n, 2.0**eta * cut_dist) if n > Q else np.inf)
 
-    value = (total + tail) * 2.0 ** (eta * Q)
+    value = (total + tail) * weight
     if return_details:
         return value, {
-            "partial_sum": total * 2.0 ** (eta * Q),
-            "tail_estimate": tail * 2.0 ** (eta * Q),
+            "partial_sum": total * weight,
+            "tail_estimate": tail * weight,
             "shells": shells_used,
             "cut_distance": cut_dist,
         }

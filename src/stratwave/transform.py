@@ -60,7 +60,7 @@ import numpy as np
 
 from .groups import DomainError, dilate  # noqa: F401 (perfbench's tracer test reads it)
 from .sampling import MAX_ARRAY_BYTES, SamplingSet, range_coordinates, scale_ranges
-from .coeffs import SPARSE_FLOOR, CoefficientField, L1_ATOMS, lp_atoms, convert
+from .coeffs import SPARSE_FLOOR, CoefficientField, L1_ATOMS, _power_of_two, lp_atoms, convert
 
 __all__ = [
     "GridFunction",
@@ -202,28 +202,35 @@ def _dilation(j: int) -> float:
                           f"at scale j = {j}") from None
 
 
-def build_kernel_set(window, desc: GridDescriptor, j_range: tuple[int, int]) -> KernelSet:
-    """psi_hat(4^{-j} |nu|^2) for every j of the range, window.psi_hat called
-    once per stack of scales (at most _STACK_POINTS grid points) on the
-    stacked spectral variables, so the window must act elementwise.  A scale
-    whose dilation overflows is refused with DomainError before the window is
-    evaluated, and so is a range whose J N^d multipliers of 8 B exceed
-    MAX_ARRAY_BYTES."""
+def _kernel_factors(desc: GridDescriptor, j_range: tuple[int, int]) -> tuple[range, np.ndarray]:
+    """The scales of j_range and their dilations 4^{-j}, shaped to broadcast
+    over the grid; builds no multiplier.  A range whose J N^d multipliers of
+    8 B exceed MAX_ARRAY_BYTES is refused with DomainError first, then a scale
+    whose dilation overflows."""
     j_min, j_max = int(j_range[0]), int(j_range[1])
     if j_min > j_max:
         raise ValueError("empty j_range")
-    js, shape = range(j_min, j_max + 1), (desc.N,) * desc.dim
+    js = range(j_min, j_max + 1)
     need = 8 * len(js) * desc.N**desc.dim
     if need > MAX_ARRAY_BYTES:
         raise DomainError(f"{len(js)} scales of {desc.N}^{desc.dim}-point multipliers need "
                           f"{need} B, over the {MAX_ARRAY_BYTES} B budget")
-    factors = np.array([_dilation(j) for j in js]).reshape((-1,) + (1,) * desc.dim)
+    return js, np.array([_dilation(j) for j in js]).reshape((-1,) + (1,) * desc.dim)
+
+
+def build_kernel_set(window, desc: GridDescriptor, j_range: tuple[int, int]) -> KernelSet:
+    """psi_hat(4^{-j} |nu|^2) for every j of the range, window.psi_hat called
+    once per stack of scales (at most _STACK_POINTS grid points) on the
+    stacked spectral variables, so the window must act elementwise.  The
+    checks of `_kernel_factors` run before the window is evaluated."""
+    js, factors = _kernel_factors(desc, j_range)
+    shape = (desc.N,) * desc.dim
     lam = GridFunction(desc.dim, desc.extent, np.zeros(shape, dtype=complex)).lambda_grid()
     mult = {}
     for run in _stacks(len(js), lam.size):
         stack = np.asarray(window.psi_hat(lam * factors[run]), dtype=float)
         mult.update(zip(js[run], stack))
-    return KernelSet(window=window, j_range=(j_min, j_max), desc=desc, multipliers=mult)
+    return KernelSet(window=window, j_range=(js[0], js[-1]), desc=desc, multipliers=mult)
 
 
 def lp_block(f: GridFunction, ks: KernelSet, j: int) -> GridFunction:
@@ -348,17 +355,17 @@ class _Scale(NamedTuple):
     placement: _Placement
 
 
-def _box_ranges(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> dict:
-    """Each cached scale's integer ranges of the torus-box lattice, from one
-    pass that checks every scale's budget, the finest first, before any
-    lattice is built."""
-    js = range(ks.j_range[0], ks.j_range[1] + 1)
+def _box_ranges(js: range, gs: SamplingSet, desc: GridDescriptor) -> dict:
+    """Each scale's integer ranges of the torus-box lattice, from one pass
+    that checks every scale's budget, the finest first, before any lattice is
+    built."""
     return dict(zip(js, scale_ranges(gs, js, [(-desc.extent, desc.extent)] * desc.dim)))
 
 
 def _scales(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale]:
     """Each cached scale's lattice points inside the torus box, placed on the grid."""
-    lattices = [(j, range_coordinates(r)) for j, r in _box_ranges(ks, gs, desc).items()]
+    js = range(ks.j_range[0], ks.j_range[1] + 1)
+    lattices = [(j, range_coordinates(r)) for j, r in _box_ranges(js, gs, desc).items()]
     placements = _place(desc, [(gm, gs.beta * 2.0 ** -j, 0.0) for j, gm in lattices])
     return [_Scale(j, gm, pl) for (j, gm), pl in zip(lattices, placements)]
 
@@ -399,7 +406,7 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
     placements = _place(target, [(c.gammas[run], gs.beta * 2.0 ** -j, 0.0) for j, run in runs])
     spec = np.zeros((target.N,) * target.dim, dtype=complex)
     for (j, run), mult, pl in zip(runs, mults, placements):
-        spec += 2.0 ** (j * Q * (1.0 / p - 1.0)) * mult * _spread(target, c.values[run], pl)
+        spec += _power_of_two(j, Q, 1.0 / p - 1.0) * mult * _spread(target, c.values[run], pl)
     blank = GridFunction(target.dim, target.extent, np.zeros_like(spec))
     return grid_ifft(blank, spec)
 
@@ -442,10 +449,11 @@ def _frame_symbol(ks: KernelSet, gs: SamplingSet,
     """
     Q, d, N = gs.group.Q, desc.dim, desc.N
     dx = 2.0 * desc.extent / N
-    ranges = _box_ranges(ks, gs, desc)
+    js = range(ks.j_range[0], ks.j_range[1] + 1)
+    ranges = _box_ranges(js, gs, desc)
     diagonal = 0.0  # a real array unless a multiplier is complex
     folds, rest = [], []
-    for j in range(ks.j_range[0], ks.j_range[1] + 1):
+    for j in js:
         w, mult = 2.0 ** (-j * Q), ks.multiplier(j)
         geo = _refinement(desc, gs.beta * 2.0 ** -j, 0.0)
         M = _alias_period(desc, geo, ranges[j])

@@ -163,6 +163,17 @@ def test_dilation_weights():
     assert np.allclose(dilation_weights(sw.heisenberg(1)), [1, 1, 2])
 
 
+def test_dilation_weights_are_one_shared_read_only_array():
+    w = dilation_weights(custom_3_2())
+    assert w.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0]
+    assert dilation_weights(custom_3_2()) is w
+    with pytest.raises(ValueError):
+        w[0] = 3.0
+    with pytest.raises(ValueError):
+        w += 1.0
+    assert dilation_weights(custom_3_2()).tolist() == [1.0, 1.0, 1.0, 2.0, 2.0]
+
+
 def test_layout_error():
     with pytest.raises(LayoutError):
         sw.multiply(sw.heisenberg(1), [1.0, 2.0], [0.0, 0.0, 0.0])

@@ -145,6 +145,40 @@ def test_tiling_detects_bad_tile():
     assert rep.uncovered_fraction > 0.0
 
 
+@pytest.mark.parametrize("box, grid_res, error, message", [
+    ([(-1.0, 1.0)] * 2, 4, ValueError, "2 intervals for the 3 coordinates"),
+    ([(-1.0, 1.0)] * 4, 4, ValueError, "4 intervals for the 3 coordinates"),
+    ([(-1.0, 1.0), (0.0, np.inf), (0.0, 1.0)], 4, ValueError, "finite"),
+    ([(-1.0, 1.0), (np.nan, 1.0), (0.0, 1.0)], 4, ValueError, "finite"),
+    ([(-1.0, 1.0, 2.0)] * 3, 4, ValueError, "list of \\(lo, hi\\) intervals"),
+    ([(-1.0, 1.0)] * 3, 4.5, ValueError, "grid_res must be an integer, got 4.5"),
+    ([(-1.0, 1.0)] * 3, True, ValueError, "grid_res must be an integer"),
+    ([(-1.0, 1.0)] * 3, 1, ValueError, "grid_res must be >= 2"),
+    ([(-1.0, 1.0)] * 3, 2**40, sw.DomainError, "over the 268435456 B budget"),
+    ([(-1.0, 1.0)] * 3, 600, sw.DomainError, "216000000 tiling sample points need "
+                                             "5184000000 B"),
+], ids=["too-few", "too-many", "infinite", "nan", "triples", "fractional", "bool", "one",
+        "2^40", "600"])
+def test_verify_tiling_refuses_bad_input(monkeypatch, box, grid_res, error, message):
+    gs = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
+    monkeypatch.setattr(np, "meshgrid", None)  # a refusal builds no sample point
+    with pytest.raises(error, match=message):
+        sw.verify_tiling(gs, box, grid_res=grid_res)
+
+
+def test_verify_tiling_sample_points_fit_the_budget(monkeypatch):
+    # 6^2 points of 2 float64 coordinates: 576 B fit, 575 B do not
+    gs = sw.preset_sampling_set(sw.abelian(2), 1.0)
+    box = [(-1.5, 1.5)] * 2
+    monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", 8 * 2 * 36)
+    assert sw.verify_tiling(gs, box, grid_res=6).n_samples == 36
+    assert sw.verify_tiling(gs, box, grid_res=np.int64(6)).n_samples == 36
+    monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", 8 * 2 * 36 - 1)
+    with pytest.raises(sw.DomainError, match="36 tiling sample points need 576 B, "
+                                             "over the 575 B budget"):
+        sw.verify_tiling(gs, box, grid_res=6)
+
+
 def test_decay_certificate_abelian_oracle():
     # [DERIVED] at eta = j = 0, x = 0, n = 2 on (Z, +):
     # sum_gamma (1 + |gamma|)^{-2} = 1 + 2 (pi^2/6 - 1) = pi^2/3 - 1
@@ -212,6 +246,15 @@ def test_cached_shell_geometry_and_spacing_are_read_only():
     assert isinstance(bounds, tuple)
     with pytest.raises(ValueError):
         sw.SamplingSet(sw.heisenberg(1), 1.0).spacing[0] = 2.0
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_cached_tiling_candidates_are_read_only(d):
+    offsets = sampling._tiling_offsets(d)
+    assert offsets is sampling._tiling_offsets(d)
+    assert np.array_equal(offsets, list(itertools.product((-1, 0, 1), repeat=d)))
+    with pytest.raises(ValueError):
+        offsets[0, 0] = 7
 
 
 @pytest.mark.parametrize("gs, x", [
@@ -378,6 +421,24 @@ def test_decay_certificate_domain():
         with pytest.raises(ValueError, match="rel_tail must be a number >= 0"):
             column_decay_certificate(gs, 0, 0, 4, np.zeros(1), rel_tail=rel_tail)
     assert column_decay_certificate(gs, 0, 0, 4, np.zeros(1), rel_tail=0.0, max_shells=50) > 0
+
+
+@pytest.mark.parametrize("eta, j", [(-400, -300), (600, 600), (-400, 0),
+                                    (np.int64(-400), np.int64(-300))],
+                         ids=["2^(-jQ)", "2^(eta Q)", "2^(-eta Q)", "numpy-ints"])
+def test_decay_certificate_refuses_overflowing_weights_before_the_block_pass(monkeypatch,
+                                                                            eta, j):
+    # on H^1 (Q = 4): 2^1200, 2^2400 and 2^1600 used to raise OverflowError,
+    # and NumPy integers used to give nan
+    gs = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
+    built = []
+    monkeypatch.setattr(sampling, "_shell_block",
+                        lambda d, rb: built.append(rb) or _shell_block(d, rb))
+    with pytest.raises(sw.DomainError, match=f"overflow float64 at eta = {eta}, j = {j}"):
+        column_decay_certificate(gs, eta, j, 16, np.zeros(3))
+    assert built == []
+    # 2^(4 * 255) = 2^1020 is finite
+    assert math.isfinite(column_decay_certificate(gs, 255, 255, 16, np.zeros(3), max_shells=4))
 
 
 @pytest.mark.parametrize("max_shells", [0, -3, 2.5, True, "6"])

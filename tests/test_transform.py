@@ -708,6 +708,22 @@ def test_kernel_set_refuses_an_overflowing_dilation_before_evaluating_the_window
     assert all(np.all(ks.multiplier(j) == 0.0) for j in (538, 539, 540))
 
 
+def test_synthesize_refuses_an_overflowing_atom_weight():
+    # 2^(-511 * 3 * (1/4 - 1)) = 2^1149.75 used to raise OverflowError
+    gs = sw.preset_sampling_set(sw.abelian(3), 1.0)
+    desc = sw.GridDescriptor(3, 4, 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # lam * 4^511 overflows to inf
+        ks = sw.build_kernel_set(sw.build_window(1.0), desc, (-511, -511))
+    c = field_of(gs, {sw.AtomIndex(-511, (0, 0, 0)): 1.0 + 0j}, sw.lp_atoms(4.0))
+    with pytest.raises(DomainError, match=re.escape(
+            "the scale weight 2^(-511 * 3 * -0.75) overflows float64 at scale j = -511")):
+        sw.synthesize(c, ks, gs, desc)
+    # at p = 2 the weight 2^766.5 is finite
+    assert sw.synthesize(c.take(slice(None), c.values, sw.lp_atoms(2.0)), ks, gs,
+                         desc).samples.shape == (4, 4, 4)
+
+
 def test_kernel_set_refuses_an_over_budget_range_before_evaluating_the_window(monkeypatch):
     desc = sw.GridDescriptor(2, 64, 4.0)  # 32 KiB of multipliers per scale
     monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", 8 * 32768)

@@ -174,6 +174,25 @@ def test_verify_frame_refuses_a_kernel_set_over_the_budget(tmp_path, capsys):
     assert err.count("\n") == 1 and not report.exists()
 
 
+def test_verify_frame_refuses_a_scale_without_a_lattice_before_building_multipliers(tmp_path,
+                                                                                    capsys):
+    # 2^18 scales of 128 points fit the kernel budget (256 MiB), but the
+    # scale-262142 lattice has no finite step: the range pass refuses it
+    # before any multiplier is built, within a quarter of the budget
+    grid, report = write_band_grid(tmp_path), tmp_path / "frame.json"
+    tracemalloc.start()
+    try:
+        assert main(["verify-frame", "--grid", str(grid), "--jmin", "-1",
+                     "--jmax", "262142", "--report", str(report)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sw.sampling.MAX_ARRAY_BYTES // 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: the scale-262142 lattice ")
+    assert "no finite float64 step" in err and not report.exists()
+
+
 def write_benchmark_band_grid(tmp_path, seed):
     """Seeded noise under a sin^2 envelope on 0.3 < |nu| < 12, N = 256, R = 4."""
     rng = np.random.default_rng(seed)

@@ -55,7 +55,7 @@ __all__ = [
 
 MAX_LATTICE_COORD = 2**53
 # the one budget, 256 MiB, for large arrays: a scale's lattice here, and the
-# refined FFT grids and dense phase matrices of `transform`
+# kernel sets and refined FFT grids of `transform`
 MAX_ARRAY_BYTES = 1 << 28
 
 
@@ -242,7 +242,8 @@ def _tiling_offsets(d: int) -> np.ndarray:
 
 
 def _covering_counts(gs: SamplingSet, points: np.ndarray, tile) -> np.ndarray:
-    """Per point of a (P, dim) batch, the number of translates gamma.W containing it."""
+    """Per point of a (P, dim) batch, the number of translates gamma.W of the
+    (dim, 2) tile W containing it."""
     g = gs.group
     spacing, d1 = gs.spacing, g.strata_dims[0]
     pts = points[:, None, :]
@@ -255,8 +256,21 @@ def _covering_counts(gs: SamplingSet, points: np.ndarray, tile) -> np.ndarray:
     rel_t = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)[..., d1:]
     gammas[..., d1:] = np.floor(rel_t / spacing[d1:]).astype(np.int64) + offsets[:, d1:]
     rel = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)
-    lo, hi = np.array(tile, dtype=float).T
+    lo, hi = tile.T
     return ((lo <= rel) & (rel < hi)).all(axis=-1).sum(axis=-1)
+
+
+def _intervals(value, d: int, name: str) -> np.ndarray:
+    """value as a (d, 2) float array of finite (lo, hi) intervals, one per
+    coordinate of the group; ValueError otherwise."""
+    box = np.array(value, dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2:
+        raise ValueError(f"{name} must be a list of (lo, hi) intervals, got shape {box.shape}")
+    if len(box) != d:
+        raise ValueError(f"{name} has {len(box)} intervals for the {d} coordinates of the group")
+    if not np.isfinite(box).all():
+        raise ValueError(f"{name} edges must be finite, got {box.tolist()}")
+    return box
 
 
 def verify_tiling(gs: SamplingSet, test_box, grid_res: int = 8, tile=None) -> TilingReport:
@@ -264,28 +278,23 @@ def verify_tiling(gs: SamplingSet, test_box, grid_res: int = 8, tile=None) -> Ti
 
     Report-only: each sample point should lie in exactly one translate.
     A custom tile may be passed to probe failure cases.  Points are checked
-    in batches of at most _TILING_ROWS candidate translates.  test_box is one
-    finite (lo, hi) interval per coordinate and grid_res an integer >= 2; the
-    grid_res^dim sample points, as float64 coordinates, must fit MAX_ARRAY_BYTES,
-    or DomainError is raised before any is built.
+    in batches of at most _TILING_ROWS candidate translates.  test_box and
+    tile are each one finite (lo, hi) interval per coordinate and grid_res an
+    integer >= 2, or ValueError is raised; the grid_res^dim sample points, as
+    float64 coordinates, must fit MAX_ARRAY_BYTES, or DomainError is raised
+    before any is built.
     """
     d = gs.group.dim
     if isinstance(grid_res, bool) or not isinstance(grid_res, (int, np.integer)):
         raise ValueError(f"grid_res must be an integer, got {grid_res!r}")
     if grid_res < 2:
         raise ValueError("grid_res must be >= 2")
-    box = np.array(test_box, dtype=float)
-    if box.ndim != 2 or box.shape[1] != 2:
-        raise ValueError(f"test_box must be a list of (lo, hi) intervals, got shape {box.shape}")
-    if len(box) != d:
-        raise ValueError(f"test_box has {len(box)} intervals for the {d} coordinates of the group")
-    if not np.isfinite(box).all():
-        raise ValueError(f"test_box edges must be finite, got {box.tolist()}")
+    box = _intervals(test_box, d, "test_box")
+    tile = _intervals(gs.tile if tile is None else tile, d, "tile")
     n = int(grid_res) ** d
     if 8 * d * n > MAX_ARRAY_BYTES:
         raise DomainError(f"{n} tiling sample points need {8 * d * n} B, "
                           f"over the {MAX_ARRAY_BYTES} B budget")
-    tile = gs.tile if tile is None else tuple(tuple(map(float, t)) for t in tile)
     # rationally independent per-axis offsets keep the sample points off the
     # tile boundaries, which the group law's cross terms would otherwise hit
     axes = []

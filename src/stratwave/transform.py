@@ -10,19 +10,17 @@ dnu^d sum_nu e^{2 pi i nu.x} F(nu) and sum_x e^{-2 pi i nu.x} v_x, which
 are adjoints of each other, on one FFT path.  A point set is origin + step k
 over integers k: a scale's lattice gamma with step beta 2^{-j}, or the grid
 indices of `dilate_grid` with step h dx.  When m = step L / dx and
-c = (origin + R) L / dx are integers (L = 2^k; for beta 2^{-j} Z^d, when
-beta N / (2R 2^j) is a dyadic rational), the points sit on the L-fold
-refinement at nodes (k m + c) mod N L, exact in int64 for |k| <= 2^53.
-Sampling zero-pads the parity-signed spectrum into the (N L)^d FFT layout,
-frequency n at index n mod N L so the Nyquist bin keeps its place, runs
-one inverse FFT and gathers the nodes; spreading scatters the values onto
-that grid, runs one forward FFT and crops back to the N^d frequencies.
-Only sets on no refinement within the budget build float positions, for
-dense (points x N^d) phase matrices, once per call and scale; the matrices
-of all the scales one call holds are refused with `DomainError` before any
-is built when together they would exceed MAX_ARRAY_BYTES (`sampling`'s
-budget, which also bounds each refined grid at 16 B a node).  The general
-off-lattice alternative would be a nonuniform FFT (Dutt-Rokhlin 1993).
+c = (origin + R) L / dx are exact integers for some L = 2^k (for
+beta 2^{-j} Z^d, when beta N / (2R 2^j) is a dyadic rational), the points
+sit on the L-fold refinement at nodes (k m + c) mod N L, exact in int64 for
+|k| <= 2^53.  Sampling zero-pads the parity-signed spectrum into the
+(N L)^d FFT layout, frequency n at index n mod N L so the Nyquist bin keeps
+its place, runs one inverse FFT and gathers the nodes; spreading scatters
+the values onto that grid, runs one forward FFT and crops back to the N^d
+frequencies.  A set on no refinement whose grid fits MAX_ARRAY_BYTES at
+16 B a node (a density such as 0.3) is refused with `DomainError` before
+any set of the call is placed; other points would need a chirp-z path
+(Rabiner-Schafer-Rader 1969) or a nonuniform FFT (Dutt-Rokhlin 1993).
 
 Coefficient fields cross this module as arrays: `analyze` samples each
 scale at its lattice points (`sampling.range_coordinates`, lexicographic)
@@ -43,15 +41,16 @@ refinement, each node once: m divides N L and c = N L / 2 == 0 mod m,
 which every scale at a dyadic density meets.  Its A_j^* A_j is then
 (L / (dx m))^d psi_hat_j times the sum of psi_hat_j Y over the aliases
 n + k N L / m, with no FFT and no lattice points; for m = 1 (alias period
-N L / m >= N) that is one multiply.  Every other scale (dense phases, an
-offset coset) keeps the sample/spread pair above.  The CG iterates on
-spectra with Parseval's inner products, dnu^d = (2R)^{-d}, and one inverse
-FFT returns the grid function.
+N L / m >= N) that is one multiply.  Every other scale, an offset coset
+such as density 0.375's, keeps the sample/spread pair above.  The CG
+iterates on spectra with Parseval's inner products, dnu^d = (2R)^{-d}, and
+one inverse FFT returns the grid function.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
@@ -257,8 +256,7 @@ def _check_inputs(gs: SamplingSet, ks: KernelSet, desc: GridDescriptor) -> None:
 
 
 class _Placement(NamedTuple):
-    """Points as raveled indices into the (N L)^d grid of the L-fold
-    refinement, or L = 0 and their dense (P, N^d) phase matrix."""
+    """Points as raveled indices into the (N L)^d grid of the L-fold refinement."""
 
     L: int
     at: np.ndarray
@@ -266,38 +264,37 @@ class _Placement(NamedTuple):
 
 def _refinement(desc: GridDescriptor, step: float, origin: float) -> Optional[tuple[int, int, int]]:
     """(L, m, c) for the smallest refinement L = 2^k within the budget on which
-    step L / dx and (origin + R) L / dx are integers m and c: the points
-    origin + step k of integers k sit at its nodes (k m + c) mod N L."""
+    step L / dx and (origin + R) L / dx are exact integers m and c: the points
+    origin + step k of integers k sit at its nodes (k m + c) mod N L.  As
+    R / dx = N / 2, c is origin L / dx + N L / 2, exact for a dyadic origin."""
     dx = 2.0 * desc.extent / desc.N
     L = 1
     while 16 * (desc.N * L) ** desc.dim <= MAX_ARRAY_BYTES:
-        m, c = step * L / dx, (origin + desc.extent) * L / dx
-        if abs(m - round(m)) < 1e-9 and abs(c - round(c)) < 1e-9:
-            return L, round(m), round(c)
+        m, c = step * L / dx, origin * L / dx + desc.N * L // 2
+        if m.is_integer() and c.is_integer():
+            return L, int(m), int(c)
         L *= 2
     return None
 
 
 def _place(desc: GridDescriptor, point_sets: list) -> list[_Placement]:
     """Each point set (ints, step, origin), ints (P, d) integers, on its
-    smallest refinement within the budget.
-
-    Sets on no such refinement get the dense phase matrix of their positions,
-    built here once; the matrices of all sets together are refused with
-    DomainError, before any is built, when they would exceed MAX_ARRAY_BYTES.
-    """
+    smallest refinement within the budget.  A set on none is refused with
+    DomainError, naming the largest step dx 2^k at or below its own, before
+    any set is placed."""
     refined = [_refinement(desc, step, origin) for _, step, origin in point_sets]
-    dense = sum(len(ints) for (ints, _, _), geo in zip(point_sets, refined) if geo is None)
-    need = 16 * dense * desc.N**desc.dim
-    if need > MAX_ARRAY_BYTES:
-        raise DomainError(f"{dense} points on no dyadic refinement of the grid need "
-                          f"{need} B of dense phases, over the {MAX_ARRAY_BYTES} B budget")
-    placed = []
-    for (ints, step, origin), geo in zip(point_sets, refined):
+    dx = 2.0 * desc.extent / desc.N
+    for (_, step, _), geo in zip(point_sets, refined):
         if geo is None:
-            placed.append(_Placement(0, _phases(desc, origin + step * ints)))
-            continue
-        L, m, c = geo
+            below = math.ldexp(dx, math.frexp(step / dx)[1] - 1)  # dx 2^k, up to rounding
+            if below > step:
+                below /= 2
+            raise DomainError(f"points of step {float(step)!r} lie on no dyadic refinement of "
+                              f"the {desc.N}^{desc.dim}-point grid within the {MAX_ARRAY_BYTES} B "
+                              f"budget; the largest step dx*2^k at or below it is "
+                              f"{below!r} (dx = {float(dx)!r})")
+    placed = []
+    for (ints, _, _), (L, m, c) in zip(point_sets, refined):
         NL = desc.N * L
         nodes = (np.mod(ints, NL) * (m % NL) + c % NL) % NL
         placed.append(_Placement(L, np.ravel_multi_index(tuple(nodes.T), (NL,) * desc.dim)))
@@ -311,23 +308,9 @@ def _frequencies(desc: GridDescriptor, L: int):
     return np.ix_(*([np.mod(n, desc.N * L)] * desc.dim))
 
 
-def _phases(desc: GridDescriptor, points: np.ndarray) -> np.ndarray:
-    """Dense exp(2 pi i x.nu) for every point x and grid frequency nu, (P, N^d)."""
-    nu = np.fft.fftfreq(desc.N, d=2.0 * desc.extent / desc.N)
-    grids = np.meshgrid(*([nu] * desc.dim), indexing="ij")
-    theta = points @ np.stack([g.ravel() for g in grids], axis=0)
-    theta *= 2.0 * np.pi
-    out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
-
-
 def _sample(desc: GridDescriptor, spectrum: np.ndarray, pl: _Placement) -> np.ndarray:
     """Trigonometric interpolation dnu^d sum_nu e^{2 pi i nu.x} spectrum(nu) at the points."""
     d = desc.dim
-    if pl.L == 0:
-        return (1.0 / (2.0 * desc.extent)) ** d * (pl.at @ spectrum.ravel())
     signed = spectrum * _parity(d, desc.N)
     if pl.L > 1:
         padded = np.zeros((desc.N * pl.L,) * d, dtype=complex)
@@ -339,8 +322,6 @@ def _sample(desc: GridDescriptor, spectrum: np.ndarray, pl: _Placement) -> np.nd
 def _spread(desc: GridDescriptor, values: np.ndarray, pl: _Placement) -> np.ndarray:
     """Adjoint of _sample: sum_x e^{-2 pi i nu.x} v_x at every grid frequency nu."""
     d = desc.dim
-    if pl.L == 0:
-        return np.conj(pl.at.T @ np.conj(values)).reshape((desc.N,) * d)
     grid = np.zeros((desc.N * pl.L) ** d, dtype=complex)
     np.add.at(grid, pl.at, values)  # points that wrap onto one node add up
     spec = np.fft.fftn(grid.reshape((desc.N * pl.L,) * d))
@@ -415,8 +396,8 @@ def _alias_period(desc: GridDescriptor, geo, ranges) -> int:
     """M = N L / m when a lattice of per-axis integer ranges [a, b), placed
     at nodes (k m + c) mod N L of the refinement geo = (L, m, c), is the
     subgroup (m Z / N L Z)^d, each node once: m divides N L, c == 0 mod m
-    and every axis holds M consecutive integers.  0 otherwise (dense phases,
-    an offset coset, a partial or repeated cover)."""
+    and every axis holds M consecutive integers.  0 otherwise (no refinement,
+    which `_place` refuses, an offset coset, a partial or repeated cover)."""
     if geo is None:
         return 0
     L, m, c = geo
@@ -611,11 +592,12 @@ def dilate_grid(f: GridFunction, h: float) -> GridFunction:
     Values are taken by trigonometric interpolation at the arguments h*x;
     arguments outside the principal period are mapped to 0 rather than
     wrapped, so a compressed bump keeps a single copy and the continuum
-    scaling laws hold up to the boundary mass.  Requires h = 2^k.
+    scaling laws hold up to the boundary mass.  h must be a positive, finite,
+    exact power of two, and its arguments are placed like any point set:
+    an h whose refinement exceeds the budget is refused with DomainError.
     """
-    k = np.log2(h)
-    if abs(k - round(k)) > 1e-12:
-        raise DomainError("grid dilation supports h = 2^k only")
+    if not (math.isfinite(h) and h > 0 and math.frexp(h)[0] == 0.5):
+        raise DomainError(f"grid dilation supports a finite h = 2^k only, got {h!r}")
     grids = np.meshgrid(*([np.arange(f.N)] * f.dim), indexing="ij")
     ints = np.stack([g.ravel() for g in grids], axis=1)
     x = -f.extent + f.spacing * ints

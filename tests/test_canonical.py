@@ -183,7 +183,7 @@ def analyze_through_the_constructor(f, ks, gs, p):
 
 
 @settings(max_examples=25, deadline=None)
-@given(f=grids(), beta=st.sampled_from([0.25, 0.3, 0.5]), p=st.sampled_from([2.0, 4.0]),
+@given(f=grids(), beta=st.sampled_from([0.25, 0.375, 0.5]), p=st.sampled_from([2.0, 4.0]),
        jmin=st.integers(-2, 0))
 def test_analyze_equals_the_constructor(f, beta, p, jmin):
     gs = sw.SamplingSet(sw.abelian(1), beta)

@@ -145,25 +145,32 @@ def test_tiling_detects_bad_tile():
     assert rep.uncovered_fraction > 0.0
 
 
-@pytest.mark.parametrize("box, grid_res, error, message", [
-    ([(-1.0, 1.0)] * 2, 4, ValueError, "2 intervals for the 3 coordinates"),
-    ([(-1.0, 1.0)] * 4, 4, ValueError, "4 intervals for the 3 coordinates"),
-    ([(-1.0, 1.0), (0.0, np.inf), (0.0, 1.0)], 4, ValueError, "finite"),
-    ([(-1.0, 1.0), (np.nan, 1.0), (0.0, 1.0)], 4, ValueError, "finite"),
-    ([(-1.0, 1.0, 2.0)] * 3, 4, ValueError, "list of \\(lo, hi\\) intervals"),
-    ([(-1.0, 1.0)] * 3, 4.5, ValueError, "grid_res must be an integer, got 4.5"),
-    ([(-1.0, 1.0)] * 3, True, ValueError, "grid_res must be an integer"),
-    ([(-1.0, 1.0)] * 3, 1, ValueError, "grid_res must be >= 2"),
-    ([(-1.0, 1.0)] * 3, 2**40, sw.DomainError, "over the 268435456 B budget"),
-    ([(-1.0, 1.0)] * 3, 600, sw.DomainError, "216000000 tiling sample points need "
-                                             "5184000000 B"),
+B3 = [(-1.0, 1.0)] * 3
+
+
+@pytest.mark.parametrize("box, grid_res, tile, error, message", [
+    ([(-1.0, 1.0)] * 2, 4, None, ValueError, "2 intervals for the 3 coordinates"),
+    ([(-1.0, 1.0)] * 4, 4, None, ValueError, "4 intervals for the 3 coordinates"),
+    ([(-1.0, 1.0), (0.0, np.inf), (0.0, 1.0)], 4, None, ValueError, "finite"),
+    ([(-1.0, 1.0), (np.nan, 1.0), (0.0, 1.0)], 4, None, ValueError, "finite"),
+    ([(-1.0, 1.0, 2.0)] * 3, 4, None, ValueError, "list of \\(lo, hi\\) intervals"),
+    (B3, 4.5, None, ValueError, "grid_res must be an integer, got 4.5"),
+    (B3, True, None, ValueError, "grid_res must be an integer"),
+    (B3, 1, None, ValueError, "grid_res must be >= 2"),
+    (B3, 2**40, None, sw.DomainError, "over the 268435456 B budget"),
+    (B3, 600, None, sw.DomainError, "216000000 tiling sample points need 5184000000 B"),
+    # a custom tile is checked like the box: a NaN edge read as uncovered
+    # everywhere, and two intervals died in NumPy broadcasting
+    (B3, 3, [(0.0, np.nan), (0.0, 1.0), (0.0, 0.5)], ValueError, "tile edges must be finite"),
+    (B3, 3, [(0.0, 1.0)] * 2, ValueError, "tile has 2 intervals for the 3 coordinates"),
+    (B3, 3, [(0.0, 1.0, 2.0)] * 3, ValueError, "tile must be a list of \\(lo, hi\\) intervals"),
 ], ids=["too-few", "too-many", "infinite", "nan", "triples", "fractional", "bool", "one",
-        "2^40", "600"])
-def test_verify_tiling_refuses_bad_input(monkeypatch, box, grid_res, error, message):
+        "2^40", "600", "tile-nan", "tile-two-intervals", "tile-triples"])
+def test_verify_tiling_refuses_bad_input(monkeypatch, box, grid_res, tile, error, message):
     gs = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
     monkeypatch.setattr(np, "meshgrid", None)  # a refusal builds no sample point
     with pytest.raises(error, match=message):
-        sw.verify_tiling(gs, box, grid_res=grid_res)
+        sw.verify_tiling(gs, box, grid_res=grid_res, tile=tile)
 
 
 def test_verify_tiling_sample_points_fit_the_budget(monkeypatch):

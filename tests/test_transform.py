@@ -276,12 +276,10 @@ def _dense_spread(f, values, points):
 
 
 # (dim, N, extent, density, j, L): the scale-j lattice sits on the L-fold
-# refinement of the grid, or on none (L = 0, dense sums)
+# refinement of the grid
 FFT_CASES = [
     (1, 64, 4.0, 0.125, 0, 1), (1, 64, 4.0, 0.125, 1, 2), (1, 64, 4.0, 0.125, 2, 4),
-    (1, 64, 4.0, 0.3, 0, 0),
     (2, 16, 2.0, 0.125, -1, 1), (2, 16, 2.0, 0.125, 0, 2), (2, 16, 2.0, 0.125, 1, 4),
-    (2, 16, 2.0, 0.3, 0, 0),
 ]
 FFT_IDS = [f"{d}d-L{L}" for d, _, _, _, _, L in FFT_CASES]
 
@@ -337,6 +335,40 @@ def test_fft_path_matches_dense_sums(dim, n, extent, density, j, L):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("dim, n, extent", [(1, 64, 4.0), (2, 16, 2.0)], ids=["1d-L0", "2d-L0"])
+def test_fft_path_refuses_points_on_no_refinement(monkeypatch, dim, n, extent):
+    # density 0.3 at j = 0: step 0.3 on grids of dx = 0.125 and 0.25 lies on
+    # no refinement; the largest dx 2^k at or below it is 0.25
+    desc = sw.GridDescriptor(dim, n, extent)
+    gs = sw.SamplingSet(sw.abelian(dim), 0.3)
+    ks = sw.build_kernel_set(sw.build_window(1.0), desc, (0, 0))
+    f = _random_grid(np.random.default_rng(9), dim, n, extent)
+    c = field_of(gs, {sw.AtomIndex(0, (1,) * dim): 1.0 + 0j}, sw.lp_atoms(2.0))
+    for name in ("_sample", "_spread"):
+        monkeypatch.setattr(transform, name, lambda *a: pytest.fail("placed before the refusal"))
+    message = (f"points of step 0.3 lie on no dyadic refinement of the {n}^{dim}-point grid "
+               f"within the {transform.MAX_ARRAY_BYTES} B budget; the largest step dx*2^k "
+               f"at or below it is 0.25 (dx = {2.0 * extent / n})")
+    for call in (lambda: sw.analyze(f, ks, gs, 2.0), lambda: sw.synthesize(c, ks, gs, desc),
+                 lambda: sw.frame_reconstruct(f, ks, gs)):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()
+
+
+def test_a_near_dyadic_density_is_refused_not_rounded():
+    # 0.25 + 1e-11 is no dyadic multiple of dx = 1/32 on any refinement
+    # within the budget; a test for integers to within 1e-9 placed every
+    # scale on the nodes of 0.25, about 1e-8 off the exact sums at j = 4
+    f = band_limited(n=256, extent=4.0, center=2.0, width=8.0)
+    gs = sw.SamplingSet(sw.abelian(1), 0.25 + 1e-11)
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
+    message = f"points of step {gs.beta * 2.0!r} lie on no dyadic refinement"
+    for call in (lambda: sw.analyze(f, ks, gs, 2.0), lambda: sw.frame_reconstruct(f, ks, gs)):
+        with pytest.raises(DomainError, match=re.escape(message)) as err:
+            call()
+        assert "the largest step dx*2^k at or below it is 0.5 " in str(err.value)
+
+
 def test_dilate_grid_matches_dense_sums():
     # h = 1/2 and 1/4 put the arguments h x on the 2- and 4-fold refinements
     f = band_limited(n=128, extent=8.0, center=1.0, width=8.0)
@@ -364,9 +396,8 @@ def test_roundtrip_2d_fine_scales():
     assert abs(energy - c.l2() ** 2) <= 1e-10 * c.l2() ** 2
 
 
-def test_dense_budget_refused_up_front(monkeypatch):
-    # beta = 0.3 lies on no dyadic refinement: 214 points x 1024 frequencies
-    # need 3.5 MB of phases against a 1 MiB budget
+def test_refinement_budget_refused_up_front(monkeypatch):
+    # beta = 0.3 lies on no dyadic refinement: its 214 points are refused
     f = _random_grid(np.random.default_rng(2), 1, 1024, 8.0)
     gs = sw.preset_sampling_set(sw.abelian(1), 0.3)
     ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (2, 2))
@@ -379,48 +410,15 @@ def test_dense_budget_refused_up_front(monkeypatch):
     c2 = field_of(gs2, {sw.AtomIndex(0, (1, 2)): 1.0 + 0j}, sw.lp_atoms(2.0))
     tracemalloc.start()
     try:
-        with pytest.raises(DomainError, match="budget"):
+        with pytest.raises(DomainError, match="within the 1048576 B budget; the largest step "
+                                              "dx\\*2\\^k at or below it is 0.0625 "):
             sw.analyze(f, ks, gs, 2.0)
-        with pytest.raises(DomainError, match="budget"):
+        with pytest.raises(DomainError, match="no dyadic refinement of the 512\\^2-point grid"):
             sw.synthesize(c2, ks2, gs2, desc2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 18
-
-
-def test_dense_phases_built_once_per_scale_and_call(monkeypatch):
-    # density 0.3 puts several scales on no dyadic refinement of the grid
-    f = band_limited(n=256, extent=4.0, center=2.0, width=8.0)
-    gs = sw.preset_sampling_set(sw.abelian(1), 0.3)
-    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
-    dense = sum(s.placement.L == 0 for s in transform._scales(ks, gs, f.descriptor()))
-    assert dense == 6
-    builds = []
-    phases = transform._phases
-    monkeypatch.setattr(transform, "_phases", lambda *a: builds.append(1) or phases(*a))
-    c = sw.analyze(f, ks, gs, 4.0)
-    assert len(builds) == dense
-    sw.synthesize(c, ks, gs, f.descriptor())
-    assert len(builds) == dense + len(c.scales())  # the scales c holds
-    _, info = sw.frame_reconstruct(f, ks, gs)
-    assert info["iterations"] >= 2 and len(builds) == 2 * dense + len(c.scales())
-    # at density 0.25 every scale sits on a refinement
-    builds.clear()
-    sw.analyze(f, ks, sw.preset_sampling_set(sw.abelian(1), 0.25), 4.0)
-    assert builds == []
-
-
-def test_dense_budget_counts_every_scale_of_a_call(monkeypatch):
-    f = band_limited(n=256, extent=4.0, center=2.0, width=8.0)
-    gs = sw.preset_sampling_set(sw.abelian(1), 0.3)
-    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
-    scales = transform._scales(ks, gs, f.descriptor())
-    need = [16 * len(gs.points(s.j, s.gammas)) * f.N for s in scales if s.placement.L == 0]
-    monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", sum(need) - 1)
-    assert max(need) <= transform.MAX_ARRAY_BYTES
-    with pytest.raises(DomainError, match="budget"):
-        sw.analyze(f, ks, gs, 4.0)
 
 
 def test_frame_reconstruct_warns_when_not_converged():
@@ -462,16 +460,15 @@ def test_frame_reconstruct_raises_on_cg_breakdown(factor, error, message):
 # (dim, N, extent, density, j_range, refinements L of the scales, alias folds):
 # dyadic densities fold every scale, on refinements up to L = 4 in 2-D; at
 # 0.25 the aliases miss each band, at the coarser 1.0 and 0.5 they overlap
-# it; 0.375 places each scale on an offset coset (c != 0 mod m), 0.3 on none
+# it; 0.375 places each scale on an offset coset (c != 0 mod m)
 SYMBOL_CASES = [
     (1, 256, 4.0, 0.25, (-1, 4), {1, 2}, 4),
     (2, 64, 4.0, 0.25, (-1, 3), {1, 2, 4}, 2),
     (1, 256, 4.0, 1.0, (-1, 4), {1}, 6),
     (2, 64, 4.0, 0.5, (-1, 3), {1, 2}, 3),
     (1, 64, 4.0, 0.375, (-1, 2), {1, 2, 4}, 0),
-    (1, 64, 4.0, 0.3, (-1, 2), {0}, 0),
 ]
-SYMBOL_IDS = ["1d-dyadic", "2d-dyadic", "1d-coarse", "2d-coarse", "1d-offset", "1d-dense"]
+SYMBOL_IDS = ["1d-dyadic", "2d-dyadic", "1d-coarse", "2d-coarse", "1d-offset"]
 
 
 def _symbol_case(dim, n, extent, density, j_range):
@@ -549,10 +546,12 @@ def test_frame_reconstruct_keeps_the_lattice_and_refinement_budgets(monkeypatch)
         with pytest.raises(DomainError, match="2048 lattice points at scale 7"):
             sw.frame_reconstruct(f, ks, gs)
     # scale 7 folds on the 32-fold refinement, 16 * 2048 B; one byte less
-    # leaves it on none, and its 2048 points x 64 frequencies of dense phases
-    # are refused too
+    # leaves it on none, and it is refused too
     monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", 16 * 2048 - 1)
-    with pytest.raises(DomainError, match="2048 points on no dyadic refinement"):
+    with pytest.raises(DomainError, match=re.escape(
+            "points of step 0.001953125 lie on no dyadic refinement of the 64^1-point grid "
+            "within the 32767 B budget; the largest step dx*2^k at or below it is "
+            "0.001953125 (dx = 0.0625)")):
         sw.frame_reconstruct(f, ks, gs)
 
 
@@ -632,8 +631,16 @@ def test_dilation_scaling_identities():
 
 def test_dilate_grid_validation_and_warning():
     f = gaussian_1d(n=128)
-    with pytest.raises(DomainError):
-        sw.dilate_grid(f, 3.0)
+    for h in (3.0, 0.0, -2.0, np.inf, np.nan):
+        with pytest.raises(DomainError, match="supports a finite h = 2\\^k only"):
+            sw.dilate_grid(f, h)
+    # 2^-20 on 256 points needs the 2^20-fold refinement, over the budget
+    wide = gaussian_1d(n=256)
+    for h in (2.0 ** -20, np.float64(2.0 ** -20)):
+        with pytest.raises(DomainError, match=re.escape(
+                "points of step 5.960464477539063e-08 lie on no dyadic refinement of the "
+                "256^1-point grid")):
+            sw.dilate_grid(wide, h)
     flat = sw.GridFunction(1, 8.0, np.ones(128, dtype=complex))
     with pytest.warns(UserWarning, match="boundary"):
         sw.dilate_grid(flat, 2.0)
@@ -809,7 +816,7 @@ def test_lebesgue_norm_keeps_p_infinity_and_matches_the_flat_sum():
         assert sw.lebesgue_norm(f, p).hex() == want.hex()
 
 
-@pytest.mark.parametrize("density", [0.25, 0.3])
+@pytest.mark.parametrize("density", [0.25, 0.375])
 def test_analyze_and_frame_reconstruct_make_one_range_pass_each(monkeypatch, density):
     f = band_limited(n=256, extent=4.0, center=2.0, width=8.0)
     gs = sw.SamplingSet(sw.abelian(1), density)

@@ -220,6 +220,18 @@ def test_verify_frame_default_density_converges_on_a_band_limited_grid(tmp_path,
     assert json.loads(report.read_text())["frame_iterations"] == 50
 
 
+def test_verify_frame_refuses_a_density_on_no_dyadic_refinement(tmp_path, capsys):
+    # density 0.3 puts scale -1 at step 0.6 on a grid of dx = 1/32; the
+    # largest step dx 2^k at or below it is 0.5, which is density 0.25
+    grid, report = write_benchmark_band_grid(tmp_path, 1), tmp_path / "frame.json"
+    assert main(["verify-frame", "--grid", str(grid), "--density", "0.3", "--jmin", "-1",
+                 "--jmax", "4", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: points of step 0.6 lie on no dyadic refinement")
+    assert "the largest step dx*2^k at or below it is 0.5 (dx = 0.03125)" in err
+    assert err.count("\n") == 1 and not report.exists()
+
+
 def test_norms_command(tmp_path):
     g = sw.abelian(1)
     gs = sw.preset_sampling_set(g, 1.0)

@@ -25,8 +25,8 @@ import numpy as np
 from . import groups as _groups
 from . import io as _io
 from .transform import (
-    _box_ranges,
     _kernel_factors,
+    _scales,
     analyze,
     besov_norm_continuous,
     build_kernel_set,
@@ -47,7 +47,7 @@ from .profiles import (
     extract,
     remainder_split,
 )
-from .sampling import SamplingSet
+from .sampling import MAX_ARRAY_BYTES, SamplingSet
 from .windows import NarrowWindow, build_window, coverage_interval, verify_partition
 
 EXIT_OK = 0
@@ -61,7 +61,7 @@ def _digest(path) -> str:
 
 
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -160,6 +160,10 @@ def cmd_verify_window(args) -> int:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
     w = _window(args)
     lo, hi = coverage_interval(args.J)
+    need = 8 * (args.grid_points + 2)
+    if need > MAX_ARRAY_BYTES:
+        raise _groups.DomainError(f"{args.grid_points} grid points need {need} B, over the "
+                                  f"{MAX_ARRAY_BYTES} B budget")
     # sample strictly inside the covered band: at the exact endpoints the
     # truncated sum is missing its |j| = J+1 partner for edge-supported windows
     grid = np.geomspace(lo, hi, args.grid_points + 2)[1:-1]
@@ -182,10 +186,10 @@ def cmd_verify_frame(args) -> int:
     f = _io.read_grid(args.grid)
     gs = SamplingSet(_groups.abelian(f.dim), args.density)
     window, desc = _window(args), f.descriptor()
-    # the multipliers' budget and dilations, then every scale's lattice, are
-    # checked before any multiplier is built
+    # the multipliers' budget and dilations, then every scale's lattice and
+    # refinement, are checked before any multiplier is built
     js, _ = _kernel_factors(desc, (args.jmin, args.jmax))
-    _box_ranges(js, gs, desc)
+    _scales(js, gs, desc)
     ks = build_kernel_set(window, desc, (args.jmin, args.jmax))
     c = analyze(f, ks, gs, args.p)
     f_direct = synthesize(c, ks, gs, f.descriptor())
@@ -193,10 +197,9 @@ def cmd_verify_frame(args) -> int:
         warnings.filterwarnings("ignore", "frame CG stopped", RuntimeWarning)
         f_rec, info = frame_reconstruct(f, ks, gs)
     l2 = lebesgue_norm(f, 2.0)
-    err_direct = lebesgue_norm(
-        type(f)(f.dim, f.extent, f.samples - f_direct.samples), 2.0) / l2
-    err_corrected = lebesgue_norm(
-        type(f)(f.dim, f.extent, f.samples - f_rec.samples), 2.0) / l2
+    err_direct, err_corrected = (  # a zero grid has no relative error
+        lebesgue_norm(type(f)(f.dim, f.extent, f.samples - g.samples), 2.0) / l2 if l2 > 0
+        else None for g in (f_direct, f_rec))
     s = gs.group.Q * (0.5 - 1.0 / args.p)
     cont = besov_norm_continuous(f, ks, s, 2.0, 2.0)
     disc = discrete_besov_norm(c, NormParams(s, 2.0, 2.0))
@@ -224,16 +227,17 @@ def cmd_verify_frame(args) -> int:
 def cmd_norms(args) -> int:
     c = _io.read_field(args.infile)
     np_ = NormParams(args.s, args.p, args.q)
-    report = {
-        "command": "norms",
-        "inputs": {"field": _digest(args.infile)},
-        "s": args.s, "p": args.p, "q": args.q,
-        "normalization": c.normalization.label(),
-        "entries": len(c),
-        "discrete_besov_norm": discrete_besov_norm(c, np_),
-    }
-    if np_.is_critical(c.sampling.group.Q):
-        report["sobolev_seq_norm"] = sobolev_seq_norm(convert(c, lp_atoms(args.p)))
+    with np.errstate(over="ignore"):  # _emit refuses a norm that overflows to inf
+        report = {
+            "command": "norms",
+            "inputs": {"field": _digest(args.infile)},
+            "s": args.s, "p": args.p, "q": args.q,
+            "normalization": c.normalization.label(),
+            "entries": len(c),
+            "discrete_besov_norm": discrete_besov_norm(c, np_),
+        }
+        if np_.is_critical(c.sampling.group.Q):
+            report["sobolev_seq_norm"] = sobolev_seq_norm(convert(c, lp_atoms(args.p)))
     _emit(report, args.report)
     return EXIT_OK
 

@@ -24,7 +24,7 @@ import numpy as np
 from ._json import json_fields
 from .groups import DomainError
 from .sampling import MAX_ARRAY_BYTES, AtomIndex, SamplingSet, lattice_int64
-from .coeffs import CoefficientField, lp_atoms, sobolev_seq_norm
+from .coeffs import CoefficientField, lp_atoms
 from .profiles import SequenceSnapshots, _check_thresholds, _row_classifier, _verdict
 
 __all__ = [
@@ -167,7 +167,7 @@ def generate(spec: GeneratorSpec, gs: SamplingSet) -> SequenceSnapshots:
 
     snaps = SequenceSnapshots(gs, tuple(range(spec.horizon)), tuple(fields))
 
-    norms = np.array([sobolev_seq_norm(f) for f in snaps.fields])
+    norms = snaps.norms
     if not spec.allow_overlap and np.max(np.abs(norms - norms[0])) > 1e-12 * max(norms[0], 1.0):
         raise GeneratorError("sequence norm drifts although no overlap was declared")
 

@@ -21,7 +21,8 @@ that fails.
 One validator checks the parsed rows on their columns, rule by rule, and
 keeps the rows before the first that breaks a rule.  Duplicates are found
 on the kept columns before any error is raised, so a malformed file raises
-IngestionError naming its first bad line, as a line-by-line reader would.
+IngestionError naming its first bad line, as a line-by-line reader would;
+snapshots whose total energy overflows float64 raise it without a line.
 """
 
 from __future__ import annotations
@@ -387,4 +388,7 @@ def read_snapshots(path) -> SequenceSnapshots:
     fields = tuple(CoefficientField._canonical(gs, norm, j[lo:hi].copy(), gammas[lo:hi].copy(),
                                                values[lo:hi].copy())
                    for lo, hi in zip(bounds, bounds[1:]))
-    return SequenceSnapshots(gs, n_values, fields)
+    try:
+        return SequenceSnapshots(gs, n_values, fields)
+    except _groups.DomainError as exc:  # entries finite one by one, their energy not
+        raise IngestionError(str(exc)) from None

@@ -19,7 +19,7 @@ ranks read their verdicts from these founder-major rows."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -65,11 +65,15 @@ class NonconvergentCoefficient(RuntimeError):
 class SequenceSnapshots:
     """SequenceSnapshots(sampling, n_values, fields): a bounded sequence of
     coefficient fields, all on `sampling`, observed at finitely many n,
-    integers within MAX_LATTICE_COORD = 2^53 kept as a tuple of int."""
+    integers within MAX_LATTICE_COORD = 2^53 kept as a tuple of int, with
+    each ||u_n|| in the read-only `norms`.  A total energy sum_n ||u_n||^2
+    beyond float64 is refused with DomainError, so every snapshot and
+    profile energy of the ledger is finite."""
 
     sampling: SamplingSet
     n_values: tuple[int, ...]
     fields: tuple[CoefficientField, ...]
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
@@ -89,6 +93,13 @@ class SequenceSnapshots:
             raise ValueError("all snapshots must share one normalization tag")
         if self.fields and self.fields[0].normalization.kind != "Lp":
             raise ValueError("snapshots must carry Lp-atom normalization")
+        with np.errstate(over="ignore"):
+            norms = np.array([sobolev_seq_norm(f) for f in self.fields])
+            if not np.isfinite(np.sum(norms**2)):
+                raise groups.DomainError("the total energy sum_n ||u_n||^2 of the snapshots "
+                                         "overflows float64")
+        norms.setflags(write=False)
+        object.__setattr__(self, "norms", norms)
 
     @property
     def horizon(self) -> int:
@@ -96,7 +107,7 @@ class SequenceSnapshots:
 
     @property
     def K_bound(self) -> float:
-        return max((sobolev_seq_norm(f) for f in self.fields), default=0.0)
+        return float(self.norms.max()) if self.horizon else 0.0
 
 
 @dataclass(frozen=True)
@@ -436,7 +447,7 @@ def energy_ledger(dec: ProfileDecomposition, L: int) -> np.ndarray:
     members = [_members(dec, [ell], dec.M_eff) for ell in range(1, L + 1)]
     out = np.zeros((L + 1, dec.snapshots.horizon))
     for n_pos, u in enumerate(dec.snapshots.fields):
-        u2 = sobolev_seq_norm(u) ** 2
+        u2 = float(dec.snapshots.norms[n_pos]) ** 2
         values = u.values.copy()
         profile_energy = 0
         for ell, (ranks, d) in enumerate(members, start=1):

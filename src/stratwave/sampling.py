@@ -356,18 +356,12 @@ _PASS_COPIES = 5
 
 @functools.lru_cache(maxsize=16)
 def _shell_block(d: int, rb: int) -> tuple[np.ndarray, tuple]:
-    """Read-only offsets of the shells r < rb, concatenated in the order of
-    _shell(0, r), and the rb + 1 shell bounds: shell r is rows bounds[r]:bounds[r + 1].
-
-    The cube of radius rb - 1 is lexicographic, and so is each (shell, first
-    axis at +-r) group of _shell; one stable sort by r d + k puts the groups in
-    _shell's order.  The cache holds 16 blocks of at most 2^14 d 8 B each.
+    """Read-only offsets of the shells r < rb, the _shell(0, r) concatenated,
+    and the rb + 1 shell bounds: shell r is rows bounds[r]:bounds[r + 1].
+    The cache holds 16 blocks of at most 2^14 d 8 B each.
     """
-    cube = np.indices((2 * rb - 1,) * d).reshape(d, -1).T - (rb - 1)
-    size = np.abs(cube)
-    r = size.max(axis=1)
-    k = np.argmax(size == r[:, None], axis=1)
-    offsets = cube[np.argsort(r * d + k, kind="stable")]
+    zero = np.zeros(d, dtype=np.int64)
+    offsets = np.concatenate([_shell(zero, r) for r in range(rb)])
     offsets.setflags(write=False)
     return offsets, tuple(max(2 * s - 1, 0) ** d for s in range(rb + 1))
 

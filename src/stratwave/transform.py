@@ -17,20 +17,21 @@ sit on the L-fold refinement at nodes (k m + c) mod N L, exact in int64 for
 (N L)^d FFT layout, frequency n at index n mod N L so the Nyquist bin keeps
 its place, runs one inverse FFT and gathers the nodes; spreading scatters
 the values onto that grid, runs one forward FFT and crops back to the N^d
-frequencies.  A set on no refinement whose grid fits MAX_ARRAY_BYTES at
-16 B a node (a density such as 0.3) is refused with `DomainError` before
-any set of the call is placed; other points would need a chirp-z path
-(Rabiner-Schafer-Rader 1969) or a nonuniform FFT (Dutt-Rokhlin 1993).
+frequencies.  `_refinement` refuses with `DomainError` a set on no
+refinement whose grid fits MAX_ARRAY_BYTES at 16 B a node (a density such
+as 0.3); other points would need a chirp-z path (Rabiner-Schafer-Rader
+1969) or a nonuniform FFT (Dutt-Rokhlin 1993).
 
 Coefficient fields cross this module as arrays: `analyze` samples each
 scale at its lattice points (`sampling.range_coordinates`, lexicographic)
 and, the scales ascending, builds its field and the converted one without
 a re-sort; `synthesize` reads each scale's run of the field's canonical
-arrays.  `analyze` and `frame_reconstruct` take every scale's
-lattice ranges from one `sampling.scale_ranges` pass per call.  Kernel
-multipliers and Littlewood-Paley blocks are built in stacks of scales of at
-most _STACK_POINTS = 2^14 grid points, bit-identical to a per-scale loop;
-a kernel set larger than MAX_ARRAY_BYTES is refused before any is built.
+arrays.  `_scales` alone decides where each scale's lattice sits (ranges,
+refinement, fold period) and refuses a scale before any point is built.
+Kernel multipliers and Littlewood-Paley blocks are built in stacks of
+scales of at most _STACK_POINTS = 2^14 grid points, bit-identical to a
+per-scale loop; a kernel set larger than MAX_ARRAY_BYTES is refused before
+any is built.
 The CLI's verify-frame samples at density 0.25 by default: its scale-j step
 beta 2^{-j} is the 2^{-j} / 4 that samples the band of psi_hat_j alias-free.
 
@@ -53,7 +54,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -191,6 +192,11 @@ class KernelSet:
         return self.multipliers[j]
 
 
+def _js(ks: KernelSet) -> range:
+    """The cached scales of ks, ascending."""
+    return range(ks.j_range[0], ks.j_range[1] + 1)
+
+
 def _dilation(j: int) -> float:
     """4^{-j}, the scale-j factor of the spectral variable; DomainError when
     it overflows (j <= -512).  An underflow to 0 is kept."""
@@ -243,7 +249,7 @@ def calderon_reconstruct(f: GridFunction, ks: KernelSet) -> GridFunction:
     """Sum_j f * psi_j^* * psi_j over the cached range."""
     spec = grid_fft(f)
     total = np.zeros_like(spec)
-    for j in range(ks.j_range[0], ks.j_range[1] + 1):
+    for j in _js(ks):
         total += ks.multiplier(j) ** 2 * spec
     return grid_ifft(f, total)
 
@@ -262,11 +268,13 @@ class _Placement(NamedTuple):
     at: np.ndarray
 
 
-def _refinement(desc: GridDescriptor, step: float, origin: float) -> Optional[tuple[int, int, int]]:
+def _refinement(desc: GridDescriptor, step: float, origin: float) -> tuple[int, int, int]:
     """(L, m, c) for the smallest refinement L = 2^k within the budget on which
     step L / dx and (origin + R) L / dx are exact integers m and c: the points
     origin + step k of integers k sit at its nodes (k m + c) mod N L.  As
-    R / dx = N / 2, c is origin L / dx + N L / 2, exact for a dyadic origin."""
+    R / dx = N / 2, c is origin L / dx + N L / 2, exact for a dyadic origin.
+    Points on no such refinement are refused with DomainError, naming the
+    largest step dx 2^k at or below their own."""
     dx = 2.0 * desc.extent / desc.N
     L = 1
     while 16 * (desc.N * L) ** desc.dim <= MAX_ARRAY_BYTES:
@@ -274,31 +282,21 @@ def _refinement(desc: GridDescriptor, step: float, origin: float) -> Optional[tu
         if m.is_integer() and c.is_integer():
             return L, int(m), int(c)
         L *= 2
-    return None
+    below = math.ldexp(dx, math.frexp(step / dx)[1] - 1)  # dx 2^k, up to rounding
+    if below > step:
+        below /= 2
+    raise DomainError(f"points of step {float(step)!r} lie on no dyadic refinement of "
+                      f"the {desc.N}^{desc.dim}-point grid within the {MAX_ARRAY_BYTES} B "
+                      f"budget; the largest step dx*2^k at or below it is "
+                      f"{below!r} (dx = {float(dx)!r})")
 
 
-def _place(desc: GridDescriptor, point_sets: list) -> list[_Placement]:
-    """Each point set (ints, step, origin), ints (P, d) integers, on its
-    smallest refinement within the budget.  A set on none is refused with
-    DomainError, naming the largest step dx 2^k at or below its own, before
-    any set is placed."""
-    refined = [_refinement(desc, step, origin) for _, step, origin in point_sets]
-    dx = 2.0 * desc.extent / desc.N
-    for (_, step, _), geo in zip(point_sets, refined):
-        if geo is None:
-            below = math.ldexp(dx, math.frexp(step / dx)[1] - 1)  # dx 2^k, up to rounding
-            if below > step:
-                below /= 2
-            raise DomainError(f"points of step {float(step)!r} lie on no dyadic refinement of "
-                              f"the {desc.N}^{desc.dim}-point grid within the {MAX_ARRAY_BYTES} B "
-                              f"budget; the largest step dx*2^k at or below it is "
-                              f"{below!r} (dx = {float(dx)!r})")
-    placed = []
-    for (ints, _, _), (L, m, c) in zip(point_sets, refined):
-        NL = desc.N * L
-        nodes = (np.mod(ints, NL) * (m % NL) + c % NL) % NL
-        placed.append(_Placement(L, np.ravel_multi_index(tuple(nodes.T), (NL,) * desc.dim)))
-    return placed
+def _place(desc: GridDescriptor, ints: np.ndarray, geo: tuple[int, int, int]) -> _Placement:
+    """(P, d) integers k at their nodes (k m + c) mod N L of the refinement (L, m, c)."""
+    L, m, c = geo
+    NL = desc.N * L
+    nodes = (np.mod(ints, NL) * (m % NL) + c % NL) % NL
+    return _Placement(L, np.ravel_multi_index(tuple(nodes.T), (NL,) * desc.dim))
 
 
 def _frequencies(desc: GridDescriptor, L: int):
@@ -332,23 +330,24 @@ def _spread(desc: GridDescriptor, values: np.ndarray, pl: _Placement) -> np.ndar
 
 class _Scale(NamedTuple):
     j: int
-    gammas: np.ndarray  # (P, dim) int64, lexicographic
-    placement: _Placement
+    ranges: list  # per-axis integer ranges [a, b) of the torus-box lattice
+    geo: tuple  # the refinement (L, m, c) its points sit on
+    M: int  # the fold period N L / m, 0 when the scale does not fold
 
 
-def _box_ranges(js: range, gs: SamplingSet, desc: GridDescriptor) -> dict:
-    """Each scale's integer ranges of the torus-box lattice, from one pass
-    that checks every scale's budget, the finest first, before any lattice is
-    built."""
-    return dict(zip(js, scale_ranges(gs, js, [(-desc.extent, desc.extent)] * desc.dim)))
-
-
-def _scales(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale]:
-    """Each cached scale's lattice points inside the torus box, placed on the grid."""
-    js = range(ks.j_range[0], ks.j_range[1] + 1)
-    lattices = [(j, range_coordinates(r)) for j, r in _box_ranges(js, gs, desc).items()]
-    placements = _place(desc, [(gm, gs.beta * 2.0 ** -j, 0.0) for j, gm in lattices])
-    return [_Scale(j, gm, pl) for (j, gm), pl in zip(lattices, placements)]
+def _scales(js: range, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale]:
+    """Each scale's torus-box lattice ranges, refinement and fold period, with
+    no point built: one `scale_ranges` pass checks every budget, the finest
+    scale first, then `_refinement` refuses a scale on none, the coarsest
+    first.  The lattice is (m Z / N L Z)^d, each node once, exactly when
+    c = N L / 2 == 0 mod m: then m divides N L and each axis of the box
+    [-R, R) holds M = N L / m points."""
+    ranges = scale_ranges(gs, js, [(-desc.extent, desc.extent)] * desc.dim)
+    scales = []
+    for j, box in zip(js, ranges):
+        L, m, c = geo = _refinement(desc, gs.beta * 2.0 ** -j, 0.0)
+        scales.append(_Scale(j, box, geo, 0 if c % m else desc.N * L // m))
+    return scales
 
 
 def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> CoefficientField:
@@ -361,12 +360,14 @@ def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> Coeffi
     _check_inputs(gs, ks, desc)
     if not 1.0 < p < np.inf:
         raise DomainError("p must lie in (1, inf)")
-    scales = _scales(ks, gs, desc)
+    scales = _scales(_js(ks), gs, desc)
     spec = grid_fft(f)
-    values = [_sample(desc, ks.multiplier(s.j) * spec, s.placement) for s in scales]
+    gammas = [range_coordinates(s.ranges) for s in scales]
+    values = [_sample(desc, ks.multiplier(s.j) * spec, _place(desc, gm, s.geo))
+              for s, gm in zip(scales, gammas)]
     # scales ascend and each lattice is lexicographic, so the rows are canonical
-    js = np.concatenate([np.full(len(s.gammas), s.j, dtype=np.int64) for s in scales])
-    c1 = CoefficientField._canonical(gs, L1_ATOMS, js, np.concatenate([s.gammas for s in scales]),
+    js = np.concatenate([np.full(len(gm), s.j, dtype=np.int64) for s, gm in zip(scales, gammas)])
+    c1 = CoefficientField._canonical(gs, L1_ATOMS, js, np.concatenate(gammas),
                                      np.concatenate(values), floor=SPARSE_FLOOR)
     return convert(c1, lp_atoms(p))
 
@@ -384,27 +385,13 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
     Q = gs.group.Q
     runs = c.scales()
     mults = [ks.multiplier(j) for j, _ in runs]
-    placements = _place(target, [(c.gammas[run], gs.beta * 2.0 ** -j, 0.0) for j, run in runs])
+    geos = [_refinement(target, gs.beta * 2.0 ** -j, 0.0) for j, _ in runs]
     spec = np.zeros((target.N,) * target.dim, dtype=complex)
-    for (j, run), mult, pl in zip(runs, mults, placements):
+    for (j, run), mult, geo in zip(runs, mults, geos):
+        pl = _place(target, c.gammas[run], geo)
         spec += _power_of_two(j, Q, 1.0 / p - 1.0) * mult * _spread(target, c.values[run], pl)
     blank = GridFunction(target.dim, target.extent, np.zeros_like(spec))
     return grid_ifft(blank, spec)
-
-
-def _alias_period(desc: GridDescriptor, geo, ranges) -> int:
-    """M = N L / m when a lattice of per-axis integer ranges [a, b), placed
-    at nodes (k m + c) mod N L of the refinement geo = (L, m, c), is the
-    subgroup (m Z / N L Z)^d, each node once: m divides N L, c == 0 mod m
-    and every axis holds M consecutive integers.  0 otherwise (no refinement,
-    which `_place` refuses, an offset coset, a partial or repeated cover)."""
-    if geo is None:
-        return 0
-    L, m, c = geo
-    NL = desc.N * L
-    if NL % m or c % m or any(b - a != NL // m for a, b in ranges):
-        return 0
-    return NL // m
 
 
 def _fold(z: np.ndarray, M: int) -> np.ndarray:
@@ -424,30 +411,23 @@ def _frame_symbol(ks: KernelSet, gs: SamplingSet,
     Sampling then spreading a folding scale multiplies the refined grid by
     the indicator of m Z^d, hence the alias sum; the parity signs cancel
     because c = N L / 2 == 0 mod m makes the alias period even.  Folds of
-    period N L / m >= N are multipliers, summed into one.  Every lattice's
-    budget is checked, the finest first, before any is built; only the
-    other scales build theirs, for psi_hat_j _spread(_sample(psi_hat_j Y)).
+    period N L / m >= N are multipliers, summed into one.  `_scales` checks
+    every lattice before any is built; only the scales that do not fold
+    build theirs, for psi_hat_j _spread(_sample(psi_hat_j Y)).
     """
     Q, d, N = gs.group.Q, desc.dim, desc.N
     dx = 2.0 * desc.extent / N
-    js = range(ks.j_range[0], ks.j_range[1] + 1)
-    ranges = _box_ranges(js, gs, desc)
     diagonal = 0.0  # a real array unless a multiplier is complex
-    folds, rest = [], []
-    for j in js:
-        w, mult = 2.0 ** (-j * Q), ks.multiplier(j)
-        geo = _refinement(desc, gs.beta * 2.0 ** -j, 0.0)
-        M = _alias_period(desc, geo, ranges[j])
-        if not M:
-            rest.append(j)
-        elif M >= N:
-            diagonal = diagonal + w * (geo[0] / (dx * geo[1])) ** d * mult * mult
+    folds, sampled = [], []
+    for s in _scales(_js(ks), gs, desc):
+        w, mult = 2.0 ** (-s.j * Q), ks.multiplier(s.j)
+        L, m, _ = s.geo
+        if not s.M:
+            sampled.append((w * mult, mult, _place(desc, range_coordinates(s.ranges), s.geo)))
+        elif s.M >= N:
+            diagonal = diagonal + w * (L / (dx * m)) ** d * mult * mult
         else:
-            folds.append((w * (geo[0] / (dx * geo[1])) ** d * mult, mult, M))
-    placements = _place(desc, [(range_coordinates(ranges[j]), gs.beta * 2.0 ** -j, 0.0)
-                               for j in rest])
-    sampled = [(2.0 ** (-j * Q) * ks.multiplier(j), ks.multiplier(j), pl)
-               for j, pl in zip(rest, placements)]
+            folds.append((w * (L / (dx * m)) ** d * mult, mult, s.M))
 
     def apply(y: np.ndarray) -> np.ndarray:
         out = diagonal * y
@@ -567,7 +547,7 @@ def besov_norm_continuous(f: GridFunction, ks: KernelSet, s: float, p: float,
     spec = grid_fft(f)
     covered = np.zeros(spec.shape)
     acc = 0.0
-    js = range(ks.j_range[0], ks.j_range[1] + 1)
+    js = _js(ks)
     axes = tuple(range(1, f.dim + 1))
     for run in _stacks(len(js), spec.size):
         mults = np.stack([ks.multiplier(j) for j in js[run]])
@@ -605,7 +585,7 @@ def dilate_grid(f: GridFunction, h: float) -> GridFunction:
     vals = np.zeros(len(x), dtype=complex)
     if np.any(inside):
         desc = f.descriptor()
-        (pl,) = _place(desc, [(ints[inside], h * f.spacing, -h * f.extent)])
+        pl = _place(desc, ints[inside], _refinement(desc, h * f.spacing, -h * f.extent))
         vals[inside] = _sample(desc, grid_fft(f), pl)
     # boundary-mass diagnostic: the localized dilate ignores what f does
     # outside the principal period, which only matters if f carries mass there

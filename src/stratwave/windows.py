@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import DomainError
+
 __all__ = [
     "Window",
     "NarrowWindow",
@@ -86,7 +88,10 @@ def build_window(sharpness: float = 1.0) -> Window:
 
 def coverage_interval(J: int) -> tuple[float, float]:
     """Spectral interval on which the |j| <= J partial partition sum is exactly 1."""
-    return (4.0 ** (-J), 4.0**J)
+    try:
+        return (4.0 ** (-J), 4.0**J)
+    except OverflowError:
+        raise DomainError(f"the covered band [4^(-J), 4^J] overflows float64 at J = {J}") from None
 
 
 def verify_partition(w, J: int, grid) -> float:

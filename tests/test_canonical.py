@@ -171,12 +171,15 @@ def grids(draw):
 def analyze_through_the_constructor(f, ks, gs, p):
     """`analyze` with every field built by the public constructor."""
     desc = f.descriptor()
-    scales = transform._scales(ks, gs, desc)
+    scales = transform._scales(transform._js(ks), gs, desc)
     spec = transform.grid_fft(f)
-    values = [transform._sample(desc, ks.multiplier(s.j) * spec, s.placement) for s in scales]
-    c1 = build(gs, sw.L1_ATOMS, np.concatenate([np.full(len(s.gammas), s.j) for s in scales]),
-               np.concatenate([s.gammas for s in scales]), np.concatenate(values),
-               floor=SPARSE_FLOOR)
+    gammas = [sw.sampling.range_coordinates(s.ranges) for s in scales]
+    values = [transform._sample(desc, ks.multiplier(s.j) * spec,
+                                transform._place(desc, gm, s.geo))
+              for s, gm in zip(scales, gammas)]
+    c1 = build(gs, sw.L1_ATOMS, np.concatenate([np.full(len(gm), s.j)
+                                                for s, gm in zip(scales, gammas)]),
+               np.concatenate(gammas), np.concatenate(values), floor=SPARSE_FLOOR)
     e = sw.coeffs._conversion_exponent(sw.L1_ATOMS, sw.lp_atoms(p)) * gs.group.Q
     factor = np.array([2.0 ** (j * e) for j in c1.js.tolist()])
     return build(gs, sw.lp_atoms(p), c1.js, c1.gammas, c1.values * factor)
@@ -200,7 +203,8 @@ def test_analyze_floor_drops_entries():
     gs = sw.SamplingSet(sw.abelian(1), 0.25)
     ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 2))
     c = sw.analyze(f, ks, gs, 2.0)
-    lattice = sum(len(s.gammas) for s in transform._scales(ks, gs, f.descriptor()))
+    lattice = sum(len(sw.sampling.range_coordinates(s.ranges))
+                  for s in transform._scales(transform._js(ks), gs, f.descriptor()))
     assert 0 < len(c) < lattice
     assert_same(c, analyze_through_the_constructor(f, ks, gs, 2.0))
 

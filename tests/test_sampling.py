@@ -477,6 +477,7 @@ def test_decay_certificate_refuses_a_shell_over_the_budget(monkeypatch):
     gs = sw.preset_sampling_set(sw.abelian(2), 1.0)
     monkeypatch.setattr(sampling, "_SHELL_ROWS", 1)
     monkeypatch.setattr(sampling, "MAX_ARRAY_BYTES", 3360)
+    sampling._shell_block(2, 1)  # cached first, so that the spy sees the shells past it
     built = []
     monkeypatch.setattr(sampling, "_shell", lambda c, r: built.append(r) or _shell(c, r))
     args = (gs, 0, 0, 6, np.zeros(2))

@@ -288,8 +288,8 @@ def _single_scale(dim, n, extent, density, j, L):
     desc = sw.GridDescriptor(dim, n, extent)
     gs = sw.preset_sampling_set(sw.abelian(dim), density)
     ks = sw.build_kernel_set(sw.build_window(1.0), desc, (j, j))
-    (scale,) = transform._scales(ks, gs, desc)
-    assert scale.placement.L == L
+    (scale,) = transform._scales(transform._js(ks), gs, desc)
+    assert scale.geo[0] == L
     return desc, gs, ks, scale
 
 
@@ -317,9 +317,10 @@ def test_fft_path_matches_dense_sums(dim, n, extent, density, j, L):
     mult = ks.multiplier(j)
     # analysis: L1-convention samples of the block at the lattice points
     c1 = as_dict(sw.convert(sw.analyze(f, ks, gs, 2.0), sw.L1_ATOMS))
-    indices = [sw.AtomIndex(j, tuple(g)) for g in scale.gammas.tolist()]
+    gammas = sampling.range_coordinates(scale.ranges)
+    indices = [sw.AtomIndex(j, tuple(g)) for g in gammas.tolist()]
     got = np.array([c1[k] for k in indices])
-    want = _dense_samples(f, mult * grid_fft(f), gs.points(scale.j, scale.gammas))
+    want = _dense_samples(f, mult * grid_fft(f), gs.points(scale.j, gammas))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # synthesis: sum_lambda d_lambda 2^{jQ(1/p - 1)} psi_hat_j e^{-2 pi i nu.x_lambda};
     # the copies shifted by one period of the torus wrap onto the first atoms
@@ -344,8 +345,8 @@ def test_fft_path_refuses_points_on_no_refinement(monkeypatch, dim, n, extent):
     ks = sw.build_kernel_set(sw.build_window(1.0), desc, (0, 0))
     f = _random_grid(np.random.default_rng(9), dim, n, extent)
     c = field_of(gs, {sw.AtomIndex(0, (1,) * dim): 1.0 + 0j}, sw.lp_atoms(2.0))
-    for name in ("_sample", "_spread"):
-        monkeypatch.setattr(transform, name, lambda *a: pytest.fail("placed before the refusal"))
+    for name in ("_sample", "_spread", "range_coordinates"):
+        monkeypatch.setattr(transform, name, lambda *a: pytest.fail("built before the refusal"))
     message = (f"points of step 0.3 lie on no dyadic refinement of the {n}^{dim}-point grid "
                f"within the {transform.MAX_ARRAY_BYTES} B budget; the largest step dx*2^k "
                f"at or below it is 0.25 (dx = {2.0 * extent / n})")
@@ -389,7 +390,7 @@ def test_roundtrip_2d_fine_scales():
     f = sw.GridFunction.from_callable(desc, lambda x, y: np.exp(-np.pi * (x**2 + y**2)))
     gs = sw.preset_sampling_set(sw.abelian(2), 0.5)
     ks = sw.build_kernel_set(sw.build_window(1.0), desc, (-2, 3))
-    assert max(s.placement.L for s in transform._scales(ks, gs, desc)) == 4
+    assert max(s.geo[0] for s in transform._scales(transform._js(ks), gs, desc)) == 4
     c = sw.analyze(f, ks, gs, 2.0)
     g = sw.synthesize(c, ks, gs, desc)
     energy = np.vdot(f.samples, g.samples) * f.spacing**2
@@ -457,18 +458,21 @@ def test_frame_reconstruct_raises_on_cg_breakdown(factor, error, message):
 
 # -- the frame operator on spectra ---------------------------------------------
 
-# (dim, N, extent, density, j_range, refinements L of the scales, alias folds):
-# dyadic densities fold every scale, on refinements up to L = 4 in 2-D; at
-# 0.25 the aliases miss each band, at the coarser 1.0 and 0.5 they overlap
-# it; 0.375 places each scale on an offset coset (c != 0 mod m)
+# (dim, N, extent, density, j_range, each scale's refinement L and fold
+# period M, alias folds): dyadic densities fold every scale, on refinements
+# up to L = 4 in 2-D; at 0.25 the aliases miss each band, at the coarser 1.0
+# and 0.5 they overlap it; 0.375 places each scale on an offset coset
+# (c != 0 mod m), which does not fold (M = 0), and so does the one point
+# x = 0 of a scale whose step is the period 2R (m = N L, c = N L / 2)
 SYMBOL_CASES = [
-    (1, 256, 4.0, 0.25, (-1, 4), {1, 2}, 4),
-    (2, 64, 4.0, 0.25, (-1, 3), {1, 2, 4}, 2),
-    (1, 256, 4.0, 1.0, (-1, 4), {1}, 6),
-    (2, 64, 4.0, 0.5, (-1, 3), {1, 2}, 3),
-    (1, 64, 4.0, 0.375, (-1, 2), {1, 2, 4}, 0),
+    (1, 256, 4.0, 0.25, (-1, 4), [(1, 16), (1, 32), (1, 64), (1, 128), (1, 256), (2, 512)], 4),
+    (2, 64, 4.0, 0.25, (-1, 3), [(1, 16), (1, 32), (1, 64), (2, 128), (4, 256)], 2),
+    (1, 256, 4.0, 1.0, (-1, 4), [(1, 4), (1, 8), (1, 16), (1, 32), (1, 64), (1, 128)], 6),
+    (2, 64, 4.0, 0.5, (-1, 3), [(1, 8), (1, 16), (1, 32), (1, 64), (2, 128)], 3),
+    (1, 64, 4.0, 0.375, (-1, 2), [(1, 0), (1, 0), (2, 0), (4, 0)], 0),
+    (1, 64, 4.0, 0.25, (-5, -3), [(1, 0), (1, 2), (1, 4)], 2),
 ]
-SYMBOL_IDS = ["1d-dyadic", "2d-dyadic", "1d-coarse", "2d-coarse", "1d-offset"]
+SYMBOL_IDS = ["1d-dyadic", "2d-dyadic", "1d-coarse", "2d-coarse", "1d-offset", "1d-one-point"]
 
 
 def _symbol_case(dim, n, extent, density, j_range):
@@ -483,13 +487,13 @@ def _random_spectrum(rng, dim, n):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-@pytest.mark.parametrize("dim, n, extent, density, j_range, Ls, folds", SYMBOL_CASES,
+@pytest.mark.parametrize("dim, n, extent, density, j_range, geometry, folds", SYMBOL_CASES,
                          ids=SYMBOL_IDS)
 def test_frame_symbol_equals_the_sample_spread_composite(monkeypatch, dim, n, extent, density,
-                                                         j_range, Ls, folds):
+                                                         j_range, geometry, folds):
     desc, gs, ks = _symbol_case(dim, n, extent, density, j_range)
-    scales = transform._scales(ks, gs, desc)
-    assert {s.placement.L for s in scales} == Ls
+    scales = transform._scales(transform._js(ks), gs, desc)
+    assert [(s.geo[0], s.M) for s in scales] == geometry
     fold = transform._fold
     calls = []
     monkeypatch.setattr(transform, "_fold", lambda z, M: calls.append(M) or fold(z, M))
@@ -500,14 +504,16 @@ def test_frame_symbol_equals_the_sample_spread_composite(monkeypatch, dim, n, ex
     want = np.zeros_like(y)
     for s in scales:
         mult = ks.multiplier(s.j)
+        pl = transform._place(desc, sampling.range_coordinates(s.ranges), s.geo)
         want += 2.0 ** (-s.j * dim) * mult * transform._spread(
-            desc, transform._sample(desc, mult * y, s.placement), s.placement)
+            desc, transform._sample(desc, mult * y, pl), pl)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("dim, n, extent, density, j_range, Ls, folds", SYMBOL_CASES,
+@pytest.mark.parametrize("dim, n, extent, density, j_range, geometry, folds", SYMBOL_CASES,
                          ids=SYMBOL_IDS)
-def test_frame_symbol_is_self_adjoint_and_positive(dim, n, extent, density, j_range, Ls, folds):
+def test_frame_symbol_is_self_adjoint_and_positive(dim, n, extent, density, j_range, geometry,
+                                                   folds):
     desc, gs, ks = _symbol_case(dim, n, extent, density, j_range)
     apply_s = transform._frame_symbol(ks, gs, desc)
     rng = np.random.default_rng(17)

@@ -1,5 +1,6 @@
 """Command-line workbench: pipelines, reports, exit codes, determinism."""
 
+import functools
 import json
 import tracemalloc
 from pathlib import Path
@@ -17,6 +18,14 @@ from stratwave.transform import grid_ifft
 from conftest import custom_3_2, field_of, two_profile_spec
 
 
+def _not_json(constant):
+    raise AssertionError(f"{constant} is not a JSON number")
+
+
+# reports and inputs are read back with Infinity and NaN refused, as JSON has neither
+loads = functools.partial(json.loads, parse_constant=_not_json)
+
+
 def write_spec(tmp_path, dim=1, group=None):
     obj = spec_to_json(two_profile_spec(dim))
     obj["group"] = group or {"kind": "abelian", "d": dim}
@@ -29,7 +38,7 @@ def write_spec(tmp_path, dim=1, group=None):
 def test_generate_refuses_a_horizon_over_the_budget(tmp_path, capsys):
     # 2e9 snapshots would need tens of GB: refused before anything is built
     spec = write_spec(tmp_path)
-    obj = json.loads(spec.read_text())
+    obj = loads(spec.read_text())
     obj["horizon"] = 2 * 10**9
     spec.write_text(json.dumps(obj))
     assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o.jsonl")]) == 1
@@ -56,7 +65,7 @@ def test_generate_then_decompose(tmp_path):
     report_path = tmp_path / "dec.json"
     assert main(["decompose", "--in", str(snaps), "--params", str(params),
                  "--report", str(report_path)]) == 0
-    report = json.loads(report_path.read_text())
+    report = loads(report_path.read_text())
     assert report["nu"] == 2
     assert report["M_eff"] == 4
     assert set(report["inputs"]) == {"snapshots", "params"}
@@ -80,11 +89,11 @@ def test_verify_window(tmp_path):
     report = tmp_path / "w.json"
     assert main(["verify-window", "--J", "8", "--grid-points", "512",
                  "--report", str(report)]) == 0
-    obj = json.loads(report.read_text())
+    obj = loads(report.read_text())
     assert obj["pass"] is True
     assert obj["max_partition_deviation"] <= 1e-12
     assert main(["verify-window", "--narrow", "--report", str(report)]) == 0
-    assert json.loads(report.read_text())["max_partition_deviation"] == 0.0
+    assert loads(report.read_text())["max_partition_deviation"] == 0.0
 
 
 def write_band_grid(tmp_path):
@@ -102,7 +111,7 @@ def test_verify_frame(tmp_path):
     assert main(["verify-frame", "--grid", str(grid), "--narrow",
                  "--density", "1.0", "--p", "2.0", "--jmin", "0", "--jmax", "4",
                  "--report", str(report)]) == 0
-    obj = json.loads(report.read_text())
+    obj = loads(report.read_text())
     assert obj["corrected_rel_error"] <= 1e-5
     assert obj["frame_iterations"] <= 50
 
@@ -118,14 +127,14 @@ def test_verify_frame_exits_1_when_the_cg_does_not_converge(tmp_path, capsys):
     argv = ["verify-frame", "--grid", str(grid), "--jmin", "-1", "--jmax", "3",
             "--report", str(report)]
     assert main(argv + ["--density", "0.5"]) == 1
-    obj = json.loads(report.read_text())
+    obj = loads(report.read_text())
     assert obj["frame_iterations"] == 50 and obj["frame_residual"] > 1e-6
     err = capsys.readouterr().err
     assert err == (f"validation error: frame CG stopped after 50 iterations with relative "
                    f"residual {obj['frame_residual']:.3e}\n")
     # at density 0.25 the same grid converges
     assert main(argv + ["--density", "0.25"]) == 0
-    assert json.loads(report.read_text())["frame_residual"] <= 1e-6
+    assert loads(report.read_text())["frame_residual"] <= 1e-6
     assert capsys.readouterr().err == ""
 
 
@@ -213,23 +222,36 @@ def test_verify_frame_default_density_converges_on_a_band_limited_grid(tmp_path,
     argv = ["verify-frame", "--grid", str(grid), "--jmin", "-1", "--jmax", "4",
             "--report", str(report)]
     assert main(argv) == 0
-    obj = json.loads(report.read_text())
+    obj = loads(report.read_text())
     assert obj["density"] == 0.25 and obj["corrected_rel_error"] <= 1e-5
     assert capsys.readouterr().err == ""
     assert main(argv + ["--density", "0.5"]) == 1
-    assert json.loads(report.read_text())["frame_iterations"] == 50
+    assert loads(report.read_text())["frame_iterations"] == 50
 
 
-def test_verify_frame_refuses_a_density_on_no_dyadic_refinement(tmp_path, capsys):
+def test_verify_frame_refuses_a_density_on_no_dyadic_refinement(tmp_path, capsys, monkeypatch):
     # density 0.3 puts scale -1 at step 0.6 on a grid of dx = 1/32; the
-    # largest step dx 2^k at or below it is 0.5, which is density 0.25
+    # largest step dx 2^k at or below it is 0.5, which is density 0.25.  The
+    # pre-check finds every scale's refinement before any multiplier is built
     grid, report = write_benchmark_band_grid(tmp_path, 1), tmp_path / "frame.json"
+    monkeypatch.setattr("stratwave.cli.build_kernel_set",
+                        lambda *a: pytest.fail("multipliers built before the refusal"))
     assert main(["verify-frame", "--grid", str(grid), "--density", "0.3", "--jmin", "-1",
                  "--jmax", "4", "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: points of step 0.6 lie on no dyadic refinement")
     assert "the largest step dx*2^k at or below it is 0.5 (dx = 0.03125)" in err
     assert err.count("\n") == 1 and not report.exists()
+
+
+def test_verify_frame_reports_no_relative_error_for_a_zero_grid(tmp_path, capsys):
+    grid, report = tmp_path / "f.grid", tmp_path / "frame.json"
+    sio.write_grid(grid, sw.GridFunction(1, 8.0, np.zeros(128, dtype=complex)))
+    assert main(["verify-frame", "--grid", str(grid), "--report", str(report)]) == 0
+    obj = loads(report.read_text())
+    assert obj["roundtrip_rel_error"] is None and obj["corrected_rel_error"] is None
+    assert obj["besov_ratio_continuous_over_discrete"] is None
+    assert obj["frame_iterations"] == 0 and capsys.readouterr().err == ""
 
 
 def test_norms_command(tmp_path):
@@ -242,7 +264,7 @@ def test_norms_command(tmp_path):
     report = tmp_path / "n.json"
     assert main(["norms", "--in", str(path), "--s", "0.0", "--p", "2.0",
                  "--q", "2.0", "--report", str(report)]) == 0
-    obj = json.loads(report.read_text())
+    obj = loads(report.read_text())
     assert obj["discrete_besov_norm"] == pytest.approx(np.sqrt(17.0))
     assert obj["sobolev_seq_norm"] == pytest.approx(np.sqrt(17.0))
 
@@ -261,12 +283,12 @@ def test_classify_command(tmp_path):
     report = tmp_path / "v.json"
     assert main(["classify", "--a", str(a), "--b", str(b),
                  "--report", str(report)]) == 0
-    assert json.loads(report.read_text())["verdict"] == "CoreOrthogonal"
+    assert loads(report.read_text())["verdict"] == "CoreOrthogonal"
     wobble = write_track(tmp_path, "w.json", [0] * n,
                          [[int(2 * np.cos(k))] for k in range(n)])
     assert main(["classify", "--a", str(a), "--b", str(wobble),
                  "--report", str(report)]) == 2
-    assert json.loads(report.read_text())["verdict"] == "Undecided"
+    assert loads(report.read_text())["verdict"] == "Undecided"
 
 
 def test_exit_code_io_error(tmp_path):
@@ -322,12 +344,12 @@ def test_custom_group_generate_decompose_classify_round_trip(tmp_path):
                  "--report", str(dec)]) == 0
     _assert_same_report(gen.read_bytes(), (DATA / "golden_custom_gen.json").read_bytes())
     _assert_same_report(dec.read_bytes(), (DATA / "golden_custom_dec.json").read_bytes())
-    report = json.loads(dec.read_text())
+    report = loads(dec.read_text())
     assert report["nu"] == 2
     assert max(abs(v) for row in report["energy_defects"].values() for v in row) <= 1e-10
     assert [p["atoms"][1]["gamma_rel"] for p in report["profiles"]] == [[1, 1, 0, 0, 0],
                                                                          [2, 1, 1, 0, 0]]
-    group = json.loads((DATA / "golden_custom_spec.json").read_text())["group"]
+    group = loads((DATA / "golden_custom_spec.json").read_text())["group"]
     tracks = []
     for p in report["profiles"]:
         tracks.append(tmp_path / f"track{p['index']}.json")
@@ -337,7 +359,7 @@ def test_custom_group_generate_decompose_classify_round_trip(tmp_path):
     verdict = tmp_path / "v.json"
     assert main(["classify", "--a", str(tracks[0]), "--b", str(tracks[1]),
                  "--report", str(verdict)]) == 0
-    assert json.loads(verdict.read_text())["verdict"] == "ScaleOrthogonal"
+    assert loads(verdict.read_text())["verdict"] == "ScaleOrthogonal"
 
 
 def test_decompose_unknown_param_key_exits_1(tmp_path, capsys):
@@ -383,7 +405,7 @@ def test_generate_on_three_strata_group_exits_1(tmp_path, capsys):
 def test_decompose_bad_n_values_exits_1(tmp_path, capsys, n_values):
     snaps = _snapshots_with_line(tmp_path, "")
     lines = snaps.read_text().splitlines()
-    header = json.loads(lines[0])
+    header = loads(lines[0])
     header["n_values"] = n_values
     snaps.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     params = write_params(tmp_path)
@@ -403,7 +425,7 @@ def _assert_same_report(got: bytes, want: bytes):
     """Byte identity, except the order-sensitive floats, which agree to 1e-14."""
     if got == want:
         return
-    g, w = json.loads(got), json.loads(want)
+    g, w = loads(got), loads(want)
     assert set(g) == set(w)
     for key in w:
         if key not in ORDER_SENSITIVE:
@@ -477,7 +499,7 @@ def test_golden_classify_reports(tmp_path, name):
 
 def test_norms_on_header_with_scalar_sampling_exits_1(tmp_path, capsys):
     lines = (DATA / "golden_field.jsonl").read_text().splitlines()
-    header = json.loads(lines[0])
+    header = loads(lines[0])
     header["sampling"] = 3
     path = tmp_path / "field.jsonl"
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
@@ -501,7 +523,7 @@ def test_verify_frame_on_grid_with_bad_extent_exits_1(tmp_path, capsys, extent):
 
 def _set(obj, path, value):
     """A copy of obj with the entry at path (keys and list indices) set to value."""
-    obj = json.loads(json.dumps(obj))
+    obj = loads(json.dumps(obj))
     inner = obj
     for key in path[:-1]:
         inner = inner[key]
@@ -534,7 +556,7 @@ def _set(obj, path, value):
 ], ids=lambda x: str(x)[:40])
 def test_generate_refuses_mistyped_spec_fields(tmp_path, capsys, path, value):
     # a two-track mixture, so that a valid check_tail would reach the track check
-    obj = _set(json.loads(write_spec(tmp_path).read_text()), path, value)
+    obj = _set(loads(write_spec(tmp_path).read_text()), path, value)
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps(obj))
     assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o.jsonl")]) == 1
@@ -543,7 +565,7 @@ def test_generate_refuses_mistyped_spec_fields(tmp_path, capsys, path, value):
 
 
 def test_generate_accepts_json_integers_for_number_fields(tmp_path):
-    obj = json.loads(write_spec(tmp_path).read_text())
+    obj = loads(write_spec(tmp_path).read_text())
     obj.update(p=2, check_T_div=5, check_tail=8)
     obj["tracks"][0]["bundle"][0].update(re=1, im=0)
     spec = tmp_path / "ints.json"
@@ -563,7 +585,7 @@ def test_generate_accepts_json_integers_for_number_fields(tmp_path):
 ])
 def test_classify_refuses_mistyped_tracks(tmp_path, capsys, key, value):
     (a, b), _ = write_classify_case(tmp_path, "drift")
-    a.write_text(json.dumps(_set(json.loads(a.read_text()), (key,), value)))
+    a.write_text(json.dumps(_set(loads(a.read_text()), (key,), value)))
     assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
     assert capsys.readouterr().err.startswith("validation error:")
 
@@ -571,7 +593,7 @@ def test_classify_refuses_mistyped_tracks(tmp_path, capsys, key, value):
 def test_classify_refuses_a_core_beyond_the_lattice_bound(tmp_path, capsys):
     # 2^53 + 1 is an integer JSON number the typed reader accepts; the track refuses it
     (a, b), _ = write_classify_case(tmp_path, "drift")
-    a.write_text(json.dumps(_set(json.loads(a.read_text()), ("gammas",), [[2**53 + 1]] * 16)))
+    a.write_text(json.dumps(_set(loads(a.read_text()), ("gammas",), [[2**53 + 1]] * 16)))
     assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
     err = capsys.readouterr().err
     assert err == "validation error: lattice coordinate beyond the bound 9007199254740992 = 2^53\n"
@@ -590,7 +612,7 @@ def snapshots_file(tmp_path_factory):
 
 def _rewrite_header(source, path, value, out):
     lines = source.read_text().splitlines()
-    out.write_text("\n".join([json.dumps(_set(json.loads(lines[0]), path, value))] + lines[1:])
+    out.write_text("\n".join([json.dumps(_set(loads(lines[0]), path, value))] + lines[1:])
                    + "\n")
     return out
 
@@ -612,7 +634,7 @@ def test_decompose_reports_integer_literals_in_number_params_as_floats(tmp_path,
     params = write_params(tmp_path, T_div=5)
     assert main(["decompose", "--in", str(snapshots_file), "--params", str(params),
                  "--report", str(report)]) == 0
-    assert json.loads(report.read_text())["params"]["T_div"] == 5.0
+    assert loads(report.read_text())["params"]["T_div"] == 5.0
     assert '"T_div": 5.0,' in report.read_text()
 
 
@@ -625,7 +647,7 @@ def test_spec_and_track_refuse_mistyped_groups(tmp_path, capsys, name):
     spec = write_spec(tmp_path, group=BAD_GROUPS[name])
     assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o.jsonl")]) == 1
     (a, b), _ = write_classify_case(tmp_path, "scale")
-    a.write_text(json.dumps(_set(json.loads(a.read_text()), ("group",), BAD_GROUPS[name])))
+    a.write_text(json.dumps(_set(loads(a.read_text()), ("group",), BAD_GROUPS[name])))
     assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(e.startswith("validation error: d must be a JSON integer")
@@ -712,15 +734,15 @@ FIELDS = {
 def test_every_mistyped_field_exits_1(tmp_path, capsys, snapshots_file, source, path, value):
     bad = tmp_path / "bad.json"
     if source == "params":
-        bad.write_text(json.dumps(_set(json.loads(write_params(tmp_path).read_text()), path,
+        bad.write_text(json.dumps(_set(loads(write_params(tmp_path).read_text()), path,
                                        value)))
         runs = [["decompose", "--in", str(snapshots_file), "--params", str(bad)]]
     elif source == "spec":
-        bad.write_text(json.dumps(_set(json.loads(write_spec(tmp_path).read_text()), path, value)))
+        bad.write_text(json.dumps(_set(loads(write_spec(tmp_path).read_text()), path, value)))
         runs = [["generate", "--spec", str(bad), "--out", str(tmp_path / "o.jsonl")]]
     elif source == "track":
         (a, b), _ = write_classify_case(tmp_path, "scale")
-        bad.write_text(json.dumps(_set(json.loads(a.read_text()), path, value)))
+        bad.write_text(json.dumps(_set(loads(a.read_text()), path, value)))
         runs = [["classify", "--a", str(bad), "--b", str(b)]]
     else:
         runs = [["decompose", "--in", str(_rewrite_header(snapshots_file, path, value, bad)),
@@ -760,14 +782,14 @@ def test_mutated_json_inputs_never_raise(tmp_path_factory, snapshots_file, data,
     tmp = tmp_path_factory.mktemp("fuzz")
     path = tmp / "input.json"
     if source == "params":
-        obj = json.loads(write_params(tmp).read_text())
+        obj = loads(write_params(tmp).read_text())
         argv = ["decompose", "--in", str(snapshots_file), "--params", str(path)]
     elif source == "spec":
-        obj = json.loads(write_spec(tmp).read_text())
+        obj = loads(write_spec(tmp).read_text())
         argv = ["generate", "--spec", str(path), "--out", str(tmp / "o.jsonl")]
     else:
         (a, b), _ = write_classify_case(tmp, "core")
-        obj = json.loads(a.read_text())
+        obj = loads(a.read_text())
         argv = ["classify", "--a", str(path), "--b", str(b)]
     keys = data.draw(st.sampled_from(_paths(obj)))
     parent = obj
@@ -793,7 +815,7 @@ def test_decompose_refuses_negative_tolerances(tmp_path, capsys, snapshots_file,
 
 def test_generate_refuses_negative_noise_count(tmp_path, capsys):
     spec = write_spec(tmp_path)
-    spec.write_text(json.dumps(dict(json.loads(spec.read_text()), noise_amplitude=0.1,
+    spec.write_text(json.dumps(dict(loads(spec.read_text()), noise_amplitude=0.1,
                                     noise_count=-5)))
     assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "s.jsonl")]) == 1
     assert capsys.readouterr().err == "validation error: noise_count must be >= 0, got -5\n"
@@ -815,7 +837,7 @@ def test_classify_refuses_tracks_on_different_lattices(tmp_path, capsys):
     n = 16
     a = write_track(tmp_path, "a.json", [0] * n, [[k] for k in range(n)])
     b = write_track(tmp_path, "b.json", [0] * n, [[k] for k in range(n)])
-    b.write_text(json.dumps(dict(json.loads(b.read_text()), beta=0.5)))
+    b.write_text(json.dumps(dict(loads(b.read_text()), beta=0.5)))
     assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
     assert capsys.readouterr().err == "validation error: tracks live on different sampling sets\n"
 
@@ -827,7 +849,7 @@ def test_narrow_window_refuses_sharpness(tmp_path, capsys, command):
     report = tmp_path / "r.json"
     assert main(argv + ["--report", str(report)]) == 0
     if command == "verify-window":
-        assert json.loads(report.read_text())["sharpness"] == 1.0
+        assert loads(report.read_text())["sharpness"] == 1.0
     assert main(argv + ["--narrow", "--sharpness", "7.5"]) == 1
     assert capsys.readouterr().err == (
         "validation error: --sharpness does not apply to the --narrow window\n")
@@ -893,6 +915,18 @@ def test_verify_window_refuses_a_bad_tol(tmp_path, capsys, tol):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--J", "512"], "the covered band [4^(-J), 4^J] overflows float64 at J = 512"),
+    (["--grid-points", "100000000000"],
+     "100000000000 grid points need 800000000016 B, over the 268435456 B budget"),
+], ids=["band-overflows", "grid-over-budget"])
+def test_verify_window_refuses_a_band_or_grid_it_cannot_hold(tmp_path, capsys, argv, message):
+    report = tmp_path / "w.json"
+    assert main(["verify-window", *argv, "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("sharpness", ["nan", "inf"])
 def test_verify_window_refuses_a_non_finite_sharpness(tmp_path, capsys, sharpness):
     report = tmp_path / "w.json"
@@ -937,4 +971,47 @@ def test_norms_refuses_a_scale_whose_conversion_weight_overflows(tmp_path, capsy
                  "--report", str(report)]) == 1
     assert capsys.readouterr().err == ("validation error: the scale weight 2^(5000 * 0.5) "
                                        "overflows float64 at scale j = 5000\n")
+    assert not report.exists()
+
+
+# -- a report holds finite numbers only --------------------------------------
+
+ENERGY_OVERFLOW = ("validation error: the total energy sum_n ||u_n||^2 of the snapshots "
+                   "overflows float64\n")
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning would reach stderr too
+def test_generate_refuses_a_sequence_of_infinite_energy(tmp_path, capsys):
+    # an atom of 1e300 has a squared modulus beyond float64
+    spec, out, report = write_spec(tmp_path), tmp_path / "o.jsonl", tmp_path / "gen.json"
+    spec.write_text(json.dumps(_set(loads(spec.read_text()), ("tracks", 0, "bundle", 0, "re"),
+                                    1e300)))
+    assert main(["generate", "--spec", str(spec), "--out", str(out),
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == ENERGY_OVERFLOW
+    assert not out.exists() and not report.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_decompose_refuses_snapshots_of_infinite_energy(tmp_path, capsys, snapshots_file):
+    header, *entries = snapshots_file.read_text().splitlines()
+    bad, report = tmp_path / "bad.jsonl", tmp_path / "dec.json"
+    bad.write_text("\n".join([header] + [json.dumps(dict(loads(e), re=1e300)) for e in entries]))
+    assert main(["decompose", "--in", str(bad), "--params", str(write_params(tmp_path)),
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == ENERGY_OVERFLOW
+    assert not report.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_norms_refuses_to_report_an_infinite_norm(tmp_path, capsys):
+    # two Lp(2) entries of 1e300 have an l2 norm beyond float64
+    path, report = tmp_path / "c.jsonl", tmp_path / "n.json"
+    sio.write_field(path, field_of(sw.SamplingSet(sw.abelian(1), 1.0),
+                                   {sw.AtomIndex(0, (0,)): 1e300, sw.AtomIndex(0, (1,)): 1e300},
+                                   sw.lp_atoms(2.0)))
+    assert main(["norms", "--in", str(path), "--s", "0.5", "--p", "2", "--q", "2",
+                 "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: Out of range float values are not JSON compliant: inf\n")
     assert not report.exists()

@@ -227,17 +227,16 @@ def cmd_verify_frame(args) -> int:
 def cmd_norms(args) -> int:
     c = _io.read_field(args.infile)
     np_ = NormParams(args.s, args.p, args.q)
-    with np.errstate(over="ignore"):  # _emit refuses a norm that overflows to inf
-        report = {
-            "command": "norms",
-            "inputs": {"field": _digest(args.infile)},
-            "s": args.s, "p": args.p, "q": args.q,
-            "normalization": c.normalization.label(),
-            "entries": len(c),
-            "discrete_besov_norm": discrete_besov_norm(c, np_),
-        }
-        if np_.is_critical(c.sampling.group.Q):
-            report["sobolev_seq_norm"] = sobolev_seq_norm(convert(c, lp_atoms(args.p)))
+    report = {
+        "command": "norms",
+        "inputs": {"field": _digest(args.infile)},
+        "s": args.s, "p": args.p, "q": args.q,
+        "normalization": c.normalization.label(),
+        "entries": len(c),
+        "discrete_besov_norm": discrete_besov_norm(c, np_),
+    }
+    if np_.is_critical(c.sampling.group.Q):
+        report["sobolev_seq_norm"] = sobolev_seq_norm(convert(c, lp_atoms(args.p)))
     _emit(report, args.report)
     return EXIT_OK
 

@@ -217,7 +217,9 @@ def convert(c: CoefficientField, to: Normalization) -> CoefficientField:
 
 
 def discrete_besov_norm(c: CoefficientField, np_: NormParams) -> float:
-    """(sum_j (sum_gamma (2^{j(s - Q/p)} |c_jg|)^p)^{q/p})^{1/q} on L1-tagged entries."""
+    """(sum_j (sum_gamma (2^{j(s - Q/p)} |c_jg|)^p)^{q/p})^{1/q} on L1-tagged entries.
+
+    DomainError, naming (s, p, q), when a power sum overflows float64."""
     c = convert(c, L1_ATOMS)
     if not len(c):
         return 0.0
@@ -225,20 +227,33 @@ def discrete_besov_norm(c: CoefficientField, np_: NormParams) -> float:
     s, p, q = np_.s, np_.p, np_.q
     moduli = c.moduli()
     acc = 0.0
-    for j, run in c.scales():
-        w = _power_of_two(j, s - Q / p)
-        inner = np.sum((w * moduli[run]) ** p) ** (1.0 / p)
-        acc += inner**q
-    return float(acc ** (1.0 / q))
+    with np.errstate(over="ignore"):
+        for j, run in c.scales():
+            w = _power_of_two(j, s - Q / p)
+            inner = np.sum((w * moduli[run]) ** p) ** (1.0 / p)
+            acc += inner**q
+        norm = float(acc ** (1.0 / q))
+    if norm == np.inf:
+        raise DomainError(f"discrete_besov_norm at (s, p, q) = ({s:g}, {p:g}, {q:g}) "
+                          "overflows float64")
+    return norm
 
 
 def sobolev_seq_norm(c: CoefficientField) -> float:
-    """Plain l2 norm of the moduli; requires L^p-atom normalization."""
+    """Plain l2 norm of the moduli; requires L^p-atom normalization.
+
+    DomainError, naming the normalization, when the sum of squares overflows
+    float64."""
     if c.normalization.kind != "Lp":
         raise ConversionRequired(
             "sobolev_seq_norm needs Lp-atom normalization; convert() first"
         )
-    return c.l2()
+    with np.errstate(over="ignore"):
+        norm = c.l2()
+    if norm == np.inf:
+        raise DomainError(f"sobolev_seq_norm of an {c.normalization.label()} field "
+                          "overflows float64")
+    return norm
 
 
 def rank_order(c: CoefficientField) -> np.ndarray:

@@ -93,8 +93,9 @@ class SequenceSnapshots:
             raise ValueError("all snapshots must share one normalization tag")
         if self.fields and self.fields[0].normalization.kind != "Lp":
             raise ValueError("snapshots must carry Lp-atom normalization")
+        # l2, not sobolev_seq_norm, so that one field's overflow is refused as the total's
         with np.errstate(over="ignore"):
-            norms = np.array([sobolev_seq_norm(f) for f in self.fields])
+            norms = np.array([f.l2() for f in self.fields])
             if not np.isfinite(np.sum(norms**2)):
                 raise groups.DomainError("the total energy sum_n ||u_n||^2 of the snapshots "
                                          "overflows float64")

@@ -256,8 +256,10 @@ def _covering_counts(gs: SamplingSet, points: np.ndarray, tile) -> np.ndarray:
     rel_t = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)[..., d1:]
     gammas[..., d1:] = np.floor(rel_t / spacing[d1:]).astype(np.int64) + offsets[:, d1:]
     rel = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)
-    lo, hi = tile.T
-    return ((lo <= rel) & (rel < hi)).all(axis=-1).sum(axis=-1)
+    inside = True
+    for k, (lo, hi) in enumerate(tile.tolist()):
+        inside = inside & (lo <= rel[..., k]) & (rel[..., k] < hi)
+    return inside.sum(axis=-1)
 
 
 def _intervals(value, d: int, name: str) -> np.ndarray:
@@ -300,7 +302,8 @@ def verify_tiling(gs: SamplingSet, test_box, grid_res: int = 8, tile=None) -> Ti
     axes = []
     for k, (lo, hi) in enumerate(box.tolist()):
         frac = 0.05 + 0.9 * (((k + 1) * np.sqrt(2.0) + np.sqrt(3.0)) % 1.0)
-        axes.append(np.linspace(lo, hi, grid_res, endpoint=False)
+        # the bits of np.linspace(lo, hi, grid_res, endpoint=False), without its overhead
+        axes.append(np.arange(grid_res) * ((hi - lo) / grid_res) + lo
                     + frac * (hi - lo) / grid_res)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     chunk = max(1, _TILING_ROWS // 3 ** d)

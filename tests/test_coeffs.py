@@ -91,6 +91,28 @@ def test_sobolev_seq_norm_requires_lp():
     assert sw.sobolev_seq_norm(sw.convert(c, sw.lp_atoms(2.0))) == pytest.approx(1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_besov_norm_refuses_a_power_sum_beyond_float64():
+    # (1e300)^2 overflows although both entries are finite: a refusal, not inf
+    huge = sparse_field(sw.abelian(1), {(0, (0,)): 1e300, (0, (1,)): 1e300})
+    with pytest.raises(sw.DomainError, match=r"discrete_besov_norm at \(s, p, q\) = "
+                                             r"\(0.5, 2, 3\) overflows float64"):
+        sw.discrete_besov_norm(huge, sw.NormParams(0.5, 2.0, 3.0))
+    small = sparse_field(sw.abelian(1), {(0, (0,)): 1e150, (0, (1,)): 1e150})
+    assert sw.discrete_besov_norm(small, sw.NormParams(0.5, 2.0, 2.0)) == pytest.approx(
+        np.sqrt(2.0) * 1e150, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sobolev_seq_norm_refuses_a_sum_of_squares_beyond_float64():
+    huge = sparse_field(sw.abelian(1), {(0, (0,)): 1e300, (0, (1,)): 1e300}, sw.lp_atoms(4.0))
+    with pytest.raises(sw.DomainError, match=r"sobolev_seq_norm of an Lp\(4\) field "
+                                             "overflows float64"):
+        sw.sobolev_seq_norm(huge)
+    small = sparse_field(sw.abelian(1), {(0, (0,)): 3e150, (0, (1,)): 4e150}, sw.lp_atoms(4.0))
+    assert sw.sobolev_seq_norm(small) == pytest.approx(5e150, rel=1e-15)
+
+
 def test_norm_params_validation():
     with pytest.raises(ValueError):
         sw.NormParams(0.0, 0.5, 2.0)

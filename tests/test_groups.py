@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import stratwave as sw
 from conftest import custom_3_2
+from test_lattice_pins import PIN_GROUPS
 from stratwave.groups import (
     DomainError,
     LayoutError,
@@ -182,6 +183,58 @@ def test_layout_error():
 def test_dilate_domain():
     with pytest.raises(DomainError):
         sw.dilate(sw.abelian(1), -2.0, [1.0])
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (np.nan, "positive and finite, got nan"),
+    (np.inf, r"alpha = inf has alpha\^2"),
+    (1e200, r"alpha = 1e\+200 has alpha\^2, the factor of stratum 2"),
+    ([2.0, np.nan], "positive and finite, got nan"),
+    ([0.5, 2.0**600], r"alpha = 4.149515568880993e\+180 has alpha\^2"),
+], ids=["nan", "inf", "square-overflows", "nan-row", "row-square-overflows"])
+def test_dilate_refuses_non_finite_factors(alpha, message):
+    with pytest.raises(DomainError, match=message):
+        sw.dilate(sw.heisenberg(1), alpha, np.ones((np.size(alpha), 3)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_dilate_allows_underflow_and_first_stratum_scales():
+    g = sw.heisenberg(1)
+    assert sw.dilate(g, 1e-200, [1.0, -1.0, 1.0]).tolist() == [1e-200, -1e-200, 0.0]
+    # alpha^2 fits at 1e154; on a step-1 group alpha itself is the only factor
+    assert sw.dilate(g, 1e154, [1.0, 0.0, 1.0]).tolist() == [1e154, 0.0, 1e154 ** 2]
+    assert sw.dilate(sw.abelian(2), 1e300, [1.0, 2.0]).tolist() == [1e300, 2e300]
+    assert sw.dilate(g, np.zeros(0) + 2.0, np.zeros((0, 3))).shape == (0, 3)
+
+
+def test_multiply_matches_the_triple_sum_on_a_dense_bracket():
+    # every (k, i) row of this bracket has two nonzeros of arbitrary size, so the
+    # row-by-row cross term agrees with the (i, j) triple sum to rounding only
+    rng = np.random.default_rng(2024)
+    upper = np.triu(rng.normal(size=(2, 3, 3)), k=1)
+    b = upper - upper.transpose(0, 2, 1)
+    g = sw.GroupSpec(strata_dims=(3, 2), kind="custom", bracket=b)
+    x, y = rng.normal(scale=3.0, size=(2, 50, 5))
+    for left in (x, x[0]):
+        ref = left + y
+        ref[:, 3:] += 0.5 * np.einsum("kij,pi,pj->pk", b, np.broadcast_to(left[..., :3], (50, 3)),
+                                      y[:, :3])
+        np.testing.assert_allclose(sw.multiply(g, left, y), ref, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(PIN_GROUPS))
+def test_pinned_groups_batches_equal_rows_bit_for_bit(name):
+    g = PIN_GROUPS[name]
+    rng = np.random.default_rng([31, g.dim])
+    x, y = rng.normal(scale=3.0, size=(2, 4, 6, g.dim))
+    alpha = rng.uniform(0.1, 8.0, size=(4, 6))
+    prod, left, dil, norms = (sw.multiply(g, x, y), sw.multiply(g, x[0, 0], y),
+                              sw.dilate(g, alpha, x), sw.hom_norm(g, x))
+    for i in np.ndindex(4, 6):
+        assert prod[i].tobytes() == sw.multiply(g, x[i], y[i]).tobytes()
+        assert left[i].tobytes() == sw.multiply(g, x[0, 0], y[i]).tobytes()
+        assert dil[i].tobytes() == sw.dilate(g, alpha[i], x[i]).tobytes()
+        assert norms[i].tobytes() == np.float64(sw.hom_norm(g, x[i])).tobytes()
 
 
 def test_json_roundtrip():

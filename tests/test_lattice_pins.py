@@ -4,7 +4,9 @@ The expected strings were recorded from the certificate that took a
 minimum on every shell and from group constants rebuilt on every call.  A
 change that reorders a reduction, drops a shell or moves the cut distance
 changes a hex digit here; the group batches are pinned by the sha256 of
-their float64 bytes.
+their float64 bytes.  The `multiply_broadcast` digests and the N_{3,2} group
+were recorded from the law whose cross term was one three-operand einsum and
+whose norm summed squares with `sum(axis=-1)`.
 """
 
 import hashlib
@@ -13,11 +15,11 @@ import numpy as np
 import pytest
 
 import stratwave as sw
-from conftest import custom_3_2
+from conftest import custom_3_2, free_3_2
 from stratwave import groups
 
 PIN_GROUPS = {"R2": sw.abelian(2), "H1": sw.heisenberg(1), "H2": sw.heisenberg(2),
-              "custom3+2": custom_3_2()}
+              "custom3+2": custom_3_2(), "N3,2": free_3_2()}
 
 
 def _digest(*arrays) -> str:
@@ -31,8 +33,12 @@ def group_batches(g) -> dict:
     rng = np.random.default_rng([17, g.dim])
     x, y = rng.normal(scale=3.0, size=(2, 64, g.dim))
     alpha = rng.uniform(0.1, 8.0, size=64)
+    # the tiling's broadcast: (P, 27, dim) candidates times (P, 1, dim) sample points
+    z = rng.normal(scale=3.0, size=(4, 27, g.dim))
     return {
         "multiply": _digest(groups.multiply(g, x, y), groups.multiply(g, y, x[0])),
+        "multiply_broadcast": _digest(groups.multiply(g, x[0], y),
+                                      groups.multiply(g, z, y[:4, None])),
         "dilate": _digest(groups.dilate(g, 0.37, x), groups.dilate(g, alpha, y),
                           groups.dilate(g, 2.0 ** -3, x[5])),
         "hom_norm": _digest(groups.hom_norm(g, x), groups.hom_norm(g, y[None]),
@@ -99,21 +105,31 @@ GROUP_PINS = {
         "dilate": "88f266260705973f892622156e2ed26abbb19c770c2d75728dda66ff3424b705",
         "hom_norm": "2214fec1939548fd5760196e73df0f4284a375851544b2dac5030d3bf7d07c27",
         "multiply": "93787e331e6e8a4ae132530d380cdaf2d68c2cfa14361b1e2643589785dca696",
+        "multiply_broadcast": "f8f914eae2aa3578c3dd10209c2527f2b2258d4ab19941f4f2e89f971d2eaf76",
     },
     "H2": {
         "dilate": "4e071abc976079ad1daff393ce009fafa330378947b01e47fbddfc427ca09261",
         "hom_norm": "1639312d87ea4bead50f5c58fd56b88e160c0d45e709c28991585376a80ece87",
         "multiply": "601dcdb4431e68afbd7e94403be235e1592c7e69ff0cf9e8f278656ae45d015e",
+        "multiply_broadcast": "8f8de3d28f4fd81b7032f32866039c4af91b410a4e6f4c94177fcf8dff216dac",
     },
     "R2": {
         "dilate": "23eab5581945a28b57f1780db8eaf6e0b52f430c6fb3811ededea2f6db1a4e46",
         "hom_norm": "b987383fb081093e60e99b1c0a39bf606ae32de6d47d3bb5defcefe0f1059491",
         "multiply": "23b46cd0ae9821fd3dbeb839d0dd9444d321a478ad9372b233bfefd32496ad5b",
+        "multiply_broadcast": "0478c740e455aabd87d47d5f1c0073f1e7d14fc786fa3d501d3e4c999c2079d0",
+    },
+    "N3,2": {
+        "dilate": "f5c5c14afbce1ebbe444144edaca758e66fe8b9bd81193e09ae21259ad3202ca",
+        "hom_norm": "6418b59d5a099e654cd5c0a18fafa912ae582e5ded8928309ad18c94d2ffa74e",
+        "multiply": "e416b1f299fb08568e74f31c0cb2272518206f903049c851f4513c4a576e3dac",
+        "multiply_broadcast": "3b51f3e04211d60b41c20918373e5830f0f7095ac76a101f653745e0ae6f18a6",
     },
     "custom3+2": {
         "dilate": "0a20de589c2db319e41ef56ebee219eca6e5f2fe82c3bd2b45d8f3e0f1483709",
         "hom_norm": "dc2c3be004a9b5c6e8db22f108e996aade182b46cee777daef24c93711c1fec5",
         "multiply": "a80c738981c95250282de90bf5917fa838f5d2dce96e8077a76002a704b31201",
+        "multiply_broadcast": "dde92bf75aa41a1a66cc529927152302e7f6b9fbcbea9850a42c7a732a149588",
     },
 }
 # [value, partial_sum, tail_estimate, cut_distance, shells]

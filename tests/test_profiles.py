@@ -116,6 +116,15 @@ def test_classify_undecided_scale_wobble():
     assert v.kind == "Undecided"
 
 
+def test_classify_refuses_a_dilation_beyond_float64():
+    # at j = 1000..1019 the second-stratum factor 2^(2 j) overflows float64; the
+    # rows once held 0 * inf = NaN and read "Undecided" with "core drift nan"
+    gs, js = lattice(sw.heisenberg(1)), range(1000, 1020)
+    a, b = pair(gs, js, [(0, 0, 0)] * 20), pair(gs, js, [(0, 1, 0)] * 20)
+    with pytest.raises(sw.DomainError, match=r"alpha\^2, the factor of stratum 2"):
+        sw.classify_pair(a, b, **TAIL)
+
+
 def test_classify_validation():
     gs = lattice()
     a = pair(gs, [0] * 4, [(0,)] * 4)

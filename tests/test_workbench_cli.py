@@ -599,6 +599,18 @@ def test_classify_refuses_a_core_beyond_the_lattice_bound(tmp_path, capsys):
     assert err == "validation error: lattice coordinate beyond the bound 9007199254740992 = 2^53\n"
 
 
+def test_classify_refuses_a_dilation_beyond_float64(tmp_path, capsys):
+    # two H^1 tracks at j = 1000..1019: 2^(2 j) overflows, so no verdict is given
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path, gamma in ((a, [0, 0, 0]), (b, [0, 1, 0])):
+        path.write_text(json.dumps({"group": H1, "js": list(range(1000, 1020)),
+                                    "gammas": [gamma] * 20}))
+    assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: dilation parameter alpha = ")
+    assert err.endswith("has alpha^2, the factor of stratum 2, beyond float64\n")
+
+
 # -- one typed reader for every JSON input -----------------------------------
 
 @pytest.fixture(scope="module")
@@ -1013,5 +1025,5 @@ def test_norms_refuses_to_report_an_infinite_norm(tmp_path, capsys):
     assert main(["norms", "--in", str(path), "--s", "0.5", "--p", "2", "--q", "2",
                  "--report", str(report)]) == 1
     assert capsys.readouterr().err == (
-        "validation error: Out of range float values are not JSON compliant: inf\n")
+        "validation error: discrete_besov_norm at (s, p, q) = (0.5, 2, 2) overflows float64\n")
     assert not report.exists()

@@ -13,9 +13,11 @@ Producers whose output is canonical by construction build it with the
 private `CoefficientField._canonical`, which keeps the finiteness check and
 the floor but converts, sorts and sums nothing: `take` with a boolean mask
 or a forward slice (hence `convert`, the zero drop of `field_add` and
-`field_sub`, `profiles.remainder_field`), `transform.analyze` and the
-`io` readers.  Input in any other order, such as `generate`'s insertion
-order or a `take` by rank, goes through the constructor.
+`field_sub`, `profiles.remainder_field`), `transform.analyze`, the `io`
+readers (which sort a file only when its rows are out of order) and
+`generators.generate` (which sorts a whole sequence once and sums repeats
+as the constructor does).  Input in any other order, such as a `take` by
+rank, goes through the constructor.
 
 A CoefficientField carries a normalization tag, and is refused without
 one; two fields combine only on one sampling set.  "L1" entries are sampled

@@ -7,11 +7,16 @@ sequence norm is constant by construction.  Mixtures are checked after
 generation: the component tracks must actually satisfy the orthogonality
 they declare, unless overlap is explicitly allowed (adversarial inputs).
 
-A track's atom indices for every n come from one batched call of the exact
-lattice law; indices beyond sampling.MAX_LATTICE_COORD are refused with
-`DomainError` before they are stored as int64.  A spec whose horizon x
+A track's atom indices for every n come from one batched call of the int64
+lattice law of `sampling`; indices beyond sampling.MAX_LATTICE_COORD are
+refused with `DomainError` before they are stored.  A spec whose horizon x
 (bundle atoms + noise entries) x dim int64 coordinates would exceed
 sampling.MAX_ARRAY_BYTES is refused with `DomainError` before any is built.
+
+The sequence's entries are sorted once, by (n, j, gamma); a collision is
+found on adjacent rows, entries sharing an index under allow_overlap are
+summed in insertion order as the constructor sums them, and each snapshot
+is a slice built by `CoefficientField._canonical`, not the constructor.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ import numpy as np
 
 from ._json import json_fields
 from .groups import DomainError
-from .sampling import MAX_ARRAY_BYTES, AtomIndex, SamplingSet, lattice_int64
+from .sampling import (_LAW_BOUND, MAX_ARRAY_BYTES, MAX_LATTICE_COORD, AtomIndex,
+                       SamplingSet, _law_int64, lattice_int64)
 from .coeffs import CoefficientField, lp_atoms
 from .profiles import SequenceSnapshots, _check_thresholds, _row_classifier, _verdict
 
@@ -116,15 +122,39 @@ def _noise(spec: GeneratorSpec, gs: SamplingSet, count: int):
             np.array([v for _, v in draws], dtype=complex))
 
 
-def _track_indices(spec: GeneratorSpec, gs: SamplingSet, t: TrackSpec):
-    """Every bundle atom's (j, gamma) for every n, exactly: (A, H) scales and
-    (A, H, dim) lattice points as Python-int object arrays."""
-    n = np.arange(spec.horizon, dtype=object)
-    core = np.array(t.gamma0, dtype=object) + n[:, None] * np.array(t.gamma_slope, dtype=object)
-    dj = np.array([a.dj for a in t.bundle], dtype=object)
-    dgamma = np.array([a.dgamma for a in t.bundle], dtype=object)
-    gammas = gs.lat_mul(gs.lat_dilate(core[None], dj[:, None]), dgamma[:, None, :])
-    return (t.j0 + t.j_slope * n)[None, :] + dj[:, None], gammas
+def _line(x0, slope, horizon: int) -> np.ndarray:
+    """x0 + n slope for n < horizon, (horizon, len(x0)) int64, for tuples of
+    Python ints; DomainError unless it stays within the int64 law's +-2^62."""
+    if any(abs(a) + (horizon - 1) * abs(b) >= _LAW_BOUND for a, b in zip(x0, slope)):
+        raise DomainError("a track core or scale leaves the range +-2^62 of the int64 law")
+    return np.array(x0, dtype=np.int64) + np.arange(horizon)[:, None] * np.array(slope, np.int64)
+
+
+def _track_indices(spec: GeneratorSpec, gs: SamplingSet):
+    """The tracks' core scales (T, H) and cores (T, H, dim), and every bundle
+    atom's (j, gamma) for every n, atoms in insertion order: (A, H) scales and
+    (A, H, dim) lattice points, all int64 and exact, from one call of the law."""
+    H, tracks = spec.horizon, spec.tracks
+    owner = np.repeat(np.arange(len(tracks)), [len(t.bundle) for t in tracks])
+    try:
+        j_cores = np.stack([_line((t.j0,), (t.j_slope,), H)[:, 0] for t in tracks])
+        cores = np.stack([_line(t.gamma0, t.gamma_slope, H) for t in tracks])
+        dj = _law_int64([a.dj for t in tracks for a in t.bundle])
+        dgamma = _law_int64([a.dgamma for t in tracks for a in t.bundle])
+        gammas = gs.lat_mul(gs.lat_dilate(cores[owner], dj[:, None]),
+                            dgamma.reshape(-1, 1, gs.group.dim))
+    except DomainError as exc:  # beyond 2^62, so beyond 2^53 too
+        raise DomainError(f"track indices beyond the bound {MAX_LATTICE_COORD} = 2^53 "
+                          f"({exc})") from None
+    return j_cores, cores, j_cores[owner] + dj[:, None], gammas
+
+
+def _lex_order(keys: np.ndarray) -> np.ndarray:
+    """`np.lexsort` of the columns of the int64 rows keys (P, K), last to
+    first, in one stable sort: sign bit flipped, a row's big-endian bytes
+    compare as the row does."""
+    raw = (keys.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8")
+    return np.argsort(raw.view(f"V{8 * keys.shape[1]}").ravel(), kind="stable")
 
 
 def generate(spec: GeneratorSpec, gs: SamplingSet) -> SequenceSnapshots:
@@ -139,33 +169,41 @@ def generate(spec: GeneratorSpec, gs: SamplingSet) -> SequenceSnapshots:
     if need > MAX_ARRAY_BYTES:
         raise DomainError(f"{spec.horizon} snapshots of {entries} entries need {need} B of "
                           f"lattice coordinates, over the {MAX_ARRAY_BYTES} B budget")
-    laws = [_track_indices(spec, gs, t) for t in spec.tracks]
-    # entries per snapshot in insertion order: tracks, their atoms, then the noise
-    js = np.concatenate([j for j, _ in laws]).T
-    gammas = np.concatenate([gm for _, gm in laws]).transpose(1, 0, 2)
-    js, gammas = lattice_int64(js), lattice_int64(gammas)
-    values = np.array([complex(a.d) for t in spec.tracks for a in t.bundle], dtype=complex)
+    j_cores, cores, atom_js, atom_gammas = _track_indices(spec, gs)
+    H = spec.horizon
     noise_gammas, noise_values = _noise(spec, gs, noise)
-    n_track = len(values)
-    js = np.concatenate([js, np.zeros((spec.horizon, len(noise_values)), dtype=np.int64)], axis=1)
-    values = np.concatenate([values, noise_values])
-    fields = []
-    for n in range(spec.horizon):
-        gammas_n = np.concatenate([gammas[n], noise_gammas])
-        f = CoefficientField(gs, normalization=lp_atoms(spec.p), js=js[n], gammas=gammas_n,
-                             values=values)
-        if len(f) < len(values) and not spec.allow_overlap:
-            # the first entry, in insertion order, whose index came before
-            rows = np.column_stack([js[n], gammas_n])
-            k = min(set(range(len(rows))) - set(np.unique(rows, axis=0, return_index=True)[1]))
+    values = np.array([complex(a.d) for t in spec.tracks for a in t.bundle], dtype=complex)
+    n_track, E = len(values), len(values) + len(noise_values)
+    # rows (n, j, *gamma) of the H x E entries in insertion order, n by n:
+    # tracks, their atoms, then the noise
+    flat = np.zeros((H, E, dim + 2), dtype=np.int64)
+    flat[..., 0] = np.arange(H)[:, None]
+    flat[:, :n_track, 1] = atom_js.T
+    flat[:, :n_track, 2:] = atom_gammas.transpose(1, 0, 2)
+    flat[:, n_track:, 2:] = noise_gammas
+    flat = lattice_int64(flat.reshape(-1, dim + 2))
+    order = _lex_order(flat)  # stable: entries sharing an index keep insertion order
+    rows, values = flat[order], np.tile(np.concatenate([values, noise_values]), H)[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    if not new.all():
+        if not spec.allow_overlap:
+            # the first snapshot with a repeat, and its first entry in insertion
+            # order whose index came before
+            at = int(order[~new].min())
+            n, k = divmod(at, E)
             if k >= n_track:
                 raise GeneratorError(f"noise collides with a track at n={n}")
             raise GeneratorError(f"track collision at n={n}, index "
-                                 f"{AtomIndex(int(js[n][k]), tuple(gammas_n[k].tolist()))}; "
+                                 f"{AtomIndex(int(flat[at, 1]), tuple(flat[at, 2:].tolist()))}; "
                                  "declared orthogonality is violated")
-        fields.append(f)
-
-    snaps = SequenceSnapshots(gs, tuple(range(spec.horizon)), tuple(fields))
+        rows, values = rows[new], np.add.reduceat(values, np.flatnonzero(new))
+    js, gammas = np.ascontiguousarray(rows[:, 1]), np.ascontiguousarray(rows[:, 2:])
+    bounds = np.searchsorted(rows[:, 0], np.arange(H + 1)).tolist()
+    norm = lp_atoms(spec.p)
+    fields = tuple(CoefficientField._canonical(gs, norm, js[lo:hi], gammas[lo:hi], values[lo:hi])
+                   for lo, hi in zip(bounds, bounds[1:]))
+    snaps = SequenceSnapshots(gs, tuple(range(H)), fields)
 
     norms = snaps.norms
     if not spec.allow_overlap and np.max(np.abs(norms - norms[0])) > 1e-12 * max(norms[0], 1.0):
@@ -173,10 +211,8 @@ def generate(spec: GeneratorSpec, gs: SamplingSet) -> SequenceSnapshots:
 
     if len(spec.tracks) > 1 and not spec.allow_overlap:
         # each track against the later ones: the first failing pair in (a, b) order
-        cores = [[t.core_at(n) for n in range(spec.horizon)] for t in spec.tracks]
         T_div, eps = spec.check_T_div, spec.check_eps_stable
-        rows_of = _row_classifier(gs, np.array([[j for j, _ in c] for c in cores], dtype=np.int64),
-                                  np.array([[g for _, g in c] for c in cores], dtype=np.int64),
+        rows_of = _row_classifier(gs, j_cores, cores,
                                   spec.check_tail or max(2, spec.horizon // 2), T_div, eps)
         for a in range(len(cores) - 1):
             rows = rows_of(a)

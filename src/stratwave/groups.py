@@ -138,25 +138,31 @@ def identity(g: GroupSpec) -> np.ndarray:
 
 
 def multiply(g: GroupSpec, x, y) -> np.ndarray:
-    """x.y = x + y + [x, y]/2, with [x, y]_k = sum_i x_i b_k(e_i, y).
+    """x.y = x + y + [x, y]/2, with [x, y]_k = sum_i x_i b_k(e_i, y) from `_cross`.
 
-    b_k(e_i, y) comes from one contraction of the bracket with y, and the sum
-    over i runs in ascending i from 0.  On a bracket with at most one nonzero
-    per (k, i) row, each +-1 (H^d, N_{3,2} and the pinned custom groups), every
-    product is exact and this is the order of the triple sum over (i, j), so
-    the digests pinned in tests/test_lattice_pins.py hold bit for bit; any
-    other bracket agrees with that sum to rounding.
+    On a bracket with at most one nonzero per (k, i) row, each +-1 (H^d,
+    N_{3,2} and the pinned custom groups), every product is exact and this is
+    the order of the triple sum over (i, j), so the digests pinned in
+    tests/test_lattice_pins.py hold bit for bit; any other bracket agrees
+    with that sum to rounding.
     """
     x, y = _as_points(g, x), _as_points(g, y)
     out = x + y
     if g.step == 2:
         d1 = g.strata_dims[0]
-        x1, by = x[..., :d1], np.einsum("kij,...j->...ik", g.bracket, y[..., :d1])
-        acc = 0.0
-        for i in range(d1):
-            acc = acc + x1[..., i, None] * by[..., i, :]
-        out[..., d1:] += 0.5 * acc
+        out[..., d1:] += 0.5 * _cross(g.bracket, x[..., :d1], y[..., :d1])
     return out
+
+
+def _cross(bracket: np.ndarray, x1: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """[x, y]_k = sum_i x_i b_k(e_i, y) of first-stratum coordinates (..., d1),
+    b_k(e_i, y) from one contraction with y and i ascending from 0, in the
+    operands' dtype: float points here, int64 in `sampling`'s lattice law."""
+    by = np.einsum("kij,...j->...ik", bracket, y1)
+    acc = 0
+    for i in range(x1.shape[-1]):
+        acc = acc + x1[..., i, None] * by[..., i, :]
+    return acc
 
 
 def inverse(g: GroupSpec, x) -> np.ndarray:

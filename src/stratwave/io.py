@@ -15,12 +15,18 @@ snapshot sequence's values is formatted once by float.__repr__ (-0.0 and 0.0
 are distinct patterns), since a sequence's snapshots repeat their profiles'
 coefficients at moved indices.  Lines are written _CHUNK_LINES at a time,
 each chunk by one % of its repeated line template.  Readers stream the file
-in chunks of _CHUNK_LINES lines, each parsed by one json.loads of its lines
-joined into a JSON array, or line by line up to the first invalid line if
-that fails.
+in chunks of _CHUNK_LINES lines, each parsed as its lines joined into one
+JSON array, or line by line up to the first invalid line if that fails.
+For the same reason as the writers', a reader parses each distinct float
+text of a file once: its decoder's parse_float is a memo of float(text),
+cleared when it holds _MEMO_FLOATS texts, so every value has the bits
+json.loads gives it.
 One validator checks the parsed rows on their columns, rule by rule, and
-keeps the rows before the first that breaks a rule.  Duplicates are found
-on the kept columns before any error is raised, so a malformed file raises
+keeps the rows before the first that breaks a rule.  Rows that strictly
+increase in (n, j, gamma), as the writers write them, are kept in file
+order: one comparison of adjacent rows proves the order and that no index
+repeats.  Other rows are sorted, and duplicates are found on the kept
+columns before any error is raised, so a malformed file raises
 IngestionError naming its first bad line, as a line-by-line reader would;
 snapshots whose total energy overflows float64 raise it without a line.
 """
@@ -32,6 +38,7 @@ import math
 import re
 import struct
 from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +74,8 @@ _TWO_VALUES = re.compile(r"\}[^\S\n]*,")
 # the least integer whose float() overflows; also above every finite float
 _FLOAT_LIMIT = 2**1024 - 2**970
 _MISSING = object()  # a missing key: of no JSON kind, it fails every type rule
+# the float texts a reader's memo holds before it starts over: about 0.5 MB
+_MEMO_FLOATS = 1 << 12
 
 
 class IngestionError(ValueError):
@@ -152,15 +161,27 @@ def _numbered_chunks(fh):
         lineno += len(lines)
 
 
-def _parse(first: int, lines: list, error):
+class _FloatMemo(dict):
+    """float(text) of each float text, parsed once: a decoder's parse_float
+    is its __getitem__.  Cleared when it holds _MEMO_FLOATS texts, so that a
+    file of distinct floats holds at most that many."""
+
+    def __missing__(self, text: str) -> float:
+        if len(self) >= _MEMO_FLOATS:
+            self.clear()
+        value = self[text] = float(text)
+        return value
+
+
+def _parse(first: int, lines: list, error, decode):
     """Line numbers and values of a chunk's non-blank lines, the first
-    numbered `first`, parsed as one JSON array.  If that fails they are
-    parsed line by line, and the first line that is not one JSON value ends
-    them and replaces the pending error."""
+    numbered `first`, parsed as one JSON array by `decode`.  If that fails
+    they are parsed line by line, and the first line that is not one JSON
+    value ends them and replaces the pending error."""
     text = "[" + "\n,".join(lines) + "]"  # a blank line fails here
     if not _TWO_VALUES.search(text):
         try:
-            objs = json.loads(text)
+            objs = decode(text)
         except (ValueError, RecursionError):
             objs = None
         if objs is not None and len(objs) == len(lines):
@@ -194,11 +215,13 @@ class _EntryReader:
         self.dim = dim
         self.n_values = None if n_values is None else set(n_values)
         self.parts: list = []
+        # one float memo per file: its snapshots repeat their profiles' values
+        self.decode = json.JSONDecoder(parse_float=_FloatMemo().__getitem__).decode
 
     def add(self, first: int, lines: list, error=None) -> None:
         """Keep the valid rows of a chunk whose first line is numbered
         `first`; raise at its first bad line, or else its pending error."""
-        numbered, objs, error = _parse(first, lines, error)
+        numbered, objs, error = _parse(first, lines, error, self.decode)
         stop, message, cols = self._rows(objs)
         self.parts.append((numbered[:stop], *cols))
         if message is not None:
@@ -209,9 +232,12 @@ class _EntryReader:
 
     def columns(self) -> tuple:
         """The entry columns n, j, gammas and values, sorted by (n, j, gamma),
-        once no index repeats."""
+        once no index repeats.  Rows that already strictly increase, as the
+        writers write them, are returned as they are."""
         self.parts = [_joined(self.parts, self.dim)]  # the chunks' arrays are freed
         lineno, n, j, gammas, values = self.parts[0]
+        if _increasing(np.column_stack([n, j, gammas])):
+            return n, j, gammas, values
         order = np.lexsort((*gammas.T[::-1], j, n))
         ns, js, gm = n[order], j[order], gammas[order]
         same = (ns[1:] == ns[:-1]) & (js[1:] == js[:-1]) & np.all(gm[1:] == gm[:-1], axis=1)
@@ -288,6 +314,15 @@ def _first(col: list, stop: int, allowed: set, key=type) -> int:
     return next(k for k, x in enumerate(col) if key(x) not in allowed)
 
 
+def _increasing(keys: np.ndarray) -> bool:
+    """Whether the int64 rows of keys (P, K) strictly increase in
+    lexicographic order, from one comparison of adjacent rows: at the first
+    column where two rows differ, the later one must be larger."""
+    a, b = keys[:-1], keys[1:]
+    first = np.argmin(a == b, axis=1)  # 0 for equal rows, whose column 0 is not larger
+    return bool(np.all(np.take_along_axis(b > a, first[:, None], axis=1)))
+
+
 def _first_false(ok: np.ndarray) -> int:
     return len(ok) if ok.all() else int(np.argmin(ok))
 
@@ -335,16 +370,16 @@ def _line_template(dim: int, n) -> str:
 def _write_coefficients(path, header: dict, gs: SamplingSet, norm, runs: list) -> None:
     """The header line, completed with gs, its group and norm, then the
     entries of each (n, field) of runs; n is None for a coefficient field.
-    A chunk's rows fill one object array, the floats from the runs' formatted
-    distinct bit patterns."""
+    A chunk's integers fill one int64 array, and re and im are the texts of
+    the runs' distinct bit patterns, each formatted once."""
     header.update(group=_groups.group_to_json(gs.group), sampling=sampling_to_json(gs),
                   normalization=_normalization_to_json(norm))
-    dim = gs.group.dim
+    dim, width = gs.group.dim, gs.group.dim + 3
     # re and im of every entry, interleaved, as positions in the distinct bit
     # patterns: -0.0 and 0.0 differ in their bits
     bits = np.concatenate([c.values for _, c in runs]).view(np.int64)
     distinct, which = np.unique(bits, return_inverse=True)
-    text = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+    text = list(map(float.__repr__, distinct.view(np.float64).tolist()))
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         at = 0
@@ -352,11 +387,14 @@ def _write_coefficients(path, header: dict, gs: SamplingSet, norm, runs: list) -
             line = _line_template(dim, n)
             for lo in range(0, len(c), _CHUNK_LINES):
                 hi = min(lo + _CHUNK_LINES, len(c))
-                rows = np.empty((hi - lo, dim + 3), dtype=object)
+                rows = np.zeros((hi - lo, width), dtype=np.int64)
                 rows[:, :dim] = c.gammas[lo:hi]
                 rows[:, dim + 1] = c.js[lo:hi]
-                rows[:, [dim + 2, dim]] = text[which[2 * (at + lo):2 * (at + hi)]].reshape(-1, 2)
-                fh.write(line * (hi - lo) % tuple(rows.ravel().tolist()))
+                items = rows.ravel().tolist()
+                # re and im interleaved: at least two, so itemgetter gives a tuple
+                floats = itemgetter(*which[2 * (at + lo):2 * (at + hi)].tolist())(text)
+                items[dim + 2::width], items[dim::width] = floats[0::2], floats[1::2]
+                fh.write(line * (hi - lo) % tuple(items))
             at += len(c)
 
 

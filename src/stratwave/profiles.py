@@ -194,13 +194,24 @@ def _verdict(rows, k: int, T_div: float, eps_stable: float) -> Verdict:
 def _row_classifier(gs: SamplingSet, js, gammas, tail: int, T_div: float, eps_stable: float):
     """rows(a): `_classify_rows` of track a against the tracks after it, over
     the last `tail` snapshots of T tracks given as (T, H) scales and (T, H, dim)
-    lattice points, whose cores are decoded once, here."""
+    lattice points, whose cores are decoded once, here.  A float core or
+    dilation beyond float64 raises DomainError naming the tracks and the
+    scales of the tail window."""
     if tail < 2 or tail > js.shape[1]:
         raise ValueError(f"tail window {tail} not within horizon {js.shape[1]}")
     js = js[:, -tail:]
-    cores = gs.points(js, gammas[:, -tail:])
-    return lambda a: _classify_rows(gs.group, cores[a], js[a], cores[a + 1:], js[a + 1:],
-                                    T_div, eps_stable)
+
+    def named(a: int, compute):
+        """compute() for tracks a.. of the window, a DomainError named for them."""
+        try:
+            return compute()
+        except groups.DomainError as exc:
+            raise groups.DomainError(f"tracks {a}..{len(js) - 1} at scales j = {js[a:].min()}.."
+                                     f"{js[a:].max()} of the tail window leave the float64 "
+                                     f"range of the core path: {exc}") from None
+    cores = named(0, lambda: gs.points(js, gammas[:, -tail:]))
+    return lambda a: named(a, lambda: _classify_rows(gs.group, cores[a], js[a], cores[a + 1:],
+                                                     js[a + 1:], T_div, eps_stable))
 
 
 def _check_thresholds(**values) -> None:

@@ -4,8 +4,16 @@ A step-1 group, or a step-2 group whose bracket B has integer entries, has
 the lattice Gamma_beta = {(beta a, (beta^2/2) c)} of integer coordinates
 (a, c), closed under the law (a, c).(a', c') = (a + a', c + c' + B(a, a'))
 and under delta_2, which doubles a and quadruples c.  `lat_mul`, `lat_inv`
-and `lat_dilate` compute on Python integers, exactly at any magnitude; a
-non-integer bracket is refused with `DomainError`.  `decode`, `encode`,
+and `lat_dilate` compute on int64, whose arithmetic wraps modulo 2^64, and
+are exact: every input and output coordinate lies strictly within +-2^62,
+or DomainError is raised.  A product's cross term is `groups._cross`, the
+bracket-row sum of `groups.multiply`; its single products may wrap, and the
+same expression in float64, F, with err = 2 gamma_n sum |terms|, n = 2 d1 + 8
+(Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
+certifies the wrapped value when |F| + err < 2^62.  A dilation is refused
+from its exponents, before it multiplies, unless |a| 2^(j w) < 2^62 for
+every coordinate of weight w.  A bracket that is not integer, or has an
+entry of 2^62 or more, is refused with `DomainError`.  `decode`, `encode`,
 `points` and the lattice law take (..., dim) batches under the same
 contract as the `groups` operations.
 
@@ -54,6 +62,7 @@ __all__ = [
 
 
 MAX_LATTICE_COORD = 2**53
+_LAW_BOUND = 2**62  # the int64 lattice law's range, exclusive
 # the one budget, 256 MiB, for large arrays: a scale's lattice here, and the
 # kernel sets and refined FFT grids of `transform`
 MAX_ARRAY_BYTES = 1 << 28
@@ -77,11 +86,15 @@ class SamplingSet:
         object.__setattr__(self, "beta", float(self.beta))
         g, d1 = self.group, self.group.strata_dims[0]
         b = np.zeros((0, d1, d1)) if g.bracket is None else g.bracket
-        if not np.array_equal(b, np.rint(b)):
+        if not (np.array_equal(b, np.rint(b)) and np.all(np.abs(b) < _LAW_BOUND)):
             raise DomainError(f"no lattice law for the group with strata {g.strata_dims}: "
-                              "its bracket has non-integer entries")
-        # the bracket (empty at step 1) and the dilation weights as Python ints
-        object.__setattr__(self, "_law", (_INT(b), _INT(groups.dilation_weights(g))))
+                              "its bracket has non-integer entries or entries of 2^62 or more")
+        # the bracket as int64, as float64 and in absolute value, the dilation
+        # weights as int64, and the certificate's 2 gamma_n, unit roundoff u = 2^-53
+        nu = (2 * d1 + 8) * 2.0**-53
+        object.__setattr__(self, "_law", (
+            b.astype(np.int64), b, np.abs(b), groups.dilation_weights(g).astype(np.int64),
+            2.0 * nu / (1.0 - nu)))
         s = np.where(np.arange(g.dim) < d1, self.beta, self.beta * self.beta / 2.0)
         s.setflags(write=False)
         object.__setattr__(self, "_spacing", s)
@@ -96,25 +109,37 @@ class SamplingSet:
         """The fundamental box [0, s_1) x ... x [0, s_dim) of the spacings."""
         return tuple((0.0, s) for s in self.spacing.tolist())
 
-    # -- integer-lattice arithmetic (exact) --------------------------------
+    # -- integer-lattice arithmetic (int64, exact within +-2^62) -------------
 
     def lat_mul(self, a, b):
         """Lattice product of (..., dim) integer coordinates; a tuple for one point."""
-        a, b = _exact(a), _exact(b)
-        d1 = self.group.strata_dims[0]
-        out = a + b
-        out[..., d1:] += np.einsum("kij,...i,...j->...k", self._law[0], a[..., :d1], b[..., :d1])
+        a, b = _law_int64(a), _law_int64(b)
+        bracket, fbracket, abs_bracket, _, err = self._law
+        fa, fb = a.astype(float), b.astype(float)
+        out, f, terms = a + b, fa + fb, np.abs(fa) + np.abs(fb)
+        if self.group.step == 2:
+            d1 = self.group.strata_dims[0]
+            out[..., d1:] += groups._cross(bracket, a[..., :d1], b[..., :d1])
+            f[..., d1:] += groups._cross(fbracket, fa[..., :d1], fb[..., :d1])
+            terms[..., d1:] += groups._cross(abs_bracket, abs(fa[..., :d1]), abs(fb[..., :d1]))
+        if not (np.abs(f) + err * terms < _LAW_BOUND).all():
+            raise DomainError("a lattice product leaves the range +-2^62 of the int64 law")
         return _lattice_out(out)
 
     def lat_inv(self, a):
-        return _lattice_out(-_exact(a))
+        return _lattice_out(-_law_int64(a))
 
     def lat_dilate(self, a, j):
         """Apply the dyadic dilation delta_{2^j}, j >= 0 a scalar or one per row."""
-        j = _exact(j)
+        a, j = _law_int64(a), _law_int64(j)
         if np.any(j < 0):
             raise ValueError("integer lattice dilation requires j >= 0")
-        return _lattice_out(_exact(a) * 2 ** (j[..., None] * self._law[1]))
+        # 2^min(j w, 62) is exact, and |a| < 2^(62 - j w) is |a| 2^(j w) < 2^62
+        shift = np.minimum(j[..., None] * self._law[3], 62)
+        lim = np.left_shift(1, 62 - shift)
+        if not ((a < lim) & (a > -lim)).all():
+            raise DomainError("a lattice dilation leaves the range +-2^62 of the int64 law")
+        return _lattice_out(a * np.left_shift(1, shift))
 
     # -- decode / encode ----------------------------------------------------
 
@@ -144,20 +169,25 @@ class SamplingSet:
 
 def lattice_int64(a) -> np.ndarray:
     """Integer coordinates as int64; DomainError beyond MAX_LATTICE_COORD."""
+    return _int64(a, MAX_LATTICE_COORD,
+                  f"lattice coordinate beyond the bound {MAX_LATTICE_COORD} = 2^53")
+
+
+def _law_int64(a) -> np.ndarray:
+    """Integers as int64 for the lattice law; DomainError unless strictly within +-2^62."""
+    return _int64(a, _LAW_BOUND - 1, "a lattice coordinate or scale lies outside the range "
+                                     "+-2^62 of the int64 law")
+
+
+def _int64(a, bound: int, refusal: str) -> np.ndarray:
+    """Integers as int64 (Python ints beyond int64 arrive as an object array);
+    ValueError for other numbers, DomainError(refusal) beyond +-bound."""
     a = np.asarray(a)
     if a.size and a.dtype.kind not in "iuO":
         raise ValueError(f"lattice coordinates must be integers, got {a.dtype}")
-    if a.size and (a.max() > MAX_LATTICE_COORD or a.min() < -MAX_LATTICE_COORD):
-        raise DomainError(f"lattice coordinate beyond the bound {MAX_LATTICE_COORD} = 2^53")
-    return a.astype(np.int64)
-
-
-_INT = np.frompyfunc(int, 1, 1)  # an array's entries as Python ints
-
-
-def _exact(x) -> np.ndarray:
-    """Integer coordinates as an array of Python ints, whose arithmetic is exact."""
-    return np.array(np.asarray(x).tolist() if isinstance(x, np.ndarray) else x, dtype=object)
+    if a.size and (a.max() > bound or a.min() < -bound):
+        raise DomainError(refusal)
+    return a.astype(np.int64, copy=False)
 
 
 def _lattice_out(out: np.ndarray):

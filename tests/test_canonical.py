@@ -265,6 +265,109 @@ def test_read_snapshots_of_shuffled_lines_equals_the_constructor(tmp_path_factor
         assert_same(got, want)
 
 
+def generate_through_the_constructor(spec, gs):
+    """`generate`'s snapshots built the way it once built them: each n's
+    entries in insertion order (tracks, their atoms, then the noise), indices
+    from the lattice law in Python ints, through the public constructor.
+    Returns the fields, or the GeneratorError text of the first collision."""
+    g, d1 = gs.group, gs.group.strata_dims[0]
+    w = sw.groups.dilation_weights(g).astype(int).tolist()
+    noise = spec.noise_count if spec.noise_amplitude != 0.0 else 0
+    noise_gammas, noise_values = sw.generators._noise(spec, gs, noise)
+    n_track = sum(len(t.bundle) for t in spec.tracks)
+    fields = []
+    for n in range(spec.horizon):
+        js, gammas = [], []
+        for t in spec.tracks:
+            j_core, core = t.core_at(n)
+            for a in t.bundle:
+                x = [c * 2 ** (a.dj * k) for c, k in zip(core, w)]
+                y = list(a.dgamma)
+                out = [p + q for p, q in zip(x, y)]
+                for k in range(g.dim - d1):
+                    out[d1 + k] += sum(int(g.bracket[k, i, j]) * x[i] * y[j]
+                                       for i in range(d1) for j in range(d1))
+                js.append(j_core + a.dj)
+                gammas.append(out)
+        js += [0] * noise
+        gammas += noise_gammas.tolist()
+        values = [complex(a.d) for t in spec.tracks for a in t.bundle] + noise_values.tolist()
+        f = build(gs, sw.lp_atoms(spec.p), np.array(js, dtype=np.int64),
+                  np.array(gammas, dtype=np.int64).reshape(-1, g.dim), values)
+        if len(f) < len(values) and not spec.allow_overlap:
+            rows = [(j, *gm) for j, gm in zip(js, gammas)]
+            k = next(k for k in range(len(rows)) if rows[k] in rows[:k])
+            if k >= n_track:
+                return f"noise collides with a track at n={n}"
+            return (f"track collision at n={n}, index "
+                    f"{sw.AtomIndex(js[k], tuple(gammas[k]))}; declared orthogonality is violated")
+        fields.append(f)
+    return fields
+
+
+@st.composite
+def generator_specs(draw):
+    """Specs on R^1, H^1 or custom_3_2 whose atoms often share an index: a
+    single atom's track keeps its index from one n to the next, and bundle
+    offsets repeat, so that up to four values are summed at one index."""
+    name = draw(st.sampled_from(sorted(GROUPS)))
+    gs = sw.SamplingSet(GROUPS[name], 1.0)
+    dim = gs.group.dim
+    small = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim).map(tuple)
+    values = st.sampled_from([0.1, 0.2, 0.3, -0.7, 1e-3 + 0.5j, 1.0])
+    atoms = st.builds(sw.BundleAtom, st.integers(0, 1), small, values)
+    tracks = st.builds(sw.TrackSpec, st.integers(-1, 1), st.integers(-1, 1), small, small,
+                       st.lists(atoms, min_size=1, max_size=4).map(tuple))
+    spec = sw.GeneratorSpec(kind="mixture", tracks=tuple(draw(st.lists(tracks, min_size=1,
+                                                                          max_size=3))),
+                            horizon=draw(st.integers(2, 6)),
+                            noise_amplitude=draw(st.sampled_from([0.0, 1e-3])),
+                            noise_count=draw(st.integers(0, 3)), noise_seed=draw(st.integers(0, 9)),
+                            allow_overlap=draw(st.booleans()))
+    return spec, gs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=generator_specs())
+def test_generate_equals_the_constructor(case):
+    spec, gs = case
+    want = generate_through_the_constructor(spec, gs)
+    try:
+        snaps = sw.generate(spec, gs)
+    except sw.GeneratorError as exc:
+        if isinstance(want, str):  # the same first collision
+            assert str(exc) == want
+        else:  # a check on the finished snapshots
+            assert "collision" not in str(exc) and "collides" not in str(exc)
+        return
+    assert not isinstance(want, str)
+    for got, ref in zip(snaps.fields, want, strict=True):
+        assert_same(got, ref)
+
+
+def test_generate_sums_a_shared_index_in_insertion_order():
+    # 60 atoms at one index, whose float sum depends on the order of its terms
+    gs = sw.SamplingSet(sw.heisenberg(1), 1.0)
+    rng = np.random.default_rng(8)
+    values = rng.choice([1e16, -1e16, 1.0, 0.5, -3.0], size=60) * rng.uniform(1, 2, size=60)
+    t = sw.TrackSpec(j0=0, j_slope=0, gamma0=(0, 0, 0), gamma_slope=(1, 0, 0),
+                     bundle=tuple(sw.BundleAtom(0, (0, 0, 0), v) for v in values.tolist()))
+    spec = sw.GeneratorSpec(kind="translating", tracks=(t,), horizon=3, allow_overlap=True)
+    for got, ref in zip(sw.generate(spec, gs).fields, generate_through_the_constructor(spec, gs),
+                        strict=True):
+        assert_same(got, ref)
+
+
+def test_a_constant_single_atom_track_repeats_its_index_at_every_n():
+    # the last entry of each snapshot equals the first of the next: no collision
+    gs = sw.SamplingSet(sw.heisenberg(1), 1.0)
+    t = sw.TrackSpec(j0=2, j_slope=0, gamma0=(1, 2, 3), gamma_slope=(0, 0, 0),
+                     bundle=(sw.BundleAtom(0, (0, 0, 0), 0.5),))
+    snaps = sw.generate(sw.GeneratorSpec(kind="compact", tracks=(t,), horizon=5), gs)
+    for f in snaps.fields:
+        assert (f.js.tolist(), f.gammas.tolist(), f.values.tolist()) == ([2], [[1, 2, 3]], [0.5])
+
+
 @settings(max_examples=40, deadline=None)
 @given(c=fields())
 def test_scales_are_the_runs_of_equal_j(c):
@@ -308,13 +411,15 @@ def test_analyze_synthesize_and_norm_call_no_constructor(constructions):
 def test_read_snapshots_and_read_field_call_no_constructor(tmp_path, constructions):
     gs = sw.SamplingSet(sw.heisenberg(1), 1.0)
     snaps = sw.generate(two_profile_spec(3, horizon=20), gs)
-    assert len(constructions) == 20
+    assert constructions == []
     sio.write_snapshots(tmp_path / "s.jsonl", snaps)
     sio.write_field(tmp_path / "c.jsonl", snaps.fields[3])
     read = sio.read_snapshots(tmp_path / "s.jsonl")
     field = sio.read_field(tmp_path / "c.jsonl")
-    assert len(constructions) == 20
+    assert constructions == []
     assert len(read.fields) == 20
     assert_same(field, snaps.fields[3])
     for got, want in zip(read.fields, snaps.fields):
         assert_same(got, want)
+    field_add(field, field)  # the control: a sum of arbitrary fields is re-sorted
+    assert constructions == [1]

@@ -529,3 +529,100 @@ def test_duplicate_across_chunks_reports_first_line(tmp_path, monkeypatch):
         monkeypatch.setattr(sio, "_CHUNK_LINES", chunk)
         with pytest.raises(sio.IngestionError, match="line 3: duplicate index"):
             sio.read_snapshots(path)
+
+
+# -- canonical files are not re-sorted; each float text is parsed once ---------
+
+# float texts that differ but may parse to the same float, or to one that
+# must keep its sign, its subnormal bits or its overflow
+FLOAT_TEXTS = ["-0.0", "0.0", "1.0", "1.00", "1e0", "5e-324", "1e308", "0.1", "-2.5"]
+
+
+def _bits(reader_result):
+    fields = (reader_result.fields if isinstance(reader_result, sw.SequenceSnapshots)
+              else (reader_result,))
+    return [(f.js.tobytes(), f.gammas.tobytes(), f.values.tobytes()) for f in fields]
+
+
+def _write_entries(path, header, entries, kind):
+    """A file of the header line and one line per (n, j, gamma, re text, im
+    text) entry, with its float texts written as given."""
+    lines = [header]
+    for n, j, gamma, re, im in entries:
+        n_key = "" if kind == "field" else f'"n": {n}, '
+        lines.append(f'{{"gamma": {json.dumps(gamma)}, "im": {im}, "j": {j}, {n_key}"re": {re}}}')
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("kind", ["field", "snapshots"])
+def test_repeated_float_texts_read_as_a_per_line_reader_reads_them(tmp_path, kind):
+    path, lines = field_lines(tmp_path) if kind == "field" else snapshot_lines(tmp_path)
+    reader = sio.read_field if kind == "field" else sio.read_snapshots
+    ref_kind = "coefficient_field" if kind == "field" else "sequence_snapshots"
+    n_values = [0] if kind == "field" else json.loads(lines[0])["n_values"]
+    dim = len(json.loads(lines[1])["gamma"])
+    # every text at every n, re and im paired both ways, in canonical order; a
+    # snapshot sequence holding 1e308 is refused for its energy, so it has 1e150
+    texts = FLOAT_TEXTS if kind == "field" else [t.replace("308", "150") for t in FLOAT_TEXTS]
+    entries = [(n, 0, [k] + [0] * (dim - 1), re, im)
+               for n in n_values
+               for k, (re, im) in enumerate((a, b) for a in texts for b in texts)]
+    _write_entries(path, lines[0], entries, kind)
+    got = reader(path)
+    assert _bits(got) == _bits(reference_read(path, ref_kind))
+    first = got if kind == "field" else got.fields[0]
+    assert np.signbit(first.values[:2].imag).tolist() == [True, False]  # -0.0, then 0.0
+    # 1e400 overflows to inf on the same line as a per-line parse finds it
+    entries[5] = entries[5][:3] + ("1e400", "0.0")
+    _write_entries(path, lines[0], entries, kind)
+    with pytest.raises(sio.IngestionError) as exc:
+        reader(path)
+    assert str(exc.value) == "line 7: non-finite coefficient"
+    with pytest.raises(sio.IngestionError, match="^line 7: non-finite coefficient$"):
+        reference_read(path, ref_kind)
+
+
+def test_an_adjacent_duplicate_in_a_canonical_file_names_its_line(tmp_path):
+    path, lines = snapshot_lines(tmp_path)
+    # lines 2.. are canonical; line 4 repeats line 3
+    path.write_text("\n".join(lines[:3] + [lines[2]] + lines[3:]) + "\n")
+    obj = json.loads(lines[2])
+    with pytest.raises(sio.IngestionError) as exc:
+        sio.read_snapshots(path)
+    assert str(exc.value) == (f"line 4: duplicate index "
+                              f"{sw.AtomIndex(obj['j'], tuple(obj['gamma']))} at n={obj['n']}")
+
+
+@pytest.mark.parametrize("kind", ["field", "snapshots"])
+def test_a_swapped_pair_reads_like_the_constructor(tmp_path, kind):
+    path, lines = field_lines(tmp_path) if kind == "field" else snapshot_lines(tmp_path)
+    reader = sio.read_field if kind == "field" else sio.read_snapshots
+    want = reader(path)
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    got = reader(path)
+    assert _bits(got) == _bits(want)
+    for f in (got.fields if kind == "snapshots" else (got,)):
+        rebuilt = sw.CoefficientField(f.sampling, f.normalization, js=f.js, gammas=f.gammas,
+                                      values=f.values)
+        assert _bits(rebuilt) == _bits(f)
+
+
+def test_more_distinct_floats_than_the_memo_holds(tmp_path, monkeypatch):
+    monkeypatch.setattr(sio, "_MEMO_FLOATS", 8)
+    sizes, missing = [], sio._FloatMemo.__missing__
+
+    def spy(self, text):
+        value = missing(self, text)
+        sizes.append(len(self))
+        return value
+    monkeypatch.setattr(sio._FloatMemo, "__missing__", spy)
+    path, lines = field_lines(tmp_path)
+    rng = np.random.default_rng(3)
+    texts = [repr(float(x)) for x in rng.normal(size=60)]
+    entries = [(0, 0, [k, 0, 0], texts[k % 30], texts[30 + k % 30]) for k in range(90)]
+    _write_entries(path, lines[0], entries, "field")
+    got = sio.read_field(path)
+    assert _bits(got) == _bits(reference_read(path, "coefficient_field"))
+    # every text was parsed: 60 distinct texts, each missed again after a clear
+    assert len(sizes) >= 60 and max(sizes) == 8 and sizes.count(1) >= 60 // 8

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -691,3 +692,153 @@ def test_sampling_from_json_refuses_a_tile_that_is_not_the_lattices():
     obj["tile"] = [[0.0, 0.5], [0.0, 0.5], [0.0, 0.25]]  # beta^2, not beta^2 / 2
     with pytest.raises(ValueError, match="one \\(lo, hi\\) pair for each of 3 coordinates"):
         sampling_from_json(obj)
+
+
+# -- the int64 lattice law against Python integers ----------------------------
+
+LAW_LATTICES = {"R2": sw.SamplingSet(sw.abelian(2), 0.5),
+                "H1": sw.SamplingSet(sw.heisenberg(1), 1.0),
+                "H2": sw.SamplingSet(sw.heisenberg(2), 0.5),
+                "custom3+2": sw.SamplingSet(custom_3_2(), 1.0),
+                "N3,2": sw.SamplingSet(free_3_2(), 0.75)}
+BOUND = 2**62
+# the certificate may refuse a result this close to the bound (relative to the
+# sum of its terms): 2 gamma_n with n = 2 d1 + 8 <= 16 is below 4e-15
+SLACK = 1e-14
+
+
+def oracle_mul(gs, a, b):
+    """(a, c).(a', c') = (a + a', c + c' + B(a, a')) in Python ints, and per
+    coordinate the sum of the absolute values of its terms."""
+    g, d1 = gs.group, gs.group.strata_dims[0]
+    out = [x + y for x, y in zip(a, b)]
+    terms = [abs(x) + abs(y) for x, y in zip(a, b)]
+    for k in range(g.dim - d1):
+        for i in range(d1):
+            for j in range(d1):
+                t = int(g.bracket[k, i, j]) * a[i] * b[j]
+                out[d1 + k] += t
+                terms[d1 + k] += abs(t)
+    return tuple(out), terms
+
+
+def oracle_dilate(gs, a, j):
+    w = sw.groups.dilation_weights(gs.group).astype(int).tolist()
+    return tuple(x * 2 ** (j * k) for x, k in zip(a, w))
+
+
+law_coords = st.one_of(st.integers(-50, 50), st.integers(-2**31, 2**31),
+                       st.integers(-2**53, 2**53),
+                       st.sampled_from([2**53, -2**53, 2**53 - 1, 1 - 2**53]))
+
+
+@pytest.mark.parametrize("name", sorted(LAW_LATTICES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_int64_law_equals_python_integers(name, data):
+    gs = LAW_LATTICES[name]
+    dim = gs.group.dim
+    a, b = (tuple(data.draw(st.lists(law_coords, min_size=dim, max_size=dim)))
+            for _ in range(2))
+    want, terms = oracle_mul(gs, a, b)
+    try:
+        got = gs.lat_mul(a, b)
+    except sw.DomainError:
+        # refused only where the exact value reaches the bound, or comes
+        # within the certificate's rounding bound of it
+        assert any(abs(w) + SLACK * t >= BOUND for w, t in zip(want, terms))
+    else:
+        assert got == want and all(abs(w) < BOUND for w in want)
+    assert gs.lat_inv(a) == tuple(-x for x in a)
+    j = data.draw(st.integers(0, 70))
+    want = oracle_dilate(gs, a, j)
+    if all(abs(w) < BOUND for w in want):
+        assert gs.lat_dilate(a, j) == want
+    else:
+        with pytest.raises(sw.DomainError, match="dilation"):
+            gs.lat_dilate(a, j)
+
+
+@pytest.mark.parametrize("name", sorted(LAW_LATTICES))
+def test_int64_law_batches_equal_python_integers(name):
+    gs = LAW_LATTICES[name]
+    rng = np.random.default_rng(5)
+    a = rng.integers(-2**26, 2**26, size=(31, 8, gs.group.dim))
+    b = rng.integers(-2**26, 2**26, size=(1, 8, gs.group.dim))
+    j = rng.integers(0, 8, size=(31, 8))
+    got = gs.lat_mul(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[list(oracle_mul(gs, x, y)[0]) for x, y in zip(row, b[0].tolist())]
+                            for row in a.tolist()]
+    assert gs.lat_dilate(a, j).tolist() == [
+        [list(oracle_dilate(gs, x, k)) for x, k in zip(row, ks)]
+        for row, ks in zip(a.tolist(), j.tolist())]
+    assert gs.lat_inv(a).tolist() == (-a).tolist()
+
+
+@pytest.mark.parametrize("E", [2**32, 2**40, 2**53 - 1])
+def test_cancelling_products_beyond_int64(E):
+    # each product is about E^2, past 2^63, but the bracket term is 2E
+    gs = LAW_LATTICES["H1"]
+    assert gs.lat_mul((E, -E, 0), (E + 1, -E + 1, 0)) == (2 * E + 1, 1 - 2 * E, 2 * E)
+    # products of 2^106 that cancel to 0 exactly
+    assert gs.lat_mul((2**53, 2**53, 5), (-2**53, -2**53, 7)) == (0, 0, 12)
+
+
+@pytest.mark.parametrize("a, b, inside", [
+    # second stratum: |F| + err below 2^62 (err is about 2^14 here)
+    ((0, 0, 2**61), (0, 0, 2**61 - 2**20), True),
+    # the exact result is inside, but within the rounding bound of 2^62
+    ((0, 0, 2**61), (0, 0, 2**61 - 2**10), False),
+    ((0, 0, 2**61), (0, 0, 2**61), False),
+    # the cross term alone: 2^31 * (2^31 - 1) inside, 2^31 * 2^31 = 2^62 outside
+    ((2**31, 0, 0), (0, 2**31 - 1, 0), True),
+    ((2**31, 0, 0), (0, 2**31, 0), False),
+    # the first stratum of a step-2 group goes through the same certificate
+    ((2**61, 0, 0), (2**61 - 2**20, 0, 0), True),
+    ((2**61, 0, 0), (2**61 - 1, 0, 0), False),
+    # and so does a step-1 sum
+    ((2**61, 0), (2**61 - 2**20, 0), True),
+    ((2**61, 0), (2**61 - 1, 0), False),
+    ((-2**61, 0), (2**20 - 2**61, 0), True),
+    ((-2**61, 0), (-2**61, 0), False),
+])
+def test_certificate_bound(a, b, inside):
+    gs = LAW_LATTICES["H1" if len(a) == 3 else "R2"]
+    if inside:
+        assert gs.lat_mul(a, b) == oracle_mul(gs, a, b)[0]
+    else:
+        with pytest.raises(sw.DomainError, match=r"\+-2\^62 of the int64 law"):
+            gs.lat_mul(a, b)
+
+
+def test_dilation_is_refused_before_it_wraps():
+    gs = LAW_LATTICES["H1"]
+    assert gs.lat_dilate((2**61 - 1, 0, 2**59), 1) == (2**62 - 2, 0, 2**61)
+    assert gs.lat_dilate((0, 0, 0), 10**9) == (0, 0, 0)
+    # 2^40 * 2^30 = 2^70 wraps to 0 in int64; 2^60 * 4 = 2^62
+    for a, j in (((2**40, 0, 0), 30), ((0, 0, 2**60), 1), ((1, 0, 0), 63), ((0, 0, -1), 31)):
+        with pytest.raises(sw.DomainError, match="dilation"):
+            gs.lat_dilate(a, j)
+    with pytest.raises(sw.DomainError, match=r"outside the range \+-2\^62"):
+        gs.lat_dilate((1, 0, 0), 2**70)
+    with pytest.raises(sw.DomainError, match=r"outside the range \+-2\^62"):
+        gs.lat_inv((2**62, 0, 0))
+    with pytest.raises(ValueError, match="integers"):
+        gs.lat_mul((0.5, 0, 0), (0, 0, 0))
+
+
+def test_a_bracket_beyond_the_int64_law_is_refused():
+    b = np.zeros((1, 2, 2))
+    b[0, 0, 1], b[0, 1, 0] = 2.0**62, -(2.0**62)
+    g = sw.GroupSpec(strata_dims=(2, 1), kind="custom", bracket=b)
+    with pytest.raises(sw.DomainError, match="2\\^62 or more"):
+        sw.SamplingSet(g, 1.0)
+
+
+def test_src_holds_no_object_arrays():
+    # the lattice law and the writers work on int64 and float64 arrays only
+    src = Path(sw.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "dtype=object" not in text and "np.frompyfunc" not in text, path.name

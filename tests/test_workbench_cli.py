@@ -607,8 +607,24 @@ def test_classify_refuses_a_dilation_beyond_float64(tmp_path, capsys):
                                     "gammas": [gamma] * 20}))
     assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("validation error: dilation parameter alpha = ")
+    # the refusal names the tracks and the scales of the 8-snapshot tail window
+    assert err.startswith("validation error: tracks 0..1 at scales j = 1012..1019 of the tail "
+                          "window leave the float64 range of the core path: dilation parameter "
+                          "alpha = ")
     assert err.endswith("has alpha^2, the factor of stratum 2, beyond float64\n")
+
+
+def test_generate_names_the_scales_whose_cores_leave_float64(tmp_path, capsys):
+    # the mixture check decodes cores at 2^-j, which is 0 beyond j = 1074
+    spec = json.loads((DATA / "golden_h1_spec.json").read_text())
+    path, out = tmp_path / "spec.json", tmp_path / "snaps.jsonl"
+    path.write_text(json.dumps(dict(spec, horizon=1100)))
+    assert main(["generate", "--spec", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: tracks 0..1 at scales j = 0..1099 of the tail window leave the "
+        "float64 range of the core path: dilation parameter must be positive and finite, "
+        "got 0.0\n")
+    assert not out.exists()
 
 
 # -- one typed reader for every JSON input -----------------------------------

@@ -6,7 +6,10 @@ Reports:
     the discrete sequence norm over a bump corpus, per lattice density;
   - the uniform bound on the lattice decay sum over (eta, j, x) samples;
   - the same-scale and cross-scale Gram couplings of the sharp window's
-    integer-lattice atoms.
+    integer-lattice atoms;
+  - the frame bounds A and B of the smooth window's frame operator on its
+    covered band, on a 1-D and a 2-D grid per lattice density (A at most
+    1e-12 B means no frame on the band).
 """
 
 import argparse
@@ -71,6 +74,19 @@ def gram_couplings(n: int, extent: float):
     return same, cross
 
 
+# (dim, N, R, j range) of the frame-bound grids
+FRAME_GRIDS = [(1, 256, 4.0, (-1, 4)), (2, 32, 4.0, (-1, 2))]
+
+
+def frame_bounds(dim: int, n: int, extent: float, j_range, density: float):
+    desc = sw.GridDescriptor(dim, n, extent)
+    gs = sw.SamplingSet(sw.abelian(dim), density)
+    ks = sw.build_kernel_set(sw.build_window(1.0), desc, j_range)
+    blank = sw.GridFunction(dim, extent, np.zeros((n,) * dim))
+    _, info = sw.frame_reconstruct(blank, ks, gs)
+    return info["lower_bound"], info["upper_bound"]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=256)
@@ -95,6 +111,13 @@ def main() -> None:
     print(f"  same-scale off-diagonal max  {same:.3e} (exactly diagonal)")
     print(f"  cross-scale coupling max     {cross:.3e} "
           f"(band-edge effect, O(grid step))")
+
+    print("\nframe bounds on the covered band (smooth window):")
+    for dim, n, extent, j_range in FRAME_GRIDS:
+        for density in (0.125, 0.25, 0.5):
+            lower, upper = frame_bounds(dim, n, extent, j_range, density)
+            print(f"  {dim}-D N = {n}, R = {extent:g}, j in {list(j_range)}, density "
+                  f"{density:5.3f}: A = {lower:.4e}, B = {upper:.4e}")
 
 
 if __name__ == "__main__":

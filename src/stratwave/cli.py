@@ -5,8 +5,8 @@ timestamps) embedding the full parameter set and SHA-256 digests of its
 inputs, so identical inputs reproduce byte-identical reports.
 
 Exit codes: 0 success, 1 validation failure (including a failed
-verify-window check and a verify-frame CG that stops short of its
-tolerance), 2 undecidable or non-convergent extraction, 3 I/O failure.
+verify-window check and a frame operator singular on the covered band in
+verify-frame), 2 undecidable or non-convergent extraction, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import functools
 import hashlib
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from . import groups as _groups
 from . import io as _io
 from .transform import (
+    _ROUNDING,
     _kernel_factors,
     _scales,
     analyze,
@@ -188,16 +188,14 @@ def cmd_verify_frame(args) -> int:
     f = _io.read_grid(args.grid)
     gs = SamplingSet(_groups.abelian(f.dim), args.density)
     window, desc = _window(args), f.descriptor()
-    # the multipliers' budget and dilations, then every scale's lattice and
-    # refinement, are checked before any multiplier is built
+    # the multipliers' budget and dilations, then every scale's lattice,
+    # refinement and fold, are checked before any multiplier is built
     js, _ = _kernel_factors(desc, (args.jmin, args.jmax))
-    _scales(js, gs, desc)
+    _scales(js, gs, desc, folding=True)
     ks = build_kernel_set(window, desc, (args.jmin, args.jmax))
     c = analyze(f, ks, gs, args.p)
     f_direct = synthesize(c, ks, gs, f.descriptor())
-    with warnings.catch_warnings():  # a CG stop short of tol is reported below instead
-        warnings.filterwarnings("ignore", "frame CG stopped", RuntimeWarning)
-        f_rec, info = frame_reconstruct(f, ks, gs)
+    f_rec, info = frame_reconstruct(f, ks, gs)
     l2 = lebesgue_norm(f, 2.0)
     err_direct, err_corrected = (  # a zero grid has no relative error
         lebesgue_norm(type(f)(f.dim, f.extent, f.samples - g.samples), 2.0) / l2 if l2 > 0
@@ -219,9 +217,11 @@ def cmd_verify_frame(args) -> int:
         "besov_ratio_continuous_over_discrete": cont / disc if disc > 0 else None,
     }
     _emit(report, args.report)
-    if not info["converged"]:
-        print(f"validation error: frame CG stopped after {info['iterations']} iterations "
-              f"with relative residual {info['relative_residual']:.3e}", file=sys.stderr)
+    lower, upper = info["lower_bound"], info["upper_bound"]
+    if lower <= _ROUNDING * upper:
+        print(f"validation error: at density {args.density} the frame operator is singular "
+              f"on the covered band: lower frame bound {lower:.3e} <= {_ROUNDING:g} * upper "
+              f"frame bound {upper:.3e}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 

@@ -85,6 +85,17 @@ def lp_atoms(p: float) -> Normalization:
     return Normalization("Lp", float(p))
 
 
+def _lex_order(keys: np.ndarray) -> np.ndarray:
+    """`np.lexsort` of the columns of the int64 rows keys (P, K), last to
+    first, in one stable sort: sign bit flipped, a row's big-endian bytes
+    compare as the row does.  It pays off on long inputs (a sequence's
+    rows, a shuffled file); below about 1000 rows the conversion costs more
+    than it saves (25 us against 14 us for `np.lexsort` on 160 rows), so
+    the `CoefficientField` constructor keeps `np.lexsort`."""
+    raw = (keys.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8")
+    return np.argsort(raw.view(f"V{8 * keys.shape[1]}").ravel(), kind="stable")
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class CoefficientField:
     sampling: SamplingSet

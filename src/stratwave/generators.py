@@ -30,7 +30,7 @@ from ._json import json_fields
 from .groups import DomainError
 from .sampling import (_LAW_BOUND, MAX_ARRAY_BYTES, MAX_LATTICE_COORD, AtomIndex,
                        SamplingSet, _law_int64, lattice_int64)
-from .coeffs import CoefficientField, lp_atoms
+from .coeffs import CoefficientField, _lex_order, lp_atoms
 from .profiles import SequenceSnapshots, _check_thresholds, _row_classifier, _verdict
 
 __all__ = [
@@ -147,14 +147,6 @@ def _track_indices(spec: GeneratorSpec, gs: SamplingSet):
         raise DomainError(f"track indices beyond the bound {MAX_LATTICE_COORD} = 2^53 "
                           f"({exc})") from None
     return j_cores, cores, j_cores[owner] + dj[:, None], gammas
-
-
-def _lex_order(keys: np.ndarray) -> np.ndarray:
-    """`np.lexsort` of the columns of the int64 rows keys (P, K), last to
-    first, in one stable sort: sign bit flipped, a row's big-endian bytes
-    compare as the row does."""
-    raw = (keys.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8")
-    return np.argsort(raw.view(f"V{8 * keys.shape[1]}").ravel(), kind="stable")
 
 
 def generate(spec: GeneratorSpec, gs: SamplingSet) -> SequenceSnapshots:

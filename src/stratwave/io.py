@@ -52,7 +52,7 @@ from .sampling import (
     sampling_to_json,
 )
 from . import groups as _groups
-from .coeffs import CoefficientField, Normalization
+from .coeffs import CoefficientField, Normalization, _lex_order
 from .profiles import SequenceSnapshots
 from .transform import GridFunction
 
@@ -236,9 +236,10 @@ class _EntryReader:
         writers write them, are returned as they are."""
         self.parts = [_joined(self.parts, self.dim)]  # the chunks' arrays are freed
         lineno, n, j, gammas, values = self.parts[0]
-        if _increasing(np.column_stack([n, j, gammas])):
+        rows = np.column_stack([n, j, gammas])
+        if _increasing(rows):
             return n, j, gammas, values
-        order = np.lexsort((*gammas.T[::-1], j, n))
+        order = _lex_order(rows)
         ns, js, gm = n[order], j[order], gammas[order]
         same = (ns[1:] == ns[:-1]) & (js[1:] == js[:-1]) & np.all(gm[1:] == gm[:-1], axis=1)
         again = order[np.flatnonzero(same) + 1]

@@ -32,20 +32,19 @@ Kernel multipliers and Littlewood-Paley blocks are built in stacks of
 scales of at most _STACK_POINTS = 2^14 grid points, bit-identical to a
 per-scale loop; a kernel set larger than MAX_ARRAY_BYTES is refused before
 any is built.
-The CLI's verify-frame samples at density 0.25 by default: its scale-j step
-beta 2^{-j} is the 2^{-j} / 4 that samples the band of psi_hat_j alias-free.
 
-`frame_reconstruct` applies the frame operator S = sum_j 2^{-jQ} A_j^* A_j
-to spectra (Ron-Shen 1997 fiberization; Daubechies 1992, ch. 3).  A scale
-folds when its torus-box lattice is the whole subgroup m Z^d of its L-fold
-refinement, each node once: m divides N L and c = N L / 2 == 0 mod m,
-which every scale at a dyadic density meets.  Its A_j^* A_j is then
-(L / (dx m))^d psi_hat_j times the sum of psi_hat_j Y over the aliases
-n + k N L / m, with no FFT and no lattice points; for m = 1 (alias period
-N L / m >= N) that is one multiply.  Every other scale, an offset coset
-such as density 0.375's, keeps the sample/spread pair above.  The CG
-iterates on spectra with Parseval's inner products, dnu^d = (2R)^{-d}, and
-one inverse FFT returns the grid function.
+`frame_reconstruct` inverts the frame operator S = sum_j 2^{-jQ} A_j^* A_j
+exactly, fiber by fiber (Ron-Shen 1997 fiberization; Daubechies 1992,
+ch. 3).  A scale folds when its torus-box lattice is the whole subgroup
+m Z^d of its L-fold refinement, each node once (c = N L / 2 == 0 mod m, as
+at every dyadic density; other densities, such as 0.375, are refused).
+Its A_j^* A_j is (L / (dx m))^d psi_hat_j times the sum of psi_hat_j Y over
+the aliases n + k M, M = N L / m: a multiplier when M >= N or when no two
+aliases meet the support of psi_hat_j, as at verify-frame's default
+density 0.25, whose step 2^{-j} / 4 samples the band alias-free.  Other
+folds have dyadic periods, so S-hat is block-diagonal over nu mod P, P the
+smallest of them: fibers of (N / P)^d frequencies, whose extreme
+eigenvalues on the covered band are the frame bounds A and B.
 """
 
 from __future__ import annotations
@@ -335,17 +334,21 @@ class _Scale(NamedTuple):
     M: int  # the fold period N L / m, 0 when the scale does not fold
 
 
-def _scales(js: range, gs: SamplingSet, desc: GridDescriptor) -> list[_Scale]:
+def _scales(js: range, gs: SamplingSet, desc: GridDescriptor,
+            folding: bool = False) -> list[_Scale]:
     """Each scale's torus-box lattice ranges, refinement and fold period, with
     no point built: one `scale_ranges` pass checks every budget, the finest
-    scale first, then `_refinement` refuses a scale on none, the coarsest
-    first.  The lattice is (m Z / N L Z)^d, each node once, exactly when
-    c = N L / 2 == 0 mod m: then m divides N L and each axis of the box
-    [-R, R) holds M = N L / m points."""
+    scale first, then, the coarsest first, a scale on no refinement (or,
+    `folding`, one that does not fold) is refused.  The lattice is
+    (m Z / N L Z)^d, each node once, exactly when c = N L / 2 == 0 mod m."""
     ranges = scale_ranges(gs, js, [(-desc.extent, desc.extent)] * desc.dim)
     scales = []
     for j, box in zip(js, ranges):
         L, m, c = geo = _refinement(desc, gs.beta * 2.0 ** -j, 0.0)
+        if folding and c % m:
+            raise DomainError(f"the scale-{j} lattice at density {gs.beta!r} does not fold (it "
+                              f"is no subgroup of its refinement), so the frame operator has "
+                              f"no fibers")
         scales.append(_Scale(j, box, geo, 0 if c % m else desc.N * L // m))
     return scales
 
@@ -394,110 +397,106 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
     return grid_ifft(blank, spec)
 
 
-def _fold(z: np.ndarray, M: int) -> np.ndarray:
-    """Each frequency's sum over its aliases n + k M, for M dividing N: a
-    reshape of the FFT-layout spectrum to (N / M, M)^d and a sum over the
-    N / M axes, broadcast back."""
-    N, d = z.shape[0], z.ndim
-    blocks = z.reshape((N // M, M) * d)
-    sums = blocks.sum(axis=tuple(range(0, 2 * d, 2)), keepdims=True)
-    return np.broadcast_to(sums, blocks.shape).reshape(z.shape)
+_ROUNDING = 1e-12  # an eigenvalue this small against its fiber's largest is rounding
 
 
-def _frame_symbol(ks: KernelSet, gs: SamplingSet,
-                  desc: GridDescriptor) -> Callable[[np.ndarray], np.ndarray]:
-    """The frame operator on spectra, Y -> S-hat Y (see the module docstring).
-
-    Sampling then spreading a folding scale multiplies the refined grid by
-    the indicator of m Z^d, hence the alias sum; the parity signs cancel
-    because c = N L / 2 == 0 mod m makes the alias period even.  Folds of
-    period N L / m >= N are multipliers, summed into one.  `_scales` checks
-    every lattice before any is built; only the scales that do not fold
-    build theirs, for psi_hat_j _spread(_sample(psi_hat_j Y)).
-    """
-    Q, d, N = gs.group.Q, desc.dim, desc.N
-    dx = 2.0 * desc.extent / N
-    diagonal = 0.0  # a real array unless a multiplier is complex
-    folds, sampled = [], []
-    for s in _scales(_js(ks), gs, desc):
-        w, mult = 2.0 ** (-s.j * Q), ks.multiplier(s.j)
+def _frame_symbol(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> tuple:
+    """S-hat as (diagonal, folds, P) after one `_scales` pass, which refuses a
+    scale that does not fold: S-hat Y is diagonal Y plus, per aliasing fold
+    (outer, mult, M), outer times the sum of mult Y over the aliases n + k M
+    (spreading keeps the refined grid on m Z^d; as c == 0 mod m, the parity
+    signs cancel); P is the smallest M, N if none."""
+    Q, d, N, dx = gs.group.Q, desc.dim, desc.N, 2.0 * desc.extent / desc.N
+    diagonal, folds = np.zeros((N,) * d), []
+    for s in _scales(_js(ks), gs, desc, folding=True):
         L, m, _ = s.geo
-        if not s.M:
-            sampled.append((w * mult, mult, _place(desc, range_coordinates(s.ranges), s.geo)))
-        elif s.M >= N:
-            diagonal = diagonal + w * (L / (dx * m)) ** d * mult * mult
+        mult = ks.multiplier(s.j)
+        outer = 2.0 ** (-s.j * Q) * (L / (dx * m)) ** d * mult
+        # a multiplier when no two aliases are nonzero: as many nonzeros as classes hit
+        nonzero = mult.reshape((N // s.M, s.M) * d) != 0 if s.M < N else None
+        if s.M >= N or np.count_nonzero(nonzero) == np.count_nonzero(
+                np.logical_or.reduce(nonzero, axis=tuple(range(0, 2 * d, 2)))):
+            diagonal = diagonal + outer * mult
         else:
-            folds.append((w * (L / (dx * m)) ** d * mult, mult, s.M))
-
-    def apply(y: np.ndarray) -> np.ndarray:
-        out = diagonal * y
-        for outer, mult, M in folds:
-            out += outer * _fold(mult * y, M)
-        for outer, mult, pl in sampled:
-            out += outer * _spread(desc, _sample(desc, mult * y, pl), pl)
-        return out
-
-    return apply
+            folds.append((outer, mult, s.M))
+    return diagonal, folds, min((M for *_, M in folds), default=N)
 
 
-def frame_reconstruct(f: GridFunction, ks: KernelSet, gs: SamplingSet,
-                      max_iter: int = 50, tol: float = 1e-6) -> tuple[GridFunction, dict]:
+def _fiber_matrices(symbol: tuple, desc: GridDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """idx (P^d, T), row r the raveled FFT-layout indices of the T = (N / P)^d
+    frequencies n == r mod P, and S-hat on them (P^d, T, T), refused over
+    MAX_ARRAY_BYTES first: a fold of period M couples two that agree mod M."""
+    diagonal, folds, P = symbol
+    N, d = desc.N, desc.dim
+    idx = np.arange(N**d).reshape((N // P, P) * d).transpose(
+        *range(1, 2 * d, 2), *range(0, 2 * d, 2)).reshape(P**d, -1)
+    T = idx.shape[1]
+    dtype = np.result_type(diagonal, *(outer for outer, _, _ in folds))
+    need = dtype.itemsize * P**d * T * T
+    if need > MAX_ARRAY_BYTES:
+        raise DomainError(f"{P**d} frame operator fibers of {T}^2 entries need {need} B, "
+                          f"over the {MAX_ARRAY_BYTES} B budget")
+    fibers = np.zeros((P**d, T, T), dtype=dtype)
+    fibers[:, range(T), range(T)] = diagonal.ravel()[idx]
+    coords = np.unravel_index(idx, (N,) * d)
+    for outer, mult, M in folds:
+        same = np.all([c[:, :, None] % M == c[:, None, :] % M for c in coords], axis=0)
+        fibers += outer.ravel()[idx][:, :, None] * mult.ravel()[idx][:, None, :] * same
+    return idx, fibers
+
+
+def frame_reconstruct(f: GridFunction, ks: KernelSet,
+                      gs: SamplingSet) -> tuple[GridFunction, dict]:
     """Frame-operator correction of the analyze/synthesize round trip.
 
-    Solves S g = S f by conjugate gradients, so g approximates f from its
-    frame coefficients alone.  S = sum_j 2^{-jQ} A_j^* A_j with A_j the
-    scale-j sampling of the Littlewood-Paley block is synthesize . analyze
-    for every p (the atom normalizations cancel, so S takes no p); it is
-    linear and self-adjoint, and positive at adequate density.  The CG runs
-    on spectra: S is applied as `_frame_symbol`, where a scale whose points
-    are a full dyadic subgroup of its refinement (every scale of a torus
-    box lattice at a dyadic density) is an FFT-free alias fold and every
-    other scale samples and spreads with its lattice built once; inner
-    products are Parseval's, weighted by dnu^d = (2R)^{-d}, and one inverse
-    FFT returns g.  info holds "iterations", "relative_residual",
-    "residuals", the relative residual before the first iteration and after
-    each one, and "converged", whether the last one is within tol.  A
-    RuntimeWarning flags a stop at max_iter above tol; a search
-    direction with <d, Sd> <= 0 or not finite (S not positive) raises
-    DomainError.
+    g is the minimum-norm solution of S g = S f, S = synthesize . analyze
+    for every p: each fiber of f-hat projected onto its range, with no
+    division.  One-frequency fibers keep f-hat where S-hat > 0; larger ones
+    take one batched `np.linalg.eigh`, whose eigenvalues at most _ROUNDING
+    times their fiber's largest |eigenvalue| are rounding.  info holds
+    "iterations" (0), "relative_residual" ||S g - S f|| / ||S f||, and the
+    frame bounds "lower_bound" A and "upper_bound" B, the extreme
+    eigenvalues of the fibers on the covered band sum_j psi_hat_j^2 > 0.5
+    (0 if it is empty).  DomainError refuses, before any solve, a scale
+    that does not fold, fibers over MAX_ARRAY_BYTES, and a symbol that is
+    not finite, not self-adjoint or below -_ROUNDING times its fiber's
+    largest eigenvalue.
     """
     desc = f.descriptor()
     _check_inputs(gs, ks, desc)
-    apply_s = _frame_symbol(ks, gs, desc)
-    dnu = (2.0 * f.extent) ** -f.dim
-
-    def inner(a, b):
-        return complex(np.vdot(a, b)) * dnu
-
-    b = apply_s(grid_fft(f))
-    x = b.copy()
-    r = b - apply_s(x)
-    d = r.copy()
-    rr = inner(r, r).real
-    b_norm = np.sqrt(max(inner(b, b).real, 1e-300))
-    iters = 0
-    history = [float(np.sqrt(rr) / b_norm)]
-    while iters < max_iter and not np.sqrt(rr) <= tol * b_norm:  # NaN enters, then raises
-        sd = apply_s(d)
-        curvature = inner(d, sd).real
-        if not (np.isfinite(curvature) and curvature > 0):
-            raise DomainError(f"frame CG breakdown at iteration {iters + 1}: "
-                              f"<d, Sd> = {curvature!r} is not a positive finite number")
-        alpha = rr / curvature
-        x = x + alpha * d
-        r = r - alpha * sd
-        rr_new = inner(r, r).real
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-        iters += 1
-        history.append(float(np.sqrt(rr) / b_norm))
-    converged = bool(np.sqrt(rr) <= tol * b_norm)
-    if not converged:
-        warnings.warn(f"frame CG stopped at max_iter={max_iter} with relative residual "
-                      f"{history[-1]:.3e} above tol={tol:g}", RuntimeWarning)
-    info = {"iterations": iters, "relative_residual": history[-1], "residuals": history,
-            "converged": converged}
-    return grid_ifft(f, x), info
+    diagonal, folds, P = symbol = _frame_symbol(ks, gs, desc)
+    one = P == desc.N  # one frequency per fiber: S-hat is its own eigenvalue
+    idx, fibers = (None, diagonal[..., None, None]) if one else _fiber_matrices(symbol, desc)
+    if not np.all(np.isfinite(fibers)):
+        raise DomainError("the frame operator's symbol is not finite")
+    if np.iscomplexobj(fibers) and (np.max(np.abs(fibers - fibers.conj().swapaxes(-1, -2)))
+                                    > _ROUNDING * np.max(np.abs(fibers))):
+        raise DomainError("the frame operator's symbol is not self-adjoint")
+    lam, vec = (diagonal.real, None) if one else np.linalg.eigh(fibers)
+    top = 0.0 if one else _ROUNDING * np.max(np.abs(lam), axis=1, keepdims=True)  # S-hat > 0
+    if np.any(lam < -top):
+        raise DomainError(f"the frame operator is not positive semidefinite: its symbol "
+                          f"has the eigenvalue {float(lam.min())!r}")
+    spec = grid_fft(f)
+    covered = np.square(np.abs(np.asarray([ks.multiplier(j) for j in _js(ks)]))).sum(0) > 0.5
+    if one:  # S-hat (g - f) is exactly 0: g = f where S-hat > 0, and S-hat = 0 elsewhere
+        g, residual, on = np.where(lam > 0, spec, 0.0), 0.0, lam[covered]
+    else:
+        x, covered = spec.ravel()[idx], covered.ravel()[idx]
+        y = np.einsum("fts,fs->ft", vec, (lam > top) * np.einsum("fst,fs->ft", vec.conj(), x))
+        s_f, s_g = (np.einsum("fts,fs->ft", fibers, v) for v in (x, y))
+        residual = np.linalg.norm(s_g - s_f) / max(np.linalg.norm(s_f), 1e-300)
+        # in place: uncovered rows and columns become a marker below lam (Cauchy interlacing)
+        low, diag = -1.0 - 2.0 * np.max(np.abs(lam)), np.arange(idx.shape[1])
+        fibers[~(covered[:, :, None] & covered[:, None, :])] = 0.0
+        fibers[:, diag, diag] = np.where(covered, fibers[:, diag, diag], low)
+        on = np.linalg.eigvalsh(fibers)
+        on = on[on > low / 2]
+        g = np.zeros_like(spec)
+        g.flat[idx] = y
+    lower, upper = (float(on.min()), float(on.max())) if on.size else (0.0, 0.0)
+    return grid_ifft(f, g), {"iterations": 0, "relative_residual": float(residual),
+                             "lower_bound": lower, "upper_bound": upper}
 
 
 def sobolev_norm(f: GridFunction, s: float, dc_tol: float = 1e-12) -> float:

@@ -265,6 +265,50 @@ def test_read_snapshots_of_shuffled_lines_equals_the_constructor(tmp_path_factor
         assert_same(got, want)
 
 
+def test_read_snapshots_of_a_fully_shuffled_large_file_equals_the_constructor(tmp_path):
+    # 20 H^1 snapshots of 160 entries, the decompose benchmark's 3200 rows,
+    # every line out of place: the reader's one sort of the whole file must
+    # give each snapshot the constructor's bytes, and a repeated index is
+    # reported at the first line that repeats an earlier one
+    rng = np.random.default_rng(23)
+    gs, norm = sw.SamplingSet(sw.heisenberg(1), 1.0), sw.lp_atoms(2.0)
+    snaps = []
+    for _ in range(20):
+        rows = np.unique(rng.integers(-40, 41, size=(400, 4)), axis=0)[rng.permutation(160)]
+        snaps.append(build(gs, norm, rows[:, 0], rows[:, 1:],
+                           rng.normal(size=160) + 1j * rng.normal(size=160)))
+    path = tmp_path / "s.jsonl"
+    sio.write_snapshots(path, sw.SequenceSnapshots(gs, tuple(range(20)), tuple(snaps)))
+    shuffled = _shuffle_entries(path, 29)
+    assert len(shuffled) == 3200
+    rows = list(map(json.loads, shuffled))
+    read = sio.read_snapshots(path)
+    for n, got, want in zip(range(20), read.fields, snaps):
+        mine = [r for r in rows if r["n"] == n]
+        assert_same(got, build(gs, norm, np.array([r["j"] for r in mine], dtype=np.int64),
+                               np.array([r["gamma"] for r in mine], dtype=np.int64),
+                               [complex(r["re"], r["im"]) for r in mine]))
+        assert_same(got, want)
+    header = path.read_text().splitlines(keepends=True)[0]
+    lines = shuffled[:]
+    for at, source in ((2500, 40), (900, 3000), (1700, 900)):  # three repeats
+        lines.insert(at, lines[source])
+    path.write_text(header + "".join(lines))
+    seen, first = set(), None
+    for k, line in enumerate(lines):
+        r = json.loads(line)
+        key = (r["n"], r["j"], tuple(r["gamma"]))
+        if key in seen:
+            first = (k + 2, r)  # line 1 is the header
+            break
+        seen.add(key)
+    lineno, r = first
+    with pytest.raises(sio.IngestionError) as exc:
+        sio.read_snapshots(path)
+    assert str(exc.value) == (f"line {lineno}: duplicate index "
+                              f"{sw.AtomIndex(r['j'], tuple(r['gamma']))} at n={r['n']}")
+
+
 def generate_through_the_constructor(spec, gs):
     """`generate`'s snapshots built the way it once built them: each n's
     entries in insertion order (tracks, their atoms, then the noise), indices

@@ -1,6 +1,7 @@
 """Grid transforms: Fourier conventions, blocks, frames, norms, dilation."""
 
 import dataclasses
+import functools
 import re
 import tracemalloc
 import warnings
@@ -422,55 +423,43 @@ def test_refinement_budget_refused_up_front(monkeypatch):
     assert peak < 1 << 18
 
 
-def test_frame_reconstruct_warns_when_not_converged():
+@pytest.mark.parametrize("density, factor, message", [
+    (0.25, 1j, "not positive semidefinite: its symbol has the eigenvalue -"),
+    (0.5, 1j, "not positive semidefinite: its symbol has the eigenvalue -"),
+    (0.25, np.nan, "the frame operator's symbol is not finite"),
+    (0.25, np.exp(0.25j * np.pi), "the frame operator's symbol is not self-adjoint"),
+], ids=["negative", "negative-fibers", "nan", "complex"])
+def test_frame_reconstruct_refuses_an_indefinite_or_non_finite_symbol(density, factor, message):
+    # i * psi_hat enters S-hat twice, so S-hat = -S-hat_true, negative on the
+    # band, on one-frequency fibers at 0.25 and on aliasing ones at 0.5; a NaN
+    # multiplier makes S-hat non-finite, and e^{i pi / 4} psi_hat makes it
+    # i S-hat_true, which is not self-adjoint
     f = band_limited(n=128, extent=8.0, center=2.0, width=8.0)
-    gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
-    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
-    with pytest.warns(RuntimeWarning, match="max_iter=1"):
-        _, info = sw.frame_reconstruct(f, ks, gs, max_iter=1, tol=1e-14)
-    assert info["iterations"] == 1 and len(info["residuals"]) == 2
-    assert info["residuals"][-1] == info["relative_residual"] > 1e-14
-    assert info["converged"] is False
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, info = sw.frame_reconstruct(f, ks, gs)
-    assert len(info["residuals"]) == info["iterations"] + 1
-    assert info["residuals"][-1] == info["relative_residual"] <= 1e-6
-    assert info["converged"] is True
-
-
-
-@pytest.mark.parametrize("factor, error, message", [
-    (1j, DomainError, "breakdown at iteration 1: <d, Sd> = -"),
-    (np.nan, ValueError, "finite"),
-], ids=["negative", "nan"])
-def test_frame_reconstruct_raises_on_cg_breakdown(factor, error, message):
-    # i * psi_hat enters S twice, so S = -S_true and <d, Sd> < 0 at the first
-    # step; a NaN multiplier makes S f non-finite, which is refused too
-    f = band_limited(n=128, extent=8.0, center=2.0, width=8.0)
-    gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
+    gs = sw.preset_sampling_set(sw.abelian(1), density)
     ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
     bad = dataclasses.replace(ks, multipliers={j: factor * m for j, m in ks.multipliers.items()})
-    with pytest.raises(error, match=re.escape(message)):
+    with pytest.raises(DomainError, match=re.escape(message)):
         sw.frame_reconstruct(f, bad, gs)
-    _, info = sw.frame_reconstruct(f, ks, gs)  # the unmodified set still converges
-    assert info["relative_residual"] <= 1e-6
+    _, info = sw.frame_reconstruct(f, ks, gs)  # the unmodified set is solved
+    assert info["relative_residual"] <= 1e-12 and info["upper_bound"] > 0
 
 # -- the frame operator on spectra ---------------------------------------------
 
 # (dim, N, extent, density, j_range, each scale's refinement L and fold
 # period M, alias folds): dyadic densities fold every scale, on refinements
-# up to L = 4 in 2-D; at 0.25 the aliases miss each band, at the coarser 1.0
-# and 0.5 they overlap it; 0.375 places each scale on an offset coset
-# (c != 0 mod m), which does not fold (M = 0), and so does the one point
-# x = 0 of a scale whose step is the period 2R (m = N L, c = N L / 2)
+# up to L = 4 in 2-D; at 0.25 the aliases miss each band, so every fold is a
+# multiplier, and at the coarser 1.0 and 0.5 they overlap it (at 1.0 the
+# period-128 fold of j = 4 is a multiplier); 0.375 places each scale on an
+# offset coset (c != 0 mod m), which does not fold (M = 0), and so does the
+# one point x = 0 of a scale whose step is the period 2R (m = N L,
+# c = N L / 2): both are refused (folds None), naming the first such scale
 SYMBOL_CASES = [
-    (1, 256, 4.0, 0.25, (-1, 4), [(1, 16), (1, 32), (1, 64), (1, 128), (1, 256), (2, 512)], 4),
-    (2, 64, 4.0, 0.25, (-1, 3), [(1, 16), (1, 32), (1, 64), (2, 128), (4, 256)], 2),
-    (1, 256, 4.0, 1.0, (-1, 4), [(1, 4), (1, 8), (1, 16), (1, 32), (1, 64), (1, 128)], 6),
+    (1, 256, 4.0, 0.25, (-1, 4), [(1, 16), (1, 32), (1, 64), (1, 128), (1, 256), (2, 512)], 0),
+    (2, 64, 4.0, 0.25, (-1, 3), [(1, 16), (1, 32), (1, 64), (2, 128), (4, 256)], 0),
+    (1, 256, 4.0, 1.0, (-1, 4), [(1, 4), (1, 8), (1, 16), (1, 32), (1, 64), (1, 128)], 5),
     (2, 64, 4.0, 0.5, (-1, 3), [(1, 8), (1, 16), (1, 32), (1, 64), (2, 128)], 3),
-    (1, 64, 4.0, 0.375, (-1, 2), [(1, 0), (1, 0), (2, 0), (4, 0)], 0),
-    (1, 64, 4.0, 0.25, (-5, -3), [(1, 0), (1, 2), (1, 4)], 2),
+    (1, 64, 4.0, 0.375, (-1, 2), [(1, 0), (1, 0), (2, 0), (4, 0)], None),
+    (1, 64, 4.0, 0.25, (-5, -3), [(1, 0), (1, 2), (1, 4)], None),
 ]
 SYMBOL_IDS = ["1d-dyadic", "2d-dyadic", "1d-coarse", "2d-coarse", "1d-offset", "1d-one-point"]
 
@@ -487,6 +476,31 @@ def _random_spectrum(rng, dim, n):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def _assert_refused_without_fibers(monkeypatch, desc, gs, ks, j_range, density):
+    for name in ("_sample", "_spread", "range_coordinates"):
+        monkeypatch.setattr(transform, name, lambda *a: pytest.fail("built before the refusal"))
+    message = (f"the scale-{j_range[0]} lattice at density {density!r} does not fold "
+               f"(it is no subgroup of its refinement), so the frame operator has no fibers")
+    for call in (lambda: transform._frame_symbol(ks, gs, desc),
+                 lambda: sw.frame_reconstruct(sw.GridFunction(
+                     desc.dim, desc.extent, np.zeros((desc.N,) * desc.dim)), ks, gs)):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()
+
+
+def _fibered_symbol(ks, gs, desc):
+    """S-hat applied through its fiber matrices, and the number of folds that alias."""
+    symbol = transform._frame_symbol(ks, gs, desc)
+    idx, fibers = transform._fiber_matrices(symbol, desc)
+
+    def apply_s(y):
+        out = np.zeros(y.size, dtype=complex)
+        out[idx] = np.einsum("fts,fs->ft", fibers, y.ravel()[idx])
+        return out.reshape(y.shape)
+
+    return apply_s, len(symbol[1])
+
+
 @pytest.mark.parametrize("dim, n, extent, density, j_range, geometry, folds", SYMBOL_CASES,
                          ids=SYMBOL_IDS)
 def test_frame_symbol_equals_the_sample_spread_composite(monkeypatch, dim, n, extent, density,
@@ -494,13 +508,13 @@ def test_frame_symbol_equals_the_sample_spread_composite(monkeypatch, dim, n, ex
     desc, gs, ks = _symbol_case(dim, n, extent, density, j_range)
     scales = transform._scales(transform._js(ks), gs, desc)
     assert [(s.geo[0], s.M) for s in scales] == geometry
-    fold = transform._fold
-    calls = []
-    monkeypatch.setattr(transform, "_fold", lambda z, M: calls.append(M) or fold(z, M))
-    apply_s = transform._frame_symbol(ks, gs, desc)
+    if folds is None:
+        _assert_refused_without_fibers(monkeypatch, desc, gs, ks, j_range, density)
+        return
+    apply_s, aliasing = _fibered_symbol(ks, gs, desc)
+    assert aliasing == folds
     y = _random_spectrum(np.random.default_rng(13), dim, n)
     got = apply_s(y)
-    assert len(calls) == folds and all(M < n for M in calls)
     want = np.zeros_like(y)
     for s in scales:
         mult = ks.multiplier(s.j)
@@ -512,10 +526,13 @@ def test_frame_symbol_equals_the_sample_spread_composite(monkeypatch, dim, n, ex
 
 @pytest.mark.parametrize("dim, n, extent, density, j_range, geometry, folds", SYMBOL_CASES,
                          ids=SYMBOL_IDS)
-def test_frame_symbol_is_self_adjoint_and_positive(dim, n, extent, density, j_range, geometry,
-                                                   folds):
+def test_frame_symbol_is_self_adjoint_and_positive(monkeypatch, dim, n, extent, density,
+                                                   j_range, geometry, folds):
     desc, gs, ks = _symbol_case(dim, n, extent, density, j_range)
-    apply_s = transform._frame_symbol(ks, gs, desc)
+    if folds is None:
+        _assert_refused_without_fibers(monkeypatch, desc, gs, ks, j_range, density)
+        return
+    apply_s, _ = _fibered_symbol(ks, gs, desc)
     rng = np.random.default_rng(17)
     for _ in range(3):
         x, y = _random_spectrum(rng, dim, n), _random_spectrum(rng, dim, n)
@@ -527,18 +544,22 @@ def test_frame_symbol_is_self_adjoint_and_positive(dim, n, extent, density, j_ra
 
 
 def test_frame_reconstruct_folds_dyadic_scales_without_sampling(monkeypatch):
-    # at density 0.25 every scale folds: no lattice points, no refined FFTs
+    # at density 0.25 every scale folds: no lattice points, no refined FFTs,
+    # and every fold is a multiplier, so every fiber is one frequency and no
+    # eigh runs
     f = band_limited(n=256, extent=4.0, center=2.0, width=8.0)
     gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
     ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
     calls = []
-    for name in ("_sample", "_spread", "range_coordinates"):
-        fn = getattr(transform, name)
-        monkeypatch.setattr(transform, name,
+    for module, name in ((transform, "_sample"), (transform, "_spread"),
+                         (transform, "range_coordinates"), (np.linalg, "eigh"),
+                         (np.linalg, "eigvalsh")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *a, _n=name, _f=fn: calls.append(_n) or _f(*a))
     rec, info = sw.frame_reconstruct(f, ks, gs)
     assert calls == []
-    assert info["iterations"] >= 1 and info["relative_residual"] <= 1e-6
+    assert info["iterations"] == 0 and info["relative_residual"] == 0.0
     assert rel_l2(f, rec) <= 1e-6
 
 
@@ -561,24 +582,91 @@ def test_frame_reconstruct_keeps_the_lattice_and_refinement_budgets(monkeypatch)
         sw.frame_reconstruct(f, ks, gs)
 
 
-def test_frame_cg_breakdown_reports_the_l2_curvature():
-    # with i * psi_hat the operator is -S; the first search direction is
-    # d = b - (-S) b for b = -S f, and the message must give <d, -S d> in the
-    # dx-weighted grid inner product
-    f = band_limited(n=128, extent=8.0, center=2.0, width=8.0)
-    gs = sw.preset_sampling_set(sw.abelian(1), 0.25)
-    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
-    bad = dataclasses.replace(ks, multipliers={j: 1j * m for j, m in ks.multipliers.items()})
-    apply_s = transform._frame_symbol(bad, gs, f.descriptor())
-    b = apply_s(grid_fft(f))
-    d = b - apply_s(b)
-    d_grid, sd_grid = grid_ifft(f, d).samples, grid_ifft(f, apply_s(d)).samples
-    want = np.vdot(d_grid, sd_grid).real * f.spacing
-    with pytest.raises(DomainError) as err:
-        sw.frame_reconstruct(f, bad, gs)
-    got = float(re.search(r"<d, Sd> = (\S+) is not", str(err.value)).group(1))
-    assert want < 0 and got == pytest.approx(want, rel=1e-10)
+# the fibered solve against a dense S-hat: 1-D N = 256 over j in [-1, 4] and
+# 2-D N = 32 over j in [-1, 2], both on R = 4
+FIBER_GRIDS = [(1, 256, 4.0, (-1, 4)), (2, 32, 4.0, (-1, 2))]
 
+
+def _dense_symbol(desc, gs, ks):
+    """S-hat on FFT-layout frequencies raveled, and the covered-band mask.
+
+    Each scale's lattice is a product of one range per axis, so its
+    sample/spread composite is the d-fold Kronecker power of the 1-D one,
+    assembled column by column from `_sample` and `_spread` on the 1-D grid."""
+    line = sw.GridDescriptor(1, desc.N, desc.extent)
+    gs1 = sw.SamplingSet(sw.abelian(1), gs.beta)
+    size = desc.N**desc.dim
+    dense = np.zeros((size, size))
+    for s in transform._scales(transform._js(ks), gs1, line):
+        pl = transform._place(line, sampling.range_coordinates(s.ranges), s.geo)
+        gram = np.stack([transform._spread(line, transform._sample(line, e, pl), pl)
+                         for e in np.eye(desc.N, dtype=complex)], axis=1)
+        assert np.max(np.abs(gram.imag)) <= 1e-12 * np.max(np.abs(gram))
+        power = functools.reduce(np.kron, [gram.real] * desc.dim)
+        mult = ks.multiplier(s.j).ravel()
+        dense += 2.0 ** (-s.j * desc.dim) * mult[:, None] * power * mult[None, :]
+    covered = sum(ks.multiplier(j) ** 2 for j in transform._js(ks)).ravel() > 0.5
+    return dense, covered
+
+
+@pytest.mark.parametrize("density", [0.125, 0.25, 0.5])
+@pytest.mark.parametrize("dim, n, extent, j_range", FIBER_GRIDS, ids=["1d", "2d"])
+def test_frame_bounds_equal_the_dense_eigenvalues_on_the_covered_band(dim, n, extent, j_range,
+                                                                      density):
+    desc, gs, ks = _symbol_case(dim, n, extent, density, j_range)
+    dense, covered = _dense_symbol(desc, gs, ks)
+    w = np.linalg.eigvalsh(dense[np.ix_(covered, covered)])
+    f = _random_grid(np.random.default_rng(3), dim, n, extent)
+    _, info = sw.frame_reconstruct(f, ks, gs)
+    lower, upper = info["lower_bound"], info["upper_bound"]
+    assert abs(lower - w[0]) <= 1e-12 * w[-1] and abs(upper - w[-1]) <= 1e-12 * w[-1]
+    if (dim, density) == (1, 0.25):  # the alias-free bounds: (1 / beta) times the coverage
+        assert (round(lower, 4), round(upper, 4)) == (2.6727, 4.0)
+    assert (lower <= 1e-12 * upper) == (density == 0.5)  # 0.5 is no frame on the band
+
+
+@pytest.mark.parametrize("density", [0.25, 0.5])
+@pytest.mark.parametrize("dim, n, extent, j_range", FIBER_GRIDS, ids=["1d", "2d"])
+def test_frame_reconstruct_solves_s_g_equals_s_f_in_the_range_of_each_fiber(dim, n, extent,
+                                                                           j_range, density):
+    # a random grid has spectrum outside the band and, at 0.5, along the
+    # null directions of the aliasing fibers: g must drop exactly those
+    desc, gs, ks = _symbol_case(dim, n, extent, density, j_range)
+    f = _random_grid(np.random.default_rng(4), dim, n, extent)
+    g, info = sw.frame_reconstruct(f, ks, gs)
+    dense, _ = _dense_symbol(desc, gs, ks)
+    f_hat, g_hat = grid_fft(f).ravel(), grid_fft(g).ravel()
+    s_f = dense @ f_hat
+    assert np.linalg.norm(dense @ g_hat - s_f) <= 1e-12 * np.linalg.norm(s_f)
+    assert info["iterations"] == 0 and info["relative_residual"] <= 1e-12
+    # the null space of S-hat is known only to rounding over the spectral gap
+    # (Davis-Kahan): eps |S| / gap bounds the component g keeps along it
+    lam, vec = np.linalg.eigh(dense)
+    top = np.max(np.abs(lam))
+    small = np.abs(lam) <= 1e-12 * top
+    gap = np.min(np.abs(lam[~small]))
+    assert small.any()
+    kept = np.linalg.norm(vec[:, small].conj().T @ g_hat)
+    assert kept <= 16 * np.finfo(float).eps * top / gap * np.linalg.norm(f_hat)
+
+
+def test_frame_reconstruct_refuses_fibers_over_the_budget_before_building_them(monkeypatch):
+    # 2-D N = 256 at density 1.0: the aliasing folds leave P = 4, so 16 fibers
+    # of (256 / 4)^2 = 4096 frequencies, 16 * 4096^2 * 8 B = 2 GiB of entries
+    desc = sw.GridDescriptor(2, 256, 4.0)
+    gs = sw.SamplingSet(sw.abelian(2), 1.0)
+    ks = sw.build_kernel_set(sw.build_window(1.0), desc, (-1, 4))
+    f = sw.GridFunction(2, 4.0, np.zeros((256, 256)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=re.escape(
+                f"16 frame operator fibers of 4096^2 entries need {16 * 4096**2 * 8} B, over "
+                f"the {transform.MAX_ARRAY_BYTES} B budget")):
+            sw.frame_reconstruct(f, ks, gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 24
 
 # -- norms and dilation ------------------------------------------------------
 
@@ -824,6 +912,7 @@ def test_lebesgue_norm_keeps_p_infinity_and_matches_the_flat_sum():
 
 @pytest.mark.parametrize("density", [0.25, 0.375])
 def test_analyze_and_frame_reconstruct_make_one_range_pass_each(monkeypatch, density):
+    # at 0.375 no scale folds: frame_reconstruct refuses after its one pass
     f = band_limited(n=256, extent=4.0, center=2.0, width=8.0)
     gs = sw.SamplingSet(sw.abelian(1), density)
     ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
@@ -833,5 +922,10 @@ def test_analyze_and_frame_reconstruct_make_one_range_pass_each(monkeypatch, den
                         lambda gs, js, box: passes.append(list(js)) or ranges(gs, js, box))
     monkeypatch.setattr(sampling, "lattice_ranges", lambda *a: pytest.fail("per-scale ranges"))
     sw.analyze(f, ks, gs, 2.0)
-    sw.frame_reconstruct(f, ks, gs)
+    if density == 0.375:
+        with pytest.raises(DomainError, match="the scale--1 lattice at density 0.375 does not "
+                                              "fold"):
+            sw.frame_reconstruct(f, ks, gs)
+    else:
+        sw.frame_reconstruct(f, ks, gs)
     assert passes == [list(range(-1, 5))] * 2

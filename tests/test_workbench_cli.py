@@ -2,6 +2,7 @@
 
 import functools
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -105,20 +106,45 @@ def write_band_grid(tmp_path):
     return grid
 
 
-def test_verify_frame(tmp_path):
+FRAME_SINGULAR = re.compile(r"validation error: at density (\S+) the frame operator is "
+                            r"singular on the covered band: lower frame bound (\S+) <= 1e-12 "
+                            r"\* upper frame bound (\S+)\n")
+
+
+def assert_singular_on_the_band(err, density):
+    """The stderr of a verify-frame run whose lower frame bound is 0 to
+    rounding; returns the printed bounds."""
+    match = FRAME_SINGULAR.fullmatch(err)
+    assert match and match.group(1) == density
+    lower, upper = float(match.group(2)), float(match.group(3))
+    assert upper > 0 and lower <= 1e-12 * upper
+    return lower, upper
+
+
+def test_verify_frame(tmp_path, capsys):
+    # the narrow window at density 1.0: the lower frame bound on the covered
+    # band is 0 to rounding (-9.7e-17 against 2.0), so the report is written
+    # and the run exits 1; at 0.25 the same grid is a frame
     grid = write_band_grid(tmp_path)
     report = tmp_path / "frame.json"
-    assert main(["verify-frame", "--grid", str(grid), "--narrow",
-                 "--density", "1.0", "--p", "2.0", "--jmin", "0", "--jmax", "4",
-                 "--report", str(report)]) == 0
+    argv = ["verify-frame", "--grid", str(grid), "--narrow", "--p", "2.0", "--jmin", "0",
+            "--jmax", "4", "--report", str(report)]
+    assert main(argv + ["--density", "1.0"]) == 1
     obj = loads(report.read_text())
     assert obj["corrected_rel_error"] <= 1e-5
-    assert obj["frame_iterations"] <= 50
+    assert obj["frame_iterations"] == 0 and obj["frame_residual"] <= 1e-12
+    assert assert_singular_on_the_band(capsys.readouterr().err, "1.0")[1] == 2.0
+    assert main(argv + ["--density", "0.25"]) == 0
+    obj = loads(report.read_text())
+    assert obj["corrected_rel_error"] <= 1e-5
+    assert obj["frame_iterations"] == 0 and obj["frame_residual"] == 0.0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_frame_exits_1_when_the_cg_does_not_converge(tmp_path, capsys):
-    # a 2-D band at density 0.5 over j in [-1, 3]: 50 CG iterations leave a
-    # relative residual of about 1.2e-4, above the 1e-6 tolerance
+    # a 2-D band at density 0.5 over j in [-1, 3]: the frame operator is
+    # singular on the covered band, so verify-frame writes its report and
+    # exits 1, naming the bounds
     blank = sw.GridFunction(2, 4.0, np.zeros((64, 64), dtype=complex))
     nu = np.fft.fftfreq(64, d=blank.spacing)
     radius = np.hypot(*np.meshgrid(nu, nu, indexing="ij"))
@@ -128,13 +154,11 @@ def test_verify_frame_exits_1_when_the_cg_does_not_converge(tmp_path, capsys):
             "--report", str(report)]
     assert main(argv + ["--density", "0.5"]) == 1
     obj = loads(report.read_text())
-    assert obj["frame_iterations"] == 50 and obj["frame_residual"] > 1e-6
-    err = capsys.readouterr().err
-    assert err == (f"validation error: frame CG stopped after 50 iterations with relative "
-                   f"residual {obj['frame_residual']:.3e}\n")
-    # at density 0.25 the same grid converges
+    assert obj["frame_iterations"] == 0 and obj["frame_residual"] <= 1e-12
+    assert_singular_on_the_band(capsys.readouterr().err, "0.5")
+    # at density 0.25 the same grid is a frame
     assert main(argv + ["--density", "0.25"]) == 0
-    assert loads(report.read_text())["frame_residual"] <= 1e-6
+    assert loads(report.read_text())["frame_residual"] == 0.0
     assert capsys.readouterr().err == ""
 
 
@@ -217,7 +241,8 @@ def write_benchmark_band_grid(tmp_path, seed):
 @pytest.mark.parametrize("seed", [1, 777])
 def test_verify_frame_default_density_converges_on_a_band_limited_grid(tmp_path, capsys, seed):
     # at density 0.5 the scale-j step beta 2^-j is twice the alias-free 2^-j / 4
-    # and the CG stops at 50 iterations; the default, 0.25, converges
+    # and the frame operator is singular on the covered band; the default,
+    # 0.25, is a frame there
     grid, report = write_benchmark_band_grid(tmp_path, seed), tmp_path / "frame.json"
     argv = ["verify-frame", "--grid", str(grid), "--jmin", "-1", "--jmax", "4",
             "--report", str(report)]
@@ -226,7 +251,8 @@ def test_verify_frame_default_density_converges_on_a_band_limited_grid(tmp_path,
     assert obj["density"] == 0.25 and obj["corrected_rel_error"] <= 1e-5
     assert capsys.readouterr().err == ""
     assert main(argv + ["--density", "0.5"]) == 1
-    assert loads(report.read_text())["frame_iterations"] == 50
+    assert loads(report.read_text())["frame_iterations"] == 0
+    assert_singular_on_the_band(capsys.readouterr().err, "0.5")
 
 
 def test_verify_frame_refuses_a_density_on_no_dyadic_refinement(tmp_path, capsys, monkeypatch):
@@ -242,6 +268,21 @@ def test_verify_frame_refuses_a_density_on_no_dyadic_refinement(tmp_path, capsys
     assert err.startswith("validation error: points of step 0.6 lie on no dyadic refinement")
     assert "the largest step dx*2^k at or below it is 0.5 (dx = 0.03125)" in err
     assert err.count("\n") == 1 and not report.exists()
+
+
+def test_verify_frame_refuses_a_density_whose_scales_do_not_fold(tmp_path, capsys, monkeypatch):
+    # density 0.375 places every scale on an offset coset of its refinement:
+    # analyze and synthesize take it, but the frame operator has no fibers,
+    # so the pre-check refuses it before any multiplier is built
+    grid, report = write_benchmark_band_grid(tmp_path, 1), tmp_path / "frame.json"
+    monkeypatch.setattr("stratwave.cli.build_kernel_set",
+                        lambda *a: pytest.fail("multipliers built before the refusal"))
+    assert main(["verify-frame", "--grid", str(grid), "--density", "0.375", "--jmin", "-1",
+                 "--jmax", "4", "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: the scale--1 lattice at density 0.375 does not fold (it is no "
+        "subgroup of its refinement), so the frame operator has no fibers\n")
+    assert not report.exists()
 
 
 def test_verify_frame_reports_no_relative_error_for_a_zero_grid(tmp_path, capsys):
@@ -872,7 +913,7 @@ def test_classify_refuses_tracks_on_different_lattices(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify-window", "verify-frame"])
 def test_narrow_window_refuses_sharpness(tmp_path, capsys, command):
-    argv = [command] + (["--grid", str(write_band_grid(tmp_path)), "--density", "1.0"]
+    argv = [command] + (["--grid", str(write_band_grid(tmp_path)), "--density", "0.25"]
                         if command == "verify-frame" else [])
     report = tmp_path / "r.json"
     assert main(argv + ["--report", str(report)]) == 0

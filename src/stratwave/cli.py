@@ -125,7 +125,7 @@ def cmd_decompose(args) -> int:
     energy = {str(ell): row.tolist() for ell, row in enumerate(energy_ledger(dec, L))}
     last = snaps.horizon - 1
     splits = {}
-    for M in sorted({max(L, 1), dec.M_eff}):
+    for M in sorted({min(max(L, 1), dec.M_eff), dec.M_eff}):  # M_eff is 0 at an empty snapshot
         sp = remainder_split(dec, last, L, M)
         splits[str(M)] = {"r1_norm_Hs": sp["r1_norm_Hs"],
                           "r2_norm_Lp_proxy": sp["r2_norm_Lp_proxy"]}

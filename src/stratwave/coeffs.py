@@ -13,10 +13,12 @@ Producers whose output is canonical by construction build it with the
 private `CoefficientField._canonical`, which keeps the finiteness check and
 the floor but converts, sorts and sums nothing: `take` with a boolean mask
 or a forward slice (hence `convert`, the zero drop of `field_add` and
-`field_sub`, `profiles.remainder_field`), `transform.analyze`, the `io`
-readers (which sort a file only when its rows are out of order) and
-`generators.generate` (which sorts a whole sequence once and sums repeats
-as the constructor does).  Input in any other order, such as a `take` by
+`field_sub`, `profiles.remainder_field`), `transform.analyze`,
+`io.read_field` (which sorts a file only when its rows are out of order)
+and a `SequenceSnapshots` snapshot, a slice of the sequence's arrays built
+on demand.  `generators.generate` and `io.read_snapshots` build no field:
+they hand a whole sequence's arrays to `SequenceSnapshots._canonical`,
+which mirrors this one.  Input in any other order, such as a `take` by
 rank, goes through the constructor.
 
 A CoefficientField carries a normalization tag, and is refused without

@@ -15,8 +15,9 @@ sampling.MAX_ARRAY_BYTES is refused with `DomainError` before any is built.
 
 The sequence's entries are sorted once, by (n, j, gamma); a collision is
 found on adjacent rows, entries sharing an index under allow_overlap are
-summed in insertion order as the constructor sums them, and each snapshot
-is a slice built by `CoefficientField._canonical`, not the constructor.
+summed in insertion order as the `CoefficientField` constructor sums them,
+and the sorted arrays become the sequence's (n, j, gamma) arrays through
+`SequenceSnapshots._canonical`: no snapshot field is built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ._json import json_fields
 from .groups import DomainError
 from .sampling import (_LAW_BOUND, MAX_ARRAY_BYTES, MAX_LATTICE_COORD, AtomIndex,
                        SamplingSet, _law_int64, lattice_int64)
-from .coeffs import CoefficientField, _lex_order, lp_atoms
+from .coeffs import _lex_order, lp_atoms
 from .profiles import SequenceSnapshots, _check_thresholds, _row_classifier, _verdict
 
 __all__ = [
@@ -190,12 +191,10 @@ def generate(spec: GeneratorSpec, gs: SamplingSet) -> SequenceSnapshots:
                                  f"{AtomIndex(int(flat[at, 1]), tuple(flat[at, 2:].tolist()))}; "
                                  "declared orthogonality is violated")
         rows, values = rows[new], np.add.reduceat(values, np.flatnonzero(new))
-    js, gammas = np.ascontiguousarray(rows[:, 1]), np.ascontiguousarray(rows[:, 2:])
-    bounds = np.searchsorted(rows[:, 0], np.arange(H + 1)).tolist()
-    norm = lp_atoms(spec.p)
-    fields = tuple(CoefficientField._canonical(gs, norm, js[lo:hi], gammas[lo:hi], values[lo:hi])
-                   for lo, hi in zip(bounds, bounds[1:]))
-    snaps = SequenceSnapshots(gs, tuple(range(H)), fields)
+    snaps = SequenceSnapshots._canonical(gs, lp_atoms(spec.p), range(H),
+                                         np.ascontiguousarray(rows[:, 1]),
+                                         np.ascontiguousarray(rows[:, 2:]), values,
+                                         np.searchsorted(rows[:, 0], np.arange(H + 1)))
 
     norms = snaps.norms
     if not spec.allow_overlap and np.max(np.abs(norms - norms[0])) > 1e-12 * max(norms[0], 1.0):

@@ -57,7 +57,8 @@ class DomainError(ValueError):
 class GroupSpec:
     """A stratified group: strata dimensions, group law, homogeneous norm.
 
-    kind is "abelian", "heisenberg" or "custom".  For step-2 groups the
+    kind is "abelian", "heisenberg" or "custom"; three or more strata raise
+    DomainError.  For step-2 groups the
     law is x.y = x + y + [x, y]/2 with the bracket stored as a read-only
     float tensor of shape (dim V2, dim V1, dim V1), antisymmetric in its
     last two axes; a step-1 group stores none.  Equality and hashing see

@@ -9,6 +9,9 @@ sampling.MAX_LATTICE_COORD = 2^53, re and im are finite JSON numbers, the
 header's group is the sampling set's, and the sampling set's tile is the
 one its group and beta define.
 
+A snapshot sequence is written from and read into its (n, j, gamma)
+arrays, with no per-snapshot field.
+
 Writers format each entry line byte-identical to json.dumps(entry,
 sort_keys=True).  Each distinct float bit pattern among a field's or a
 snapshot sequence's values is formatted once by float.__repr__ (-0.0 and 0.0
@@ -53,7 +56,7 @@ from .sampling import (
 )
 from . import groups as _groups
 from .coeffs import CoefficientField, Normalization, _lex_order
-from .profiles import SequenceSnapshots
+from .profiles import SequenceSnapshots, _checked_n_values
 from .transform import GridFunction
 
 __all__ = [
@@ -134,11 +137,8 @@ def _header(header, kind: str):
     norm = Normalization(norm["kind"], p)
     n_values = None
     if kind == "sequence_snapshots":
-        n_values = json_typed(header.get("n_values"), "list of integer", "n_values")
-        if any(abs(n) > MAX_LATTICE_COORD for n in n_values):
-            raise ValueError(f"n_values beyond the bound {MAX_LATTICE_COORD}")
-        if n_values != tuple(sorted(set(n_values))):
-            raise ValueError("n_values must be strictly increasing")
+        n_values = _checked_n_values(json_typed(header.get("n_values"), "list of integer",
+                                                "n_values"))
         if norm.kind != "Lp":
             raise ValueError("snapshots must carry Lp-atom normalization")
     return gs, norm, n_values
@@ -357,51 +357,49 @@ def _read_coefficients(path, kind: str):
     return gs, norm, n_values, reader.columns()
 
 
-def _line_template(dim: int, n) -> str:
+def _line_template(dim: int, with_n: bool) -> str:
     """An entry line as json.dumps(entry, sort_keys=True) writes it (keys
-    sorted, ", " and ": " separators, floats by repr), with %d for gamma's dim
-    coordinates and j, %s for the formatted im and re; n (None for a field)
-    is written into the template."""
-    n_key = "" if n is None else f'"n": {n}, '
+    sorted, ", " and ": " separators, floats by repr): %d for gamma's dim
+    coordinates, j and (with_n, for snapshots) n, %s for the formatted im
+    and re."""
+    n_key = '"n": %d, ' if with_n else ""
     return f'{{"gamma": [{", ".join(["%d"] * dim)}], "im": %s, "j": %d, {n_key}"re": %s}}\n'
 
 
 # -- coefficient fields ------------------------------------------------------
 
-def _write_coefficients(path, header: dict, gs: SamplingSet, norm, runs: list) -> None:
-    """The header line, completed with gs, its group and norm, then the
-    entries of each (n, field) of runs; n is None for a coefficient field.
-    A chunk's integers fill one int64 array, and re and im are the texts of
-    the runs' distinct bit patterns, each formatted once."""
+def _write_coefficients(path, header: dict, gs: SamplingSet, norm, gammas, ints,
+                        values) -> None:
+    """The header line, completed with gs, its group and norm, then one line
+    per entry of gammas (P, dim), ints (P, K), the columns j and, for
+    snapshots, n, and values (P,).  A chunk's integers fill one int64 array,
+    and re and im are the texts of the distinct bit patterns, each formatted
+    once."""
     header.update(group=_groups.group_to_json(gs.group), sampling=sampling_to_json(gs),
                   normalization=_normalization_to_json(norm))
-    dim, width = gs.group.dim, gs.group.dim + 3
+    dim, width = gs.group.dim, gs.group.dim + 2 + ints.shape[1]  # gamma, im, j, n, re
+    line = _line_template(dim, ints.shape[1] == 2)
     # re and im of every entry, interleaved, as positions in the distinct bit
     # patterns: -0.0 and 0.0 differ in their bits
-    bits = np.concatenate([c.values for _, c in runs]).view(np.int64)
-    distinct, which = np.unique(bits, return_inverse=True)
+    distinct, which = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
     text = list(map(float.__repr__, distinct.view(np.float64).tolist()))
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        at = 0
-        for n, c in runs:
-            line = _line_template(dim, n)
-            for lo in range(0, len(c), _CHUNK_LINES):
-                hi = min(lo + _CHUNK_LINES, len(c))
-                rows = np.zeros((hi - lo, width), dtype=np.int64)
-                rows[:, :dim] = c.gammas[lo:hi]
-                rows[:, dim + 1] = c.js[lo:hi]
-                items = rows.ravel().tolist()
-                # re and im interleaved: at least two, so itemgetter gives a tuple
-                floats = itemgetter(*which[2 * (at + lo):2 * (at + hi)].tolist())(text)
-                items[dim + 2::width], items[dim::width] = floats[0::2], floats[1::2]
-                fh.write(line * (hi - lo) % tuple(items))
-            at += len(c)
+        for lo in range(0, len(ints), _CHUNK_LINES):
+            hi = min(lo + _CHUNK_LINES, len(ints))
+            rows = np.zeros((hi - lo, width), dtype=np.int64)
+            rows[:, :dim] = gammas[lo:hi]
+            rows[:, dim + 1:-1] = ints[lo:hi]
+            items = rows.ravel().tolist()
+            # re and im interleaved: at least two, so itemgetter gives a tuple
+            floats = itemgetter(*which[2 * lo:2 * hi].tolist())(text)
+            items[width - 1::width], items[dim::width] = floats[0::2], floats[1::2]
+            fh.write(line * (hi - lo) % tuple(items))
 
 
 def write_field(path, c: CoefficientField) -> None:
     _write_coefficients(path, {"type": "coefficient_field"}, c.sampling, c.normalization,
-                        [(None, c)])
+                        c.gammas, np.column_stack([c.js]), c.values)
 
 
 def read_field(path) -> CoefficientField:
@@ -412,22 +410,19 @@ def read_field(path) -> CoefficientField:
 # -- sequence snapshots ------------------------------------------------------
 
 def write_snapshots(path, s: SequenceSnapshots) -> None:
-    if not s.fields:
+    if not s.horizon:
         raise ValueError("a sequence with no snapshots has no normalization to write")
+    ns = np.repeat(np.array(s.n_values, dtype=np.int64), np.diff(s.starts))
     _write_coefficients(path, {"type": "sequence_snapshots", "n_values": list(s.n_values)},
-                        s.sampling, s.fields[0].normalization,
-                        list(zip(s.n_values, s.fields)))
+                        s.sampling, s.normalization, s.gammas, np.column_stack([s.js, ns]),
+                        s.values)
 
 
 def read_snapshots(path) -> SequenceSnapshots:
     gs, norm, n_values, (n, j, gammas, values) = _read_coefficients(
         path, "sequence_snapshots")
-    bounds = [*np.searchsorted(n, n_values).tolist(), len(n)]  # every n is in n_values
-    # each snapshot copies its run, so that none pins the whole file's arrays
-    fields = tuple(CoefficientField._canonical(gs, norm, j[lo:hi].copy(), gammas[lo:hi].copy(),
-                                               values[lo:hi].copy())
-                   for lo, hi in zip(bounds, bounds[1:]))
+    starts = np.searchsorted(n, (*n_values, MAX_LATTICE_COORD + 1))  # every n is in n_values
     try:
-        return SequenceSnapshots(gs, n_values, fields)
+        return SequenceSnapshots._canonical(gs, norm, n_values, j, gammas, values, starts)
     except _groups.DomainError as exc:  # entries finite one by one, their energy not
         raise IngestionError(str(exc)) from None

@@ -7,9 +7,10 @@ are replaced by explicit tail-window tests whose parameters travel with the
 output, and undecidable situations are surfaced rather than resolved
 silently.
 
-Rank m sits at position `rank_pos[m - 1, n]` of snapshot n's arrays;
-profile copies, remainders and the energy ledger work at those positions,
-the ledger for every L in one cumulative pass over the profiles.
+Nothing here loops over snapshots: the ranks of every snapshot come from
+one stable sort of the sequence's arrays, rank m at position
+`rank_pos[m - 1, n]` of snapshot n's run, and profile copies, remainders and
+the energy ledger (every L and n in one pass over the profiles) work there.
 
 Orthogonality verdicts come from one array kernel, `_classify_rows` (one
 track against K); `extract` decodes every rank's cores once and, when rank f
@@ -19,7 +20,8 @@ ranks read their verdicts from these founder-major rows."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,6 +31,7 @@ from .groups import GroupSpec
 from .sampling import MAX_LATTICE_COORD, SamplingSet, lattice_int64
 from .coeffs import (
     CoefficientField,
+    Normalization,
     NormParams,
     discrete_besov_norm,
     rank_order,
@@ -61,46 +64,97 @@ class NonconvergentCoefficient(RuntimeError):
     """A leading coefficient failed the Cauchy test over the tail window."""
 
 
-@dataclass(frozen=True)
+def _run_sums(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sum of each run x[starts[k]:starts[k + 1]], bit for bit np.sum of
+    the run: the runs of one length sum as the rows of one gathered 2-D
+    array, so the loop is over the distinct lengths only."""
+    lengths = np.diff(starts)
+    out = np.zeros(len(lengths))
+    by_length = np.argsort(lengths, kind="stable")
+    for sel in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+        if len(sel) and lengths[sel[0]]:
+            out[sel] = x[starts[sel, None] + np.arange(lengths[sel[0]])].sum(axis=1)
+    return out
+
+
+def _checked_n_values(n_values) -> tuple[int, ...]:
+    """n_values as a tuple of int; ValueError unless they are integers within
+    MAX_LATTICE_COORD = 2^53 that strictly increase."""
+    if any(issubclass(k, bool) or not issubclass(k, (int, np.integer))
+           for k in set(map(type, n_values))):
+        raise ValueError(f"n_values must be integers, got {n_values!r}")
+    n_values = tuple(map(int, n_values))
+    if max(map(abs, n_values), default=0) > MAX_LATTICE_COORD:
+        raise ValueError(f"n_values beyond the bound {MAX_LATTICE_COORD} = 2^53")
+    if not all(map(operator.lt, n_values, n_values[1:])):
+        raise ValueError("n_values must be strictly increasing")
+    return n_values
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SequenceSnapshots:
     """SequenceSnapshots(sampling, n_values, fields): a bounded sequence of
-    coefficient fields, all on `sampling`, observed at finitely many n,
-    integers within MAX_LATTICE_COORD = 2^53 kept as a tuple of int, with
-    each ||u_n|| in the read-only `norms`.  A total energy sum_n ||u_n||^2
-    beyond float64 is refused with DomainError, so every snapshot and
-    profile energy of the ledger is finite."""
+    coefficient fields on `sampling` at n_values, integers within
+    MAX_LATTICE_COORD = 2^53 kept as a tuple of int, held as one set of
+    read-only arrays in (n, j, gamma) order under one Lp tag (None if empty):
+    snapshot k is the run starts[k]:starts[k + 1] of js, gammas and values,
+    with norm norms[k]; `fields` builds the snapshots on demand.  A total
+    energy sum_n ||u_n||^2 beyond float64 is refused with DomainError, so
+    every snapshot and profile energy of the ledger is finite."""
 
     sampling: SamplingSet
     n_values: tuple[int, ...]
-    fields: tuple[CoefficientField, ...]
-    norms: np.ndarray = field(init=False, repr=False, compare=False)
+    normalization: Optional[Normalization]
+    js: np.ndarray       # (P,) int64
+    gammas: np.ndarray   # (P, dim) int64
+    values: np.ndarray   # (P,) complex128
+    starts: np.ndarray   # (H + 1,) int64
+    norms: np.ndarray    # (H,) float64
 
-    def __post_init__(self):
-        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
-               for n in self.n_values):
-            raise ValueError(f"n_values must be integers, got {self.n_values!r}")
-        object.__setattr__(self, "n_values", tuple(map(int, self.n_values)))
-        if any(abs(n) > MAX_LATTICE_COORD for n in self.n_values):
-            raise ValueError(f"n_values beyond the bound {MAX_LATTICE_COORD} = 2^53")
-        if len(self.n_values) != len(self.fields):
-            raise ValueError("n_values and fields must have equal length")
-        if list(self.n_values) != sorted(set(self.n_values)):
-            raise ValueError("n_values must be strictly increasing")
-        if any(f.sampling != self.sampling for f in self.fields):
+    def __init__(self, sampling: SamplingSet, n_values, fields):
+        fields = tuple(fields)
+        if any(f.sampling != sampling for f in fields):
             raise ValueError("every snapshot must live on the sequence's sampling set")
-        tags = {f.normalization for f in self.fields}
-        if len(tags) > 1:
+        if len({f.normalization for f in fields}) > 1:
             raise ValueError("all snapshots must share one normalization tag")
-        if self.fields and self.fields[0].normalization.kind != "Lp":
+        dim = sampling.group.dim
+        js, gammas, values = (np.concatenate([empty, *(getattr(f, name) for f in fields)])
+                              for name, empty in (("js", np.zeros(0, np.int64)),
+                                                  ("gammas", np.zeros((0, dim), np.int64)),
+                                                  ("values", np.zeros(0, complex))))
+        self._set(sampling, n_values, fields[0].normalization if fields else None, js, gammas,
+                  values, np.cumsum([0, *map(len, fields)]))
+
+    @classmethod
+    def _canonical(cls, sampling: SamplingSet, normalization: Normalization, n_values,
+                   js: np.ndarray, gammas: np.ndarray, values: np.ndarray,
+                   starts: np.ndarray) -> "SequenceSnapshots":
+        """From arrays the sequence may keep, in canonical order within each run
+        and within MAX_LATTICE_COORD; nothing is converted, sorted or summed."""
+        snaps = object.__new__(cls)
+        snaps._set(sampling, n_values, normalization, js, gammas, values, np.asarray(starts))
+        return snaps
+
+    def _set(self, sampling, n_values, normalization, js, gammas, values, starts) -> None:
+        """Check n_values, the tag, finiteness and the total energy; freeze the arrays."""
+        n_values = _checked_n_values(n_values)
+        if len(starts) != len(n_values) + 1:
+            raise ValueError("n_values and fields must have equal length")
+        if n_values and normalization.kind != "Lp":
             raise ValueError("snapshots must carry Lp-atom normalization")
-        # l2, not sobolev_seq_norm, so that one field's overflow is refused as the total's
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite coefficient")
+        # summed as CoefficientField.l2 sums: one field's overflow is refused as the total's
         with np.errstate(over="ignore"):
-            norms = np.array([f.l2() for f in self.fields])
+            norms = np.sqrt(_run_sums(np.abs(values) ** 2, starts))
             if not np.isfinite(np.sum(norms**2)):
                 raise groups.DomainError("the total energy sum_n ||u_n||^2 of the snapshots "
                                          "overflows float64")
-        norms.setflags(write=False)
-        object.__setattr__(self, "norms", norms)
+        for name, val in zip(self.__dataclass_fields__, (sampling, n_values, normalization, js,
+                                                         gammas, values, starts, norms)):
+            if isinstance(val, np.ndarray):
+                val.setflags(write=False)
+            object.__setattr__(self, name, val)
 
     @property
     def horizon(self) -> int:
@@ -109,6 +163,17 @@ class SequenceSnapshots:
     @property
     def K_bound(self) -> float:
         return float(self.norms.max()) if self.horizon else 0.0
+
+    def _field(self, k: int) -> CoefficientField:
+        """Snapshot k as a field: a slice of the sequence's arrays."""
+        run = slice(*self.starts[k:k + 2].tolist())
+        return CoefficientField._canonical(self.sampling, self.normalization, self.js[run],
+                                           self.gammas[run], self.values[run])
+
+    @property
+    def fields(self) -> tuple[CoefficientField, ...]:
+        """Every snapshot as a field, built on demand."""
+        return tuple(map(self._field, range(self.horizon)))
 
 
 @dataclass(frozen=True)
@@ -287,11 +352,12 @@ class ProfileDecomposition:
 
 def _rank_tables(s: SequenceSnapshots, M: int):
     """Positions, coefficients, scales and lattice points of the first M ranks
-    per snapshot: (M, H), (M, H), (M, H) and (M, H, dim) arrays."""
-    tops = [rank_order(f)[:M] for f in s.fields]
-    coeffs, js, gammas = (np.stack([getattr(f, a)[top] for f, top in zip(s.fields, tops)], axis=1)
-                          for a in ("values", "js", "gammas"))
-    return np.stack(tops, axis=1), coeffs, js, gammas
+    per snapshot: (M, H), (M, H), (M, H) and (M, H, dim) arrays, ranked as
+    `rank_order` ranks each snapshot, by one stable sort."""
+    run = np.repeat(np.arange(s.horizon), np.diff(s.starts))
+    order = np.lexsort((-np.hypot(s.values.real, s.values.imag), run))
+    top = order[s.starts[:-1] + np.arange(M)[:, None]]
+    return top - s.starts[:-1], s.values[top], s.js[top], s.gammas[top]
 
 
 def _escape_status(track: ScaleCorePair, T_div: float) -> str:
@@ -309,7 +375,7 @@ def extract(s: SequenceSnapshots, params: ExtractParams) -> ProfileDecomposition
     """Run the extraction induction over the observed horizon."""
     if s.horizon < params.tail:
         raise ValueError("horizon shorter than the tail window")
-    card_min = min(len(f) for f in s.fields)
+    card_min = int(np.diff(s.starts).min())
     diagnostics: dict = {"K_bound": s.K_bound}
     M_eff = params.M_max
     if M_eff > card_min:
@@ -399,12 +465,12 @@ def rendered_profile(dec: ProfileDecomposition, ell: int, n_pos: int,
     """
     M = dec.M_eff if M is None else M
     ranks, d = _members(dec, [ell], M)
-    return dec.snapshots.fields[n_pos].take(dec.rank_pos[ranks, n_pos], d)
+    return dec.snapshots._field(n_pos).take(dec.rank_pos[ranks, n_pos], d)
 
 
 def remainder_field(dec: ProfileDecomposition, n_pos: int, L: int) -> CoefficientField:
     """r_{n,L} = u_n minus the first L exact profile copies; exact zeros are dropped."""
-    u = dec.snapshots.fields[n_pos]
+    u = dec.snapshots._field(n_pos)
     ranks, d = _members(dec, range(1, min(L, len(dec.profiles)) + 1), dec.M_eff)
     if not len(ranks):
         return u
@@ -427,7 +493,7 @@ def remainder_split(dec: ProfileDecomposition, n_pos: int, L: int, M: int) -> di
         raise ValueError("L out of range")
     if not L <= M <= dec.M_eff:
         raise ValueError("need L <= M <= M_eff")
-    u = dec.snapshots.fields[n_pos]
+    u = dec.snapshots._field(n_pos)
     ranks1, d1 = _members(dec, range(1, L + 1), dec.M_eff)
     r1 = u.take(dec.rank_pos[ranks1, n_pos],
                 np.where(ranks1 < M, dec.rank_coeffs[ranks1, n_pos] - d1, -d1))
@@ -450,21 +516,24 @@ def energy_ledger(dec: ProfileDecomposition, L: int) -> np.ndarray:
     """Defects |  ||u_n||^2 - sum_{l<=ell} ||phi^l||^2 - ||r_{n,ell}||^2 | for
     ell = 0..L (rows) and every snapshot n (columns), shape (L+1, H).
 
-    One cumulative pass over the profiles per n: profile ell's limits are
-    subtracted at its members' positions, exact zeros are dropped as in
-    `remainder_field`, and the remainder norm is summed in canonical order.
+    One cumulative pass over the profiles, every snapshot at once: profile
+    ell's limits are subtracted at its members' positions, exact zeros are
+    dropped as in `remainder_field`, and norms are squared by libm pow, as
+    float ** 2 squares them and x * x does not always.
     """
     if not 0 <= L <= len(dec.profiles):
         raise ValueError("L out of range")
-    members = [_members(dec, [ell], dec.M_eff) for ell in range(1, L + 1)]
-    out = np.zeros((L + 1, dec.snapshots.horizon))
-    for n_pos, u in enumerate(dec.snapshots.fields):
-        u2 = float(dec.snapshots.norms[n_pos]) ** 2
-        values = u.values.copy()
-        profile_energy = 0
-        for ell, (ranks, d) in enumerate(members, start=1):
-            values[dec.rank_pos[ranks, n_pos]] -= d
-            profile_energy += dec.profiles[ell - 1].energy()
-            r2 = float(np.sqrt(np.sum(np.abs(values[values != 0]) ** 2))) ** 2
-            out[ell, n_pos] = abs(u2 - profile_energy - r2)
+    s = dec.snapshots
+    u2 = np.float_power(s.norms, 2)
+    values = s.values.copy()
+    out = np.zeros((L + 1, s.horizon))
+    profile_energy = 0
+    for ell in range(1, L + 1):
+        ranks, d = _members(dec, [ell], dec.M_eff)
+        values[dec.rank_pos[ranks] + s.starts[:-1]] -= d[:, None]
+        profile_energy += dec.profiles[ell - 1].energy()
+        keep = values != 0
+        kept_starts = np.concatenate([[0], np.cumsum(keep)])[s.starts]
+        r2 = np.float_power(np.sqrt(_run_sums(np.abs(values[keep]) ** 2, kept_starts)), 2)
+        out[ell] = np.abs(u2 - profile_energy - r2)
     return out

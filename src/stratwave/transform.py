@@ -424,24 +424,30 @@ def _frame_symbol(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> tuple
 
 def _fiber_matrices(symbol: tuple, desc: GridDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """idx (P^d, T), row r the raveled FFT-layout indices of the T = (N / P)^d
-    frequencies n == r mod P, and S-hat on them (P^d, T, T), refused over
-    MAX_ARRAY_BYTES first: a fold of period M couples two that agree mod M."""
+    frequencies n == r mod P, and S-hat on them (P^d, T, T): a fold of period
+    M couples two that agree mod M.  Refused over MAX_ARRAY_BYTES first, counting
+    what the build and `frame_reconstruct`'s solve hold at once: three arrays of
+    the fibers' size (the fibers; a fold's term or the eigenvectors; the
+    self-adjoint check's parts) and two masks of one byte an entry."""
     diagonal, folds, P = symbol
     N, d = desc.N, desc.dim
     idx = np.arange(N**d).reshape((N // P, P) * d).transpose(
         *range(1, 2 * d, 2), *range(0, 2 * d, 2)).reshape(P**d, -1)
     T = idx.shape[1]
     dtype = np.result_type(diagonal, *(outer for outer, _, _ in folds))
-    need = dtype.itemsize * P**d * T * T
+    need = (3 * dtype.itemsize + 2) * P**d * T * T
     if need > MAX_ARRAY_BYTES:
-        raise DomainError(f"{P**d} frame operator fibers of {T}^2 entries need {need} B, "
-                          f"over the {MAX_ARRAY_BYTES} B budget")
+        raise DomainError(f"{P**d} frame operator fibers of {T}^2 entries and their solve "
+                          f"need {need} B, over the {MAX_ARRAY_BYTES} B budget")
     fibers = np.zeros((P**d, T, T), dtype=dtype)
     fibers[:, range(T), range(T)] = diagonal.ravel()[idx]
     coords = np.unravel_index(idx, (N,) * d)
+    term = np.empty_like(fibers)  # one fold's contribution at a time
     for outer, mult, M in folds:
-        same = np.all([c[:, :, None] % M == c[:, None, :] % M for c in coords], axis=0)
-        fibers += outer.ravel()[idx][:, :, None] * mult.ravel()[idx][:, None, :] * same
+        np.multiply(outer.ravel()[idx][:, :, None], mult.ravel()[idx][:, None, :], out=term)
+        for c in coords:  # zero unless the two frequencies agree mod M on every axis
+            term *= c[:, :, None] % M == c[:, None, :] % M
+        fibers += term
     return idx, fibers
 
 
@@ -469,9 +475,11 @@ def frame_reconstruct(f: GridFunction, ks: KernelSet,
     idx, fibers = (None, diagonal[..., None, None]) if one else _fiber_matrices(symbol, desc)
     if not np.all(np.isfinite(fibers)):
         raise DomainError("the frame operator's symbol is not finite")
-    if np.iscomplexobj(fibers) and (np.max(np.abs(fibers - fibers.conj().swapaxes(-1, -2)))
-                                    > _ROUNDING * np.max(np.abs(fibers))):
-        raise DomainError("the frame operator's symbol is not self-adjoint")
+    if np.iscomplexobj(fibers):
+        re, im = fibers.real, fibers.imag  # |S - S^*| from the parts: no conjugate copy
+        skew = np.max(np.hypot(re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)))
+        if skew > _ROUNDING * np.max(np.abs(fibers)):
+            raise DomainError("the frame operator's symbol is not self-adjoint")
     lam, vec = (diagonal.real, None) if one else np.linalg.eigh(fibers)
     top = 0.0 if one else _ROUNDING * np.max(np.abs(lam), axis=1, keepdims=True)  # S-hat > 0
     if np.any(lam < -top):

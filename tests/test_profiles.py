@@ -590,4 +590,8 @@ def test_remainder_field_drops_exact_zeros():
     # the constant profile's limit is exact, so its atom cancels
     assert sw.AtomIndex(0, (0,)) not in as_dict(r)
     assert len(r) == len(u) - 1
-    assert remainder_field(dec, 0, 0) is u
+    # with no profile removed the remainder is u: its entries, not a copy of them
+    r0 = remainder_field(dec, 0, 0)
+    for name in ("js", "gammas", "values"):
+        assert np.array_equal(getattr(r0, name), getattr(u, name))
+        assert np.shares_memory(getattr(r0, name), getattr(dec.snapshots, name))

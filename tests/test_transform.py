@@ -652,7 +652,8 @@ def test_frame_reconstruct_solves_s_g_equals_s_f_in_the_range_of_each_fiber(dim,
 
 def test_frame_reconstruct_refuses_fibers_over_the_budget_before_building_them(monkeypatch):
     # 2-D N = 256 at density 1.0: the aliasing folds leave P = 4, so 16 fibers
-    # of (256 / 4)^2 = 4096 frequencies, 16 * 4096^2 * 8 B = 2 GiB of entries
+    # of (256 / 4)^2 = 4096 frequencies, 16 * 4096^2 * 8 B = 2 GiB of entries,
+    # held at once with two more arrays of their size and two byte masks
     desc = sw.GridDescriptor(2, 256, 4.0)
     gs = sw.SamplingSet(sw.abelian(2), 1.0)
     ks = sw.build_kernel_set(sw.build_window(1.0), desc, (-1, 4))
@@ -660,13 +661,53 @@ def test_frame_reconstruct_refuses_fibers_over_the_budget_before_building_them(m
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match=re.escape(
-                f"16 frame operator fibers of 4096^2 entries need {16 * 4096**2 * 8} B, over "
-                f"the {transform.MAX_ARRAY_BYTES} B budget")):
+                f"16 frame operator fibers of 4096^2 entries and their solve need "
+                f"{16 * 4096**2 * (3 * 8 + 2)} B, over the {transform.MAX_ARRAY_BYTES} B "
+                "budget")):
             sw.frame_reconstruct(f, ks, gs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 24
+
+
+@pytest.mark.parametrize("dim, n, factor", [(1, 1024, 1.0), (1, 1024, 1j), (2, 64, 1.0)],
+                         ids=["1d", "1d-complex", "2d"])
+def test_the_fiber_budget_counts_what_the_solve_holds_at_once(monkeypatch, dim, n, factor):
+    # density 0.5 on R = 4 aliases into 8^d fibers of (n / 8)^d frequencies;
+    # i psi_hat makes them complex, and S-hat is then refused as negative only
+    # after its eigh.  At a budget of exactly the count the refusal names, the
+    # whole solve stays within it; one byte less refuses before any fiber exists
+    desc = sw.GridDescriptor(dim, n, 4.0)
+    gs = sw.preset_sampling_set(sw.abelian(dim), 0.5)
+    ks = sw.build_kernel_set(sw.build_window(1.0), desc, (-1, 2 if dim == 2 else 4))
+    ks = dataclasses.replace(ks, multipliers={j: factor * m for j, m in ks.multipliers.items()})
+    f = _random_grid(np.random.default_rng(0), dim, n, 4.0)
+    fiber_bytes = (16 if factor == 1j else 8) * 8**dim * (n // 8) ** (2 * dim)
+
+    def solve(budget):
+        """The refusal's message (None if solved) and the call's peak traced bytes."""
+        monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", budget)
+        tracemalloc.start()
+        try:
+            sw.frame_reconstruct(f, ks, gs)
+            message = None
+        except DomainError as exc:
+            message = str(exc)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return message, peak
+
+    message, _ = solve(fiber_bytes)  # the fibers alone fit, yet they are refused
+    need = int(re.search(r"their solve need (\d+) B", message).group(1))
+    assert need > fiber_bytes
+    message, peak = solve(need)
+    assert message is None or "not positive semidefinite" in message
+    assert peak <= need
+    message, peak = solve(need - 1)
+    assert "their solve need" in message and peak < fiber_bytes // 4
+
 
 # -- norms and dilation ------------------------------------------------------
 

@@ -434,6 +434,25 @@ def test_decompose_malformed_snapshot_line_exits_1(tmp_path, capsys, line, messa
     assert "validation error:" in err and message in err
 
 
+def test_decompose_accepts_a_sequence_with_an_empty_snapshot(tmp_path):
+    # n = 2 has no entries: M_eff = 0, so no rank and no profile; the
+    # remainder split at the last n is taken at M = M_eff = 0, not at 1
+    gs = sw.preset_sampling_set(sw.abelian(1), 1.0)
+    per_n = [{(0, (0,)): 1.0, (1, (3,)): 0.5}, {(0, (1,)): 1.0}, {}, {(0, (2,)): 1.0,
+                                                                     (2, (5,)): 0.25}]
+    fields = tuple(field_of(gs, entries, sw.lp_atoms(2.0)) for entries in per_n)
+    snaps, report = tmp_path / "snaps.jsonl", tmp_path / "dec.json"
+    sio.write_snapshots(snaps, sw.SequenceSnapshots(gs, range(4), fields))
+    params = write_params(tmp_path, tail=2)
+    assert main(["decompose", "--in", str(snaps), "--params", str(params),
+                 "--report", str(report)]) == 0
+    got = loads(report.read_text())
+    assert got["nu"] == 0 and got["M_eff"] == 0 and got["profiles"] == []
+    assert got["energy_defects"] == {"0": [0.0] * 4}
+    assert got["remainder_split_at_last_n"] == {
+        "0": {"r1_norm_Hs": 0.0, "r2_norm_Lp_proxy": float(np.hypot(1.0, 0.25))}}
+
+
 def test_generate_on_three_strata_group_exits_1(tmp_path, capsys):
     spec = write_spec(tmp_path, dim=3, group={"kind": "custom", "strata_dims": [1, 1, 1],
                                               "coefficients": []})

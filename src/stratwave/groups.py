@@ -71,6 +71,10 @@ class GroupSpec:
     bracket: Optional[np.ndarray] = field(default=None, compare=False)
     # the bracket's bytes (-0.0 read as 0.0), which equality and hashing compare
     _bracket_bytes: Optional[bytes] = field(default=None, init=False, repr=False)
+    # dimension, step and homogeneous dimension sum_k k dim V_k, set once from the strata
+    dim: int = field(default=0, init=False, repr=False, compare=False)
+    step: int = field(default=0, init=False, repr=False, compare=False)
+    Q: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(self.strata_dims)
@@ -89,24 +93,14 @@ class GroupSpec:
                 raise ValueError("bracket must be finite and antisymmetric")
             b.flags.writeable = False
         for name, value in (("strata_dims", dims), ("bracket", b),
-                            ("_bracket_bytes", None if b is None else (b + 0.0).tobytes())):
+                            ("_bracket_bytes", None if b is None else (b + 0.0).tobytes()),
+                            ("dim", sum(dims)), ("step", len(dims)),
+                            ("Q", sum((k + 1) * d for k, d in enumerate(dims)))):
             object.__setattr__(self, name, value)
         if self.kind == "abelian" and b is not None or self.kind == "heisenberg" and not (
                 dims == (d1, 1) and d1 % 2 == 0
                 and np.array_equal(b, _heisenberg_bracket(d1 // 2))):
             raise ValueError(f"strata {dims} and this bracket are not a {self.kind} preset's")
-
-    @property
-    def dim(self) -> int:
-        return sum(self.strata_dims)
-
-    @property
-    def step(self) -> int:
-        return len(self.strata_dims)
-
-    @property
-    def Q(self) -> int:
-        return sum((k + 1) * d for k, d in enumerate(self.strata_dims))
 
 
 def abelian(d: int) -> GroupSpec:
@@ -220,6 +214,15 @@ def hom_norm(g: GroupSpec, x):
     rely on; from 8 coordinates up NumPy sums pairwise, and the norms of the
     two orders differ by a few units in the last place (at most 2 on 8
     coordinates and 4 on 64 in 20000 random points).
+
+    A power-of-two dilation scales the norm exactly: |delta_{2^k} x| = 2^k |x|
+    bit for bit, since multiplying by 2^k, 2^{2k} or 2^{4k} commutes with each
+    rounded product and sum, and each correctly rounded square root halves the
+    exponent.  That holds while the dilated and undilated coordinates, their
+    squares and the step-2 fourth power |v1|^4 all stay normal floats; a
+    subnormal (coordinates below about 2^-255 on a step-2 group, 2^-511 on a
+    step-1 group) or overflowing (above about 2^255, 2^511) intermediate
+    breaks it.  `sampling.column_decay_certificate` relies on it.
     """
     x = _as_points(g, x)
     d1 = g.strata_dims[0]

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -286,9 +287,7 @@ def _covering_counts(gs: SamplingSet, points: np.ndarray, tile) -> np.ndarray:
     rel_t = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)[..., d1:]
     gammas[..., d1:] = np.floor(rel_t / spacing[d1:]).astype(np.int64) + offsets[:, d1:]
     rel = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)
-    inside = True
-    for k, (lo, hi) in enumerate(tile.tolist()):
-        inside = inside & (lo <= rel[..., k]) & (rel[..., k] < hi)
+    inside = ((tile[:, 0] <= rel) & (rel < tile[:, 1])).all(axis=-1)
     return inside.sum(axis=-1)
 
 
@@ -309,8 +308,13 @@ def verify_tiling(gs: SamplingSet, test_box, grid_res: int = 8, tile=None) -> Ti
     """Grid check that the tile translates cover the box without overlap.
 
     Report-only: each sample point should lie in exactly one translate.
-    A custom tile may be passed to probe failure cases.  Points are checked
-    in batches of at most _TILING_ROWS candidate translates.  test_box and
+    A custom tile may be passed to probe failure cases.  The grid_res^dim
+    sample points are `np.indices` of the grid, in C order, times the per-axis
+    widths (hi - lo) / grid_res, plus lo, plus a per-axis offset of a fixed
+    irrational fraction of the width: the bits of a meshgrid of shifted
+    `np.linspace(lo, hi, grid_res, endpoint=False)` axes.  Points are checked
+    in batches of at most _TILING_ROWS candidate translates, each coordinate
+    against the half-open tile [lo, hi) in one comparison.  test_box and
     tile are each one finite (lo, hi) interval per coordinate and grid_res an
     integer >= 2, or ValueError is raised; the grid_res^dim sample points, as
     float64 coordinates, must fit MAX_ARRAY_BYTES, or DomainError is raised
@@ -329,13 +333,11 @@ def verify_tiling(gs: SamplingSet, test_box, grid_res: int = 8, tile=None) -> Ti
                           f"over the {MAX_ARRAY_BYTES} B budget")
     # rationally independent per-axis offsets keep the sample points off the
     # tile boundaries, which the group law's cross terms would otherwise hit
-    axes = []
-    for k, (lo, hi) in enumerate(box.tolist()):
-        frac = 0.05 + 0.9 * (((k + 1) * np.sqrt(2.0) + np.sqrt(3.0)) % 1.0)
-        # the bits of np.linspace(lo, hi, grid_res, endpoint=False), without its overhead
-        axes.append(np.arange(grid_res) * ((hi - lo) / grid_res) + lo
-                    + frac * (hi - lo) / grid_res)
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    lo, length = box[:, 0], box[:, 1] - box[:, 0]
+    frac = 0.05 + 0.9 * ((np.arange(1, d + 1) * np.sqrt(2.0) + np.sqrt(3.0)) % 1.0)
+    # point i is i * width + lo + offset, coordinate by coordinate, in C order of i
+    pts = (np.indices((grid_res,) * d).reshape(d, n).T * (length / grid_res) + lo
+           + frac * length / grid_res)
     chunk = max(1, _TILING_ROWS // 3 ** d)
     counts = np.concatenate([_covering_counts(gs, pts[i:i + chunk], tile)
                              for i in range(0, n, chunk)])
@@ -428,16 +430,26 @@ def column_decay_certificate(
     kappa Q int_S^inf R^{Q-1} (1+R)^{-n} dR, S the rescaled cut radius, in the closed
     form of `_tail_integral`.  The result must stay bounded uniformly in (eta, j, x).
 
+    One homogeneous-norm pass over the gamma^{-1}.x gives every distance:
+    |2^{-j}.z| = 2^{-j} |z| exactly (see `groups.hom_norm`), so a term is
+    2^{(eta - j) Q} (1 + 2^{eta - j} |z|)^{-n}, the tail's S is 2^{eta - j} times
+    the least norm on the last shell summed, and the reported cut distance is
+    2^{-j} times that norm (0 when only shell 0 is summed).  `value`,
+    `partial_sum`, `tail_estimate` and `shells` depend on (eta, j) through
+    j - eta only, bit for bit, and `cut_distance` scales by 2^{-j}.  Wherever
+    2^{-jQ} and 2^{+-eta Q} are normal floats, every figure equals the one summed
+    with those weights and the dilated distances, bit for bit.
+
     The shells r < r_b, r_b <= max_shells the largest radius whose cube of
     (2 r_b - 1)^dim points fits _SHELL_ROWS, are one group-law pass over offsets
     built once per (dim, r_b) and shared across calls, summed shell by shell
-    from its slices; each later shell is its own pass.  The cut distance is
-    the least distance on the last shell summed, one minimum taken after the
-    loop when that shell lies in the block.  The stopping rule and every sum
-    are those of the shell-by-shell loop, bit for bit.  A later shell whose
-    construction and pass would exceed MAX_ARRAY_BYTES (_PASS_COPIES copies of its
-    (points, dim) int64 coordinates, and its axis ranges) raises DomainError first,
-    and so do (eta, j) whose weights 2^{-jQ} or 2^{+-eta Q} overflow float64.
+    from its slices; each later shell is its own pass.  The stopping rule and
+    every sum are those of the shell-by-shell loop, bit for bit.  A later shell
+    whose construction and pass would exceed MAX_ARRAY_BYTES (_PASS_COPIES copies
+    of its (points, dim) int64 coordinates, and its axis ranges) raises
+    DomainError first, and so do, before the first pass, a weight
+    2^{(eta - j) Q} that is not a normal float64 and a 2^{-j} that is 0 or
+    overflows; a cut distance that is 0 or not finite raises it after the sum.
     """
     g = gs.group
     Q, d = g.Q, g.dim
@@ -457,56 +469,62 @@ def column_decay_certificate(
         raise ValueError(f"rel_tail must be a number >= 0, got {rel_tail}")
     if n <= Q:
         warnings.warn(f"decay exponent n={n} <= Q={Q}: lattice sum may diverge")
-    try:  # float exponents, so that NumPy integers overflow too instead of giving inf
-        scale, weight, unweight = (2.0 ** float(k * Q) for k in (-j, eta, -eta))
+    try:  # float exponents, so that NumPy integers neither wrap nor give inf
+        h, gap = 2.0 ** -float(j), float(eta) - float(j)
     except OverflowError:
-        raise DomainError(f"the weights 2^(-j Q) and 2^(+-eta Q) overflow float64 at "
-                          f"eta = {eta}, j = {j} (Q = {Q})") from None
+        h, gap = math.inf, -math.inf
+    weight, shrink = 2.0 ** (gap * Q), 2.0**gap
+    if not (weight >= sys.float_info.min and 0.0 < h < math.inf):
+        raise DomainError(f"eta = {eta}, j = {j} leave float64: the weight 2^((eta - j) Q), "
+                          f"Q = {Q}, must be a normal float and 2^(-j) positive and finite")
     center = np.rint(x / gs.spacing).astype(np.int64)
 
     def terms(gammas):
-        rel = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), x)
-        dists = groups.hom_norm(g, groups.dilate(g, 2.0 ** (-j), rel))
-        return scale / (1.0 + 2.0**eta * dists) ** n, dists
+        norms = groups.hom_norm(g, groups.multiply(g, groups.inverse(g, gs.decode(gammas)), x))
+        return weight / (1.0 + shrink * norms) ** n, norms
 
-    def sums(shell_terms, dists):  # the shell's arrays are freed before the next is built
-        return float(shell_terms.sum()), float(dists.min())
+    def sums(shell_terms, norms):  # the shell's arrays are freed before the next is built
+        return float(np.add.reduce(shell_terms)), float(np.minimum.reduce(norms))
 
     rb = 1
     while rb < max_shells and (2 * rb + 1) ** d <= _SHELL_ROWS:
         rb += 1
     offsets, bounds = _shell_block(d, rb)
-    block_terms, block_dists = terms(center + offsets)
+    block_terms, block_norms = terms(center + offsets)
     total = 0.0
     for r in range(max_shells):
         if r < rb:
-            contrib = float(block_terms[bounds[r]:bounds[r + 1]].sum())
+            contrib = float(np.add.reduce(block_terms[bounds[r]:bounds[r + 1]]))
         else:
             need = 8 * (_PASS_COPIES * d * ((2 * r + 1) ** d - (2 * r - 1) ** d) + 4 * r)
             if need > MAX_ARRAY_BYTES:
                 raise DomainError(f"the radius-{r} lattice shell and its group-law pass need "
                                   f"{need} B, over the {MAX_ARRAY_BYTES} B budget")
-            contrib, cut_dist = sums(*terms(_shell(center, r)))
+            contrib, least = sums(*terms(_shell(center, r)))
         total += contrib
         if r > 2 and contrib < rel_tail * max(total, 1e-300):
             break
     shells_used = r + 1
-    # the cut distance is the least distance on the last shell summed (0 at r = 0)
+    # the least norm on the last shell summed (0 at r = 0)
     if r < rb:
-        cut_dist = float(block_dists[bounds[r]:bounds[r + 1]].min()) if r > 0 else 0.0
+        least = float(np.minimum.reduce(block_norms[bounds[r]:bounds[r + 1]])) if r > 0 else 0.0
+    cut_dist = h * least
+    if r > 0 and not 0.0 < cut_dist < math.inf:
+        raise DomainError(f"the cut distance 2^(-j) {least!r} is {cut_dist!r} at j = {j}, "
+                          "not a positive float64")
 
     # integral-comparison tail over {|z| >= cut_dist}, expressed after the
-    # substitution w = 2^eta z; |W| is the tile volume
+    # substitution w = 2^eta z and times 2^{eta Q}, so S = 2^eta cut_dist = 2^{eta - j}
+    # least; |W| is the tile volume
     tile_vol = math.prod(gs.spacing.tolist())
     kappa = _unit_ball_volume(g.strata_dims)
-    tail = (kappa * Q / tile_vol) * unweight * (
-        _tail_integral(Q, n, 2.0**eta * cut_dist) if n > Q else np.inf)
+    tail = (kappa * Q / tile_vol) * (_tail_integral(Q, n, shrink * least) if n > Q else np.inf)
 
-    value = (total + tail) * weight
+    value = total + tail
     if return_details:
         return value, {
-            "partial_sum": total * weight,
-            "tail_estimate": tail * weight,
+            "partial_sum": total,
+            "tail_estimate": tail,
             "shells": shells_used,
             "cut_distance": cut_dist,
         }

@@ -1,6 +1,7 @@
 """Synthetic sequence generators: laws, invariant checks, serialization."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,7 +207,8 @@ def test_generate_collision_messages():
 
 
 def test_generate_refuses_a_spec_over_the_budget_before_building(monkeypatch):
-    # 8 snapshots of 2 bundle atoms and 3 noise entries on R^1: 8 * 5 * 8 = 320 B
+    # 8 snapshots of 2 bundle atoms and 3 noise entries on R^1, rows of 3 int64:
+    # 10 copies of 8 * 5 * 3 * 8 B = 9600 B
     spec = single_track("compact", bundle=(sw.BundleAtom(0, (0,), 1.0),
                                            sw.BundleAtom(1, (0,), 0.5)),
                         noise_amplitude=1e-3, noise_count=3)
@@ -214,13 +216,63 @@ def test_generate_refuses_a_spec_over_the_budget_before_building(monkeypatch):
     built = []
     law = generators._track_indices
     monkeypatch.setattr(generators, "_track_indices", lambda *a: built.append(1) or law(*a))
-    monkeypatch.setattr(generators, "MAX_ARRAY_BYTES", 320)
+    monkeypatch.setattr(generators, "MAX_ARRAY_BYTES", 9600)
     assert sw.generate(spec, gs).horizon == 8
     built.clear()
-    monkeypatch.setattr(generators, "MAX_ARRAY_BYTES", 319)
-    with pytest.raises(sw.DomainError, match="8 snapshots of 5 entries need 320 B"):
+    monkeypatch.setattr(generators, "MAX_ARRAY_BYTES", 9599)
+    with pytest.raises(sw.DomainError, match="8 snapshots of 5 entries need 9600 B"):
         sw.generate(spec, gs)
     assert built == []
     # noise of zero amplitude draws no entries
     silent = dataclasses.replace(spec, noise_amplitude=0.0)
     assert len(sw.generate(silent, gs).fields[0]) == 2
+
+
+def _budget_cases():
+    """(sampling set, spec, entries per snapshot): the largest measured peak per
+    row (one atom on R^1), a mixture with its orthogonality check, and noise."""
+    r1 = sw.SamplingSet(sw.abelian(1), 1.0)
+    one = dataclasses.replace(single_track("translating", gamma_slope=(1,)), horizon=20000)
+    h1 = sw.SamplingSet(sw.heisenberg(1), 1.0)
+    a0, a1 = sw.BundleAtom(0, (0, 0, 0), 1.0), sw.BundleAtom(1, (1, 0, 0), 0.5)
+    b0, b1 = sw.BundleAtom(0, (0, 0, 0), 0.8), sw.BundleAtom(0, (2, 0, 0), 0.3)
+    mixture = sw.GeneratorSpec(kind="mixture", horizon=5000, tracks=(
+        sw.TrackSpec(0, 0, (0, 0, 0), (1, 0, 0), (a0, a1)),
+        sw.TrackSpec(0, 0, (7, 0, 0), (4, 0, 0), (b0, b1))))
+    h2 = sw.SamplingSet(sw.heisenberg(2), 1.0)
+    noisy = sw.GeneratorSpec(kind="translating", horizon=400, noise_amplitude=1e-3,
+                             noise_count=30, tracks=(sw.TrackSpec(
+                                 0, 0, (0,) * 5, (1, 0, 0, 0, 0),
+                                 (sw.BundleAtom(0, (0,) * 5, 1.0),)),))
+    return {"R1-one-atom": (r1, one, 1), "H1-mixture": (h1, mixture, 4),
+            "H2-noise": (h2, noisy, 31)}
+
+
+@pytest.mark.parametrize("case", ["R1-one-atom", "H1-mixture", "H2-noise"])
+def test_generate_peak_stays_within_its_counted_budget(monkeypatch, case):
+    gs, spec, entries = _budget_cases()[case]
+    count = 8 * generators._ROW_COPIES * spec.horizon * entries * (gs.group.dim + 2)
+    built = []
+    law = generators._track_indices
+    monkeypatch.setattr(generators, "_track_indices", lambda *a: built.append(1) or law(*a))
+    monkeypatch.setattr(generators, "MAX_ARRAY_BYTES", count)
+    # a short run first: what the first call allocates once (about 0.65 MB on
+    # R^1: modules and caches NumPy loads on first use) is no row copy
+    sw.generate(dataclasses.replace(spec, horizon=20), gs)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert sw.generate(spec, gs).horizon == spec.horizon
+        peak = tracemalloc.get_traced_memory()[1] - start
+        built.clear()
+        monkeypatch.setattr(generators, "MAX_ARRAY_BYTES", count - 1)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(sw.DomainError, match=f"entries need {count} B to index and sort"):
+            sw.generate(spec, gs)
+        refused = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= count
+    # a refusal builds no array: no lattice law pass, and a few KiB of Python objects
+    assert built == [] and refused < 16384

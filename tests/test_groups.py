@@ -1,12 +1,14 @@
 """Group arithmetic: axioms, dilations, homogeneous norms, serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratwave as sw
-from conftest import custom_3_2
+from conftest import custom_3_2, free_3_2
 from test_lattice_pins import PIN_GROUPS
 from stratwave.groups import (
     DomainError,
@@ -125,6 +127,44 @@ def test_hom_dimension_values():
     assert sw.abelian(3).Q == 3
     assert sw.heisenberg(1).Q == 4
     assert sw.heisenberg(2).Q == 6
+
+
+@pytest.mark.parametrize("g", [*GROUPS, *PIN_GROUPS.values(), free_3_2(), sw.abelian(64),
+                               sw.GroupSpec(strata_dims=(2,), kind="custom")],
+                         ids=lambda g: f"{g.kind}{g.strata_dims}")
+def test_dimensions_are_the_strata_sums(g):
+    dims = g.strata_dims
+    assert (g.dim, g.step, g.Q) == (sum(dims), len(dims),
+                                    sum((k + 1) * d for k, d in enumerate(dims)))
+
+
+def test_replace_recomputes_the_dimensions():
+    wide = dataclasses.replace(sw.abelian(2), strata_dims=(5,))
+    assert (wide.dim, wide.step, wide.Q) == (5, 1, 5)
+    b = np.zeros((1, 2, 2))
+    b[0, 0, 1], b[0, 1, 0] = 1.0, -1.0
+    step2 = dataclasses.replace(sw.GroupSpec(strata_dims=(2,), kind="custom"),
+                                strata_dims=(2, 1), bracket=b)
+    assert (step2.dim, step2.step, step2.Q) == (3, 2, 4)
+    assert step2 == sw.GroupSpec(strata_dims=(2, 1), kind="custom", bracket=b)
+    with pytest.raises(ValueError):
+        dataclasses.replace(sw.abelian(2), Q=7)
+
+
+@pytest.mark.parametrize("name", sorted(PIN_GROUPS))
+def test_power_of_two_dilations_scale_the_norm_exactly(name):
+    # |delta_{2^k} z| = 2^k |z| bit for bit while the squares and fourth powers
+    # stay normal floats: coordinates spread over 2^-60..2^60, some rows scaled
+    # to a largest coordinate of 2^-60 or 2^60, and k in [-100, 100]
+    g = PIN_GROUPS[name]
+    rng = np.random.default_rng([25, g.dim])
+    z = rng.normal(size=(400, g.dim)) * 2.0 ** rng.integers(-60, 61, size=(400, g.dim))
+    top = np.abs(z).max(axis=1, keepdims=True)
+    z[:50] *= 2.0**-60 / top[:50]
+    z[50:100] *= 2.0**60 / top[50:100]
+    norms = sw.hom_norm(g, z)
+    for k in range(-100, 101):
+        assert np.array_equal(sw.hom_norm(g, sw.dilate(g, 2.0**k, z)), 2.0**k * norms), k
 
 
 def test_koranyi_reference_value():

@@ -146,6 +146,45 @@ def test_tiling_detects_bad_tile():
     assert rep.uncovered_fraction > 0.0
 
 
+def _meshgrid_samples(box, grid_res: int) -> np.ndarray:
+    """verify_tiling's sample points as a meshgrid of per-axis linspace rows."""
+    axes = []
+    for k, (lo, hi) in enumerate(box):
+        frac = 0.05 + 0.9 * (((k + 1) * np.sqrt(2.0) + np.sqrt(3.0)) % 1.0)
+        axes.append(np.linspace(lo, hi, grid_res, endpoint=False) + frac * (hi - lo) / grid_res)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_tiling_samples_are_the_meshgrid_of_the_axes(monkeypatch, d):
+    g = {3: sw.heisenberg(1), 5: sw.heisenberg(2)}.get(d, sw.abelian(d))
+    gs = sw.SamplingSet(g, 0.5)
+    seen = []
+    monkeypatch.setattr(sampling, "_covering_counts",
+                        lambda gs, pts, tile: seen.append(pts) or np.ones(len(pts), int))
+    rng = np.random.default_rng([25, d])
+    for grid_res in range(2, 9):
+        lo = rng.uniform(-5.0, 5.0, size=d)
+        box = np.stack([lo, lo + rng.uniform(0.1, 7.0, size=d)], axis=1).tolist()
+        seen.clear()
+        assert sw.verify_tiling(gs, box, grid_res=grid_res).n_samples == grid_res**d
+        assert np.concatenate(seen).tobytes() == _meshgrid_samples(box, grid_res).tobytes()
+
+
+def test_tiling_counts_a_point_on_a_tile_edge_once():
+    # R^1: the tile [x0 - 1, x0) with x0 a sample point holds x0 - 1, the
+    # translate by 1 holds x0 on its lower edge, and the translate by 0 holds
+    # it on its excluded upper edge; the other samples sit 0.375 k away
+    gs = sw.SamplingSet(sw.abelian(1), 1.0)
+    box = [(-1.5, 1.5)]
+    x0 = next(x for x in _meshgrid_samples(box, 8)[:, 0] if 0.5 <= x < 1.5)
+    rep = sw.verify_tiling(gs, box, grid_res=8, tile=[(x0 - 1.0, x0)])
+    assert (rep.max_overlap_fraction, rep.uncovered_fraction) == (0.0, 0.0)
+    # the closed tile [x0 - 1, x0] holds x0 twice
+    rep = sw.verify_tiling(gs, box, grid_res=8, tile=[(x0 - 1.0, np.nextafter(x0, 2.0))])
+    assert (rep.max_overlap_fraction, rep.uncovered_fraction) == (1 / 8, 0.0)
+
+
 B3 = [(-1.0, 1.0)] * 3
 
 
@@ -169,7 +208,7 @@ B3 = [(-1.0, 1.0)] * 3
         "2^40", "600", "tile-nan", "tile-two-intervals", "tile-triples"])
 def test_verify_tiling_refuses_bad_input(monkeypatch, box, grid_res, tile, error, message):
     gs = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
-    monkeypatch.setattr(np, "meshgrid", None)  # a refusal builds no sample point
+    monkeypatch.setattr(np, "indices", None)  # a refusal builds no sample point
     with pytest.raises(error, match=message):
         sw.verify_tiling(gs, box, grid_res=grid_res, tile=tile)
 
@@ -431,22 +470,135 @@ def test_decay_certificate_domain():
     assert column_decay_certificate(gs, 0, 0, 4, np.zeros(1), rel_tail=0.0, max_shells=50) > 0
 
 
-@pytest.mark.parametrize("eta, j", [(-400, -300), (600, 600), (-400, 0),
-                                    (np.int64(-400), np.int64(-300))],
-                         ids=["2^(-jQ)", "2^(eta Q)", "2^(-eta Q)", "numpy-ints"])
+@pytest.mark.parametrize("eta, j", [(-400, 0)], ids=["2^(-eta Q)"])
 def test_decay_certificate_refuses_overflowing_weights_before_the_block_pass(monkeypatch,
                                                                             eta, j):
-    # on H^1 (Q = 4): 2^1200, 2^2400 and 2^1600 used to raise OverflowError,
-    # and NumPy integers used to give nan
+    # on H^1 (Q = 4) the one weight 2^((eta - j) Q) = 2^-1600 is 0 in float64
     gs = sw.preset_sampling_set(sw.heisenberg(1), 1.0)
     built = []
     monkeypatch.setattr(sampling, "_shell_block",
                         lambda d, rb: built.append(rb) or _shell_block(d, rb))
-    with pytest.raises(sw.DomainError, match=f"overflow float64 at eta = {eta}, j = {j}"):
+    with pytest.raises(sw.DomainError, match=f"eta = {eta}, j = {j} leave float64"):
         column_decay_certificate(gs, eta, j, 16, np.zeros(3))
     assert built == []
     # 2^(4 * 255) = 2^1020 is finite
     assert math.isfinite(column_decay_certificate(gs, 255, 255, 16, np.zeros(3), max_shells=4))
+
+
+@pytest.mark.parametrize("eta, j, message", [
+    (-114, 0, r"eta = -114, j = 0 leave float64: the weight 2\^\(\(eta - j\) Q\), Q = 9"),
+    (1075, 1075, "eta = 1075, j = 1075 leave float64"),
+    (-1100, -1100, "eta = -1100, j = -1100 leave float64"),
+    (-10**400, 0, "eta = -1000.*, j = 0 leave float64"),
+], ids=["subnormal-weight", "2^-j-underflows", "2^-j-overflows", "huge-int"])
+def test_decay_certificate_refuses_a_scale_outside_float64_before_the_block_pass(
+        monkeypatch, eta, j, message):
+    # on N_{3,2} (Q = 9) the weight 2^((eta - j) Q) is 2^-1026 at a gap of 114, a
+    # subnormal, and 2^-1017 at a gap of 113
+    gs = sw.SamplingSet(free_3_2(), 1.0)
+    assert math.isfinite(column_decay_certificate(gs, -113, 0, 16, np.zeros(6), max_shells=2))
+    built = []
+    monkeypatch.setattr(sampling, "_shell_block",
+                        lambda d, rb: built.append(rb) or _shell_block(d, rb))
+    with pytest.raises(sw.DomainError, match=message):
+        column_decay_certificate(gs, eta, j, 16, np.zeros(6))
+    assert built == []
+
+
+@pytest.mark.parametrize("beta, eta, j, least, error", [
+    (0.5, 1074, 1074, 0.3, "is 0.0 at j = 1074"),
+    (8.0, -1023, -1023, 7.7, "is inf at j = -1023"),
+], ids=["underflows", "overflows"])
+def test_decay_certificate_refuses_a_cut_distance_outside_float64(beta, eta, j, least, error):
+    # R^1 at x = 0.3: the second shell's least distance is 0.3 at beta = 1/2 (the
+    # center is 1/2, the shell 0 and 1) and 7.7 at beta = 8 (the shell -8 and 8);
+    # 2^-1074 * 0.3 rounds to 0 and 2^1023 * 7.7 overflows, while every term is
+    # the one at eta = j = 0
+    gs, x = sw.SamplingSet(sw.abelian(1), beta), np.array([0.3])
+    _, det = column_decay_certificate(gs, 0, 0, 16, x, max_shells=2, return_details=True)
+    assert det["cut_distance"] == pytest.approx(least, rel=1e-15)
+    with pytest.raises(sw.DomainError, match=error):
+        column_decay_certificate(gs, eta, j, 16, x, max_shells=2)
+
+
+INVARIANCE_GROUPS = {"R1": sw.abelian(1), "R2": sw.abelian(2), "H1": sw.heisenberg(1),
+                     "H2": sw.heisenberg(2), "custom3+2": custom_3_2(), "N3,2": free_3_2()}
+
+
+def _certificate_details(gs, eta, j, n, x, rel_tail, max_shells) -> dict:
+    value, det = column_decay_certificate(gs, eta, j, n, np.asarray(x, dtype=float),
+                                          rel_tail=rel_tail, max_shells=max_shells,
+                                          return_details=True)
+    return dict(det, value=value)
+
+
+def _assert_shifted(base: dict, shifted: dict, k: int) -> None:
+    """shifted is base with (eta, j) moved by k: the same bits, cut_distance times 2^-k."""
+    for key in ("value", "partial_sum", "tail_estimate"):
+        assert shifted[key].hex() == base[key].hex(), key
+    assert shifted["shells"] == base["shells"]
+    assert shifted["cut_distance"] == base["cut_distance"] * 2.0**-k
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(INVARIANCE_GROUPS)), beta=st.sampled_from([1.0, 0.5, 0.75]),
+       eta=st.integers(-3, 3), gap=st.integers(0, 3), k=st.integers(-600, 600),
+       n_extra=st.integers(1, 20), stop=st.sampled_from([(0.0, 3), (1e-8, 4), (0.5, 4)]),
+       data=st.data())
+def test_decay_certificate_depends_on_j_minus_eta_only(name, beta, eta, gap, k, n_extra, stop,
+                                                       data):
+    # the certificate of delta_{2^k} applied to both scales: 2^{(eta - j) Q} and
+    # 2^{eta - j} are unchanged, and the cut distance is 2^{-j} times the same norm
+    gs = sw.SamplingSet(INVARIANCE_GROUPS[name], beta)
+    x = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=gs.group.dim,
+                                    max_size=gs.group.dim)))
+    n = gs.group.Q + n_extra
+    base = _certificate_details(gs, eta, eta + gap, n, x, *stop)
+    _assert_shifted(base, _certificate_details(gs, eta + k, eta + gap + k, n, x, *stop), k)
+
+
+@pytest.mark.parametrize("eta, j, k", [(600, 600, 600), (-400, -300, -400),
+                                       (np.int64(-400), np.int64(-300), -400),
+                                       (255, 255, 255), (-600, -600, -600)],
+                         ids=["600,600", "-400,-300", "numpy-ints", "255,255", "-600,-600"])
+def test_decay_certificate_is_the_shifted_one_at_large_scales(eta, j, k):
+    # on H^1 (Q = 4): 2^(4 * 600) and 2^(-4 * 400) used to be refused as
+    # overflows, and at eta = j = 255 the weights 2^-1020 gave subnormal terms
+    # (value 0.000525316 against 0.000525176 at eta = j = 0)
+    gs = sw.SamplingSet(sw.heisenberg(1), 1.0)
+    for x in (np.zeros(3), np.array([0.3, 0.2, 0.1])):
+        base = _certificate_details(gs, eta - k, j - k, 16, x, 1e-10, 5)
+        _assert_shifted(base, _certificate_details(gs, eta, j, 16, x, 1e-10, 5), k)
+
+
+@pytest.mark.parametrize("name, x", [("R1", [0.3]), ("H1", [0.3, 0.2, 0.1])])
+def test_decay_certificate_at_eta_equal_j_is_the_one_at_zero(name, x):
+    # on R^1 the dilated norms used to underflow: eta = j = 537 gave 2 and
+    # eta = j = 600 gave 9.13, against 0.0152354 at eta = j = 0
+    gs = sw.SamplingSet(INVARIANCE_GROUPS[name], 1.0)
+    base = _certificate_details(gs, 0, 0, 16, x, 1e-10, 5)
+    if name == "R1":
+        assert base["value"] == pytest.approx(0.01523544367, rel=1e-9)
+    for k in range(-1000, 1001, 37):
+        _assert_shifted(base, _certificate_details(gs, k, k, 16, x, 1e-10, 5), k)
+
+
+@pytest.mark.parametrize("max_shells, passes", [(15, 3), (13, 1), (4, 1)])
+def test_decay_certificate_reads_its_distances_off_one_norm_pass(monkeypatch, max_shells,
+                                                                 passes):
+    # H^1's block holds the shells r < 13; rel_tail = 0 sums every shell, so 15
+    # shells are the block and two later shells
+    gs = sw.SamplingSet(sw.heisenberg(1), 1.0)
+    calls = {"dilate": 0, "multiply": 0, "hom_norm": 0}
+    for name in calls:
+        original = getattr(sw.groups, name)
+        monkeypatch.setattr(sw.groups, name,
+                            lambda *a, _f=original, _n=name: calls.__setitem__(_n, calls[_n] + 1)
+                            or _f(*a))
+    _, det = column_decay_certificate(gs, 1, 2, 16, np.array([0.3, -0.2, 0.1]), rel_tail=0.0,
+                                      max_shells=max_shells, return_details=True)
+    assert det["shells"] == max_shells
+    assert calls == {"dilate": 0, "multiply": passes, "hom_norm": passes}
 
 
 @pytest.mark.parametrize("max_shells", [0, -3, 2.5, True, "6"])

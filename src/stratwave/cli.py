@@ -25,14 +25,15 @@ from . import groups as _groups
 from . import io as _io
 from .transform import (
     _ROUNDING,
+    _analyze,
+    _besov_norm,
+    _frame_reconstruct,
     _kernel_factors,
     _scales,
-    analyze,
-    besov_norm_continuous,
+    _synthesize,
     build_kernel_set,
-    frame_reconstruct,
+    grid_fft,
     lebesgue_norm,
-    synthesize,
 )
 from .coeffs import NormParams, convert, discrete_besov_norm, lp_atoms, sobolev_seq_norm
 from ._json import json_fields, load_json
@@ -48,7 +49,8 @@ from .profiles import (
     remainder_split,
 )
 from .sampling import MAX_ARRAY_BYTES, SamplingSet
-from .windows import NarrowWindow, build_window, coverage_interval, verify_partition
+from .windows import (_PARTITION_CHUNK_BYTES, NarrowWindow, build_window, coverage_interval,
+                      verify_partition)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -162,7 +164,8 @@ def cmd_verify_window(args) -> int:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
     w = _window(args)
     lo, hi = coverage_interval(args.J)
-    need = 8 * (args.grid_points + 2)
+    # np.geomspace holds the grid and a working copy, the check the grid and one chunk
+    need = 16 * (args.grid_points + 2) + _PARTITION_CHUNK_BYTES
     if need > MAX_ARRAY_BYTES:
         raise _groups.DomainError(f"{args.grid_points} grid points need {need} B, over the "
                                   f"{MAX_ARRAY_BYTES} B budget")
@@ -189,19 +192,20 @@ def cmd_verify_frame(args) -> int:
     gs = SamplingSet(_groups.abelian(f.dim), args.density)
     window, desc = _window(args), f.descriptor()
     # the multipliers' budget and dilations, then every scale's lattice,
-    # refinement and fold, are checked before any multiplier is built
+    # refinement and fold, are checked before any multiplier is built, and shared
     js, _ = _kernel_factors(desc, (args.jmin, args.jmax))
-    _scales(js, gs, desc, folding=True)
+    scales = _scales(js, gs, desc, folding=True)
     ks = build_kernel_set(window, desc, (args.jmin, args.jmax))
-    c = analyze(f, ks, gs, args.p)
-    f_direct = synthesize(c, ks, gs, f.descriptor())
-    f_rec, info = frame_reconstruct(f, ks, gs)
+    spec = grid_fft(f)
+    c = _analyze(desc, spec, ks, gs, args.p, scales)
+    f_direct = _synthesize(c, ks, desc, {sc.j: sc.geo for sc in scales})
+    f_rec, info = _frame_reconstruct(f, spec, ks, gs, scales)
     l2 = lebesgue_norm(f, 2.0)
     err_direct, err_corrected = (  # a zero grid has no relative error
         lebesgue_norm(type(f)(f.dim, f.extent, f.samples - g.samples), 2.0) / l2 if l2 > 0
         else None for g in (f_direct, f_rec))
     s = gs.group.Q * (0.5 - 1.0 / args.p)
-    cont = besov_norm_continuous(f, ks, s, 2.0, 2.0)
+    cont = _besov_norm(f, spec, ks, s, 2.0, 2.0)
     disc = discrete_besov_norm(c, NormParams(s, 2.0, 2.0))
     report = {
         "command": "verify-frame",

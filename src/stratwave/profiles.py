@@ -242,15 +242,19 @@ def _classify_rows(g: GroupSpec, ka, ja, kb, jb, T_div: float, eps_stable: float
     return codes, gap, abs_gap, dist, rel, spread
 
 
+_DETAILS = ("log-scale gap reaches {abs_gap:g}",
+            "rescaled core distance reaches {dist:g} at constant scale gap {gap}",
+            "relative index stable within {spread:.2e}",
+            "constant scale gap but core drift {spread:.2e} neither divergent (last dist "
+            "{dist:g} <= {T_div:g}) nor stable (> {eps_stable:g})",
+            "scale gap neither divergent nor constant")  # the detail of each _KINDS code
+
+
 def _verdict(rows, k: int, T_div: float, eps_stable: float) -> Verdict:
-    """Row k of `_classify_rows` as a Verdict with its detail string."""
+    """Row k of `_classify_rows` as a Verdict with the one detail string its code selects."""
     code, gap, abs_gap, dist, rel, spread = (x[k] for x in rows)
-    detail = (f"log-scale gap reaches {abs_gap[-1]:g}",
-              f"rescaled core distance reaches {dist[-1]:g} at constant scale gap {int(gap[0])}",
-              f"relative index stable within {spread:.2e}",
-              f"constant scale gap but core drift {spread:.2e} neither divergent (last dist "
-              f"{dist[-1]:g} <= {T_div:g}) nor stable (> {eps_stable:g})",
-              "scale gap neither divergent nor constant")[code]
+    detail = _DETAILS[code].format(abs_gap=abs_gap[-1], dist=dist[-1], gap=int(gap[0]),
+                                   spread=spread, T_div=T_div, eps_stable=eps_stable)
     if code == 2:
         return Verdict(_KINDS[2], int(gap[0]), tuple(rel[-1].tolist()), detail)
     return Verdict(_KINDS[code], detail=detail)

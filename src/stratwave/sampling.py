@@ -216,10 +216,14 @@ def lattice_coordinates(gs: SamplingSet, j: int, box) -> np.ndarray:
 
 def range_coordinates(ranges) -> np.ndarray:
     """The product of per-coordinate integer ranges [a, b) as a (P, dim)
-    int64 array in lexicographic order."""
-    axes = [np.arange(a, b, dtype=np.int64) for a, b in ranges]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    int64 array in lexicographic order, each axis one broadcast assignment."""
+    sizes = [max(b - a, 0) for a, b in ranges]
+    d = len(sizes)
+    out = np.empty((math.prod(sizes), d), dtype=np.int64)
+    grid = out.reshape(*sizes, d)  # a view: out in lexicographic order
+    for i, (a, b) in enumerate(ranges):
+        grid[..., i] = np.arange(a, b, dtype=np.int64).reshape([-1] + [1] * (d - 1 - i))
+    return out
 
 
 def lattice_ranges(gs: SamplingSet, j: int, box) -> list[tuple[int, int]]:
@@ -447,9 +451,10 @@ def column_decay_certificate(
     every sum are those of the shell-by-shell loop, bit for bit.  A later shell
     whose construction and pass would exceed MAX_ARRAY_BYTES (_PASS_COPIES copies
     of its (points, dim) int64 coordinates, and its axis ranges) raises
-    DomainError first, and so do, before the first pass, a weight
-    2^{(eta - j) Q} that is not a normal float64 and a 2^{-j} that is 0 or
-    overflows; a cut distance that is 0 or not finite raises it after the sum.
+    DomainError first, and so do, before the first pass, an x / spacing beyond
+    MAX_LATTICE_COORD, a weight 2^{(eta - j) Q} that is not a normal float64 and
+    a 2^{-j} that is 0 or overflows; a cut distance that is 0 or not finite
+    raises it after the sum.
     """
     g = gs.group
     Q, d = g.Q, g.dim
@@ -461,8 +466,12 @@ def column_decay_certificate(
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"x must be one point of {d} coordinates, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"x must be finite, got {x}")
+    # the int64 center's bound, in one Python pass that a NaN or an infinity fails too
+    if not all(abs(v) <= MAX_LATTICE_COORD * s for v, s in zip(x.tolist(), gs.spacing.tolist())):
+        if not np.isfinite(x).all():
+            raise ValueError(f"x must be finite, got {x}")
+        raise DomainError(f"x = {x.tolist()} lies beyond the bound |x / spacing| <= "
+                          f"{MAX_LATTICE_COORD} = 2^53 (spacing {gs.spacing.tolist()})")
     if not math.isfinite(n):
         raise ValueError(f"the decay exponent n must be finite, got {n}")
     if not rel_tail >= 0:

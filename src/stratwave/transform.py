@@ -26,8 +26,10 @@ Coefficient fields cross this module as arrays: `analyze` samples each
 scale at its lattice points (`sampling.range_coordinates`, lexicographic)
 and, the scales ascending, builds its field and the converted one without
 a re-sort; `synthesize` reads each scale's run of the field's canonical
-arrays.  `_scales` alone decides where each scale's lattice sits (ranges,
-refinement, fold period) and refuses a scale before any point is built.
+arrays.  `_scales` decides where each scale's lattice sits (ranges,
+refinement, fold period) and refuses a scale before any point is built;
+`verify-frame` decides it once and shares it, and one spectrum of f, with
+the private cores of the public functions.
 Kernel multipliers and Littlewood-Paley blocks are built in stacks of
 scales of at most _STACK_POINTS = 2^14 grid points, bit-identical to a
 per-scale loop; a kernel set larger than MAX_ARRAY_BYTES is refused before
@@ -361,10 +363,15 @@ def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> Coeffi
     """
     desc = f.descriptor()
     _check_inputs(gs, ks, desc)
+    scales = _scales(_js(ks), gs, desc)
+    return _analyze(desc, grid_fft(f), ks, gs, p, scales)
+
+
+def _analyze(desc: GridDescriptor, spec: np.ndarray, ks: KernelSet, gs: SamplingSet, p: float,
+             scales: list[_Scale]) -> CoefficientField:
+    """`analyze` of the function of spectrum spec."""
     if not 1.0 < p < np.inf:
         raise DomainError("p must lie in (1, inf)")
-    scales = _scales(_js(ks), gs, desc)
-    spec = grid_fft(f)
     gammas = [range_coordinates(s.ranges) for s in scales]
     values = [_sample(desc, ks.multiplier(s.j) * spec, _place(desc, gm, s.geo))
               for s, gm in zip(scales, gammas)]
@@ -384,14 +391,19 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
     _check_inputs(gs, ks, target)
     if c.normalization.kind != "Lp":
         raise ValueError("synthesize expects Lp-atom normalization")
-    p = c.normalization.p
-    Q = gs.group.Q
+    geos = {j: _refinement(target, gs.beta * 2.0 ** -j, 0.0) for j, _ in c.scales()}
+    return _synthesize(c, ks, target, geos)
+
+
+def _synthesize(c: CoefficientField, ks: KernelSet, target: GridDescriptor,
+                geos: dict) -> GridFunction:
+    """`synthesize` with the refinement geos[j] of each scale j."""
+    p, Q = c.normalization.p, c.sampling.group.Q
     runs = c.scales()
     mults = [ks.multiplier(j) for j, _ in runs]
-    geos = [_refinement(target, gs.beta * 2.0 ** -j, 0.0) for j, _ in runs]
     spec = np.zeros((target.N,) * target.dim, dtype=complex)
-    for (j, run), mult, geo in zip(runs, mults, geos):
-        pl = _place(target, c.gammas[run], geo)
+    for (j, run), mult in zip(runs, mults):
+        pl = _place(target, c.gammas[run], geos[j])
         spec += _power_of_two(j, Q, 1.0 / p - 1.0) * mult * _spread(target, c.values[run], pl)
     blank = GridFunction(target.dim, target.extent, np.zeros_like(spec))
     return grid_ifft(blank, spec)
@@ -400,15 +412,16 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
 _ROUNDING = 1e-12  # an eigenvalue this small against its fiber's largest is rounding
 
 
-def _frame_symbol(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor) -> tuple:
-    """S-hat as (diagonal, folds, P) after one `_scales` pass, which refuses a
-    scale that does not fold: S-hat Y is diagonal Y plus, per aliasing fold
-    (outer, mult, M), outer times the sum of mult Y over the aliases n + k M
-    (spreading keeps the refined grid on m Z^d; as c == 0 mod m, the parity
-    signs cancel); P is the smallest M, N if none."""
+def _frame_symbol(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor,
+                  scales: list[_Scale]) -> tuple:
+    """S-hat as (diagonal, folds, P) on scales that fold (`_scales(..., folding=True)`):
+    S-hat Y is diagonal Y plus, per aliasing fold (outer, mult, M), outer times
+    the sum of mult Y over the aliases n + k M (spreading keeps the refined grid
+    on m Z^d; as c == 0 mod m, the parity signs cancel); P is the smallest M, N
+    if none."""
     Q, d, N, dx = gs.group.Q, desc.dim, desc.N, 2.0 * desc.extent / desc.N
     diagonal, folds = np.zeros((N,) * d), []
-    for s in _scales(_js(ks), gs, desc, folding=True):
+    for s in scales:
         L, m, _ = s.geo
         mult = ks.multiplier(s.j)
         outer = 2.0 ** (-s.j * Q) * (L / (dx * m)) ** d * mult
@@ -470,7 +483,15 @@ def frame_reconstruct(f: GridFunction, ks: KernelSet,
     """
     desc = f.descriptor()
     _check_inputs(gs, ks, desc)
-    diagonal, folds, P = symbol = _frame_symbol(ks, gs, desc)
+    scales = _scales(_js(ks), gs, desc, folding=True)
+    return _frame_reconstruct(f, grid_fft(f), ks, gs, scales)
+
+
+def _frame_reconstruct(f: GridFunction, spec: np.ndarray, ks: KernelSet, gs: SamplingSet,
+                       scales: list[_Scale]) -> tuple[GridFunction, dict]:
+    """`frame_reconstruct` of f, of spectrum spec."""
+    desc = f.descriptor()
+    diagonal, folds, P = symbol = _frame_symbol(ks, gs, desc, scales)
     one = P == desc.N  # one frequency per fiber: S-hat is its own eigenvalue
     idx, fibers = (None, diagonal[..., None, None]) if one else _fiber_matrices(symbol, desc)
     if not np.all(np.isfinite(fibers)):
@@ -485,7 +506,6 @@ def frame_reconstruct(f: GridFunction, ks: KernelSet,
     if np.any(lam < -top):
         raise DomainError(f"the frame operator is not positive semidefinite: its symbol "
                           f"has the eigenvalue {float(lam.min())!r}")
-    spec = grid_fft(f)
     covered = np.square(np.abs(np.asarray([ks.multiplier(j) for j in _js(ks)]))).sum(0) > 0.5
     if one:  # S-hat (g - f) is exactly 0: g = f where S-hat > 0, and S-hat = 0 elsewhere
         g, residual, on = np.where(lam > 0, spec, 0.0), 0.0, lam[covered]
@@ -551,7 +571,12 @@ def besov_norm_continuous(f: GridFunction, ks: KernelSet, s: float, p: float,
     _check_p(p)
     if not 1 <= q < np.inf:
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
-    spec = grid_fft(f)
+    return _besov_norm(f, grid_fft(f), ks, s, p, q, leak_tol)
+
+
+def _besov_norm(f: GridFunction, spec: np.ndarray, ks: KernelSet, s: float, p: float,
+                q: float, leak_tol: float = 1e-8) -> float:
+    """`besov_norm_continuous` of f, of spectrum spec, for a valid p and q."""
     covered = np.zeros(spec.shape)
     acc = 0.0
     js = _js(ks)
@@ -585,8 +610,7 @@ def dilate_grid(f: GridFunction, h: float) -> GridFunction:
     """
     if not (math.isfinite(h) and h > 0 and math.frexp(h)[0] == 0.5):
         raise DomainError(f"grid dilation supports a finite h = 2^k only, got {h!r}")
-    grids = np.meshgrid(*([np.arange(f.N)] * f.dim), indexing="ij")
-    ints = np.stack([g.ravel() for g in grids], axis=1)
+    ints = range_coordinates([(0, f.N)] * f.dim)
     x = -f.extent + f.spacing * ints
     inside = np.all(np.abs(x * h) < f.extent - 1e-12, axis=1)
     vals = np.zeros(len(x), dtype=complex)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 from fractions import Fraction
@@ -623,6 +624,25 @@ def test_decay_certificate_refuses_a_bad_point(x, message):
         column_decay_certificate(gs, 0, 0, 16, x)
 
 
+@pytest.mark.parametrize("group, beyond, at_bound", [
+    # 1e19 wrapped in the int64 cast: two RuntimeWarnings and 5.9e-270
+    (sw.abelian(1), [1e19], [2.0**53]),
+    # 1e17 was refused as "the cut distance 2^(-j) 0.0 is 0.0", naming no cause
+    (sw.abelian(1), [-1e17], [-(2.0**53)]),
+    # the second stratum's step is beta^2 / 2
+    (sw.heisenberg(1), [0.3, 0.3, 2.0**52 + 1.0], [0.3, 0.3, 2.0**52]),
+], ids=["R1-wraps", "R1-no-cause", "H1-second-stratum"])
+def test_decay_certificate_refuses_a_point_beyond_the_lattice_bound(monkeypatch, group, beyond,
+                                                                   at_bound):
+    gs = sw.preset_sampling_set(group, 1.0)
+    assert column_decay_certificate(gs, 0, 0, 16, at_bound, max_shells=5) > 0
+    monkeypatch.setattr(sampling, "_shell_block", lambda *a: pytest.fail("summed past the bound"))
+    message = (f"x = {beyond} lies beyond the bound |x / spacing| <= 9007199254740992 = 2^53 "
+               f"(spacing {gs.spacing.tolist()})")
+    with pytest.raises(sw.DomainError, match=re.escape(message)):
+        column_decay_certificate(gs, 0, 0, 16, beyond, max_shells=5)
+
+
 def test_decay_certificate_refuses_a_shell_over_the_budget(monkeypatch):
     # an abelian(2) shell of radius r holds 8r points of 16 B; with its pass
     # (5 copies) and axis ranges (4r entries) it needs 8 (5 * 16 r + 4 r) =
@@ -782,6 +802,15 @@ def test_scale_ranges_equal_the_per_scale_ranges(gs, box):
     assert sampling.scale_ranges(gs, [], box) == []
     empty = [(0.0, 0.0)] + list(box[1:])
     assert sampling.scale_ranges(gs, js, empty) == [[(0, 0)] * gs.group.dim] * len(js)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=4))
+def test_range_coordinates_is_the_lexicographic_product(ranges):
+    got = sampling.range_coordinates(ranges)
+    want = list(itertools.product(*(range(a, b) for a, b in ranges)))
+    assert got.dtype == np.int64 and got.shape == (len(want), len(ranges))
+    assert got.tolist() == [list(point) for point in want]
 
 
 def _first_refusal(gs, js, box):

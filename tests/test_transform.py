@@ -481,7 +481,7 @@ def _assert_refused_without_fibers(monkeypatch, desc, gs, ks, j_range, density):
         monkeypatch.setattr(transform, name, lambda *a: pytest.fail("built before the refusal"))
     message = (f"the scale-{j_range[0]} lattice at density {density!r} does not fold "
                f"(it is no subgroup of its refinement), so the frame operator has no fibers")
-    for call in (lambda: transform._frame_symbol(ks, gs, desc),
+    for call in (lambda: transform._scales(transform._js(ks), gs, desc, folding=True),
                  lambda: sw.frame_reconstruct(sw.GridFunction(
                      desc.dim, desc.extent, np.zeros((desc.N,) * desc.dim)), ks, gs)):
         with pytest.raises(DomainError, match=re.escape(message)):
@@ -490,7 +490,8 @@ def _assert_refused_without_fibers(monkeypatch, desc, gs, ks, j_range, density):
 
 def _fibered_symbol(ks, gs, desc):
     """S-hat applied through its fiber matrices, and the number of folds that alias."""
-    symbol = transform._frame_symbol(ks, gs, desc)
+    symbol = transform._frame_symbol(ks, gs, desc,
+                                     transform._scales(transform._js(ks), gs, desc, folding=True))
     idx, fibers = transform._fiber_matrices(symbol, desc)
 
     def apply_s(y):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratwave as sw
+from stratwave import cli, transform
 from stratwave import io as sio
 from stratwave.cli import main
 from stratwave.generators import spec_to_json
@@ -95,6 +96,37 @@ def test_verify_window(tmp_path):
     assert obj["max_partition_deviation"] <= 1e-12
     assert main(["verify-window", "--narrow", "--report", str(report)]) == 0
     assert loads(report.read_text())["max_partition_deviation"] == 0.0
+
+
+@pytest.mark.parametrize("narrow", [[], ["--narrow"]], ids=["smooth", "narrow"])
+def test_verify_window_peak_stays_within_its_counted_budget(tmp_path, capsys, monkeypatch,
+                                                            narrow):
+    # the count: np.geomspace's grid and its working copy, and one chunk of the check
+    n = 100_000
+    count = 16 * (n + 2) + sw.windows._PARTITION_CHUNK_BYTES
+    argv = ["verify-window", *narrow, "--grid-points", str(n), "--report",
+            str(tmp_path / "w.json")]
+    # a short run first: what the first call allocates once is no grid copy
+    assert main(["verify-window", *narrow, "--grid-points", "64", "--report",
+                 str(tmp_path / "w.json")]) == 0
+    monkeypatch.setattr("stratwave.cli.MAX_ARRAY_BYTES", count)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+        monkeypatch.setattr("stratwave.cli.MAX_ARRAY_BYTES", count - 1)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 1
+        refused = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= count
+    # a refusal builds no grid: a few KiB of Python objects
+    assert refused < 16384
+    assert capsys.readouterr().err == (f"validation error: {n} grid points need {count} B, "
+                                       f"over the {count - 1} B budget\n")
 
 
 def write_band_grid(tmp_path):
@@ -253,6 +285,21 @@ def test_verify_frame_default_density_converges_on_a_band_limited_grid(tmp_path,
     assert main(argv + ["--density", "0.5"]) == 1
     assert loads(report.read_text())["frame_iterations"] == 0
     assert_singular_on_the_band(capsys.readouterr().err, "0.5")
+
+
+def test_verify_frame_works_out_each_scale_and_the_spectrum_of_f_once(tmp_path, monkeypatch):
+    # the up-front check's geometry feeds analysis, synthesis and the frame
+    # symbol, and one spectrum of f feeds analysis, the frame solve and the norm
+    grid, report = write_benchmark_band_grid(tmp_path, 1), tmp_path / "frame.json"
+    calls = []
+    for module, name in [(transform, "scale_ranges"), (transform, "grid_fft"),
+                         (cli, "grid_fft"), (transform, "_refinement")]:
+        monkeypatch.setattr(module, name, lambda *a, fn=getattr(module, name), name=name:
+                            calls.append(name) or fn(*a))
+    assert main(["verify-frame", "--grid", str(grid), "--jmin", "-1", "--jmax", "4",
+                 "--report", str(report)]) == 0
+    assert sorted(calls) == ["_refinement"] * 6 + ["grid_fft", "scale_ranges"]
+    assert loads(report.read_text())["corrected_rel_error"] <= 1e-5
 
 
 def test_verify_frame_refuses_a_density_on_no_dyadic_refinement(tmp_path, capsys, monkeypatch):
@@ -1006,7 +1053,7 @@ def test_verify_window_refuses_a_bad_tol(tmp_path, capsys, tol):
 @pytest.mark.parametrize("argv, message", [
     (["--J", "512"], "the covered band [4^(-J), 4^J] overflows float64 at J = 512"),
     (["--grid-points", "100000000000"],
-     "100000000000 grid points need 800000000016 B, over the 268435456 B budget"),
+     "100000000000 grid points need 1600001310752 B, over the 268435456 B budget"),
 ], ids=["band-overflows", "grid-over-budget"])
 def test_verify_window_refuses_a_band_or_grid_it_cannot_hold(tmp_path, capsys, argv, message):
     report = tmp_path / "w.json"

@@ -25,10 +25,11 @@ from . import groups as _groups
 from . import io as _io
 from .transform import (
     _ROUNDING,
+    _BlockNorms,
     _analyze,
-    _besov_norm,
     _frame_reconstruct,
     _kernel_factors,
+    _lp_norms,
     _scales,
     _synthesize,
     build_kernel_set,
@@ -72,8 +73,10 @@ def _emit(report: dict, out_path) -> None:
         Path(out_path).write_text(text)
 
 
-def _load_json(path):
-    return load_json(Path(path).read_bytes())
+def _load_json(path) -> tuple:
+    """The JSON value of a file and the digest of the bytes it is parsed from."""
+    raw = Path(path).read_bytes()
+    return load_json(raw), hashlib.sha256(raw).hexdigest()
 
 
 # decompose --params: JSON kind and default of each ExtractParams field
@@ -88,14 +91,14 @@ _PAIR_FIELDS = {"group": ("object",), "beta": ("number", 1.0), "js": ("list of i
 # -- subcommands -------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    obj = _load_json(args.spec)
+    obj, digest = _load_json(args.spec)
     spec = spec_from_json(obj)
     f = json_fields(obj, {"group": ("object",), "density": ("number", 1.0)}, "spec")
     snaps = generate(spec, SamplingSet(_groups.group_from_json(f["group"]), f["density"]))
     _io.write_snapshots(args.out, snaps)
     _emit({
         "command": "generate",
-        "inputs": {"spec": _digest(args.spec)},
+        "inputs": {"spec": digest},
         "horizon": snaps.horizon,
         "K_bound": snaps.K_bound,
         "out": Path(args.out).name,
@@ -118,7 +121,7 @@ def _profile_to_json(p) -> dict:
 
 def cmd_decompose(args) -> int:
     snaps = _io.read_snapshots(args.infile)
-    obj = _load_json(args.params)
+    obj, params_digest = _load_json(args.params)
     params = ExtractParams(**json_fields(obj, _PARAM_FIELDS, "params"))
     if unknown := sorted(set(obj) - set(_PARAM_FIELDS)):
         raise ValueError(f"params has unknown fields {unknown}")
@@ -133,7 +136,7 @@ def cmd_decompose(args) -> int:
                           "r2_norm_Lp_proxy": sp["r2_norm_Lp_proxy"]}
     report = {
         "command": "decompose",
-        "inputs": {"snapshots": _digest(args.infile), "params": _digest(args.params)},
+        "inputs": {"snapshots": _digest(args.infile), "params": params_digest},
         "params": dataclasses.asdict(params),
         "M_eff": dec.M_eff,
         "nu": len(dec.profiles),
@@ -197,19 +200,22 @@ def cmd_verify_frame(args) -> int:
     scales = _scales(js, gs, desc, folding=True)
     ks = build_kernel_set(window, desc, (args.jmin, args.jmax))
     spec = grid_fft(f)
-    c = _analyze(desc, spec, ks, gs, args.p, scales)
-    f_direct = _synthesize(c, ks, desc, {sc.j: sc.geo for sc in scales})
+    # the analysis feeds the continuous Besov norm its blocks; the norm's own
+    # refusal and warning come after the frame solve's
+    norms = _BlockNorms(spec, 2.0, f.spacing**f.dim)
+    c, places = _analyze(desc, spec, ks, gs, args.p, scales, norms)
+    f_direct = _synthesize(c, ks, desc, places)
     f_rec, info = _frame_reconstruct(f, spec, ks, gs, scales)
     l2 = lebesgue_norm(f, 2.0)
-    err_direct, err_corrected = (  # a zero grid has no relative error
-        lebesgue_norm(type(f)(f.dim, f.extent, f.samples - g.samples), 2.0) / l2 if l2 > 0
-        else None for g in (f_direct, f_rec))
+    diffs = np.stack([f.samples - g.samples for g in (f_direct, f_rec)]).reshape(2, -1)
+    err_direct, err_corrected = (e / l2 if l2 > 0 else None  # a zero grid has no relative error
+                                 for e in _lp_norms(diffs, 2.0, f.spacing**f.dim))
     s = gs.group.Q * (0.5 - 1.0 / args.p)
-    cont = _besov_norm(f, spec, ks, s, 2.0, 2.0)
+    cont = norms.besov(js, s, 2.0)
     disc = discrete_besov_norm(c, NormParams(s, 2.0, 2.0))
     report = {
         "command": "verify-frame",
-        "inputs": {"grid": _digest(args.grid)},
+        "inputs": {"grid": _io._grid_digest(f)},  # of the bytes analysed: no second read
         "density": args.density,
         "p": args.p,
         "s_critical": s,
@@ -247,19 +253,22 @@ def cmd_norms(args) -> int:
     return EXIT_OK
 
 
-def _pair_from_json(path) -> ScaleCorePair:
-    f = json_fields(_load_json(path), _PAIR_FIELDS, "track")
+def _pair_from_json(path) -> tuple[ScaleCorePair, str]:
+    """The track of a file, and its digest."""
+    obj, digest = _load_json(path)
+    f = json_fields(obj, _PAIR_FIELDS, "track")
     gs = SamplingSet(_groups.group_from_json(f["group"]), f["beta"])
-    return ScaleCorePair(sampling=gs, js=f["js"], gammas=f["gammas"])  # DomainError beyond 2^53
+    # DomainError beyond 2^53
+    return ScaleCorePair(sampling=gs, js=f["js"], gammas=f["gammas"]), digest
 
 
 def cmd_classify(args) -> int:
-    a = _pair_from_json(args.a)
-    b = _pair_from_json(args.b)
+    a, a_digest = _pair_from_json(args.a)
+    b, b_digest = _pair_from_json(args.b)
     v = classify_pair(a, b, args.tail, args.T_div, args.eps_stable)
     report = {
         "command": "classify",
-        "inputs": {"a": _digest(args.a), "b": _digest(args.b)},
+        "inputs": {"a": a_digest, "b": b_digest},
         "tail": args.tail, "T_div": args.T_div, "eps_stable": args.eps_stable,
         "verdict": v.kind,
         "j_rel": v.j_rel,

@@ -98,6 +98,19 @@ def _lex_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(raw.view(f"V{8 * keys.shape[1]}").ravel(), kind="stable")
 
 
+def _floor_mask(values: np.ndarray, floor: Optional[float]) -> Optional[np.ndarray]:
+    """The mask of the values whose moduli exceed floor * the largest, None
+    when there is no floor or it keeps every value; non-finite values are
+    refused with ValueError first."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite coefficient")
+    if floor is None or not len(values):
+        return None
+    moduli = np.hypot(values.real, values.imag)
+    keep = moduli > floor * np.max(moduli)
+    return None if keep.all() else keep
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class CoefficientField:
     sampling: SamplingSet
@@ -139,13 +152,9 @@ class CoefficientField:
         """Check the tag and finiteness, apply the floor, freeze the arrays."""
         if not isinstance(normalization, Normalization):
             raise ValueError(f"a field needs a normalization tag, got {normalization!r}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite coefficient")
-        if floor is not None and len(values):
-            moduli = np.hypot(values.real, values.imag)
-            keep = moduli > floor * np.max(moduli)
-            if not keep.all():
-                js, gammas, values = js[keep], gammas[keep], values[keep]
+        keep = _floor_mask(values, floor)
+        if keep is not None:
+            js, gammas, values = js[keep], gammas[keep], values[keep]
         for name, val in (("sampling", sampling), ("normalization", normalization),
                           ("js", js), ("gammas", gammas), ("values", values)):
             if isinstance(val, np.ndarray):

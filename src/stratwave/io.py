@@ -36,18 +36,19 @@ snapshots whose total energy overflows float64 raise it without a line.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
 import struct
 from itertools import chain, islice, repeat
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
 from ._json import KINDS, json_typed, load_json
 from .sampling import (
+    MAX_ARRAY_BYTES,
     MAX_LATTICE_COORD,
     AtomIndex,
     SamplingSet,
@@ -94,19 +95,40 @@ def write_grid(path, f: GridFunction) -> None:
 
 
 def read_grid(path) -> GridFunction:
-    raw = Path(path).read_bytes()
-    if len(raw) < _GRID_HEADER.size:
-        raise IngestionError("grid file too short for its header")
-    dim, n, r = _GRID_HEADER.unpack_from(raw)
-    # n >= 2 samples per axis fit the file only for dim <= 64
-    if not 1 <= dim <= 64 or n < 2 or len(raw) != _GRID_HEADER.size + n**dim * 8:
-        raise IngestionError(
-            f"grid header {dim=} {n=} inconsistent with file size {len(raw)}")
-    samples = np.frombuffer(raw, dtype=np.complex64, offset=_GRID_HEADER.size)
+    """The grid of a file, each byte read once.  The header is read first: a
+    grid whose count (the file, its complex128 copy and the finiteness mask)
+    exceeds MAX_ARRAY_BYTES is refused before the samples are read, and a
+    file of another length than its header's is measured, not held."""
+    with open(path, "rb") as fh:
+        head = fh.read(_GRID_HEADER.size)
+        if len(head) < _GRID_HEADER.size:
+            raise IngestionError("grid file too short for its header")
+        dim, n, r = _GRID_HEADER.unpack(head)
+        # n >= 2 samples per axis fit the file only for dim <= 64
+        points = n**dim if 1 <= dim <= 64 and n >= 2 else 0
+        need = _GRID_HEADER.size + 25 * points  # 8 B a point in the file, 16 + 1 B beside it
+        if need > MAX_ARRAY_BYTES:
+            raise IngestionError(f"a grid of {n}^{dim} samples needs {need} B, over the "
+                                 f"{MAX_ARRAY_BYTES} B budget")
+        body = fh.read(8 * points + 1)  # one byte more shows a longer file
+        if not points or len(body) != 8 * points:
+            size = len(head) + len(body) + sum(map(len, iter(lambda: fh.read(1 << 16), b"")))
+            raise IngestionError(f"grid header {dim=} {n=} inconsistent with file size {size}")
+    samples = np.frombuffer(body, dtype=np.complex64).astype(complex).reshape((n,) * dim)
+    del body  # freed before the finiteness check builds its mask
     try:
-        return GridFunction(dim, float(r), samples.astype(complex).reshape((n,) * dim))
+        return GridFunction(dim, float(r), samples)
     except ValueError as exc:
         raise IngestionError(f"grid header or samples: {exc}") from None
+
+
+def _grid_digest(f: GridFunction) -> str:
+    """SHA-256 of the file `write_grid` writes for f.  complex64 samples keep
+    their bits through complex128, so for a grid `read_grid` returned it is
+    the digest of the bytes the grid was parsed from, with no second read."""
+    digest = hashlib.sha256(_GRID_HEADER.pack(f.dim, f.N, f.extent))
+    digest.update(np.ascontiguousarray(f.samples, dtype=np.complex64))
+    return digest.hexdigest()
 
 
 # -- shared JSONL helpers ----------------------------------------------------

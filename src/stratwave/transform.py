@@ -27,9 +27,14 @@ scale at its lattice points (`sampling.range_coordinates`, lexicographic)
 and, the scales ascending, builds its field and the converted one without
 a re-sort; `synthesize` reads each scale's run of the field's canonical
 arrays.  `_scales` decides where each scale's lattice sits (ranges,
-refinement, fold period) and refuses a scale before any point is built;
-`verify-frame` decides it once and shares it, and one spectrum of f, with
-the private cores of the public functions.
+refinement, fold period) and refuses a scale before any point is built.
+`verify-frame` builds each per-scale quantity once and shares it with the
+private cores of the public functions: the scale geometry; one spectrum of
+f; each scale's `_Placement`, which carries its refined-frequency index at
+L > 1 and is made by the analysis and handed, less the entries the sparsity
+floor drops, to synthesis; and one stacked Littlewood-Paley block per
+scale, which gives the continuous Besov norm (`_BlockNorms`) and, at L = 1,
+the analysis samples.
 Kernel multipliers and Littlewood-Paley blocks are built in stacks of
 scales of at most _STACK_POINTS = 2^14 grid points, bit-identical to a
 per-scale loop; a kernel set larger than MAX_ARRAY_BYTES is refused before
@@ -61,7 +66,8 @@ import numpy as np
 
 from .groups import DomainError, dilate  # noqa: F401 (perfbench's tracer test reads it)
 from .sampling import MAX_ARRAY_BYTES, SamplingSet, range_coordinates, scale_ranges
-from .coeffs import SPARSE_FLOOR, CoefficientField, L1_ATOMS, _power_of_two, lp_atoms, convert
+from .coeffs import (SPARSE_FLOOR, CoefficientField, L1_ATOMS, _floor_mask, _power_of_two,
+                     lp_atoms, convert)
 
 __all__ = [
     "GridFunction",
@@ -263,10 +269,12 @@ def _check_inputs(gs: SamplingSet, ks: KernelSet, desc: GridDescriptor) -> None:
 
 
 class _Placement(NamedTuple):
-    """Points as raveled indices into the (N L)^d grid of the L-fold refinement."""
+    """Points as raveled indices into the (N L)^d grid of the L-fold refinement,
+    and, when L > 1, the index of the grid frequencies in its FFT layout."""
 
     L: int
     at: np.ndarray
+    freqs: tuple | None  # `_frequencies(desc, L)`, None at L = 1
 
 
 def _refinement(desc: GridDescriptor, step: float, origin: float) -> tuple[int, int, int]:
@@ -297,7 +305,8 @@ def _place(desc: GridDescriptor, ints: np.ndarray, geo: tuple[int, int, int]) ->
     L, m, c = geo
     NL = desc.N * L
     nodes = (np.mod(ints, NL) * (m % NL) + c % NL) % NL
-    return _Placement(L, np.ravel_multi_index(tuple(nodes.T), (NL,) * desc.dim))
+    return _Placement(L, np.ravel_multi_index(tuple(nodes.T), (NL,) * desc.dim),
+                      _frequencies(desc, L) if L > 1 else None)
 
 
 def _frequencies(desc: GridDescriptor, L: int):
@@ -313,7 +322,7 @@ def _sample(desc: GridDescriptor, spectrum: np.ndarray, pl: _Placement) -> np.nd
     signed = spectrum * _parity(d, desc.N)
     if pl.L > 1:
         padded = np.zeros((desc.N * pl.L,) * d, dtype=complex)
-        padded[_frequencies(desc, pl.L)] = signed
+        padded[pl.freqs] = signed
         signed = padded
     return np.fft.ifftn(signed).ravel()[pl.at] * pl.L**d / (2.0 * desc.extent / desc.N) ** d
 
@@ -325,7 +334,7 @@ def _spread(desc: GridDescriptor, values: np.ndarray, pl: _Placement) -> np.ndar
     np.add.at(grid, pl.at, values)  # points that wrap onto one node add up
     spec = np.fft.fftn(grid.reshape((desc.N * pl.L,) * d))
     if pl.L > 1:
-        spec = spec[_frequencies(desc, pl.L)]
+        spec = spec[pl.freqs]
     return spec * _parity(d, desc.N)
 
 
@@ -364,22 +373,48 @@ def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> Coeffi
     desc = f.descriptor()
     _check_inputs(gs, ks, desc)
     scales = _scales(_js(ks), gs, desc)
-    return _analyze(desc, grid_fft(f), ks, gs, p, scales)
+    return _analyze(desc, grid_fft(f), ks, gs, p, scales)[0]
 
 
 def _analyze(desc: GridDescriptor, spec: np.ndarray, ks: KernelSet, gs: SamplingSet, p: float,
-             scales: list[_Scale]) -> CoefficientField:
-    """`analyze` of the function of spectrum spec."""
+             scales: list[_Scale], norms: _BlockNorms | None = None
+             ) -> tuple[CoefficientField, dict]:
+    """`analyze` of the function of spectrum spec, and the placement of its
+    entries at each scale j.  With norms, every stack of scales' blocks also
+    feeds norms and gives the samples of the scales at L = 1."""
     if not 1.0 < p < np.inf:
         raise DomainError("p must lie in (1, inf)")
     gammas = [range_coordinates(s.ranges) for s in scales]
-    values = [_sample(desc, ks.multiplier(s.j) * spec, _place(desc, gm, s.geo))
-              for s, gm in zip(scales, gammas)]
+    places = [_place(desc, gm, s.geo) for s, gm in zip(scales, gammas)]
+    values = []
+    for run in _stacks(len(scales), spec.size):
+        values += _sample_run(desc, spec, ks, scales[run], places[run], norms)
     # scales ascend and each lattice is lexicographic, so the rows are canonical
     js = np.concatenate([np.full(len(gm), s.j, dtype=np.int64) for s, gm in zip(scales, gammas)])
-    c1 = CoefficientField._canonical(gs, L1_ATOMS, js, np.concatenate(gammas),
-                                     np.concatenate(values), floor=SPARSE_FLOOR)
-    return convert(c1, lp_atoms(p))
+    gammas, values = np.concatenate(gammas), np.concatenate(values)
+    keep = _floor_mask(values, SPARSE_FLOOR)
+    if keep is not None:  # the floor drops entries, and their points
+        ends = np.cumsum([len(pl.at) for pl in places]).tolist()
+        places = [pl._replace(at=pl.at[keep[end - len(pl.at):end]])
+                  for pl, end in zip(places, ends)]
+        js, gammas, values = js[keep], gammas[keep], values[keep]
+    c1 = CoefficientField._canonical(gs, L1_ATOMS, js, gammas, values)
+    return convert(c1, lp_atoms(p)), {s.j: pl for s, pl in zip(scales, places)}
+
+
+def _sample_run(desc: GridDescriptor, spec: np.ndarray, ks: KernelSet, scales: list[_Scale],
+                places: list[_Placement], norms: _BlockNorms | None) -> list[np.ndarray]:
+    """The samples of a run of scales at their placements.  With norms, the
+    run's stacked blocks feed norms and give the samples at L = 1; they are
+    freed on return, so one run's blocks at most are alive."""
+    mults = [ks.multiplier(s.j) for s in scales]
+    blocks = None
+    if norms is not None:
+        stacked = np.stack(mults)
+        blocks = _lp_blocks(desc, spec, stacked)
+        norms.add(stacked, blocks)
+    return [blocks[k].ravel()[pl.at] if blocks is not None and pl.L == 1
+            else _sample(desc, mult * spec, pl) for k, (mult, pl) in enumerate(zip(mults, places))]
 
 
 def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
@@ -391,20 +426,21 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
     _check_inputs(gs, ks, target)
     if c.normalization.kind != "Lp":
         raise ValueError("synthesize expects Lp-atom normalization")
-    geos = {j: _refinement(target, gs.beta * 2.0 ** -j, 0.0) for j, _ in c.scales()}
-    return _synthesize(c, ks, target, geos)
+    places = {j: _place(target, c.gammas[run], _refinement(target, gs.beta * 2.0 ** -j, 0.0))
+              for j, run in c.scales()}
+    return _synthesize(c, ks, target, places)
 
 
 def _synthesize(c: CoefficientField, ks: KernelSet, target: GridDescriptor,
-                geos: dict) -> GridFunction:
-    """`synthesize` with the refinement geos[j] of each scale j."""
+                places: dict) -> GridFunction:
+    """`synthesize` with the placement places[j] of each scale j's entries."""
     p, Q = c.normalization.p, c.sampling.group.Q
     runs = c.scales()
     mults = [ks.multiplier(j) for j, _ in runs]
     spec = np.zeros((target.N,) * target.dim, dtype=complex)
     for (j, run), mult in zip(runs, mults):
-        pl = _place(target, c.gammas[run], geos[j])
-        spec += _power_of_two(j, Q, 1.0 / p - 1.0) * mult * _spread(target, c.values[run], pl)
+        spec += (_power_of_two(j, Q, 1.0 / p - 1.0) * mult
+                 * _spread(target, c.values[run], places[j]))
     blank = GridFunction(target.dim, target.extent, np.zeros_like(spec))
     return grid_ifft(blank, spec)
 
@@ -571,31 +607,54 @@ def besov_norm_continuous(f: GridFunction, ks: KernelSet, s: float, p: float,
     _check_p(p)
     if not 1 <= q < np.inf:
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
-    return _besov_norm(f, grid_fft(f), ks, s, p, q, leak_tol)
-
-
-def _besov_norm(f: GridFunction, spec: np.ndarray, ks: KernelSet, s: float, p: float,
-                q: float, leak_tol: float = 1e-8) -> float:
-    """`besov_norm_continuous` of f, of spectrum spec, for a valid p and q."""
-    covered = np.zeros(spec.shape)
-    acc = 0.0
-    js = _js(ks)
-    axes = tuple(range(1, f.dim + 1))
+    desc, spec, js = f.descriptor(), grid_fft(f), _js(ks)
+    norms = _BlockNorms(spec, p, f.spacing**f.dim)
     for run in _stacks(len(js), spec.size):
         mults = np.stack([ks.multiplier(j) for j in js[run]])
-        blocks = np.fft.ifftn(mults * spec * _parity(f.dim, f.N), axes=axes) / f.spacing**f.dim
-        if not np.all(np.isfinite(blocks)):
+        norms.add(mults, _lp_blocks(desc, spec, mults))
+    return norms.besov(js, s, q, leak_tol)
+
+
+def _lp_blocks(desc: GridDescriptor, spec: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """The Littlewood-Paley blocks of the function of spectrum spec under the
+    stacked multipliers mults, from one inverse FFT: row k is the grid
+    samples that `_sample` gives at L = 1 under mults[k]."""
+    d = desc.dim
+    return (np.fft.ifftn(mults * spec * _parity(d, desc.N), axes=tuple(range(1, d + 1)))
+            / (2.0 * desc.extent / desc.N) ** d)
+
+
+class _BlockNorms:
+    """The L^p norms of a spectrum's Littlewood-Paley blocks, fed stack by
+    stack, and the |psi_hat_j|^2 they cover; `besov` gives the norm.  A
+    block that is not finite is refused, and band leakage warned of, only
+    by `besov`, so a caller can feed it before its own refusals."""
+
+    def __init__(self, spec: np.ndarray, p: float, cell: float):
+        self.spec, self.p, self.cell = spec, p, cell
+        self.covered, self.norms = np.zeros(spec.shape), []  # norms: None once not finite
+
+    def add(self, mults: np.ndarray, blocks: np.ndarray) -> None:
+        if self.norms is None or not np.all(np.isfinite(blocks)):
+            self.norms = None
+            return
+        self.norms += _lp_norms(blocks.reshape(len(mults), -1), self.p, self.cell)
+        for power in np.abs(mults) ** 2:
+            self.covered += power  # |psi_hat_j|^2, which is m * m for a real multiplier
+
+    def besov(self, js: range, s: float, q: float, leak_tol: float = 1e-8) -> float:
+        """l^q over the scales js fed so far of 2^{js} times their norms."""
+        if self.norms is None:
             raise ValueError("samples must be finite")
-        norms = _lp_norms(blocks.reshape(len(mults), -1), p, f.spacing**f.dim)
-        for j, power, norm in zip(js[run], np.abs(mults) ** 2, norms):
-            covered += power  # |psi_hat_j|^2, which is m * m for a real multiplier
+        acc = 0.0
+        for j, norm in zip(js, self.norms):
             acc += (2.0 ** (j * s) * norm) ** q
-    energy = np.sum(np.abs(spec) ** 2)
-    leaked = np.sum(np.abs(spec) ** 2 * np.clip(1.0 - covered, 0.0, 1.0))
-    if energy > 0 and leaked > leak_tol * energy:
-        warnings.warn(f"band leakage: relative residual energy {leaked / energy:.3e} "
-                      "outside the cached scale range")
-    return float(acc ** (1.0 / q))
+        energy = np.sum(np.abs(self.spec) ** 2)
+        leaked = np.sum(np.abs(self.spec) ** 2 * np.clip(1.0 - self.covered, 0.0, 1.0))
+        if energy > 0 and leaked > leak_tol * energy:
+            warnings.warn(f"band leakage: relative residual energy {leaked / energy:.3e} "
+                          "outside the cached scale range")
+        return float(acc ** (1.0 / q))
 
 
 def dilate_grid(f: GridFunction, h: float) -> GridFunction:

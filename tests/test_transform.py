@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stratwave as sw
 from stratwave import sampling, transform
@@ -971,3 +973,67 @@ def test_analyze_and_frame_reconstruct_make_one_range_pass_each(monkeypatch, den
     else:
         sw.frame_reconstruct(f, ks, gs)
     assert passes == [list(range(-1, 5))] * 2
+
+
+def _analyze_per_scale(f, ks, gs, p, scales):
+    """Analysis scale by scale: each lattice placed and sampled on its own,
+    and the floor applied by the field."""
+    desc, spec = f.descriptor(), grid_fft(f)
+    gammas = [sampling.range_coordinates(s.ranges) for s in scales]
+    values = [transform._sample(desc, ks.multiplier(s.j) * spec,
+                                transform._place(desc, gm, s.geo))
+              for s, gm in zip(scales, gammas)]
+    js = np.concatenate([np.full(len(gm), s.j, dtype=np.int64) for s, gm in zip(scales, gammas)])
+    c1 = sw.CoefficientField._canonical(gs, sw.L1_ATOMS, js, np.concatenate(gammas),
+                                        np.concatenate(values), floor=sw.coeffs.SPARSE_FLOOR)
+    return sw.convert(c1, sw.lp_atoms(p))
+
+
+def _synthesize_per_scale(c, ks, desc, scales):
+    """Synthesis that places each scale's kept entries anew."""
+    geos = {s.j: s.geo for s in scales}
+    spec = np.zeros((desc.N,) * desc.dim, dtype=complex)
+    for j, run in c.scales():
+        pl = transform._place(desc, c.gammas[run], geos[j])
+        spec += (sw.coeffs._power_of_two(j, c.sampling.group.Q, 1.0 / c.normalization.p - 1.0)
+                 * ks.multiplier(j) * transform._spread(desc, c.values[run], pl))
+    return grid_ifft(sw.GridFunction(desc.dim, desc.extent, np.zeros_like(spec)), spec)
+
+
+def _hex(c):
+    return c.js.tobytes(), c.gammas.tobytes(), c.values.tobytes(), c.normalization
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(3, 31), mirror=st.booleans(), phase=st.floats(0.0, 6.0),
+       density=st.sampled_from([0.125, 0.25, 0.5]), p=st.sampled_from([2.0, 4.0]),
+       stack=st.sampled_from([64, 128, 1 << 14]))
+def test_shared_placements_and_blocks_keep_analysis_and_synthesis_hex_identical(
+        k, mirror, phase, density, p, stack):
+    # a tone of frequency k / 8 is zero at the scales whose band misses it, and
+    # with its mirror -k / 8 a cosine, near zero at some lattice points: the
+    # floor drops whole scales and points within one.  The placements and
+    # blocks shared with the norm give the field and the synthesis of the
+    # scale-by-scale path bit for bit, at every stack size (one to all of the
+    # 4 scales a run)
+    desc = sw.GridDescriptor(1, 64, 4.0)
+    f = sw.GridFunction.from_callable(desc, lambda t: np.exp(1j * phase) * (
+        np.cos(np.pi * k * t / 4.0) if mirror else np.exp(1j * np.pi * k * t / 4.0)))
+    gs = sw.SamplingSet(sw.abelian(1), density)
+    ks = sw.build_kernel_set(sw.build_window(1.0), desc, (-1, 2))
+    scales = transform._scales(transform._js(ks), gs, desc, folding=True)
+    want = _analyze_per_scale(f, ks, gs, p, scales)
+    assert len(want) < sum(len(sampling.range_coordinates(s.ranges)) for s in scales)
+    spec = grid_fft(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transform, "_STACK_POINTS", stack)
+        norms = transform._BlockNorms(spec, 2.0, f.spacing)
+        got, places = transform._analyze(desc, spec, ks, gs, p, scales, norms)
+    assert _hex(got) == _hex(want) == _hex(sw.analyze(f, ks, gs, p))
+    g = transform._synthesize(got, ks, desc, places).samples.tobytes()
+    assert g == _synthesize_per_scale(want, ks, desc, scales).samples.tobytes()
+    assert g == sw.synthesize(got, ks, gs, desc).samples.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # band leakage of the tones
+        assert norms.besov(transform._js(ks), 0.25, 2.0).hex() == sw.besov_norm_continuous(
+            f, ks, 0.25, 2.0, 2.0).hex()

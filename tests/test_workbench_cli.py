@@ -1,9 +1,12 @@
 """Command-line workbench: pipelines, reports, exit codes, determinism."""
 
 import functools
+import hashlib
 import json
 import re
 import tracemalloc
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +130,38 @@ def test_verify_window_peak_stays_within_its_counted_budget(tmp_path, capsys, mo
     assert refused < 16384
     assert capsys.readouterr().err == (f"validation error: {n} grid points need {count} B, "
                                        f"over the {count - 1} B budget\n")
+
+
+def test_verify_frame_refuses_a_grid_over_the_budget_before_reading_its_samples(tmp_path,
+                                                                              capsys,
+                                                                              monkeypatch):
+    # the count: the file, its complex128 copy and the finiteness mask
+    n = 1 << 16
+    grid = tmp_path / "f.grid"
+    sio.write_grid(grid, sw.GridFunction(1, 1.0, np.ones(n, dtype=complex)))
+    count = grid.stat().st_size + 17 * n
+    sio.read_grid(grid)  # a first read: what it allocates once is no grid copy
+    monkeypatch.setattr(sio, "MAX_ARRAY_BYTES", count)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert sio.read_grid(grid).N == n
+        peak = tracemalloc.get_traced_memory()[1] - start
+        monkeypatch.setattr(sio, "MAX_ARRAY_BYTES", count - 1)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(sio.IngestionError, match=f"needs {count} B, over the {count - 1} B"):
+            sio.read_grid(grid)
+        refused = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= count
+    # a refusal reads no samples: a few KiB of Python objects
+    assert refused < 16384
+    assert main(["verify-frame", "--grid", str(grid), "--report", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == (f"validation error: a grid of {n}^1 samples needs {count} "
+                                       f"B, over the {count - 1} B budget\n")
+    assert not (tmp_path / "r.json").exists()
 
 
 def write_band_grid(tmp_path):
@@ -289,17 +324,64 @@ def test_verify_frame_default_density_converges_on_a_band_limited_grid(tmp_path,
 
 def test_verify_frame_works_out_each_scale_and_the_spectrum_of_f_once(tmp_path, monkeypatch):
     # the up-front check's geometry feeds analysis, synthesis and the frame
-    # symbol, and one spectrum of f feeds analysis, the frame solve and the norm
+    # symbol, and one spectrum of f feeds analysis, the frame solve and the norm;
+    # each scale is placed once, for analysis and synthesis, the L = 2 scale's
+    # frequency index is built once, and the five L = 1 scales are sampled from
+    # the norm's stacked blocks: 1 + 1 + 1 inverse FFTs for f-hat, the blocks
+    # and the L = 2 samples, 6 + 1 for synthesis and 1 for the frame solve
     grid, report = write_benchmark_band_grid(tmp_path, 1), tmp_path / "frame.json"
-    calls = []
+    calls, more = [], []
     for module, name in [(transform, "scale_ranges"), (transform, "grid_fft"),
                          (cli, "grid_fft"), (transform, "_refinement")]:
         monkeypatch.setattr(module, name, lambda *a, fn=getattr(module, name), name=name:
                             calls.append(name) or fn(*a))
+    for module, name in [(transform, "_place"), (transform, "_frequencies"), (np.fft, "fftn"),
+                         (np.fft, "ifftn")]:
+        monkeypatch.setattr(module, name, lambda *a, fn=getattr(module, name), name=name, **k:
+                            more.append(name) or fn(*a, **k))
     assert main(["verify-frame", "--grid", str(grid), "--jmin", "-1", "--jmax", "4",
                  "--report", str(report)]) == 0
     assert sorted(calls) == ["_refinement"] * 6 + ["grid_fft", "scale_ranges"]
+    assert more.count("_place") == 6 and more.count("_frequencies") == 1
+    assert more.count("fftn") + more.count("ifftn") == 11
     assert loads(report.read_text())["corrected_rel_error"] <= 1e-5
+
+
+def test_verify_frame_holds_one_run_of_blocks_at_a_time(tmp_path, monkeypatch):
+    # 2 of the 6 scales of 256 points a run: each run's blocks are freed before
+    # the next run's are built, and the report is the one of a single run
+    monkeypatch.setattr(transform, "_STACK_POINTS", 512)
+    alive, blocks = [], transform._lp_blocks
+
+    def one_run(*args):
+        assert all(ref() is None for ref in alive)
+        out = blocks(*args)
+        alive.append(weakref.ref(out))
+        return out
+    monkeypatch.setattr(transform, "_lp_blocks", one_run)
+    report = tmp_path / "frame.json"
+    assert main(["verify-frame", "--grid", str(DATA / "golden_frame_band.grid"), "--jmin", "-1",
+                 "--jmax", "4", "--report", str(report)]) == 0
+    assert len(alive) == 3
+    assert report.read_bytes() == (DATA / "golden_frame_band_025.json").read_bytes()
+
+
+def test_verify_frame_warns_of_band_leakage_only_after_the_frame_solve(tmp_path, capsys,
+                                                                       monkeypatch):
+    # scales 0..2 leave most of the band grid's energy uncovered: the norm warns
+    # of it after the frame solve, and not at all when the frame solve refuses
+    argv = ["verify-frame", "--grid", str(DATA / "golden_frame_band.grid"), "--density", "0.5",
+            "--jmin", "0", "--jmax", "2", "--report", str(tmp_path / "frame.json")]
+    with pytest.warns(UserWarning, match="band leakage: relative residual energy 6.597e-01"):
+        assert main(argv) == 1
+    assert_singular_on_the_band(capsys.readouterr().err, "0.5")
+    monkeypatch.setattr(transform, "MAX_ARRAY_BYTES", 1 << 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "validation error: 16 frame operator fibers of 16^2 entries and their solve need "
+        "106496 B, over the 65536 B budget\n")
 
 
 def test_verify_frame_refuses_a_density_on_no_dyadic_refinement(tmp_path, capsys, monkeypatch):
@@ -600,6 +682,61 @@ def test_golden_classify_reports(tmp_path, name):
     out = tmp_path / "v.json"
     assert main(["classify", "--a", str(a), "--b", str(b), "--report", str(out)]) == code
     assert out.read_bytes() == (DATA / f"golden_classify_{name}.json").read_bytes()
+
+
+# verify-frame on the band grid of write_benchmark_band_grid (seed 1) and on a
+# 2-D ring: each case's grid, arguments, exit code and stderr
+FRAME_CASES = loads((DATA / "golden_frame_cases.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_golden_verify_frame_reports(tmp_path, capsys, name):
+    case, report = FRAME_CASES[name], tmp_path / "frame.json"
+    assert main(["verify-frame", "--grid", str(DATA / case["grid"]), *case["args"],
+                 "--report", str(report)]) == case["exit"]
+    assert capsys.readouterr().err == case["stderr"]
+    assert report.read_bytes() == (DATA / f"golden_frame_{name}.json").read_bytes()
+
+
+def test_reports_digest_the_bytes_they_parsed(tmp_path, monkeypatch):
+    # every input is replaced right after the command has parsed it: each
+    # report still names the digest of the bytes it read, with no second read
+    def replaced_after(name, *paths):
+        fn = getattr(cli, name)
+
+        def replacing(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            for path in paths:
+                path.write_bytes(b"replaced")
+            return out
+        monkeypatch.setattr(cli, name, replacing)
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    spec, params, snaps = write_spec(tmp_path), write_params(tmp_path), tmp_path / "snaps.jsonl"
+    (a, b), _ = write_classify_case(tmp_path, "core")
+    grid = tmp_path / "f.grid"
+    grid.write_bytes((DATA / "golden_frame_band.grid").read_bytes())
+    want = {path: digest(path) for path in (spec, params, a, b, grid)}
+    replaced_after("spec_from_json", spec)
+    assert main(["generate", "--spec", str(spec), "--out", str(snaps),
+                 "--report", str(tmp_path / "gen.json")]) == 0
+    replaced_after("extract", params)
+    assert main(["decompose", "--in", str(snaps), "--params", str(params),
+                 "--report", str(tmp_path / "dec.json")]) == 0
+    replaced_after("classify_pair", a, b)
+    assert main(["classify", "--a", str(a), "--b", str(b),
+                 "--report", str(tmp_path / "v.json")]) == 0
+    replaced_after("build_kernel_set", grid)
+    assert main(["verify-frame", "--grid", str(grid), "--jmin", "-1", "--jmax", "4",
+                 "--report", str(tmp_path / "frame.json")]) == 0
+    inputs = {name: loads((tmp_path / name).read_text())["inputs"]
+              for name in ("gen.json", "dec.json", "v.json", "frame.json")}
+    assert inputs["gen.json"] == {"spec": want[spec]}
+    assert inputs["dec.json"]["params"] == want[params]
+    assert inputs["v.json"] == {"a": want[a], "b": want[b]}
+    assert inputs["frame.json"] == {"grid": want[grid]}
 
 
 # -- malformed inputs exit 1 -------------------------------------------------

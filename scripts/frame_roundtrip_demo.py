@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Frame analysis/synthesis round trips on the 1-d grid model.
 
-Shows the direct synthesize(analyze(.)) error, the corrected error after
-the exact frame-operator inversion and the frame bounds A and B on the
-covered band, for the sharp one-block window at integer density (A is 0
-to rounding: no frame on the band) and the smooth window at quarter
-density.
+Prints `verify_frame`'s numbers at p = 2: the direct synthesize(analyze(.))
+error, the corrected error after the exact frame-operator inversion and the
+frame bounds A and B on the covered band, for the sharp one-block window at
+integer density (A is 0 to rounding: no frame on the band) and the smooth
+window at quarter density.
 """
 
 import argparse
@@ -26,23 +26,13 @@ def band_limited(n: int, extent: float, center: float = 2.0,
 
 def run(label: str, window, density: float, j_range, f: sw.GridFunction) -> None:
     gs = sw.preset_sampling_set(sw.abelian(1), density)
-    ks = sw.build_kernel_set(window, f.descriptor(), j_range)
-    c = sw.analyze(f, ks, gs, 2.0)
-    direct = sw.synthesize(c, ks, gs, f.descriptor())
-    rec, info = sw.frame_reconstruct(f, ks, gs)
-    l2 = sw.lebesgue_norm(f, 2.0)
-
-    def err(g):
-        return sw.lebesgue_norm(
-            sw.GridFunction(1, f.extent, f.samples - g.samples), 2.0) / l2
-
-    print(f"{label}: density {density}, scales {j_range}, "
-          f"{len(c)} coefficients")
-    print(f"  direct round-trip error    {err(direct):.3e}")
-    print(f"  corrected error            {err(rec):.3e} "
-          f"(residual {info['relative_residual']:.1e})")
-    print(f"  frame bounds on the band   A = {info['lower_bound']:.3e}, "
-          f"B = {info['upper_bound']:.3e}")
+    check = sw.verify_frame(f, window, gs, j_range, 2.0)
+    n = check.numbers
+    print(f"{label}: density {density}, scales {j_range}, {check.coefficients} coefficients")
+    print(f"  direct round-trip error    {n['roundtrip_rel_error']:.3e}")
+    print(f"  corrected error            {n['corrected_rel_error']:.3e} "
+          f"(residual {n['frame_residual']:.1e})")
+    print(f"  frame bounds on the band   A = {check.lower_bound:.3e}, B = {check.upper_bound:.3e}")
 
 
 def main() -> None:

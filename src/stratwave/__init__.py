@@ -55,6 +55,7 @@ from .coeffs import (
     unconditionality_ratio,
 )
 from .transform import (
+    FrameCheck,
     GridDescriptor,
     GridFunction,
     KernelSet,
@@ -68,6 +69,7 @@ from .transform import (
     lp_block,
     sobolev_norm,
     synthesize,
+    verify_frame,
 )
 from .profiles import (
     ExtractParams,

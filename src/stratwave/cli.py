@@ -23,19 +23,7 @@ import numpy as np
 
 from . import groups as _groups
 from . import io as _io
-from .transform import (
-    _ROUNDING,
-    _BlockNorms,
-    _analyze,
-    _frame_reconstruct,
-    _kernel_factors,
-    _lp_norms,
-    _scales,
-    _synthesize,
-    build_kernel_set,
-    grid_fft,
-    lebesgue_norm,
-)
+from .transform import verify_frame
 from .coeffs import NormParams, convert, discrete_besov_norm, lp_atoms, sobolev_seq_norm
 from ._json import json_fields, load_json
 from .generators import GeneratorError, generate, spec_from_json
@@ -193,45 +181,13 @@ def cmd_verify_window(args) -> int:
 def cmd_verify_frame(args) -> int:
     f = _io.read_grid(args.grid)
     gs = SamplingSet(_groups.abelian(f.dim), args.density)
-    window, desc = _window(args), f.descriptor()
-    # the multipliers' budget and dilations, then every scale's lattice,
-    # refinement and fold, are checked before any multiplier is built, and shared
-    js, _ = _kernel_factors(desc, (args.jmin, args.jmax))
-    scales = _scales(js, gs, desc, folding=True)
-    ks = build_kernel_set(window, desc, (args.jmin, args.jmax))
-    spec = grid_fft(f)
-    # the analysis feeds the continuous Besov norm its blocks; the norm's own
-    # refusal and warning come after the frame solve's
-    norms = _BlockNorms(spec, 2.0, f.spacing**f.dim)
-    c, places = _analyze(desc, spec, ks, gs, args.p, scales, norms)
-    f_direct = _synthesize(c, ks, desc, places)
-    f_rec, info = _frame_reconstruct(f, spec, ks, gs, scales)
-    l2 = lebesgue_norm(f, 2.0)
-    diffs = np.stack([f.samples - g.samples for g in (f_direct, f_rec)]).reshape(2, -1)
-    err_direct, err_corrected = (e / l2 if l2 > 0 else None  # a zero grid has no relative error
-                                 for e in _lp_norms(diffs, 2.0, f.spacing**f.dim))
-    s = gs.group.Q * (0.5 - 1.0 / args.p)
-    cont = norms.besov(js, s, 2.0)
-    disc = discrete_besov_norm(c, NormParams(s, 2.0, 2.0))
-    report = {
-        "command": "verify-frame",
-        "inputs": {"grid": _io._grid_digest(f)},  # of the bytes analysed: no second read
-        "density": args.density,
-        "p": args.p,
-        "s_critical": s,
-        "j_range": [args.jmin, args.jmax],
-        "roundtrip_rel_error": err_direct,
-        "corrected_rel_error": err_corrected,
-        "frame_iterations": info["iterations"],
-        "frame_residual": info["relative_residual"],
-        "besov_ratio_continuous_over_discrete": cont / disc if disc > 0 else None,
-    }
-    _emit(report, args.report)
-    lower, upper = info["lower_bound"], info["upper_bound"]
-    if lower <= _ROUNDING * upper:
-        print(f"validation error: at density {args.density} the frame operator is singular "
-              f"on the covered band: lower frame bound {lower:.3e} <= {_ROUNDING:g} * upper "
-              f"frame bound {upper:.3e}", file=sys.stderr)
+    check = verify_frame(f, _window(args), gs, (args.jmin, args.jmax), args.p)
+    _emit({"command": "verify-frame",
+           "inputs": {"grid": _io._grid_digest(f)},  # of the bytes analysed: no second read
+           "density": args.density, "p": args.p, "j_range": [args.jmin, args.jmax],
+           **check.numbers}, args.report)
+    if check.singular is not None:
+        print(f"validation error: {check.singular}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 

@@ -28,13 +28,13 @@ and, the scales ascending, builds its field and the converted one without
 a re-sort; `synthesize` reads each scale's run of the field's canonical
 arrays.  `_scales` decides where each scale's lattice sits (ranges,
 refinement, fold period) and refuses a scale before any point is built.
-`verify-frame` builds each per-scale quantity once and shares it with the
-private cores of the public functions: the scale geometry; one spectrum of
-f; each scale's `_Placement`, which carries its refined-frequency index at
-L > 1 and is made by the analysis and handed, less the entries the sparsity
-floor drops, to synthesis; and one stacked Littlewood-Paley block per
-scale, which gives the continuous Besov norm (`_BlockNorms`) and, at L = 1,
-the analysis samples.
+`verify_frame` alone decides what a verify-frame check shares and in which
+order it refuses.  It builds each per-scale quantity once for the private
+cores of the public functions: the scale geometry; one spectrum of f; each
+scale's `_Placement`, which carries its refined-frequency index at L > 1
+and is made by the analysis and handed, less the entries the sparsity floor
+drops, to synthesis; and one stacked Littlewood-Paley block per scale, which
+gives the continuous Besov norm (`_BlockNorms`) and, at L = 1, the samples.
 Kernel multipliers and Littlewood-Paley blocks are built in stacks of
 scales of at most _STACK_POINTS = 2^14 grid points, bit-identical to a
 per-scale loop; a kernel set larger than MAX_ARRAY_BYTES is refused before
@@ -66,8 +66,8 @@ import numpy as np
 
 from .groups import DomainError, dilate  # noqa: F401 (perfbench's tracer test reads it)
 from .sampling import MAX_ARRAY_BYTES, SamplingSet, range_coordinates, scale_ranges
-from .coeffs import (SPARSE_FLOOR, CoefficientField, L1_ATOMS, _floor_mask, _power_of_two,
-                     lp_atoms, convert)
+from .coeffs import (SPARSE_FLOOR, CoefficientField, L1_ATOMS, NormParams, _floor_mask,
+                     _power_of_two, discrete_besov_norm, lp_atoms, convert)
 
 __all__ = [
     "GridFunction",
@@ -84,6 +84,8 @@ __all__ = [
     "sobolev_norm",
     "lebesgue_norm",
     "besov_norm_continuous",
+    "FrameCheck",
+    "verify_frame",
     "dilate_grid",
 ]
 
@@ -261,10 +263,10 @@ def calderon_reconstruct(f: GridFunction, ks: KernelSet) -> GridFunction:
     return grid_ifft(f, total)
 
 
-def _check_inputs(gs: SamplingSet, ks: KernelSet, desc: GridDescriptor) -> None:
+def _check_inputs(gs: SamplingSet, kernels: GridDescriptor, desc: GridDescriptor) -> None:
     if gs.group.step != 1 or gs.group.dim != desc.dim:
         raise ValueError("sampling set must be the matching abelian preset")
-    if desc != ks.desc:
+    if desc != kernels:
         raise ValueError("grid descriptor does not match the kernel cache")
 
 
@@ -371,7 +373,7 @@ def analyze(f: GridFunction, ks: KernelSet, gs: SamplingSet, p: float) -> Coeffi
     sampled values are the L1-convention inner products, then converted.
     """
     desc = f.descriptor()
-    _check_inputs(gs, ks, desc)
+    _check_inputs(gs, ks.desc, desc)
     scales = _scales(_js(ks), gs, desc)
     return _analyze(desc, grid_fft(f), ks, gs, p, scales)[0]
 
@@ -423,7 +425,7 @@ def synthesize(c: CoefficientField, ks: KernelSet, gs: SamplingSet,
     of `analyze` at p = 2.  gs must be the field's sampling set."""
     if gs != c.sampling:
         raise ValueError("the field lives on another sampling set than gs")
-    _check_inputs(gs, ks, target)
+    _check_inputs(gs, ks.desc, target)
     if c.normalization.kind != "Lp":
         raise ValueError("synthesize expects Lp-atom normalization")
     places = {j: _place(target, c.gammas[run], _refinement(target, gs.beta * 2.0 ** -j, 0.0))
@@ -446,6 +448,8 @@ def _synthesize(c: CoefficientField, ks: KernelSet, target: GridDescriptor,
 
 
 _ROUNDING = 1e-12  # an eigenvalue this small against its fiber's largest is rounding
+_DC_TOL = 1e-12  # a mean this small against ||f-hat||_2 is rounding (`sobolev_norm`)
+_LEAK_TOL = 1e-8  # uncovered energy this small against the total is not warned of
 
 
 def _frame_symbol(ks: KernelSet, gs: SamplingSet, desc: GridDescriptor,
@@ -518,7 +522,7 @@ def frame_reconstruct(f: GridFunction, ks: KernelSet,
     largest eigenvalue.
     """
     desc = f.descriptor()
-    _check_inputs(gs, ks, desc)
+    _check_inputs(gs, ks.desc, desc)
     scales = _scales(_js(ks), gs, desc, folding=True)
     return _frame_reconstruct(f, grid_fft(f), ks, gs, scales)
 
@@ -563,13 +567,13 @@ def _frame_reconstruct(f: GridFunction, spec: np.ndarray, ks: KernelSet, gs: Sam
                              "lower_bound": lower, "upper_bound": upper}
 
 
-def sobolev_norm(f: GridFunction, s: float, dc_tol: float = 1e-12) -> float:
+def sobolev_norm(f: GridFunction, s: float) -> float:
     """Homogeneous Sobolev norm via the multiplier |nu|^s; DC mode excluded."""
     spec = grid_fft(f)
     lam = f.lambda_grid()
     dc = tuple([0] * f.dim)
     l2 = np.sqrt(np.sum(np.abs(spec) ** 2)) + 1e-300
-    if s < 0 and abs(spec[dc]) > dc_tol * l2:
+    if s < 0 and abs(spec[dc]) > _DC_TOL * l2:
         raise DomainError("nonzero mean with s < 0: singular zero mode")
     spec = spec.copy()
     spec[dc] = 0.0
@@ -596,8 +600,7 @@ def lebesgue_norm(f: GridFunction, p: float) -> float:
     return _lp_norms(f.samples.reshape(1, -1), p, f.spacing**f.dim)[0]
 
 
-def besov_norm_continuous(f: GridFunction, ks: KernelSet, s: float, p: float,
-                          q: float, leak_tol: float = 1e-8) -> float:
+def besov_norm_continuous(f: GridFunction, ks: KernelSet, s: float, p: float, q: float) -> float:
     """l^q over scales of 2^{js} ||f * psi_j^*||_{L^p} on the cached range.
 
     The blocks of a stack of scales (at most _STACK_POINTS grid points) come
@@ -612,7 +615,7 @@ def besov_norm_continuous(f: GridFunction, ks: KernelSet, s: float, p: float,
     for run in _stacks(len(js), spec.size):
         mults = np.stack([ks.multiplier(j) for j in js[run]])
         norms.add(mults, _lp_blocks(desc, spec, mults))
-    return norms.besov(js, s, q, leak_tol)
+    return norms.besov(js, s, q)
 
 
 def _lp_blocks(desc: GridDescriptor, spec: np.ndarray, mults: np.ndarray) -> np.ndarray:
@@ -642,7 +645,7 @@ class _BlockNorms:
         for power in np.abs(mults) ** 2:
             self.covered += power  # |psi_hat_j|^2, which is m * m for a real multiplier
 
-    def besov(self, js: range, s: float, q: float, leak_tol: float = 1e-8) -> float:
+    def besov(self, js: range, s: float, q: float) -> float:
         """l^q over the scales js fed so far of 2^{js} times their norms."""
         if self.norms is None:
             raise ValueError("samples must be finite")
@@ -651,10 +654,58 @@ class _BlockNorms:
             acc += (2.0 ** (j * s) * norm) ** q
         energy = np.sum(np.abs(self.spec) ** 2)
         leaked = np.sum(np.abs(self.spec) ** 2 * np.clip(1.0 - self.covered, 0.0, 1.0))
-        if energy > 0 and leaked > leak_tol * energy:
+        if energy > 0 and leaked > _LEAK_TOL * energy:
             warnings.warn(f"band leakage: relative residual energy {leaked / energy:.3e} "
                           "outside the cached scale range")
         return float(acc ** (1.0 / q))
+
+
+class FrameCheck(NamedTuple):
+    """`verify_frame`'s findings: the verify-frame report's figures under its
+    keys, the number of coefficients, the frame bounds A and B, and the
+    message that A <= _ROUNDING B, the operator singular on the band (or None)."""
+
+    numbers: dict
+    coefficients: int
+    lower_bound: float
+    upper_bound: float
+    singular: str | None
+
+
+def verify_frame(f: GridFunction, window, gs: SamplingSet, j_range: tuple[int, int],
+                 p: float) -> FrameCheck:
+    """The analyze/synthesize round trip of f at p on window's kernels over
+    j_range, its frame-operator correction, and the continuous over discrete
+    Besov norm at q = 2 and the critical s = Q (1/2 - 1/p).  After
+    `frame_reconstruct`'s input checks, the kernel budget and each scale's
+    lattice and fold are refused before any multiplier is built.  One
+    spectrum of f, one placement and one run of blocks per scale feed
+    analysis, synthesis, the frame solve and both norms; the continuous
+    norm refuses and warns of leakage only after the frame solve."""
+    desc = f.descriptor()
+    _check_inputs(gs, desc, desc)
+    js, _ = _kernel_factors(desc, j_range)
+    scales = _scales(js, gs, desc, folding=True)
+    ks = build_kernel_set(window, desc, j_range)
+    spec, cell = grid_fft(f), f.spacing**f.dim
+    norms = _BlockNorms(spec, 2.0, cell)
+    c, places = _analyze(desc, spec, ks, gs, p, scales, norms)
+    f_direct = _synthesize(c, ks, desc, places)
+    f_rec, info = _frame_reconstruct(f, spec, ks, gs, scales)
+    l2 = lebesgue_norm(f, 2.0)
+    diffs = np.stack([f.samples - g.samples for g in (f_direct, f_rec)]).reshape(2, -1)
+    errs = [e / l2 if l2 > 0 else None for e in _lp_norms(diffs, 2.0, cell)]  # None at f = 0
+    s = gs.group.Q * (0.5 - 1.0 / p)
+    cont, disc = norms.besov(js, s, 2.0), discrete_besov_norm(c, NormParams(s, 2.0, 2.0))
+    lower, upper = info["lower_bound"], info["upper_bound"]
+    singular = (f"at density {gs.beta} the frame operator is singular on the covered band: lower "
+                f"frame bound {lower:.3e} <= {_ROUNDING:g} * upper frame bound {upper:.3e}"
+                if lower <= _ROUNDING * upper else None)
+    numbers = {"s_critical": s, "roundtrip_rel_error": errs[0],
+               "corrected_rel_error": errs[1], "frame_iterations": info["iterations"],
+               "frame_residual": info["relative_residual"],
+               "besov_ratio_continuous_over_discrete": cont / disc if disc > 0 else None}
+    return FrameCheck(numbers, len(c), lower, upper, singular)
 
 
 def dilate_grid(f: GridFunction, h: float) -> GridFunction:

@@ -1,4 +1,4 @@
-"""The demo scripts run to completion."""
+"""The demo scripts run to completion; the frame round-trip demo prints its golden output."""
 
 import os
 import subprocess
@@ -10,6 +10,8 @@ import pytest
 import stratwave as sw
 
 SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
+GOLDEN = {"frame_roundtrip_demo": Path(__file__).resolve().parent / "data"
+          / "golden_frame_roundtrip_demo.txt"}
 
 
 @pytest.mark.parametrize("name", ["frame_roundtrip_demo", "measure_constants",
@@ -22,3 +24,6 @@ def test_script_exits_zero(name, tmp_path):
                          capture_output=True, text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=path))
     assert run.returncode == 0, run.stderr[-2000:]
+    if name in GOLDEN:  # stdout byte for byte, and nothing on stderr
+        assert run.stderr == ""
+        assert run.stdout == GOLDEN[name].read_text()

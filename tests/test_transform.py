@@ -1,10 +1,13 @@
 """Grid transforms: Fourier conventions, blocks, frames, norms, dilation."""
 
+import ast
 import dataclasses
 import functools
+import json
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratwave as sw
+from stratwave import io as sio
 from stratwave import sampling, transform
 from stratwave.groups import DomainError
 from stratwave.transform import grid_fft, grid_ifft
@@ -1037,3 +1041,72 @@ def test_shared_placements_and_blocks_keep_analysis_and_synthesis_hex_identical(
         warnings.simplefilter("ignore", UserWarning)  # band leakage of the tones
         assert norms.besov(transform._js(ks), 0.25, 2.0).hex() == sw.besov_norm_continuous(
             f, ks, 0.25, 2.0, 2.0).hex()
+
+
+# -- verify_frame, the one plan of verify-frame --------------------------------
+
+DATA = Path(__file__).parent / "data"
+FRAME_CASES = json.loads((DATA / "golden_frame_cases.json").read_text())
+
+
+def _band_check(density):
+    f = sio.read_grid(DATA / "golden_frame_band.grid")
+    gs = sw.SamplingSet(sw.abelian(1), density)
+    return f, gs, sw.verify_frame(f, sw.build_window(1.0), gs, (-1, 4), 4.0)
+
+
+def test_verify_frame_gives_the_golden_report_numbers_and_the_public_counts():
+    # the report's numbers hex-equal to the golden verify-frame report at the
+    # default density; the coefficient count and the frame bounds are those of
+    # the public analyze and frame_reconstruct
+    f, gs, check = _band_check(0.25)
+    golden = json.loads((DATA / "golden_frame_band_025.json").read_text())
+    assert set(golden) - set(check.numbers) == {"command", "inputs", "density", "p", "j_range"}
+
+    def hexed(v):
+        return v.hex() if isinstance(v, float) else v
+    assert {k: hexed(v) for k, v in check.numbers.items()} == {
+        k: hexed(golden[k]) for k in check.numbers}
+    assert check.singular is None
+    ks = sw.build_kernel_set(sw.build_window(1.0), f.descriptor(), (-1, 4))
+    info = sw.frame_reconstruct(f, ks, gs)[1]
+    assert check.coefficients == len(sw.analyze(f, ks, gs, 4.0))
+    assert (check.lower_bound, check.upper_bound) == (info["lower_bound"], info["upper_bound"])
+
+
+def test_verify_frame_reports_a_singular_frame_in_the_golden_words():
+    check = _band_check(0.5)[2]
+    assert f"validation error: {check.singular}\n" == FRAME_CASES["band_05"]["stderr"]
+    assert check.lower_bound <= 1e-12 * check.upper_bound
+
+
+def test_verify_frame_refuses_a_scale_that_does_not_fold_before_any_multiplier_or_fft(
+        monkeypatch):
+    for name in ("build_kernel_set", "grid_fft"):
+        monkeypatch.setattr(transform, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    with pytest.raises(DomainError, match=r"the scale--1 lattice at density 0\.375 does not "
+                                          r"fold \(it is no subgroup of its refinement\)"):
+        _band_check(0.375)
+
+
+def test_no_module_but_transform_reaches_a_private_transform_name():
+    # the package's other modules use transform through its public names only
+    # (verify_frame for verify-frame), so its plan cannot be rebuilt elsewhere
+    for path in sorted(Path(transform.__file__).parent.glob("*.py")):
+        if path.name == "transform.py":
+            continue
+        tree, aliases, found = ast.parse(path.read_text()), {"transform"}, []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+                if node.module in ("transform", "stratwave.transform"):
+                    found += [n for n in names if n.startswith("_")]
+                if node.module in (None, "stratwave"):
+                    aliases |= {a.asname or a.name for a in node.names if a.name == "transform"}
+            elif isinstance(node, ast.Import):
+                aliases |= {a.asname for a in node.names
+                            if a.name == "stratwave.transform" and a.asname}
+        found += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases
+                  and node.attr.startswith("_")]
+        assert found == [], f"{path.name} reaches transform's private {found}"

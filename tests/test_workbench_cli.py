@@ -332,7 +332,7 @@ def test_verify_frame_works_out_each_scale_and_the_spectrum_of_f_once(tmp_path, 
     grid, report = write_benchmark_band_grid(tmp_path, 1), tmp_path / "frame.json"
     calls, more = [], []
     for module, name in [(transform, "scale_ranges"), (transform, "grid_fft"),
-                         (cli, "grid_fft"), (transform, "_refinement")]:
+                         (transform, "_refinement")]:
         monkeypatch.setattr(module, name, lambda *a, fn=getattr(module, name), name=name:
                             calls.append(name) or fn(*a))
     for module, name in [(transform, "_place"), (transform, "_frequencies"), (np.fft, "fftn"),
@@ -389,7 +389,7 @@ def test_verify_frame_refuses_a_density_on_no_dyadic_refinement(tmp_path, capsys
     # largest step dx 2^k at or below it is 0.5, which is density 0.25.  The
     # pre-check finds every scale's refinement before any multiplier is built
     grid, report = write_benchmark_band_grid(tmp_path, 1), tmp_path / "frame.json"
-    monkeypatch.setattr("stratwave.cli.build_kernel_set",
+    monkeypatch.setattr("stratwave.transform.build_kernel_set",
                         lambda *a: pytest.fail("multipliers built before the refusal"))
     assert main(["verify-frame", "--grid", str(grid), "--density", "0.3", "--jmin", "-1",
                  "--jmax", "4", "--report", str(report)]) == 1
@@ -404,7 +404,7 @@ def test_verify_frame_refuses_a_density_whose_scales_do_not_fold(tmp_path, capsy
     # analyze and synthesize take it, but the frame operator has no fibers,
     # so the pre-check refuses it before any multiplier is built
     grid, report = write_benchmark_band_grid(tmp_path, 1), tmp_path / "frame.json"
-    monkeypatch.setattr("stratwave.cli.build_kernel_set",
+    monkeypatch.setattr("stratwave.transform.build_kernel_set",
                         lambda *a: pytest.fail("multipliers built before the refusal"))
     assert main(["verify-frame", "--grid", str(grid), "--density", "0.375", "--jmin", "-1",
                  "--jmax", "4", "--report", str(report)]) == 1
@@ -728,7 +728,7 @@ def test_reports_digest_the_bytes_they_parsed(tmp_path, monkeypatch):
     replaced_after("classify_pair", a, b)
     assert main(["classify", "--a", str(a), "--b", str(b),
                  "--report", str(tmp_path / "v.json")]) == 0
-    replaced_after("build_kernel_set", grid)
+    replaced_after("verify_frame", grid)
     assert main(["verify-frame", "--grid", str(grid), "--jmin", "-1", "--jmax", "4",
                  "--report", str(tmp_path / "frame.json")]) == 0
     inputs = {name: loads((tmp_path / name).read_text())["inputs"]

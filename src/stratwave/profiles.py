@@ -13,9 +13,10 @@ one stable sort of the sequence's arrays, rank m at position
 the energy ledger (every L and n in one pass over the profiles) work there.
 
 Orthogonality verdicts come from one array kernel, `_classify_rows` (one
-track against K); `extract` decodes every rank's cores once and, when rank f
-founds a profile, classifies f against all later ranks in one call: later
-ranks read their verdicts from these founder-major rows."""
+track against K), which forms relative indices on the exact int64 lattice
+law, so dilations and left translations of a sequence leave them alone; when
+rank f founds a profile, `extract` classifies f against all later ranks in
+one call: later ranks read their verdicts from these founder-major rows."""
 
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from typing import Optional
 import numpy as np
 
 from . import groups
-from .groups import GroupSpec
 from .sampling import MAX_LATTICE_COORD, SamplingSet, lattice_int64
 from .coeffs import (
     CoefficientField,
@@ -178,9 +178,9 @@ class SequenceSnapshots:
 
 @dataclass(frozen=True)
 class ScaleCorePair:
-    """A scale/core track: h_n = 2^{-j_n} and decoded core positions kappa_n.
-    Scales and coordinates are integers within MAX_LATTICE_COORD = 2^53;
-    larger ones raise DomainError."""
+    """A scale/core track: scales j_n and lattice points gamma_n, integers within
+    MAX_LATTICE_COORD = 2^53 (larger ones raise DomainError).  Verdicts read
+    these; `kappa`, the decoded cores, is kept for tests and benchmarks."""
 
     sampling: SamplingSet
     js: tuple[int, ...]
@@ -217,25 +217,34 @@ class Verdict:
 _KINDS = ("ScaleOrthogonal", "CoreOrthogonal", "NotOrthogonal", "Undecided", "Undecided")
 
 
-def _classify_rows(g: GroupSpec, ka, ja, kb, jb, T_div: float, eps_stable: float):
-    """Verdicts of track a, cores ka (tail, dim) and scales ja (tail,), against
-    K tracks b, kb (K, tail, dim) and jb (K, tail), over one tail window.
+def _relative_index(gs: SamplingSet, ga, gb, gap):
+    """delta_{2^{j_b}}(kappa_a^{-1} kappa_b) of lattice points ga at j_a and gb
+    at j_b = j_a + gap, as delta_{2^{-v}} decode(lat_inv(lat_dilate(ga, u)) .
+    lat_dilate(gb, v)), u = max(gap, 0), v = max(-gap, 0): exact on the int64
+    law, decoded once, and DomainError where the law leaves +-2^62."""
+    u, v = np.maximum(gap, 0), np.maximum(-gap, 0)
+    prod = gs.lat_mul(gs.lat_inv(gs.lat_dilate(ga, u)), gs.lat_dilate(gb, v))
+    # delta_{2^{-v}} as exponent shifts: exact, and 0 rather than a refusal on underflow
+    return np.ldexp(gs.decode(prod), -v[..., None] * groups.dilation_weights(gs.group).astype(int))
+
+
+def _classify_rows(gs: SamplingSet, ga, ja, gb, jb, T_div: float, eps_stable: float):
+    """Verdicts of track a, lattice points ga (tail, dim) at scales ja (tail,),
+    against K tracks b, gb (K, tail, dim) at jb (K, tail), over one tail window.
 
     Returns (codes, gap, abs_gap, dist, rel, spread), row k for b_k.  codes
     index _KINDS (3: constant scale gap, drifting core; 4: gap neither
-    divergent nor constant); the constant-gap rows take one batched group-law
-    pass, and dist, rel and spread are NaN on the others.  A row equals the
-    K = 1 call bit for bit.
-    """
+    divergent nor constant); the constant-gap rows, whose |gap| <= T_div, take
+    one `_relative_index` pass, and dist, rel and spread are NaN on the others.
+    A row equals the K = 1 call bit for bit."""
     gap = jb - ja
     abs_gap = np.abs(gap).astype(float)
     codes = np.where(np.all(gap == gap[:, :1], axis=1), 3, 4)
     codes[(abs_gap[:, -1] > T_div) & np.all(np.diff(abs_gap, axis=1) >= 0, axis=1)] = 0
-    rel, dist, spread = (np.full(shape, np.nan) for shape in (kb.shape, jb.shape, len(jb)))
+    rel, dist, spread = (np.full(shape, np.nan) for shape in (gb.shape, jb.shape, len(jb)))
     c = np.flatnonzero(codes == 3)
-    prod = groups.multiply(g, groups.inverse(g, ka), kb[c])
-    rel[c] = groups.dilate(g, 2.0 ** jb[c].astype(float), prod)
-    dist[c] = groups.hom_norm(g, rel[c])
+    rel[c] = _relative_index(gs, ga, gb[c], gap[c, :1])
+    dist[c] = groups.hom_norm(gs.group, rel[c])
     spread[c] = np.max(np.abs(rel[c] - rel[c, -1:]), axis=(1, 2))
     core = (dist[c, -1] > T_div) & np.all(np.diff(dist[c], axis=1) >= -1e-9, axis=1)
     codes[c] = np.select([core, spread[c] <= eps_stable], [1, 2], 3)
@@ -263,24 +272,12 @@ def _verdict(rows, k: int, T_div: float, eps_stable: float) -> Verdict:
 def _row_classifier(gs: SamplingSet, js, gammas, tail: int, T_div: float, eps_stable: float):
     """rows(a): `_classify_rows` of track a against the tracks after it, over
     the last `tail` snapshots of T tracks given as (T, H) scales and (T, H, dim)
-    lattice points, whose cores are decoded once, here.  A float core or
-    dilation beyond float64 raises DomainError naming the tracks and the
-    scales of the tail window."""
+    lattice points."""
     if tail < 2 or tail > js.shape[1]:
         raise ValueError(f"tail window {tail} not within horizon {js.shape[1]}")
-    js = js[:, -tail:]
-
-    def named(a: int, compute):
-        """compute() for tracks a.. of the window, a DomainError named for them."""
-        try:
-            return compute()
-        except groups.DomainError as exc:
-            raise groups.DomainError(f"tracks {a}..{len(js) - 1} at scales j = {js[a:].min()}.."
-                                     f"{js[a:].max()} of the tail window leave the float64 "
-                                     f"range of the core path: {exc}") from None
-    cores = named(0, lambda: gs.points(js, gammas[:, -tail:]))
-    return lambda a: named(a, lambda: _classify_rows(gs.group, cores[a], js[a], cores[a + 1:],
-                                                     js[a + 1:], T_div, eps_stable))
+    js, gammas = js[:, -tail:], gammas[:, -tail:]
+    return lambda a: _classify_rows(gs, gammas[a], js[a], gammas[a + 1:], js[a + 1:], T_div,
+                                    eps_stable)
 
 
 def _check_thresholds(**values) -> None:
@@ -364,15 +361,16 @@ def _rank_tables(s: SequenceSnapshots, M: int):
     return top - s.starts[:-1], s.values[top], s.js[top], s.gammas[top]
 
 
-def _escape_status(track: ScaleCorePair, T_div: float) -> str:
-    gs = track.sampling
-    js = np.array(track.js, dtype=float)
-    if abs(js[-1] - js[0]) > T_div:
-        return "scale"
-    first, last = groups.hom_norm(gs.group, gs.decode([track.gammas[0], track.gammas[-1]]))
-    if last - first > T_div:
-        return "core"
-    return "none"
+def _escapes(gs: SamplingSet, js, gammas, T_div: float) -> list[str]:
+    """Escape of K tracks, (K, H) scales and (K, H, dim) points: scale, else core,
+    if the scale gap, else the relative index, of the last entry to the first
+    exceeds T_div, else none; left translations leave both alone."""
+    gap = js[:, -1] - js[:, 0]
+    near = np.abs(gap) <= T_div
+    dist = np.zeros(len(gap))
+    rel = _relative_index(gs, gammas[near, 0], gammas[near, -1], gap[near])
+    dist[near] = groups.hom_norm(gs.group, rel)
+    return np.select([~near, dist > T_div], ["scale", "core"], "none").tolist()
 
 
 def extract(s: SequenceSnapshots, params: ExtractParams) -> ProfileDecomposition:
@@ -439,8 +437,9 @@ def extract(s: SequenceSnapshots, params: ExtractParams) -> ProfileDecomposition
         nu_curve.append(len(profiles))
         log.append({"rank": m, "decision": case, "verdicts": verdicts})
 
-    for prof in profiles:
-        prof.escape = _escape_status(prof.core_track, params.T_div)
+    f = [prof.members[0] - 1 for prof in profiles]  # the founding ranks
+    for prof, escape in zip(profiles, _escapes(gs, rank_js[f], rank_gammas[f], T_div)):
+        prof.escape = escape
 
     diagnostics["nu"] = len(profiles)
     diagnostics["escape_status"] = {p.index: p.escape for p in profiles}

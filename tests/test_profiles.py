@@ -116,13 +116,13 @@ def test_classify_undecided_scale_wobble():
     assert v.kind == "Undecided"
 
 
-def test_classify_refuses_a_dilation_beyond_float64():
-    # at j = 1000..1019 the second-stratum factor 2^(2 j) overflows float64; the
-    # rows once held 0 * inf = NaN and read "Undecided" with "core drift nan"
+def test_classify_answers_a_pair_beyond_float64():
+    # at j = 1000..1019 the second-stratum factor 2^(2 j) overflows float64, but
+    # the relative index is formed on the lattice and needs no absolute scale
     gs, js = lattice(sw.heisenberg(1)), range(1000, 1020)
     a, b = pair(gs, js, [(0, 0, 0)] * 20), pair(gs, js, [(0, 1, 0)] * 20)
-    with pytest.raises(sw.DomainError, match=r"alpha\^2, the factor of stratum 2"):
-        sw.classify_pair(a, b, **TAIL)
+    v = sw.classify_pair(a, b, **TAIL)
+    assert (v.kind, v.j_rel, v.gamma_rel) == ("NotOrthogonal", 0, (0.0, 1.0, 0.0))
 
 
 def test_classify_validation():
@@ -249,8 +249,8 @@ def test_kernel_rows_equal_classify_pair(data):
     T_div, eps = data.draw(st.sampled_from(T_divs)), data.draw(st.sampled_from(epss))
     lo = H - tail
     rows = profiles._classify_rows(
-        g, a.kappa[lo:], np.asarray(a.js[lo:]), np.stack([b.kappa[lo:] for b in bs]),
-        np.array([b.js[lo:] for b in bs]), T_div, eps)
+        gs, np.array(a.gammas[lo:]), np.array(a.js[lo:]),
+        np.array([b.gammas[lo:] for b in bs]), np.array([b.js[lo:] for b in bs]), T_div, eps)
     for k, b in enumerate(bs):
         got = profiles._verdict(rows, k, T_div, eps)
         want, _ = reference_classify(a, b, tail, T_div, eps)

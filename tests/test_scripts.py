@@ -1,4 +1,5 @@
-"""The demo scripts run to completion; the frame round-trip demo prints its golden output."""
+"""The demo scripts run to completion; the frame round-trip and two-profile
+demos print their golden output."""
 
 import os
 import subprocess
@@ -10,8 +11,8 @@ import pytest
 import stratwave as sw
 
 SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
-GOLDEN = {"frame_roundtrip_demo": Path(__file__).resolve().parent / "data"
-          / "golden_frame_roundtrip_demo.txt"}
+GOLDEN = {name: Path(__file__).resolve().parent / "data" / f"golden_{name}.txt"
+          for name in ("frame_roundtrip_demo", "two_profile_demo")}
 
 
 @pytest.mark.parametrize("name", ["frame_roundtrip_demo", "measure_constants",

@@ -843,32 +843,42 @@ def test_classify_refuses_a_core_beyond_the_lattice_bound(tmp_path, capsys):
     assert err == "validation error: lattice coordinate beyond the bound 9007199254740992 = 2^53\n"
 
 
-def test_classify_refuses_a_dilation_beyond_float64(tmp_path, capsys):
-    # two H^1 tracks at j = 1000..1019: 2^(2 j) overflows, so no verdict is given
+def test_classify_answers_a_pair_beyond_float64(tmp_path, capsys):
+    # two H^1 tracks at j = 1000..1019: 2^(2 j) overflows float64, but the
+    # relative index is formed on the lattice and needs no absolute scale
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path, gamma in ((a, [0, 0, 0]), (b, [0, 1, 0])):
         path.write_text(json.dumps({"group": H1, "js": list(range(1000, 1020)),
                                     "gammas": [gamma] * 20}))
+    assert main(["classify", "--a", str(a), "--b", str(b)]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and report["verdict"] == "NotOrthogonal"
+    assert (report["j_rel"], report["gamma_rel"]) == (0, [0.0, 1.0, 0.0])
+
+
+def test_classify_refuses_a_relative_index_beyond_the_int64_law(tmp_path, capsys):
+    # at scale gap 5 the coarser track's V2 coordinate 2^53 lifts to 2^63,
+    # beyond the law, so the pair gets no verdict
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path, j, gamma in ((a, 0, [0, 0, 2**53]), (b, 5, [0, 0, 0])):
+        path.write_text(json.dumps({"group": H1, "js": [j] * 16, "gammas": [gamma] * 16}))
     assert main(["classify", "--a", str(a), "--b", str(b)]) == 1
-    err = capsys.readouterr().err
-    # the refusal names the tracks and the scales of the 8-snapshot tail window
-    assert err.startswith("validation error: tracks 0..1 at scales j = 1012..1019 of the tail "
-                          "window leave the float64 range of the core path: dilation parameter "
-                          "alpha = ")
-    assert err.endswith("has alpha^2, the factor of stratum 2, beyond float64\n")
+    assert capsys.readouterr() == (
+        "", "validation error: a lattice dilation leaves the range +-2^62 of the int64 law\n")
 
 
-def test_generate_names_the_scales_whose_cores_leave_float64(tmp_path, capsys):
-    # the mixture check decodes cores at 2^-j, which is 0 beyond j = 1074
+def test_generate_runs_the_golden_h1_spec_beyond_float64_scales(tmp_path, capsys):
+    # cores at 2^-j underflow float64 beyond j = 1074, but the mixture check
+    # reads lattice points, and the concentrating track is scale orthogonal
     spec = json.loads((DATA / "golden_h1_spec.json").read_text())
     path, out = tmp_path / "spec.json", tmp_path / "snaps.jsonl"
-    path.write_text(json.dumps(dict(spec, horizon=1100)))
-    assert main(["generate", "--spec", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "validation error: tracks 0..1 at scales j = 0..1099 of the tail window leave the "
-        "float64 range of the core path: dilation parameter must be positive and finite, "
-        "got 0.0\n")
-    assert not out.exists()
+    for horizon in (1100, 2000):
+        path.write_text(json.dumps(dict(spec, horizon=horizon)))
+        assert main(["generate", "--spec", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        snaps = sio.read_snapshots(out)
+        assert snaps.horizon == horizon and int(snaps.js.max()) == horizon
 
 
 # -- one typed reader for every JSON input -----------------------------------

@@ -24,10 +24,10 @@ rank, goes through the constructor.
 A CoefficientField carries a normalization tag, and is refused without
 one; two fields combine only on one sampling set.  "L1" entries are sampled
 convolution values c = (u * psi_j^*)(2^{-j} . gamma); "Lp" entries are the
-synthesis coefficients against L^p-normalized atoms, d = 2^{-jQ/p} c.  The
-factor is pinned by the requirement that the discrete Besov norm at the
-critical (s, 2, 2) parameters coincide exactly with the plain l2 norm of
-the L^p-tagged moduli.
+synthesis coefficients against L^p-normalized atoms, d = 2^{-jQ/p} c.
+`convert` applies that factor; `discrete_besov_norm` folds it into one
+weight per scale on the stored moduli, so at the critical (0, p, p) proxy
+of an Lp(p) field every weight is exactly 1, at any scale.
 """
 
 from __future__ import annotations
@@ -241,32 +241,38 @@ def convert(c: CoefficientField, to: Normalization) -> CoefficientField:
 
 
 def discrete_besov_norm(c: CoefficientField, np_: NormParams) -> float:
-    """(sum_j (sum_gamma (2^{j(s - Q/p)} |c_jg|)^p)^{q/p})^{1/q} on L1-tagged entries.
+    """(sum_j (sum_gamma (2^{j e} |c_jg|)^p)^{q/p})^{1/q} on the stored moduli of
+    either tag, e = s + Q (c - 1/p) with c = 1/p_tag on Lp(p_tag) and 0 on L1.
 
-    DomainError, naming (s, p, q), when a power sum overflows float64."""
-    c = convert(c, L1_ATOMS)
+    DomainError naming the scale when its weight 2^{j e} overflows float64,
+    and naming (s, p, q) when a weighted modulus or the norm itself does."""
     if not len(c):
         return 0.0
-    Q = c.sampling.group.Q
     s, p, q = np_.s, np_.p, np_.q
+    e = s + c.sampling.group.Q * (_conversion_exponent(c.normalization, L1_ATOMS) - 1.0 / p)
     moduli = c.moduli()
-    acc = 0.0
+
+    def norm(top: float) -> float:  # top times the norm of the weighted moduli / top
+        acc = 0.0
+        for x in weighted:
+            acc += (np.sum((x / top) ** p) ** (1.0 / p)) ** q
+        return top * float(acc ** (1.0 / q))
+
     with np.errstate(over="ignore"):
-        for j, run in c.scales():
-            w = _power_of_two(j, s - Q / p)
-            inner = np.sum((w * moduli[run]) ** p) ** (1.0 / p)
-            acc += inner**q
-        norm = float(acc ** (1.0 / q))
-    if norm == np.inf:
+        weighted = [_power_of_two(j, e) * moduli[run] for j, run in c.scales()]
+        value = norm(1.0)
+        if value == np.inf and (top := max(map(np.max, weighted))) < np.inf:
+            value = norm(top)  # a power sum overflowed: rescale by the largest weighted modulus
+    if value == np.inf:
         raise DomainError(f"discrete_besov_norm at (s, p, q) = ({s:g}, {p:g}, {q:g}) "
                           "overflows float64")
-    return norm
+    return value
 
 
 def sobolev_seq_norm(c: CoefficientField) -> float:
     """Plain l2 norm of the moduli; requires L^p-atom normalization.
 
-    DomainError, naming the normalization, when the sum of squares overflows
+    DomainError, naming the normalization, when the norm itself overflows
     float64."""
     if c.normalization.kind != "Lp":
         raise ConversionRequired(
@@ -274,6 +280,8 @@ def sobolev_seq_norm(c: CoefficientField) -> float:
         )
     with np.errstate(over="ignore"):
         norm = c.l2()
+        if norm == np.inf and (top := np.max(np.abs(c.values))) < np.inf:
+            norm = float(top * np.sqrt(np.sum((np.abs(c.values) / top) ** 2)))
     if norm == np.inf:
         raise DomainError(f"sobolev_seq_norm of an {c.normalization.label()} field "
                           "overflows float64")

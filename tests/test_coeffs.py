@@ -1,12 +1,13 @@
 """Coefficient algebra: normalizations, sequence norms, thresholding."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratwave as sw
-from conftest import as_dict, field_of
+from conftest import as_dict, custom_3_2, field_of, free_3_2
 from stratwave.coeffs import (
     SPARSE_FLOOR,
     ConversionRequired,
@@ -91,13 +92,23 @@ def test_sobolev_seq_norm_requires_lp():
     assert sw.sobolev_seq_norm(sw.convert(c, sw.lp_atoms(2.0))) == pytest.approx(1.0)
 
 
+def four_of(value, norm=sw.L1_ATOMS):
+    return sparse_field(sw.abelian(1), {(0, (k,)): value for k in range(4)}, norm)
+
+
+def two_of(value, norm=sw.L1_ATOMS):
+    return sparse_field(sw.abelian(1), {(0, (0,)): value, (0, (1,)): value}, norm)
+
+
 @pytest.mark.filterwarnings("error")
 def test_besov_norm_refuses_a_power_sum_beyond_float64():
-    # (1e300)^2 overflows although both entries are finite: a refusal, not inf
-    huge = sparse_field(sw.abelian(1), {(0, (0,)): 1e300, (0, (1,)): 1e300})
+    # four entries of 1e308 have the norm 2e308, beyond float64: a refusal, not inf
     with pytest.raises(sw.DomainError, match=r"discrete_besov_norm at \(s, p, q\) = "
                                              r"\(0.5, 2, 3\) overflows float64"):
-        sw.discrete_besov_norm(huge, sw.NormParams(0.5, 2.0, 3.0))
+        sw.discrete_besov_norm(four_of(1e308), sw.NormParams(0.5, 2.0, 3.0))
+    # (1e300)^2 overflows, but the norm sqrt(2) 1e300 is finite: rescaled by the largest
+    got = sw.discrete_besov_norm(two_of(1e300), sw.NormParams(0.5, 2.0, 3.0))
+    assert abs(got - np.sqrt(2.0) * 1e300) <= np.spacing(np.sqrt(2.0) * 1e300)
     small = sparse_field(sw.abelian(1), {(0, (0,)): 1e150, (0, (1,)): 1e150})
     assert sw.discrete_besov_norm(small, sw.NormParams(0.5, 2.0, 2.0)) == pytest.approx(
         np.sqrt(2.0) * 1e150, rel=1e-15)
@@ -105,10 +116,11 @@ def test_besov_norm_refuses_a_power_sum_beyond_float64():
 
 @pytest.mark.filterwarnings("error")
 def test_sobolev_seq_norm_refuses_a_sum_of_squares_beyond_float64():
-    huge = sparse_field(sw.abelian(1), {(0, (0,)): 1e300, (0, (1,)): 1e300}, sw.lp_atoms(4.0))
     with pytest.raises(sw.DomainError, match=r"sobolev_seq_norm of an Lp\(4\) field "
                                              "overflows float64"):
-        sw.sobolev_seq_norm(huge)
+        sw.sobolev_seq_norm(four_of(1e308, sw.lp_atoms(4.0)))
+    got = sw.sobolev_seq_norm(two_of(1e300, sw.lp_atoms(4.0)))
+    assert abs(got - np.sqrt(2.0) * 1e300) <= np.spacing(np.sqrt(2.0) * 1e300)
     small = sparse_field(sw.abelian(1), {(0, (0,)): 3e150, (0, (1,)): 4e150}, sw.lp_atoms(4.0))
     assert sw.sobolev_seq_norm(small) == pytest.approx(5e150, rel=1e-15)
 
@@ -271,6 +283,27 @@ def test_reorder_and_q_m_match_dict_reference(entries, M):
     assert as_dict(kept) == dict(sorted(ref[:M]))
 
 
+def besov_reference(c, s, p, q, mp_weight=False):
+    """(sum_j (sum_gamma (2^{j e} |c_jg|)^p)^{q/p})^{1/q} from the field's dict,
+    e = s + Q (c - 1/p) with c = 1/p_tag on an Lp tag and 0 on L1: in float64
+    with one 2.0 ** (j * e) per scale, or in mpmath on the exact binary entries."""
+    tag = 1.0 / c.normalization.p if c.normalization.kind == "Lp" else 0.0
+    per_j: dict = {}
+    for (j, _), v in sorted(as_dict(c).items()):
+        per_j.setdefault(j, []).append(abs(mpmath.mpc(v.real, v.imag)) if mp_weight else abs(v))
+    if mp_weight:
+        one = mpmath.mpf(1)
+        e = s + c.sampling.group.Q * ((one / c.normalization.p if tag else 0) - one / p)
+        return sum(mpmath.fsum((mpmath.power(2, j * e) * m) ** p for m in vals) ** (q / p)
+                   for j, vals in per_j.items()) ** (one / q)
+    e = s + c.sampling.group.Q * (tag - 1.0 / p)
+    acc = 0.0
+    for j, vals in per_j.items():
+        inner = np.sum((2.0 ** (j * e) * np.asarray(vals)) ** p) ** (1.0 / p)
+        acc += inner**q
+    return float(acc ** (1.0 / q))
+
+
 @settings(max_examples=60, deadline=None)
 @given(entries=field_entries, p=st.floats(1.1, 6.0), s=st.floats(-1.0, 1.0),
        q=st.floats(1.0, 4.0))
@@ -280,15 +313,36 @@ def test_convert_and_besov_match_dict_reference(entries, p, s, q):
     cp = sw.convert(c, sw.lp_atoms(p))
     assert as_dict(cp) == {k: v * 2.0 ** (k[0] * ((-1.0 / p) * g.Q))
                            for k, v in as_dict(c).items()}
-    back = {k: v * 2.0 ** (k[0] * ((1.0 / p) * g.Q)) for k, v in as_dict(cp).items()}
-    per_j: dict = {}
-    for (j, _), v in sorted(back.items()):
-        per_j.setdefault(j, []).append(abs(v))
+    # Both tags weigh their stored moduli once per scale.  Against the exact
+    # value: rounding j e costs the weights up to about 7 ulp at |j e| <= 12,
+    # and hypot, the powers and sums of at most 25 positive terms at most 25
+    # more (15 seen over 6000 random fields), so 32 ulp bound it.
+    for field in (c, cp):
+        got = sw.discrete_besov_norm(field, sw.NormParams(s, p, q))
+        assert got == besov_reference(field, s, p, q)
+        with mpmath.workdps(50):
+            exact = besov_reference(field, mpmath.mpf(s), mpmath.mpf(p), mpmath.mpf(q), True)
+            assert abs(got - exact) <= 32 * np.spacing(float(exact))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 10.0])
+@pytest.mark.parametrize("name", ["R1", "H1", "custom_3_2", "N3,2"])
+def test_the_critical_proxy_weighs_every_scale_by_exactly_one(name, p):
+    # on an Lp(p) field e = 0 + Q (1/p - 1/p) = 0 exactly, so at j = +-10^6,
+    # far beyond the 2^(j Q / p) of a conversion, the (0, p, p) proxy is the
+    # l^p norm of the stored moduli, nested scale by scale as the norm nests it
+    g = {"R1": sw.abelian(1), "H1": sw.heisenberg(1), "custom_3_2": custom_3_2(),
+         "N3,2": free_3_2()}[name]
+    rng = np.random.default_rng(31)
+    js = np.repeat([-10**6, -600, -1, 0, 1, 513, 10**6], 3)
+    c = sw.CoefficientField(sw.SamplingSet(g, 1.0), sw.lp_atoms(p), js=js,
+                            gammas=rng.integers(-50, 50, size=(len(js), g.dim)),
+                            values=rng.normal(size=len(js)) + 1j * rng.normal(size=len(js)))
+    moduli = np.array([abs(v) for v in c.values.tolist()])
     acc = 0.0
-    for j, vals in per_j.items():
-        inner = np.sum((2.0 ** (j * (s - g.Q / p)) * np.asarray(vals)) ** p) ** (1.0 / p)
-        acc += inner**q
-    assert sw.discrete_besov_norm(cp, sw.NormParams(s, p, q)) == float(acc ** (1.0 / q))
+    for _, run in c.scales():
+        acc += (np.sum(moduli[run] ** p) ** (1.0 / p)) ** p
+    assert sw.discrete_besov_norm(c, sw.NormParams(0.0, p, p)) == float(acc ** (1.0 / p))
 
 
 @settings(max_examples=60, deadline=None)

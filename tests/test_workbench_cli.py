@@ -881,6 +881,29 @@ def test_generate_runs_the_golden_h1_spec_beyond_float64_scales(tmp_path, capsys
         assert snaps.horizon == horizon and int(snaps.js.max()) == horizon
 
 
+def test_decompose_answers_the_golden_h1_spec_at_any_scale(tmp_path):
+    # the remainder proxy weighs every scale by exactly 1, so a dilation by
+    # 600 or 1000 scales, beyond 2^(j Q / p) = 2^(2 j) in float64, moves only
+    # the founders' absolute scales, and the horizon-2000 spec decomposes too
+    spec = json.loads((DATA / "golden_h1_spec.json").read_text())
+    path, snaps, report = tmp_path / "spec.json", tmp_path / "snaps.jsonl", tmp_path / "dec.json"
+
+    def decomposed(obj):
+        path.write_text(json.dumps(obj))
+        assert main(["generate", "--spec", str(path), "--out", str(snaps)]) == 0
+        assert main(["decompose", "--in", str(snaps), "--params",
+                     str(DATA / "golden_h1_params.json"), "--report", str(report)]) == 0
+        return loads(report.read_text())
+
+    want = loads((DATA / "golden_h1_dec.json").read_text())
+    for k in (600, 1000):
+        got = decomposed(dict(spec, tracks=[dict(t, j0=t["j0"] + k) for t in spec["tracks"]]))
+        for prof in got["profiles"]:
+            prof["core_track"] = [dict(e, j=e["j"] - k) for e in prof["core_track"]]
+        assert {**got, "inputs": None} == {**want, "inputs": None}
+    assert decomposed(dict(spec, horizon=2000))["nu"] == want["nu"]
+
+
 # -- one typed reader for every JSON input -----------------------------------
 
 @pytest.fixture(scope="module")
@@ -1287,13 +1310,20 @@ def test_decompose_refuses_snapshots_of_infinite_energy(tmp_path, capsys, snapsh
 
 @pytest.mark.filterwarnings("error")
 def test_norms_refuses_to_report_an_infinite_norm(tmp_path, capsys):
-    # two Lp(2) entries of 1e300 have an l2 norm beyond float64
+    # four Lp(2) entries of 1e308 have an l2 norm beyond float64
     path, report = tmp_path / "c.jsonl", tmp_path / "n.json"
-    sio.write_field(path, field_of(sw.SamplingSet(sw.abelian(1), 1.0),
-                                   {sw.AtomIndex(0, (0,)): 1e300, sw.AtomIndex(0, (1,)): 1e300},
+    gs = sw.SamplingSet(sw.abelian(1), 1.0)
+    sio.write_field(path, field_of(gs, {sw.AtomIndex(0, (k,)): 1e308 for k in range(4)},
                                    sw.lp_atoms(2.0)))
-    assert main(["norms", "--in", str(path), "--s", "0.5", "--p", "2", "--q", "2",
-                 "--report", str(report)]) == 1
+    args = ["norms", "--in", str(path), "--s", "0.5", "--p", "2", "--q", "2",
+            "--report", str(report)]
+    assert main(args) == 1
     assert capsys.readouterr().err == (
         "validation error: discrete_besov_norm at (s, p, q) = (0.5, 2, 2) overflows float64\n")
     assert not report.exists()
+    # two of 1e300 square beyond float64, but their norm sqrt(2) 1e300 is reported
+    sio.write_field(path, field_of(gs, {sw.AtomIndex(0, (k,)): 1e300 for k in range(2)},
+                                   sw.lp_atoms(2.0)))
+    assert main(args) == 0
+    got = loads(report.read_text())["discrete_besov_norm"]
+    assert abs(got - np.sqrt(2.0) * 1e300) <= np.spacing(np.sqrt(2.0) * 1e300)

@@ -110,6 +110,24 @@ class SamplingSet:
         """The fundamental box [0, s_1) x ... x [0, s_dim) of the spacings."""
         return tuple((0.0, s) for s in self.spacing.tolist())
 
+    def _to_tile(self, x: np.ndarray) -> np.ndarray:
+        """The y in the tile with x = gamma_0 . y, gamma_0 in the lattice, in rationals
+        rounded once (an x in the tile is returned as it is): x_1 floored by beta,
+        then x_2 - [gamma_0, x]/2, the second stratum of (gamma_0|V1)^-1 x, by s_2."""
+        s, xs = self.spacing.tolist(), x.tolist()
+        if all(0.0 <= v < w for v, w in zip(xs, s)):
+            return x
+        from fractions import Fraction  # here alone: it loads decimal, about 0.3 MB
+        d1, beta, s2 = self.group.strata_dims[0], Fraction(s[0]), Fraction(s[-1])
+        q = [Fraction(v) for v in xs]
+        a = [math.floor(v / beta) for v in q[:d1]]
+        y = [v - beta * ai for v, ai in zip(q, a)]
+        for k, rows in enumerate(self._law[0].tolist()):  # the integer bracket, per V2 axis
+            t = q[d1 + k] - beta / 2 * sum(b * ai * v for ai, row in zip(a, rows)
+                                           for b, v in zip(row, q) if b)
+            y.append(t - s2 * math.floor(t / s2))
+        return np.array([float(v) for v in y])
+
     # -- integer-lattice arithmetic (int64, exact within +-2^62) -------------
 
     def lat_mul(self, a, b):
@@ -277,16 +295,13 @@ def _tiling_offsets(d: int) -> np.ndarray:
 
 
 def _covering_counts(gs: SamplingSet, points: np.ndarray, tile) -> np.ndarray:
-    """Per point of a (P, dim) batch, the number of translates gamma.W of the
-    (dim, 2) tile W containing it."""
-    g = gs.group
-    spacing, d1 = gs.spacing, g.strata_dims[0]
-    pts = points[:, None, :]
-    offsets = _tiling_offsets(g.dim)
+    """Per point x of a (P, dim) batch, the number of translates gamma.W of the
+    (dim, 2) tile W containing it: the candidates of `SamplingSet._to_tile`'s rule,
+    each coordinate +-1, in one float64 pass (the exact rule is one point at a time):
+    floor(x_1 / beta), then the V2 of (gamma|V1)^-1 x floored by s_2."""
+    g, spacing, d1 = gs.group, gs.spacing, gs.group.strata_dims[0]
+    pts, offsets = points[:, None, :], _tiling_offsets(g.dim)
     gammas = np.floor(points / spacing).astype(np.int64)[:, None, :] + offsets
-    # the group law shifts the needed second-stratum coordinates by the
-    # cross term of the first-stratum candidate, so anchor them per
-    # first-stratum candidate instead of globally
     gammas[..., d1:] = 0
     rel_t = groups.multiply(g, groups.inverse(g, gs.decode(gammas)), pts)[..., d1:]
     gammas[..., d1:] = np.floor(rel_t / spacing[d1:]).astype(np.int64) + offsets[:, d1:]
@@ -429,12 +444,17 @@ def column_decay_certificate(
 ):
     """Certified value of 2^{eta Q} * sum_gamma 2^{-jQ} (1 + 2^eta |2^{-j}.gamma^{-1}.x|)^{-n}.
 
-    Sums integer-lattice shells until a shell contributes less than rel_tail of
-    the running total, then adds the integral-comparison tail (1/|W|) 2^{-eta Q}
-    kappa Q int_S^inf R^{Q-1} (1+R)^{-n} dR, S the rescaled cut radius, in the closed
-    form of `_tail_integral`.  The result must stay bounded uniformly in (eta, j, x).
+    The sum runs over the lattice, a group, so it is left-invariant: its value at
+    x is its value at gamma_0^{-1}.x for every lattice point gamma_0.  It is
+    computed at the y in the tile with x = gamma_0.y, formed exactly and rounded
+    once by `SamplingSet._to_tile` (gamma_0 may lie beyond MAX_LATTICE_COORD);
+    an x in the tile is y, every bit.  It sums integer-lattice shells around
+    rint(y / spacing) until a shell contributes less than rel_tail of the running
+    total, then adds the integral-comparison tail (1/|W|) 2^{-eta Q} kappa Q
+    int_S^inf R^{Q-1} (1+R)^{-n} dR, S the rescaled cut radius, in the closed form
+    of `_tail_integral`.  The result must stay bounded uniformly in (eta, j, x).
 
-    One homogeneous-norm pass over the gamma^{-1}.x gives every distance:
+    One homogeneous-norm pass over the gamma^{-1}.y gives every distance:
     |2^{-j}.z| = 2^{-j} |z| exactly (see `groups.hom_norm`), so a term is
     2^{(eta - j) Q} (1 + 2^{eta - j} |z|)^{-n}, the tail's S is 2^{eta - j} times
     the least norm on the last shell summed, and the reported cut distance is
@@ -456,8 +476,7 @@ def column_decay_certificate(
     a 2^{-j} that is 0 or overflows; a cut distance that is 0 or not finite
     raises it after the sum.
     """
-    g = gs.group
-    Q, d = g.Q, g.dim
+    g, Q, d = gs.group, gs.group.Q, gs.group.dim
     if eta > j:
         raise ValueError("requires eta <= j")
     if isinstance(max_shells, bool) or not isinstance(max_shells, (int, np.integer)) \
@@ -466,7 +485,7 @@ def column_decay_certificate(
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"x must be one point of {d} coordinates, got shape {x.shape}")
-    # the int64 center's bound, in one Python pass that a NaN or an infinity fails too
+    # past 2^53 spacings x's ulp reaches the tile's width; one Python pass, failed by NaN and inf
     if not all(abs(v) <= MAX_LATTICE_COORD * s for v, s in zip(x.tolist(), gs.spacing.tolist())):
         if not np.isfinite(x).all():
             raise ValueError(f"x must be finite, got {x}")
@@ -486,10 +505,11 @@ def column_decay_certificate(
     if not (weight >= sys.float_info.min and 0.0 < h < math.inf):
         raise DomainError(f"eta = {eta}, j = {j} leave float64: the weight 2^((eta - j) Q), "
                           f"Q = {Q}, must be a normal float and 2^(-j) positive and finite")
-    center = np.rint(x / gs.spacing).astype(np.int64)
+    y = gs._to_tile(x)
+    center = np.rint(y / gs.spacing).astype(np.int64)
 
     def terms(gammas):
-        norms = groups.hom_norm(g, groups.multiply(g, groups.inverse(g, gs.decode(gammas)), x))
+        norms = groups.hom_norm(g, groups.multiply(g, groups.inverse(g, gs.decode(gammas)), y))
         return weight / (1.0 + shrink * norms) ** n, norms
 
     def sums(shell_terms, norms):  # the shell's arrays are freed before the next is built
@@ -513,7 +533,6 @@ def column_decay_certificate(
         total += contrib
         if r > 2 and contrib < rel_tail * max(total, 1e-300):
             break
-    shells_used = r + 1
     # the least norm on the last shell summed (0 at r = 0)
     if r < rb:
         least = float(np.minimum.reduce(block_norms[bounds[r]:bounds[r + 1]])) if r > 0 else 0.0
@@ -522,21 +541,14 @@ def column_decay_certificate(
         raise DomainError(f"the cut distance 2^(-j) {least!r} is {cut_dist!r} at j = {j}, "
                           "not a positive float64")
 
-    # integral-comparison tail over {|z| >= cut_dist}, expressed after the
-    # substitution w = 2^eta z and times 2^{eta Q}, so S = 2^eta cut_dist = 2^{eta - j}
-    # least; |W| is the tile volume
-    tile_vol = math.prod(gs.spacing.tolist())
-    kappa = _unit_ball_volume(g.strata_dims)
-    tail = (kappa * Q / tile_vol) * (_tail_integral(Q, n, shrink * least) if n > Q else np.inf)
-
+    # integral-comparison tail over {|z| >= cut_dist}, after w = 2^eta z and times 2^{eta Q}:
+    # S = 2^eta cut_dist = 2^{eta - j} least; |W| is the tile volume, kappa the unit ball's
+    tail = (_unit_ball_volume(g.strata_dims) * Q / math.prod(gs.spacing.tolist())) * (
+        _tail_integral(Q, n, shrink * least) if n > Q else np.inf)
     value = total + tail
     if return_details:
-        return value, {
-            "partial_sum": total,
-            "tail_estimate": tail,
-            "shells": shells_used,
-            "cut_distance": cut_dist,
-        }
+        return value, {"partial_sum": total, "tail_estimate": tail, "shells": r + 1,
+                       "cut_distance": cut_dist}
     return value
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -55,6 +58,22 @@ def integer_step_2_groups(draw, max_d1=4, max_d2=3, max_entry=3):
     upper = np.triu(upper, k=1)
     return sw.GroupSpec(strata_dims=(d1, d2), kind="custom",
                         bracket=upper - upper.transpose(0, 2, 1))
+
+
+def tile_point(gs, x) -> tuple[tuple[int, ...], list[float]]:
+    """(gamma_0, y) with x = decode(gamma_0) . y and y in the tile, in exact
+    rationals, y rounded once: the first stratum of gamma_0 is floor(x_1 / beta),
+    its second floor(t / s_2), t the second stratum of (beta a, 0)^{-1} . x."""
+    g, s = gs.group, [Fraction(v) for v in gs.spacing.tolist()]
+    d1, q = g.strata_dims[0], [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    a = [math.floor(v / s[0]) for v in q[:d1]]
+    p = [s[0] * v for v in a]
+    t = [q[d1 + k] - sum(Fraction(int(g.bracket[k, i, l])) * p[i] * q[l]
+                         for i in range(d1) for l in range(d1)) / 2
+         for k in range(g.dim - d1)]
+    c = [math.floor(v / s[-1]) for v in t]
+    y = [v - w for v, w in zip(q, p)] + [v - s[-1] * w for v, w in zip(t, c)]
+    return tuple(a + c), [float(v) for v in y]
 
 
 def field_of(gs, mapping, normalization) -> sw.CoefficientField:

@@ -145,11 +145,14 @@ WORKLOAD_PINS = [
     ["0x1.4ea104a1ac64dp-1", "0x1.4e7fffb145139p-1", "0x1.0827833a89d5ap-12",
      "0x1.f23d3e01b88f0p+1", 9],
 ]
+# x = (0.3, -0.2, 0.1) lies outside the tile: both read the certificate at its
+# tile point y = (0.3, 0.8, 0.45), x = (0, -1, -1).y, as recorded from the
+# certificate that centred its shells on the given point, evaluated at y
 EXTRA_PINS = {
-    "beyond-block": ["0x1.bcbfffc463d3fp-12", "0x1.bcbff3f26fb90p-12",
-                     "0x1.7a3e835dc31c8p-33", "0x1.49b68cb959219p+2", 15],
-    "early-stop": ["0x1.60d03b131aec4p-10", "0x1.5bfb7d4e33efap-10",
-                   "0x1.352f7139bf285p-16", "0x1.1de2fe78283c1p-1", 4],
+    "beyond-block": ["0x1.bcc00553c578dp-12", "0x1.bcbff36849b5cp-12",
+                     "0x1.1eb7bc31178cap-32", "0x1.3baca1ed226a6p+2", 15],
+    "early-stop": ["0x1.6280a1fcaba1dp-10", "0x1.5ba706c4ad83cp-10",
+                   "0x1.b666cdff87837p-16", "0x1.0a9ec90497facp-1", 4],
 }
 # [max_overlap_fraction, uncovered_fraction, n_samples]
 TILING_PINS = {

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratwave as sw
-from conftest import custom_3_2, free_3_2, integer_step_2_groups
+from conftest import custom_3_2, free_3_2, integer_step_2_groups, tile_point
 from stratwave import sampling
 from stratwave.sampling import (
     _shell,
@@ -349,8 +349,9 @@ def test_shell_is_the_cube_boundary(d):
 
 def _brute_force_sums(gs, eta, j, n, x, shells):
     """(partial sum, cut distance) over the full cube of radius shells - 1,
-    one point at a time, with the bracket law and Koranyi gauge written out."""
-    b, g = gs.beta, gs.group
+    one point at a time, with the bracket law and Koranyi gauge written out,
+    at x reduced exactly to the tile (the sum is left-invariant)."""
+    b, g, x = gs.beta, gs.group, tile_point(gs, x)[1]
     d1, B = g.strata_dims[0], ([] if g.bracket is None else g.bracket.tolist())
     s2 = b * b / 2.0  # the second-stratum spacing
     center = [round(v / b) for v in x[:d1]] + [round(v / s2) for v in x[d1:]]
@@ -705,8 +706,8 @@ def test_shell_block_is_the_concatenated_shells(d, rbs):
 
 def _shell_by_shell(gs, eta, j, n, x, rel_tail, max_shells):
     """(partial sum, cut distance, shells) of the certificate's stopping rule,
-    one `_shell` pass at a time."""
-    g, Q = gs.group, gs.group.Q
+    one `_shell` pass at a time, at x reduced exactly to the tile."""
+    g, Q, x = gs.group, gs.group.Q, np.array(tile_point(gs, x)[1])
     center = np.rint(x / gs.spacing).astype(np.int64)
     total, cut, used = 0.0, 0.0, 0
     for r in range(max_shells):

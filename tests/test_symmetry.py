@@ -1,4 +1,5 @@
-"""Extraction is invariant under the symmetries of the problem.
+"""Extraction, the decay certificate and analysis are invariant under the
+symmetries of the problem.
 
 Profiles are defined modulo dilations and left translations (Gerard 1998;
 Bahouri-Cohen-Koch 2011), so shifting every scale of a sequence by k, or
@@ -6,10 +7,14 @@ left-translating every atom (j, gamma) to lat_mul(lat_dilate(eta, j - j_min),
 gamma), must leave every verdict alone.  A right translation is no symmetry of
 the rules and must change the result.  `generate` is equivariant in `j0` and
 `gamma0`, and the relative index equals exact integer arithmetic at any scale.
+The column-decay certificate sums over the lattice, so it is left-invariant
+too, and `analyze` on R^d commutes with translations by the coarsest lattice
+step, modulo the torus.
 """
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,11 +23,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stratwave as sw
-from conftest import custom_3_2, free_3_2, two_profile_spec
-from stratwave import generators, groups
+from conftest import custom_3_2, free_3_2, tile_point, two_profile_spec
+from stratwave import generators, groups, sampling
 from stratwave import io as sio
 from stratwave.cli import main
 from stratwave.profiles import energy_ledger, remainder_split
+from test_lattice_pins import certificate_hex
 
 GROUPS = {"R1": sw.abelian(1), "R2": sw.abelian(2), "H1": sw.heisenberg(1),
           "H2": sw.heisenberg(2), "custom_3_2": custom_3_2(), "N3,2": free_3_2()}
@@ -321,3 +327,120 @@ def test_the_pair_at_j_600_reads_as_at_j_1():
         verdicts.append(sw.classify_pair(a, b, 8, 5.0, 1e-9))
     assert verdicts[0] == verdicts[1]
     assert verdicts[0].detail == "rescaled core distance reaches 61.6441 at constant scale gap 0"
+
+
+# -- the decay certificate is left-invariant ----------------------------------
+
+def left_product(gs, gamma0, y):
+    """decode(gamma0) . y in exact rationals."""
+    g, s = gs.group, [Fraction(v) for v in gs.spacing.tolist()]
+    d1 = g.strata_dims[0]
+    p = [s[0] * v for v in gamma0[:d1]] + [s[-1] * v for v in gamma0[d1:]]
+    q = [Fraction(v) for v in y]
+    out = [a + b for a, b in zip(p, q)]
+    for k in range(g.dim - d1):
+        out[d1 + k] += sum(int(g.bracket[k, i, l]) * p[i] * q[l]
+                           for i in range(d1) for l in range(d1)) / 2
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_the_decay_certificate_is_left_invariant(name, data):
+    g = GROUPS[name]
+    gs = sw.SamplingSet(g, data.draw(st.sampled_from((1.0, 0.5, 0.75))))
+    d1, spacing = g.strata_dims[0], gs.spacing.tolist()
+    j = data.draw(st.integers(0, 2))
+    eta = data.draw(st.integers(0, j))
+    # y on the odd sixteenths of the tile, and gamma_0 small enough that
+    # gamma_0 . y is exact in float64: every figure is the same, bit for bit
+    y = [s * (2 * data.draw(st.integers(0, 7)) + 1) / 16 for s in spacing]
+    gamma0 = ([data.draw(st.integers(-2**20, 2**20)) for _ in range(d1)]
+              + [data.draw(st.integers(-2**40, 2**40)) for _ in range(g.dim - d1)])
+    x = left_product(gs, gamma0, y)
+    assume(all(float(v) == v for v in x))
+    assert (certificate_hex(gs, eta, j, 16, [float(v) for v in x], 1e-10, 4)
+            == certificate_hex(gs, eta, j, 16, y, 1e-10, 4))
+    # gamma_0 up to 2^40 on every coordinate, and y_2 anywhere in [s_2 / 16, 7 s_2 / 16]:
+    # x_1 is exact but x_2 rounds, which moves the tile point y' of x by a central
+    # e = y'_2 - y_2.  A central e moves each |z| = |gamma^{-1} y| by at most
+    # 2 |e| / min |z| <= 32 |e| / beta (d|z| / dz_2 <= 2 / |z|, and |z| >= |z_1|
+    # >= beta / 16 on the odd sixteenths); so each term, and the tail through its cut radius, moves by a
+    # factor within exp(+-n rho 32 |e| / beta), rho = 2^(eta - j), and no shell
+    # moves, as y_2 and y'_2 stay below half the tile.
+    gamma0 = [data.draw(st.integers(-2**40, 2**40)) for _ in range(g.dim)]
+    y[d1:] = [data.draw(st.floats(s / 16, 7 * s / 16)) for s in spacing[d1:]]
+    x = [float(v) for v in left_product(gs, gamma0, y)]
+    got, want = (certificate_hex(gs, eta, j, 16, p, 1e-10, 4) for p in (x, y))
+    moved_gamma0, moved = tile_point(gs, x)
+    assert (list(moved_gamma0), moved[:d1]) == (gamma0, y[:d1])
+    assert got == certificate_hex(gs, eta, j, 16, moved, 1e-10, 4)
+    e = max((abs(Fraction(a) - Fraction(b)) for a, b in zip(moved[d1:], y[d1:])), default=0)
+    bound = math.expm1(16 * 2.0 ** (eta - j) * 32 * float(e) / gs.beta) + 1e-12
+    assert abs(float.fromhex(got[0]) / float.fromhex(want[0]) - 1) <= bound
+
+
+H1_FAR = sw.SamplingSet(sw.heisenberg(1), 1.0)
+
+
+@pytest.mark.parametrize("x1, value", [(1e4, 4.806713e-4), (1e6, 4.806713e-4),
+                                       (1e8, 4.806713e-4), (1e12, 4.806048e-4)])
+def test_the_certificate_far_from_the_tile_reads_its_tile_point(x1, value):
+    # the cross term of gamma^{-1} x puts the lattice points nearest x far from
+    # rint(x / spacing): shells centred there read 1.47e-23 at 1e4 and 1.76e-71 at 1e12
+    x = [x1, 0.3, 0.1]
+    gamma0, y = tile_point(H1_FAR, x)
+    assert gamma0[:2] == (int(x1), 0)
+    got = certificate_hex(H1_FAR, 0, 0, 16, x, 1e-10, 5)
+    assert got == certificate_hex(H1_FAR, 0, 0, 16, y, 1e-10, 5)
+    assert float.fromhex(got[0]) == pytest.approx(value, rel=1e-6, abs=0)
+
+
+def test_a_tile_offset_beyond_the_stored_bound_is_answered():
+    # gamma_0's second-stratum coordinate is about -1.98 2^53, past MAX_LATTICE_COORD,
+    # while x / spacing stays within 2^53
+    gs = sw.SamplingSet(sw.heisenberg(2), 1.0)
+    x = [2.0**53, 2.0**53, 0.99, 0.99, 0.1]
+    gamma0, y = tile_point(gs, x)
+    assert gamma0 == (2**53, 2**53, 0, 0, -17834254524387164)
+    assert -gamma0[-1] > sampling.MAX_LATTICE_COORD and y == [0.0, 0.0, 0.99, 0.99, 0.1]
+    got = certificate_hex(gs, 0, 0, 16, x, 1e-10, 3)
+    assert got == certificate_hex(gs, 0, 0, 16, y, 1e-10, 3)
+    assert float.fromhex(got[0]) == pytest.approx(5.604e-4, rel=1e-3, abs=0)
+
+
+# -- analyze commutes with lattice translations -------------------------------
+
+@pytest.mark.parametrize("dim, n, j_range, beta, shifts", [
+    (1, 256, (-1, 4), 0.25, [(1,), (3,)]),
+    (1, 256, (-1, 4), 0.125, [(1,), (-5,)]),
+    (1, 256, (-1, 4), 0.5, [(2,), (7,)]),
+    (2, 32, (-1, 2), 0.25, [(1, -2), (3, 0)]),
+    (2, 32, (-1, 2), 0.5, [(0, 1), (-3, 2)]),
+], ids=["1d-0.25", "1d-0.125", "1d-0.5", "2d-0.25", "2d-0.5"])
+def test_analyze_commutes_with_lattice_translations(dim, n, j_range, beta, shifts):
+    # rolling f by k steps h_0 = beta 2^(-j_min) of the coarsest lattice shifts
+    # scale j's gamma by k 2^(j - j_min), modulo the torus period 2R / (beta 2^-j)
+    extent = 4.0
+    desc = sw.GridDescriptor(dim, n, extent)
+    ks = sw.build_kernel_set(sw.build_window(1.0), desc, j_range)
+    gs = sw.SamplingSet(sw.abelian(dim), beta)
+    rng = np.random.default_rng([dim, n, int(1 / beta)])
+    samples = rng.normal(size=(n,) * dim) + 1j * rng.normal(size=(n,) * dim)
+    base = sw.analyze(sw.GridFunction(dim, extent, samples), ks, gs, 2.0)
+    step = round(beta * 2.0 ** -j_range[0] / (2 * extent / n))  # h_0 in grid points
+    scale = 10.0 ** -14 * np.max(np.abs(base.values))
+    for k in shifts:
+        moved = sw.analyze(sw.GridFunction(dim, extent, np.roll(
+            samples, [step * v for v in k], axis=tuple(range(dim)))), ks, gs, 2.0)
+        period = np.rint(2 * extent / (beta * 2.0 ** -base.js)).astype(np.int64)[:, None]
+        low = -(period // 2)  # the torus box's first lattice point, -R / h_j
+        t = np.asarray(k) * 2 ** (base.js - j_range[0])[:, None]
+        want = {(j, tuple(gm)): v for j, gm, v in zip(
+            base.js.tolist(), (low + (base.gammas + t - low) % period).tolist(),
+            base.values.tolist())}
+        got = {(j, tuple(gm)): v for j, gm, v in zip(
+            moved.js.tolist(), moved.gammas.tolist(), moved.values.tolist())}
+        assert got.keys() == want.keys()
+        assert max(abs(got[key] - want[key]) for key in want) <= scale
